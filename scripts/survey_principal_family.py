@@ -21,8 +21,6 @@ from toricbsato import UniPoly, bfunction, build_semigroup, lct, monomial_ideal
 @dataclass(frozen=True)
 class SurveyConfig:
     max_a: int = 8
-    schedule: tuple = (1, 2, 3, 4)
-    cap: int = 6
 
 
 def run(config: SurveyConfig) -> int:
@@ -32,7 +30,7 @@ def run(config: SurveyConfig) -> int:
     for a in range(1, config.max_a + 1):
         ideal = monomial_ideal(line, [(a,)])
         start = time.monotonic()
-        res = bfunction(line, ideal, schedule=config.schedule, cap=config.cap)
+        res = bfunction(line, ideal)
         elapsed = time.monotonic() - start
         closed_form = UniPoly.from_roots([Fraction(-j, a) for j in range(1, a + 1)])
         ok = res.b == closed_form and lct(line, ideal) == Fraction(1, a) and res.stabilized

@@ -294,17 +294,14 @@ def _buchberger(ipolys: list[dict], key) -> list[dict]:
     return [p for _, p in pairs]
 
 
-def groebner_basis(
-    gens: Sequence[MultiPoly], order: MonomialOrder, check: Optional[bool] = None
-) -> list[MultiPoly]:
+def groebner_basis(gens: Sequence[MultiPoly], order: MonomialOrder) -> list[MultiPoly]:
     """Reduced Groebner basis of ``<gens>`` under ``order`` (monic output).
 
     Deterministic: Buchberger with normal pair selection (minimal lcm total
     degree, ties by pair index) plus the product and chain criteria; the
-    reduced basis is unique for the ideal and order regardless.  With
-    ``check`` true (or the module flag ``SELF_CHECK`` set) the result is
-    re-verified: every input and every S-polynomial of the output must
-    reduce to zero.
+    reduced basis is unique for the ideal and order regardless.  With the
+    module flag ``SELF_CHECK`` set the result is re-verified: every input
+    and every S-polynomial of the output must reduce to zero.
     """
     polys = [g for g in gens if not g.is_zero()]
     if len(polys) != len(gens):
@@ -318,8 +315,7 @@ def groebner_basis(
     ipolys = [_to_int_poly(p, key) for p in polys]
     basis = _buchberger(ipolys, key)
     result = [_from_int_poly(p, nvars, key) for p in basis]
-    do_check = SELF_CHECK if check is None else check
-    if do_check:
+    if SELF_CHECK:
         verify_groebner_basis(polys, result, order)
     return result
 
@@ -472,9 +468,9 @@ DEFAULT_SCHEDULE = (1, 2, 3, 4)
 DEFAULT_CAP = 6
 
 
-def _lct_matches(p: UniPoly, lct_value) -> bool:
-    """Does the smallest root of ``p(-s)`` equal the given threshold?"""
-    roots, remainder = rational_roots(p)
+def _lct_matches(p: UniPoly, roots, remainder: UniPoly, lct_value) -> bool:
+    """Does the smallest root of ``p(-s)`` equal the given threshold?
+    ``roots`` and ``remainder`` are the factorization ``rational_roots(p)``."""
     if remainder.degree > 0:
         return False  # irrational factors: cannot certify
     if not roots:
@@ -518,6 +514,14 @@ def bfunction(
         raise ValueError("schedule bounds must be positive integers")
     bounds += [b for b in range(bounds[-1] + 1, cap + 1)]
 
+    # each distinct truncation polynomial is factored at most once
+    factorizations: dict[UniPoly, tuple] = {}
+
+    def factor(p: UniPoly) -> tuple:
+        if p not in factorizations:
+            factorizations[p] = rational_roots(p)
+        return factorizations[p]
+
     history: list[tuple[int, Optional[UniPoly]]] = []
     prev: Optional[UniPoly] = None
     final: Optional[UniPoly] = None
@@ -534,7 +538,7 @@ def bfunction(
         box_used, generator_count = B, len(gens)
         if p is not None:
             final = p
-            if prev is not None and p == prev and _lct_matches(p, lct_value):
+            if prev is not None and p == prev and _lct_matches(p, *factor(p), lct_value):
                 stabilized = True
                 break
         prev = p
@@ -542,7 +546,7 @@ def bfunction(
         raise TruncationExhausted(
             f"elimination ideal stayed zero for every box bound up to {bounds[-1]}"
         )
-    roots, remainder = rational_roots(final)
+    roots, remainder = factor(final)
     return BFunctionResult(
         b=final,
         roots=tuple(roots),

@@ -18,10 +18,11 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .bsato import BFunctionResult, TruncationExhausted, bfunction
+from .bsato import DEFAULT_CAP, DEFAULT_SCHEDULE, BFunctionResult, TruncationExhausted, bfunction
 from .exactnum import IntMatrix
 from .multipoly import UniPoly
 from .multiplier import (
+    DEFAULT_KAPPA,
     JumpingReport,
     jumping_coefficients,
     lct,
@@ -346,8 +347,8 @@ def run(command: str, doc: Document, args) -> int:
 
     ideal = _require_monomial(doc, command, S)
     schedule = _parse_schedule(args.schedule, doc)
-    box_cap = doc.option_int("box_cap", args.box_cap, 6)
-    kappa = doc.option_int("kappa", args.kappa, 3)
+    box_cap = doc.option_int("box_cap", args.box_cap, DEFAULT_CAP)
+    kappa = doc.option_int("kappa", args.kappa, DEFAULT_KAPPA)
 
     if command == "bfunction":
         res = bfunction(S, ideal, schedule=schedule, cap=box_cap)
@@ -429,7 +430,7 @@ def _parse_schedule(flag: Optional[str], doc: Document) -> tuple[int, ...]:
     sched = doc.options.get("schedule")
     if sched is not None:
         return tuple(_int_list(sched, "schedule"))
-    return (1, 2, 3, 4)
+    return DEFAULT_SCHEDULE
 
 
 # ---------------------------------------------------------------------------
@@ -488,16 +489,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        doc = load_document(args.document)
-    except DocumentError as exc:
-        return _error(args.command, EXIT_MALFORMED, str(exc))
-    try:
-        return run(args.command, doc, args)
-    except DocumentError as exc:
-        return _error(args.command, EXIT_MALFORMED, str(exc))
-    except (ValueError, StructuralError) as exc:
-        if isinstance(exc, StructuralError):
-            return _error(args.command, EXIT_STRUCTURAL, str(exc))
+        return run(args.command, load_document(args.document), args)
+    except StructuralError as exc:
+        return _error(args.command, EXIT_STRUCTURAL, str(exc))
+    except ValueError as exc:  # DocumentError, undecodable bytes, bad values
         return _error(args.command, EXIT_MALFORMED, str(exc))
     except TruncationExhausted as exc:
         return _error(args.command, EXIT_UNCERTIFIED, str(exc))

@@ -279,18 +279,13 @@ def kernel_lattice_basis(M: IntMatrix) -> list[Vec]:
     return basis
 
 
-def solve_linear(M: Sequence[Sequence], b: Sequence, domain: str = "rational") -> Optional[list[Fraction]]:
-    """Solve ``M x = b`` exactly; return one solution or ``None``.
+def solve_linear(M: Sequence[Sequence], b: Sequence) -> Optional[list[Fraction]]:
+    """Solve ``M x = b`` exactly over the rationals; return one solution or
+    ``None`` when the system is inconsistent.
 
-    ``domain`` is ``"rational"`` or ``"integer"``.  Free variables (if the
-    system is underdetermined) are set to zero.  Returns ``None`` when the
-    system is inconsistent, or when ``domain="integer"`` and the computed
-    rational solution is not integral.  (With integer-domain requests on
-    systems with free columns this is a sufficient check only for the
-    injective matrices used in this package.)
+    Free variables (if the system is underdetermined) are set to zero.
+    Callers that need an integral solution check the denominators.
     """
-    if domain not in ("rational", "integer"):
-        raise ValueError("domain must be 'rational' or 'integer'")
     a = [[Fraction(x) for x in row] for row in M]
     rhs = [Fraction(x) for x in b]
     if len(a) != len(rhs):
@@ -322,8 +317,6 @@ def solve_linear(M: Sequence[Sequence], b: Sequence, domain: str = "rational") -
     x = [Fraction(0)] * ncols
     for i, c in enumerate(pivots):
         x[c] = aug[i][ncols]
-    if domain == "integer" and any(v.denominator != 1 for v in x):
-        return None
     return x
 
 

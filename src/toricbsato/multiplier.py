@@ -24,6 +24,7 @@ from itertools import product
 from math import ceil, floor, gcd
 from typing import Optional, Sequence, Union
 
+from .bsato import DEFAULT_CAP, DEFAULT_SCHEDULE, bfunction
 from .exactnum import IntMatrix, Vec, dot, fm_feasible, kernel_lattice_basis
 from .polyhedra import (
     INFINITY,
@@ -59,6 +60,12 @@ __all__ = [
 ]
 
 Rational = Union[int, Fraction]
+
+#: Witness-search windows in dimension >= 3 have radius ``WINDOW0 * kappa^i``
+#: for ``i <= EXPANSIONS``; ``kappa`` defaults to ``DEFAULT_KAPPA``.
+WINDOW0 = 4
+EXPANSIONS = 2
+DEFAULT_KAPPA = 3
 
 
 # ---------------------------------------------------------------------------
@@ -154,11 +161,9 @@ def _vertex_maxima_q(vertices: Sequence[Sequence[Rational]]) -> list[Fraction]:
     return [max(Fraction(v[k]) for v in vertices) for k in range(n)]
 
 
-def _minimal_members(
-    S: SemigroupData, box: Sequence[int], keep
-) -> tuple[tuple[Vec, ...], bool]:
+def _minimal_members(S: SemigroupData, box: Sequence[int], keep) -> tuple[Vec, ...]:
     """Scan ``q`` in the box, lift through ``f_section``, keep members,
-    reduce to the divisibility antichain.  Returns (generators, any_member)."""
+    reduce to the divisibility antichain."""
     members: list[tuple[Vec, Vec]] = []  # (q, v)
     for q in product(*(range(b + 1) for b in box)):
         v = f_section(S, q)
@@ -172,7 +177,35 @@ def _minimal_members(
         if any(all(x <= y for x, y in zip(q2, q)) for q2, _ in kept):
             continue
         kept.append((q, v))
-    return tuple(sorted(v for _, v in kept)), bool(members)
+    return tuple(sorted(v for _, v in kept))
+
+
+def _check_alpha_mode(alpha: Rational, mode: str) -> Fraction:
+    alpha = Fraction(alpha)
+    if alpha <= 0:
+        raise ValueError("alpha must be positive")
+    if mode not in ("relint", "closed"):
+        raise ValueError("mode must be 'relint' or 'closed'")
+    return alpha
+
+
+def _enumerate_until_stable(
+    S: SemigroupData, alpha: Fraction, mode: str, box: Sequence[int], keep, doublings: int
+) -> MultiplierIdealResult:
+    """Minimal members on ``box``, doubling the box up to ``doublings``
+    times until the generating set stops changing."""
+    gens = _minimal_members(S, box, keep)
+    stabilized = False
+    for _ in range(doublings):
+        box = [2 * b for b in box]
+        bigger = _minimal_members(S, box, keep)
+        if bigger == gens:
+            stabilized = True
+            break
+        gens = bigger
+    return MultiplierIdealResult(
+        alpha=alpha, mode=mode, generators=gens, box_used=tuple(box), stabilized=stabilized
+    )
 
 
 def multiplier_ideal(
@@ -192,11 +225,7 @@ def multiplier_ideal(
     ``M`` = facet values of the semigroup generators) and doubles up to
     ``doublings`` times until the minimal generating set stops changing.
     """
-    alpha = Fraction(alpha)
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    if mode not in ("relint", "closed"):
-        raise ValueError("mode must be 'relint' or 'closed'")
+    alpha = _check_alpha_mode(alpha, mode)
     P = transported_polyhedron(S, ideal)
     m = _vertex_maxima_q(P.vertices)
     M = _generator_column_maxima(S)
@@ -206,19 +235,7 @@ def multiplier_ideal(
         point = tuple(a + b for a, b in zip(q, S.e))
         return membership(P, point, alpha, mode)
 
-    gens, _ = _minimal_members(S, box, keep)
-    stabilized = False
-    for _ in range(max(0, doublings)):
-        bigger = [2 * b for b in box]
-        gens2, _ = _minimal_members(S, bigger, keep)
-        box = bigger
-        if gens2 == gens:
-            stabilized = True
-            break
-        gens = gens2
-    return MultiplierIdealResult(
-        alpha=alpha, mode=mode, generators=gens, box_used=tuple(box), stabilized=stabilized
-    )
+    return _enumerate_until_stable(S, alpha, mode, box, keep, doublings)
 
 
 def multiplier_ideal_with_boundary(
@@ -238,11 +255,7 @@ def multiplier_ideal_with_boundary(
     character space, with recession cone spanned by the extreme rays of the
     semigroup).
     """
-    alpha = Fraction(alpha)
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    if mode not in ("relint", "closed"):
-        raise ValueError("mode must be 'relint' or 'closed'")
+    alpha = _check_alpha_mode(alpha, mode)
     if not isinstance(ideal, MonomialIdeal):
         ideal = monomial_ideal(S, ideal)
     wq = tuple(Fraction(x) for x in w)
@@ -263,19 +276,7 @@ def multiplier_ideal_with_boundary(
         point = tuple(Fraction(x) - y for x, y in zip(v, wq))
         return membership(P, point, alpha, mode)
 
-    gens, _ = _minimal_members(S, box, keep)
-    stabilized = False
-    for _ in range(max(0, doublings)):
-        bigger = [2 * b for b in box]
-        gens2, _ = _minimal_members(S, bigger, keep)
-        box = bigger
-        if gens2 == gens:
-            stabilized = True
-            break
-        gens = gens2
-    return MultiplierIdealResult(
-        alpha=alpha, mode=mode, generators=gens, box_used=tuple(box), stabilized=stabilized
-    )
+    return _enumerate_until_stable(S, alpha, mode, box, keep, doublings)
 
 
 # ---------------------------------------------------------------------------
@@ -378,9 +379,7 @@ def _witness_search(
     S: SemigroupData,
     P: NewtonPolyhedron,
     alpha: Fraction,
-    window0: int,
     kappa: int,
-    expansions: int,
 ) -> tuple[Optional[Vec], bool]:
     """Find ``v`` with ``F(v) + e`` on the boundary of ``alpha * P``.
 
@@ -451,9 +450,9 @@ def _witness_search(
         if not feasible:
             continue
         center = [int(round(x)) for x in witness]
-        width = window0
+        width = WINDOW0
         found = None
-        for _ in range(expansions + 1):
+        for _ in range(EXPANSIONS + 1):
             for tau in product(*(range(cj - width, cj + width + 1) for cj in center)):
                 if all(dot(a, tau) + b >= 0 for a, b in rows):
                     v = tuple(
@@ -476,9 +475,7 @@ def jumping_coefficients(
     S: SemigroupData,
     ideal,
     window_max: Rational,
-    kappa: int = 3,
-    window0: int = 4,
-    expansions: int = 2,
+    kappa: int = DEFAULT_KAPPA,
 ) -> JumpingReport:
     """All jumping coefficients of the pair up to ``window_max``.
 
@@ -486,7 +483,7 @@ def jumping_coefficients(
     the image onto a tight positive-offset facet, so ``alpha`` is a
     multiple of ``1/c`` for some facet offset ``c``.  Witness search is
     complete for character spaces of dimension <= 2 and windowed above
-    that (window radii ``window0 * kappa^i``, ``i <= expansions``).
+    that (window radii ``WINDOW0 * kappa^i``, ``i <= EXPANSIONS``).
     """
     T = Fraction(window_max)
     threshold = lct(S, ideal)
@@ -503,7 +500,7 @@ def jumping_coefficients(
     jumps: list[tuple[Fraction, Vec]] = []
     unresolved: list[Fraction] = []
     for alpha in sorted(candidates):
-        witness, exhausted = _witness_search(S, P, alpha, window0, kappa, expansions)
+        witness, exhausted = _witness_search(S, P, alpha, kappa)
         if witness is not None:
             jumps.append((alpha, witness))
         elif exhausted and search_mode == "windowed":
@@ -549,19 +546,17 @@ class CorrespondenceReport:
 def verify_correspondence(
     S: SemigroupData,
     ideal,
-    schedule: Sequence[int] = (1, 2, 3, 4),
-    cap: int = 6,
-    kappa: int = 3,
+    schedule: Sequence[int] = DEFAULT_SCHEDULE,
+    cap: int = DEFAULT_CAP,
+    kappa: int = DEFAULT_KAPPA,
 ) -> CorrespondenceReport:
     """Check that jumping coefficients in ``[lct, lct + 1)`` are roots of
     ``b(-s)`` and that the threshold is the smallest root."""
-    from .bsato import bfunction
-
     if not isinstance(ideal, MonomialIdeal):
         ideal = monomial_ideal(S, ideal)
     threshold = lct(S, ideal)
+    res = bfunction(S, ideal, schedule=schedule, cap=cap)
     if threshold == INFINITY:
-        res = bfunction(S, ideal, schedule=schedule, cap=cap)
         ok = res.b.degree == 0
         return CorrespondenceReport(
             verdict="PASS" if ok else "FAIL",
@@ -573,7 +568,6 @@ def verify_correspondence(
             bfunction_result=res,
             jumping_report=None,
         )
-    res = bfunction(S, ideal, schedule=schedule, cap=cap)
     jr = jumping_coefficients(S, ideal, threshold + 1, kappa=kappa)
     roots_neg = sorted(((-r, mult) for r, mult in res.roots), key=lambda rm: rm[0])
     root_values = {r for r, _ in roots_neg}

@@ -15,9 +15,8 @@ F-criterion document that caveat rather than re-checking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
-from itertools import combinations, product
+from dataclasses import dataclass
+from itertools import product
 from typing import Optional, Sequence
 
 from .exactnum import (
@@ -25,9 +24,7 @@ from .exactnum import (
     Vec,
     dot,
     fm_feasible,
-    kernel_lattice_basis,
     lattice_is_saturated,
-    primitive_vector,
     rank,
     solve_linear,
 )
@@ -71,7 +68,6 @@ class SemigroupData:
     saturated: bool
     normal: Optional[bool] = None
     normality_witness: Optional[Vec] = None
-    _pointed_witness: Optional[tuple[Fraction, ...]] = field(default=None, repr=False)
 
     @property
     def d(self) -> int:
@@ -112,17 +108,11 @@ def build_semigroup(A: IntMatrix) -> SemigroupData:
     columns = A.columns()
     if rank(columns) != d:
         raise StructuralError("cone not full-dimensional")
-    feasible, witness = fm_feasible([(a, 1, ">=") for a in columns])
+    feasible, _ = fm_feasible([(a, 1, ">=") for a in columns])
     if not feasible:
         raise StructuralError("cone not strongly convex")
     facets = tuple(cone_facet_normals(columns, d))
-    S = SemigroupData(
-        A=A,
-        facets=facets,
-        pointed=True,
-        saturated=lattice_is_saturated(A),
-        _pointed_witness=tuple(witness) if witness is not None else None,
-    )
+    S = SemigroupData(A=A, facets=facets, pointed=True, saturated=lattice_is_saturated(A))
     # completeness sanity check: all generators on the nonnegative side, and
     # for d >= 2 each facet is incident to at least one generator
     for f in facets:
@@ -143,12 +133,13 @@ def f_section(S: SemigroupData, q: Sequence[int]) -> Optional[Vec]:
     """The unique ``v`` with ``f_map(v) = q``, or ``None`` if there is none.
 
     ``F`` is injective (the cone is pointed and full-dimensional), so at most
-    one preimage exists; it must be integral.
+    one preimage exists: the rational solution of ``F v = q``, which is
+    rejected unless it is integral.
     """
     if len(q) != S.nfacets:
         raise ValueError("q has wrong length")
-    x = solve_linear(S.facets, q, domain="integer")
-    if x is None:
+    x = solve_linear(S.facets, q)
+    if x is None or any(c.denominator != 1 for c in x):
         return None
     v = tuple(int(c) for c in x)
     if f_map(S, v) != tuple(int(c) for c in q):
@@ -248,29 +239,12 @@ def theta_generator(S: SemigroupData, u: Sequence[int]) -> MultiPoly:
 def extreme_rays(S: SemigroupData) -> tuple[Vec, ...]:
     """Primitive generators of the extreme rays of the cone, one per ray.
 
-    Each extreme ray of a full-dimensional pointed cone is cut out by
-    ``d - 1`` facets whose normals span a hyperplane; scan facet subsets the
-    same way facets are found from generators.  Descending lex order.
+    The extreme rays of a pointed full-dimensional cone are the inner facet
+    normals of its dual cone, and the dual cone is spanned by the facet
+    support vectors ``S.facets``; so this is :func:`cone_facet_normals`
+    applied to them.  Descending lex order.
     """
-    d = S.d
-    if d == 1:
-        # the cone is a half-line; any column is a generator of it
-        return (primitive_vector(S.A.column(0)),)
-    rays: set[Vec] = set()
-    for subset in combinations(range(S.nfacets), d - 1):
-        rows = [S.facets[i] for i in subset]
-        if rank(rows) != d - 1:
-            continue
-        basis = kernel_lattice_basis(IntMatrix.from_rows(rows))
-        if len(basis) != 1:
-            continue
-        r = primitive_vector(basis[0])
-        for cand in (r, tuple(-x for x in r)):
-            vals = f_map(S, cand)
-            if all(v >= 0 for v in vals):
-                if rank([f for f, v in zip(S.facets, vals) if v == 0]) == d - 1:
-                    rays.add(cand)
-    return tuple(sorted(rays, reverse=True))
+    return tuple(cone_facet_normals(S.facets, S.d))
 
 
 def minimalize_exponents(S: SemigroupData, exps: Sequence[Sequence[int]]) -> tuple[Vec, ...]:

@@ -183,6 +183,19 @@ def test_bfunction_running_example(cusp):
     assert res.truncation == ((1, None), (2, b), (3, b))
 
 
+def test_bfunction_factors_once(cusp, monkeypatch):
+    calls = []
+
+    def counting(p):
+        calls.append(p)
+        return rational_roots(p)
+
+    monkeypatch.setattr("toricbsato.bsato.rational_roots", counting)
+    res = bfunction(cusp, monomial_ideal(cusp, CUSP_IDEAL))
+    assert res.stabilized
+    assert calls == [res.b]
+
+
 def test_bfunction_accepts_raw_exponents(cusp):
     by_ideal = bfunction(cusp, monomial_ideal(cusp, CUSP_IDEAL))
     by_list = bfunction(cusp, CUSP_IDEAL)

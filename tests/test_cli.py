@@ -254,6 +254,14 @@ def test_schema_errors(tmp_path, capsys):
     assert code == 1 and "invalid JSON" in report["error"]["message"]
 
 
+def test_undecodable_document(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"matrix": [[1]], "note": "\xff"}')
+    code, report, _ = invoke(capsys, ["check", str(path)])
+    assert code == 1
+    assert report["error"]["code"] == 1
+
+
 def test_missing_required_flags(tmp_path, capsys):
     doc = write_doc(tmp_path, CUSP_DOC)
     code, report, _ = invoke(capsys, ["multiplier", doc, "--assume-normal"])

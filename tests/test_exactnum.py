@@ -108,10 +108,7 @@ def test_kernel_is_saturated():
 def test_solve_linear():
     assert solve_linear([[2, 0], [0, 3]], [4, 9]) == [Fraction(2), Fraction(3)]
     assert solve_linear([[1, 1], [2, 2]], [1, 3]) is None
-    assert solve_linear([[2]], [1], domain="integer") is None
-    assert solve_linear([[2]], [6], domain="integer") == [Fraction(3)]
-    with pytest.raises(ValueError):
-        solve_linear([[1]], [1], domain="real")
+    assert solve_linear([[2]], [1]) == [Fraction(1, 2)]
 
 
 def grid_points(n, radius=4):

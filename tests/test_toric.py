@@ -1,9 +1,12 @@
 """Semigroup data: facets, transport map, normality, ideals."""
 
+from math import gcd
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toricbsato.exactnum import rank
 from toricbsato.multipoly import MultiPoly
 from toricbsato.toric import (
     StructuralError,
@@ -160,6 +163,35 @@ def test_extreme_rays(cusp):
     assert extreme_rays(build_semigroup([[1, 0], [0, 1]])) == ((1, 0), (0, 1))
     S = build_semigroup([[1, 1, 1, 0], [0, 2, 1, 0], [0, 0, 0, 1]])
     assert extreme_rays(S) == ((1, 2, 0), (1, 0, 0), (0, 0, 1))
+
+
+@st.composite
+def pointed_cones(draw):
+    """A random pointed cone in dimension 2 or 3.  Every column has a
+    positive first coordinate, so the cone is pointed; the columns
+    ``(1, 0, ..., 0)`` and ``(1, e_j)`` make it full-dimensional."""
+    d = draw(st.sampled_from([2, 3]))
+    extra = draw(
+        st.lists(
+            st.tuples(st.integers(1, 4), *[st.integers(-4, 4)] * (d - 1)), min_size=1, max_size=4
+        )
+    )
+    cols = [tuple(1 if i == 0 or i == j else 0 for i in range(d)) for j in range(d)] + extra
+    return build_semigroup([[c[i] for c in cols] for i in range(d)])
+
+
+@given(pointed_cones())
+@settings(max_examples=60, deadline=None)
+def test_extreme_rays_invariant(S):
+    """Each ray is primitive, lies in the cone and is cut out by facets of
+    rank d - 1."""
+    rays = extreme_rays(S)
+    assert len(rays) == len(set(rays)) >= S.d
+    for r in rays:
+        assert gcd(*r) == 1
+        vals = f_map(S, r)
+        assert all(v >= 0 for v in vals)
+        assert rank([f for f, v in zip(S.facets, vals) if v == 0]) == S.d - 1
 
 
 def test_minimalize_exponents(cusp):
