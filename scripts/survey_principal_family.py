@@ -7,7 +7,7 @@ threshold is 1/a.  This script runs the full engine for a = 1..max_a,
 checks both facts exactly, and reports timings — a quick end-to-end
 smoke test whose expected output is known in closed form.
 
-    python3 scripts/survey_principal_family.py --max-a 8
+    python3 scripts/survey_principal_family.py --max-a 16
 """
 
 import argparse

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .exactnum import Vec, gcd_list
@@ -387,54 +387,85 @@ def eliminate_minimal_univariate(gens: Sequence[MultiPoly]) -> Optional[UniPoly]
 # ---------------------------------------------------------------------------
 
 
-def _divisors(n: int) -> list[int]:
+def _positive_divisors(n: int) -> list[int]:
+    """Ascending positive divisors of ``n != 0``, listed from its
+    factorization by trial division (each prime found is divided out)."""
     n = abs(n)
-    small, large = [], []
-    k = 1
-    while k * k <= n:
-        if n % k == 0:
-            small.append(k)
-            if k != n // k:
-                large.append(n // k)
-        k += 1
-    return small + large[::-1]
+    divs = [1]
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            powers = [1]
+            while n % p == 0:
+                n //= p
+                powers.append(powers[-1] * p)
+            divs = [d * q for d in divs for q in powers]
+        p += 1
+    if n > 1:
+        divs += [d * n for d in divs]
+    return sorted(divs)
+
+
+def _divide_by_linear(a: list[int], num: int, den: int) -> Optional[list[int]]:
+    """Integer quotient of ``sum a_i x^i`` by ``den*x - num``, or ``None``
+    when it does not divide (synthetic division from the top, stopping at
+    the first coefficient ``den`` does not divide)."""
+    q = [0] * (len(a) - 1)
+    carry = 0
+    for k in range(len(a) - 1, 0, -1):
+        top, rest = divmod(a[k] + num * carry, den)
+        if rest:
+            return None
+        q[k - 1] = carry = top
+    return q if a[0] + num * carry == 0 else None
 
 
 def rational_roots(p: UniPoly) -> tuple[list[tuple[Fraction, int]], UniPoly]:
     """All rational roots of ``p`` with multiplicities, plus the unfactored
-    remainder; ``prod (x - root)^mult * remainder == p`` exactly."""
+    remainder; ``prod (x - root)^mult * remainder == p`` exactly.
+
+    ``p`` is cleared to a primitive integer polynomial and its zero roots
+    are split off, leaving ``a_0 + ... + a_n x^n`` with ``a_0 != 0``.  A
+    root ``num/den`` in lowest terms has ``den | a_n``, ``num | a_0`` and,
+    by the Cauchy bound, ``|num| * |a_n| <= den * (|a_n| + max |a_i|)``.
+    Candidates run by ascending ``den`` and ``num`` and are tested by
+    integer synthetic division by ``den*x - num``; a hit replaces the
+    polynomial by its quotient and retries the same candidate, which counts
+    the multiplicity.  The quotient's end coefficients prune later
+    candidates, and the search stops once the quotient has degree 0.  The
+    remainder is ``p`` exactly deflated by the roots found.
+    """
     if p.is_zero():
         raise ValueError("rational_roots of the zero polynomial")
-    roots: list[tuple[Fraction, int]] = []
+    denom = lcm(*(c.denominator for c in p.coeffs))
+    a = [int(c * denom) for c in p.coeffs]
+    g = gcd_list(a)
+    mult0 = next(i for i, c in enumerate(a) if c)
+    a = [c // g for c in a[mult0:]]
+    roots: list[tuple[Fraction, int]] = [(Fraction(0), mult0)] if mult0 else []
+    if len(a) > 1:
+        lead = abs(a[-1])
+        reach = lead + max(abs(c) for c in a[:-1])  # |num| * lead <= den * reach
+        nums = _positive_divisors(a[0])
+        for den in _positive_divisors(lead):
+            if a[-1] % den:
+                continue
+            for num in nums:
+                if len(a) == 1 or num * lead > den * reach:
+                    break
+                if a[0] % num or gcd(num, den) != 1:
+                    continue
+                for signed in (-num, num):
+                    mult = 0
+                    while len(a) > 1 and (quot := _divide_by_linear(a, signed, den)) is not None:
+                        a = quot
+                        mult += 1
+                    if mult:
+                        roots.append((Fraction(signed, den), mult))
     q = p
-    mult0 = 0
-    while q.degree > 0 and q.coeffs[0] == 0:
-        q = q.deflate_root(0)
-        mult0 += 1
-    if mult0:
-        roots.append((Fraction(0), mult0))
-    if q.degree > 0:
-        denom = 1
-        for c in q.coeffs:
-            denom = denom * c.denominator // gcd(denom, c.denominator)
-        ints = [int(c * denom) for c in q.coeffs]
-        g = gcd_list(ints)
-        ints = [c // g for c in ints]
-        candidates = sorted(
-            {
-                Fraction(sign * num, den)
-                for num in _divisors(ints[0])
-                for den in _divisors(ints[-1])
-                for sign in (1, -1)
-            }
-        )
-        for r in candidates:
-            mult = 0
-            while q.degree > 0 and q(r) == 0:
-                q = q.deflate_root(r)
-                mult += 1
-            if mult:
-                roots.append((r, mult))
+    for r, mult in roots:
+        for _ in range(mult):
+            q = q.deflate_root(r)
     roots.sort(key=lambda rm: rm[0])
     return roots, q
 

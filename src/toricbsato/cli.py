@@ -6,7 +6,9 @@ summary on stderr.  Rationals cross the boundary as strings like "2/3"
 round trips.  Exit codes: 0 success / PASS, 1 malformed input, 2 a
 structural assumption failed (cone not pointed, lattice not saturated,
 semigroup not normal or normality unverified), 3 a resource cap was hit
-and the emitted result is uncertified, 4 verification FAIL.
+and the emitted result is uncertified, 4 verification FAIL or an internal
+invariant check failed (an ``AssertionError``; the error object then
+carries ``"internal": true``).
 """
 
 from __future__ import annotations
@@ -496,6 +498,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _error(args.command, EXIT_MALFORMED, str(exc))
     except TruncationExhausted as exc:
         return _error(args.command, EXIT_UNCERTIFIED, str(exc))
+    except AssertionError as exc:  # an invariant check of the engine failed
+        return _error(
+            args.command, EXIT_FAIL, f"internal invariant failed: {exc}", {"internal": True}
+        )
 
 
 if __name__ == "__main__":

@@ -113,9 +113,6 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiPoly):
             return NotImplemented
@@ -236,11 +233,6 @@ class MultiPoly:
         pad = (0,) * extra
         return MultiPoly(self.nvars + extra, {e + pad: c for e, c in self.terms.items()})
 
-    def monic(self, order: MonomialOrder) -> "MultiPoly":
-        if self.is_zero():
-            return self
-        return self / self.leading_coefficient(order)
-
     # -- display ------------------------------------------------------
 
     def format(self, names: Optional[Sequence[str]] = None) -> str:
@@ -320,12 +312,6 @@ class UniPoly:
 
     def is_monic(self) -> bool:
         return not self.is_zero() and self.coeffs[-1] == 1
-
-    def monic(self) -> "UniPoly":
-        if self.is_zero():
-            raise ValueError("zero polynomial cannot be made monic")
-        lc = self.coeffs[-1]
-        return UniPoly([c / lc for c in self.coeffs])
 
     def __call__(self, x) -> Fraction:
         x = Fraction(x)

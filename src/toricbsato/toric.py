@@ -86,10 +86,6 @@ class SemigroupData:
         """The all-ones vector of ``Z^F`` (one coordinate per facet)."""
         return (1,) * self.nfacets
 
-    def f_matrix(self) -> IntMatrix:
-        """The transport map as a matrix (rows = facet support vectors)."""
-        return IntMatrix.from_rows(self.facets)
-
 
 def build_semigroup(A: IntMatrix) -> SemigroupData:
     """Validate ``A`` and compute the facet support functions.

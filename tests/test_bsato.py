@@ -1,5 +1,6 @@
 """Generator polynomials, Buchberger engine, elimination, b-functions."""
 
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -167,6 +168,37 @@ def test_rational_roots_reconstruction(cs):
     assert rem.degree == 0 or not any(rem(c) == 0 for r, _ in roots for c in (r,))
 
 
+@st.composite
+def planted_polys(draw):
+    """A nonzero lead times planted rational roots (repeats drawn from a
+    small pool) times an optional irreducible ``x^2 + k``."""
+    lead = draw(st.fractions(min_value=-20, max_value=20, max_denominator=20).filter(bool))
+    root = st.builds(F, st.integers(-40, 40), st.integers(1, 12))
+    pool = draw(st.lists(root, min_size=1, max_size=4))
+    roots = draw(st.lists(st.sampled_from(pool), max_size=6))
+    k = draw(st.sampled_from((None, 1, 2, 3, 5, 7)))
+    rem = UniPoly([lead]) if k is None else UniPoly([lead * k, F(0), lead])
+    return roots, rem
+
+
+@given(planted_polys())
+@settings(max_examples=150, deadline=None)
+def test_rational_roots_finds_planted(case):
+    planted, rem = case
+    p = rem * UniPoly.from_roots(planted)
+    roots, remainder = rational_roots(p)
+    assert roots == sorted(Counter(planted).items())
+    assert remainder == rem
+
+
+def test_rational_roots_principal_closed_form():
+    for a in range(11, 17):
+        expected = [F(-j, a) for j in range(a, 0, -1)]
+        roots, rem = rational_roots(UniPoly.from_roots(expected))
+        assert roots == [(r, 1) for r in expected]
+        assert rem == UniPoly([F(1)])
+
+
 # --- the b-function driver --------------------------------------------------
 
 
@@ -212,7 +244,7 @@ def test_bfunction_identity_maximal_ideal():
 
 def test_bfunction_principal_closed_form():
     line = build_semigroup([[1]])
-    for a in (1, 2, 3):
+    for a in range(1, 13):
         res = bfunction(line, monomial_ideal(line, [(a,)]))
         assert res.b == UniPoly.from_roots([F(-j, a) for j in range(1, a + 1)])
         assert res.stabilized

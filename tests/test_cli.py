@@ -126,6 +126,19 @@ def test_bfunction_cap_hit(tmp_path, capsys):
     assert "stayed zero" in report["error"]["message"]
 
 
+def test_internal_invariant_failure_is_reported(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise AssertionError("larger truncation box failed to divide the smaller one")
+
+    monkeypatch.setattr("toricbsato.cli.bfunction", broken)
+    doc = write_doc(tmp_path, CUSP_DOC)
+    code, report, _ = invoke(capsys, ["bfunction", doc, "--assume-normal"])
+    assert code == 4
+    assert report["error"]["code"] == 4
+    assert report["error"]["internal"] is True
+    assert "failed to divide" in report["error"]["message"]
+
+
 def test_lct_and_multiplier(tmp_path, capsys):
     doc = write_doc(tmp_path, CUSP_DOC)
     code, report, _ = invoke(capsys, ["lct", doc, "--assume-normal"])
