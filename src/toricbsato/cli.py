@@ -24,7 +24,6 @@ from .bsato import DEFAULT_CAP, DEFAULT_SCHEDULE, BFunctionResult, TruncationExh
 from .exactnum import IntMatrix
 from .multipoly import UniPoly
 from .multiplier import (
-    DEFAULT_KAPPA,
     JumpingReport,
     jumping_coefficients,
     lct,
@@ -174,6 +173,8 @@ def load_document(path: str) -> Document:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DocumentError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise DocumentError("document nested too deeply") from exc
     return Document(raw)
 
 
@@ -350,7 +351,6 @@ def run(command: str, doc: Document, args) -> int:
     ideal = _require_monomial(doc, command, S)
     schedule = _parse_schedule(args.schedule, doc)
     box_cap = doc.option_int("box_cap", args.box_cap, DEFAULT_CAP)
-    kappa = doc.option_int("kappa", args.kappa, DEFAULT_KAPPA)
 
     if command == "bfunction":
         res = bfunction(S, ideal, schedule=schedule, cap=box_cap)
@@ -391,14 +391,14 @@ def run(command: str, doc: Document, args) -> int:
         window = doc.option_rational("max", args.max)
         if window is None:
             raise DocumentError("jumping needs --max (or options.max)")
-        jr = jumping_coefficients(S, ideal, window, kappa=kappa)
+        jr = jumping_coefficients(S, ideal, window)
         report = {"command": "jumping", **_jumping_json(jr)}
         code = EXIT_OK if not jr.unresolved else EXIT_UNCERTIFIED
         vals = ", ".join(frac_str(a) for a, _ in jr.jumping)
         return _emit(report, f"jumping up to {frac_str(window)}: {{{vals}}}", code)
 
     if command == "verify":
-        cr = verify_correspondence(S, ideal, schedule=schedule, cap=box_cap, kappa=kappa)
+        cr = verify_correspondence(S, ideal, schedule=schedule, cap=box_cap)
         report = {
             "command": "verify",
             "verdict": cr.verdict,
@@ -470,7 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
         dest="box_cap",
         help="truncation cap (bfunction/verify) or enumeration doublings (multiplier)",
     )
-    parser.add_argument("--kappa", type=int, help="window growth factor for witness search")
     parser.add_argument(
         "--schedule", help="comma-separated truncation box bounds, e.g. 1,2,3,4"
     )

@@ -7,7 +7,8 @@ lattice and feasibility primitives the geometric layers are built on:
 * column-style Hermite normal form together with its unimodular
   transformation matrix,
 * primitive integer vectors,
-* exact solving of linear systems over the rationals or the integers,
+* one fraction-free (Bareiss) Gauss-Jordan elimination behind rank,
+  determinant and exact solving of linear systems over the rationals,
 * Fourier-Motzkin elimination for strict/weak linear inequality systems,
   including an exact rational witness when the system is feasible.
 
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 Vec = tuple[int, ...]
@@ -85,9 +86,6 @@ class IntMatrix:
     @staticmethod
     def from_rows(rows) -> "IntMatrix":
         return IntMatrix(tuple(tuple(row) for row in rows))
-
-    def row(self, i: int) -> Vec:
-        return self.entries[i]
 
     def column(self, j: int) -> Vec:
         return tuple(row[j] for row in self.entries)
@@ -212,54 +210,58 @@ def lattice_is_saturated(M: IntMatrix) -> bool:
     return True
 
 
+def _bareiss(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int], int, int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968).
+
+    Each row is first scaled to integers, which keeps the row space.  Step
+    ``k`` replaces every other row by ``(p_k * row - f * pivot_row) / p_{k-1}``;
+    the division is exact because every entry is then a minor of the scaled
+    matrix.  Returns ``(a, pivots, p, sign)``: the reduced integer rows,
+    whose row ``i`` carries the last pivot ``p`` in column ``pivots[i]`` and
+    zeros in the other pivot columns (rows past ``len(pivots)`` are zero),
+    and the sign of the row permutation.
+    """
+    a = []
+    for row in rows:
+        row = [Fraction(x) for x in row]
+        den = lcm(*(x.denominator for x in row))
+        a.append([x.numerator * (den // x.denominator) for x in row])
+    nrows = len(a)
+    ncols = len(a[0]) if a else 0
+    pivots: list[int] = []
+    p, sign = 1, 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if a[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            sign = -sign
+        top = a[r]
+        pc = top[c]
+        for i in range(nrows):
+            if i != r:
+                f = a[i][c]
+                a[i] = [(pc * x - f * y) // p for x, y in zip(a[i], top)]
+        pivots.append(c)
+        p = pc
+    return a, pivots, p, sign
+
+
 def det(M: IntMatrix) -> int:
-    """Exact determinant of a square integer matrix (Gaussian elimination)."""
+    """Exact determinant of a square integer matrix: the last Bareiss pivot."""
     if M.rows != M.cols:
         raise ValueError("determinant of a non-square matrix")
-    n = M.rows
-    a = [[Fraction(x) for x in row] for row in M.entries]
-    sign = 1
-    for c in range(n):
-        piv = next((r for r in range(c, n) if a[r][c] != 0), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            sign = -sign
-        for r in range(c + 1, n):
-            f = a[r][c] / a[c][c]
-            if f:
-                for j in range(c, n):
-                    a[r][j] -= f * a[c][j]
-    result = Fraction(sign)
-    for c in range(n):
-        result *= a[c][c]
-    if result.denominator != 1:
-        raise AssertionError("integer determinant came out fractional")
-    return int(result)
+    _, pivots, p, sign = _bareiss(M.entries)
+    return sign * p if len(pivots) == M.rows else 0
 
 
 def rank(rows: Sequence[Sequence]) -> int:
     """Rank over Q of a matrix given as a sequence of rows (ints or Fractions)."""
-    a = [[Fraction(x) for x in row] for row in rows]
-    if not a:
-        return 0
-    nrows, ncols = len(a), len(a[0])
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        for i in range(nrows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c] / a[r][c]
-                for j in range(c, ncols):
-                    a[i][j] -= f * a[r][j]
-        r += 1
-        if r == nrows:
-            break
-    return r
+    return len(_bareiss(rows)[1])
 
 
 def kernel_lattice_basis(M: IntMatrix) -> list[Vec]:
@@ -286,37 +288,17 @@ def solve_linear(M: Sequence[Sequence], b: Sequence) -> Optional[list[Fraction]]
     Free variables (if the system is underdetermined) are set to zero.
     Callers that need an integral solution check the denominators.
     """
-    a = [[Fraction(x) for x in row] for row in M]
-    rhs = [Fraction(x) for x in b]
-    if len(a) != len(rhs):
+    if len(M) != len(b):
         raise ValueError("solve_linear: shape mismatch")
-    if not a:
+    if not M:
         return []
-    nrows, ncols = len(a), len(a[0])
-    aug = [row + [rhs[i]] for i, row in enumerate(a)]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = aug[r][c]
-        aug[r] = [x / inv for x in aug[r]]
-        for i in range(nrows):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if aug[i][ncols] != 0:
-            return None  # inconsistent
+    ncols = len(M[0])
+    a, pivots, p, _ = _bareiss([list(row) + [rhs] for row, rhs in zip(M, b)])
+    if pivots and pivots[-1] == ncols:
+        return None  # a pivot in the right-hand side: inconsistent
     x = [Fraction(0)] * ncols
     for i, c in enumerate(pivots):
-        x[c] = aug[i][ncols]
+        x[c] = Fraction(a[i][-1], p)
     return x
 
 

@@ -61,11 +61,11 @@ __all__ = [
 
 Rational = Union[int, Fraction]
 
-#: Witness-search windows in dimension >= 3 have radius ``WINDOW0 * kappa^i``
-#: for ``i <= EXPANSIONS``; ``kappa`` defaults to ``DEFAULT_KAPPA``.
+#: Witness-search windows in dimension >= 3 have radius ``WINDOW0 * KAPPA^i``
+#: for ``i <= EXPANSIONS``.
 WINDOW0 = 4
 EXPANSIONS = 2
-DEFAULT_KAPPA = 3
+KAPPA = 3
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +379,6 @@ def _witness_search(
     S: SemigroupData,
     P: NewtonPolyhedron,
     alpha: Fraction,
-    kappa: int,
 ) -> tuple[Optional[Vec], bool]:
     """Find ``v`` with ``F(v) + e`` on the boundary of ``alpha * P``.
 
@@ -464,7 +463,7 @@ def _witness_search(
                         break
             if found:
                 break
-            width *= kappa
+            width *= KAPPA
         if found:
             return found, exhausted
         exhausted = True
@@ -475,7 +474,6 @@ def jumping_coefficients(
     S: SemigroupData,
     ideal,
     window_max: Rational,
-    kappa: int = DEFAULT_KAPPA,
 ) -> JumpingReport:
     """All jumping coefficients of the pair up to ``window_max``.
 
@@ -483,7 +481,7 @@ def jumping_coefficients(
     the image onto a tight positive-offset facet, so ``alpha`` is a
     multiple of ``1/c`` for some facet offset ``c``.  Witness search is
     complete for character spaces of dimension <= 2 and windowed above
-    that (window radii ``WINDOW0 * kappa^i``, ``i <= EXPANSIONS``).
+    that (window radii ``WINDOW0 * KAPPA^i``, ``i <= EXPANSIONS``).
     """
     T = Fraction(window_max)
     threshold = lct(S, ideal)
@@ -500,7 +498,7 @@ def jumping_coefficients(
     jumps: list[tuple[Fraction, Vec]] = []
     unresolved: list[Fraction] = []
     for alpha in sorted(candidates):
-        witness, exhausted = _witness_search(S, P, alpha, kappa)
+        witness, exhausted = _witness_search(S, P, alpha)
         if witness is not None:
             jumps.append((alpha, witness))
         elif exhausted and search_mode == "windowed":
@@ -548,7 +546,6 @@ def verify_correspondence(
     ideal,
     schedule: Sequence[int] = DEFAULT_SCHEDULE,
     cap: int = DEFAULT_CAP,
-    kappa: int = DEFAULT_KAPPA,
 ) -> CorrespondenceReport:
     """Check that jumping coefficients in ``[lct, lct + 1)`` are roots of
     ``b(-s)`` and that the threshold is the smallest root."""
@@ -568,7 +565,7 @@ def verify_correspondence(
             bfunction_result=res,
             jumping_report=None,
         )
-    jr = jumping_coefficients(S, ideal, threshold + 1, kappa=kappa)
+    jr = jumping_coefficients(S, ideal, threshold + 1)
     roots_neg = sorted(((-r, mult) for r, mult in res.roots), key=lambda rm: rm[0])
     root_values = {r for r, _ in roots_neg}
     in_window = tuple(a for a, _ in jr.jumping if threshold <= a < threshold + 1)

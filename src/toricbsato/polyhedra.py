@@ -68,12 +68,9 @@ def cone_facet_normals(generators: Sequence[Vec], dim: int) -> list[Vec]:
         found_list = sorted(found, reverse=True)
         return found_list
     for subset in combinations(range(len(gens)), dim - 1):
-        rows = [gens[i] for i in subset]
-        if rank(rows) != dim - 1:
-            continue
-        basis = kernel_lattice_basis(IntMatrix.from_rows(rows))
+        basis = kernel_lattice_basis(IntMatrix.from_rows([gens[i] for i in subset]))
         if len(basis) != 1:
-            continue
+            continue  # kernel dimension = dim - rank: the subset has rank < dim - 1
         normal = primitive_vector(basis[0])
         vals = [dot(normal, g) for g in gens]
         if all(v >= 0 for v in vals):

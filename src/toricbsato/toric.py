@@ -15,18 +15,18 @@ F-criterion document that caveat rather than re-checking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from typing import Optional, Sequence
 
 from .exactnum import (
     IntMatrix,
     Vec,
+    _bareiss,
     dot,
     fm_feasible,
     lattice_is_saturated,
     rank,
-    solve_linear,
 )
 from .multipoly import MultiPoly
 from .polyhedra import cone_facet_normals
@@ -60,6 +60,11 @@ class SemigroupData:
     ``F_sigma(p) = f . p``, in descending lexicographic order; this fixed
     order is the coordinate order of ``Z^F`` everywhere downstream.  The
     ``normal`` flag is three-valued: ``None`` = not yet determined.
+
+    ``section = (X, p)`` is an integer left inverse of the facet matrix
+    ``F`` up to the scalar ``p``: ``X F = p I_d``.  It is computed once, on
+    construction, by one fraction-free elimination of ``[F | I]``;
+    :func:`f_section` lifts every point through it.
     """
 
     A: IntMatrix
@@ -68,6 +73,14 @@ class SemigroupData:
     saturated: bool
     normal: Optional[bool] = None
     normality_witness: Optional[Vec] = None
+    section: tuple[tuple[Vec, ...], int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        n, d = len(self.facets), self.A.rows
+        a, _, p, _ = _bareiss(
+            [list(f) + [int(i == j) for j in range(n)] for i, f in enumerate(self.facets)]
+        )
+        self.section = (tuple(tuple(row[d:]) for row in a[:d]), p)
 
     @property
     def d(self) -> int:
@@ -129,18 +142,18 @@ def f_section(S: SemigroupData, q: Sequence[int]) -> Optional[Vec]:
     """The unique ``v`` with ``f_map(v) = q``, or ``None`` if there is none.
 
     ``F`` is injective (the cone is pointed and full-dimensional), so at most
-    one preimage exists: the rational solution of ``F v = q``, which is
-    rejected unless it is integral.
+    one preimage exists.  With the section ``X F = p I_d`` it can only be
+    ``v = X q / p``: rejected when ``p`` does not divide ``X q`` or when
+    ``F v != q`` (``q`` outside the image of ``F``).
     """
     if len(q) != S.nfacets:
         raise ValueError("q has wrong length")
-    x = solve_linear(S.facets, q)
-    if x is None or any(c.denominator != 1 for c in x):
+    X, p = S.section
+    nums = [dot(row, q) for row in X]
+    if any(x % p for x in nums):
         return None
-    v = tuple(int(c) for c in x)
-    if f_map(S, v) != tuple(int(c) for c in q):
-        return None
-    return v
+    v = tuple(x // p for x in nums)
+    return v if f_map(S, v) == tuple(q) else None
 
 
 def contains(S: SemigroupData, v: Sequence[int]) -> bool:

@@ -275,6 +275,16 @@ def test_undecodable_document(tmp_path, capsys):
     assert report["error"]["code"] == 1
 
 
+def test_deeply_nested_document(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    depth = 100_000
+    path.write_text('{"matrix": ' + "[" * depth + "]" * depth + "}")
+    code, report, _ = invoke(capsys, ["check", str(path)])
+    assert code == 1
+    assert report["error"]["code"] == 1
+    assert "nested too deeply" in report["error"]["message"]
+
+
 def test_missing_required_flags(tmp_path, capsys):
     doc = write_doc(tmp_path, CUSP_DOC)
     code, report, _ = invoke(capsys, ["multiplier", doc, "--assume-normal"])

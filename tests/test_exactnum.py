@@ -111,6 +111,74 @@ def test_solve_linear():
     assert solve_linear([[2]], [1]) == [Fraction(1, 2)]
 
 
+def gauss_jordan(rows, rhs):
+    """Reference: plain Fraction Gauss-Jordan on ``[rows | rhs]``.
+
+    Returns ``(rank, solution or None, det)``; the solution has its free
+    variables at 0, and ``det`` (square input only) is the product of the
+    pivots times the sign of the row swaps.
+    """
+    n, m = len(rows), len(rows[0])
+    a = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(rows, rhs)]
+    pivots, sign, prod = [], 1, Fraction(1)
+    for c in range(m):
+        r = len(pivots)
+        piv = next((i for i in range(r, n) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            sign = -sign
+        prod *= a[r][c]
+        a[r] = [x / a[r][c] for x in a[r]]
+        for i in range(n):
+            if i != r and a[i][c] != 0:
+                a[i] = [x - a[i][c] * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    solution = None
+    if all(a[i][m] == 0 for i in range(len(pivots), n)):
+        solution = [Fraction(0)] * m
+        for i, c in enumerate(pivots):
+            solution[c] = a[i][m]
+    det_value = sign * prod if len(pivots) == n == m else 0
+    return len(pivots), solution, det_value
+
+
+sparse_rationals = st.one_of(
+    st.just(0),
+    st.integers(-5, 5),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+)
+
+
+@given(
+    st.integers(1, 5).flatmap(
+        lambda r: st.tuples(
+            st.integers(1, 5).flatmap(
+                lambda c: st.lists(
+                    st.lists(sparse_rationals, min_size=c, max_size=c), min_size=r, max_size=r
+                )
+            ),
+            st.lists(sparse_rationals, min_size=r, max_size=r),
+        )
+    )
+)
+@settings(max_examples=300)
+def test_elimination_matches_reference(system):
+    """``rank``, ``solve_linear`` and ``det`` agree with a plain Fraction
+    Gauss-Jordan elimination, and every returned solution solves the system."""
+    rows, rhs = system
+    ref_rank, ref_solution, _ = gauss_jordan(rows, rhs)
+    assert rank(rows) == ref_rank
+    x = solve_linear(rows, rhs)
+    assert x == ref_solution
+    if x is not None:
+        assert [dot(row, x) for row in rows] == [Fraction(y) for y in rhs]
+    if len(rows) == len(rows[0]):
+        ints = [[int(v * 6) for v in row] for row in rows]
+        assert det(IntMatrix(ints)) == gauss_jordan(ints, [0] * len(ints))[2]
+
+
 def grid_points(n, radius=4):
     from itertools import product
 

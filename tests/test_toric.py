@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricbsato.exactnum import rank
+from toricbsato.exactnum import rank, solve_linear
 from toricbsato.multipoly import MultiPoly
 from toricbsato.toric import (
     StructuralError,
@@ -192,6 +192,32 @@ def test_extreme_rays_invariant(S):
         vals = f_map(S, r)
         assert all(v >= 0 for v in vals)
         assert rank([f for f, v in zip(S.facets, vals) if v == 0]) == S.d - 1
+
+
+def _section_by_solve(S, q):
+    """Reference lift: solve ``F v = q`` over Q, keep an integral solution
+    whose image is ``q``."""
+    x = solve_linear(S.facets, q)
+    if x is None or any(c.denominator != 1 for c in x):
+        return None
+    v = tuple(int(c) for c in x)
+    return v if f_map(S, v) == tuple(q) else None
+
+
+@given(
+    pointed_cones(),
+    st.lists(st.integers(-6, 6), min_size=3, max_size=3),
+    st.lists(st.lists(st.integers(-6, 6), min_size=8, max_size=8), min_size=1, max_size=8),
+)
+@settings(max_examples=60, deadline=None)
+def test_section_matches_solve(S, v, qs):
+    """``f_section`` inverts ``f_map`` on the lattice and agrees with the
+    solve-then-check lift on arbitrary points of ``Z^F``."""
+    v = tuple(v[: S.d])
+    assert f_section(S, f_map(S, v)) == v
+    for q in qs:
+        q = tuple(q[: S.nfacets])
+        assert f_section(S, q) == _section_by_solve(S, q)
 
 
 def test_minimalize_exponents(cusp):
