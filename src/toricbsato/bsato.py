@@ -4,24 +4,26 @@ The b-function of a monomial ideal in a normal toric semigroup ring is the
 monic generator of the elimination ideal ``(<g_c : c> + <t - sum s_i>)
 intersect Q[t]``, where the ``g_c`` are explicit products of generalized
 binomial coefficients indexed by integer vectors ``c`` with coordinate sum
-one.  The family of ``c`` is infinite; we truncate to boxes ``|c_i| <= B``
-over a growing schedule and report stabilization honestly (the truncated
-answer is always a polynomial multiple of the true b-function, so two
-consecutive agreeing boxes plus the log-canonical-threshold cross-check give
-strong evidence).
+one.  The family of ``c`` is infinite; we truncate to the boxes
+``|c_i| <= B`` for ``B = 1, ..., cap``, building each ``g_c`` once, and
+report stabilization honestly (the truncated answer is always a polynomial
+multiple of the true b-function, so two consecutive agreeing boxes plus the
+log-canonical-threshold cross-check give strong evidence).
 
 The Groebner engine is a deterministic Buchberger with the normal selection
-strategy (minimal lcm degree, ties by pair index) and the standard product
-and chain criteria.  Internally all polynomials are kept as primitive
-integer-coefficient dictionaries; contents are stripped after every
-reduction so coefficient growth stays tame.  Public inputs and outputs are
-``MultiPoly`` over ``Fraction``.
+strategy (minimal lcm degree, ties by pair index, read off a heap of pairs
+whose lcm is computed once) and the standard product and chain criteria.
+Internally all polynomials are kept as primitive integer-coefficient
+dictionaries; contents are stripped after every reduction so coefficient
+growth stays tame.  Public inputs and outputs are ``MultiPoly`` over
+``Fraction``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from itertools import product
 from math import gcd, lcm
 from typing import Optional, Sequence
@@ -33,7 +35,6 @@ from .multipoly import (
     UniPoly,
     binom_poly,
     block_elimination,
-    grevlex,
 )
 from .toric import MonomialIdeal, SemigroupData, f_map, monomial_ideal
 
@@ -96,29 +97,11 @@ def build_generator(S: SemigroupData, exponents: Sequence[Vec], c: Sequence[int]
     """Generator ``g_c`` of the b-function ideal for a monomial ideal with
     the given generator ``exponents`` in the semigroup.
 
-    Computed through the facet support functions: with ``u = sum c_i beta_i``,
-    ``g_c = prod_{i: c_i < 0} binom(s_i, -c_i) * prod_{sigma: F_sigma(u) > 0}
-    binom(F_sigma(l_beta(s)) + F_sigma(u), F_sigma(u))``.  This agrees term
-    for term with :func:`monomial_generator` applied to the transported
-    exponents ``F(beta_i)``.
+    Since the facet map ``F`` is linear, this is :func:`monomial_generator`
+    applied to the transported exponents ``F(beta_i)``: the binomial factors
+    run over the facets ``sigma`` with ``F_sigma(sum c_i beta_i) > 0``.
     """
-    r = len(exponents)
-    if len(c) != r:
-        raise ValueError("c and exponent list must have equal length")
-    if sum(c) != 1:
-        raise ValueError("coordinate sum of c must be 1")
-    u = tuple(sum(c[i] * exponents[i][k] for i in range(r)) for k in range(S.d))
-    fu = f_map(S, u)
-    fbetas = [f_map(S, b) for b in exponents]
-    g = MultiPoly.constant(r, 1)
-    for i in range(r):
-        if c[i] < 0:
-            g = g * binom_poly(MultiPoly.variable(r, i), -c[i])
-    for k in range(S.nfacets):
-        if fu[k] > 0:
-            form = MultiPoly.linear_form([fbetas[i][k] for i in range(r)], fu[k])
-            g = g * binom_poly(form, fu[k])
-    return g
+    return monomial_generator([f_map(S, b) for b in exponents], c)
 
 
 def c_vectors(r: int, B: int):
@@ -168,13 +151,35 @@ def _from_int_poly(p: dict, nvars: int, key) -> MultiPoly:
     return MultiPoly(nvars, {e: Fraction(c, lc) for e, c in p.items()})
 
 
+class _KeyMemo(dict):
+    """Order key of each exponent, computed once; lives for one public call."""
+
+    def __init__(self, order: MonomialOrder):
+        self.order_key = order.key
+
+    def __missing__(self, e: Vec) -> tuple:
+        k = self[e] = self.order_key(e)
+        return k
+
+
 def _divides(a: Vec, b: Vec) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def _normal_form(p: dict, basis: list[tuple[Vec, int, dict]], key) -> dict:
-    """Full normal form of ``p`` against ``basis``; exact up to a positive
-    rational scalar (integer cross-multiplication, contents stripped)."""
+def _reducer(p: dict, key) -> tuple[Vec, int, dict]:
+    """``(lead, lc, terms)`` of a nonzero internal polynomial."""
+    lead = max(p, key=key)
+    return lead, p[lead], p
+
+
+def _reducers(basis: Sequence[MultiPoly], key) -> list[tuple[Vec, int, dict]]:
+    return [_reducer(_to_int_poly(g, key), key) for g in basis]
+
+
+def _normal_form(p: dict, basis: Sequence[tuple[Vec, int, dict]], key) -> dict:
+    """Full normal form of ``p`` against the reducers ``basis``; exact up to
+    a positive rational scalar (integer cross-multiplication, contents
+    stripped)."""
     p = dict(p)
     while p:
         hit = None
@@ -210,18 +215,19 @@ def _normal_form(p: dict, basis: list[tuple[Vec, int, dict]], key) -> dict:
     return _normalize(p, key) if p else p
 
 
-def _spoly(fl: Vec, f: dict, gl: Vec, g: dict) -> dict:
-    lcm = tuple(max(a, b) for a, b in zip(fl, gl))
-    cf, cg = f[fl], g[gl]
+def _spoly(f: tuple[Vec, int, dict], g: tuple[Vec, int, dict], lcm: Vec) -> dict:
+    """S-polynomial of two reducers whose leads have least common multiple
+    ``lcm``."""
+    (fl, cf, fterms), (gl, cg, gterms) = f, g
     k = gcd(cf, cg)
     mf, mg = cg // k, cf // k
     sf = tuple(a - b for a, b in zip(lcm, fl))
     sg = tuple(a - b for a, b in zip(lcm, gl))
     s: dict = {}
-    for e, c in f.items():
+    for e, c in fterms.items():
         ne = tuple(x + y for x, y in zip(e, sf))
         s[ne] = s.get(ne, 0) + mf * c
-    for e, c in g.items():
+    for e, c in gterms.items():
         ne = tuple(x + y for x, y in zip(e, sg))
         v = s.get(ne, 0) - mg * c
         if v:
@@ -232,66 +238,51 @@ def _spoly(fl: Vec, f: dict, gl: Vec, g: dict) -> dict:
 
 
 def _buchberger(ipolys: list[dict], key) -> list[dict]:
-    G: list[dict] = []
-    leads: list[Vec] = []
+    R: list[tuple[Vec, int, dict]] = []  # reducers (lead, lc, terms)
+    lcms: dict[tuple[int, int], Vec] = {}  # pending pairs and their lead lcm
+    heap: list[tuple[int, int, int]] = []  # (lcm degree, i, j) of pending pairs
 
     def push(p: dict):
-        G.append(p)
-        leads.append(max(p, key=key))
+        new = len(R)
+        R.append(_reducer(p, key))
+        lead = R[new][0]
+        for i in range(new):
+            m = tuple(map(max, R[i][0], lead))
+            lcms[i, new] = m
+            heappush(heap, (sum(m), i, new))
 
     for p in ipolys:
         if p:
             push(p)
-    pending: set[tuple[int, int]] = {(i, j) for j in range(len(G)) for i in range(j)}
-
-    def lcm_of(i, j):
-        return tuple(max(a, b) for a, b in zip(leads[i], leads[j]))
-
-    while pending:
-        i, j = min(pending, key=lambda ij: (sum(lcm_of(*ij)), ij))
-        pending.discard((i, j))
-        lcm = lcm_of(i, j)
+    while heap:
+        _, i, j = heappop(heap)
+        m = lcms.pop((i, j))
         # product criterion: coprime leading monomials
-        if all(a + b == c for a, b, c in zip(leads[i], leads[j], lcm)):
+        if all(a + b == c for a, b, c in zip(R[i][0], R[j][0], m)):
             continue
         # chain criterion
-        skip = False
-        for k in range(len(G)):
-            if k in (i, j) or not _divides(leads[k], lcm):
-                continue
-            p1 = (min(i, k), max(i, k))
-            p2 = (min(j, k), max(j, k))
-            if p1 not in pending and p2 not in pending:
-                skip = True
-                break
-        if skip:
+        if any(
+            k not in (i, j)
+            and _divides(R[k][0], m)
+            and (min(i, k), max(i, k)) not in lcms
+            and (min(j, k), max(j, k)) not in lcms
+            for k in range(len(R))
+        ):
             continue
-        s = _spoly(leads[i], G[i], leads[j], G[j])
-        nf = _normal_form(s, list(zip(leads, (p[l] for p, l in zip(G, leads)), G)), key)
+        nf = _normal_form(_spoly(R[i], R[j], m), R, key)
         if nf:
-            new = len(G)
             push(nf)
-            for t in range(new):
-                pending.add((t, new))
     # minimalize: drop elements whose lead is divisible by another's
-    order_idx = sorted(range(len(G)), key=lambda i: key(leads[i]))
-    kept: list[int] = []
-    for i in order_idx:
-        if any(_divides(leads[k], leads[i]) for k in kept):
-            continue
-        kept.append(i)
-    basis = [G[i] for i in kept]
-    lead_list = [leads[i] for i in kept]
+    basis: list[tuple[Vec, int, dict]] = []
+    for red in sorted(R, key=lambda red: key(red[0])):
+        if not any(_divides(le, red[0]) for le, _, _ in basis):
+            basis.append(red)
     # inter-reduce tails
     for idx in range(len(basis)):
-        others = [
-            (lead_list[k], basis[k][lead_list[k]], basis[k]) for k in range(len(basis)) if k != idx
-        ]
+        others = basis[:idx] + basis[idx + 1 :]
         if others:
-            basis[idx] = _normal_form(basis[idx], others, key)
-            lead_list[idx] = max(basis[idx], key=key)
-    pairs = sorted(zip(lead_list, basis), key=lambda lb: key(lb[0]))
-    return [p for _, p in pairs]
+            basis[idx] = _reducer(_normal_form(basis[idx][2], others, key), key)
+    return [p for _, _, p in sorted(basis, key=lambda red: key(red[0]))]
 
 
 def groebner_basis(gens: Sequence[MultiPoly], order: MonomialOrder) -> list[MultiPoly]:
@@ -311,7 +302,7 @@ def groebner_basis(gens: Sequence[MultiPoly], order: MonomialOrder) -> list[Mult
     nvars = polys[0].nvars
     if any(p.nvars != nvars for p in polys):
         raise ValueError("generators live in different rings")
-    key = order.key
+    key = _KeyMemo(order).__getitem__
     ipolys = [_to_int_poly(p, key) for p in polys]
     basis = _buchberger(ipolys, key)
     result = [_from_int_poly(p, nvars, key) for p in basis]
@@ -323,11 +314,8 @@ def groebner_basis(gens: Sequence[MultiPoly], order: MonomialOrder) -> list[Mult
 def normal_form(f: MultiPoly, basis: Sequence[MultiPoly], order: MonomialOrder) -> MultiPoly:
     """Normal form of ``f`` modulo ``basis`` (up to a positive scalar;
     exactly zero iff ``f`` reduces to zero)."""
-    key = order.key
-    ib = []
-    for g in basis:
-        ig = _to_int_poly(g, key)
-        ib.append((max(ig, key=key), ig[max(ig, key=key)], ig))
+    key = _KeyMemo(order).__getitem__
+    ib = _reducers(basis, key)
     nf = _normal_form(_to_int_poly(f, key), ib, key) if not f.is_zero() else {}
     if not nf:
         return MultiPoly.zero(f.nvars)
@@ -339,17 +327,14 @@ def verify_groebner_basis(
 ) -> None:
     """Raise ``AssertionError`` unless ``gb`` behaves like a Groebner basis
     for ``<gens>``: all inputs and all S-polynomials reduce to zero."""
-    key = order.key
-    ib = []
-    for g in gb:
-        ig = _to_int_poly(g, key)
-        ib.append((max(ig, key=key), ig[max(ig, key=key)], ig))
+    key = _KeyMemo(order).__getitem__
+    ib = _reducers(gb, key)
     for f in gens:
         if _normal_form(_to_int_poly(f, key), ib, key):
             raise AssertionError("input generator does not reduce to zero")
     for j in range(len(ib)):
         for i in range(j):
-            s = _spoly(ib[i][0], ib[i][2], ib[j][0], ib[j][2])
+            s = _spoly(ib[i], ib[j], tuple(map(max, ib[i][0], ib[j][0])))
             if s and _normal_form(s, ib, key):
                 raise AssertionError("S-polynomial does not reduce to zero")
 
@@ -495,7 +480,6 @@ class BFunctionResult:
     truncation: tuple[tuple[int, Optional[UniPoly]], ...]
 
 
-DEFAULT_SCHEDULE = (1, 2, 3, 4)
 DEFAULT_CAP = 6
 
 
@@ -513,7 +497,6 @@ def _lct_matches(p: UniPoly, roots, remainder: UniPoly, lct_value) -> bool:
 def bfunction(
     S: SemigroupData,
     ideal,
-    schedule: Sequence[int] = DEFAULT_SCHEDULE,
     cap: int = DEFAULT_CAP,
 ) -> BFunctionResult:
     """Bernstein-Sato polynomial of a monomial ideal, with honest truncation.
@@ -521,12 +504,13 @@ def bfunction(
     ``ideal`` may be a :class:`MonomialIdeal` (its minimal generators are
     used) or an explicit sequence of generator exponents (used as given,
     which the generator-independence property makes legitimate).  For each
-    box bound ``B`` of the schedule the full family ``{g_c : |c_i| <= B}``
-    is built and eliminated; the run stops once two consecutive bounds agree
-    and the smallest root of ``b(-s)`` equals the log-canonical threshold.
-    If the cap is reached first, the last polynomial is reported with
-    ``stabilized = False``; if no polynomial at all was found,
-    :class:`TruncationExhausted` is raised.
+    box bound ``B = 1, ..., cap`` the family ``{g_c : |c_i| <= B}`` is
+    eliminated (each ``g_c`` is built once and reused by the larger boxes);
+    the run stops once two consecutive bounds agree and the smallest root of
+    ``b(-s)`` equals the log-canonical threshold.  If the cap is reached
+    first, the last polynomial is reported with ``stabilized = False``; if
+    no polynomial at all was found, :class:`TruncationExhausted` is raised.
+    A ``cap`` below 1 raises ``ValueError``.
     """
     if isinstance(ideal, MonomialIdeal):
         betas = ideal.generators
@@ -534,16 +518,13 @@ def bfunction(
         betas = tuple(tuple(int(x) for x in v) for v in ideal)
     if not betas:
         raise ValueError("the ideal needs at least one generator")
+    if cap < 1:
+        raise ValueError("the truncation cap must be a positive integer")
     r = len(betas)
 
     from .multiplier import lct  # deferred: multiplier also imports this module
 
     lct_value = lct(S, monomial_ideal(S, betas))
-
-    bounds = sorted(set(int(b) for b in schedule))
-    if not bounds or bounds[0] < 1:
-        raise ValueError("schedule bounds must be positive integers")
-    bounds += [b for b in range(bounds[-1] + 1, cap + 1)]
 
     # each distinct truncation polynomial is factored at most once
     factorizations: dict[UniPoly, tuple] = {}
@@ -556,12 +537,15 @@ def bfunction(
     history: list[tuple[int, Optional[UniPoly]]] = []
     prev: Optional[UniPoly] = None
     final: Optional[UniPoly] = None
-    box_used = bounds[0]
-    generator_count = 0
     stabilized = False
-    for B in bounds:
-        gens = [build_generator(S, betas, c) for c in c_vectors(r, B)]
-        gens = [g for g in gens if not g.is_zero()]
+    generators: dict[Vec, MultiPoly] = {}  # g_c by c; box B's c recur in box B + 1
+    for B in range(1, cap + 1):
+        gens = []
+        for c in c_vectors(r, B):
+            if c not in generators:
+                generators[c] = build_generator(S, betas, c)
+            if not generators[c].is_zero():
+                gens.append(generators[c])
         p = eliminate_minimal_univariate(gens)
         history.append((B, p))
         if p is not None and prev is not None and not p.divides(prev):
@@ -575,7 +559,7 @@ def bfunction(
         prev = p
     if final is None:
         raise TruncationExhausted(
-            f"elimination ideal stayed zero for every box bound up to {bounds[-1]}"
+            f"elimination ideal stayed zero for every box bound up to {cap}"
         )
     roots, remainder = factor(final)
     return BFunctionResult(

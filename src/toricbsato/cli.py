@@ -6,9 +6,10 @@ summary on stderr.  Rationals cross the boundary as strings like "2/3"
 round trips.  Exit codes: 0 success / PASS, 1 malformed input, 2 a
 structural assumption failed (cone not pointed, lattice not saturated,
 semigroup not normal or normality unverified), 3 a resource cap was hit
-and the emitted result is uncertified, 4 verification FAIL or an internal
-invariant check failed (an ``AssertionError``; the error object then
-carries ``"internal": true``).
+and the emitted result is uncertified (a work cap that stops a run before
+its work starts is named in the error object's ``"cap"``), 4 verification
+FAIL or an internal invariant check failed (an ``AssertionError``; the
+error object then carries ``"internal": true``).
 """
 
 from __future__ import annotations
@@ -20,11 +21,12 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .bsato import DEFAULT_CAP, DEFAULT_SCHEDULE, BFunctionResult, TruncationExhausted, bfunction
+from .bsato import DEFAULT_CAP, BFunctionResult, TruncationExhausted, bfunction
 from .exactnum import IntMatrix
 from .multipoly import UniPoly
 from .multiplier import (
     JumpingReport,
+    WorkCapExceeded,
     jumping_coefficients,
     lct,
     multiplier_ideal,
@@ -125,6 +127,9 @@ class Document:
         opts = raw.get("options", {})
         if not isinstance(opts, dict):
             raise DocumentError("options must be an object")
+        unknown = set(opts) - {"alpha", "max", "mode", "box_cap", "assume_normal"}
+        if unknown:
+            raise DocumentError(f"unknown document options: {sorted(unknown)}")
         self.options = opts
 
     @staticmethod
@@ -349,11 +354,10 @@ def run(command: str, doc: Document, args) -> int:
         return _emit(report, f"transport: {[tuple(q) for q in gens]}", EXIT_OK)
 
     ideal = _require_monomial(doc, command, S)
-    schedule = _parse_schedule(args.schedule, doc)
     box_cap = doc.option_int("box_cap", args.box_cap, DEFAULT_CAP)
 
     if command == "bfunction":
-        res = bfunction(S, ideal, schedule=schedule, cap=box_cap)
+        res = bfunction(S, ideal, cap=box_cap)
         report = {"command": "bfunction", **_bfunction_json(res)}
         code = EXIT_OK if res.stabilized else EXIT_UNCERTIFIED
         tag = "certified" if res.stabilized else "NOT certified (cap hit)"
@@ -398,7 +402,7 @@ def run(command: str, doc: Document, args) -> int:
         return _emit(report, f"jumping up to {frac_str(window)}: {{{vals}}}", code)
 
     if command == "verify":
-        cr = verify_correspondence(S, ideal, schedule=schedule, cap=box_cap)
+        cr = verify_correspondence(S, ideal, cap=box_cap)
         report = {
             "command": "verify",
             "verdict": cr.verdict,
@@ -418,21 +422,6 @@ def run(command: str, doc: Document, args) -> int:
         return _emit(report, f"verify: {cr.verdict} (lct {frac_str(cr.lct)})", code)
 
     raise DocumentError(f"unknown command {command!r}")
-
-
-def _parse_schedule(flag: Optional[str], doc: Document) -> tuple[int, ...]:
-    if flag is not None:
-        try:
-            parts = tuple(int(x) for x in flag.split(","))
-        except ValueError as exc:
-            raise DocumentError(f"bad --schedule {flag!r}") from exc
-        if not parts:
-            raise DocumentError("empty --schedule")
-        return parts
-    sched = doc.options.get("schedule")
-    if sched is not None:
-        return tuple(_int_list(sched, "schedule"))
-    return DEFAULT_SCHEDULE
 
 
 # ---------------------------------------------------------------------------
@@ -468,10 +457,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--box-cap",
         type=int,
         dest="box_cap",
-        help="truncation cap (bfunction/verify) or enumeration doublings (multiplier)",
-    )
-    parser.add_argument(
-        "--schedule", help="comma-separated truncation box bounds, e.g. 1,2,3,4"
+        metavar="N",
+        help=(
+            f"bfunction/verify: run the truncation boxes 1..N (default {DEFAULT_CAP}); "
+            "multiplier: enumeration box doublings (default 1)"
+        ),
     )
     parser.add_argument(
         "--assume-normal",
@@ -497,6 +487,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _error(args.command, EXIT_MALFORMED, str(exc))
     except TruncationExhausted as exc:
         return _error(args.command, EXIT_UNCERTIFIED, str(exc))
+    except WorkCapExceeded as exc:
+        return _error(args.command, EXIT_UNCERTIFIED, str(exc), {"cap": exc.cap})
     except AssertionError as exc:  # an invariant check of the engine failed
         return _error(
             args.command, EXIT_FAIL, f"internal invariant failed: {exc}", {"internal": True}

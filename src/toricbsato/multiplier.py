@@ -13,7 +13,10 @@ each reported one comes with a lattice witness that is re-checked exactly.
 The enumeration boxes used to find minimal generators and the lattice
 search windows used for jumping witnesses in dimension >= 3 are finite, so
 those outputs carry honest ``stabilized`` / ``search_mode`` flags instead
-of a silent claim of completeness.
+of a silent claim of completeness.  Two counted caps bound the work of one
+call: the lattice points of an enumeration box and the jumping candidates
+of a window are counted before they are visited, and a count above its cap
+raises :class:`WorkCapExceeded`.
 """
 
 from __future__ import annotations
@@ -21,10 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
-from math import ceil, floor, gcd
+from math import ceil, floor, gcd, prod
 from typing import Optional, Sequence, Union
 
-from .bsato import DEFAULT_CAP, DEFAULT_SCHEDULE, bfunction
+from .bsato import DEFAULT_CAP, bfunction
 from .exactnum import IntMatrix, Vec, dot, fm_feasible, kernel_lattice_basis
 from .polyhedra import (
     INFINITY,
@@ -57,6 +60,7 @@ __all__ = [
     "verify_correspondence",
     "identity_semigroup",
     "ambient_pair",
+    "WorkCapExceeded",
 ]
 
 Rational = Union[int, Fraction]
@@ -66,6 +70,19 @@ Rational = Union[int, Fraction]
 WINDOW0 = 4
 EXPANSIONS = 2
 KAPPA = 3
+
+#: Counted work caps, checked before the work starts: the lattice points of
+#: one enumeration box, and the jumping candidates of one window.
+SCAN_POINTS_CAP = 1_000_000
+CANDIDATES_CAP = 10_000
+
+
+class WorkCapExceeded(RuntimeError):
+    """A counted work cap would be exceeded; ``cap`` names it."""
+
+    def __init__(self, cap: str, count: int, limit: int):
+        super().__init__(f"{cap} exceeded: {count} > {limit}")
+        self.cap = cap
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +181,9 @@ def _vertex_maxima_q(vertices: Sequence[Sequence[Rational]]) -> list[Fraction]:
 def _minimal_members(S: SemigroupData, box: Sequence[int], keep) -> tuple[Vec, ...]:
     """Scan ``q`` in the box, lift through ``f_section``, keep members,
     reduce to the divisibility antichain."""
+    points = prod(b + 1 for b in box)
+    if points > SCAN_POINTS_CAP:
+        raise WorkCapExceeded("SCAN_POINTS_CAP", points, SCAN_POINTS_CAP)
     members: list[tuple[Vec, Vec]] = []  # (q, v)
     for q in product(*(range(b + 1) for b in box)):
         v = f_section(S, q)
@@ -488,12 +508,11 @@ def jumping_coefficients(
     if threshold == INFINITY or T < threshold:
         raise ValueError("window must reach the log-canonical threshold")
     P = transported_polyhedron(S, ideal)
-    candidates: set[Fraction] = set()
-    for _, c in P.facets:
-        if c > 0:
-            n0 = ceil(threshold * c)
-            for n in range(max(1, n0), floor(T * c) + 1):
-                candidates.add(Fraction(n, c))
+    spans = [(c, max(1, ceil(threshold * c)), floor(T * c)) for _, c in P.facets if c > 0]
+    count = sum(max(0, hi - lo + 1) for _, lo, hi in spans)
+    if count > CANDIDATES_CAP:
+        raise WorkCapExceeded("CANDIDATES_CAP", count, CANDIDATES_CAP)
+    candidates = {Fraction(n, c) for c, lo, hi in spans for n in range(lo, hi + 1)}
     search_mode = "exact" if S.d <= 2 else "windowed"
     jumps: list[tuple[Fraction, Vec]] = []
     unresolved: list[Fraction] = []
@@ -544,15 +563,15 @@ class CorrespondenceReport:
 def verify_correspondence(
     S: SemigroupData,
     ideal,
-    schedule: Sequence[int] = DEFAULT_SCHEDULE,
     cap: int = DEFAULT_CAP,
 ) -> CorrespondenceReport:
     """Check that jumping coefficients in ``[lct, lct + 1)`` are roots of
-    ``b(-s)`` and that the threshold is the smallest root."""
+    ``b(-s)`` and that the threshold is the smallest root.  The b-function
+    is truncated to the boxes ``1, ..., cap`` (see :func:`bfunction`)."""
     if not isinstance(ideal, MonomialIdeal):
         ideal = monomial_ideal(S, ideal)
     threshold = lct(S, ideal)
-    res = bfunction(S, ideal, schedule=schedule, cap=cap)
+    res = bfunction(S, ideal, cap=cap)
     if threshold == INFINITY:
         ok = res.b.degree == 0
         return CorrespondenceReport(

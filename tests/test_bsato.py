@@ -253,6 +253,24 @@ def test_bfunction_principal_closed_form():
 def test_bfunction_truncation_cap(cusp):
     # box 1 yields no univariate polynomial for the running example
     with pytest.raises(TruncationExhausted):
-        bfunction(cusp, monomial_ideal(cusp, CUSP_IDEAL), schedule=(1,), cap=1)
+        bfunction(cusp, monomial_ideal(cusp, CUSP_IDEAL), cap=1)
     with pytest.raises(ValueError, match="positive"):
-        bfunction(cusp, monomial_ideal(cusp, CUSP_IDEAL), schedule=(0, 1))
+        bfunction(cusp, monomial_ideal(cusp, CUSP_IDEAL), cap=0)
+
+
+@pytest.mark.parametrize(
+    "matrix, ideal, roots",
+    [
+        # values from perfbench/expected.json (cross-checked by verify PASS)
+        (CUSP, [(1, 0), (1, 1), (1, 2)], [(F(-4, 3), 1), (F(-1), 2), (F(-2, 3), 1)]),
+        ([[1, 0], [0, 1]], [(2, 0), (1, 1), (0, 2)], [(F(-3, 2), 1), (F(-1), 1)]),
+    ],
+    ids=["cusp-3-generators", "plane-x2-xy-y2"],
+)
+def test_bfunction_three_generators(matrix, ideal, roots):
+    # three generators: Buchberger meets the chain criterion, under SELF_CHECK
+    S = build_semigroup(matrix)
+    res = bfunction(S, monomial_ideal(S, ideal))
+    assert res.stabilized
+    assert list(res.roots) == roots
+    assert res.unfactored_remainder == UniPoly([F(1)])

@@ -119,11 +119,20 @@ def test_bfunction_report(tmp_path, capsys):
 
 def test_bfunction_cap_hit(tmp_path, capsys):
     doc = write_doc(tmp_path, CUSP_DOC)
-    code, report, _ = invoke(
-        capsys, ["bfunction", doc, "--assume-normal", "--schedule", "1", "--box-cap", "1"]
-    )
+    code, report, _ = invoke(capsys, ["bfunction", doc, "--assume-normal", "--box-cap", "1"])
     assert code == 3
     assert "stayed zero" in report["error"]["message"]
+
+
+def test_bfunction_box_cap_below_default_is_honoured(tmp_path, capsys):
+    # boxes 1..2 find b but cannot confirm it: box 3 is needed to stabilize
+    doc = write_doc(tmp_path, CUSP_DOC)
+    code, report, err = invoke(capsys, ["bfunction", doc, "--assume-normal", "--box-cap", "2"])
+    assert code == 3
+    assert report["stabilized"] is False
+    assert [t["box"] for t in report["truncation"]] == [1, 2]
+    assert report["box_used"] == 2
+    assert "NOT certified" in err
 
 
 def test_internal_invariant_failure_is_reported(tmp_path, capsys, monkeypatch):
@@ -291,10 +300,33 @@ def test_missing_required_flags(tmp_path, capsys):
     assert code == 1 and "alpha" in report["error"]["message"]
     code, report, _ = invoke(capsys, ["jumping", doc, "--assume-normal"])
     assert code == 1 and "max" in report["error"]["message"]
-    code, report, _ = invoke(
-        capsys, ["bfunction", doc, "--assume-normal", "--schedule", "1,x"]
-    )
+    with pytest.raises(SystemExit) as exc:
+        main(["bfunction", doc, "--assume-normal", "--schedule", "1,2"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
+def test_unknown_options_rejected(tmp_path, capsys):
+    doc = write_doc(tmp_path, {**CUSP_DOC, "options": {"shedule": [1], "kappa": 7}})
+    code, report, _ = invoke(capsys, ["bfunction", doc, "--assume-normal"])
     assert code == 1
+    assert "shedule" in report["error"]["message"]
+    assert "kappa" in report["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "command, options, cap",
+    [
+        ("multiplier", {"alpha": "100000000000"}, "SCAN_POINTS_CAP"),  # ~10^22 box points
+        ("jumping", {"max": "100000000000/1"}, "CANDIDATES_CAP"),  # 2 * 10^11 candidates
+    ],
+)
+def test_work_caps(tmp_path, capsys, command, options, cap):
+    doc = {"matrix": [[1, 0], [0, 1]], "ideal": {"monomial": [[1, 1]]}, "options": options}
+    code, report, _ = invoke(capsys, [command, write_doc(tmp_path, doc), "--assume-normal"])
+    assert code == 3
+    assert report["error"]["cap"] == cap
+    assert cap in report["error"]["message"]
 
 
 def test_unknown_command_rejected(tmp_path, capsys):
