@@ -68,7 +68,6 @@ from .toric import (
     is_normal,
     minimalize_exponents,
     monomial_ideal,
-    theta_generator,
 )
 
 __version__ = "0.1.0"

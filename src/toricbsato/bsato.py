@@ -23,9 +23,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from itertools import product
-from math import gcd, lcm
+from math import factorial, gcd, lcm
+from operator import add, le, sub
 from typing import Optional, Sequence
 
 from .exactnum import Vec, gcd_list
@@ -50,6 +51,8 @@ __all__ = [
     "rational_roots",
     "BFunctionResult",
     "TruncationExhausted",
+    "WorkCapExceeded",
+    "GENERATORS_CAP",
     "SELF_CHECK",
 ]
 
@@ -57,14 +60,39 @@ __all__ = [
 #: S-polynomials reduce to zero).  Flipped on by the acceptance suite.
 SELF_CHECK = False
 
+#: Counted work cap: the ``c`` vectors of one truncation box, counted before
+#: any is listed.
+GENERATORS_CAP = 5_000
+
 
 class TruncationExhausted(RuntimeError):
     """No univariate polynomial was found up to the truncation cap."""
 
 
+class WorkCapExceeded(RuntimeError):
+    """A counted work cap would be exceeded; ``cap`` names it."""
+
+    def __init__(self, cap: str, count: int, limit: int):
+        super().__init__(f"{cap} exceeded: {count} > {limit}")
+        self.cap = cap
+
+
 # ---------------------------------------------------------------------------
 # generator polynomials
 # ---------------------------------------------------------------------------
+
+
+def _times_linear(g: dict, coeffs: Sequence[int], const: int) -> dict:
+    """Integer polynomial ``g`` times ``sum coeffs[i] * x_i + const``."""
+    out: dict = {}
+    for e, v in g.items():
+        if const:
+            out[e] = out.get(e, 0) + v * const
+        for i, a in enumerate(coeffs):
+            if a:
+                ne = e[:i] + (e[i] + 1,) + e[i + 1 :]
+                out[ne] = out.get(ne, 0) + v * a
+    return out
 
 
 def monomial_generator(alphas: Sequence[Vec], c: Sequence[int]) -> MultiPoly:
@@ -73,7 +101,10 @@ def monomial_generator(alphas: Sequence[Vec], c: Sequence[int]) -> MultiPoly:
 
     ``g_c = prod_{i: c_i < 0} binom(s_i, -c_i) * prod_{k: l_k(c) > 0}
     binom(l_k(s) + l_k(c), l_k(c))`` where ``l(s) = sum s_i alpha_i`` and the
-    products run over coordinates ``k`` of the ambient orthant.
+    products run over coordinates ``k`` of the ambient orthant.  Each
+    ``binom(L + top, m)`` is the integer falling product
+    ``prod_{j<m} (L + top - j)`` over ``m!``; the integer products are
+    multiplied out first and divided by the product of the ``m!`` once.
     """
     r = len(alphas)
     if len(c) != r:
@@ -82,15 +113,16 @@ def monomial_generator(alphas: Sequence[Vec], c: Sequence[int]) -> MultiPoly:
         raise ValueError("coordinate sum of c must be 1")
     n = len(alphas[0])
     u = tuple(sum(c[i] * alphas[i][k] for i in range(r)) for k in range(n))
-    g = MultiPoly.constant(r, 1)
-    for i in range(r):
-        if c[i] < 0:
-            g = g * binom_poly(MultiPoly.variable(r, i), -c[i])
-    for k in range(n):
-        if u[k] > 0:
-            form = MultiPoly.linear_form([alphas[i][k] for i in range(r)], u[k])
-            g = g * binom_poly(form, u[k])
-    return g
+    # (linear part, top, m) of each factor binom(L + top, m)
+    factors = [([int(j == i) for j in range(r)], 0, -c[i]) for i in range(r) if c[i] < 0]
+    factors += [([a[k] for a in alphas], u[k], u[k]) for k in range(n) if u[k] > 0]
+    g = {(0,) * r: 1}
+    denom = 1
+    for coeffs, top, m in factors:
+        for j in range(m):
+            g = _times_linear(g, coeffs, top - j)
+        denom *= factorial(m)
+    return MultiPoly(r, {e: Fraction(v, denom) for e, v in g.items() if v})
 
 
 def build_generator(S: SemigroupData, exponents: Sequence[Vec], c: Sequence[int]) -> MultiPoly:
@@ -104,11 +136,32 @@ def build_generator(S: SemigroupData, exponents: Sequence[Vec], c: Sequence[int]
     return monomial_generator([f_map(S, b) for b in exponents], c)
 
 
+def _c_vector_count(r: int, B: int) -> int:
+    """``|{c in Z^r : sum c_i = 1, |c_i| <= B}|``: a DP over the first
+    ``r - 1`` coordinates counts each partial sum, and the last coordinate
+    ``1 - sum`` must land in ``[-B, B]``."""
+    ways = {0: 1}
+    for _ in range(r - 1):
+        nxt: dict[int, int] = {}
+        for s, w in ways.items():
+            for x in range(s - B, s + B + 1):
+                nxt[x] = nxt.get(x, 0) + w
+        ways = nxt
+    return sum(w for s, w in ways.items() if -B <= 1 - s <= B)
+
+
 def c_vectors(r: int, B: int):
     """All ``c in Z^r`` with ``sum c_i = 1`` and ``|c_i| <= B``, in
-    lexicographic order of the first ``r - 1`` coordinates."""
+    lexicographic order of the first ``r - 1`` coordinates.
+
+    The family is counted first; more than ``GENERATORS_CAP`` members raise
+    :class:`WorkCapExceeded` before any is listed.
+    """
     if r < 1:
         raise ValueError("need at least one generator")
+    count = _c_vector_count(r, B)
+    if count > GENERATORS_CAP:
+        raise WorkCapExceeded("GENERATORS_CAP", count, GENERATORS_CAP)
     out = []
     for head in product(range(-B, B + 1), repeat=r - 1):
         last = 1 - sum(head)
@@ -122,97 +175,118 @@ def c_vectors(r: int, B: int):
 # ---------------------------------------------------------------------------
 
 # internal polynomials: dict exponent-tuple -> nonzero int, content 1,
-# positive leading coefficient under the active order.
+# positive leading coefficient under the active order.  Orders are read
+# through ``down``: the negated (flat int tuple) order key, so the leading
+# exponent of ``p`` is ``min(p, key=down)`` and a min-heap on ``down`` pops
+# exponents in descending order.
 
 
-def _normalize(p: dict, key) -> dict:
+def _normalize(p: dict, down) -> dict:
     if not p:
         return p
     g = gcd_list(p.values())
     if g > 1:
         p = {e: c // g for e, c in p.items()}
-    lead = max(p, key=key)
+    lead = min(p, key=down)
     if p[lead] < 0:
         p = {e: -c for e, c in p.items()}
     return p
 
 
-def _to_int_poly(f: MultiPoly, key) -> dict:
+def _to_int_poly(f: MultiPoly, down) -> dict:
     denom = 1
     for c in f.terms.values():
         denom = denom * c.denominator // gcd(denom, c.denominator)
     p = {e: int(c * denom) for e, c in f.terms.items()}
-    return _normalize(p, key)
+    return _normalize(p, down)
 
 
-def _from_int_poly(p: dict, nvars: int, key) -> MultiPoly:
-    lead = max(p, key=key)
-    lc = p[lead]
+def _from_int_poly(p: dict, nvars: int, down) -> MultiPoly:
+    lc = p[min(p, key=down)]
     return MultiPoly(nvars, {e: Fraction(c, lc) for e, c in p.items()})
 
 
 class _KeyMemo(dict):
-    """Order key of each exponent, computed once; lives for one public call."""
+    """Negated order key of each exponent, computed once; lives for one
+    public call."""
 
     def __init__(self, order: MonomialOrder):
         self.order_key = order.key
 
     def __missing__(self, e: Vec) -> tuple:
-        k = self[e] = self.order_key(e)
+        k = self[e] = tuple(-x for x in self.order_key(e))
         return k
 
 
 def _divides(a: Vec, b: Vec) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
-def _reducer(p: dict, key) -> tuple[Vec, int, dict]:
+def _reducer(p: dict, down) -> tuple[Vec, int, dict]:
     """``(lead, lc, terms)`` of a nonzero internal polynomial."""
-    lead = max(p, key=key)
+    lead = min(p, key=down)
     return lead, p[lead], p
 
 
-def _reducers(basis: Sequence[MultiPoly], key) -> list[tuple[Vec, int, dict]]:
-    return [_reducer(_to_int_poly(g, key), key) for g in basis]
+def _reducers(basis: Sequence[MultiPoly], down) -> list[tuple[Vec, int, dict]]:
+    return [_reducer(_to_int_poly(g, down), down) for g in basis]
 
 
-def _normal_form(p: dict, basis: Sequence[tuple[Vec, int, dict]], key) -> dict:
+def _normal_form(
+    p: dict,
+    basis: Sequence[tuple[Vec, int, dict]],
+    down,
+    memo: Optional[dict] = None,
+) -> dict:
     """Full normal form of ``p`` against the reducers ``basis``; exact up to
     a positive rational scalar (integer cross-multiplication, contents
-    stripped)."""
+    stripped after every step).
+
+    The terms wait in one heap and are popped in descending order.  A
+    reduction at ``e`` only adds terms below ``e``, so each exponent is
+    pushed once and the steps are the classic ones: the highest reducible
+    term, reduced by the first reducer in list order whose lead divides it.
+    ``memo`` maps an exponent to ``(reducers checked, index of the first
+    divisor or None)``; it stays valid while ``basis`` only grows by
+    appending (a hit stays the first divisor, a miss rechecks only the new
+    reducers).  A cancelled term stays in ``p`` as 0 until the end.
+    """
     p = dict(p)
-    while p:
-        hit = None
-        for e in sorted(p, key=key, reverse=True):
-            for le, lc, terms in basis:
-                if _divides(le, e):
-                    hit = (e, le, lc, terms)
-                    break
-            if hit:
-                break
-        if hit is None:
-            break
-        e, le, lc, terms = hit
+    heap = [(down(e), e) for e in p]
+    heapify(heap)
+    n = len(basis)
+    while heap:
+        e = heappop(heap)[1]
         c = p[e]
+        if not c:
+            continue
+        checked, hit = memo.get(e, (0, None)) if memo is not None else (0, None)
+        if hit is None:
+            hit = next((i for i in range(checked, n) if _divides(basis[i][0], e)), None)
+            if memo is not None:
+                memo[e] = (n, hit)
+            if hit is None:
+                continue
+        lead, lc, terms = basis[hit]
         g = gcd(c, lc)
         mult_p = lc // g  # > 0 since basis leads are positive
         mult_g = c // g
         if mult_p != 1:
             for k in p:
                 p[k] *= mult_p
-        shift = tuple(x - y for x, y in zip(e, le))
+        shift = tuple(map(sub, e, lead))
         for ge, gc in terms.items():
-            ne = tuple(x + y for x, y in zip(ge, shift))
-            v = p.get(ne, 0) - mult_g * gc
-            if v:
-                p[ne] = v
+            ne = tuple(map(add, ge, shift))
+            v = p.get(ne)
+            if v is None:
+                heappush(heap, (down(ne), ne))
+                p[ne] = -mult_g * gc
             else:
-                p.pop(ne, None)
-        if p:
-            g = gcd_list(p.values())
-            if g > 1:
-                p = {k: v // g for k, v in p.items()}
-    return _normalize(p, key) if p else p
+                p[ne] = v - mult_g * gc
+        g = gcd_list(p.values())
+        if g > 1:
+            p = {k: v // g for k, v in p.items()}
+    return _normalize({e: c for e, c in p.items() if c}, down)
 
 
 def _spoly(f: tuple[Vec, int, dict], g: tuple[Vec, int, dict], lcm: Vec) -> dict:
@@ -221,14 +295,14 @@ def _spoly(f: tuple[Vec, int, dict], g: tuple[Vec, int, dict], lcm: Vec) -> dict
     (fl, cf, fterms), (gl, cg, gterms) = f, g
     k = gcd(cf, cg)
     mf, mg = cg // k, cf // k
-    sf = tuple(a - b for a, b in zip(lcm, fl))
-    sg = tuple(a - b for a, b in zip(lcm, gl))
+    sf = tuple(map(sub, lcm, fl))
+    sg = tuple(map(sub, lcm, gl))
     s: dict = {}
     for e, c in fterms.items():
-        ne = tuple(x + y for x, y in zip(e, sf))
+        ne = tuple(map(add, e, sf))
         s[ne] = s.get(ne, 0) + mf * c
     for e, c in gterms.items():
-        ne = tuple(x + y for x, y in zip(e, sg))
+        ne = tuple(map(add, e, sg))
         v = s.get(ne, 0) - mg * c
         if v:
             s[ne] = v
@@ -237,14 +311,15 @@ def _spoly(f: tuple[Vec, int, dict], g: tuple[Vec, int, dict], lcm: Vec) -> dict
     return {e: c for e, c in s.items() if c}
 
 
-def _buchberger(ipolys: list[dict], key) -> list[dict]:
+def _buchberger(ipolys: list[dict], down) -> list[dict]:
     R: list[tuple[Vec, int, dict]] = []  # reducers (lead, lc, terms)
     lcms: dict[tuple[int, int], Vec] = {}  # pending pairs and their lead lcm
     heap: list[tuple[int, int, int]] = []  # (lcm degree, i, j) of pending pairs
+    divisors: dict = {}  # divisor memo of _normal_form; R only grows by appending
 
     def push(p: dict):
         new = len(R)
-        R.append(_reducer(p, key))
+        R.append(_reducer(p, down))
         lead = R[new][0]
         for i in range(new):
             m = tuple(map(max, R[i][0], lead))
@@ -269,20 +344,20 @@ def _buchberger(ipolys: list[dict], key) -> list[dict]:
             for k in range(len(R))
         ):
             continue
-        nf = _normal_form(_spoly(R[i], R[j], m), R, key)
+        nf = _normal_form(_spoly(R[i], R[j], m), R, down, divisors)
         if nf:
             push(nf)
     # minimalize: drop elements whose lead is divisible by another's
     basis: list[tuple[Vec, int, dict]] = []
-    for red in sorted(R, key=lambda red: key(red[0])):
-        if not any(_divides(le, red[0]) for le, _, _ in basis):
+    for red in sorted(R, key=lambda red: down(red[0]), reverse=True):
+        if not any(_divides(lead, red[0]) for lead, _, _ in basis):
             basis.append(red)
-    # inter-reduce tails
+    # inter-reduce tails (no divisor memo: each pass has its own reducer list)
     for idx in range(len(basis)):
         others = basis[:idx] + basis[idx + 1 :]
         if others:
-            basis[idx] = _reducer(_normal_form(basis[idx][2], others, key), key)
-    return [p for _, _, p in sorted(basis, key=lambda red: key(red[0]))]
+            basis[idx] = _reducer(_normal_form(basis[idx][2], others, down), down)
+    return [p for _, _, p in sorted(basis, key=lambda red: down(red[0]), reverse=True)]
 
 
 def groebner_basis(gens: Sequence[MultiPoly], order: MonomialOrder) -> list[MultiPoly]:
@@ -302,10 +377,10 @@ def groebner_basis(gens: Sequence[MultiPoly], order: MonomialOrder) -> list[Mult
     nvars = polys[0].nvars
     if any(p.nvars != nvars for p in polys):
         raise ValueError("generators live in different rings")
-    key = _KeyMemo(order).__getitem__
-    ipolys = [_to_int_poly(p, key) for p in polys]
-    basis = _buchberger(ipolys, key)
-    result = [_from_int_poly(p, nvars, key) for p in basis]
+    down = _KeyMemo(order).__getitem__
+    ipolys = [_to_int_poly(p, down) for p in polys]
+    basis = _buchberger(ipolys, down)
+    result = [_from_int_poly(p, nvars, down) for p in basis]
     if SELF_CHECK:
         verify_groebner_basis(polys, result, order)
     return result
@@ -314,12 +389,12 @@ def groebner_basis(gens: Sequence[MultiPoly], order: MonomialOrder) -> list[Mult
 def normal_form(f: MultiPoly, basis: Sequence[MultiPoly], order: MonomialOrder) -> MultiPoly:
     """Normal form of ``f`` modulo ``basis`` (up to a positive scalar;
     exactly zero iff ``f`` reduces to zero)."""
-    key = _KeyMemo(order).__getitem__
-    ib = _reducers(basis, key)
-    nf = _normal_form(_to_int_poly(f, key), ib, key) if not f.is_zero() else {}
+    down = _KeyMemo(order).__getitem__
+    ib = _reducers(basis, down)
+    nf = _normal_form(_to_int_poly(f, down), ib, down) if not f.is_zero() else {}
     if not nf:
         return MultiPoly.zero(f.nvars)
-    return _from_int_poly(nf, f.nvars, key)
+    return _from_int_poly(nf, f.nvars, down)
 
 
 def verify_groebner_basis(
@@ -327,15 +402,15 @@ def verify_groebner_basis(
 ) -> None:
     """Raise ``AssertionError`` unless ``gb`` behaves like a Groebner basis
     for ``<gens>``: all inputs and all S-polynomials reduce to zero."""
-    key = _KeyMemo(order).__getitem__
-    ib = _reducers(gb, key)
+    down = _KeyMemo(order).__getitem__
+    ib = _reducers(gb, down)
     for f in gens:
-        if _normal_form(_to_int_poly(f, key), ib, key):
+        if _normal_form(_to_int_poly(f, down), ib, down):
             raise AssertionError("input generator does not reduce to zero")
     for j in range(len(ib)):
         for i in range(j):
             s = _spoly(ib[i], ib[j], tuple(map(max, ib[i][0], ib[j][0])))
-            if s and _normal_form(s, ib, key):
+            if s and _normal_form(s, ib, down):
                 raise AssertionError("S-polynomial does not reduce to zero")
 
 

@@ -50,10 +50,7 @@ def dot(a: Sequence, b: Sequence):
 
 
 def gcd_list(xs) -> int:
-    g = 0
-    for x in xs:
-        g = gcd(g, abs(x))
-    return g
+    return gcd(*xs)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from itertools import product
 from math import ceil, floor, gcd, prod
 from typing import Optional, Sequence, Union
 
-from .bsato import DEFAULT_CAP, bfunction
+from .bsato import DEFAULT_CAP, WorkCapExceeded, bfunction
 from .exactnum import IntMatrix, Vec, dot, fm_feasible, kernel_lattice_basis
 from .polyhedra import (
     INFINITY,
@@ -75,14 +75,6 @@ KAPPA = 3
 #: one enumeration box, and the jumping candidates of one window.
 SCAN_POINTS_CAP = 1_000_000
 CANDIDATES_CAP = 10_000
-
-
-class WorkCapExceeded(RuntimeError):
-    """A counted work cap would be exceeded; ``cap`` names it."""
-
-    def __init__(self, cap: str, count: int, limit: int):
-        super().__init__(f"{cap} exceeded: {count} > {limit}")
-        self.cap = cap
 
 
 # ---------------------------------------------------------------------------

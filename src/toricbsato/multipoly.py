@@ -24,7 +24,7 @@ __all__ = [
 
 
 def _grevlex_key(e: tuple[int, ...]) -> tuple:
-    return (sum(e), tuple(-x for x in reversed(e)))
+    return (sum(e), *(-x for x in reversed(e)))
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ def block_elimination(n_front: int) -> MonomialOrder:
 
     def key(e: tuple[int, ...]) -> tuple:
         front, back = e[:n_front], e[n_front:]
-        return (_grevlex_key(front), _grevlex_key(back))
+        return (*_grevlex_key(front), *_grevlex_key(back))
 
     return MonomialOrder(f"block_elimination({n_front})", key)
 

@@ -28,7 +28,6 @@ from .exactnum import (
     lattice_is_saturated,
     rank,
 )
-from .multipoly import MultiPoly
 from .polyhedra import cone_facet_normals
 
 __all__ = [
@@ -41,7 +40,6 @@ __all__ = [
     "contains",
     "f_map",
     "f_section",
-    "theta_generator",
     "extreme_rays",
     "minimalize_exponents",
     "monomial_ideal",
@@ -224,25 +222,6 @@ def assume_normal(S: SemigroupData) -> None:
     if S.normal is False:
         raise StructuralError("semigroup is verified non-normal")
     S.normal = True
-
-
-def theta_generator(S: SemigroupData, u: Sequence[int]) -> MultiPoly:
-    """Generator of the weight-``u`` piece of the ring of differential
-    operators, as a polynomial in the Euler operators ``theta_1..theta_d``.
-
-    Returns ``prod over facets with F_sigma(u) > 0 of
-    prod_{j=0}^{F_sigma(u)-1} (F_sigma(theta) - j)``; the empty product is 1.
-    Meaningful when the semigroup is normal.
-    """
-    d = S.d
-    result = MultiPoly.constant(d, 1)
-    for f, val in zip(S.facets, f_map(S, u)):
-        if val <= 0:
-            continue
-        form = MultiPoly.linear_form(f)
-        for j in range(val):
-            result = result * (form - j)
-    return result
 
 
 def extreme_rays(S: SemigroupData) -> tuple[Vec, ...]:

@@ -3,13 +3,19 @@
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from toricbsato.bsato import (
+    GENERATORS_CAP,
     TruncationExhausted,
+    WorkCapExceeded,
+    _c_vector_count,
+    _KeyMemo,
+    _normal_form,
     bfunction,
     build_generator,
     c_vectors,
@@ -19,7 +25,7 @@ from toricbsato.bsato import (
     normal_form,
     rational_roots,
 )
-from toricbsato.multipoly import MultiPoly, UniPoly, binom_poly, grevlex
+from toricbsato.multipoly import MultiPoly, UniPoly, binom_poly, block_elimination, grevlex
 from toricbsato.toric import build_semigroup, monomial_ideal
 
 F = Fraction
@@ -72,15 +78,57 @@ def test_generator_validation(cusp):
         build_generator(cusp, CUSP_IDEAL, (1, 0, 0))
 
 
+def reference_generator(alphas, c):
+    """``g_c`` as the product of ``binom_poly`` factors over ``Fraction``."""
+    r, n = len(alphas), len(alphas[0])
+    u = [sum(c[i] * alphas[i][k] for i in range(r)) for k in range(n)]
+    g = MultiPoly.constant(r, 1)
+    for i in range(r):
+        if c[i] < 0:
+            g = g * binom_poly(MultiPoly.variable(r, i), -c[i])
+    for k in range(n):
+        if u[k] > 0:
+            g = g * binom_poly(MultiPoly.linear_form([a[k] for a in alphas], u[k]), u[k])
+    return g
+
+
+@st.composite
+def generator_cases(draw):
+    r = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 3))
+    alphas = [tuple(draw(st.integers(0, 3)) for _ in range(n)) for _ in range(r)]
+    head = [draw(st.integers(-3, 3)) for _ in range(r - 1)]
+    last = 1 - sum(head)
+    assume(-3 <= last <= 3)
+    return alphas, tuple(head) + (last,)
+
+
+@given(generator_cases())
+@settings(max_examples=60, deadline=None)
+def test_generator_matches_binomial_product(case):
+    alphas, c = case
+    assert monomial_generator(alphas, c) == reference_generator(alphas, c)
+
+
 def test_c_vectors():
     assert c_vectors(2, 3) == [(-2, 3), (-1, 2), (0, 1), (1, 0), (2, -1), (3, -2)]
     assert c_vectors(1, 5) == [(1,)]
-    # brute-force oracle: all tuples with sum 1 inside the box, lex order
-    for r, B in ((2, 2), (3, 1), (3, 2)):
+    # brute-force oracle: all tuples with sum 1 inside the box, lex order;
+    # the family is counted before it is listed
+    for r, B in ((1, 0), (2, 2), (3, 1), (3, 2), (4, 3), (5, 1), (5, 2)):
         brute = [c for c in product(range(-B, B + 1), repeat=r) if sum(c) == 1]
         assert c_vectors(r, B) == brute
+        assert _c_vector_count(r, B) == len(brute)
     with pytest.raises(ValueError):
         c_vectors(0, 2)
+
+
+def test_generators_cap():
+    assert GENERATORS_CAP == 5000
+    assert len(c_vectors(3, 7)) == 168  # the plane's family at box 7 stays under the cap
+    with pytest.raises(WorkCapExceeded, match="GENERATORS_CAP exceeded: 8350 > 5000") as exc:
+        c_vectors(10, 1)
+    assert exc.value.cap == "GENERATORS_CAP"
 
 
 # --- Groebner engine --------------------------------------------------------
@@ -118,6 +166,77 @@ def test_groebner_random_systems(gens):
     for f in gens:
         assert normal_form(f, gb, order).is_zero()
     assert groebner_basis(list(reversed(gens)), order) == gb
+
+
+def reference_normal_form(p, basis, key):
+    """Sort-and-scan normal form: after every step, sort the terms and
+    reduce the highest one that some reducer lead divides, by the first such
+    reducer; contents stripped after every step."""
+    p = dict(p)
+    while p:
+        hit = next(
+            (
+                (e, red)
+                for e in sorted(p, key=key, reverse=True)
+                for red in basis
+                if all(x <= y for x, y in zip(red[0], e))
+            ),
+            None,
+        )
+        if hit is None:
+            break
+        e, (lead, lc, terms) = hit
+        g = gcd(p[e], lc)
+        mult_p, mult_g = lc // g, p[e] // g
+        p = {k: v * mult_p for k, v in p.items()}
+        for ge, gc in terms.items():
+            ne = tuple(x + y - z for x, y, z in zip(ge, e, lead))
+            p[ne] = p.get(ne, 0) - mult_g * gc
+            if not p[ne]:
+                del p[ne]
+        p = primitive(p)
+    p = primitive(p)
+    if p and p[max(p, key=key)] < 0:
+        p = {k: -v for k, v in p.items()}
+    return p
+
+
+def primitive(p):
+    content = 0
+    for v in p.values():
+        content = gcd(content, v)
+    return {k: v // content for k, v in p.items()}
+
+
+int_polys = st.dictionaries(
+    st.tuples(*[st.integers(0, 3)] * 3), st.integers(-6, 6).filter(bool), min_size=1, max_size=8
+)
+
+
+@given(
+    st.sampled_from([grevlex(3), block_elimination(2)]),
+    int_polys,
+    int_polys,
+    st.lists(int_polys.filter(lambda d: len(d) <= 4), min_size=1, max_size=5),
+    st.integers(0, 5),
+)
+@settings(max_examples=150, deadline=None)
+def test_normal_form_matches_sort_and_scan(order, p, q, reducer_polys, prefix):
+    basis = []
+    for d in reducer_polys:
+        lead = max(d, key=order.key)
+        if d[lead] < 0:
+            d = {e: -c for e, c in d.items()}
+        basis.append((lead, d[lead], d))
+    expected = reference_normal_form(p, basis, order.key)
+    down = _KeyMemo(order).__getitem__
+    assert _normal_form(p, basis, down) == expected
+    # a memo filled against a shorter reducer list stays valid once it grows
+    memo: dict = {}
+    _normal_form(q, basis[:prefix], down, memo)
+    _normal_form(p, basis[:prefix], down, memo)
+    assert _normal_form(p, basis, down, memo) == expected
+    assert _normal_form(p, basis, down, memo) == expected
 
 
 def test_elimination_toys():

@@ -319,10 +319,13 @@ def test_unknown_options_rejected(tmp_path, capsys):
     [
         ("multiplier", {"alpha": "100000000000"}, "SCAN_POINTS_CAP"),  # ~10^22 box points
         ("jumping", {"max": "100000000000/1"}, "CANDIDATES_CAP"),  # 2 * 10^11 candidates
+        ("bfunction", {}, "GENERATORS_CAP"),  # ten generators: 8 350 c-vectors in box 1
     ],
 )
 def test_work_caps(tmp_path, capsys, command, options, cap):
     doc = {"matrix": [[1, 0], [0, 1]], "ideal": {"monomial": [[1, 1]]}, "options": options}
+    if cap == "GENERATORS_CAP":
+        doc["ideal"] = {"monomial": [[k, 9 - k] for k in range(10)]}
     code, report, _ = invoke(capsys, [command, write_doc(tmp_path, doc), "--assume-normal"])
     assert code == 3
     assert report["error"]["cap"] == cap

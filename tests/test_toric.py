@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricbsato.exactnum import rank, solve_linear
-from toricbsato.multipoly import MultiPoly
 from toricbsato.toric import (
     StructuralError,
     assume_normal,
@@ -19,7 +18,6 @@ from toricbsato.toric import (
     is_normal,
     minimalize_exponents,
     monomial_ideal,
-    theta_generator,
 )
 
 # the running example: semigroup generated by (1,0),(1,1),(1,2),(1,3)
@@ -147,15 +145,6 @@ def test_assume_normal_refusals(cusp):
         assume_normal(verified_bad)
     assume_normal(cusp)
     assert cusp.normal is True
-
-
-def test_theta_generator(cusp):
-    one = MultiPoly.constant(2, 1)
-    assert theta_generator(cusp, (0, 0)) == one
-    assert theta_generator(cusp, (-1, 0)) == one  # no facet value is positive
-    form = MultiPoly.linear_form((3, -1))
-    t2 = MultiPoly.linear_form((0, 1))
-    assert theta_generator(cusp, (1, 1)) == form * (form - 1) * t2
 
 
 def test_extreme_rays(cusp):
