@@ -37,7 +37,7 @@ from .multipoly import (
     binom_poly,
     block_elimination,
 )
-from .toric import MonomialIdeal, SemigroupData, f_map, monomial_ideal
+from .toric import MonomialIdeal, SemigroupData, WorkCapExceeded, f_map, monomial_ideal
 
 __all__ = [
     "binom_poly",
@@ -67,14 +67,6 @@ GENERATORS_CAP = 5_000
 
 class TruncationExhausted(RuntimeError):
     """No univariate polynomial was found up to the truncation cap."""
-
-
-class WorkCapExceeded(RuntimeError):
-    """A counted work cap would be exceeded; ``cap`` names it."""
-
-    def __init__(self, cap: str, count: int, limit: int):
-        super().__init__(f"{cap} exceeded: {count} > {limit}")
-        self.cap = cap
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,13 @@ all-ones vector indexed by facets.  Jumping coefficients are the parameter
 values where a lattice point of the image ``F(NA)`` sits on the boundary;
 each reported one comes with a lattice witness that is re-checked exactly.
 
-The enumeration boxes used to find minimal generators and the lattice
-search windows used for jumping witnesses in dimension >= 3 are finite, so
-those outputs carry honest ``stabilized`` / ``search_mode`` flags instead
+Minimal generators come from one scan of a box that provably holds them
+all.  The lattice search windows for jumping witnesses in dimension >= 3
+are finite, so that output carries an honest ``search_mode`` flag instead
 of a silent claim of completeness.  Two counted caps bound the work of one
-call: the lattice points of an enumeration box and the jumping candidates
-of a window are counted before they are visited, and a count above its cap
-raises :class:`WorkCapExceeded`.
+call: the lattice points of a generating box (``SCAN_POINTS_CAP``) and the
+jumping candidates of a window are counted before they are visited, and a
+count above its cap raises :class:`WorkCapExceeded`.
 """
 
 from __future__ import annotations
@@ -24,21 +24,24 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
-from math import ceil, floor, gcd, prod
+from math import ceil, floor, prod
 from typing import Optional, Sequence, Union
 
-from .bsato import DEFAULT_CAP, WorkCapExceeded, bfunction
+from .bsato import DEFAULT_CAP, bfunction
 from .exactnum import IntMatrix, Vec, dot, fm_feasible, kernel_lattice_basis
 from .polyhedra import (
     INFINITY,
     NewtonPolyhedron,
+    inequality_vertices,
     membership,
     newton_polyhedron,
     point_threshold,
 )
 from .toric import (
+    SCAN_POINTS_CAP,
     MonomialIdeal,
     SemigroupData,
+    WorkCapExceeded,
     build_semigroup,
     extreme_rays,
     f_map,
@@ -71,9 +74,8 @@ WINDOW0 = 4
 EXPANSIONS = 2
 KAPPA = 3
 
-#: Counted work caps, checked before the work starts: the lattice points of
-#: one enumeration box, and the jumping candidates of one window.
-SCAN_POINTS_CAP = 1_000_000
+#: Counted work cap, checked before the work starts: the jumping candidates
+#: of one window.
 CANDIDATES_CAP = 10_000
 
 
@@ -149,8 +151,8 @@ class MultiplierIdealResult:
 
     ``generators`` are exponents ``v`` in the semigroup, an antichain under
     semigroup divisibility, sorted.  ``box_used`` is the componentwise
-    bound on ``F(v)`` that the final enumeration ran over; ``stabilized``
-    reports whether enlarging the box once more left the answer unchanged.
+    bound on ``F(v)`` that the enumeration ran over; it provably contains
+    every minimal generator, so ``stabilized`` is always ``True``.
     """
 
     alpha: Fraction
@@ -160,36 +162,43 @@ class MultiplierIdealResult:
     stabilized: bool
 
 
-def _generator_column_maxima(S: SemigroupData) -> list[int]:
+def _minimal_members(
+    S: SemigroupData, alpha: Fraction, mode: str, cuts: Sequence[tuple[Vec, Fraction]]
+) -> MultiplierIdealResult:
+    """Minimal semigroup points ``v`` with ``row . v > t`` (relint mode) or
+    ``>= t`` (closed mode) for every cut ``(row, t)``.
+
+    Rounded to integer right-hand sides, the cuts and ``F(v) >= 0`` cut out
+    a polyhedron ``R`` with recession cone ``cone(A)`` whose lattice points
+    are the members.  By Caratheodory a member is ``p + sum mu_j a_j`` with
+    ``p`` in the hull of the vertices of ``R`` and at most ``d`` nonzero
+    ``mu_j``, and removing ``sum floor(mu_j) a_j`` leaves a member dividing
+    it: so the box ``F_k(v) <= max_vertex F_k + (d largest F_k(a_j))``,
+    scanned once, holds every minimal generator."""
+    region = {f: 0 for f in S.facets}  # row -> integer right-hand side
+    for row, t in cuts:
+        b = floor(t) + 1 if mode == "relint" else ceil(t)
+        region[row] = max(b, region.get(row, b))
+    vertices = inequality_vertices(list(region), list(region.values()))
     cols = S.A.columns()
-    return [max(dot(f, a) for a in cols) for f in S.facets]
-
-
-def _vertex_maxima_q(vertices: Sequence[Sequence[Rational]]) -> list[Fraction]:
-    n = len(vertices[0])
-    return [max(Fraction(v[k]) for v in vertices) for k in range(n)]
-
-
-def _minimal_members(S: SemigroupData, box: Sequence[int], keep) -> tuple[Vec, ...]:
-    """Scan ``q`` in the box, lift through ``f_section``, keep members,
-    reduce to the divisibility antichain."""
+    box = []
+    for f in S.facets:
+        reach = sum(sorted((dot(f, a) for a in cols), reverse=True)[: S.d])
+        box.append(floor(max(dot(f, x) for x in vertices) + reach))
     points = prod(b + 1 for b in box)
     if points > SCAN_POINTS_CAP:
         raise WorkCapExceeded("SCAN_POINTS_CAP", points, SCAN_POINTS_CAP)
     members: list[tuple[Vec, Vec]] = []  # (q, v)
     for q in product(*(range(b + 1) for b in box)):
         v = f_section(S, q)
-        if v is None:
-            continue
-        if keep(q, v):
+        if v is not None and all(dot(row, v) >= b for row, b in region.items()):
             members.append((q, v))
-    members.sort(key=lambda qv: (sum(qv[0]), qv[0]))
     kept: list[tuple[Vec, Vec]] = []
-    for q, v in members:
-        if any(all(x <= y for x, y in zip(q2, q)) for q2, _ in kept):
-            continue
-        kept.append((q, v))
-    return tuple(sorted(v for _, v in kept))
+    for q, v in sorted(members, key=lambda qv: (sum(qv[0]), qv[0])):
+        if not any(all(x <= y for x, y in zip(q2, q)) for q2, _ in kept):
+            kept.append((q, v))
+    gens = tuple(sorted(v for _, v in kept))
+    return MultiplierIdealResult(alpha, mode, gens, tuple(box), stabilized=True)
 
 
 def _check_alpha_mode(alpha: Rational, mode: str) -> Fraction:
@@ -201,53 +210,28 @@ def _check_alpha_mode(alpha: Rational, mode: str) -> Fraction:
     return alpha
 
 
-def _enumerate_until_stable(
-    S: SemigroupData, alpha: Fraction, mode: str, box: Sequence[int], keep, doublings: int
-) -> MultiplierIdealResult:
-    """Minimal members on ``box``, doubling the box up to ``doublings``
-    times until the generating set stops changing."""
-    gens = _minimal_members(S, box, keep)
-    stabilized = False
-    for _ in range(doublings):
-        box = [2 * b for b in box]
-        bigger = _minimal_members(S, box, keep)
-        if bigger == gens:
-            stabilized = True
-            break
-        gens = bigger
-    return MultiplierIdealResult(
-        alpha=alpha, mode=mode, generators=gens, box_used=tuple(box), stabilized=stabilized
-    )
-
-
 def multiplier_ideal(
     S: SemigroupData,
     ideal,
     alpha: Rational,
     mode: str = "relint",
-    doublings: int = 1,
 ) -> MultiplierIdealResult:
     """Multiplier ideal of a monomial ideal at parameter ``alpha``.
 
     ``mode="relint"`` is the multiplier ideal proper (``F(v) + e`` in the
     relative interior of the dilated transported polyhedron);
     ``mode="closed"`` is its left limit, the ideal "just below" ``alpha``.
-    Assumes a normal semigroup.  Enumeration starts on the box
-    ``ceil(alpha * m) + M`` (``m`` = vertex maxima of the polyhedron,
-    ``M`` = facet values of the semigroup generators) and doubles up to
-    ``doublings`` times until the minimal generating set stops changing.
+    Assumes a normal semigroup.  Each facet ``(l, c)`` of the polyhedron
+    gives the cut ``(l F) . v > alpha c - l . e``; one scan of the exact
+    generating box of :func:`_minimal_members` finds the generators.
     """
     alpha = _check_alpha_mode(alpha, mode)
     P = transported_polyhedron(S, ideal)
-    m = _vertex_maxima_q(P.vertices)
-    M = _generator_column_maxima(S)
-    box = [max(1, ceil(alpha * mk) + Mk) for mk, Mk in zip(m, M)]
-
-    def keep(q, v):
-        point = tuple(a + b for a, b in zip(q, S.e))
-        return membership(P, point, alpha, mode)
-
-    return _enumerate_until_stable(S, alpha, mode, box, keep, doublings)
+    cuts = [
+        (tuple(dot(ell, col) for col in zip(*S.facets)), alpha * c - dot(ell, S.e))
+        for ell, c in P.facets
+    ]
+    return _minimal_members(S, alpha, mode, cuts)
 
 
 def multiplier_ideal_with_boundary(
@@ -256,7 +240,6 @@ def multiplier_ideal_with_boundary(
     w: Sequence[Rational],
     alpha: Rational,
     mode: str = "relint",
-    doublings: int = 1,
 ) -> MultiplierIdealResult:
     """Multiplier ideal twisted by a boundary divisor encoded by ``w``.
 
@@ -265,30 +248,18 @@ def multiplier_ideal_with_boundary(
     enforced.  Membership becomes ``v - w`` in the relative interior of
     ``alpha`` times the Newton polyhedron of the ideal itself (taken in the
     character space, with recession cone spanned by the extreme rays of the
-    semigroup).
-    """
+    semigroup), so each facet ``(l, c)`` is the cut ``l . v > alpha c + l . w``."""
     alpha = _check_alpha_mode(alpha, mode)
     if not isinstance(ideal, MonomialIdeal):
         ideal = monomial_ideal(S, ideal)
     wq = tuple(Fraction(x) for x in w)
     if len(wq) != S.d:
         raise ValueError("w must live in the character space")
-    fw = [dot(f, wq) for f in S.facets]
-    if any(x < -1 for x in fw):
+    if any(dot(f, wq) < -1 for f in S.facets):
         raise ValueError("boundary divisor not effective")
     P = newton_polyhedron(ideal.generators, extreme_rays(S))
-    m = _vertex_maxima_q([f_map(S, p) for p in P.vertices])
-    M = _generator_column_maxima(S)
-    box = [
-        max(1, ceil(alpha * mk + max(Fraction(0), fk)) + Mk)
-        for mk, Mk, fk in zip(m, M, fw)
-    ]
-
-    def keep(q, v):
-        point = tuple(Fraction(x) - y for x, y in zip(v, wq))
-        return membership(P, point, alpha, mode)
-
-    return _enumerate_until_stable(S, alpha, mode, box, keep, doublings)
+    cuts = [(ell, alpha * c + dot(ell, wq)) for ell, c in P.facets]
+    return _minimal_members(S, alpha, mode, cuts)
 
 
 # ---------------------------------------------------------------------------

@@ -76,8 +76,10 @@ class MultiPoly:
                 exp = tuple(int(x) for x in exp)
                 if len(exp) != self.nvars or any(x < 0 for x in exp):
                     raise ValueError("bad exponent tuple")
-                clean[exp] = clean.get(exp, Fraction(0)) + c
-                if clean[exp] == 0:
+                total = clean[exp] + c if exp in clean else c
+                if total:
+                    clean[exp] = total
+                else:
                     del clean[exp]
         self.terms = clean
 

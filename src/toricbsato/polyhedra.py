@@ -27,11 +27,13 @@ from .exactnum import (
     kernel_lattice_basis,
     primitive_vector,
     rank,
+    solve_linear,
 )
 
 __all__ = [
     "NewtonPolyhedron",
     "cone_facet_normals",
+    "inequality_vertices",
     "newton_polyhedron",
     "membership",
     "point_threshold",
@@ -78,6 +80,21 @@ def cone_facet_normals(generators: Sequence[Vec], dim: int) -> list[Vec]:
         elif all(v <= 0 for v in vals):
             found.add(tuple(-x for x in normal))
     return sorted(found, reverse=True)
+
+
+def inequality_vertices(rows: Sequence[Vec], rhs: Sequence) -> list[tuple[Fraction, ...]]:
+    """Sorted vertices of ``{x : rows[i] . x >= rhs[i]}``: the feasible
+    solutions of the ``dim``-subsets of rows of full rank, solved exactly.
+    Empty when the polyhedron is empty or contains a line."""
+    dim = len(rows[0])
+    found: set[tuple[Fraction, ...]] = set()
+    for subset in combinations(range(len(rows)), dim):
+        square = [rows[i] for i in subset]
+        if rank(square) == dim:
+            x = tuple(solve_linear(square, [rhs[i] for i in subset]))
+            if all(dot(r, x) >= b for r, b in zip(rows, rhs)):
+                found.add(x)
+    return sorted(found)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
+from math import prod
 from typing import Optional, Sequence
 
 from .exactnum import (
@@ -46,8 +47,20 @@ __all__ = [
 ]
 
 
+#: Counted work cap of every lattice-box scan, checked before the scan.
+SCAN_POINTS_CAP = 1_000_000
+
+
 class StructuralError(ValueError):
     """A structural assumption on the semigroup datum fails."""
+
+
+class WorkCapExceeded(RuntimeError):
+    """A counted work cap would be exceeded; ``cap`` names it."""
+
+    def __init__(self, cap: str, count: int, limit: int):
+        super().__init__(f"{cap} exceeded: {count} > {limit}")
+        self.cap = cap
 
 
 @dataclass
@@ -190,7 +203,8 @@ def is_normal(S: SemigroupData) -> bool:
     sub-[0,1) combination of the generators), so scanning the integer
     bounding box of the zonotope for points of ``C`` that are not
     nonnegative combinations is a complete test.  On failure the first
-    witness found is stored in ``S.normality_witness``.
+    witness found is stored in ``S.normality_witness``.  A box of more than
+    ``SCAN_POINTS_CAP`` points raises :class:`WorkCapExceeded`.
     """
     if S.normal is not None:
         return S.normal
@@ -198,6 +212,9 @@ def is_normal(S: SemigroupData) -> bool:
     cols = S.A.columns()
     lo = [sum(min(0, a[i]) for a in cols) for i in range(d)]
     hi = [sum(max(0, a[i]) for a in cols) for i in range(d)]
+    points = prod(h - l + 1 for l, h in zip(lo, hi))
+    if points > SCAN_POINTS_CAP:
+        raise WorkCapExceeded("SCAN_POINTS_CAP", points, SCAN_POINTS_CAP)
     memo: dict = {}
     for p in product(*(range(lo[i], hi[i] + 1) for i in range(d))):
         if any(x < 0 for x in f_map(S, p)):

@@ -1,7 +1,11 @@
 """End-to-end command-line tests: in-process main(), JSON documents."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -159,6 +163,7 @@ def test_lct_and_multiplier(tmp_path, capsys):
     assert code == 0
     assert report["generators"] == [[1, 0], [1, 1], [1, 2], [1, 3]]
     assert report["stabilized"] is True
+    assert report["box_used"] == [6, 6]
 
     code, report, _ = invoke(
         capsys, ["multiplier", doc, "--assume-normal", "--alpha", "1", "--mode", "closed"]
@@ -330,6 +335,24 @@ def test_work_caps(tmp_path, capsys, command, options, cap):
     assert code == 3
     assert report["error"]["cap"] == cap
     assert cap in report["error"]["message"]
+
+
+def test_normality_scan_cap():
+    # the zonotope's bounding box holds about 10^10 points: the count must stop
+    # the scan before it starts; a subprocess with a timeout keeps a scan that
+    # does start from hanging the suite
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    for command in ("check", "verify"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "toricbsato.cli", command,
+             str(root / "scripts" / "problems" / "wide_zonotope.json"), "--check-normal"],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == 3
+        report = json.loads(proc.stdout)
+        assert report["error"]["cap"] == "SCAN_POINTS_CAP"
+        assert "10000400004 > 1000000" in report["error"]["message"]
 
 
 def test_unknown_command_rejected(tmp_path, capsys):

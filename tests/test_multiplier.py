@@ -2,10 +2,13 @@
 
 from fractions import Fraction
 from itertools import product
+from math import ceil, floor
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from toricbsato.exactnum import IntMatrix
+from toricbsato.exactnum import IntMatrix, dot
 from toricbsato.multiplier import (
     ambient_pair,
     jumping_coefficients,
@@ -17,11 +20,28 @@ from toricbsato.multiplier import (
     transported_polyhedron,
     verify_correspondence,
 )
-from toricbsato.polyhedra import INFINITY, membership
-from toricbsato.toric import SemigroupData, build_semigroup, f_map, monomial_ideal
+from toricbsato.polyhedra import INFINITY, membership, newton_polyhedron
+from toricbsato.toric import (
+    SemigroupData,
+    build_semigroup,
+    extreme_rays,
+    f_map,
+    monomial_ideal,
+)
 
 F = Fraction
 CUSP = [[1, 1, 1, 1], [0, 1, 2, 3]]
+
+# Normal cones of dimension 2 and 3; the columns generate the semigroup.
+NORMAL_CONES = {
+    "cusp": CUSP,
+    "a5": [[0, 1, 6], [1, 1, 5]],
+    "plane": [[1, 0], [0, 1]],
+    "simplicial": [[1, 1, 1, 0], [0, 2, 1, 0], [0, 0, 0, 1]],
+    "square": [[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1]],
+    "cube4": [[1, 1, 1, 1, 1], [0, 1, 0, 1, 2], [0, 0, 1, 1, 1]],
+    "hexagon": [[1, 1, 1, 1, 1, 1, 1], [0, 1, 0, -1, -1, 0, 1], [0, 0, 1, 1, 0, -1, -1]],
+}
 
 
 @pytest.fixture
@@ -115,6 +135,85 @@ def test_pointwise_agreement_with_ambient(cusp, cusp_ideal):
             if any(x < 0 for x in f_map(cusp, v)):
                 continue
             assert _in_ideal(cusp, ours, v) == _in_ideal(S_free, ambient, f_map(cusp, v))
+
+
+def _scan_minimal_members(S, bound, member):
+    """Minimal generators with ``F(v) <= bound`` by a plain scan.
+
+    The points of the image ``F(Z^d)`` in the box ``[0, bound]`` (the
+    points that ``f_section`` lifts) are listed in the character space: the
+    section ``X F = p I`` bounds each coordinate of ``v = X F(v) / p``,
+    which keeps the scan small on cones with many facets.  A member ``v`` is a minimal generator when no
+    ``v - a_j`` is a member: the members form an ideal of a normal
+    semigroup, so anything below ``v`` lies below some ``v - a_j``.
+    """
+    X, p = S.section
+    ranges = []
+    for row in X:
+        lo, hi = sorted(Fraction(sum(f(0, x * b) for x, b in zip(row, bound)), p) for f in (min, max))
+        ranges.append(range(ceil(lo), floor(hi) + 1))
+    found = []
+    for v in product(*ranges):
+        if not all(0 <= x <= b for x, b in zip(f_map(S, v), bound)) or not member(v):
+            continue
+        if not any(member(tuple(x - y for x, y in zip(v, a))) for a in S.A.columns()):
+            found.append(v)
+    return tuple(sorted(found))
+
+
+def _check_generating_box(cone, data, small):
+    """Both multiplier functions agree with a plain scan of ``2 * box + 2``.
+
+    Generators are sums of distinct columns of ``A``; with ``small`` the
+    ideal is one column and ``alpha = 1/2`` or ``1/3``.
+    """
+    S = build_semigroup(NORMAL_CONES[cone])
+    cols = S.A.columns()
+    subsets = st.sets(st.integers(0, len(cols) - 1), min_size=1, max_size=1 if small else None)
+    picks = data.draw(st.lists(subsets, min_size=1, max_size=1 if small else 2))
+    ideal = monomial_ideal(
+        S, [tuple(sum(cols[j][i] for j in js) for i in range(S.d)) for js in picks]
+    )
+    if small:
+        alpha = F(1, data.draw(st.integers(2, 3)))
+    else:
+        alpha = F(data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3)))
+    mode = data.draw(st.sampled_from(["relint", "closed"]))
+    if data.draw(st.booleans()):
+        res = multiplier_ideal(S, ideal, alpha, mode)
+        P = transported_polyhedron(S, ideal)
+
+        def member(v):
+            q = f_map(S, v)
+            return min(q) >= 0 and membership(P, [x + 1 for x in q], alpha, mode)
+
+    else:
+        k = data.draw(st.integers(1, 3))
+        w = tuple(F(x, k) for x in data.draw(st.lists(st.integers(-2, 2), min_size=S.d, max_size=S.d)))
+        assume(all(dot(f, w) >= -1 for f in S.facets))  # an effective boundary divisor
+        res = multiplier_ideal_with_boundary(S, ideal, w, alpha, mode)
+        P = newton_polyhedron(ideal.generators, extreme_rays(S))
+
+        def member(v):
+            return min(f_map(S, v)) >= 0 and membership(
+                P, [x - y for x, y in zip(v, w)], alpha, mode
+            )
+
+    assert res.stabilized
+    assert res.generators == _scan_minimal_members(S, [2 * b + 2 for b in res.box_used], member)
+
+
+@given(cone=st.sampled_from(sorted(set(NORMAL_CONES) - {"hexagon"})), data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_generating_box_holds_every_generator(cone, data):
+    _check_generating_box(cone, data, small=False)
+
+
+@given(data=st.data())
+@settings(max_examples=3, deadline=None)
+def test_generating_box_on_the_hexagon(data):
+    # six facets: the box lives in Z^6 and one call scans it for seconds
+    _check_generating_box("hexagon", data, small=True)
 
 
 # --- boundary-twisted variant ----------------------------------------------
