@@ -10,7 +10,9 @@ lattice and feasibility primitives the geometric layers are built on:
 * one fraction-free (Bareiss) Gauss-Jordan elimination behind rank,
   determinant and exact solving of linear systems over the rationals,
 * Fourier-Motzkin elimination for strict/weak linear inequality systems,
-  including an exact rational witness when the system is feasible.
+  including an exact rational witness when the system is feasible,
+* :class:`WorkCapExceeded`, raised by every layer whose counted work would
+  pass its cap.
 
 All vectors are plain tuples, matrices are immutable ``IntMatrix`` values.
 """
@@ -40,6 +42,14 @@ __all__ = [
     "solve_linear",
     "fm_feasible",
 ]
+
+
+class WorkCapExceeded(RuntimeError):
+    """A counted work cap would be exceeded; ``cap`` names it."""
+
+    def __init__(self, cap: str, count: int, limit: int):
+        super().__init__(f"{cap} exceeded: {count} > {limit}")
+        self.cap = cap
 
 
 def dot(a: Sequence, b: Sequence):

@@ -11,12 +11,16 @@ values where a lattice point of the image ``F(NA)`` sits on the boundary;
 each reported one comes with a lattice witness that is re-checked exactly.
 
 Minimal generators come from one scan of a box that provably holds them
-all.  The lattice search windows for jumping witnesses in dimension >= 3
-are finite, so that output carries an honest ``search_mode`` flag instead
-of a silent claim of completeness.  Two counted caps bound the work of one
-call: the lattice points of a generating box (``SCAN_POINTS_CAP``) and the
-jumping candidates of a window are counted before they are visited, and a
-count above its cap raises :class:`WorkCapExceeded`.
+all.  A jumping witness on a tight facet solves an integer inequality
+system over the kernel lattice of that facet; with ``alpha = num / den``
+the membership rows are scaled by ``den``, so the whole search runs in
+integers.  Its lattice windows in dimension >= 3 are finite, so that
+output carries an honest ``search_mode`` flag instead of a silent claim of
+completeness.  Three counted caps bound the work of one call: the lattice
+points of a generating box (``SCAN_POINTS_CAP``), the jumping candidates
+of a window (``CANDIDATES_CAP``) and the points of the witness windows
+(``WINDOW_POINTS_CAP``) are counted before they are visited, and a count
+above its cap raises :class:`WorkCapExceeded`.
 """
 
 from __future__ import annotations
@@ -74,9 +78,10 @@ WINDOW0 = 4
 EXPANSIONS = 2
 KAPPA = 3
 
-#: Counted work cap, checked before the work starts: the jumping candidates
-#: of one window.
+#: Counted work caps, checked before the work starts: the jumping candidates
+#: of one window, and the lattice points of all witness windows of one call.
 CANDIDATES_CAP = 10_000
+WINDOW_POINTS_CAP = 10_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +341,7 @@ def _diophantine_particular(g: Sequence[int], rhs: int) -> Optional[Vec]:
 
 
 def _interval_pick(constraints) -> Optional[int]:
-    """Integer point of a one-variable rational system ``a*t + b >= 0``."""
+    """Integer point of a one-variable integer system ``a*t + b >= 0``."""
     lo: Optional[int] = None
     hi: Optional[int] = None
     for a, b in constraints:
@@ -344,10 +349,10 @@ def _interval_pick(constraints) -> Optional[int]:
             if b < 0:
                 return None
         elif a > 0:
-            bound = ceil(-b / a)
+            bound = -(b // a)  # ceil(-b / a)
             lo = bound if lo is None else max(lo, bound)
         else:
-            bound = floor(-b / a)
+            bound = (-b) // a  # floor(-b / a)
             hi = bound if hi is None else min(hi, bound)
     if lo is not None and hi is not None and lo > hi:
         return None
@@ -362,18 +367,26 @@ def _witness_search(
     S: SemigroupData,
     P: NewtonPolyhedron,
     alpha: Fraction,
-) -> tuple[Optional[Vec], bool]:
+    scanned: int,
+) -> tuple[Optional[Vec], bool, int]:
     """Find ``v`` with ``F(v) + e`` on the boundary of ``alpha * P``.
 
     Works facet by facet: force one positive-offset facet to be tight
     (an integer linear equation on ``v``), parametrize its solutions by
     the kernel lattice, and look for a parameter choice satisfying the
-    remaining inequalities.  Returns ``(witness, exhausted)`` where
+    remaining inequalities.  With ``alpha = num / den`` every inequality
+    is an integer row: ``F(v) >= 0``, and ``den * l' . (F(v) + e) >=
+    num * c'`` for each facet ``(l', c')``, the membership row scaled by
+    the positive ``den``.  Returns ``(witness, exhausted, scanned)``:
     ``exhausted`` means some tight-facet system was rationally feasible
-    but no lattice point was found inside the search windows.
+    but no lattice point was found inside the search windows, and
+    ``scanned`` adds the window points of this search to the count passed
+    in; a count above ``WINDOW_POINTS_CAP`` raises
+    :class:`WorkCapExceeded` before that window is scanned.
     """
     d = S.d
     e = S.e
+    num, den = alpha.numerator, alpha.denominator
     exhausted = False
     for ell, c in P.facets:
         if c <= 0:
@@ -395,38 +408,31 @@ def _witness_search(
             )
 
         if rhs == 0 and check(tuple(0 for _ in range(d))):
-            return tuple(0 for _ in range(d)), exhausted
+            return tuple(0 for _ in range(d)), exhausted, scanned
         g = tuple(dot(ell, [facet[i] for facet in S.facets]) for i in range(d))
         v0 = _diophantine_particular(g, rhs)
         if v0 is None:
             continue
         kernel = kernel_lattice_basis(IntMatrix([list(g)]))
-        # inequality system on the kernel parameters tau:
-        #   F(v0 + sum tau_j k_j) >= 0  and  closed membership at alpha
-        rows = []
-        for f in S.facets:
-            rows.append(([Fraction(dot(f, k)) for k in kernel], Fraction(dot(f, v0))))
-        for ell2, c2 in P.facets:
-            coeffs = [
-                Fraction(sum(ell2[s] * dot(S.facets[s], k) for s in range(S.nfacets)))
-                for k in kernel
-            ]
-            const = (
-                Fraction(sum(ell2[s] * dot(S.facets[s], v0) for s in range(S.nfacets)))
-                + dot(ell2, e)
-                - alpha * c2
-            )
-            rows.append((coeffs, const))
+        # the rows a . tau + b >= 0 on the kernel parameters tau, at
+        # v = v0 + sum tau_j k_j
+        fk = [f_map(S, k) for k in kernel]
+        f0 = f_map(S, v0)
+        rows = [([q[s] for q in fk], f0[s]) for s in range(S.nfacets)]
+        rows += [
+            ([den * dot(l2, q) for q in fk], den * (dot(l2, f0) + dot(l2, e)) - num * c2)
+            for l2, c2 in P.facets
+        ]
         if not kernel:
             if all(b >= 0 for _, b in rows) and check(v0):
-                return v0, exhausted
+                return v0, exhausted, scanned
             continue
         if len(kernel) == 1:
             tau = _interval_pick([(a[0], b) for a, b in rows])
             if tau is not None:
                 v = tuple(x + tau * k for x, k in zip(v0, kernel[0]))
                 if check(v):
-                    return v, exhausted
+                    return v, exhausted, scanned
             continue
         feasible, witness = fm_feasible([(a, -b, ">=") for a, b in rows])
         if not feasible:
@@ -435,6 +441,9 @@ def _witness_search(
         width = WINDOW0
         found = None
         for _ in range(EXPANSIONS + 1):
+            scanned += (2 * width + 1) ** len(kernel)
+            if scanned > WINDOW_POINTS_CAP:
+                raise WorkCapExceeded("WINDOW_POINTS_CAP", scanned, WINDOW_POINTS_CAP)
             for tau in product(*(range(cj - width, cj + width + 1) for cj in center)):
                 if all(dot(a, tau) + b >= 0 for a, b in rows):
                     v = tuple(
@@ -448,9 +457,9 @@ def _witness_search(
                 break
             width *= KAPPA
         if found:
-            return found, exhausted
+            return found, exhausted, scanned
         exhausted = True
-    return None, exhausted
+    return None, exhausted, scanned
 
 
 def jumping_coefficients(
@@ -464,7 +473,8 @@ def jumping_coefficients(
     the image onto a tight positive-offset facet, so ``alpha`` is a
     multiple of ``1/c`` for some facet offset ``c``.  Witness search is
     complete for character spaces of dimension <= 2 and windowed above
-    that (window radii ``WINDOW0 * KAPPA^i``, ``i <= EXPANSIONS``).
+    that (window radii ``WINDOW0 * KAPPA^i``, ``i <= EXPANSIONS``); the
+    window points of all candidates count against ``WINDOW_POINTS_CAP``.
     """
     T = Fraction(window_max)
     threshold = lct(S, ideal)
@@ -479,8 +489,9 @@ def jumping_coefficients(
     search_mode = "exact" if S.d <= 2 else "windowed"
     jumps: list[tuple[Fraction, Vec]] = []
     unresolved: list[Fraction] = []
+    scanned = 0
     for alpha in sorted(candidates):
-        witness, exhausted = _witness_search(S, P, alpha)
+        witness, exhausted, scanned = _witness_search(S, P, alpha, scanned)
         if witness is not None:
             jumps.append((alpha, witness))
         elif exhausted and search_mode == "windowed":

@@ -6,7 +6,8 @@ homogenizing to a cone one dimension up and scanning generator subsets for
 supporting hyperplanes; the resulting H-representation has primitive integer
 normals and integer offsets.  Membership in dilations, relative-interior
 membership and the point threshold (the dilation factor at which a point
-enters the boundary) are all exact.
+enters the boundary) are all exact.  Every subset scan is counted with
+``math.comb`` before it starts, against ``SUBSETS_CAP``.
 
 All polyhedra constructed here are required to be full-dimensional, so the
 relative interior coincides with the topological interior and is cut out by
@@ -18,11 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 from typing import Optional, Sequence
 
 from .exactnum import (
     IntMatrix,
     Vec,
+    WorkCapExceeded,
     dot,
     kernel_lattice_basis,
     primitive_vector,
@@ -44,16 +47,29 @@ __all__ = [
 #: correctly against Fractions and carries no rounding, so it is safe here.
 INFINITY = float("inf")
 
+#: Counted work cap of every subset scan, checked before the scan.
+SUBSETS_CAP = 100_000
+
+
+def _subsets(n: int, k: int):
+    """The ``k``-subsets of ``range(n)``; more than ``SUBSETS_CAP`` of them
+    raise :class:`WorkCapExceeded` before any is listed."""
+    count = comb(n, k)
+    if count > SUBSETS_CAP:
+        raise WorkCapExceeded("SUBSETS_CAP", count, SUBSETS_CAP)
+    return combinations(range(n), k)
+
 
 def cone_facet_normals(generators: Sequence[Vec], dim: int) -> list[Vec]:
     """Primitive facet normals of the full-dimensional cone spanned by
     ``generators`` in ``R^dim``.
 
-    Scans all ``(dim-1)``-subsets of generators; a subset of rank ``dim-1``
-    determines a hyperplane, and its primitive normal is kept (suitably
-    oriented) when all generators lie on one side.  This enumerates every
-    facet because each facet of a finitely generated full-dimensional cone
-    is spanned by ``dim-1`` linearly independent generators, except in the
+    Scans all ``(dim-1)``-subsets of generators (at most ``SUBSETS_CAP``
+    of them, counted first); a subset of rank ``dim-1`` determines a
+    hyperplane, and its primitive normal is kept (suitably oriented) when
+    all generators lie on one side.  This enumerates every facet because
+    each facet of a finitely generated full-dimensional cone is spanned by
+    ``dim-1`` linearly independent generators, except in the
     one-dimensional case where the origin is the only facet.
 
     The returned list is sorted in descending lexicographic order.
@@ -69,7 +85,7 @@ def cone_facet_normals(generators: Sequence[Vec], dim: int) -> list[Vec]:
                 found.add(cand)
         found_list = sorted(found, reverse=True)
         return found_list
-    for subset in combinations(range(len(gens)), dim - 1):
+    for subset in _subsets(len(gens), dim - 1):
         basis = kernel_lattice_basis(IntMatrix.from_rows([gens[i] for i in subset]))
         if len(basis) != 1:
             continue  # kernel dimension = dim - rank: the subset has rank < dim - 1
@@ -84,11 +100,12 @@ def cone_facet_normals(generators: Sequence[Vec], dim: int) -> list[Vec]:
 
 def inequality_vertices(rows: Sequence[Vec], rhs: Sequence) -> list[tuple[Fraction, ...]]:
     """Sorted vertices of ``{x : rows[i] . x >= rhs[i]}``: the feasible
-    solutions of the ``dim``-subsets of rows of full rank, solved exactly.
-    Empty when the polyhedron is empty or contains a line."""
+    solutions of the ``dim``-subsets of rows of full rank, solved exactly
+    (at most ``SUBSETS_CAP`` subsets, counted first).  Empty when the
+    polyhedron is empty or contains a line."""
     dim = len(rows[0])
     found: set[tuple[Fraction, ...]] = set()
-    for subset in combinations(range(len(rows)), dim):
+    for subset in _subsets(len(rows), dim):
         square = [rows[i] for i in subset]
         if rank(square) == dim:
             x = tuple(solve_linear(square, [rhs[i] for i in subset]))

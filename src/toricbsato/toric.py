@@ -23,6 +23,7 @@ from typing import Optional, Sequence
 from .exactnum import (
     IntMatrix,
     Vec,
+    WorkCapExceeded,
     _bareiss,
     dot,
     fm_feasible,
@@ -53,14 +54,6 @@ SCAN_POINTS_CAP = 1_000_000
 
 class StructuralError(ValueError):
     """A structural assumption on the semigroup datum fails."""
-
-
-class WorkCapExceeded(RuntimeError):
-    """A counted work cap would be exceeded; ``cap`` names it."""
-
-    def __init__(self, cap: str, count: int, limit: int):
-        super().__init__(f"{cap} exceeded: {count} > {limit}")
-        self.cap = cap
 
 
 @dataclass

@@ -337,22 +337,46 @@ def test_work_caps(tmp_path, capsys, command, options, cap):
     assert cap in report["error"]["message"]
 
 
-def test_normality_scan_cap():
-    # the zonotope's bounding box holds about 10^10 points: the count must stop
-    # the scan before it starts; a subprocess with a timeout keeps a scan that
-    # does start from hanging the suite
+def run_problem(command, document, *flags):
+    """Run the CLI on a document of scripts/problems in a subprocess whose
+    timeout keeps a runaway scan from hanging the suite; returns the exit
+    code and the JSON report."""
     root = Path(__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "toricbsato.cli", command,
+         str(root / "scripts" / "problems" / document), *flags],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    return proc.returncode, json.loads(proc.stdout)
+
+
+def test_normality_scan_cap():
+    # the zonotope's bounding box holds about 10^10 points: the count must stop
+    # the scan before it starts
     for command in ("check", "verify"):
-        proc = subprocess.run(
-            [sys.executable, "-m", "toricbsato.cli", command,
-             str(root / "scripts" / "problems" / "wide_zonotope.json"), "--check-normal"],
-            capture_output=True, text=True, timeout=60, env=env,
-        )
-        assert proc.returncode == 3
-        report = json.loads(proc.stdout)
+        code, report = run_problem(command, "wide_zonotope.json", "--check-normal")
+        assert code == 3
         assert report["error"]["cap"] == "SCAN_POINTS_CAP"
         assert "10000400004 > 1000000" in report["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "command, document, flags, cap, count",
+    [
+        # the cone over the 4-cube: one exhausted tight facet scans
+        # 9^4 + 25^4 + 73^4 window points
+        ("jumping", "tesseract_cone.json", ["--assume-normal"],
+         "WINDOW_POINTS_CAP", "28795427 > 10000000"),
+        # 40 columns in dimension 7: C(40, 6) facet candidates
+        ("facets", "forty_columns.json", [], "SUBSETS_CAP", "3838380 > 100000"),
+    ],
+)
+def test_counted_scan_caps(command, document, flags, cap, count):
+    code, report = run_problem(command, document, *flags)
+    assert code == 3
+    assert report["error"]["cap"] == cap
+    assert count in report["error"]["message"]
 
 
 def test_unknown_command_rejected(tmp_path, capsys):

@@ -8,8 +8,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from toricbsato import multiplier
 from toricbsato.exactnum import IntMatrix, dot
 from toricbsato.multiplier import (
+    WorkCapExceeded,
+    _interval_pick,
     ambient_pair,
     jumping_coefficients,
     lct,
@@ -297,6 +300,66 @@ def test_jumping_windowed_mode():
     assert jr.jumping == ((F(1), (0, 0, 0)), (F(2), (1, 1, 1)))
     assert jr.search_mode == "windowed"
     assert jr.unresolved == ()
+
+
+# The windowed jumping ops of the ideal-scan benchmark workload, with their
+# jumping and unresolved lists frozen from perfbench/expected.json.
+WINDOWED_JUMPS = {
+    "square": (
+        [(3, 0, 0), (2, 2, 2)], "11/6",
+        ["5/6", "7/6", "4/3", "3/2", "5/3", "11/6"], ["1"],
+    ),
+    "cube4": (
+        [(3, 0, 0), (2, 3, 2)], "14/9",
+        ["5/9", "2/3", "8/9", "1", "11/9", "4/3", "14/9"], ["7/9", "10/9", "13/9"],
+    ),
+    "hexagon": (
+        [(3, 0, 0), (2, 2, 0)], "4/3",
+        ["1/3", "1/2", "2/3", "5/6", "1", "7/6", "4/3"],
+        ["5/12", "7/12", "3/4", "11/12", "13/12", "5/4"],
+    ),
+}
+
+
+@pytest.mark.parametrize("cone", sorted(WINDOWED_JUMPS))
+def test_windowed_jumping_ops(cone):
+    gens, top, jumps, unresolved = WINDOWED_JUMPS[cone]
+    S = build_semigroup(NORMAL_CONES[cone])
+    J = monomial_ideal(S, gens)
+    P = transported_polyhedron(S, J)
+    jr = jumping_coefficients(S, J, F(top))
+    assert jr.search_mode == "windowed"
+    assert [a for a, _ in jr.jumping] == [F(a) for a in jumps]
+    assert jr.unresolved == tuple(F(a) for a in unresolved)
+    for alpha, v in jr.jumping:
+        point = tuple(a + b for a, b in zip(f_map(S, v), S.e))
+        assert membership(P, point, alpha, "closed")
+        assert not membership(P, point, alpha, "relint")
+
+
+def test_window_points_cap(monkeypatch):
+    # the hexagon op scans 72 906 window points in all: a cap one below that
+    # stops it before its last window, with the count in the message
+    gens, top, _, _ = WINDOWED_JUMPS["hexagon"]
+    S = build_semigroup(NORMAL_CONES["hexagon"])
+    J = monomial_ideal(S, gens)
+    monkeypatch.setattr(multiplier, "WINDOW_POINTS_CAP", 72906)
+    jumping_coefficients(S, J, F(top))
+    monkeypatch.setattr(multiplier, "WINDOW_POINTS_CAP", 72905)
+    with pytest.raises(WorkCapExceeded, match="WINDOW_POINTS_CAP exceeded: 72906 > 72905"):
+        jumping_coefficients(S, J, F(top))
+
+
+def test_interval_pick_is_exact_on_integer_rows():
+    big = 10**30 + 1  # big % 3 == 2; big / 3 as a float is off by about 10**13
+    assert _interval_pick([(3, big)]) == -(big // 3)  # t >= -big/3
+    assert _interval_pick([(-3, big)]) == big // 3  # t <= big/3
+    assert _interval_pick([(3, -big)]) == big // 3 + 1  # t >= big/3
+    assert _interval_pick([(-3, -big)]) == -(big // 3) - 1  # t <= -big/3
+    assert _interval_pick([(1, -5), (-1, 5)]) == 5
+    assert _interval_pick([(2, -5), (-2, 5)]) is None  # 5/2 <= t <= 5/2
+    assert _interval_pick([(0, -1)]) is None
+    assert _interval_pick([(0, 0)]) == 0
 
 
 def test_facet_order_invariance(cusp, cusp_ideal):

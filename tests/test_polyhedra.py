@@ -14,9 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricbsato.exactnum import dot, primitive_vector
+from toricbsato.exactnum import WorkCapExceeded, dot, primitive_vector
 from toricbsato.polyhedra import (
     INFINITY,
+    cone_facet_normals,
+    inequality_vertices,
     membership,
     newton_polyhedron,
     point_threshold,
@@ -174,3 +176,12 @@ def test_point_threshold_degenerate_cases():
     assert point_threshold(orthant, (1, 1)) == INFINITY
     # a zero-offset facet excludes the point at every dilation
     assert point_threshold(orthant, (-1, 0)) is None
+
+
+def test_subset_scans_are_capped():
+    # C(450, 2) = 101 025 subsets: counted and refused before the first one
+    with pytest.raises(WorkCapExceeded, match="SUBSETS_CAP exceeded: 101025 > 100000") as exc:
+        cone_facet_normals([(1, i, 0) for i in range(450)], 3)
+    assert exc.value.cap == "SUBSETS_CAP"
+    with pytest.raises(WorkCapExceeded, match="SUBSETS_CAP exceeded: 101025 > 100000"):
+        inequality_vertices([(1, i) for i in range(450)], [0] * 450)
