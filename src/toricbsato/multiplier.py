@@ -14,13 +14,13 @@ Minimal generators come from one scan of a box that provably holds them
 all.  A jumping witness on a tight facet solves an integer inequality
 system over the kernel lattice of that facet; with ``alpha = num / den``
 the membership rows are scaled by ``den``, so the whole search runs in
-integers.  Its lattice windows in dimension >= 3 are finite, so that
-output carries an honest ``search_mode`` flag instead of a silent claim of
-completeness.  Three counted caps bound the work of one call: the lattice
-points of a generating box (``SCAN_POINTS_CAP``), the jumping candidates
-of a window (``CANDIDATES_CAP``) and the points of the witness windows
-(``WINDOW_POINTS_CAP``) are counted before they are visited, and a count
-above its cap raises :class:`WorkCapExceeded`.
+integers, one exact line solve at a time.  In dimension >= 3 the lines
+lie in finite windows, so that output carries an honest ``search_mode``
+flag, not a silent claim of completeness.  Three counted caps bound one
+call: the lattice points of a generating box (``SCAN_POINTS_CAP``), the
+jumping candidates of a window (``CANDIDATES_CAP``) and the points of the
+witness windows (``WINDOW_POINTS_CAP``) are counted before they are
+visited, and a count above its cap raises :class:`WorkCapExceeded`.
 """
 
 from __future__ import annotations
@@ -340,27 +340,34 @@ def _diophantine_particular(g: Sequence[int], rhs: int) -> Optional[Vec]:
     return tuple(c * scale for c in coeffs)
 
 
-def _interval_pick(constraints) -> Optional[int]:
-    """Integer point of a one-variable integer system ``a*t + b >= 0``."""
-    lo: Optional[int] = None
-    hi: Optional[int] = None
-    for a, b in constraints:
-        if a == 0:
-            if b < 0:
-                return None
-        elif a > 0:
+def _line_point(rows, head: Sequence[int], bounds) -> Optional[int]:
+    """Least integer ``t`` with ``a . (head + (t,)) + b >= 0`` for each row
+    and ``a * t + b >= 0`` for each bound ``(a, b)``; the greatest if no
+    least exists, ``None`` if no ``t`` does.  Floor division only."""
+    lo = hi = None
+    for a, b in [(a[-1], dot(a[:-1], head) + b) for a, b in rows] + bounds:
+        if a > 0:
             bound = -(b // a)  # ceil(-b / a)
             lo = bound if lo is None else max(lo, bound)
-        else:
+        elif a < 0:
             bound = (-b) // a  # floor(-b / a)
             hi = bound if hi is None else min(hi, bound)
-    if lo is not None and hi is not None and lo > hi:
-        return None
-    if lo is not None:
-        return lo
-    if hi is not None:
+        elif b < 0:
+            return None
+    if lo is None:
         return hi
-    return 0
+    return lo if hi is None or lo <= hi else None
+
+
+def _window_point(rows, center: Sequence[int], width: int) -> Optional[Vec]:
+    """First ``tau`` in ``product`` order with ``|tau - center| <= width``
+    and every row ``a . tau + b >= 0``: one line solve per head."""
+    bounds = [(1, width - center[-1]), (-1, center[-1] + width)]  # |t - c_k| <= width
+    for head in product(*(range(cj - width, cj + width + 1) for cj in center[:-1])):
+        t = _line_point(rows, head, bounds)
+        if t is not None:
+            return head + (t,)
+    return None
 
 
 def _witness_search(
@@ -377,14 +384,16 @@ def _witness_search(
     remaining inequalities.  With ``alpha = num / den`` every inequality
     is an integer row: ``F(v) >= 0``, and ``den * l' . (F(v) + e) >=
     num * c'`` for each facet ``(l', c')``, the membership row scaled by
-    the positive ``den``.  Returns ``(witness, exhausted, scanned)``:
-    ``exhausted`` means some tight-facet system was rationally feasible
-    but no lattice point was found inside the search windows, and
-    ``scanned`` adds the window points of this search to the count passed
-    in; a count above ``WINDOW_POINTS_CAP`` raises
-    :class:`WorkCapExceeded` before that window is scanned.
+    the positive ``den``.  The rows state the exact re-check ``check``, so
+    the first row-feasible point is the witness (one failing ``check``
+    raises ``AssertionError``): the least on the line of one kernel vector,
+    else the first in the windows around ``fm_feasible``'s point, one exact
+    line solve per window line.  Returns ``(witness, exhausted, scanned)``:
+    ``exhausted`` means a rationally feasible tight-facet system had no
+    lattice point in the windows, and ``scanned`` adds this search's window
+    points to the count passed in; a count above ``WINDOW_POINTS_CAP``
+    raises :class:`WorkCapExceeded` before its window is searched.
     """
-    d = S.d
     e = S.e
     num, den = alpha.numerator, alpha.denominator
     exhausted = False
@@ -407,9 +416,9 @@ def _witness_search(
                 P, point, alpha, "relint"
             )
 
-        if rhs == 0 and check(tuple(0 for _ in range(d))):
-            return tuple(0 for _ in range(d)), exhausted, scanned
-        g = tuple(dot(ell, [facet[i] for facet in S.facets]) for i in range(d))
+        if rhs == 0 and check((0,) * S.d):
+            return (0,) * S.d, exhausted, scanned
+        g = tuple(dot(ell, [facet[i] for facet in S.facets]) for i in range(S.d))
         v0 = _diophantine_particular(g, rhs)
         if v0 is None:
             continue
@@ -424,41 +433,31 @@ def _witness_search(
             for l2, c2 in P.facets
         ]
         if not kernel:
-            if all(b >= 0 for _, b in rows) and check(v0):
-                return v0, exhausted, scanned
+            tau = () if all(b >= 0 for _, b in rows) else None
+        elif len(kernel) == 1:
+            t = _line_point(rows, (), [])
+            tau = None if t is None else (t,)
+        else:
+            feasible, witness = fm_feasible([(a, -b, ">=") for a, b in rows])
+            if not feasible:
+                continue
+            center = [int(round(x)) for x in witness]
+            width = WINDOW0
+            for _ in range(EXPANSIONS + 1):
+                scanned += (2 * width + 1) ** len(kernel)
+                if scanned > WINDOW_POINTS_CAP:
+                    raise WorkCapExceeded("WINDOW_POINTS_CAP", scanned, WINDOW_POINTS_CAP)
+                tau = _window_point(rows, center, width)
+                if tau is not None:
+                    break
+                width *= KAPPA
+            exhausted = exhausted or tau is None
+        if tau is None:
             continue
-        if len(kernel) == 1:
-            tau = _interval_pick([(a[0], b) for a, b in rows])
-            if tau is not None:
-                v = tuple(x + tau * k for x, k in zip(v0, kernel[0]))
-                if check(v):
-                    return v, exhausted, scanned
-            continue
-        feasible, witness = fm_feasible([(a, -b, ">=") for a, b in rows])
-        if not feasible:
-            continue
-        center = [int(round(x)) for x in witness]
-        width = WINDOW0
-        found = None
-        for _ in range(EXPANSIONS + 1):
-            scanned += (2 * width + 1) ** len(kernel)
-            if scanned > WINDOW_POINTS_CAP:
-                raise WorkCapExceeded("WINDOW_POINTS_CAP", scanned, WINDOW_POINTS_CAP)
-            for tau in product(*(range(cj - width, cj + width + 1) for cj in center)):
-                if all(dot(a, tau) + b >= 0 for a, b in rows):
-                    v = tuple(
-                        x + sum(t * k[i] for t, k in zip(tau, kernel))
-                        for i, x in enumerate(v0)
-                    )
-                    if check(v):
-                        found = v
-                        break
-            if found:
-                break
-            width *= KAPPA
-        if found:
-            return found, exhausted, scanned
-        exhausted = True
+        v = tuple(x + sum(t * k[i] for t, k in zip(tau, kernel)) for i, x in enumerate(v0))
+        if not check(v):
+            raise AssertionError("a row-feasible witness failed the exact re-check")
+        return v, exhausted, scanned
     return None, exhausted, scanned
 
 
@@ -471,10 +470,10 @@ def jumping_coefficients(
 
     Candidates are complete: a jump at ``alpha`` forces a lattice point of
     the image onto a tight positive-offset facet, so ``alpha`` is a
-    multiple of ``1/c`` for some facet offset ``c``.  Witness search is
-    complete for character spaces of dimension <= 2 and windowed above
-    that (window radii ``WINDOW0 * KAPPA^i``, ``i <= EXPANSIONS``); the
-    window points of all candidates count against ``WINDOW_POINTS_CAP``.
+    multiple of ``1/c`` for some facet offset ``c``.  Witness search
+    solves one exact line per tight facet in dimension <= 2 and windows
+    line by line above that (radii ``WINDOW0 * KAPPA^i``, ``i <=
+    EXPANSIONS``); all window points count against ``WINDOW_POINTS_CAP``.
     """
     T = Fraction(window_max)
     threshold = lct(S, ideal)

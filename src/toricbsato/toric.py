@@ -26,7 +26,6 @@ from .exactnum import (
     WorkCapExceeded,
     _bareiss,
     dot,
-    fm_feasible,
     lattice_is_saturated,
     rank,
 )
@@ -109,10 +108,11 @@ def build_semigroup(A: IntMatrix) -> SemigroupData:
 
     Raises :class:`StructuralError` when the cone is not full-dimensional
     ("cone not full-dimensional") or not strongly convex ("cone not
-    strongly convex").  Whether the columns span all of ``Z^d`` is recorded
-    in the ``saturated`` verdict rather than raised here, so that the
-    normality checker can still exhibit a witness point on unsaturated
-    input; operations that rely on the assumption refuse via
+    strongly convex": a zero column, or facet normals that do not span
+    ``R^d``).  Whether the columns span all of ``Z^d`` is recorded in the
+    ``saturated`` verdict rather than raised here, so that the normality
+    checker can still exhibit a witness point on unsaturated input;
+    operations that rely on the assumption refuse via
     :func:`assume_normal` ("ZA != Z^d").
     """
     if not isinstance(A, IntMatrix):
@@ -121,10 +121,9 @@ def build_semigroup(A: IntMatrix) -> SemigroupData:
     columns = A.columns()
     if rank(columns) != d:
         raise StructuralError("cone not full-dimensional")
-    feasible, _ = fm_feasible([(a, 1, ">=") for a in columns])
-    if not feasible:
-        raise StructuralError("cone not strongly convex")
     facets = tuple(cone_facet_normals(columns, d))
+    if rank(facets) != d or not all(any(a) for a in columns):
+        raise StructuralError("cone not strongly convex")
     S = SemigroupData(A=A, facets=facets, pointed=True, saturated=lattice_is_saturated(A))
     # completeness sanity check: all generators on the nonnegative side, and
     # for d >= 2 each facet is incident to at least one generator

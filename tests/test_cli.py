@@ -152,6 +152,17 @@ def test_internal_invariant_failure_is_reported(tmp_path, capsys, monkeypatch):
     assert "failed to divide" in report["error"]["message"]
 
 
+def test_witness_recheck_failure_is_internal(tmp_path, capsys, monkeypatch):
+    # the witness rows state the exact re-check, so a row-feasible point
+    # that fails it is an engine fault, not a reason to scan on
+    monkeypatch.setattr("toricbsato.multiplier.membership", lambda *args: False)
+    doc = write_doc(tmp_path, {**CUSP_DOC, "options": {"max": "4/3"}})
+    code, report, _ = invoke(capsys, ["jumping", doc, "--assume-normal"])
+    assert code == 4
+    assert report["error"]["internal"] is True
+    assert "exact re-check" in report["error"]["message"]
+
+
 def test_lct_and_multiplier(tmp_path, capsys):
     doc = write_doc(tmp_path, CUSP_DOC)
     code, report, _ = invoke(capsys, ["lct", doc, "--assume-normal"])
@@ -337,7 +348,7 @@ def test_work_caps(tmp_path, capsys, command, options, cap):
     assert cap in report["error"]["message"]
 
 
-def run_problem(command, document, *flags):
+def run_problem(command, document, *flags, timeout=60):
     """Run the CLI on a document of scripts/problems in a subprocess whose
     timeout keeps a runaway scan from hanging the suite; returns the exit
     code and the JSON report."""
@@ -346,7 +357,7 @@ def run_problem(command, document, *flags):
     proc = subprocess.run(
         [sys.executable, "-m", "toricbsato.cli", command,
          str(root / "scripts" / "problems" / document), *flags],
-        capture_output=True, text=True, timeout=60, env=env,
+        capture_output=True, text=True, timeout=timeout, env=env,
     )
     return proc.returncode, json.loads(proc.stdout)
 
@@ -377,6 +388,15 @@ def test_counted_scan_caps(command, document, flags, cap, count):
     assert code == 3
     assert report["error"]["cap"] == cap
     assert count in report["error"]["message"]
+
+
+def test_pointedness_without_fourier_motzkin():
+    # 14 mixed-sign columns in dimension 5: Fourier-Motzkin on one row per
+    # column took about a minute; the rank of the 42 facet normals is instant
+    code, report = run_problem("facets", "fourteen_mixed_columns.json", timeout=20)
+    assert code == 0
+    assert len(report["facets"]) == 42
+    assert [5, -1, 0, 0, -1] in report["facets"]
 
 
 def test_unknown_command_rejected(tmp_path, capsys):

@@ -12,7 +12,8 @@ from toricbsato import multiplier
 from toricbsato.exactnum import IntMatrix, dot
 from toricbsato.multiplier import (
     WorkCapExceeded,
-    _interval_pick,
+    _line_point,
+    _window_point,
     ambient_pair,
     jumping_coefficients,
     lct,
@@ -303,19 +304,25 @@ def test_jumping_windowed_mode():
 
 
 # The windowed jumping ops of the ideal-scan benchmark workload, with their
-# jumping and unresolved lists frozen from perfbench/expected.json.
+# jumping and unresolved lists frozen from perfbench/expected.json, and the
+# witnesses frozen from a per-point window scan (see _scan_window below).
 WINDOWED_JUMPS = {
     "square": (
         [(3, 0, 0), (2, 2, 2)], "11/6",
-        ["5/6", "7/6", "4/3", "3/2", "5/3", "11/6"], ["1"],
+        {"5/6": (0, 0, 0), "7/6": (1, 0, 0), "4/3": (1, 1, 1), "3/2": (2, 0, 0),
+         "5/3": (2, 1, 1), "11/6": (3, 0, 0)},
+        ["1"],
     ),
     "cube4": (
         [(3, 0, 0), (2, 3, 2)], "14/9",
-        ["5/9", "2/3", "8/9", "1", "11/9", "4/3", "14/9"], ["7/9", "10/9", "13/9"],
+        {"5/9": (0, 0, 0), "2/3": (1, 1, 0), "8/9": (1, 0, 0), "1": (1, 2, 1),
+         "11/9": (2, 0, 0), "4/3": (3, 1, 0), "14/9": (2, 3, 2)},
+        ["7/9", "10/9", "13/9"],
     ),
     "hexagon": (
         [(3, 0, 0), (2, 2, 0)], "4/3",
-        ["1/3", "1/2", "2/3", "5/6", "1", "7/6", "4/3"],
+        {"1/3": (0, 0, 0), "1/2": (5, -4, 5), "2/3": (5, -4, 0), "5/6": (1, 1, 0),
+         "1": (6, -3, 5), "7/6": (2, 1, 0), "4/3": (7, -4, 0)},
         ["5/12", "7/12", "3/4", "11/12", "13/12", "5/4"],
     ),
 }
@@ -329,7 +336,7 @@ def test_windowed_jumping_ops(cone):
     P = transported_polyhedron(S, J)
     jr = jumping_coefficients(S, J, F(top))
     assert jr.search_mode == "windowed"
-    assert [a for a, _ in jr.jumping] == [F(a) for a in jumps]
+    assert jr.jumping == tuple((F(a), v) for a, v in jumps.items())
     assert jr.unresolved == tuple(F(a) for a in unresolved)
     for alpha, v in jr.jumping:
         point = tuple(a + b for a, b in zip(f_map(S, v), S.e))
@@ -350,16 +357,48 @@ def test_window_points_cap(monkeypatch):
         jumping_coefficients(S, J, F(top))
 
 
-def test_interval_pick_is_exact_on_integer_rows():
+def test_line_point_is_exact_on_integer_rows():
     big = 10**30 + 1  # big % 3 == 2; big / 3 as a float is off by about 10**13
-    assert _interval_pick([(3, big)]) == -(big // 3)  # t >= -big/3
-    assert _interval_pick([(-3, big)]) == big // 3  # t <= big/3
-    assert _interval_pick([(3, -big)]) == big // 3 + 1  # t >= big/3
-    assert _interval_pick([(-3, -big)]) == -(big // 3) - 1  # t <= -big/3
-    assert _interval_pick([(1, -5), (-1, 5)]) == 5
-    assert _interval_pick([(2, -5), (-2, 5)]) is None  # 5/2 <= t <= 5/2
-    assert _interval_pick([(0, -1)]) is None
-    assert _interval_pick([(0, 0)]) == 0
+    assert _line_point([([3], big)], (), []) == -(big // 3)  # t >= -big/3
+    assert _line_point([([-3], big)], (), []) == big // 3  # t <= big/3
+    assert _line_point([([3], -big)], (), []) == big // 3 + 1  # t >= big/3
+    assert _line_point([([-3], -big)], (), []) == -(big // 3) - 1  # t <= -big/3
+    assert _line_point([([1], -5), ([-1], 5)], (), []) == 5
+    assert _line_point([([2], -5), ([-2], 5)], (), []) is None  # 5/2 <= t <= 5/2
+    assert _line_point([([0], -1), ([1], 0)], (), []) is None
+    # the head enters each row: 2*big + 3t >= 0 and t <= 0 at head (big,)
+    assert _line_point([([2, 3], 0), ([0, -1], 0)], (big,), []) == -(2 * big // 3)
+    # bounds clip the line: the least t >= -7 with t >= 2 and t <= 4
+    assert _line_point([([1], 7)], (), [(1, -2), (-1, 4)]) == 2
+    assert _line_point([([1], -5)], (), [(1, -2), (-1, 4)]) is None
+
+
+def _scan_window(rows, center, width):
+    """Reference for _window_point: test every point of the window in
+    product order and return the first that satisfies every row."""
+    for tau in product(*(range(c - width, c + width + 1) for c in center)):
+        if all(dot(a, tau) + b >= 0 for a, b in rows):
+            return tau
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda k: st.tuples(
+            st.lists(
+                st.tuples(st.lists(st.integers(-4, 4), min_size=k, max_size=k),
+                          st.integers(-12, 12)),
+                min_size=1, max_size=5,
+            ),
+            st.lists(st.integers(-3, 3), min_size=k, max_size=k),
+        )
+    ),
+    st.integers(0, 3),
+)
+def test_window_line_search_matches_point_scan(system, width):
+    rows, center = system
+    assert _window_point(rows, center, width) == _scan_window(rows, center, width)
 
 
 def test_facet_order_invariance(cusp, cusp_ideal):

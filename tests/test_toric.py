@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricbsato.exactnum import rank, solve_linear
+from toricbsato.exactnum import fm_feasible, rank, solve_linear
 from toricbsato.toric import (
     StructuralError,
     assume_normal,
@@ -52,8 +52,34 @@ def test_dimension_one():
 def test_structural_rejections():
     with pytest.raises(StructuralError, match="strongly convex"):
         build_semigroup([[1, -1]])
+    with pytest.raises(StructuralError, match="strongly convex"):
+        build_semigroup([[0, 1]])  # a zero column: no x has 0 . x > 0
     with pytest.raises(StructuralError, match="full-dimensional"):
         build_semigroup([[1, 1], [2, 2]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda d: st.lists(
+            st.lists(st.integers(-3, 3), min_size=d, max_size=d), min_size=d, max_size=6
+        )
+    )
+)
+def test_pointedness_rank_test_matches_fourier_motzkin(columns):
+    # a full-dimensional cone is strongly convex iff some x has a . x >= 1
+    # on every generator a, iff its facet normals span R^d
+    d = len(columns[0])
+    if rank(columns) != d:
+        return
+    pointed, _ = fm_feasible([(a, 1, ">=") for a in columns])
+    try:
+        build_semigroup([list(row) for row in zip(*columns)])
+    except StructuralError as exc:
+        assert "strongly convex" in str(exc)
+        assert not pointed
+    else:
+        assert pointed
 
 
 def test_transport_map(cusp):
