@@ -25,7 +25,6 @@ from .bsato import (
 )
 from .exactnum import (
     IntMatrix,
-    det,
     hermite_normal_form,
     kernel_lattice_basis,
     lattice_is_saturated,

@@ -7,8 +7,8 @@ lattice and feasibility primitives the geometric layers are built on:
 * column-style Hermite normal form together with its unimodular
   transformation matrix,
 * primitive integer vectors,
-* one fraction-free (Bareiss) Gauss-Jordan elimination behind rank,
-  determinant and exact solving of linear systems over the rationals,
+* one fraction-free (Bareiss) Gauss-Jordan elimination behind rank and
+  exact solving of linear systems over the rationals,
 * Fourier-Motzkin elimination for strict/weak linear inequality systems,
   including an exact rational witness when the system is feasible,
 * :class:`WorkCapExceeded`, raised by every layer whose counted work would
@@ -36,7 +36,6 @@ __all__ = [
     "primitive_vector",
     "hermite_normal_form",
     "lattice_is_saturated",
-    "det",
     "rank",
     "kernel_lattice_basis",
     "solve_linear",
@@ -99,24 +98,6 @@ class IntMatrix:
 
     def columns(self) -> list[Vec]:
         return [self.column(j) for j in range(self.cols)]
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(self.column(j) for j in range(self.cols)))
-
-    def mul(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("matrix product shape mismatch")
-        return IntMatrix(
-            tuple(
-                tuple(sum(self.entries[i][k] * other.entries[k][j] for k in range(self.cols)) for j in range(other.cols))
-                for i in range(self.rows)
-            )
-        )
-
-    def mul_vec(self, v: Sequence) -> tuple:
-        if len(v) != self.cols:
-            raise ValueError("matrix-vector shape mismatch")
-        return tuple(dot(row, v) for row in self.entries)
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.entries for x in row)
@@ -217,16 +198,15 @@ def lattice_is_saturated(M: IntMatrix) -> bool:
     return True
 
 
-def _bareiss(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int], int, int]:
+def _bareiss(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int], int]:
     """Fraction-free Gauss-Jordan elimination (Bareiss 1968).
 
     Each row is first scaled to integers, which keeps the row space.  Step
     ``k`` replaces every other row by ``(p_k * row - f * pivot_row) / p_{k-1}``;
     the division is exact because every entry is then a minor of the scaled
-    matrix.  Returns ``(a, pivots, p, sign)``: the reduced integer rows,
-    whose row ``i`` carries the last pivot ``p`` in column ``pivots[i]`` and
-    zeros in the other pivot columns (rows past ``len(pivots)`` are zero),
-    and the sign of the row permutation.
+    matrix.  Returns ``(a, pivots, p)``: the reduced integer rows, whose row
+    ``i`` carries the last pivot ``p`` in column ``pivots[i]`` and zeros in
+    the other pivot columns (rows past ``len(pivots)`` are zero).
     """
     a = []
     for row in rows:
@@ -236,7 +216,7 @@ def _bareiss(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int], int,
     nrows = len(a)
     ncols = len(a[0]) if a else 0
     pivots: list[int] = []
-    p, sign = 1, 1
+    p = 1
     for c in range(ncols):
         r = len(pivots)
         if r == nrows:
@@ -244,9 +224,7 @@ def _bareiss(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int], int,
         piv = next((i for i in range(r, nrows) if a[i][c]), None)
         if piv is None:
             continue
-        if piv != r:
-            a[r], a[piv] = a[piv], a[r]
-            sign = -sign
+        a[r], a[piv] = a[piv], a[r]
         top = a[r]
         pc = top[c]
         for i in range(nrows):
@@ -255,15 +233,7 @@ def _bareiss(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int], int,
                 a[i] = [(pc * x - f * y) // p for x, y in zip(a[i], top)]
         pivots.append(c)
         p = pc
-    return a, pivots, p, sign
-
-
-def det(M: IntMatrix) -> int:
-    """Exact determinant of a square integer matrix: the last Bareiss pivot."""
-    if M.rows != M.cols:
-        raise ValueError("determinant of a non-square matrix")
-    _, pivots, p, sign = _bareiss(M.entries)
-    return sign * p if len(pivots) == M.rows else 0
+    return a, pivots, p
 
 
 def rank(rows: Sequence[Sequence]) -> int:
@@ -300,7 +270,7 @@ def solve_linear(M: Sequence[Sequence], b: Sequence) -> Optional[list[Fraction]]
     if not M:
         return []
     ncols = len(M[0])
-    a, pivots, p, _ = _bareiss([list(row) + [rhs] for row, rhs in zip(M, b)])
+    a, pivots, p = _bareiss([list(row) + [rhs] for row, rhs in zip(M, b)])
     if pivots and pivots[-1] == ncols:
         return None  # a pivot in the right-hand side: inconsistent
     x = [Fraction(0)] * ncols

@@ -10,17 +10,18 @@ all-ones vector indexed by facets.  Jumping coefficients are the parameter
 values where a lattice point of the image ``F(NA)`` sits on the boundary;
 each reported one comes with a lattice witness that is re-checked exactly.
 
-Minimal generators come from one scan of a box that provably holds them
-all.  A jumping witness on a tight facet solves an integer inequality
-system over the kernel lattice of that facet; with ``alpha = num / den``
-the membership rows are scaled by ``den``, so the whole search runs in
-integers, one exact line solve at a time.  In dimension >= 3 the lines
-lie in finite windows, so that output carries an honest ``search_mode``
-flag, not a silent claim of completeness.  Three counted caps bound one
-call: the lattice points of a generating box (``SCAN_POINTS_CAP``), the
-jumping candidates of a window (``CANDIDATES_CAP``) and the points of the
-witness windows (``WINDOW_POINTS_CAP``) are counted before they are
-visited, and a count above its cap raises :class:`WorkCapExceeded`.
+Minimal generators come from one scan of the character lattice ``Z^d``
+over a box that provably holds them all, and a jumping witness on a tight
+facet solves an integer inequality system over the kernel lattice of that
+facet; with ``alpha = num / den`` the membership rows are scaled by
+``den``.  Both searches run in integers, one exact line solve per line of
+the lattice.  In dimension >= 3 the witness lines lie in finite windows,
+so that output carries an honest ``search_mode`` flag, not a silent claim
+of completeness.  Three counted caps bound one call: the lattice points
+``v`` that bound a generating box (``SCAN_POINTS_CAP``), the jumping
+candidates of a window (``CANDIDATES_CAP``) and the points of the witness
+windows (``WINDOW_POINTS_CAP``) are counted before they are visited, and a
+count above its cap raises :class:`WorkCapExceeded`.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from .toric import (
     build_semigroup,
     extreme_rays,
     f_map,
-    f_section,
     monomial_ideal,
 )
 
@@ -167,6 +167,26 @@ class MultiplierIdealResult:
     stabilized: bool
 
 
+def _line_interval(rows, head: Sequence[int], bounds) -> Optional[tuple]:
+    """The integers ``t`` with ``a . (head + (t,)) + b >= 0`` for each row
+    and ``a * t + b >= 0`` for each bound ``(a, b)``: ``(lo, hi)``, with
+    ``None`` for an open end, or ``None`` if there is no such ``t``.  Floor
+    division only."""
+    lo = hi = None
+    for a, b in [(a[-1], dot(a[:-1], head) + b) for a, b in rows] + bounds:
+        if a > 0:
+            bound = -(b // a)  # ceil(-b / a)
+            lo = bound if lo is None else max(lo, bound)
+        elif a < 0:
+            bound = (-b) // a  # floor(-b / a)
+            hi = bound if hi is None else min(hi, bound)
+        elif b < 0:
+            return None
+    if lo is not None and hi is not None and lo > hi:
+        return None
+    return lo, hi
+
+
 def _minimal_members(
     S: SemigroupData, alpha: Fraction, mode: str, cuts: Sequence[tuple[Vec, Fraction]]
 ) -> MultiplierIdealResult:
@@ -178,8 +198,15 @@ def _minimal_members(
     are the members.  By Caratheodory a member is ``p + sum mu_j a_j`` with
     ``p`` in the hull of the vertices of ``R`` and at most ``d`` nonzero
     ``mu_j``, and removing ``sum floor(mu_j) a_j`` leaves a member dividing
-    it: so the box ``F_k(v) <= max_vertex F_k + (d largest F_k(a_j))``,
-    scanned once, holds every minimal generator."""
+    it: so the box ``F_k(v) <= max_vertex F_k + (d largest F_k(a_j))``
+    holds every minimal generator.
+
+    The box is scanned once in ``Z^d``: the section ``X F = p I`` (``p > 0``
+    after a sign flip) bounds each ``v_i = X_i . F(v) / p`` over the box,
+    and on each line of the last coordinate the region rows and the box
+    rows ``F_k(v) <= box_k`` form one integer system, solved exactly, so
+    every ``t`` of its interval is a member.  ``SCAN_POINTS_CAP`` counts
+    the bounding box of ``v`` before the scan."""
     region = {f: 0 for f in S.facets}  # row -> integer right-hand side
     for row, t in cuts:
         b = floor(t) + 1 if mode == "relint" else ceil(t)
@@ -190,14 +217,27 @@ def _minimal_members(
     for f in S.facets:
         reach = sum(sorted((dot(f, a) for a in cols), reverse=True)[: S.d])
         box.append(floor(max(dot(f, x) for x in vertices) + reach))
-    points = prod(b + 1 for b in box)
+    X, p = S.section
+    if p < 0:
+        X, p = [[-x for x in row] for row in X], -p
+    ranges = [
+        range(-(-sum(x * b for x, b in zip(row, box) if x < 0) // p),
+              sum(x * b for x, b in zip(row, box) if x > 0) // p + 1)
+        for row in X
+    ]
+    points = prod(len(r) for r in ranges)
     if points > SCAN_POINTS_CAP:
         raise WorkCapExceeded("SCAN_POINTS_CAP", points, SCAN_POINTS_CAP)
+    # a . v + b >= 0: the region rows, and F_k(v) <= box_k
+    rows = [(row, -b) for row, b in region.items()]
+    rows += [(tuple(-x for x in f), b) for f, b in zip(S.facets, box)]
     members: list[tuple[Vec, Vec]] = []  # (q, v)
-    for q in product(*(range(b + 1) for b in box)):
-        v = f_section(S, q)
-        if v is not None and all(dot(row, v) >= b for row, b in region.items()):
-            members.append((q, v))
+    for head in product(*ranges[:-1]):
+        line = _line_interval(rows, head, [])
+        if line is not None:
+            for t in range(line[0], line[1] + 1):
+                v = head + (t,)
+                members.append((f_map(S, v), v))
     kept: list[tuple[Vec, Vec]] = []
     for q, v in sorted(members, key=lambda qv: (sum(qv[0]), qv[0])):
         if not any(all(x <= y for x, y in zip(q2, q)) for q2, _ in kept):
@@ -340,33 +380,14 @@ def _diophantine_particular(g: Sequence[int], rhs: int) -> Optional[Vec]:
     return tuple(c * scale for c in coeffs)
 
 
-def _line_point(rows, head: Sequence[int], bounds) -> Optional[int]:
-    """Least integer ``t`` with ``a . (head + (t,)) + b >= 0`` for each row
-    and ``a * t + b >= 0`` for each bound ``(a, b)``; the greatest if no
-    least exists, ``None`` if no ``t`` does.  Floor division only."""
-    lo = hi = None
-    for a, b in [(a[-1], dot(a[:-1], head) + b) for a, b in rows] + bounds:
-        if a > 0:
-            bound = -(b // a)  # ceil(-b / a)
-            lo = bound if lo is None else max(lo, bound)
-        elif a < 0:
-            bound = (-b) // a  # floor(-b / a)
-            hi = bound if hi is None else min(hi, bound)
-        elif b < 0:
-            return None
-    if lo is None:
-        return hi
-    return lo if hi is None or lo <= hi else None
-
-
 def _window_point(rows, center: Sequence[int], width: int) -> Optional[Vec]:
     """First ``tau`` in ``product`` order with ``|tau - center| <= width``
     and every row ``a . tau + b >= 0``: one line solve per head."""
     bounds = [(1, width - center[-1]), (-1, center[-1] + width)]  # |t - c_k| <= width
     for head in product(*(range(cj - width, cj + width + 1) for cj in center[:-1])):
-        t = _line_point(rows, head, bounds)
-        if t is not None:
-            return head + (t,)
+        line = _line_interval(rows, head, bounds)
+        if line is not None:
+            return head + (line[0],)
     return None
 
 
@@ -435,8 +456,9 @@ def _witness_search(
         if not kernel:
             tau = () if all(b >= 0 for _, b in rows) else None
         elif len(kernel) == 1:
-            t = _line_point(rows, (), [])
-            tau = None if t is None else (t,)
+            # the least t, else the greatest: F(k) != 0 bounds one end
+            line = _line_interval(rows, (), [])
+            tau = None if line is None else (line[1] if line[0] is None else line[0],)
         else:
             feasible, witness = fm_feasible([(a, -b, ">=") for a, b in rows])
             if not feasible:

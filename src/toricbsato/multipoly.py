@@ -213,20 +213,7 @@ class MultiPoly:
             k >>= 1
         return result
 
-    # -- evaluation and variable bookkeeping --------------------------
-
-    def eval_at(self, point: Sequence) -> Fraction:
-        vals = [Fraction(x) for x in point]
-        if len(vals) != self.nvars:
-            raise ValueError("evaluation point has wrong length")
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            prod = c
-            for x, k in zip(vals, e):
-                if k:
-                    prod *= x**k
-            total += prod
-        return total
+    # -- variable bookkeeping -----------------------------------------
 
     def extend_vars(self, extra: int) -> "MultiPoly":
         """View this polynomial inside a ring with ``extra`` appended variables."""

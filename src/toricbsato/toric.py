@@ -66,8 +66,10 @@ class SemigroupData:
 
     ``section = (X, p)`` is an integer left inverse of the facet matrix
     ``F`` up to the scalar ``p``: ``X F = p I_d``.  It is computed once, on
-    construction, by one fraction-free elimination of ``[F | I]``;
-    :func:`f_section` lifts every point through it.
+    construction, by one fraction-free elimination of ``[F | I]``.  Since
+    ``v = X F(v) / p``, it bounds the coordinates of the generator scan of
+    :mod:`toricbsato.multiplier` over a box of ``F``-values, and
+    :func:`f_section` lifts a point of ``Z^F`` through it.
     """
 
     A: IntMatrix
@@ -80,7 +82,7 @@ class SemigroupData:
 
     def __post_init__(self):
         n, d = len(self.facets), self.A.rows
-        a, _, p, _ = _bareiss(
+        a, _, p = _bareiss(
             [list(f) + [int(i == j) for j in range(n)] for i, f in enumerate(self.facets)]
         )
         self.section = (tuple(tuple(row[d:]) for row in a[:d]), p)

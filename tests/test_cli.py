@@ -399,6 +399,17 @@ def test_pointedness_without_fourier_motzkin():
     assert [5, -1, 0, 0, -1] in report["facets"]
 
 
+def test_hexagon_multiplier_scans_the_character_lattice():
+    # six facets, three coordinates: the generating box holds 12 744 900
+    # points of Z^6, past SCAN_POINTS_CAP, but only 48 081 exponents v bound it
+    code, report = run_problem(
+        "multiplier", "hexagon_multiplier.json", "--assume-normal", "--alpha", "3/2", timeout=20
+    )
+    assert code == 0
+    assert report["generators"] == [[9, -2, 0], [9, -1, 0]]
+    assert report["box_used"] == [13, 13, 14, 14, 16, 16]
+
+
 def test_unknown_command_rejected(tmp_path, capsys):
     doc = write_doc(tmp_path, CUSP_DOC)
     with pytest.raises(SystemExit):

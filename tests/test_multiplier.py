@@ -3,16 +3,17 @@
 from fractions import Fraction
 from itertools import product
 from math import ceil, floor
+from operator import mul
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from toricbsato import multiplier
 from toricbsato.exactnum import IntMatrix, dot
 from toricbsato.multiplier import (
     WorkCapExceeded,
-    _line_point,
+    _line_interval,
     _window_point,
     ambient_pair,
     jumping_coefficients,
@@ -144,12 +145,11 @@ def test_pointwise_agreement_with_ambient(cusp, cusp_ideal):
 def _scan_minimal_members(S, bound, member):
     """Minimal generators with ``F(v) <= bound`` by a plain scan.
 
-    The points of the image ``F(Z^d)`` in the box ``[0, bound]`` (the
-    points that ``f_section`` lifts) are listed in the character space: the
-    section ``X F = p I`` bounds each coordinate of ``v = X F(v) / p``,
-    which keeps the scan small on cones with many facets.  A member ``v`` is a minimal generator when no
-    ``v - a_j`` is a member: the members form an ideal of a normal
-    semigroup, so anything below ``v`` lies below some ``v - a_j``.
+    The points of the image ``F(Z^d)`` in the box ``[0, bound]`` are listed
+    in the character space: the section ``X F = p I`` bounds each
+    coordinate of ``v = X F(v) / p``.  A member ``v`` is a minimal
+    generator when no ``v - a_j`` is a member: the members form an ideal of
+    a normal semigroup, so anything below ``v`` lies below some ``v - a_j``.
     """
     X, p = S.section
     ranges = []
@@ -158,66 +158,92 @@ def _scan_minimal_members(S, bound, member):
         ranges.append(range(ceil(lo), floor(hi) + 1))
     found = []
     for v in product(*ranges):
-        if not all(0 <= x <= b for x, b in zip(f_map(S, v), bound)) or not member(v):
+        # facet by facet, so most points of the box fail after one or two
+        if not all(0 <= sum(map(mul, f, v)) <= b for f, b in zip(S.facets, bound)):
             continue
-        if not any(member(tuple(x - y for x, y in zip(v, a))) for a in S.A.columns()):
+        if member(v) and not any(member(tuple(x - y for x, y in zip(v, a))) for a in S.A.columns()):
             found.append(v)
     return tuple(sorted(found))
 
 
-def _check_generating_box(cone, data, small):
+@given(cone=st.sampled_from(sorted(NORMAL_CONES)), data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_generating_box_holds_every_generator(cone, data):
     """Both multiplier functions agree with a plain scan of ``2 * box + 2``.
 
-    Generators are sums of distinct columns of ``A``; with ``small`` the
-    ideal is one column and ``alpha = 1/2`` or ``1/3``.
+    Generators are sums of distinct columns of ``A``.
     """
     S = build_semigroup(NORMAL_CONES[cone])
     cols = S.A.columns()
-    subsets = st.sets(st.integers(0, len(cols) - 1), min_size=1, max_size=1 if small else None)
-    picks = data.draw(st.lists(subsets, min_size=1, max_size=1 if small else 2))
+    subsets = st.sets(st.integers(0, len(cols) - 1), min_size=1)
+    picks = data.draw(st.lists(subsets, min_size=1, max_size=2))
     ideal = monomial_ideal(
         S, [tuple(sum(cols[j][i] for j in js) for i in range(S.d)) for js in picks]
     )
-    if small:
-        alpha = F(1, data.draw(st.integers(2, 3)))
-    else:
-        alpha = F(data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3)))
-    mode = data.draw(st.sampled_from(["relint", "closed"]))
-    if data.draw(st.booleans()):
-        res = multiplier_ideal(S, ideal, alpha, mode)
-        P = transported_polyhedron(S, ideal)
-
-        def member(v):
-            q = f_map(S, v)
-            return min(q) >= 0 and membership(P, [x + 1 for x in q], alpha, mode)
-
-    else:
-        k = data.draw(st.integers(1, 3))
-        w = tuple(F(x, k) for x in data.draw(st.lists(st.integers(-2, 2), min_size=S.d, max_size=S.d)))
-        assume(all(dot(f, w) >= -1 for f in S.facets))  # an effective boundary divisor
-        res = multiplier_ideal_with_boundary(S, ideal, w, alpha, mode)
-        P = newton_polyhedron(ideal.generators, extreme_rays(S))
-
-        def member(v):
-            return min(f_map(S, v)) >= 0 and membership(
-                P, [x - y for x, y in zip(v, w)], alpha, mode
-            )
-
-    assert res.stabilized
-    assert res.generators == _scan_minimal_members(S, [2 * b + 2 for b in res.box_used], member)
-
-
-@given(cone=st.sampled_from(sorted(set(NORMAL_CONES) - {"hexagon"})), data=st.data())
-@settings(max_examples=30, deadline=None)
-def test_generating_box_holds_every_generator(cone, data):
-    _check_generating_box(cone, data, small=False)
+    alpha = F(data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3)))
+    _check_generating_box(S, ideal, alpha, data)
 
 
 @given(data=st.data())
 @settings(max_examples=3, deadline=None)
 def test_generating_box_on_the_hexagon(data):
-    # six facets: the box lives in Z^6 and one call scans it for seconds
-    _check_generating_box("hexagon", data, small=True)
+    # six facets: one column of A as the ideal at alpha = 1/2 or 1/3, the
+    # distribution that raised WorkCapExceeded on some boundary draws
+    S = build_semigroup(NORMAL_CONES["hexagon"])
+    ideal = monomial_ideal(S, [tuple(data.draw(st.sampled_from(S.A.columns())))])
+    _check_generating_box(S, ideal, F(1, data.draw(st.integers(2, 3))), data)
+
+
+def _check_generating_box(S, ideal, alpha, data):
+    """Draw a mode and the plain or boundary variant; compare with the scan."""
+    mode = data.draw(st.sampled_from(["relint", "closed"]))
+    if data.draw(st.booleans()):
+        res = multiplier_ideal(S, ideal, alpha, mode)
+        member = _plain_member(S, ideal, alpha, mode)
+    else:
+        k = data.draw(st.integers(1, 3))
+        w = tuple(F(x, k) for x in data.draw(st.lists(st.integers(-2, 2), min_size=S.d, max_size=S.d)))
+        assume(all(dot(f, w) >= -1 for f in S.facets))  # an effective boundary divisor
+        res = multiplier_ideal_with_boundary(S, ideal, w, alpha, mode)
+        member = _twisted_member(S, ideal, w, alpha, mode)
+    assert res.stabilized
+    assert res.generators == _scan_minimal_members(S, [2 * b + 2 for b in res.box_used], member)
+
+
+def _plain_member(S, ideal, alpha, mode):
+    P = transported_polyhedron(S, ideal)
+
+    def member(v):
+        q = f_map(S, v)
+        return min(q) >= 0 and membership(P, [x + 1 for x in q], alpha, mode)
+
+    return member
+
+
+def _twisted_member(S, ideal, w, alpha, mode):
+    P = newton_polyhedron(ideal.generators, extreme_rays(S))
+
+    def member(v):
+        return min(f_map(S, v)) >= 0 and membership(P, [x - y for x, y in zip(v, w)], alpha, mode)
+
+    return member
+
+
+def test_hexagon_generating_boxes_fit_the_scan_cap():
+    # six facets: these generating boxes hold 1 464 100 and 12 744 900
+    # points of Z^6, past SCAN_POINTS_CAP, but few exponents v of Z^3
+    S = build_semigroup(NORMAL_CONES["hexagon"])
+    twisted = monomial_ideal(S, [(1, 0, -1)])
+    w = (2, 0, 0)
+    res = multiplier_ideal_with_boundary(S, twisted, w, F(1, 2))
+    member = _twisted_member(S, twisted, w, F(1, 2), "relint")
+    assert res.generators == _scan_minimal_members(S, [2 * b + 2 for b in res.box_used], member)
+    plain = monomial_ideal(S, [(6, -1, 0)])
+    res = multiplier_ideal(S, plain, F(3, 2))
+    assert res.generators == ((9, -2, 0), (9, -1, 0))
+    assert res.box_used == (13, 13, 14, 14, 16, 16)
+    member = _plain_member(S, plain, F(3, 2), "relint")
+    assert res.generators == _scan_minimal_members(S, [2 * b + 2 for b in res.box_used], member)
 
 
 # --- boundary-twisted variant ----------------------------------------------
@@ -359,18 +385,49 @@ def test_window_points_cap(monkeypatch):
 
 def test_line_point_is_exact_on_integer_rows():
     big = 10**30 + 1  # big % 3 == 2; big / 3 as a float is off by about 10**13
-    assert _line_point([([3], big)], (), []) == -(big // 3)  # t >= -big/3
-    assert _line_point([([-3], big)], (), []) == big // 3  # t <= big/3
-    assert _line_point([([3], -big)], (), []) == big // 3 + 1  # t >= big/3
-    assert _line_point([([-3], -big)], (), []) == -(big // 3) - 1  # t <= -big/3
-    assert _line_point([([1], -5), ([-1], 5)], (), []) == 5
-    assert _line_point([([2], -5), ([-2], 5)], (), []) is None  # 5/2 <= t <= 5/2
-    assert _line_point([([0], -1), ([1], 0)], (), []) is None
+    assert _line_interval([([3], big)], (), []) == (-(big // 3), None)  # t >= -big/3
+    assert _line_interval([([-3], big)], (), []) == (None, big // 3)  # t <= big/3
+    assert _line_interval([([3], -big)], (), []) == (big // 3 + 1, None)  # t >= big/3
+    assert _line_interval([([-3], -big)], (), []) == (None, -(big // 3) - 1)  # t <= -big/3
+    assert _line_interval([([1], -5), ([-1], 5)], (), []) == (5, 5)
+    assert _line_interval([([2], -5), ([-2], 5)], (), []) is None  # 5/2 <= t <= 5/2
+    assert _line_interval([([0], -1), ([1], 0)], (), []) is None
+    assert _line_interval([([0], 1)], (), []) == (None, None)  # every t
     # the head enters each row: 2*big + 3t >= 0 and t <= 0 at head (big,)
-    assert _line_point([([2, 3], 0), ([0, -1], 0)], (big,), []) == -(2 * big // 3)
-    # bounds clip the line: the least t >= -7 with t >= 2 and t <= 4
-    assert _line_point([([1], 7)], (), [(1, -2), (-1, 4)]) == 2
-    assert _line_point([([1], -5)], (), [(1, -2), (-1, 4)]) is None
+    assert _line_interval([([2, 3], 0), ([0, -1], 0)], (big,), []) == (-(2 * big // 3), 0)
+    # bounds clip the line: -7 <= t, 2 <= t <= 4
+    assert _line_interval([([1], 7)], (), [(1, -2), (-1, 4)]) == (2, 4)
+    assert _line_interval([([1], -5)], (), [(1, -2), (-1, 4)]) is None
+
+
+ROW = st.tuples(st.lists(st.integers(-4, 4), min_size=3, max_size=3), st.integers(-12, 12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(ROW, max_size=4),
+    st.lists(st.integers(-3, 3), min_size=2, max_size=2),
+    st.lists(st.tuples(st.integers(-4, 4), st.integers(-12, 12)), max_size=2),
+)
+@example([([1, 0, 2], -5), ([0, 0, -2], 5)], [0, 0], [])  # empty: 5/2 <= t <= 5/2
+@example([([1, 1, 0], -3)], [1, 1], [])  # a zero coefficient on t that fails
+@example([([1, 1, 0], 3), ([0, 0, 1], 4)], [0, 0], [])  # half-infinite: t >= -4
+@example([], [0, 0], [(-2, 7)])  # half-infinite: t <= 3
+def test_line_interval_matches_brute_force(rows, head, bounds):
+    # every finite end lies within 4*3*2 + 12 = 36 of 0, so the scan of
+    # [-50, 50] shows both the ends and which of them are open
+    lim = 50
+    ts = [
+        t for t in range(-lim, lim + 1)
+        if all(dot(a, head + [t]) + b >= 0 for a, b in rows)
+        and all(a * t + b >= 0 for a, b in bounds)
+    ]
+    line = _line_interval(rows, tuple(head), bounds)
+    if line is None:
+        assert ts == []
+    else:
+        lo, hi = line
+        assert ts == list(range(-lim if lo is None else lo, (lim if hi is None else hi) + 1))
 
 
 def _scan_window(rows, center, width):
