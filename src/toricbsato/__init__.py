@@ -14,7 +14,6 @@ from .bsato import (
     BFunctionResult,
     TruncationExhausted,
     bfunction,
-    binom_poly,
     build_generator,
     c_vectors,
     eliminate_minimal_univariate,
@@ -31,7 +30,7 @@ from .exactnum import (
     primitive_vector,
     solve_linear,
 )
-from .multipoly import MonomialOrder, MultiPoly, UniPoly, block_elimination, grevlex
+from .multipoly import MonomialOrder, MultiPoly, UniPoly, binom_poly, block_elimination, grevlex
 from .multiplier import (
     CorrespondenceReport,
     JumpingReport,

@@ -5,10 +5,13 @@ monic generator of the elimination ideal ``(<g_c : c> + <t - sum s_i>)
 intersect Q[t]``, where the ``g_c`` are explicit products of generalized
 binomial coefficients indexed by integer vectors ``c`` with coordinate sum
 one.  The family of ``c`` is infinite; we truncate to the boxes
-``|c_i| <= B`` for ``B = 1, ..., cap``, building each ``g_c`` once, and
-report stabilization honestly (the truncated answer is always a polynomial
-multiple of the true b-function, so two consecutive agreeing boxes plus the
-log-canonical-threshold cross-check give strong evidence).
+``|c_i| <= B`` for ``B = 1, ..., cap`` and report stabilization honestly
+(the truncated answer is always a polynomial multiple of the true
+b-function, so two consecutive agreeing boxes plus the
+log-canonical-threshold cross-check give strong evidence).  The factors of
+``g_c`` are nested falling products whose lengths are the integer profile
+``phi(c)``, so ``g_c`` divides ``g_c'`` when ``phi(c) <= phi(c')`` and only
+the ``g_c`` of minimal profile in a box are eliminated.
 
 The Groebner engine is a deterministic Buchberger with the normal selection
 strategy (minimal lcm degree, ties by pair index, read off a heap of pairs
@@ -30,17 +33,17 @@ from operator import add, le, sub
 from typing import Optional, Sequence
 
 from .exactnum import Vec, gcd_list
-from .multipoly import (
-    MonomialOrder,
-    MultiPoly,
-    UniPoly,
-    binom_poly,
-    block_elimination,
+from .multipoly import MonomialOrder, MultiPoly, UniPoly, block_elimination
+from .toric import (
+    MonomialIdeal,
+    SemigroupData,
+    WorkCapExceeded,
+    f_map,
+    minimal_points,
+    monomial_ideal,
 )
-from .toric import MonomialIdeal, SemigroupData, WorkCapExceeded, f_map, monomial_ideal
 
 __all__ = [
-    "binom_poly",
     "monomial_generator",
     "build_generator",
     "groebner_basis",
@@ -87,27 +90,36 @@ def _times_linear(g: dict, coeffs: Sequence[int], const: int) -> dict:
     return out
 
 
+def _profile(alphas: Sequence[Vec], c: Sequence[int]) -> Vec:
+    """``phi(c) = (max(0, -c_i))_i + (max(0, u_k))_k`` with
+    ``u = sum c_i alphas_i``: the lengths of the factors of ``g_c``."""
+    u = [sum(x * a[k] for x, a in zip(c, alphas)) for k in range(len(alphas[0]))]
+    return tuple(max(0, -x) for x in c) + tuple(max(0, x) for x in u)
+
+
 def monomial_generator(alphas: Sequence[Vec], c: Sequence[int]) -> MultiPoly:
     """Generator ``g_c`` written in the polynomial ring, from the transported
     exponents ``alphas`` (vectors in the nonnegative orthant).
 
-    ``g_c = prod_{i: c_i < 0} binom(s_i, -c_i) * prod_{k: l_k(c) > 0}
-    binom(l_k(s) + l_k(c), l_k(c))`` where ``l(s) = sum s_i alpha_i`` and the
-    products run over coordinates ``k`` of the ambient orthant.  Each
-    ``binom(L + top, m)`` is the integer falling product
-    ``prod_{j<m} (L + top - j)`` over ``m!``; the integer products are
-    multiplied out first and divided by the product of the ``m!`` once.
+    With ``phi = _profile(alphas, c)`` and ``L_k = sum_i s_i alpha_ik``,
+    ``g_c = prod_i binom(s_i, phi_i) * prod_k binom(L_k + m_k, m_k)``,
+    ``m_k = phi_{r+k}``.  Each ``binom(L + top, m)`` is the integer falling
+    product ``prod_{j<m} (L + top - j)`` over ``m!``; the integer products
+    are multiplied out first and divided by the product of the ``m!`` once.
+    Every factor is a nonzero linear form (``m_k > 0`` needs some
+    ``alpha_ik != 0``), so ``g_c`` is never zero; the falling products are
+    nested in their length, so ``g_c`` divides ``g_c'`` when
+    ``phi(c) <= phi(c')``.
     """
     r = len(alphas)
     if len(c) != r:
         raise ValueError("c and exponent list must have equal length")
     if sum(c) != 1:
         raise ValueError("coordinate sum of c must be 1")
-    n = len(alphas[0])
-    u = tuple(sum(c[i] * alphas[i][k] for i in range(r)) for k in range(n))
+    phi = _profile(alphas, c)
     # (linear part, top, m) of each factor binom(L + top, m)
-    factors = [([int(j == i) for j in range(r)], 0, -c[i]) for i in range(r) if c[i] < 0]
-    factors += [([a[k] for a in alphas], u[k], u[k]) for k in range(n) if u[k] > 0]
+    factors = [([int(j == i) for j in range(r)], 0, phi[i]) for i in range(r)]
+    factors += [([a[k] for a in alphas], m, m) for k, m in enumerate(phi[r:])]
     g = {(0,) * r: 1}
     denom = 1
     for coeffs, top, m in factors:
@@ -224,12 +236,7 @@ def _reducers(basis: Sequence[MultiPoly], down) -> list[tuple[Vec, int, dict]]:
     return [_reducer(_to_int_poly(g, down), down) for g in basis]
 
 
-def _normal_form(
-    p: dict,
-    basis: Sequence[tuple[Vec, int, dict]],
-    down,
-    memo: Optional[dict] = None,
-) -> dict:
+def _normal_form(p: dict, basis: Sequence[tuple[Vec, int, dict]], down) -> dict:
     """Full normal form of ``p`` against the reducers ``basis``; exact up to
     a positive rational scalar (integer cross-multiplication, contents
     stripped after every step).
@@ -238,28 +245,20 @@ def _normal_form(
     reduction at ``e`` only adds terms below ``e``, so each exponent is
     pushed once and the steps are the classic ones: the highest reducible
     term, reduced by the first reducer in list order whose lead divides it.
-    ``memo`` maps an exponent to ``(reducers checked, index of the first
-    divisor or None)``; it stays valid while ``basis`` only grows by
-    appending (a hit stays the first divisor, a miss rechecks only the new
-    reducers).  A cancelled term stays in ``p`` as 0 until the end.
+    A cancelled term stays in ``p`` as 0 until the end.
     """
     p = dict(p)
     heap = [(down(e), e) for e in p]
     heapify(heap)
-    n = len(basis)
     while heap:
         e = heappop(heap)[1]
         c = p[e]
         if not c:
             continue
-        checked, hit = memo.get(e, (0, None)) if memo is not None else (0, None)
+        hit = next((red for red in basis if _divides(red[0], e)), None)
         if hit is None:
-            hit = next((i for i in range(checked, n) if _divides(basis[i][0], e)), None)
-            if memo is not None:
-                memo[e] = (n, hit)
-            if hit is None:
-                continue
-        lead, lc, terms = basis[hit]
+            continue
+        lead, lc, terms = hit
         g = gcd(c, lc)
         mult_p = lc // g  # > 0 since basis leads are positive
         mult_g = c // g
@@ -307,7 +306,6 @@ def _buchberger(ipolys: list[dict], down) -> list[dict]:
     R: list[tuple[Vec, int, dict]] = []  # reducers (lead, lc, terms)
     lcms: dict[tuple[int, int], Vec] = {}  # pending pairs and their lead lcm
     heap: list[tuple[int, int, int]] = []  # (lcm degree, i, j) of pending pairs
-    divisors: dict = {}  # divisor memo of _normal_form; R only grows by appending
 
     def push(p: dict):
         new = len(R)
@@ -336,7 +334,7 @@ def _buchberger(ipolys: list[dict], down) -> list[dict]:
             for k in range(len(R))
         ):
             continue
-        nf = _normal_form(_spoly(R[i], R[j], m), R, down, divisors)
+        nf = _normal_form(_spoly(R[i], R[j], m), R, down)
         if nf:
             push(nf)
     # minimalize: drop elements whose lead is divisible by another's
@@ -344,7 +342,7 @@ def _buchberger(ipolys: list[dict], down) -> list[dict]:
     for red in sorted(R, key=lambda red: down(red[0]), reverse=True):
         if not any(_divides(lead, red[0]) for lead, _, _ in basis):
             basis.append(red)
-    # inter-reduce tails (no divisor memo: each pass has its own reducer list)
+    # inter-reduce tails
     for idx in range(len(basis)):
         others = basis[:idx] + basis[idx + 1 :]
         if others:
@@ -536,6 +534,8 @@ class BFunctionResult:
     truncation boxes agreed and the smallest root of ``b(-s)`` matched the
     log-canonical threshold.  ``truncation`` records the polynomial found at
     each box bound (``None`` when the elimination ideal was still zero).
+    ``generator_count`` is the number of ``g_c`` in the last box, all of them
+    nonzero; only those of minimal profile were eliminated.
     """
 
     b: UniPoly
@@ -571,9 +571,10 @@ def bfunction(
     ``ideal`` may be a :class:`MonomialIdeal` (its minimal generators are
     used) or an explicit sequence of generator exponents (used as given,
     which the generator-independence property makes legitimate).  For each
-    box bound ``B = 1, ..., cap`` the family ``{g_c : |c_i| <= B}`` is
-    eliminated (each ``g_c`` is built once and reused by the larger boxes);
-    the run stops once two consecutive bounds agree and the smallest root of
+    box bound ``B = 1, ..., cap`` the ideal of ``{g_c : |c_i| <= B}`` is
+    eliminated; it is generated by the ``g_c`` of minimal profile
+    ``phi(c)``, one per minimal profile, so only those are built.  The
+    run stops once two consecutive bounds agree and the smallest root of
     ``b(-s)`` equals the log-canonical threshold.  If the cap is reached
     first, the last polynomial is reported with ``stabilized = False``; if
     no polynomial at all was found, :class:`TruncationExhausted` is raised.
@@ -588,6 +589,7 @@ def bfunction(
     if cap < 1:
         raise ValueError("the truncation cap must be a positive integer")
     r = len(betas)
+    alphas = [f_map(S, b) for b in betas]
 
     from .multiplier import lct  # deferred: multiplier also imports this module
 
@@ -605,19 +607,14 @@ def bfunction(
     prev: Optional[UniPoly] = None
     final: Optional[UniPoly] = None
     stabilized = False
-    generators: dict[Vec, MultiPoly] = {}  # g_c by c; box B's c recur in box B + 1
     for B in range(1, cap + 1):
-        gens = []
-        for c in c_vectors(r, B):
-            if c not in generators:
-                generators[c] = build_generator(S, betas, c)
-            if not generators[c].is_zero():
-                gens.append(generators[c])
-        p = eliminate_minimal_univariate(gens)
+        cs = c_vectors(r, B)
+        minimal = minimal_points((_profile(alphas, c), c) for c in cs)
+        p = eliminate_minimal_univariate([build_generator(S, betas, c) for _, c in minimal])
         history.append((B, p))
         if p is not None and prev is not None and not p.divides(prev):
             raise AssertionError("larger truncation box failed to divide the smaller one")
-        box_used, generator_count = B, len(gens)
+        box_used, generator_count = B, len(cs)
         if p is not None:
             final = p
             if prev is not None and p == prev and _lct_matches(p, *factor(p), lct_value):

@@ -50,6 +50,7 @@ from .toric import (
     build_semigroup,
     extreme_rays,
     f_map,
+    minimal_points,
     monomial_ideal,
 )
 
@@ -238,11 +239,7 @@ def _minimal_members(
             for t in range(line[0], line[1] + 1):
                 v = head + (t,)
                 members.append((f_map(S, v), v))
-    kept: list[tuple[Vec, Vec]] = []
-    for q, v in sorted(members, key=lambda qv: (sum(qv[0]), qv[0])):
-        if not any(all(x <= y for x, y in zip(q2, q)) for q2, _ in kept):
-            kept.append((q, v))
-    gens = tuple(sorted(v for _, v in kept))
+    gens = tuple(sorted(v for _, v in minimal_points(members)))
     return MultiplierIdealResult(alpha, mode, gens, tuple(box), stabilized=True)
 
 

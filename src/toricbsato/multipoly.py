@@ -201,18 +201,6 @@ class MultiPoly:
             raise ZeroDivisionError
         return self * (1 / c)
 
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative power")
-        result = MultiPoly.constant(self.nvars, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
     # -- variable bookkeeping -----------------------------------------
 
     def extend_vars(self, extra: int) -> "MultiPoly":

@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product
 from math import prod
-from typing import Optional, Sequence
+from operator import le
+from typing import Iterable, Optional, Sequence
 
 from .exactnum import (
     IntMatrix,
@@ -246,6 +247,22 @@ def extreme_rays(S: SemigroupData) -> tuple[Vec, ...]:
     return tuple(cone_facet_normals(S.facets, S.d))
 
 
+def minimal_points(points: Iterable[tuple[Vec, object]]) -> list[tuple[Vec, object]]:
+    """The ``(key, value)`` pairs whose key is minimal under the
+    componentwise order, one pair per minimal key.
+
+    Sorted by coordinate sum, every key comes after the keys strictly below
+    it, so one greedy pass keeps a key exactly when no kept key lies below
+    or on it; of equal keys the first in input order stays.  The result is
+    in ascending ``(sum, key)`` order.
+    """
+    kept: list[tuple[Vec, object]] = []
+    for q, v in sorted(points, key=lambda qv: (sum(qv[0]), qv[0])):
+        if not any(all(map(le, k, q)) for k, _ in kept):
+            kept.append((q, v))
+    return kept
+
+
 def minimalize_exponents(S: SemigroupData, exps: Sequence[Sequence[int]]) -> tuple[Vec, ...]:
     """Antichain of minimal exponents under semigroup divisibility.
 
@@ -253,19 +270,8 @@ def minimalize_exponents(S: SemigroupData, exps: Sequence[Sequence[int]]) -> tup
     normality is the componentwise test ``f_map(w) >= f_map(v)``.  Returns
     the minimal elements sorted lexicographically.
     """
-    vecs = sorted({tuple(int(x) for x in v) for v in exps})
-    images = {v: f_map(S, v) for v in vecs}
-    minimal = []
-    for v in vecs:
-        dominated = False
-        for w in vecs:
-            if w != v and all(x <= y for x, y in zip(images[w], images[v])):
-                dominated = True
-                break
-        if dominated:
-            continue
-        minimal.append(v)
-    return tuple(minimal)
+    vecs = {tuple(int(x) for x in v) for v in exps}
+    return tuple(sorted(v for _, v in minimal_points((f_map(S, v), v) for v in vecs)))
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from toricbsato.bsato import (
     _c_vector_count,
     _KeyMemo,
     _normal_form,
+    _profile,
     bfunction,
     build_generator,
     c_vectors,
@@ -107,7 +108,39 @@ def generator_cases(draw):
 @settings(max_examples=60, deadline=None)
 def test_generator_matches_binomial_product(case):
     alphas, c = case
-    assert monomial_generator(alphas, c) == reference_generator(alphas, c)
+    g = monomial_generator(alphas, c)
+    assert g == reference_generator(alphas, c)
+    # never zero, zero coordinates of alphas included: every factor is a
+    # nonzero linear form, and the factor lengths are the profile
+    assert not g.is_zero()
+    assert max(sum(e) for e in g.terms) == sum(_profile(alphas, c))
+
+
+@st.composite
+def comparable_profiles(draw):
+    r = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 3))
+    alphas = [tuple(draw(st.integers(0, 3)) for _ in range(n)) for _ in range(r)]
+    cs = draw(st.lists(st.sampled_from(c_vectors(r, 3)), min_size=2, max_size=6))
+    pairs = [
+        (c, c2)
+        for c in cs
+        for c2 in cs
+        if all(x <= y for x, y in zip(_profile(alphas, c), _profile(alphas, c2)))
+    ]
+    return alphas, pairs
+
+
+@given(comparable_profiles())
+@settings(max_examples=60, deadline=None)
+def test_smaller_profile_divides(case):
+    # g_c divides g_c' when phi(c) <= phi(c'): the division by the single
+    # polynomial g_c leaves no remainder
+    alphas, pairs = case
+    order = grevlex(len(alphas))
+    for c, c2 in pairs:
+        divisor = monomial_generator(alphas, c)
+        assert normal_form(monomial_generator(alphas, c2), [divisor], order).is_zero()
 
 
 def test_c_vectors():
@@ -216,12 +249,10 @@ int_polys = st.dictionaries(
 @given(
     st.sampled_from([grevlex(3), block_elimination(2)]),
     int_polys,
-    int_polys,
     st.lists(int_polys.filter(lambda d: len(d) <= 4), min_size=1, max_size=5),
-    st.integers(0, 5),
 )
 @settings(max_examples=150, deadline=None)
-def test_normal_form_matches_sort_and_scan(order, p, q, reducer_polys, prefix):
+def test_normal_form_matches_sort_and_scan(order, p, reducer_polys):
     basis = []
     for d in reducer_polys:
         lead = max(d, key=order.key)
@@ -231,12 +262,6 @@ def test_normal_form_matches_sort_and_scan(order, p, q, reducer_polys, prefix):
     expected = reference_normal_form(p, basis, order.key)
     down = _KeyMemo(order).__getitem__
     assert _normal_form(p, basis, down) == expected
-    # a memo filled against a shorter reducer list stays valid once it grows
-    memo: dict = {}
-    _normal_form(q, basis[:prefix], down, memo)
-    _normal_form(p, basis[:prefix], down, memo)
-    assert _normal_form(p, basis, down, memo) == expected
-    assert _normal_form(p, basis, down, memo) == expected
 
 
 def test_elimination_toys():
@@ -375,6 +400,58 @@ def test_bfunction_truncation_cap(cusp):
         bfunction(cusp, monomial_ideal(cusp, CUSP_IDEAL), cap=1)
     with pytest.raises(ValueError, match="positive"):
         bfunction(cusp, monomial_ideal(cusp, CUSP_IDEAL), cap=0)
+
+
+ORACLE_CONES = {
+    "cusp": CUSP,
+    "a5": [[0, 1, 6], [1, 1, 5]],
+    "plane": [[1, 0], [0, 1]],
+    "square": [[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1]],
+}
+
+
+@st.composite
+def small_ideals(draw):
+    # distinct columns keep the oracle's Buchberger runs short: on a5 the sum
+    # (7, 6) of two columns next to (0, 1) takes seconds already in box 1, and
+    # all three columns take 1-3 s in box 3
+    name = draw(st.sampled_from(sorted(ORACLE_CONES)))
+    cols = list(zip(*ORACLE_CONES[name]))
+    top = 2 if name == "a5" else 3
+    exps = draw(st.lists(st.sampled_from(cols), min_size=1, max_size=top, unique=True))
+    return ORACLE_CONES[name], exps
+
+
+@given(small_ideals())
+@settings(max_examples=25, deadline=None)
+def test_minimal_profiles_keep_every_truncation(case):
+    # oracle: eliminate the whole family of each box, as before the pruning
+    matrix, exps = case
+    S = build_semigroup(matrix)
+    try:
+        truncation = bfunction(S, exps, cap=3).truncation
+    except TruncationExhausted:
+        truncation = tuple((B, None) for B in (1, 2, 3))
+    for B, p in truncation:
+        family = [build_generator(S, exps, c) for c in c_vectors(len(exps), B)]
+        assert eliminate_minimal_univariate(family) == p
+
+
+def test_plane_eliminates_minimal_profiles_only(monkeypatch):
+    # <x^3, xy, y^2> certifies at box 7, whose 168 g_c have 7 minimal profiles
+    sizes = []
+
+    def spy(gens):
+        sizes.append(len(gens))
+        return eliminate_minimal_univariate(gens)
+
+    monkeypatch.setattr("toricbsato.bsato.eliminate_minimal_univariate", spy)
+    plane = build_semigroup([[1, 0], [0, 1]])
+    res = bfunction(plane, monomial_ideal(plane, [(3, 0), (1, 1), (0, 2)]), cap=7)
+    assert sizes == [3, 4, 5, 6, 6, 7, 7]
+    assert res.stabilized and res.box_used == 7 and res.generator_count == 168
+    assert res.roots == ((F(-5, 3), 1), (F(-3, 2), 1), (F(-4, 3), 1), (F(-1), 2))
+    assert [p for _, p in res.truncation[:5]] == [None] * 5
 
 
 @pytest.mark.parametrize(

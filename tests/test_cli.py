@@ -410,6 +410,20 @@ def test_hexagon_multiplier_scans_the_character_lattice():
     assert report["box_used"] == [13, 13, 14, 14, 16, 16]
 
 
+def test_plane_three_generators_certify_at_box_seven():
+    # box 7 holds 168 g_c but only 7 minimal profiles, so certifying is quick;
+    # the default cap 6 stops one box short
+    code, report = run_problem(
+        "bfunction", "plane_three_generators.json", "--assume-normal", "--box-cap", "7", timeout=20
+    )
+    assert code == 0
+    assert report["stabilized"] is True
+    assert report["box_used"] == 7 and report["generator_count"] == 168
+    code, report = run_problem("bfunction", "plane_three_generators.json", "--assume-normal")
+    assert code == 3
+    assert report["stabilized"] is False and report["box_used"] == 6
+
+
 def test_unknown_command_rejected(tmp_path, capsys):
     doc = write_doc(tmp_path, CUSP_DOC)
     with pytest.raises(SystemExit):

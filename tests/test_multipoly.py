@@ -69,15 +69,6 @@ def test_ring_axioms(a, b, c):
     assert a - a == MultiPoly.zero(2)
 
 
-@given(small_polys, st.integers(0, 4))
-@settings(max_examples=60)
-def test_pow_is_repeated_product(p, k):
-    expected = MultiPoly.constant(2, 1)
-    for _ in range(k):
-        expected = expected * p
-    assert p**k == expected
-
-
 @given(small_polys, small_polys, st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
 @settings(max_examples=100)
 def test_eval_is_ring_hom(a, b, pt):

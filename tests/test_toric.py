@@ -16,6 +16,7 @@ from toricbsato.toric import (
     f_map,
     f_section,
     is_normal,
+    minimal_points,
     minimalize_exponents,
     monomial_ideal,
 )
@@ -240,6 +241,28 @@ def test_minimalize_exponents(cusp):
     assert minimalize_exponents(cusp, [(1, 2), (1, 1)]) == ((1, 1), (1, 2))
     # duplicates collapse
     assert minimalize_exponents(cusp, [(1, 1), (1, 1)]) == ((1, 1),)
+
+
+@given(
+    st.integers(1, 3).flatmap(
+        lambda n: st.lists(
+            st.tuples(st.tuples(*[st.integers(0, 3)] * n), st.integers()), max_size=12
+        )
+    )
+)
+@settings(max_examples=200)
+def test_minimal_points_match_definition(points):
+    # small coordinates force duplicates and ties in the coordinate sum
+    def below(k, q):
+        return all(x <= y for x, y in zip(k, q))
+
+    minimal = {q for q, _ in points if not any(below(k, q) and k != q for k, _ in points)}
+    kept = minimal_points(points)
+    assert [q for q, _ in kept] == sorted(minimal, key=lambda q: (sum(q), q))
+    first = {}
+    for q, v in points:
+        first.setdefault(q, v)
+    assert all(v == first[q] for q, v in kept)
 
 
 def test_monomial_ideal_validation(cusp):
