@@ -18,8 +18,12 @@ strategy (minimal lcm degree, ties by pair index, read off a heap of pairs
 whose lcm is computed once) and the standard product and chain criteria.
 Internally all polynomials are kept as primitive integer-coefficient
 dictionaries; contents are stripped after every reduction so coefficient
-growth stays tame.  Public inputs and outputs are ``MultiPoly`` over
-``Fraction``.
+growth stays tame.  Public inputs are ``MultiPoly`` with exact rational
+coefficients (``int`` or ``Fraction``); the reduced basis comes back monic
+over ``Fraction``.  The b-function driver stays in integers from ``c`` to
+the roots: each eliminated ``g_c`` is built as a primitive integer
+polynomial, and the rational roots are split off by integer synthetic
+division, whose last quotient gives the unfactored remainder.
 """
 
 from __future__ import annotations
@@ -97,6 +101,30 @@ def _profile(alphas: Sequence[Vec], c: Sequence[int]) -> Vec:
     return tuple(max(0, -x) for x in c) + tuple(max(0, x) for x in u)
 
 
+def _falling_product(alphas: Sequence[Vec], c: Sequence[int]) -> tuple[dict, int, int]:
+    """``(g, content, denom)`` with ``g_c = content * g / denom`` and ``g`` a
+    primitive integer polynomial: the product of the falling factors of
+    ``g_c``, multiplied out in integers and divided by its content.
+
+    With ``phi = _profile(alphas, c)`` and ``L_k = sum_i s_i alpha_ik`` the
+    factors are ``s_i`` of length ``phi_i`` and ``L_k + m_k`` of length
+    ``m_k = phi_{r+k}``; ``denom`` is ``prod m!``.
+    """
+    r = len(alphas)
+    phi = _profile(alphas, c)
+    # (linear part, top, m) of each factor binom(L + top, m)
+    factors = [([int(j == i) for j in range(r)], 0, phi[i]) for i in range(r)]
+    factors += [([a[k] for a in alphas], m, m) for k, m in enumerate(phi[r:])]
+    g = {(0,) * r: 1}
+    denom = 1
+    for coeffs, top, m in factors:
+        for j in range(m):
+            g = _times_linear(g, coeffs, top - j)
+        denom *= factorial(m)
+    content = gcd_list(g.values())
+    return {e: v // content for e, v in g.items() if v}, content, denom
+
+
 def monomial_generator(alphas: Sequence[Vec], c: Sequence[int]) -> MultiPoly:
     """Generator ``g_c`` written in the polynomial ring, from the transported
     exponents ``alphas`` (vectors in the nonnegative orthant).
@@ -111,22 +139,13 @@ def monomial_generator(alphas: Sequence[Vec], c: Sequence[int]) -> MultiPoly:
     nested in their length, so ``g_c`` divides ``g_c'`` when
     ``phi(c) <= phi(c')``.
     """
-    r = len(alphas)
-    if len(c) != r:
+    if len(c) != len(alphas):
         raise ValueError("c and exponent list must have equal length")
     if sum(c) != 1:
         raise ValueError("coordinate sum of c must be 1")
-    phi = _profile(alphas, c)
-    # (linear part, top, m) of each factor binom(L + top, m)
-    factors = [([int(j == i) for j in range(r)], 0, phi[i]) for i in range(r)]
-    factors += [([a[k] for a in alphas], m, m) for k, m in enumerate(phi[r:])]
-    g = {(0,) * r: 1}
-    denom = 1
-    for coeffs, top, m in factors:
-        for j in range(m):
-            g = _times_linear(g, coeffs, top - j)
-        denom *= factorial(m)
-    return MultiPoly(r, {e: Fraction(v, denom) for e, v in g.items() if v})
+    g, content, denom = _falling_product(alphas, c)
+    scale = Fraction(content, denom)
+    return MultiPoly._of(len(alphas), {e: v * scale for e, v in g.items()})
 
 
 def build_generator(S: SemigroupData, exponents: Sequence[Vec], c: Sequence[int]) -> MultiPoly:
@@ -198,16 +217,14 @@ def _normalize(p: dict, down) -> dict:
 
 
 def _to_int_poly(f: MultiPoly, down) -> dict:
-    denom = 1
-    for c in f.terms.values():
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    p = {e: int(c * denom) for e, c in f.terms.items()}
+    denom = lcm(*(c.denominator for c in f.terms.values()))
+    p = {e: c.numerator * (denom // c.denominator) for e, c in f.terms.items()}
     return _normalize(p, down)
 
 
 def _from_int_poly(p: dict, nvars: int, down) -> MultiPoly:
     lc = p[min(p, key=down)]
-    return MultiPoly(nvars, {e: Fraction(c, lc) for e, c in p.items()})
+    return MultiPoly._of(nvars, {e: Fraction(c, lc) for e, c in p.items()})
 
 
 class _KeyMemo(dict):
@@ -416,11 +433,10 @@ def eliminate_minimal_univariate(gens: Sequence[MultiPoly]) -> Optional[UniPoly]
         return None
     r = polys[0].nvars
     lifted = [g.extend_vars(1) for g in polys]
-    t_rel = {(0,) * r + (1,): Fraction(1)}
+    t_rel = {(0,) * r + (1,): 1}
     for i in range(r):
-        e = tuple(1 if k == i else 0 for k in range(r + 1))
-        t_rel[e] = Fraction(-1)
-    lifted.append(MultiPoly(r + 1, t_rel))
+        t_rel[tuple(1 if k == i else 0 for k in range(r + 1))] = -1
+    lifted.append(MultiPoly._of(r + 1, t_rel))
     gb = groebner_basis(lifted, block_elimination(r))
     pure = [g for g in gb if all(sum(e[:r]) == 0 for e in g.terms)]
     if not pure:
@@ -483,7 +499,9 @@ def rational_roots(p: UniPoly) -> tuple[list[tuple[Fraction, int]], UniPoly]:
     polynomial by its quotient and retries the same candidate, which counts
     the multiplicity.  The quotient's end coefficients prune later
     candidates, and the search stops once the quotient has degree 0.  The
-    remainder is ``p`` exactly deflated by the roots found.
+    remainder is read off the last integer quotient ``a``: it is
+    ``lead(p) * a / a[-1]``, since ``p`` is that quotient times the found
+    factors ``den*x - num`` and ``x^mult0`` up to a constant.
     """
     if p.is_zero():
         raise ValueError("rational_roots of the zero polynomial")
@@ -512,12 +530,9 @@ def rational_roots(p: UniPoly) -> tuple[list[tuple[Fraction, int]], UniPoly]:
                         mult += 1
                     if mult:
                         roots.append((Fraction(signed, den), mult))
-    q = p
-    for r, mult in roots:
-        for _ in range(mult):
-            q = q.deflate_root(r)
+    lead = p.coeffs[-1]
     roots.sort(key=lambda rm: rm[0])
-    return roots, q
+    return roots, UniPoly([lead * c / a[-1] for c in a])
 
 
 # ---------------------------------------------------------------------------
@@ -610,7 +625,9 @@ def bfunction(
     for B in range(1, cap + 1):
         cs = c_vectors(r, B)
         minimal = minimal_points((_profile(alphas, c), c) for c in cs)
-        p = eliminate_minimal_univariate([build_generator(S, betas, c) for _, c in minimal])
+        p = eliminate_minimal_univariate(
+            [MultiPoly._of(r, _falling_product(alphas, c)[0]) for _, c in minimal]
+        )
         history.append((B, p))
         if p is not None and prev is not None and not p.divides(prev):
             raise AssertionError("larger truncation box failed to divide the smaller one")

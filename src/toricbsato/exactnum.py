@@ -201,7 +201,9 @@ def lattice_is_saturated(M: IntMatrix) -> bool:
 def _bareiss(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int], int]:
     """Fraction-free Gauss-Jordan elimination (Bareiss 1968).
 
-    Each row is first scaled to integers, which keeps the row space.  Step
+    Entries are ``int`` or ``Fraction`` (anything else, a float above all,
+    raises ``TypeError``), and each row is first scaled by the lcm of its
+    entries' denominators to integers, which keeps the row space.  Step
     ``k`` replaces every other row by ``(p_k * row - f * pivot_row) / p_{k-1}``;
     the division is exact because every entry is then a minor of the scaled
     matrix.  Returns ``(a, pivots, p)``: the reduced integer rows, whose row
@@ -210,7 +212,8 @@ def _bareiss(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int], int]
     """
     a = []
     for row in rows:
-        row = [Fraction(x) for x in row]
+        if not all(isinstance(x, (int, Fraction)) for x in row):
+            raise TypeError("exact elimination takes int and Fraction entries only")
         den = lcm(*(x.denominator for x in row))
         a.append([x.numerator * (den // x.denominator) for x in row])
     nrows = len(a)

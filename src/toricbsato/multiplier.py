@@ -17,8 +17,8 @@ facet; with ``alpha = num / den`` the membership rows are scaled by
 ``den``.  Both searches run in integers, one exact line solve per line of
 the lattice.  In dimension >= 3 the witness lines lie in finite windows,
 so that output carries an honest ``search_mode`` flag, not a silent claim
-of completeness.  Three counted caps bound one call: the lattice points
-``v`` that bound a generating box (``SCAN_POINTS_CAP``), the jumping
+of completeness.  Three counted caps bound one call: the line solves and
+members of a generating-box scan (``SCAN_POINTS_CAP``), the jumping
 candidates of a window (``CANDIDATES_CAP``) and the points of the witness
 windows (``WINDOW_POINTS_CAP``) are counted before they are visited, and a
 count above its cap raises :class:`WorkCapExceeded`.
@@ -207,7 +207,9 @@ def _minimal_members(
     and on each line of the last coordinate the region rows and the box
     rows ``F_k(v) <= box_k`` form one integer system, solved exactly, so
     every ``t`` of its interval is a member.  ``SCAN_POINTS_CAP`` counts
-    the bounding box of ``v`` before the scan."""
+    the work paid for: the heads of the first ``d - 1`` coordinates (one
+    line solve each) before the scan, then each line's members before they
+    are listed."""
     region = {f: 0 for f in S.facets}  # row -> integer right-hand side
     for row, t in cuts:
         b = floor(t) + 1 if mode == "relint" else ceil(t)
@@ -221,21 +223,24 @@ def _minimal_members(
     X, p = S.section
     if p < 0:
         X, p = [[-x for x in row] for row in X], -p
-    ranges = [
+    heads = [
         range(-(-sum(x * b for x, b in zip(row, box) if x < 0) // p),
               sum(x * b for x, b in zip(row, box) if x > 0) // p + 1)
-        for row in X
+        for row in X[:-1]
     ]
-    points = prod(len(r) for r in ranges)
-    if points > SCAN_POINTS_CAP:
-        raise WorkCapExceeded("SCAN_POINTS_CAP", points, SCAN_POINTS_CAP)
+    work = prod(len(r) for r in heads)
+    if work > SCAN_POINTS_CAP:
+        raise WorkCapExceeded("SCAN_POINTS_CAP", work, SCAN_POINTS_CAP)
     # a . v + b >= 0: the region rows, and F_k(v) <= box_k
     rows = [(row, -b) for row, b in region.items()]
     rows += [(tuple(-x for x in f), b) for f, b in zip(S.facets, box)]
     members: list[tuple[Vec, Vec]] = []  # (q, v)
-    for head in product(*ranges[:-1]):
+    for head in product(*heads):
         line = _line_interval(rows, head, [])
         if line is not None:
+            work += line[1] - line[0] + 1
+            if work > SCAN_POINTS_CAP:
+                raise WorkCapExceeded("SCAN_POINTS_CAP", work, SCAN_POINTS_CAP)
             for t in range(line[0], line[1] + 1):
                 v = head + (t,)
                 members.append((f_map(S, v), v))

@@ -1,10 +1,11 @@
 """Sparse multivariate and dense univariate polynomials over exact rationals.
 
-``MultiPoly`` stores a mapping from exponent tuples to nonzero ``Fraction``
-coefficients; the number of variables is fixed per polynomial.  Monomial
-orders are small value objects carrying a key function on exponent tuples,
-so Python's tuple comparison does the actual ordering work.  ``UniPoly`` is
-a dense univariate polynomial used for b-functions and root bookkeeping.
+``MultiPoly`` stores a mapping from exponent tuples to nonzero exact
+rational coefficients (``int`` or ``Fraction``); the number of variables is
+fixed per polynomial.  Monomial orders are small value objects carrying a
+key function on exponent tuples, so Python's tuple comparison does the
+actual ordering work.  ``UniPoly`` is a dense univariate polynomial used for
+b-functions and root bookkeeping.
 """
 
 from __future__ import annotations
@@ -57,10 +58,13 @@ def block_elimination(n_front: int) -> MonomialOrder:
 
 
 class MultiPoly:
-    """Sparse polynomial in ``nvars`` variables over ``Fraction``.
+    """Sparse polynomial in ``nvars`` variables over the rationals.
 
-    ``terms`` maps exponent tuples to nonzero coefficients.  Instances are
-    treated as immutable values; all operations return new polynomials.
+    ``terms`` maps exponent tuples to nonzero exact rationals, ``int`` or
+    ``Fraction``: the public constructor stores ``Fraction``s, while
+    integer-built polynomials keep their ``int``s.  Equality and hashing
+    agree across the two types.  Instances are treated as immutable values;
+    all operations return new polynomials.
     """
 
     __slots__ = ("nvars", "terms")
@@ -84,6 +88,16 @@ class MultiPoly:
         self.terms = clean
 
     # -- constructors -------------------------------------------------
+
+    @staticmethod
+    def _of(nvars: int, terms: dict) -> "MultiPoly":
+        """Wrap ``terms`` that are already clean (nonzero coefficients,
+        nonnegative exponent tuples of length ``nvars``) without checking or
+        copying them."""
+        out = MultiPoly.__new__(MultiPoly)
+        out.nvars = nvars
+        out.terms = terms
+        return out
 
     @staticmethod
     def zero(nvars: int) -> "MultiPoly":
@@ -148,18 +162,12 @@ class MultiPoly:
                 terms[e] = s
             else:
                 terms.pop(e, None)
-        out = MultiPoly.__new__(MultiPoly)
-        out.nvars = self.nvars
-        out.terms = terms
-        return out
+        return MultiPoly._of(self.nvars, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = MultiPoly.__new__(MultiPoly)
-        out.nvars = self.nvars
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return MultiPoly._of(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -174,10 +182,7 @@ class MultiPoly:
             c = Fraction(other)
             if c == 0:
                 return MultiPoly.zero(self.nvars)
-            out = MultiPoly.__new__(MultiPoly)
-            out.nvars = self.nvars
-            out.terms = {e: k * c for e, k in self.terms.items()}
-            return out
+            return MultiPoly._of(self.nvars, {e: k * c for e, k in self.terms.items()})
         self._check(other)
         terms: dict[tuple[int, ...], Fraction] = {}
         for e1, c1 in self.terms.items():
@@ -188,10 +193,7 @@ class MultiPoly:
                     terms[e] = s
                 else:
                     terms.pop(e, None)
-        out = MultiPoly.__new__(MultiPoly)
-        out.nvars = self.nvars
-        out.terms = terms
-        return out
+        return MultiPoly._of(self.nvars, terms)
 
     __rmul__ = __mul__
 
@@ -208,7 +210,7 @@ class MultiPoly:
         if extra < 0:
             raise ValueError("extra must be nonnegative")
         pad = (0,) * extra
-        return MultiPoly(self.nvars + extra, {e + pad: c for e, c in self.terms.items()})
+        return MultiPoly._of(self.nvars + extra, {e + pad: c for e, c in self.terms.items()})
 
     # -- display ------------------------------------------------------
 

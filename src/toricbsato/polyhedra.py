@@ -23,11 +23,10 @@ from math import comb
 from typing import Optional, Sequence
 
 from .exactnum import (
-    IntMatrix,
     Vec,
     WorkCapExceeded,
+    _bareiss,
     dot,
-    kernel_lattice_basis,
     primitive_vector,
     rank,
     solve_linear,
@@ -67,10 +66,13 @@ def cone_facet_normals(generators: Sequence[Vec], dim: int) -> list[Vec]:
     Scans all ``(dim-1)``-subsets of generators (at most ``SUBSETS_CAP``
     of them, counted first); a subset of rank ``dim-1`` determines a
     hyperplane, and its primitive normal is kept (suitably oriented) when
-    all generators lie on one side.  This enumerates every facet because
-    each facet of a finitely generated full-dimensional cone is spanned by
-    ``dim-1`` linearly independent generators, except in the
-    one-dimensional case where the origin is the only facet.
+    all generators lie on one side.  The normal is read off one Bareiss
+    elimination of the subset: with last pivot ``p``, the one free column
+    ``f`` gets ``p`` and pivot column ``pivots[i]`` gets ``-a[i][f]``.
+    This enumerates every facet because each facet of a finitely generated
+    full-dimensional cone is spanned by ``dim-1`` linearly independent
+    generators, except in the one-dimensional case where the origin is the
+    only facet.
 
     The returned list is sorted in descending lexicographic order.
     """
@@ -86,10 +88,15 @@ def cone_facet_normals(generators: Sequence[Vec], dim: int) -> list[Vec]:
         found_list = sorted(found, reverse=True)
         return found_list
     for subset in _subsets(len(gens), dim - 1):
-        basis = kernel_lattice_basis(IntMatrix.from_rows([gens[i] for i in subset]))
-        if len(basis) != 1:
-            continue  # kernel dimension = dim - rank: the subset has rank < dim - 1
-        normal = primitive_vector(basis[0])
+        a, pivots, p = _bareiss([gens[i] for i in subset])
+        if len(pivots) != dim - 1:
+            continue  # the subset has rank < dim - 1
+        free = next(j for j in range(dim) if j not in pivots)
+        kernel = [0] * dim
+        kernel[free] = p
+        for row, c in zip(a, pivots):
+            kernel[c] = -row[free]
+        normal = primitive_vector(kernel)
         vals = [dot(normal, g) for g in gens]
         if all(v >= 0 for v in vals):
             found.add(normal)

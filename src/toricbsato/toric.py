@@ -48,7 +48,9 @@ __all__ = [
 ]
 
 
-#: Counted work cap of every lattice-box scan, checked before the scan.
+#: Counted work cap of every lattice scan: the points of a normality box,
+#: checked before the scan; the line solves and members of a multiplier
+#: generating-box scan, each counted before it is paid for.
 SCAN_POINTS_CAP = 1_000_000
 
 

@@ -454,6 +454,25 @@ def test_plane_eliminates_minimal_profiles_only(monkeypatch):
     assert [p for _, p in res.truncation[:5]] == [None] * 5
 
 
+def test_bfunction_eliminates_primitive_integer_generators(monkeypatch):
+    # the g_c reach the elimination as primitive integer polynomials: no
+    # Fraction is built on the way in
+    seen = []
+
+    def spy(gens):
+        seen.extend(gens)
+        return eliminate_minimal_univariate(gens)
+
+    monkeypatch.setattr("toricbsato.bsato.eliminate_minimal_univariate", spy)
+    square = build_semigroup([[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1]])
+    for S, ideal in [(square, [(2, 1, 1), (1, 0, 1)]), (build_semigroup(CUSP), CUSP_IDEAL)]:
+        bfunction(S, monomial_ideal(S, ideal))
+    assert seen
+    for g in seen:
+        assert all(type(c) is int for c in g.terms.values())
+        assert gcd(*g.terms.values()) == 1
+
+
 @pytest.mark.parametrize(
     "matrix, ideal, roots",
     [

@@ -149,22 +149,25 @@ sparse_rationals = st.one_of(
 )
 
 
-@given(
-    st.integers(1, 5).flatmap(
-        lambda r: st.tuples(
-            st.integers(1, 5).flatmap(
-                lambda c: st.lists(
-                    st.lists(sparse_rationals, min_size=c, max_size=c), min_size=r, max_size=r
-                )
-            ),
-            st.lists(sparse_rationals, min_size=r, max_size=r),
-        )
+# (rows, rhs) with 1-5 rows and 1-5 columns
+rational_systems = st.integers(1, 5).flatmap(
+    lambda r: st.tuples(
+        st.integers(1, 5).flatmap(
+            lambda c: st.lists(
+                st.lists(sparse_rationals, min_size=c, max_size=c), min_size=r, max_size=r
+            )
+        ),
+        st.lists(sparse_rationals, min_size=r, max_size=r),
     )
 )
+
+
+@given(rational_systems)
 @settings(max_examples=300)
 def test_elimination_matches_reference(system):
-    """``rank`` and ``solve_linear`` agree with a plain Fraction
-    Gauss-Jordan elimination, and every returned solution solves the system."""
+    """``rank`` and ``solve_linear`` on rows mixing ``int`` and ``Fraction``
+    entries agree with a plain Fraction Gauss-Jordan elimination, and every
+    returned solution solves the system."""
     rows, rhs = system
     ref_rank, ref_solution, _ = gauss_jordan(rows, rhs)
     assert rank(rows) == ref_rank
@@ -172,6 +175,26 @@ def test_elimination_matches_reference(system):
     assert x == ref_solution
     if x is not None:
         assert [dot(row, x) for row in rows] == [Fraction(y) for y in rhs]
+
+
+@given(rational_systems, st.data())
+@settings(max_examples=100)
+def test_elimination_refuses_floats(system, data):
+    """A float anywhere raises ``TypeError``: it is never converted."""
+    rows, rhs = system
+    i = data.draw(st.integers(0, len(rows) - 1))
+    j = data.draw(st.integers(0, len(rows[0])))  # the last column is the right-hand side
+    value = float(data.draw(st.integers(-5, 5)))
+    if j < len(rows[0]):
+        rows = [list(row) for row in rows]
+        rows[i][j] = value
+        with pytest.raises(TypeError):
+            rank(rows)
+    else:
+        rhs = list(rhs)
+        rhs[i] = value
+    with pytest.raises(TypeError):
+        solve_linear(rows, rhs)
 
 
 def grid_points(n, radius=4):

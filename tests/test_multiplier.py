@@ -246,6 +246,23 @@ def test_hexagon_generating_boxes_fit_the_scan_cap():
     assert res.generators == _scan_minimal_members(S, [2 * b + 2 for b in res.box_used], member)
 
 
+def test_scan_cap_counts_line_solves_and_members():
+    # the hexagon document at alpha = 10: the bounding box of v holds
+    # 4 598 856 points, past SCAN_POINTS_CAP, but the scan pays for far
+    # fewer line solves and members.  For a principal ideal <y^beta> on a
+    # saturated semigroup J(10) = y^(5 beta) J(5), an exact oracle.
+    S = build_semigroup(NORMAL_CONES["hexagon"])
+    beta = (6, -1, 0)
+    ideal = monomial_ideal(S, [beta])
+    low = multiplier_ideal(S, ideal, 5).generators
+    shifted = tuple(sorted(tuple(x + 5 * b for x, b in zip(v, beta)) for v in low))
+    assert multiplier_ideal(S, ideal, 10).generators == shifted
+    # d = 1: one line, whose members are counted before they are listed
+    line = build_semigroup([[1]])
+    res = multiplier_ideal(line, monomial_ideal(line, [(1,)]), 10**7)
+    assert res.generators == ((10**7,),)
+
+
 # --- boundary-twisted variant ----------------------------------------------
 
 
