@@ -18,12 +18,23 @@ strategy (minimal lcm degree, ties by pair index, read off a heap of pairs
 whose lcm is computed once) and the standard product and chain criteria.
 Internally all polynomials are kept as primitive integer-coefficient
 dictionaries; contents are stripped after every reduction so coefficient
-growth stays tame.  Public inputs are ``MultiPoly`` with exact rational
-coefficients (``int`` or ``Fraction``); the reduced basis comes back monic
-over ``Fraction``.  The b-function driver stays in integers from ``c`` to
-the roots: each eliminated ``g_c`` is built as a primitive integer
-polynomial, and the rational roots are split off by integer synthetic
-division, whose last quotient gives the unfactored remainder.
+growth stays tame.  Each monomial is packed into one int (Monagan-Pearce,
+CASC 2007): the exponents sit in fixed-width fields whose top bit is a
+guard, under the order's weight rows, so int comparison is the monomial
+order, a product of monomials is an int sum, and ``a`` divides ``b`` iff
+``((b | G) - a) & G == G`` for the guard mask ``G``.  The fields are sized
+from the inputs; a new monomial with a guard bit set means an exponent
+outgrew its field, and the call restarts with doubled fields, so exactness
+never rests on a size guess.  Reduction work is counted, per step the
+terms of the reduced polynomial times the 64-bit words of the cancelled
+coefficient, and one call past ``REDUCTION_WORK_CAP`` units raises
+:class:`WorkCapExceeded`: a few S-pairs can still swell coefficients to
+tens of thousands of bits.  Public inputs are ``MultiPoly`` with exact
+rational coefficients (``int`` or ``Fraction``); the reduced basis comes
+back monic over ``Fraction``.  The b-function driver stays in integers
+from ``c`` to the roots: each eliminated ``g_c`` is built as a primitive
+integer polynomial, and the rational roots are split off by integer
+synthetic division, whose last quotient gives the unfactored remainder.
 """
 
 from __future__ import annotations
@@ -33,7 +44,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import product
 from math import factorial, gcd, lcm
-from operator import add, le, sub
+from operator import itemgetter, mul
 from typing import Optional, Sequence
 
 from .exactnum import Vec, gcd_list
@@ -60,6 +71,7 @@ __all__ = [
     "TruncationExhausted",
     "WorkCapExceeded",
     "GENERATORS_CAP",
+    "REDUCTION_WORK_CAP",
     "SELF_CHECK",
 ]
 
@@ -70,6 +82,11 @@ SELF_CHECK = False
 #: Counted work cap: the ``c`` vectors of one truncation box, counted before
 #: any is listed.
 GENERATORS_CAP = 5_000
+
+#: Counted work cap of one Groebner computation: each reduction step counts
+#: the terms of the reduced polynomial times the 64-bit words of the
+#: coefficient it cancels.
+REDUCTION_WORK_CAP = 1_600_000
 
 
 class TruncationExhausted(RuntimeError):
@@ -194,142 +211,196 @@ def c_vectors(r: int, B: int):
 
 
 # ---------------------------------------------------------------------------
-# integer-core Buchberger
+# integer-core Buchberger on packed monomials
 # ---------------------------------------------------------------------------
 
-# internal polynomials: dict exponent-tuple -> nonzero int, content 1,
-# positive leading coefficient under the active order.  Orders are read
-# through ``down``: the negated (flat int tuple) order key, so the leading
-# exponent of ``p`` is ``min(p, key=down)`` and a min-heap on ``down`` pops
-# exponents in descending order.
+# internal polynomials: dict packed monomial -> nonzero int, content 1,
+# positive leading coefficient under the active order.  A packed monomial is
+# one int whose comparison is the order (see ``_Packing``), so the leading
+# monomial of ``p`` is ``max(p)`` and a min-heap of negated monomials pops
+# them in descending order.
 
 
-def _normalize(p: dict, down) -> dict:
+class _FieldOverflow(Exception):
+    """A packed exponent outgrew its field; the call restarts wider."""
+
+
+class _Packing:
+    """One int per monomial for ``order`` on ``nvars`` variables, plus the
+    reduction work counted so far in the call and its cap (``None`` for no
+    cap).
+
+    Exponent ``e_i`` sits in bits ``[i*w, (i+1)*w)`` of width ``w =
+    width``; the top bit of each field is a guard, clear while ``e_i <
+    2^(w-1)``.  Above the exponents sit the order's weight rows, first row
+    highest, in signed fields of ``span`` bits, wide enough that any weight
+    of in-range exponents stays below a quarter of the field.  Encoding is
+    then the dot product of ``e`` with one packed int per variable, so a
+    product of monomials is a sum of ints, and int comparison is the order:
+    the first differing row outweighs all lower rows and the exponents.
+    ``a`` divides ``b`` iff no field borrows its guard in ``(b | G) - a``.
+    A sum of two in-range exponents stays below ``2^w``, so an exponent
+    that outgrows its field sets its guard bit without disturbing the
+    others, and every new monomial is checked for that.
+    """
+
+    def __init__(
+        self, order: MonomialOrder, nvars: int, width: int, work: int = 0, cap: Optional[int] = None
+    ):
+        rows = order.rows(nvars)
+        low = nvars * width
+        top = max(sum(map(abs, row)) for row in rows) * ((1 << (width - 1)) - 1)
+        span = top.bit_length() + 2
+        self.weights = [
+            (1 << i * width)
+            + sum(row[i] << low + k * span for k, row in enumerate(reversed(rows)))
+            for i in range(nvars)
+        ]
+        self.guard = sum(1 << (i + 1) * width - 1 for i in range(nvars))
+        self.nvars, self.width, self.work, self.cap = nvars, width, work, cap
+
+    def encode(self, e: Vec) -> int:
+        if max(e, default=0) >> self.width - 1:
+            raise _FieldOverflow
+        return sum(map(mul, e, self.weights))
+
+    def decode(self, m: int) -> Vec:
+        w, mask = self.width, (1 << self.width) - 1
+        return tuple(m >> i * w & mask for i in range(self.nvars))
+
+    def to_int_poly(self, f: MultiPoly) -> dict:
+        denom = lcm(*(c.denominator for c in f.terms.values()))
+        enc = self.encode
+        return _normalize(
+            {enc(e): c.numerator * (denom // c.denominator) for e, c in f.terms.items()}
+        )
+
+    def from_int_poly(self, p: dict) -> MultiPoly:
+        lc, dec = p[max(p)], self.decode
+        return MultiPoly._of(self.nvars, {dec(e): Fraction(c, lc) for e, c in p.items()})
+
+
+def _packed(order: MonomialOrder, polys: Sequence[MultiPoly], run, cap: Optional[int] = None):
+    """``run(pack)`` for a packing whose fields hold twice the largest
+    exponent of ``polys``; while a packed exponent overflows, the run
+    restarts with doubled fields and keeps the work counted so far."""
+    top = max((x for f in polys for e in f.terms for x in e), default=0)
+    pack = _Packing(order, polys[0].nvars, top.bit_length() + 2, cap=cap)
+    while True:
+        try:
+            return run(pack)
+        except _FieldOverflow:
+            pack = _Packing(order, pack.nvars, 2 * pack.width, pack.work, cap)
+
+
+def _normalize(p: dict) -> dict:
     if not p:
         return p
     g = gcd_list(p.values())
     if g > 1:
         p = {e: c // g for e, c in p.items()}
-    lead = min(p, key=down)
-    if p[lead] < 0:
+    if p[max(p)] < 0:
         p = {e: -c for e, c in p.items()}
     return p
 
 
-def _to_int_poly(f: MultiPoly, down) -> dict:
-    denom = lcm(*(c.denominator for c in f.terms.values()))
-    p = {e: c.numerator * (denom // c.denominator) for e, c in f.terms.items()}
-    return _normalize(p, down)
-
-
-def _from_int_poly(p: dict, nvars: int, down) -> MultiPoly:
-    lc = p[min(p, key=down)]
-    return MultiPoly._of(nvars, {e: Fraction(c, lc) for e, c in p.items()})
-
-
-class _KeyMemo(dict):
-    """Negated order key of each exponent, computed once; lives for one
-    public call."""
-
-    def __init__(self, order: MonomialOrder):
-        self.order_key = order.key
-
-    def __missing__(self, e: Vec) -> tuple:
-        k = self[e] = tuple(-x for x in self.order_key(e))
-        return k
-
-
-def _divides(a: Vec, b: Vec) -> bool:
-    return all(map(le, a, b))
-
-
-def _reducer(p: dict, down) -> tuple[Vec, int, dict]:
+def _reducer(p: dict) -> tuple[int, int, dict]:
     """``(lead, lc, terms)`` of a nonzero internal polynomial."""
-    lead = min(p, key=down)
+    lead = max(p)
     return lead, p[lead], p
 
 
-def _reducers(basis: Sequence[MultiPoly], down) -> list[tuple[Vec, int, dict]]:
-    return [_reducer(_to_int_poly(g, down), down) for g in basis]
-
-
-def _normal_form(p: dict, basis: Sequence[tuple[Vec, int, dict]], down) -> dict:
+def _normal_form(p: dict, basis: Sequence[tuple[int, int, dict]], pack: _Packing) -> dict:
     """Full normal form of ``p`` against the reducers ``basis``; exact up to
     a positive rational scalar (integer cross-multiplication, contents
     stripped after every step).
 
     The terms wait in one heap and are popped in descending order.  A
-    reduction at ``e`` only adds terms below ``e``, so each exponent is
+    reduction at ``e`` only adds terms below ``e``, so each monomial is
     pushed once and the steps are the classic ones: the highest reducible
     term, reduced by the first reducer in list order whose lead divides it.
-    A cancelled term stays in ``p`` as 0 until the end.
+    A cancelled term stays in ``p`` as 0 until the end.  Each step adds the
+    terms of ``p`` times the 64-bit words of the reduced coefficient to
+    ``pack.work``; passing ``pack.cap`` raises :class:`WorkCapExceeded`.
     """
+    guard = pack.guard
     p = dict(p)
-    heap = [(down(e), e) for e in p]
+    heap = [-e for e in p]
     heapify(heap)
     while heap:
-        e = heappop(heap)[1]
+        e = -heappop(heap)
         c = p[e]
         if not c:
             continue
-        hit = next((red for red in basis if _divides(red[0], e)), None)
-        if hit is None:
+        eg = e | guard
+        for lead, lc, terms in basis:
+            if (eg - lead) & guard == guard:
+                break
+        else:
             continue
-        lead, lc, terms = hit
+        pack.work += len(p) * (c.bit_length() + 63 >> 6)
+        if pack.cap is not None and pack.work > pack.cap:
+            raise WorkCapExceeded("REDUCTION_WORK_CAP", pack.work, pack.cap)
         g = gcd(c, lc)
         mult_p = lc // g  # > 0 since basis leads are positive
         mult_g = c // g
         if mult_p != 1:
             for k in p:
                 p[k] *= mult_p
-        shift = tuple(map(sub, e, lead))
+        shift = e - lead
         for ge, gc in terms.items():
-            ne = tuple(map(add, ge, shift))
+            ne = ge + shift
             v = p.get(ne)
             if v is None:
-                heappush(heap, (down(ne), ne))
+                if ne & guard:
+                    raise _FieldOverflow
+                heappush(heap, -ne)
                 p[ne] = -mult_g * gc
             else:
                 p[ne] = v - mult_g * gc
         g = gcd_list(p.values())
         if g > 1:
             p = {k: v // g for k, v in p.items()}
-    return _normalize({e: c for e, c in p.items() if c}, down)
+    return _normalize({e: c for e, c in p.items() if c})
 
 
-def _spoly(f: tuple[Vec, int, dict], g: tuple[Vec, int, dict], lcm: Vec) -> dict:
+def _spoly(f: tuple[int, int, dict], g: tuple[int, int, dict], lcm: int, guard: int) -> dict:
     """S-polynomial of two reducers whose leads have least common multiple
     ``lcm``."""
     (fl, cf, fterms), (gl, cg, gterms) = f, g
     k = gcd(cf, cg)
     mf, mg = cg // k, cf // k
-    sf = tuple(map(sub, lcm, fl))
-    sg = tuple(map(sub, lcm, gl))
+    sf, sg = lcm - fl, lcm - gl
     s: dict = {}
     for e, c in fterms.items():
-        ne = tuple(map(add, e, sf))
+        ne = e + sf
         s[ne] = s.get(ne, 0) + mf * c
     for e, c in gterms.items():
-        ne = tuple(map(add, e, sg))
+        ne = e + sg
         v = s.get(ne, 0) - mg * c
         if v:
             s[ne] = v
         else:
             s.pop(ne, None)
+    if any(e & guard for e in s):
+        raise _FieldOverflow
     return {e: c for e, c in s.items() if c}
 
 
-def _buchberger(ipolys: list[dict], down) -> list[dict]:
-    R: list[tuple[Vec, int, dict]] = []  # reducers (lead, lc, terms)
+def _buchberger(ipolys: list[dict], pack: _Packing) -> list[dict]:
+    guard = pack.guard
+    R: list[tuple[int, int, dict]] = []  # reducers (lead, lc, terms)
+    leads: list[Vec] = []  # their leads as exponent tuples, for the lcm degree
     lcms: dict[tuple[int, int], Vec] = {}  # pending pairs and their lead lcm
     heap: list[tuple[int, int, int]] = []  # (lcm degree, i, j) of pending pairs
 
     def push(p: dict):
         new = len(R)
-        R.append(_reducer(p, down))
-        lead = R[new][0]
+        R.append(_reducer(p))
+        lead = pack.decode(R[new][0])
+        leads.append(lead)
         for i in range(new):
-            m = tuple(map(max, R[i][0], lead))
+            m = tuple(map(max, leads[i], lead))
             lcms[i, new] = m
             heappush(heap, (sum(m), i, new))
 
@@ -338,33 +409,35 @@ def _buchberger(ipolys: list[dict], down) -> list[dict]:
             push(p)
     while heap:
         _, i, j = heappop(heap)
-        m = lcms.pop((i, j))
+        m = pack.encode(lcms.pop((i, j)))
         # product criterion: coprime leading monomials
-        if all(a + b == c for a, b, c in zip(R[i][0], R[j][0], m)):
+        if R[i][0] + R[j][0] == m:
             continue
         # chain criterion
+        mg = m | guard
         if any(
             k not in (i, j)
-            and _divides(R[k][0], m)
+            and (mg - R[k][0]) & guard == guard
             and (min(i, k), max(i, k)) not in lcms
             and (min(j, k), max(j, k)) not in lcms
             for k in range(len(R))
         ):
             continue
-        nf = _normal_form(_spoly(R[i], R[j], m), R, down)
+        nf = _normal_form(_spoly(R[i], R[j], m, guard), R, pack)
         if nf:
             push(nf)
     # minimalize: drop elements whose lead is divisible by another's
-    basis: list[tuple[Vec, int, dict]] = []
-    for red in sorted(R, key=lambda red: down(red[0]), reverse=True):
-        if not any(_divides(lead, red[0]) for lead, _, _ in basis):
+    basis: list[tuple[int, int, dict]] = []
+    for red in sorted(R, key=itemgetter(0)):
+        eg = red[0] | guard
+        if not any((eg - lead) & guard == guard for lead, _, _ in basis):
             basis.append(red)
     # inter-reduce tails
     for idx in range(len(basis)):
         others = basis[:idx] + basis[idx + 1 :]
         if others:
-            basis[idx] = _reducer(_normal_form(basis[idx][2], others, down), down)
-    return [p for _, _, p in sorted(basis, key=lambda red: down(red[0]), reverse=True)]
+            basis[idx] = _reducer(_normal_form(basis[idx][2], others, pack))
+    return [p for _, _, p in sorted(basis, key=itemgetter(0))]
 
 
 def groebner_basis(gens: Sequence[MultiPoly], order: MonomialOrder) -> list[MultiPoly]:
@@ -372,9 +445,12 @@ def groebner_basis(gens: Sequence[MultiPoly], order: MonomialOrder) -> list[Mult
 
     Deterministic: Buchberger with normal pair selection (minimal lcm total
     degree, ties by pair index) plus the product and chain criteria; the
-    reduced basis is unique for the ideal and order regardless.  With the
-    module flag ``SELF_CHECK`` set the result is re-verified: every input
-    and every S-polynomial of the output must reduce to zero.
+    reduced basis is unique for the ideal and order regardless, and comes
+    back in ascending order of leads.  More than ``REDUCTION_WORK_CAP``
+    units of reduction work raise :class:`WorkCapExceeded`.  With the
+    module flag ``SELF_CHECK`` set the result is re-verified, without a
+    cap: every input and every S-polynomial of the output must reduce to
+    zero.
     """
     polys = [g for g in gens if not g.is_zero()]
     if len(polys) != len(gens):
@@ -384,10 +460,12 @@ def groebner_basis(gens: Sequence[MultiPoly], order: MonomialOrder) -> list[Mult
     nvars = polys[0].nvars
     if any(p.nvars != nvars for p in polys):
         raise ValueError("generators live in different rings")
-    down = _KeyMemo(order).__getitem__
-    ipolys = [_to_int_poly(p, down) for p in polys]
-    basis = _buchberger(ipolys, down)
-    result = [_from_int_poly(p, nvars, down) for p in basis]
+
+    def run(pack: _Packing) -> list[MultiPoly]:
+        basis = _buchberger([pack.to_int_poly(p) for p in polys], pack)
+        return [pack.from_int_poly(p) for p in basis]
+
+    result = _packed(order, polys, run, REDUCTION_WORK_CAP)
     if SELF_CHECK:
         verify_groebner_basis(polys, result, order)
     return result
@@ -396,12 +474,15 @@ def groebner_basis(gens: Sequence[MultiPoly], order: MonomialOrder) -> list[Mult
 def normal_form(f: MultiPoly, basis: Sequence[MultiPoly], order: MonomialOrder) -> MultiPoly:
     """Normal form of ``f`` modulo ``basis`` (up to a positive scalar;
     exactly zero iff ``f`` reduces to zero)."""
-    down = _KeyMemo(order).__getitem__
-    ib = _reducers(basis, down)
-    nf = _normal_form(_to_int_poly(f, down), ib, down) if not f.is_zero() else {}
-    if not nf:
+    if f.is_zero():
         return MultiPoly.zero(f.nvars)
-    return _from_int_poly(nf, f.nvars, down)
+
+    def run(pack: _Packing) -> MultiPoly:
+        reducers = [_reducer(pack.to_int_poly(g)) for g in basis]
+        nf = _normal_form(pack.to_int_poly(f), reducers, pack)
+        return pack.from_int_poly(nf) if nf else MultiPoly.zero(f.nvars)
+
+    return _packed(order, [f, *basis], run)
 
 
 def verify_groebner_basis(
@@ -409,16 +490,21 @@ def verify_groebner_basis(
 ) -> None:
     """Raise ``AssertionError`` unless ``gb`` behaves like a Groebner basis
     for ``<gens>``: all inputs and all S-polynomials reduce to zero."""
-    down = _KeyMemo(order).__getitem__
-    ib = _reducers(gb, down)
-    for f in gens:
-        if _normal_form(_to_int_poly(f, down), ib, down):
-            raise AssertionError("input generator does not reduce to zero")
-    for j in range(len(ib)):
-        for i in range(j):
-            s = _spoly(ib[i], ib[j], tuple(map(max, ib[i][0], ib[j][0])))
-            if s and _normal_form(s, ib, down):
-                raise AssertionError("S-polynomial does not reduce to zero")
+
+    def run(pack: _Packing) -> None:
+        ib = [_reducer(pack.to_int_poly(g)) for g in gb]
+        for f in gens:
+            if _normal_form(pack.to_int_poly(f), ib, pack):
+                raise AssertionError("input generator does not reduce to zero")
+        for j in range(len(ib)):
+            for i in range(j):
+                m = pack.encode(tuple(map(max, pack.decode(ib[i][0]), pack.decode(ib[j][0]))))
+                s = _spoly(ib[i], ib[j], m, pack.guard)
+                if s and _normal_form(s, ib, pack):
+                    raise AssertionError("S-polynomial does not reduce to zero")
+
+    if gens or gb:
+        _packed(order, [*gens, *gb], run)
 
 
 def eliminate_minimal_univariate(gens: Sequence[MultiPoly]) -> Optional[UniPoly]:

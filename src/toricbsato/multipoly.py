@@ -2,9 +2,10 @@
 
 ``MultiPoly`` stores a mapping from exponent tuples to nonzero exact
 rational coefficients (``int`` or ``Fraction``); the number of variables is
-fixed per polynomial.  Monomial orders are small value objects carrying a
-key function on exponent tuples, so Python's tuple comparison does the
-actual ordering work.  ``UniPoly`` is a dense univariate polynomial used for
+fixed per polynomial.  Monomial orders are matrix orders: small value
+objects carrying integer weight rows, whose key on an exponent tuple is the
+tuple of its weights (``bsato`` packs the same rows into one int per
+monomial).  ``UniPoly`` is a dense univariate polynomial used for
 b-functions and root bookkeeping.
 """
 
@@ -12,7 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
+from operator import mul
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 __all__ = [
@@ -24,37 +27,54 @@ __all__ = [
 ]
 
 
-def _grevlex_key(e: tuple[int, ...]) -> tuple:
-    return (sum(e), *(-x for x in reversed(e)))
+@lru_cache(maxsize=None)
+def _grevlex_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    """The degree row, then ``-e_{n-1}, ..., -e_0``."""
+    units = [tuple(-int(j == i) for j in range(n)) for i in reversed(range(n))]
+    return ((1,) * n, *units)
 
 
 @dataclass(frozen=True)
 class MonomialOrder:
-    """A total order on exponent tuples, given by a sort key."""
+    """A matrix order on exponent tuples: ``rows(n)`` are the integer weight
+    rows on ``n`` variables, and ``a < b`` iff the weights ``row . a``
+    compare lexicographically below those of ``b``.
+
+    The rows have full rank, so distinct exponents get distinct keys.
+    """
 
     name: str
-    key: Callable[[tuple[int, ...]], tuple]
+    rows: Callable[[int], tuple[tuple[int, ...], ...]]
+
+    def key(self, e: tuple[int, ...]) -> tuple:
+        """The weights ``(row . e for row in rows(len(e)))``."""
+        return tuple(sum(map(mul, row, e)) for row in self.rows(len(e)))
 
 
 def grevlex(nvars: int) -> MonomialOrder:
-    """Graded reverse-lexicographic order on ``nvars`` variables."""
-    return MonomialOrder(f"grevlex({nvars})", _grevlex_key)
+    """Graded reverse-lexicographic order: the degree row, then the negated
+    unit rows from the last variable to the first (the rows follow the
+    length of the exponent tuple)."""
+    return MonomialOrder(f"grevlex({nvars})", _grevlex_rows)
 
 
 def block_elimination(n_front: int) -> MonomialOrder:
     """Block order: grevlex on the first ``n_front`` variables, which
     dominate grevlex on the remaining block.
 
-    Any monomial involving a front variable is larger than every monomial in
-    the back variables only, so a Groebner basis under this order eliminates
-    the front block.
+    The rows are the grevlex rows of the front block, padded with zeros on
+    the back, stacked over the grevlex rows of the back block.  Any monomial
+    involving a front variable is larger than every monomial in the back
+    variables only, so a Groebner basis under this order eliminates the
+    front block.
     """
 
-    def key(e: tuple[int, ...]) -> tuple:
-        front, back = e[:n_front], e[n_front:]
-        return (*_grevlex_key(front), *_grevlex_key(back))
+    def rows(n: int) -> tuple[tuple[int, ...], ...]:
+        pad_front, pad_back = (0,) * n_front, (0,) * (n - n_front)
+        front = [r + pad_back for r in _grevlex_rows(n_front)]
+        return (*front, *(pad_front + r for r in _grevlex_rows(n - n_front)))
 
-    return MonomialOrder(f"block_elimination({n_front})", key)
+    return MonomialOrder(f"block_elimination({n_front})", rows)
 
 
 class MultiPoly:
@@ -220,7 +240,7 @@ class MultiPoly:
         if names is None:
             names = [f"x{i}" for i in range(self.nvars)]
         parts = []
-        for e in sorted(self.terms, key=_grevlex_key, reverse=True):
+        for e in sorted(self.terms, key=grevlex(self.nvars).key, reverse=True):
             c = self.terms[e]
             monos = [f"{names[i]}" + (f"^{k}" if k > 1 else "") for i, k in enumerate(e) if k]
             body = "*".join(monos)
@@ -361,13 +381,6 @@ class UniPoly:
             return other.is_zero()
         _, r = other.divmod(self)
         return r.is_zero()
-
-    def deflate_root(self, r) -> "UniPoly":
-        """Exact division by ``(x - r)``; raises if ``r`` is not a root."""
-        q, rem = self.divmod(UniPoly([-Fraction(r), 1]))
-        if not rem.is_zero():
-            raise ValueError("not a root")
-        return q
 
     def format(self, var: str = "s") -> str:
         if self.is_zero():

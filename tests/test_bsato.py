@@ -2,6 +2,7 @@
 
 from collections import Counter
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import product
 from math import gcd
 
@@ -11,11 +12,13 @@ from hypothesis import strategies as st
 
 from toricbsato.bsato import (
     GENERATORS_CAP,
+    REDUCTION_WORK_CAP,
     TruncationExhausted,
     WorkCapExceeded,
     _c_vector_count,
-    _KeyMemo,
     _normal_form,
+    _packed,
+    _Packing,
     _profile,
     bfunction,
     build_generator,
@@ -260,8 +263,207 @@ def test_normal_form_matches_sort_and_scan(order, p, reducer_polys):
             d = {e: -c for e, c in d.items()}
         basis.append((lead, d[lead], d))
     expected = reference_normal_form(p, basis, order.key)
-    down = _KeyMemo(order).__getitem__
-    assert _normal_form(p, basis, down) == expected
+
+    def run(pack):
+        def enc(d):
+            return {pack.encode(e): c for e, c in d.items()}
+
+        packed = [(pack.encode(lead), lc, enc(d)) for lead, lc, d in basis]
+        return {pack.decode(e): c for e, c in _normal_form(enc(p), packed, pack).items()}
+
+    polys = [MultiPoly._of(3, d) for d in [p, *reducer_polys]]
+    assert _packed(order, polys, run) == expected
+
+
+# --- the tuple kernel, kept as the reference for the packed one -------------
+
+
+def tuple_order(order):
+    """Negated order key of an exponent tuple, memoized."""
+    memo = {}
+
+    def down(e):
+        if e not in memo:
+            memo[e] = tuple(-x for x in order.key(e))
+        return memo[e]
+
+    return down
+
+
+def tuple_divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def tuple_primitive(p):
+    g = gcd(*p.values())
+    return {e: c // g for e, c in p.items()} if g > 1 else p
+
+
+def tuple_normalize(p, down):
+    p = tuple_primitive(p)
+    if p and p[min(p, key=down)] < 0:
+        p = {e: -c for e, c in p.items()}
+    return p
+
+
+def tuple_reducer(p, down):
+    lead = min(p, key=down)
+    return lead, p[lead], p
+
+
+def tuple_normal_form(p, basis, down):
+    """Heap normal form on exponent tuples, step for step the packed one."""
+    p = dict(p)
+    heap = [(down(e), e) for e in p]
+    heapify(heap)
+    while heap:
+        e = heappop(heap)[1]
+        c = p[e]
+        hit = next((red for red in basis if tuple_divides(red[0], e)), None) if c else None
+        if hit is None:
+            continue
+        lead, lc, terms = hit
+        g = gcd(c, lc)
+        mult_p, mult_g = lc // g, c // g
+        for k in p:
+            p[k] *= mult_p
+        shift = tuple(x - y for x, y in zip(e, lead))
+        for ge, gc in terms.items():
+            ne = tuple(x + y for x, y in zip(ge, shift))
+            if ne not in p:
+                heappush(heap, (down(ne), ne))
+            p[ne] = p.get(ne, 0) - mult_g * gc
+        p = tuple_primitive(p)
+    return tuple_normalize({e: c for e, c in p.items() if c}, down)
+
+
+def tuple_spoly(f, g, m):
+    (fl, cf, fterms), (gl, cg, gterms) = f, g
+    k = gcd(cf, cg)
+    s = {}
+    for (lead, mult, terms) in ((fl, cg // k, fterms), (gl, -cf // k, gterms)):
+        for e, c in terms.items():
+            ne = tuple(x + y - z for x, y, z in zip(e, m, lead))
+            s[ne] = s.get(ne, 0) + mult * c
+    return {e: c for e, c in s.items() if c}
+
+
+def tuple_buchberger(gens, order):
+    """Reduced Groebner basis on exponent tuples: the same pair heap,
+    criteria, reducer choice and output order as ``groebner_basis``."""
+    down = tuple_order(order)
+    R, lcms, heap = [], {}, []
+
+    def push(p):
+        new = len(R)
+        R.append(tuple_reducer(p, down))
+        for i in range(new):
+            m = tuple(map(max, R[i][0], R[new][0]))
+            lcms[i, new] = m
+            heappush(heap, (sum(m), i, new))
+
+    for f in gens:
+        denom = 1
+        for c in f.terms.values():
+            denom = denom * c.denominator // gcd(denom, c.denominator)
+        push(tuple_normalize({e: int(c * denom) for e, c in f.terms.items()}, down))
+    while heap:
+        _, i, j = heappop(heap)
+        m = lcms.pop((i, j))
+        if all(a + b == c for a, b, c in zip(R[i][0], R[j][0], m)):
+            continue
+        if any(
+            k not in (i, j)
+            and tuple_divides(R[k][0], m)
+            and (min(i, k), max(i, k)) not in lcms
+            and (min(j, k), max(j, k)) not in lcms
+            for k in range(len(R))
+        ):
+            continue
+        nf = tuple_normal_form(tuple_spoly(R[i], R[j], m), R, down)
+        if nf:
+            push(nf)
+    basis = []
+    for red in sorted(R, key=lambda red: down(red[0]), reverse=True):
+        if not any(tuple_divides(lead, red[0]) for lead, _, _ in basis):
+            basis.append(red)
+    for idx in range(len(basis)):
+        others = basis[:idx] + basis[idx + 1 :]
+        if others:
+            basis[idx] = tuple_reducer(tuple_normal_form(basis[idx][2], others, down), down)
+    out = []
+    for lead, lc, terms in sorted(basis, key=lambda red: down(red[0]), reverse=True):
+        out.append(MultiPoly._of(gens[0].nvars, {e: F(c, lc) for e, c in terms.items()}))
+    return out
+
+
+small_int_polys = st.dictionaries(
+    st.tuples(*[st.integers(0, 2)] * 3), st.integers(-4, 4).filter(bool), min_size=1, max_size=3
+)
+
+
+@given(
+    st.sampled_from([grevlex(3), block_elimination(2)]),
+    st.lists(small_int_polys, min_size=1, max_size=3),
+)
+@settings(max_examples=100, deadline=None)
+def test_groebner_basis_matches_tuple_kernel(order, gens):
+    gens = [MultiPoly(3, d) for d in gens]
+    # a few draws swell to large coefficients: a cap near the largest
+    # workload call keeps both kernels quick
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("toricbsato.bsato.REDUCTION_WORK_CAP", 20_000)
+        try:
+            gb = groebner_basis(gens, order)
+        except WorkCapExceeded:
+            assume(False)
+    expected = tuple_buchberger(gens, order)
+    assert gb == expected
+    # the same reduction sequence: every term is created in the same order
+    assert [list(g.terms) for g in gb] == [list(g.terms) for g in expected]
+
+
+exponent_pairs = st.integers(1, 5).flatmap(
+    lambda n: st.tuples(*[st.tuples(*[st.integers(0, 40)] * n)] * 2)
+)
+
+
+@given(st.sampled_from([grevlex, block_elimination]), st.integers(0, 5), exponent_pairs)
+@settings(max_examples=200, deadline=None)
+def test_packed_comparison_is_the_order(make_order, front, pair):
+    a, b = pair
+    order = make_order(min(front, len(a)))
+    top = max(a + b)
+    pack = _Packing(order, len(a), top.bit_length() + 1)
+    pa, pb = pack.encode(a), pack.encode(b)
+    assert (pa < pb) == (order.key(a) < order.key(b))
+    assert (pa == pb) == (a == b)
+    assert pack.decode(pa) == a
+    # divisibility is the guard test, and a product is a sum
+    assert (((pb | pack.guard) - pa) & pack.guard == pack.guard) == tuple_divides(a, b)
+    wide = _Packing(order, len(a), top.bit_length() + 2)
+    assert wide.encode(a) + wide.encode(b) == wide.encode(tuple(map(sum, zip(a, b))))
+
+
+def test_groebner_widens_overflowing_fields():
+    # the inputs fit 8-bit fields, but the elimination reaches y^4096: the
+    # first run overflows and restarts with wider fields
+    x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    y64 = MultiPoly._of(2, {(0, 64): 1})
+    x64 = MultiPoly._of(2, {(64, 0): 1})
+    assert groebner_basis([x - y64, x64 - 1], block_elimination(1)) == [
+        MultiPoly(2, {(0, 4096): 1, (0, 0): -1}),
+        x - y64,
+    ]
+
+
+def test_reduction_work_cap(monkeypatch):
+    assert REDUCTION_WORK_CAP == 1_600_000
+    monkeypatch.setattr("toricbsato.bsato.REDUCTION_WORK_CAP", 10)
+    plane = build_semigroup([[1, 0], [0, 1]])
+    with pytest.raises(WorkCapExceeded, match="REDUCTION_WORK_CAP exceeded") as exc:
+        bfunction(plane, [(3, 0), (1, 1), (0, 2)])
+    assert exc.value.cap == "REDUCTION_WORK_CAP"
 
 
 def test_elimination_toys():
@@ -432,9 +634,14 @@ def test_minimal_profiles_keep_every_truncation(case):
         truncation = bfunction(S, exps, cap=3).truncation
     except TruncationExhausted:
         truncation = tuple((B, None) for B in (1, 2, 3))
-    for B, p in truncation:
-        family = [build_generator(S, exps, c) for c in c_vectors(len(exps), B)]
-        assert eliminate_minimal_univariate(family) == p
+    # the whole family costs far more reduction work than the minimal one
+    # (up to 2.7 M units in box 3 on three cusp columns), so the oracle runs
+    # without the cap
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("toricbsato.bsato.REDUCTION_WORK_CAP", None)
+        for B, p in truncation:
+            family = [build_generator(S, exps, c) for c in c_vectors(len(exps), B)]
+            assert eliminate_minimal_univariate(family) == p
 
 
 def test_plane_eliminates_minimal_profiles_only(monkeypatch):

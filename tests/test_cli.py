@@ -424,6 +424,18 @@ def test_plane_three_generators_certify_at_box_seven():
     assert report["stabilized"] is False and report["box_used"] == 6
 
 
+def test_coefficient_swell_hits_the_reduction_work_cap():
+    # a5 with <(0,1), (7,6)>: box 1 eliminates two g_c of degrees 8 and 6 in
+    # few reduction steps, but their coefficients grow to tens of thousands
+    # of bits; the counted reduction work stops the run in a few seconds
+    code, report = run_problem(
+        "bfunction", "a5_coefficient_swell.json", "--assume-normal", timeout=30
+    )
+    assert code == 3
+    assert report["error"]["cap"] == "REDUCTION_WORK_CAP"
+    assert "> 1600000" in report["error"]["message"]
+
+
 def test_unknown_command_rejected(tmp_path, capsys):
     doc = write_doc(tmp_path, CUSP_DOC)
     with pytest.raises(SystemExit):

@@ -142,10 +142,10 @@ def test_unipoly_from_roots_and_deflate():
     p = UniPoly.from_roots([F(-1), F(-1), F(-2, 3)])
     assert p.is_monic() and p.degree == 3
     assert p(F(-1)) == 0 and p(F(-2, 3)) == 0
-    q = p.deflate_root(F(-1))
-    assert q == UniPoly.from_roots([F(-1), F(-2, 3)])
-    with pytest.raises(ValueError):
-        p.deflate_root(F(5))
+    q, rem = p.divmod(UniPoly([F(1), F(1)]))  # x - (-1)
+    assert q == UniPoly.from_roots([F(-1), F(-2, 3)]) and rem.is_zero()
+    _, rem = p.divmod(UniPoly([F(-5), F(1)]))  # 5 is not a root
+    assert rem == UniPoly([p(F(5))])
 
 
 @given(
