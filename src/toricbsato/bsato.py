@@ -85,7 +85,8 @@ GENERATORS_CAP = 5_000
 
 #: Counted work cap of one Groebner computation: each reduction step counts
 #: the terms of the reduced polynomial times the 64-bit words of the
-#: coefficient it cancels.
+#: coefficient it cancels.  Building one ``g_c`` counts the same units per
+#: linear factor, with a bound on its coefficients.
 REDUCTION_WORK_CAP = 1_600_000
 
 
@@ -125,7 +126,9 @@ def _falling_product(alphas: Sequence[Vec], c: Sequence[int]) -> tuple[dict, int
 
     With ``phi = _profile(alphas, c)`` and ``L_k = sum_i s_i alpha_ik`` the
     factors are ``s_i`` of length ``phi_i`` and ``L_k + m_k`` of length
-    ``m_k = phi_{r+k}``; ``denom`` is ``prod m!``.
+    ``m_k = phi_{r+k}``; ``denom`` is ``prod m!``.  The product of the
+    factors' 1-norms bounds every coefficient, and past ``REDUCTION_WORK_CAP``
+    units the build raises :class:`WorkCapExceeded`.
     """
     r = len(alphas)
     phi = _profile(alphas, c)
@@ -133,10 +136,14 @@ def _falling_product(alphas: Sequence[Vec], c: Sequence[int]) -> tuple[dict, int
     factors = [([int(j == i) for j in range(r)], 0, phi[i]) for i in range(r)]
     factors += [([a[k] for a in alphas], m, m) for k, m in enumerate(phi[r:])]
     g = {(0,) * r: 1}
-    denom = 1
+    denom, norm, work = 1, 1, 0
     for coeffs, top, m in factors:
         for j in range(m):
             g = _times_linear(g, coeffs, top - j)
+            norm *= sum(map(abs, coeffs)) + abs(top - j)
+            work += len(g) * (norm.bit_length() + 63 >> 6)
+            if REDUCTION_WORK_CAP is not None and work > REDUCTION_WORK_CAP:
+                raise WorkCapExceeded("REDUCTION_WORK_CAP", work, REDUCTION_WORK_CAP)
         denom *= factorial(m)
     content = gcd_list(g.values())
     return {e: v // content for e, v in g.items() if v}, content, denom
@@ -692,9 +699,7 @@ def bfunction(
     r = len(betas)
     alphas = [f_map(S, b) for b in betas]
 
-    from .multiplier import lct  # deferred: multiplier also imports this module
-
-    lct_value = lct(S, monomial_ideal(S, betas))
+    lct_value = monomial_ideal(S, ideal if isinstance(ideal, MonomialIdeal) else betas).lct
 
     # each distinct truncation polynomial is factored at most once
     factorizations: dict[UniPoly, tuple] = {}

@@ -19,6 +19,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from functools import cache
 from typing import Optional, Sequence
 
 from .bsato import DEFAULT_CAP, BFunctionResult, TruncationExhausted, bfunction
@@ -438,7 +439,9 @@ COMMANDS = (
 )
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: parsing leaves no state in it."""
     parser = argparse.ArgumentParser(
         prog="toricbsato",
         description=(

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Optional, Sequence
 
 Vec = tuple[int, ...]
@@ -52,10 +53,10 @@ class WorkCapExceeded(RuntimeError):
 
 
 def dot(a: Sequence, b: Sequence):
-    """Exact dot product of two equal-length sequences."""
+    """Exact dot product of two equal-length sequences of ints or Fractions."""
     if len(a) != len(b):
         raise ValueError("dot: length mismatch")
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def gcd_list(xs) -> int:

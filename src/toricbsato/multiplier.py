@@ -40,7 +40,6 @@ from .polyhedra import (
     inequality_vertices,
     membership,
     newton_polyhedron,
-    point_threshold,
 )
 from .toric import (
     SCAN_POINTS_CAP,
@@ -99,9 +98,7 @@ def transport(S: SemigroupData, ideal) -> tuple[Vec, ...]:
     componentwise comparison of ``F``-images, this is also the minimal
     generating set of the transported ideal in the orthant.
     """
-    if not isinstance(ideal, MonomialIdeal):
-        ideal = monomial_ideal(S, ideal)
-    return tuple(sorted(f_map(S, b) for b in ideal.generators))
+    return tuple(sorted(f_map(S, b) for b in monomial_ideal(S, ideal).generators))
 
 
 def transport_polynomial(
@@ -127,11 +124,9 @@ def transport_polynomial(
 
 def transported_polyhedron(S: SemigroupData, ideal) -> NewtonPolyhedron:
     """Newton polyhedron of the transported ideal inside the orthant
-    indexed by facets (recession cone = the full orthant)."""
-    points = transport(S, ideal)
-    n = S.nfacets
-    rays = [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
-    return newton_polyhedron(points, rays)
+    indexed by facets (recession cone = the full orthant), as cached on
+    ``monomial_ideal(S, ideal)``."""
+    return monomial_ideal(S, ideal).transported_polyhedron
 
 
 def identity_semigroup(n: int) -> SemigroupData:
@@ -228,7 +223,7 @@ def _minimal_members(
               sum(x * b for x, b in zip(row, box) if x > 0) // p + 1)
         for row in X[:-1]
     ]
-    work = prod(len(r) for r in heads)
+    work = prod(max(0, r.stop - r.start) for r in heads)
     if work > SCAN_POINTS_CAP:
         raise WorkCapExceeded("SCAN_POINTS_CAP", work, SCAN_POINTS_CAP)
     # a . v + b >= 0: the region rows, and F_k(v) <= box_k
@@ -297,8 +292,7 @@ def multiplier_ideal_with_boundary(
     character space, with recession cone spanned by the extreme rays of the
     semigroup), so each facet ``(l, c)`` is the cut ``l . v > alpha c + l . w``."""
     alpha = _check_alpha_mode(alpha, mode)
-    if not isinstance(ideal, MonomialIdeal):
-        ideal = monomial_ideal(S, ideal)
+    ideal = monomial_ideal(S, ideal)
     wq = tuple(Fraction(x) for x in w)
     if len(wq) != S.d:
         raise ValueError("w must live in the character space")
@@ -317,12 +311,9 @@ def multiplier_ideal_with_boundary(
 def lct(S: SemigroupData, ideal):
     """Log-canonical threshold: the dilation at which the all-ones point
     ``e`` hits the boundary of the transported polyhedron.  Returns a
-    ``Fraction``, or infinity for the unit ideal."""
-    P = transported_polyhedron(S, ideal)
-    t = point_threshold(P, S.e)
-    if t is None:
-        raise AssertionError("threshold undefined for a point of the orthant")
-    return t
+    ``Fraction``, or infinity for the unit ideal, as cached on
+    ``monomial_ideal(S, ideal)``."""
+    return monomial_ideal(S, ideal).lct
 
 
 @dataclass(frozen=True)
@@ -500,6 +491,7 @@ def jumping_coefficients(
     EXPANSIONS``); all window points count against ``WINDOW_POINTS_CAP``.
     """
     T = Fraction(window_max)
+    ideal = monomial_ideal(S, ideal)
     threshold = lct(S, ideal)
     if threshold == INFINITY or T < threshold:
         raise ValueError("window must reach the log-canonical threshold")
@@ -565,8 +557,7 @@ def verify_correspondence(
     """Check that jumping coefficients in ``[lct, lct + 1)`` are roots of
     ``b(-s)`` and that the threshold is the smallest root.  The b-function
     is truncated to the boxes ``1, ..., cap`` (see :func:`bfunction`)."""
-    if not isinstance(ideal, MonomialIdeal):
-        ideal = monomial_ideal(S, ideal)
+    ideal = monomial_ideal(S, ideal)
     threshold = lct(S, ideal)
     res = bfunction(S, ideal, cap=cap)
     if threshold == INFINITY:

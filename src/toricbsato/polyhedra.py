@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 from typing import Optional, Sequence
 
 from .exactnum import (
@@ -195,25 +195,24 @@ def membership(P: NewtonPolyhedron, q: Sequence, alpha, mode: str = "closed") ->
 
     ``mode="closed"`` tests the closed polyhedron, ``mode="relint"`` its
     relative interior (= interior; the construction guarantees full
-    dimension).  ``alpha`` must be a positive rational.
+    dimension).  ``alpha`` must be a positive rational and ``q`` hold ints
+    or Fractions; scaled by their common denominator ``D``, each facet
+    compares integers, ``normal . (D q) >= (D alpha) offset``.
     """
     if mode not in ("closed", "relint"):
         raise ValueError("mode must be 'closed' or 'relint'")
     a = Fraction(alpha)
     if a <= 0:
         raise ValueError("dilation factor must be positive")
-    qv = [Fraction(x) for x in q]
-    if len(qv) != P.ambient_dim:
+    if len(q) != P.ambient_dim:
         raise ValueError("point has wrong dimension")
+    den = lcm(a.denominator, *(x.denominator for x in q))
+    qs = [x.numerator * (den // x.denominator) for x in q]
+    num = a.numerator * (den // a.denominator)
     for normal, offset in P.facets:
-        lhs = dot(normal, qv)
-        rhs = a * offset
-        if mode == "closed":
-            if lhs < rhs:
-                return False
-        else:
-            if lhs <= rhs:
-                return False
+        lhs, rhs = dot(normal, qs), num * offset
+        if lhs < rhs or (lhs == rhs and mode == "relint"):
+            return False
     return True
 
 
@@ -225,7 +224,7 @@ def point_threshold(P: NewtonPolyhedron, q: Sequence):
     zero-offset facet has ``normal . q < 0``, so ``q`` never enters any
     dilation; ``INFINITY`` when no facet has a positive offset.
     """
-    qv = [Fraction(x) for x in q]
+    qv = [x if isinstance(x, int) else Fraction(x) for x in q]
     if len(qv) != P.ambient_dim:
         raise ValueError("point has wrong dimension")
     best = None

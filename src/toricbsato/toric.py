@@ -9,13 +9,15 @@ ordinary polynomial ring.
 
 Normality (``C intersect Z^d = NA``) is what makes membership testable by
 ``F(v) >= 0``; it is expensive to verify, so it is computed on demand by
-:func:`is_normal` and cached on the datum.  Operations that rely on the
+:func:`is_normal` and cached on the datum, as each :class:`MonomialIdeal`
+caches its transported polyhedron and lct.  Operations that rely on the
 F-criterion document that caveat rather than re-checking.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 from math import prod
 from operator import le
@@ -30,7 +32,7 @@ from .exactnum import (
     lattice_is_saturated,
     rank,
 )
-from .polyhedra import cone_facet_normals
+from .polyhedra import NewtonPolyhedron, cone_facet_normals, newton_polyhedron, point_threshold
 
 __all__ = [
     "StructuralError",
@@ -279,14 +281,34 @@ def minimalize_exponents(S: SemigroupData, exps: Sequence[Sequence[int]]) -> tup
 @dataclass(frozen=True)
 class MonomialIdeal:
     """A monomial ideal of the semigroup ring, stored by its minimal
-    generator exponents (a lex-sorted antichain)."""
+    generator exponents (a lex-sorted antichain); its transported polyhedron
+    and lct are cached on first use, outside the fields ``==`` compares."""
 
     owner: SemigroupData
     generators: tuple[Vec, ...]
 
+    @cached_property
+    def transported_polyhedron(self) -> NewtonPolyhedron:
+        """Newton polyhedron of the ``F(beta)`` plus the facet orthant."""
+        rays = IntMatrix.identity(self.owner.nfacets).entries
+        return newton_polyhedron([f_map(self.owner, b) for b in self.generators], rays)
 
-def monomial_ideal(S: SemigroupData, exps: Sequence[Sequence[int]]) -> MonomialIdeal:
-    """Build a :class:`MonomialIdeal`, validating membership and minimalizing."""
+    @cached_property
+    def lct(self):
+        """Threshold of ``e`` on the transported polyhedron (inf: unit ideal)."""
+        t = point_threshold(self.transported_polyhedron, self.owner.e)
+        if t is None:
+            raise AssertionError("threshold undefined for a point of the orthant")
+        return t
+
+
+def monomial_ideal(S: SemigroupData, exps) -> MonomialIdeal:
+    """Build a :class:`MonomialIdeal`, validating membership and minimalizing;
+    an ideal owned by ``S`` is returned as it is, with its cached geometry."""
+    if isinstance(exps, MonomialIdeal):
+        if exps.owner is S:
+            return exps
+        exps = exps.generators
     if not exps:
         raise ValueError("a monomial ideal needs at least one generator")
     for v in exps:

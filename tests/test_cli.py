@@ -1,5 +1,7 @@
 """End-to-end command-line tests: in-process main(), JSON documents."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -8,8 +10,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from toricbsato.cli import main
+from toricbsato.cli import COMMANDS, build_parser, main
 
 F = Fraction
 CUSP = [[1, 1, 1, 1], [0, 1, 2, 3]]
@@ -451,3 +455,139 @@ def test_byte_determinism(tmp_path, capsys):
     main(argv)
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_parser_is_shared_and_keeps_no_state(tmp_path, capsys):
+    doc = write_doc(tmp_path, CUSP_DOC)
+    code, _, _ = invoke(capsys, ["multiplier", doc, "--assume-normal", "--alpha", "2/3"])
+    assert code == 0
+    code, report, _ = invoke(capsys, ["multiplier", doc, "--assume-normal"])
+    assert code == 1 and "alpha" in report["error"]["message"]
+    assert build_parser() is build_parser()
+
+
+# --- fuzzed documents -------------------------------------------------------
+
+HUGE = 10**30
+# small entries and huge ones (far past every counted cap); no middle sizes,
+# so every draw ends quickly
+fuzz_ints = st.one_of(st.integers(-3, 3), st.sampled_from([HUGE, -HUGE, 2**64 + 1]))
+fuzz_scalars = st.one_of(
+    fuzz_ints, st.floats(allow_nan=False, allow_infinity=False), st.booleans(), st.text(max_size=3)
+)
+good_rationals = st.sampled_from(["1/2", "2/3", "1", "3/2", "5/2", 2])
+bad_rationals = st.one_of(
+    st.sampled_from(["0", "-1", "1.5", "1/0", "9" * 40, str(HUGE)]), fuzz_scalars
+)
+fuzz_options = st.one_of(
+    st.fixed_dictionaries(
+        {},
+        optional={
+            "alpha": good_rationals,
+            "max": good_rationals,
+            "mode": st.sampled_from(["relint", "closed"]),
+            "box_cap": st.integers(1, 3),
+            "assume_normal": st.just(True),
+        },
+    ),
+    st.fixed_dictionaries(
+        {},
+        optional={
+            "alpha": bad_rationals,
+            "max": bad_rationals,
+            "mode": st.sampled_from(["open", 1, None]),
+            "box_cap": st.one_of(st.integers(-1, 0), st.just(HUGE), fuzz_scalars),
+            "assume_normal": fuzz_scalars,
+            "kappa": fuzz_scalars,
+        },
+    ),
+)
+fuzz_calls = st.builds(
+    lambda command, normal, flags: (command, [normal, *flags]),
+    st.sampled_from(COMMANDS),
+    st.sampled_from([["--assume-normal"], ["--assume-normal"], ["--check-normal"], []]),
+    st.lists(
+        st.sampled_from(
+            [["--alpha", "2/3"], ["--alpha", "1e3"], ["--max", "4/3"], ["--max", str(HUGE)],
+             ["--mode", "closed"], ["--box-cap", "2"], ["--box-cap", "0"]]
+        ),
+        max_size=3,
+    ),
+)
+NORMAL_MATRICES = [
+    [[1]], [[1, 0], [0, 1]], CUSP, [[0, 1, 6], [1, 1, 5]],
+    [[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1]],
+]
+# non-pointed, not full-dimensional, unsaturated, zero, saturated but not normal
+ODD_MATRICES = [
+    [[1, -1]], [[1, 0, -1], [0, 1, 0]], [[2]], [[1, 1], [0, 2]], [[0]], [[1, 1, 1], [0, 2, 3]]
+]
+
+
+@st.composite
+def fuzz_documents(draw):
+    """Document bytes.  Most draws are well-formed: a small matrix (normal,
+    with a first row of ones, arbitrary, non-pointed, unsaturated, empty or
+    ragged) and an ideal whose exponents are sums of columns; the rest
+    carry arbitrary exponents, floats, wrong types, truncated JSON or
+    invalid UTF-8."""
+    d, m = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["normal"] * 5 + ["ones", "any", "odd", "ragged", "scalar"]))
+    if kind == "normal":
+        matrix = draw(st.sampled_from(NORMAL_MATRICES))
+    elif kind == "odd":
+        matrix = draw(st.sampled_from(ODD_MATRICES))
+    elif kind == "ragged":
+        matrix = draw(st.lists(st.lists(fuzz_ints, max_size=3), max_size=3))
+    elif kind == "scalar":
+        matrix = draw(fuzz_scalars)
+    else:
+        rows = [draw(st.lists(fuzz_ints, min_size=m, max_size=m)) for _ in range(d)]
+        matrix = [[1] * m] + rows[1:] if kind == "ones" else rows
+    doc = {"matrix": matrix}
+    cols = list(zip(*matrix)) if kind not in ("ragged", "scalar") else [(0,)]
+    sums = st.lists(st.sampled_from(cols), max_size=3).map(
+        lambda cs: [sum(x) for x in zip(*cs)] or [0] * len(cols[0])
+    )
+    exps = st.lists(sums, min_size=1, max_size=2)
+    ideal = draw(st.sampled_from(["monomial"] * 5 + ["arbitrary", "polynomial", "none", "scalar"]))
+    if ideal == "monomial":
+        doc["ideal"] = {"monomial": draw(exps)}
+    elif ideal == "arbitrary":
+        doc["ideal"] = {"monomial": draw(st.lists(st.lists(fuzz_ints, max_size=3), max_size=2))}
+    elif ideal == "polynomial":
+        coeff = draw(st.one_of(good_rationals, bad_rationals))
+        doc["ideal"] = {"polynomial": [[{"coeff": coeff, "exp": x} for x in draw(exps)]]}
+    elif ideal == "scalar":
+        doc["ideal"] = draw(fuzz_scalars)
+    if draw(st.booleans()):
+        doc["options"] = draw(fuzz_options)
+    raw = json.dumps(doc).encode()
+    return draw(st.sampled_from([raw] * 8 + [raw[:-1], raw.replace(b"[", b'["\xff",', 1)]))
+
+
+@given(
+    fuzz_documents(),
+    st.lists(fuzz_calls, min_size=2, max_size=4),
+)
+@example(  # a huge matrix entry made a range too long for len(): OverflowError
+    json.dumps({"matrix": [[1, HUGE], [0, 1]], "ideal": {"monomial": [[1, 0]]}}).encode(),
+    [("multiplier", [["--assume-normal"], ["--alpha", "1"]]), ("check", [])],
+)
+@example(  # a huge exponent built a degree-10^30 generator without end
+    json.dumps({"matrix": [[1]], "ideal": {"monomial": [[HUGE]]}}).encode(),
+    [("bfunction", [["--assume-normal"]]), ("verify", [["--assume-normal"]])],
+)
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_documents_keep_the_exit_contract(tmp_path_factory, raw, calls):
+    """Every command on any document exits 0-4 with a JSON report; the
+    calls share one process, and so one parser."""
+    path = tmp_path_factory.mktemp("fuzz") / "doc.json"
+    path.write_bytes(raw)
+    for command, flags in calls:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, str(path), *(x for flag in flags for x in flag)])
+        assert code in (0, 1, 2, 3, 4), err.getvalue()
+        report = json.loads(out.getvalue())
+        assert report["command"] == command

@@ -1,5 +1,7 @@
 """Transport, multiplier ideals, thresholds, jumping coefficients."""
 
+import dataclasses
+import sys
 from fractions import Fraction
 from itertools import product
 from math import ceil, floor
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from toricbsato import multiplier
+from toricbsato import multiplier, polyhedra
 from toricbsato.exactnum import IntMatrix, dot
 from toricbsato.multiplier import (
     WorkCapExceeded,
@@ -299,6 +301,57 @@ def test_lct_values(cusp, cusp_ideal):
     line = build_semigroup([[1]])
     assert lct(line, monomial_ideal(line, [(2,)])) == F(1, 2)
     assert lct(cusp, monomial_ideal(cusp, [(0, 0)])) == INFINITY
+
+
+def _count_calls(monkeypatch, fn):
+    """Wrap ``fn`` in every ``toricbsato`` module that holds it; the returned
+    list gets one entry per call."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "toricbsato" or name.startswith("toricbsato."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, spy)
+    return calls
+
+
+def test_one_polyhedron_and_one_threshold_per_ideal(monkeypatch, cusp):
+    polys = _count_calls(monkeypatch, polyhedra.newton_polyhedron)
+    thresholds = _count_calls(monkeypatch, polyhedra.point_threshold)
+    report = verify_correspondence(cusp, [(1, 1), (1, 2)])
+    assert report.verdict == "PASS"
+    assert (len(polys), len(thresholds)) == (1, 1)
+    polys.clear()
+    jumping_coefficients(cusp, monomial_ideal(cusp, [(1, 1), (1, 2)]), F(4, 3))
+    assert len(polys) == 1
+
+
+def test_cached_geometry_stays_out_of_value_semantics(monkeypatch, cusp):
+    def hash_or_error(x):
+        try:
+            return hash(x)
+        except TypeError as exc:  # the owning datum is mutable
+            return str(exc)
+
+    a = monomial_ideal(cusp, [(1, 1), (1, 2)])
+    b = monomial_ideal(cusp, [(1, 2), (1, 1)])
+    assert a.lct == F(2, 3)  # builds a's polyhedron, not b's
+    assert a == b and b == a and repr(a) == repr(b)
+    assert hash_or_error(a) == hash_or_error(b)
+    polys = _count_calls(monkeypatch, polyhedra.newton_polyhedron)
+    same = dataclasses.replace(a)
+    assert same.transported_polyhedron == a.transported_polyhedron
+    other = dataclasses.replace(a, generators=((1, 0),))
+    fresh = monomial_ideal(cusp, [(1, 0)])
+    assert other.transported_polyhedron == fresh.transported_polyhedron
+    assert other.transported_polyhedron != a.transported_polyhedron
+    assert other.lct == fresh.lct != a.lct
+    assert len(polys) == 3  # same, other and fresh; a's is reused
 
 
 def test_jumping_running_example(cusp, cusp_ideal):

@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toricbsato.exactnum import WorkCapExceeded, dot, primitive_vector
@@ -145,6 +145,57 @@ def test_membership_monotone_under_orthant(points):
         t_up = point_threshold(P, (q[0] + 1, q[1] + 1))
         if t is not INFINITY and t_up is not INFINITY:
             assert t_up >= t
+
+
+def _membership_fraction(P, q, alpha, mode="closed"):
+    """Reference membership: every facet compared in ``Fraction``s."""
+    if mode not in ("closed", "relint"):
+        raise ValueError("mode must be 'closed' or 'relint'")
+    a = F(alpha)
+    if a <= 0:
+        raise ValueError("dilation factor must be positive")
+    qv = [F(x) for x in q]
+    if len(qv) != P.ambient_dim:
+        raise ValueError("point has wrong dimension")
+    for normal, offset in P.facets:
+        lhs = dot(normal, qv)
+        rhs = a * offset
+        if mode == "closed":
+            if lhs < rhs:
+                return False
+        else:
+            if lhs <= rhs:
+                return False
+    return True
+
+
+entries = st.one_of(
+    st.integers(-4, 20), st.fractions(min_value=-4, max_value=20, max_denominator=12)
+)
+alphas = st.one_of(
+    st.integers(1, 4), st.fractions(min_value=F(1, 12), max_value=4, max_denominator=12)
+)
+ORTHANT3 = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+
+
+@given(
+    st.lists(st.tuples(*[st.integers(0, 6)] * 3), min_size=1, max_size=5),
+    st.sampled_from([ORTHANT3, [(1, 0, 0), (1, 3, 0), (0, 0, 1)]]),
+    st.tuples(entries, entries, entries),
+    alphas,
+    st.sampled_from(["closed", "relint"]),
+    st.booleans(),
+)
+@example([(2, 1, 0), (1, 2, 0)], ORTHANT3, (0, 0, 0), F(3, 2), "relint", True)
+@settings(max_examples=300, deadline=None)
+def test_integer_membership_matches_fraction_reference(points, rays, q, alpha, mode, on_point):
+    """The integer membership agrees with the Fraction reference on points
+    mixing ints and Fractions; ``on_point`` moves ``q`` onto ``alpha``
+    times a vertex, where the closed and relint answers differ."""
+    P = newton_polyhedron(points, rays)
+    if on_point:
+        q = tuple(alpha * x for x in P.vertices[0])
+    assert membership(P, q, alpha, mode) == _membership_fraction(P, q, alpha, mode)
 
 
 def test_membership_spot_values():
