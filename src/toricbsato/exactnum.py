@@ -5,10 +5,10 @@ Every computation in this package runs over Python's unbounded ``int`` and
 lattice and feasibility primitives the geometric layers are built on:
 
 * column-style Hermite normal form together with its unimodular
-  transformation matrix,
+  transformation matrix, carried as one stacked array of columns,
 * primitive integer vectors,
-* one fraction-free (Bareiss) Gauss-Jordan elimination behind rank and
-  exact solving of linear systems over the rationals,
+* one fraction-free (Bareiss) Gauss-Jordan elimination behind rank, exact
+  solving over the rationals, facet normals and polyhedron vertices,
 * Fourier-Motzkin elimination for strict/weak linear inequality systems,
   including an exact rational witness when the system is feasible,
 * :class:`WorkCapExceeded`, raised by every layer whose counted work would
@@ -90,18 +90,11 @@ class IntMatrix:
     def identity(n: int) -> "IntMatrix":
         return IntMatrix(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
-    @staticmethod
-    def from_rows(rows) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(row) for row in rows))
-
     def column(self, j: int) -> Vec:
         return tuple(row[j] for row in self.entries)
 
     def columns(self) -> list[Vec]:
         return [self.column(j) for j in range(self.cols)]
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
 
 
 def primitive_vector(v: Sequence[int]) -> Vec:
@@ -123,63 +116,44 @@ def hermite_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     pivot entries), zeros to the right of each pivot in its row, entries to
     the left of a pivot reduced into ``[0, pivot)``, and zero columns at the
     end.  ``|det U| = 1`` always, so the column lattices of ``M`` and ``H``
-    coincide.
+    coincide; the zero matrix gives ``H = 0``, ``U = I``.
+
+    Each column of ``M`` is stacked over the same column of the identity,
+    so one list of columns carries ``H`` (the top ``d`` entries) and ``U``
+    (the rest) through the same swaps, subtractions and negations.
     """
-    if M.is_zero():
-        raise ValueError("hermite_normal_form requires a nonzero matrix")
     d, m = M.rows, M.cols
-    H = [list(row) for row in M.entries]
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    cols = [list(c) + [int(i == j) for i in range(m)] for j, c in enumerate(M.columns())]
 
-    def swap_cols(a, b):
-        if a == b:
-            return
-        for i in range(d):
-            H[i][a], H[i][b] = H[i][b], H[i][a]
-        for i in range(m):
-            U[i][a], U[i][b] = U[i][b], U[i][a]
-
-    def addmul_col(dst, src, q):
-        # column dst -= q * column src
-        if q == 0:
-            return
-        for i in range(d):
-            H[i][dst] -= q * H[i][src]
-        for i in range(m):
-            U[i][dst] -= q * U[i][src]
-
-    def negate_col(a):
-        for i in range(d):
-            H[i][a] = -H[i][a]
-        for i in range(m):
-            U[i][a] = -U[i][a]
+    def subtract(dst, src, row):
+        # column dst -= q * column src, with q the floor quotient in ``row``
+        q = cols[dst][row] // cols[src][row]
+        if q:
+            cols[dst] = [x - q * y for x, y in zip(cols[dst], cols[src])]
 
     col = 0
     for row in range(d):
         if col >= m:
             break
         while True:
-            nz = [j for j in range(col, m) if H[row][j] != 0]
+            nz = [j for j in range(col, m) if cols[j][row] != 0]
             if not nz:
                 break
-            j0 = min(nz, key=lambda j: (abs(H[row][j]), j))
-            swap_cols(col, j0)
-            clean = True
+            j0 = min(nz, key=lambda j: (abs(cols[j][row]), j))
+            cols[col], cols[j0] = cols[j0], cols[col]
             for j in range(col + 1, m):
-                if H[row][j] != 0:
-                    addmul_col(j, col, H[row][j] // H[row][col])
-                    if H[row][j] != 0:
-                        clean = False
-            if clean:
+                subtract(j, col, row)
+            if all(cols[j][row] == 0 for j in range(col + 1, m)):
                 break
-        if H[row][col] == 0:
+        if cols[col][row] == 0:
             continue  # no pivot in this row
-        if H[row][col] < 0:
-            negate_col(col)
+        if cols[col][row] < 0:
+            cols[col] = [-x for x in cols[col]]
         for j in range(col):
-            addmul_col(j, col, H[row][j] // H[row][col])
+            subtract(j, col, row)
         col += 1
-    return IntMatrix.from_rows(H), IntMatrix.from_rows(U)
+    rows = list(zip(*cols))
+    return IntMatrix(rows[:d]), IntMatrix(rows[d:])
 
 
 def lattice_is_saturated(M: IntMatrix) -> bool:
@@ -189,14 +163,7 @@ def lattice_is_saturated(M: IntMatrix) -> bool:
     top-left ``d x d`` block of ``H`` is the identity.
     """
     H, _ = hermite_normal_form(M)
-    d = M.rows
-    if M.cols < d:
-        return False
-    for i in range(d):
-        for j in range(d):
-            if H.entries[i][j] != (1 if i == j else 0):
-                return False
-    return True
+    return tuple(row[: M.rows] for row in H.entries) == IntMatrix.identity(M.rows).entries
 
 
 def _bareiss(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int], int]:
@@ -250,16 +217,10 @@ def kernel_lattice_basis(M: IntMatrix) -> list[Vec]:
 
     Computed from the column Hermite normal form: the columns of ``U`` that
     map to zero columns of ``H`` form a basis.  Returns ``[]`` for injective
-    matrices; for the zero matrix the standard basis is returned.
+    matrices, and the standard basis for the zero matrix.
     """
-    if M.is_zero():
-        return [tuple(1 if i == j else 0 for i in range(M.cols)) for j in range(M.cols)]
     H, U = hermite_normal_form(M)
-    basis = []
-    for j in range(M.cols):
-        if all(H.entries[i][j] == 0 for i in range(M.rows)):
-            basis.append(U.column(j))
-    return basis
+    return [U.column(j) for j in range(M.cols) if not any(H.column(j))]
 
 
 def solve_linear(M: Sequence[Sequence], b: Sequence) -> Optional[list[Fraction]]:

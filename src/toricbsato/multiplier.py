@@ -2,13 +2,15 @@
 
 Everything runs through one geometric engine: transport a monomial ideal
 along the facet map ``F`` into the orthant, take the Newton polyhedron of
-the transported exponents, and answer membership questions about dilations
-of that polyhedron exactly.  A monomial ``y^v`` lies in the multiplier
-ideal at parameter ``alpha`` precisely when ``F(v) + e`` lies in the
-relative interior of ``alpha`` times the polyhedron, where ``e`` is the
-all-ones vector indexed by facets.  Jumping coefficients are the parameter
-values where a lattice point of the image ``F(NA)`` sits on the boundary;
-each reported one comes with a lattice witness that is re-checked exactly.
+the transported exponents (built once per ideal, on the ideal), and answer
+membership questions about dilations of that polyhedron exactly.  A
+monomial ``y^v`` lies in the multiplier ideal at parameter ``alpha``
+precisely when ``F(v) + e`` lies in the relative interior of ``alpha``
+times the polyhedron, where ``e`` is the all-ones vector indexed by
+facets; twisted by a boundary divisor ``w``, the point is ``F(v - w)``.
+Jumping coefficients are the parameter values where a lattice point of
+the image ``F(NA)`` sits on the boundary; each reported one comes with a
+lattice witness that is re-checked exactly.
 
 Minimal generators come from one scan of the character lattice ``Z^d``
 over a box that provably holds them all, and a jumping witness on a tight
@@ -34,20 +36,13 @@ from typing import Optional, Sequence, Union
 
 from .bsato import DEFAULT_CAP, bfunction
 from .exactnum import IntMatrix, Vec, dot, fm_feasible, kernel_lattice_basis
-from .polyhedra import (
-    INFINITY,
-    NewtonPolyhedron,
-    inequality_vertices,
-    membership,
-    newton_polyhedron,
-)
+from .polyhedra import INFINITY, NewtonPolyhedron, inequality_vertices, membership
 from .toric import (
     SCAN_POINTS_CAP,
     MonomialIdeal,
     SemigroupData,
     WorkCapExceeded,
     build_semigroup,
-    extreme_rays,
     f_map,
     minimal_points,
     monomial_ideal,
@@ -184,10 +179,12 @@ def _line_interval(rows, head: Sequence[int], bounds) -> Optional[tuple]:
 
 
 def _minimal_members(
-    S: SemigroupData, alpha: Fraction, mode: str, cuts: Sequence[tuple[Vec, Fraction]]
+    S: SemigroupData, ideal: MonomialIdeal, alpha: Fraction, mode: str, shift: Sequence
 ) -> MultiplierIdealResult:
-    """Minimal semigroup points ``v`` with ``row . v > t`` (relint mode) or
-    ``>= t`` (closed mode) for every cut ``(row, t)``.
+    """Minimal semigroup points ``v`` with ``F(v) - shift`` in the relative
+    interior (relint mode) or in (closed mode) ``alpha`` times the ideal's
+    transported polyhedron: each facet ``(l, c)`` of it gives the cut
+    ``(l F) . v > alpha c + l . shift`` (``>=`` when closed).
 
     Rounded to integer right-hand sides, the cuts and ``F(v) >= 0`` cut out
     a polyhedron ``R`` with recession cone ``cone(A)`` whose lattice points
@@ -206,8 +203,10 @@ def _minimal_members(
     line solve each) before the scan, then each line's members before they
     are listed."""
     region = {f: 0 for f in S.facets}  # row -> integer right-hand side
-    for row, t in cuts:
+    for ell, c in ideal.transported_polyhedron.facets:
+        t = alpha * c + dot(ell, shift)
         b = floor(t) + 1 if mode == "relint" else ceil(t)
+        row = tuple(dot(ell, col) for col in zip(*S.facets))  # l F
         region[row] = max(b, region.get(row, b))
     vertices = inequality_vertices(list(region), list(region.values()))
     cols = S.A.columns()
@@ -268,12 +267,8 @@ def multiplier_ideal(
     generating box of :func:`_minimal_members` finds the generators.
     """
     alpha = _check_alpha_mode(alpha, mode)
-    P = transported_polyhedron(S, ideal)
-    cuts = [
-        (tuple(dot(ell, col) for col in zip(*S.facets)), alpha * c - dot(ell, S.e))
-        for ell, c in P.facets
-    ]
-    return _minimal_members(S, alpha, mode, cuts)
+    ideal = monomial_ideal(S, ideal)
+    return _minimal_members(S, ideal, alpha, mode, tuple(-x for x in S.e))
 
 
 def multiplier_ideal_with_boundary(
@@ -287,20 +282,24 @@ def multiplier_ideal_with_boundary(
 
     ``w`` is a rational vector in the character space; the associated
     boundary divisor is effective exactly when ``F(w) >= -e``, which is
-    enforced.  Membership becomes ``v - w`` in the relative interior of
-    ``alpha`` times the Newton polyhedron of the ideal itself (taken in the
-    character space, with recession cone spanned by the extreme rays of the
-    semigroup), so each facet ``(l, c)`` is the cut ``l . v > alpha c + l . w``."""
+    enforced.  Membership is ``v - w`` in the interior of ``alpha`` times
+    the Newton polyhedron ``P`` of the ideal in the character space, read
+    off the transported polyhedron ``T``: facet ``(l, c)`` of ``T`` gives
+    the cut ``(l F) . v > alpha c + l . F(w)``.  This is exact since
+    ``F(P) = T ∩ F(R^d)`` (a vector ``r >= 0`` in ``F(R^d)`` is ``F`` of a
+    point of the cone) and ``F(R^d)`` meets the interior of ``alpha T``:
+    each facet functional has ``l >= 0``, ``l != 0``, so it grows without
+    bound along ``F(t sum_j a_j)``, whose coordinates are all positive.
+    So the strict cuts cut out the image of the interior of ``alpha P``."""
     alpha = _check_alpha_mode(alpha, mode)
     ideal = monomial_ideal(S, ideal)
     wq = tuple(Fraction(x) for x in w)
     if len(wq) != S.d:
         raise ValueError("w must live in the character space")
-    if any(dot(f, wq) < -1 for f in S.facets):
+    shift = f_map(S, wq)
+    if any(x < -1 for x in shift):
         raise ValueError("boundary divisor not effective")
-    P = newton_polyhedron(ideal.generators, extreme_rays(S))
-    cuts = [(ell, alpha * c + dot(ell, wq)) for ell, c in P.facets]
-    return _minimal_members(S, alpha, mode, cuts)
+    return _minimal_members(S, ideal, alpha, mode, shift)
 
 
 # ---------------------------------------------------------------------------

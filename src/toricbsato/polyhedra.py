@@ -4,10 +4,12 @@ A Newton polyhedron here is ``conv(points) + cone(rays)`` for finitely many
 integer points and integer recession rays.  Facets are computed exactly by
 homogenizing to a cone one dimension up and scanning generator subsets for
 supporting hyperplanes; the resulting H-representation has primitive integer
-normals and integer offsets.  Membership in dilations, relative-interior
-membership and the point threshold (the dilation factor at which a point
-enters the boundary) are all exact.  Every subset scan is counted with
-``math.comb`` before it starts, against ``SUBSETS_CAP``.
+normals and integer offsets.  Facet normals and the vertices of an
+inequality system each take one Bareiss elimination per subset.
+Membership in dilations, relative-interior membership and the point
+threshold (the dilation factor at which a point enters the boundary) are
+all exact.  Every subset scan is counted with ``math.comb`` before it
+starts, against ``SUBSETS_CAP``.
 
 All polyhedra constructed here are required to be full-dimensional, so the
 relative interior coincides with the topological interior and is cut out by
@@ -29,7 +31,6 @@ from .exactnum import (
     dot,
     primitive_vector,
     rank,
-    solve_linear,
 )
 
 __all__ = [
@@ -71,8 +72,8 @@ def cone_facet_normals(generators: Sequence[Vec], dim: int) -> list[Vec]:
     ``f`` gets ``p`` and pivot column ``pivots[i]`` gets ``-a[i][f]``.
     This enumerates every facet because each facet of a finitely generated
     full-dimensional cone is spanned by ``dim-1`` linearly independent
-    generators, except in the one-dimensional case where the origin is the
-    only facet.
+    generators.  In dimension 1 the one empty subset has the normal
+    ``(1,)``, so the scan gives ``(1,)``, ``(-1,)`` or nothing.
 
     The returned list is sorted in descending lexicographic order.
     """
@@ -80,13 +81,6 @@ def cone_facet_normals(generators: Sequence[Vec], dim: int) -> list[Vec]:
     if any(len(g) != dim for g in gens):
         raise ValueError("generator dimension mismatch")
     found: set[Vec] = set()
-    if dim == 1:
-        for cand in ((1,), (-1,)):
-            vals = [dot(cand, g) for g in gens]
-            if all(v >= 0 for v in vals):
-                found.add(cand)
-        found_list = sorted(found, reverse=True)
-        return found_list
     for subset in _subsets(len(gens), dim - 1):
         a, pivots, p = _bareiss([gens[i] for i in subset])
         if len(pivots) != dim - 1:
@@ -107,17 +101,23 @@ def cone_facet_normals(generators: Sequence[Vec], dim: int) -> list[Vec]:
 
 def inequality_vertices(rows: Sequence[Vec], rhs: Sequence) -> list[tuple[Fraction, ...]]:
     """Sorted vertices of ``{x : rows[i] . x >= rhs[i]}``: the feasible
-    solutions of the ``dim``-subsets of rows of full rank, solved exactly
-    (at most ``SUBSETS_CAP`` subsets, counted first).  Empty when the
-    polyhedron is empty or contains a line."""
+    solutions of the ``dim``-subsets of rows of full rank (at most
+    ``SUBSETS_CAP`` subsets, counted first).  Empty when the polyhedron is
+    empty or contains a line.
+
+    Each subset is one Bareiss elimination of its rows with the right-hand
+    side appended: the rows have full rank exactly when the pivots are the
+    first ``dim`` columns, and then row ``i`` reads ``p x_i = a[i][-1]``
+    for the last pivot ``p``.  Feasibility is tested on these numerators:
+    ``r . x >= b`` exactly when ``(r . (p x) - b p) p >= 0``."""
     dim = len(rows[0])
     found: set[tuple[Fraction, ...]] = set()
     for subset in _subsets(len(rows), dim):
-        square = [rows[i] for i in subset]
-        if rank(square) == dim:
-            x = tuple(solve_linear(square, [rhs[i] for i in subset]))
-            if all(dot(r, x) >= b for r, b in zip(rows, rhs)):
-                found.add(x)
+        a, pivots, p = _bareiss([list(rows[i]) + [rhs[i]] for i in subset])
+        if pivots == list(range(dim)):
+            num = [row[-1] for row in a]
+            if all((dot(r, num) - b * p) * p >= 0 for r, b in zip(rows, rhs)):
+                found.add(tuple(Fraction(x, p) for x in num))
     return sorted(found)
 
 

@@ -60,18 +60,20 @@ class StructuralError(ValueError):
     """A structural assumption on the semigroup datum fails."""
 
 
-@dataclass
+@dataclass(unsafe_hash=True)
 class SemigroupData:
     """Validated semigroup datum: matrix, facet support vectors, flags.
 
     ``facets`` lists the primitive support vectors ``f`` with
     ``F_sigma(p) = f . p``, in descending lexicographic order; this fixed
     order is the coordinate order of ``Z^F`` everywhere downstream.  The
-    ``normal`` flag is three-valued: ``None`` = not yet determined.
+    ``normal`` flag is three-valued: ``None`` = not yet determined.  A datum
+    compares and hashes by ``A``, ``facets`` and ``saturated``: ``normal``
+    and ``normality_witness`` cache what :func:`is_normal` found.
 
     ``section = (X, p)`` is an integer left inverse of the facet matrix
-    ``F`` up to the scalar ``p``: ``X F = p I_d``.  It is computed once, on
-    construction, by one fraction-free elimination of ``[F | I]``.  Since
+    ``F`` up to the scalar ``p``: ``X F = p I_d``.  It is computed on first
+    use, by one fraction-free elimination of ``[F | I]``.  Since
     ``v = X F(v) / p``, it bounds the coordinates of the generator scan of
     :mod:`toricbsato.multiplier` over a box of ``F``-values, and
     :func:`f_section` lifts a point of ``Z^F`` through it.
@@ -79,18 +81,17 @@ class SemigroupData:
 
     A: IntMatrix
     facets: tuple[Vec, ...]
-    pointed: bool
     saturated: bool
-    normal: Optional[bool] = None
-    normality_witness: Optional[Vec] = None
-    section: tuple[tuple[Vec, ...], int] = field(init=False, repr=False, compare=False)
+    normal: Optional[bool] = field(default=None, compare=False)
+    normality_witness: Optional[Vec] = field(default=None, compare=False)
 
-    def __post_init__(self):
+    @cached_property
+    def section(self) -> tuple[tuple[Vec, ...], int]:
         n, d = len(self.facets), self.A.rows
         a, _, p = _bareiss(
             [list(f) + [int(i == j) for j in range(n)] for i, f in enumerate(self.facets)]
         )
-        self.section = (tuple(tuple(row[d:]) for row in a[:d]), p)
+        return tuple(tuple(row[d:]) for row in a[:d]), p
 
     @property
     def d(self) -> int:
@@ -123,7 +124,7 @@ def build_semigroup(A: IntMatrix) -> SemigroupData:
     :func:`assume_normal` ("ZA != Z^d").
     """
     if not isinstance(A, IntMatrix):
-        A = IntMatrix.from_rows(A)
+        A = IntMatrix(A)
     d = A.rows
     columns = A.columns()
     if rank(columns) != d:
@@ -131,7 +132,7 @@ def build_semigroup(A: IntMatrix) -> SemigroupData:
     facets = tuple(cone_facet_normals(columns, d))
     if rank(facets) != d or not all(any(a) for a in columns):
         raise StructuralError("cone not strongly convex")
-    S = SemigroupData(A=A, facets=facets, pointed=True, saturated=lattice_is_saturated(A))
+    S = SemigroupData(A=A, facets=facets, saturated=lattice_is_saturated(A))
     # completeness sanity check: all generators on the nonnegative side, and
     # for d >= 2 each facet is incident to at least one generator
     for f in facets:

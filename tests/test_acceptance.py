@@ -313,7 +313,7 @@ def test_groebner_engine_soundness(cusp):
 
 
 def test_structural_validators(cusp):
-    assert cusp.pointed and cusp.saturated and is_normal(cusp)
+    assert cusp.saturated and is_normal(cusp)
     plane = build_semigroup([[1, 0], [0, 1]])
     assert plane.saturated and is_normal(plane)
 

@@ -58,7 +58,6 @@ def test_matrix_basics():
 def test_hnf_is_column_transform(rows):
     """H = M * U with U unimodular, and H is lower-staircase."""
     m = IntMatrix(rows)
-    assume(not m.is_zero())
     h, u = hermite_normal_form(m)
     assert gauss_jordan(u.entries, [0] * u.rows)[2] in (1, -1)
     assert tuple(tuple(dot(row, col) for col in u.columns()) for row in m.entries) == h.entries
@@ -77,6 +76,89 @@ def test_hnf_is_column_transform(rows):
         for jj in range(j):
             assert 0 <= h.entries[top][jj] < pivot
         prev = top
+
+
+def _hermite_two_matrices(M):
+    """Reference: the column Hermite form with ``H`` and ``U`` kept as two
+    matrices, updated in lockstep by the same column operations.  Refuses
+    the zero matrix."""
+    if all(x == 0 for row in M.entries for x in row):
+        raise ValueError("hermite_normal_form requires a nonzero matrix")
+    d, m = M.rows, M.cols
+    H = [list(row) for row in M.entries]
+    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+
+    def swap_cols(a, b):
+        if a == b:
+            return
+        for i in range(d):
+            H[i][a], H[i][b] = H[i][b], H[i][a]
+        for i in range(m):
+            U[i][a], U[i][b] = U[i][b], U[i][a]
+
+    def addmul_col(dst, src, q):
+        # column dst -= q * column src
+        if q == 0:
+            return
+        for i in range(d):
+            H[i][dst] -= q * H[i][src]
+        for i in range(m):
+            U[i][dst] -= q * U[i][src]
+
+    def negate_col(a):
+        for i in range(d):
+            H[i][a] = -H[i][a]
+        for i in range(m):
+            U[i][a] = -U[i][a]
+
+    col = 0
+    for row in range(d):
+        if col >= m:
+            break
+        while True:
+            nz = [j for j in range(col, m) if H[row][j] != 0]
+            if not nz:
+                break
+            j0 = min(nz, key=lambda j: (abs(H[row][j]), j))
+            swap_cols(col, j0)
+            clean = True
+            for j in range(col + 1, m):
+                if H[row][j] != 0:
+                    addmul_col(j, col, H[row][j] // H[row][col])
+                    if H[row][j] != 0:
+                        clean = False
+            if clean:
+                break
+        if H[row][col] == 0:
+            continue  # no pivot in this row
+        if H[row][col] < 0:
+            negate_col(col)
+        for j in range(col):
+            addmul_col(j, col, H[row][j] // H[row][col])
+        col += 1
+    return IntMatrix(H), IntMatrix(U)
+
+
+# single rows of up to six entries, the shape of the jumping witness search
+single_rows = st.lists(st.lists(st.integers(-30, 30), min_size=1, max_size=6), min_size=1, max_size=1)
+
+
+@given(st.one_of(matrices(), single_rows))
+@settings(max_examples=300)
+def test_hnf_matches_two_matrix_reference(rows):
+    """One stacked column array gives the same ``H`` and ``U`` as the
+    two-matrix reference: the kernel vectors, and so the jumping
+    witnesses, come out unchanged."""
+    m = IntMatrix(rows)
+    assume(any(any(row) for row in rows))
+    assert hermite_normal_form(m) == _hermite_two_matrices(m)
+
+
+def test_hnf_of_the_zero_matrix():
+    zero = IntMatrix([[0, 0, 0], [0, 0, 0]])
+    assert hermite_normal_form(zero) == (zero, IntMatrix.identity(3))
+    assert kernel_lattice_basis(zero) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert kernel_lattice_basis(IntMatrix([[0]])) == [(1,)]
 
 
 def test_saturation_fixtures():

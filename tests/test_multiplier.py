@@ -33,6 +33,7 @@ from toricbsato.toric import (
     build_semigroup,
     extreme_rays,
     f_map,
+    is_normal,
     monomial_ideal,
 )
 
@@ -331,18 +332,34 @@ def test_one_polyhedron_and_one_threshold_per_ideal(monkeypatch, cusp):
     assert len(polys) == 1
 
 
-def test_cached_geometry_stays_out_of_value_semantics(monkeypatch, cusp):
-    def hash_or_error(x):
-        try:
-            return hash(x)
-        except TypeError as exc:  # the owning datum is mutable
-            return str(exc)
+def test_both_multiplier_functions_share_one_polyhedron(monkeypatch, cusp):
+    """The plain and the boundary variant read one ideal's transported
+    polyhedron; no polyhedron is built in the character space."""
+    polys = _count_calls(monkeypatch, polyhedra.newton_polyhedron)
+    ideal = monomial_ideal(cusp, [(1, 1), (1, 2)])
+    multiplier_ideal(cusp, ideal, F(2, 3))
+    multiplier_ideal_with_boundary(cusp, ideal, (0, -1), F(1))
+    assert len(polys) == 1
 
+
+def test_equal_ideals_hash_alike_after_the_normality_scan():
+    """Cached geometry and the normality verdict stay out of ``==`` and
+    ``hash``: equal ideals on two equal data collapse in a set."""
+    S, T = build_semigroup(CUSP), build_semigroup(CUSP)
+    assert is_normal(S) and T.normal is None
+    a = monomial_ideal(S, [(1, 1), (1, 2)])
+    b = monomial_ideal(T, [(1, 2), (1, 1)])
+    assert a.lct == F(2, 3)
+    assert S == T and a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1 and {a: 1}[b] == 1
+
+
+def test_cached_geometry_stays_out_of_value_semantics(monkeypatch, cusp):
     a = monomial_ideal(cusp, [(1, 1), (1, 2)])
     b = monomial_ideal(cusp, [(1, 2), (1, 1)])
     assert a.lct == F(2, 3)  # builds a's polyhedron, not b's
     assert a == b and b == a and repr(a) == repr(b)
-    assert hash_or_error(a) == hash_or_error(b)
+    assert hash(a) == hash(b)
     polys = _count_calls(monkeypatch, polyhedra.newton_polyhedron)
     same = dataclasses.replace(a)
     assert same.transported_polyhedron == a.transported_polyhedron
@@ -534,7 +551,6 @@ def test_facet_order_invariance(cusp, cusp_ideal):
     swapped = SemigroupData(
         A=IntMatrix(CUSP),
         facets=(cusp.facets[1], cusp.facets[0]),
-        pointed=True,
         saturated=True,
         normal=True,
     )

@@ -8,13 +8,13 @@ by pushing further along a ray).
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from toricbsato.exactnum import WorkCapExceeded, dot, primitive_vector
+from toricbsato.exactnum import WorkCapExceeded, dot, primitive_vector, rank, solve_linear
 from toricbsato.polyhedra import (
     INFINITY,
     cone_facet_normals,
@@ -236,3 +236,41 @@ def test_subset_scans_are_capped():
     assert exc.value.cap == "SUBSETS_CAP"
     with pytest.raises(WorkCapExceeded, match="SUBSETS_CAP exceeded: 101025 > 100000"):
         inequality_vertices([(1, i) for i in range(450)], [0] * 450)
+
+
+def test_facet_normals_in_dimension_one():
+    """The general subset scan covers the line: its one empty subset gives
+    the normal ``(1,)``, kept with the orientation of the generators."""
+    assert cone_facet_normals([(2,), (3,)], 1) == [(1,)]
+    assert cone_facet_normals([(-2,), (-3,)], 1) == [(-1,)]
+    assert cone_facet_normals([(-1,), (2,)], 1) == []
+
+
+def _vertices_by_rank_and_solve(rows, rhs):
+    """Reference: a rank test, then a separate exact solve, per subset."""
+    dim = len(rows[0])
+    found = set()
+    for subset in combinations(range(len(rows)), dim):
+        square = [rows[i] for i in subset]
+        if rank(square) == dim:
+            x = tuple(solve_linear(square, [rhs[i] for i in subset]))
+            if all(dot(r, x) >= b for r, b in zip(rows, rhs)):
+                found.add(x)
+    return sorted(found)
+
+
+@given(
+    st.integers(1, 3).flatmap(
+        lambda dim: st.lists(
+            st.tuples(st.tuples(*[st.integers(-3, 3)] * dim), entries), min_size=1, max_size=6
+        )
+    )
+)
+@example([((1, 0), 0), ((0, 1), 0), ((1, 1), F(5, 2)), ((2, 2), 5)])
+@settings(max_examples=300, deadline=None)
+def test_inequality_vertices_match_rank_and_solve(system):
+    """One elimination per subset, with the right-hand side appended, finds
+    the vertices that a rank test and an exact solve find."""
+    rows = [r for r, _ in system]
+    rhs = [b for _, b in system]
+    assert inequality_vertices(rows, rhs) == _vertices_by_rank_and_solve(rows, rhs)
