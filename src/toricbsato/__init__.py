@@ -60,7 +60,6 @@ from .toric import (
     StructuralError,
     assume_normal,
     build_semigroup,
-    extreme_rays,
     f_map,
     f_section,
     is_normal,

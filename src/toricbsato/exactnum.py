@@ -8,7 +8,7 @@ lattice and feasibility primitives the geometric layers are built on:
   transformation matrix, carried as one stacked array of columns,
 * primitive integer vectors,
 * one fraction-free (Bareiss) Gauss-Jordan elimination behind rank, exact
-  solving over the rationals, facet normals and polyhedron vertices,
+  solving over the rationals and the start of the double description,
 * Fourier-Motzkin elimination for strict/weak linear inequality systems,
   including an exact rational witness when the system is feasible,
 * :class:`WorkCapExceeded`, raised by every layer whose counted work would

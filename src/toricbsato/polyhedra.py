@@ -1,15 +1,14 @@
 """Exact rational convex geometry: cones and Newton polyhedra.
 
 A Newton polyhedron here is ``conv(points) + cone(rays)`` for finitely many
-integer points and integer recession rays.  Facets are computed exactly by
-homogenizing to a cone one dimension up and scanning generator subsets for
-supporting hyperplanes; the resulting H-representation has primitive integer
-normals and integer offsets.  Facet normals and the vertices of an
-inequality system each take one Bareiss elimination per subset.
-Membership in dilations, relative-interior membership and the point
-threshold (the dilation factor at which a point enters the boundary) are
-all exact.  Every subset scan is counted with ``math.comb`` before it
-starts, against ``SUBSETS_CAP``.
+integer points and integer recession rays.  Its facets are computed exactly
+by homogenizing to a cone one dimension up: the facet normals of a cone and
+the vertices of an inequality system are both the extreme rays of a cone
+``{y : r . y >= 0}``, found by one integer double description routine whose
+ray pairs are counted against ``RAY_PAIRS_CAP``.  The H-representation has
+primitive integer normals and integer offsets.  Membership in dilations,
+relative-interior membership and the point threshold (the dilation factor
+at which a point enters the boundary) are all exact.
 
 All polyhedra constructed here are required to be full-dimensional, so the
 relative interior coincides with the topological interior and is cut out by
@@ -20,8 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import comb, lcm
+from math import lcm
 from typing import Optional, Sequence
 
 from .exactnum import (
@@ -47,78 +45,84 @@ __all__ = [
 #: correctly against Fractions and carries no rounding, so it is safe here.
 INFINITY = float("inf")
 
-#: Counted work cap of every subset scan, checked before the scan.
-SUBSETS_CAP = 100_000
+#: Counted work cap of one double description: its ``(+, -)`` ray pairs.
+RAY_PAIRS_CAP = 10_000_000
 
 
-def _subsets(n: int, k: int):
-    """The ``k``-subsets of ``range(n)``; more than ``SUBSETS_CAP`` of them
-    raise :class:`WorkCapExceeded` before any is listed."""
-    count = comb(n, k)
-    if count > SUBSETS_CAP:
-        raise WorkCapExceeded("SUBSETS_CAP", count, SUBSETS_CAP)
-    return combinations(range(n), k)
+def _cone_rays(rows: Sequence[Vec], dim: int) -> Optional[list[Vec]]:
+    """Primitive extreme rays of ``{y : r . y >= 0 for r in rows}`` (integer
+    rows in ``R^dim``), or ``None`` when the rows do not span ``R^dim``.
+
+    Integer double description (Motzkin et al. 1953; Fukuda and Prodon
+    1996): the first ``dim`` independent rows ``B`` give the simplicial
+    start rays, the columns of ``B^-1`` signed so that ``B y >= 0``.  Each
+    further row ``r`` keeps the rays with ``r . y >= 0`` and adds
+    ``(r . u) w - (r . w) u`` for each adjacent pair with ``r . u > 0 > r . w``.
+    A ray's zero set (its tight rows) is a bitmask; two rays are adjacent
+    when their common zero set has at least ``dim - 2`` rows and lies in
+    no third ray's zero set.  Each row's pairs are counted before they are
+    tested, against ``RAY_PAIRS_CAP``."""
+    _, basis, _ = _bareiss(list(zip(*rows)))
+    if len(basis) < dim:
+        return None
+    a, _, p = _bareiss([list(rows[i]) + [int(i == k) for k in basis] for i in basis])
+    full = sum(1 << i for i in basis)
+    # B (p B^-1) = p I, and the factor p signs each column
+    rays = [
+        (primitive_vector([p * row[dim + j] for row in a]), full ^ (1 << i))
+        for j, i in enumerate(basis)
+    ]
+    pairs = 0
+    for i, r in enumerate(rows):
+        if i in basis:
+            continue
+        bit = 1 << i
+        vals = [(dot(r, y), y, z) for y, z in rays]
+        pos = [t for t in vals if t[0] > 0]
+        neg = [t for t in vals if t[0] < 0]
+        pairs += len(pos) * len(neg)
+        if pairs > RAY_PAIRS_CAP:
+            raise WorkCapExceeded("RAY_PAIRS_CAP", pairs, RAY_PAIRS_CAP)
+        kept = [(y, z | bit if v == 0 else z) for v, y, z in vals if v >= 0]
+        for vp, yp, zp in pos:
+            for vn, yn, zn in neg:
+                common = zp & zn
+                if common.bit_count() >= dim - 2 and not any(
+                    z & common == common and z != zp and z != zn for _, z in rays
+                ):
+                    y = primitive_vector([vp * x - vn * w for x, w in zip(yn, yp)])
+                    kept.append((y, common | bit))
+        rays = kept
+    return [y for y, _ in rays]
 
 
 def cone_facet_normals(generators: Sequence[Vec], dim: int) -> list[Vec]:
-    """Primitive facet normals of the full-dimensional cone spanned by
-    ``generators`` in ``R^dim``.
-
-    Scans all ``(dim-1)``-subsets of generators (at most ``SUBSETS_CAP``
-    of them, counted first); a subset of rank ``dim-1`` determines a
-    hyperplane, and its primitive normal is kept (suitably oriented) when
-    all generators lie on one side.  The normal is read off one Bareiss
-    elimination of the subset: with last pivot ``p``, the one free column
-    ``f`` gets ``p`` and pivot column ``pivots[i]`` gets ``-a[i][f]``.
-    This enumerates every facet because each facet of a finitely generated
-    full-dimensional cone is spanned by ``dim-1`` linearly independent
-    generators.  In dimension 1 the one empty subset has the normal
-    ``(1,)``, so the scan gives ``(1,)``, ``(-1,)`` or nothing.
-
-    The returned list is sorted in descending lexicographic order.
+    """Primitive inner facet normals of the cone spanned by ``generators``
+    in ``R^dim``, in descending lex order: the extreme rays of the dual cone
+    ``{y : g . y >= 0}``.  ``ValueError`` unless the generators span
+    ``R^dim``.  In dimension 1 a half-line gives ``(1,)`` or ``(-1,)``, the
+    whole line nothing.
     """
     gens = [tuple(int(x) for x in g) for g in generators]
     if any(len(g) != dim for g in gens):
         raise ValueError("generator dimension mismatch")
-    found: set[Vec] = set()
-    for subset in _subsets(len(gens), dim - 1):
-        a, pivots, p = _bareiss([gens[i] for i in subset])
-        if len(pivots) != dim - 1:
-            continue  # the subset has rank < dim - 1
-        free = next(j for j in range(dim) if j not in pivots)
-        kernel = [0] * dim
-        kernel[free] = p
-        for row, c in zip(a, pivots):
-            kernel[c] = -row[free]
-        normal = primitive_vector(kernel)
-        vals = [dot(normal, g) for g in gens]
-        if all(v >= 0 for v in vals):
-            found.add(normal)
-        elif all(v <= 0 for v in vals):
-            found.add(tuple(-x for x in normal))
-    return sorted(found, reverse=True)
+    rays = _cone_rays(gens, dim)
+    if rays is None:
+        raise ValueError("generators do not span R^dim")
+    return sorted(rays, reverse=True)
 
 
 def inequality_vertices(rows: Sequence[Vec], rhs: Sequence) -> list[tuple[Fraction, ...]]:
-    """Sorted vertices of ``{x : rows[i] . x >= rhs[i]}``: the feasible
-    solutions of the ``dim``-subsets of rows of full rank (at most
-    ``SUBSETS_CAP`` subsets, counted first).  Empty when the polyhedron is
-    empty or contains a line.
-
-    Each subset is one Bareiss elimination of its rows with the right-hand
-    side appended: the rows have full rank exactly when the pivots are the
-    first ``dim`` columns, and then row ``i`` reads ``p x_i = a[i][-1]``
-    for the last pivot ``p``.  Feasibility is tested on these numerators:
-    ``r . x >= b`` exactly when ``(r . (p x) - b p) p >= 0``."""
+    """Sorted vertices of ``{x : rows[i] . x >= rhs[i]}``; empty when the
+    polyhedron is empty or contains a line.  They are the rays ``(y_0, x)``
+    with ``y_0 > 0`` of the cone ``{(y_0, x) : y_0 >= 0, r . x >= b y_0}``,
+    divided by ``y_0``, with each row ``(-b, r)`` scaled to integers."""
     dim = len(rows[0])
-    found: set[tuple[Fraction, ...]] = set()
-    for subset in _subsets(len(rows), dim):
-        a, pivots, p = _bareiss([list(rows[i]) + [rhs[i]] for i in subset])
-        if pivots == list(range(dim)):
-            num = [row[-1] for row in a]
-            if all((dot(r, num) - b * p) * p >= 0 for r, b in zip(rows, rhs)):
-                found.add(tuple(Fraction(x, p) for x in num))
-    return sorted(found)
+    homog = [(1,) + (0,) * dim] + [
+        (-b.numerator, *(b.denominator * x for x in r)) for r, b in zip(rows, map(Fraction, rhs))
+    ]
+    rays = _cone_rays(homog, dim + 1) or []
+    return sorted(tuple(Fraction(x, y[0]) for x in y[1:]) for y in rays if y[0] > 0)
 
 
 @dataclass(frozen=True)

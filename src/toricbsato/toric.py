@@ -44,7 +44,6 @@ __all__ = [
     "contains",
     "f_map",
     "f_section",
-    "extreme_rays",
     "minimalize_exponents",
     "monomial_ideal",
 ]
@@ -239,17 +238,6 @@ def assume_normal(S: SemigroupData) -> None:
     if S.normal is False:
         raise StructuralError("semigroup is verified non-normal")
     S.normal = True
-
-
-def extreme_rays(S: SemigroupData) -> tuple[Vec, ...]:
-    """Primitive generators of the extreme rays of the cone, one per ray.
-
-    The extreme rays of a pointed full-dimensional cone are the inner facet
-    normals of its dual cone, and the dual cone is spanned by the facet
-    support vectors ``S.facets``; so this is :func:`cone_facet_normals`
-    applied to them.  Descending lex order.
-    """
-    return tuple(cone_facet_normals(S.facets, S.d))
 
 
 def minimal_points(points: Iterable[tuple[Vec, object]]) -> list[tuple[Vec, object]]:

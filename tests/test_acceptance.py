@@ -25,11 +25,10 @@ from toricbsato.multiplier import (
     transport,
     verify_correspondence,
 )
-from toricbsato.polyhedra import INFINITY, membership, newton_polyhedron
+from toricbsato.polyhedra import INFINITY, cone_facet_normals, membership, newton_polyhedron
 from toricbsato.toric import (
     StructuralError,
     build_semigroup,
-    extreme_rays,
     f_map,
     is_normal,
     monomial_ideal,
@@ -201,7 +200,8 @@ def test_polyhedron_membership_sampling(cusp):
     orthant polyhedron) — sampled at 500 rational points, four dilations."""
     ideal = monomial_ideal(cusp, CUSP_IDEAL)
     points = transport(cusp, ideal)
-    image_rays = [primitive_vector(f_map(cusp, r)) for r in extreme_rays(cusp)]
+    rays = cone_facet_normals(cusp.facets, cusp.d)
+    image_rays = [primitive_vector(f_map(cusp, r)) for r in rays]
     P_image = newton_polyhedron(points, image_rays)
     P_orthant = newton_polyhedron(points, [(1, 0), (0, 1)])
 

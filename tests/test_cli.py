@@ -383,8 +383,9 @@ def test_normality_scan_cap():
         # 9^4 + 25^4 + 73^4 window points
         ("jumping", "tesseract_cone.json", ["--assume-normal"],
          "WINDOW_POINTS_CAP", "28795427 > 10000000"),
-        # 40 columns in dimension 7: C(40, 6) facet candidates
-        ("facets", "forty_columns.json", [], "SUBSETS_CAP", "3838380 > 100000"),
+        # 30 points of the moment curve in dimension 8: the double
+        # description of the cyclic cone tests 11 480 633 ray pairs
+        ("facets", "cyclic_cone.json", [], "RAY_PAIRS_CAP", "11480633 > 10000000"),
     ],
 )
 def test_counted_scan_caps(command, document, flags, cap, count):
@@ -392,6 +393,14 @@ def test_counted_scan_caps(command, document, flags, cap, count):
     assert code == 3
     assert report["error"]["cap"] == cap
     assert count in report["error"]["message"]
+
+
+def test_forty_columns_facets():
+    # 40 columns in dimension 7: C(40, 6) = 3 838 380 subsets of generators,
+    # but the double description tests 1.79 M ray pairs
+    code, report = run_problem("facets", "forty_columns.json", timeout=60)
+    assert code == 0
+    assert len(report["facets"]) == 1255
 
 
 def test_pointedness_without_fourier_motzkin():

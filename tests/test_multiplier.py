@@ -27,11 +27,10 @@ from toricbsato.multiplier import (
     transported_polyhedron,
     verify_correspondence,
 )
-from toricbsato.polyhedra import INFINITY, membership, newton_polyhedron
+from toricbsato.polyhedra import INFINITY, cone_facet_normals, membership, newton_polyhedron
 from toricbsato.toric import (
     SemigroupData,
     build_semigroup,
-    extreme_rays,
     f_map,
     is_normal,
     monomial_ideal,
@@ -224,7 +223,7 @@ def _plain_member(S, ideal, alpha, mode):
 
 
 def _twisted_member(S, ideal, w, alpha, mode):
-    P = newton_polyhedron(ideal.generators, extreme_rays(S))
+    P = newton_polyhedron(ideal.generators, cone_facet_normals(S.facets, S.d))
 
     def member(v):
         return min(f_map(S, v)) >= 0 and membership(P, [x - y for x, y in zip(v, w)], alpha, mode)

@@ -7,14 +7,24 @@ the artificial far edges are discarded (those whose inequality is violated
 by pushing further along a ray).
 """
 
+import json
 from fractions import Fraction
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from toricbsato.exactnum import WorkCapExceeded, dot, primitive_vector, rank, solve_linear
+from toricbsato import polyhedra
+from toricbsato.exactnum import (
+    WorkCapExceeded,
+    _bareiss,
+    dot,
+    primitive_vector,
+    rank,
+    solve_linear,
+)
 from toricbsato.polyhedra import (
     INFINITY,
     cone_facet_normals,
@@ -229,18 +239,82 @@ def test_point_threshold_degenerate_cases():
     assert point_threshold(orthant, (-1, 0)) is None
 
 
-def test_subset_scans_are_capped():
-    # C(450, 2) = 101 025 subsets: counted and refused before the first one
-    with pytest.raises(WorkCapExceeded, match="SUBSETS_CAP exceeded: 101025 > 100000") as exc:
-        cone_facet_normals([(1, i, 0) for i in range(450)], 3)
-    assert exc.value.cap == "SUBSETS_CAP"
-    with pytest.raises(WorkCapExceeded, match="SUBSETS_CAP exceeded: 101025 > 100000"):
-        inequality_vertices([(1, i) for i in range(450)], [0] * 450)
+def _facets_by_subsets(generators, dim):
+    """Reference: every ``(dim-1)``-subset of generators of rank ``dim-1``
+    spans a hyperplane, kept (suitably oriented) when all generators lie on
+    one side; each facet of a full-dimensional cone is spanned by such a
+    subset.  The normal is read off one Bareiss elimination: with last pivot
+    ``p`` the free column gets ``p`` and pivot column ``pivots[i]`` gets
+    ``-a[i][free]``.  In dimension 1 the empty subset gives ``(1,)``."""
+    found = set()
+    for subset in combinations(generators, dim - 1):
+        a, pivots, p = _bareiss(list(subset))
+        if len(pivots) != dim - 1:
+            continue
+        free = next(j for j in range(dim) if j not in pivots)
+        kernel = [0] * dim
+        kernel[free] = p
+        for row, c in zip(a, pivots):
+            kernel[c] = -row[free]
+        normal = primitive_vector(kernel)
+        vals = [dot(normal, g) for g in generators]
+        if all(v >= 0 for v in vals):
+            found.add(normal)
+        elif all(v <= 0 for v in vals):
+            found.add(tuple(-x for x in normal))
+    return sorted(found, reverse=True)
+
+
+@st.composite
+def spanning_generators(draw):
+    """Generators spanning ``R^dim``, dimension 1 to 6, with mixed signs and
+    duplicates; the lower end of the first coordinate sets how often the
+    cone is pointed (always at 1) or the whole space."""
+    dim = draw(st.integers(1, 6))
+    lo = draw(st.sampled_from([-3, -1, 0, 1]))
+    vec = st.tuples(st.integers(lo, 3), *[st.integers(-3, 3)] * (dim - 1))
+    gens = draw(st.lists(vec, min_size=dim, max_size=10))
+    gens += draw(st.lists(st.sampled_from(gens), max_size=3))
+    assume(rank(gens) == dim)
+    return dim, gens
+
+
+@given(spanning_generators())
+@example((3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 0)]))
+@settings(max_examples=250, deadline=None)
+def test_facet_normals_match_subset_scan(case):
+    dim, gens = case
+    assert cone_facet_normals(gens, dim) == _facets_by_subsets(gens, dim)
+
+
+FOURTEEN_MIXED = Path(__file__).parents[1] / "scripts" / "problems" / "fourteen_mixed_columns.json"
+
+
+def test_ray_pairs_cap(monkeypatch):
+    # the 14 mixed-sign columns in dimension 5 test 811 ray pairs in all: a
+    # cap one below that stops the call before its last pairs
+    columns = list(zip(*json.loads(FOURTEEN_MIXED.read_text())["matrix"]))
+    monkeypatch.setattr(polyhedra, "RAY_PAIRS_CAP", 811)
+    assert len(cone_facet_normals(columns, 5)) == 42
+    monkeypatch.setattr(polyhedra, "RAY_PAIRS_CAP", 810)
+    with pytest.raises(WorkCapExceeded, match="RAY_PAIRS_CAP exceeded: 811 > 810") as exc:
+        cone_facet_normals(columns, 5)
+    assert exc.value.cap == "RAY_PAIRS_CAP"
+
+
+def test_rows_of_low_rank():
+    # rank 2 in dimension 3: the dual cone and the inequality system both
+    # hold the line through (0, 0, 1), so there is no facet cone and no vertex
+    rows = [(1, i, 0) for i in range(450)]
+    with pytest.raises(ValueError, match="do not span"):
+        cone_facet_normals(rows, 3)
+    assert inequality_vertices(rows, [0] * 450) == []
 
 
 def test_facet_normals_in_dimension_one():
-    """The general subset scan covers the line: its one empty subset gives
-    the normal ``(1,)``, kept with the orientation of the generators."""
+    """The dual cone of a half-line is a half-line, with the one ray
+    ``(1,)`` or ``(-1,)`` in the orientation of the generators; the whole
+    line has none."""
     assert cone_facet_normals([(2,), (3,)], 1) == [(1,)]
     assert cone_facet_normals([(-2,), (-3,)], 1) == [(-1,)]
     assert cone_facet_normals([(-1,), (2,)], 1) == []
@@ -259,18 +333,38 @@ def _vertices_by_rank_and_solve(rows, rhs):
     return sorted(found)
 
 
+# the relint boundary region of ``square`` with ideal <(1,0,0), (1,1,1)>,
+# w = (0, 0, -1), alpha = 1: the row (1,0,0) . v >= 2 is implied by the
+# first and fourth
+SQUARE_BOUNDARY_REGION = [
+    ((1, 0, -1), 2), ((1, -1, 0), 1), ((0, 1, 0), 1), ((0, 0, 1), 0),
+    ((1, -1, 1), 1), ((1, 0, 0), 2), ((1, 1, -1), 3),
+]
+
+
 @given(
     st.integers(1, 3).flatmap(
         lambda dim: st.lists(
             st.tuples(st.tuples(*[st.integers(-3, 3)] * dim), entries), min_size=1, max_size=6
         )
-    )
+    ),
+    st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 3)), max_size=3),
 )
-@example([((1, 0), 0), ((0, 1), 0), ((1, 1), F(5, 2)), ((2, 2), 5)])
+@example([((1, 0), 0), ((0, 1), 0), ((1, 1), F(5, 2)), ((2, 2), 5)], [])
+@example(SQUARE_BOUNDARY_REGION, [])
+@example(SQUARE_BOUNDARY_REGION, [(0, 0, 0), (0, 3, 1)])
 @settings(max_examples=300, deadline=None)
-def test_inequality_vertices_match_rank_and_solve(system):
-    """One elimination per subset, with the right-hand side appended, finds
-    the vertices that a rank test and an exact solve find."""
+def test_inequality_vertices_match_rank_and_solve(system, extra):
+    """The vertices of the double description are those that a rank test
+    and an exact solve find on every ``dim``-subset of rows.  Each
+    ``(i, j, slack)`` in ``extra`` appends a duplicate of row ``i`` when
+    ``i == j``, else the implied row ``row_i + row_j >= b_i + b_j - slack``."""
+    for i, j, slack in extra:
+        (ri, bi), (rj, bj) = system[i % len(system)], system[j % len(system)]
+        if i == j:
+            system = system + [(ri, bi)]
+        else:
+            system = system + [(tuple(x + y for x, y in zip(ri, rj)), bi + bj - slack)]
     rows = [r for r, _ in system]
     rhs = [b for _, b in system]
     assert inequality_vertices(rows, rhs) == _vertices_by_rank_and_solve(rows, rhs)

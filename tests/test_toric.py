@@ -7,12 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricbsato.exactnum import fm_feasible, rank, solve_linear
+from toricbsato.polyhedra import cone_facet_normals
 from toricbsato.toric import (
     StructuralError,
     assume_normal,
     build_semigroup,
     contains,
-    extreme_rays,
     f_map,
     f_section,
     is_normal,
@@ -46,7 +46,7 @@ def test_dimension_one():
     S = build_semigroup([[2]])
     assert S.facets == ((1,),)
     assert not S.saturated  # 2Z is a proper sublattice of Z
-    assert extreme_rays(S) == ((1,),)
+    assert cone_facet_normals(S.facets, S.d) == [(1,)]
     assert build_semigroup([[1]]).saturated
 
 
@@ -175,10 +175,13 @@ def test_assume_normal_refusals(cusp):
 
 
 def test_extreme_rays(cusp):
-    assert extreme_rays(cusp) == ((1, 3), (1, 0))
-    assert extreme_rays(build_semigroup([[1, 0], [0, 1]])) == ((1, 0), (0, 1))
+    # the extreme rays are the inner facet normals of the dual cone, which
+    # the facet support vectors span
+    assert cone_facet_normals(cusp.facets, cusp.d) == [(1, 3), (1, 0)]
+    S = build_semigroup([[1, 0], [0, 1]])
+    assert cone_facet_normals(S.facets, S.d) == [(1, 0), (0, 1)]
     S = build_semigroup([[1, 1, 1, 0], [0, 2, 1, 0], [0, 0, 0, 1]])
-    assert extreme_rays(S) == ((1, 2, 0), (1, 0, 0), (0, 0, 1))
+    assert cone_facet_normals(S.facets, S.d) == [(1, 2, 0), (1, 0, 0), (0, 0, 1)]
 
 
 @st.composite
@@ -201,7 +204,7 @@ def pointed_cones(draw):
 def test_extreme_rays_invariant(S):
     """Each ray is primitive, lies in the cone and is cut out by facets of
     rank d - 1."""
-    rays = extreme_rays(S)
+    rays = cone_facet_normals(S.facets, S.d)
     assert len(rays) == len(set(rays)) >= S.d
     for r in rays:
         assert gcd(*r) == 1
