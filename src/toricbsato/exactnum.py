@@ -9,8 +9,9 @@ lattice and feasibility primitives the geometric layers are built on:
 * primitive integer vectors,
 * one fraction-free (Bareiss) Gauss-Jordan elimination behind rank, exact
   solving over the rationals and the start of the double description,
-* Fourier-Motzkin elimination for strict/weak linear inequality systems,
-  including an exact rational witness when the system is feasible,
+* Fourier-Motzkin elimination for strict/weak linear inequality systems
+  on primitive integer rows, each its own deduplication key, including an
+  exact rational witness when the system is feasible,
 * :class:`WorkCapExceeded`, raised by every layer whose counted work would
   pass its cap.
 
@@ -26,12 +27,10 @@ from operator import mul
 from typing import Optional, Sequence
 
 Vec = tuple[int, ...]
-QVec = tuple[Fraction, ...]
 
 __all__ = [
     "IntMatrix",
     "Vec",
-    "QVec",
     "dot",
     "gcd_list",
     "primitive_vector",
@@ -166,24 +165,27 @@ def lattice_is_saturated(M: IntMatrix) -> bool:
     return tuple(row[: M.rows] for row in H.entries) == IntMatrix.identity(M.rows).entries
 
 
+def _integer_row(row: Sequence) -> list[int]:
+    """``row`` times the lcm of its denominators: ints and Fractions only,
+    anything else (a float above all) raises ``TypeError``."""
+    if not all(isinstance(x, (int, Fraction)) for x in row):
+        raise TypeError("exact elimination takes int and Fraction entries only")
+    den = lcm(*(x.denominator for x in row))
+    return [x.numerator * (den // x.denominator) for x in row]
+
+
 def _bareiss(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int], int]:
     """Fraction-free Gauss-Jordan elimination (Bareiss 1968).
 
-    Entries are ``int`` or ``Fraction`` (anything else, a float above all,
-    raises ``TypeError``), and each row is first scaled by the lcm of its
-    entries' denominators to integers, which keeps the row space.  Step
+    Each row is first scaled to integers by :func:`_integer_row`, which
+    keeps the row space (a float raises ``TypeError``).  Step
     ``k`` replaces every other row by ``(p_k * row - f * pivot_row) / p_{k-1}``;
     the division is exact because every entry is then a minor of the scaled
     matrix.  Returns ``(a, pivots, p)``: the reduced integer rows, whose row
     ``i`` carries the last pivot ``p`` in column ``pivots[i]`` and zeros in
     the other pivot columns (rows past ``len(pivots)`` are zero).
     """
-    a = []
-    for row in rows:
-        if not all(isinstance(x, (int, Fraction)) for x in row):
-            raise TypeError("exact elimination takes int and Fraction entries only")
-        den = lcm(*(x.denominator for x in row))
-        a.append([x.numerator * (den // x.denominator) for x in row])
+    a = [_integer_row(row) for row in rows]
     nrows = len(a)
     ncols = len(a[0]) if a else 0
     pivots: list[int] = []
@@ -254,97 +256,72 @@ def solve_linear(M: Sequence[Sequence], b: Sequence) -> Optional[list[Fraction]]
 Constraint = tuple[Sequence, object, str]
 
 
-def _canon_constraint(a: QVec, c: Fraction, strict: bool):
-    """Scale a constraint to a canonical integer form for deduplication."""
-    denoms = [x.denominator for x in a] + [c.denominator]
-    mult = 1
-    for d in denoms:
-        mult = mult * d // gcd(mult, d)
-    ia = [int(x * mult) for x in a]
-    ic = int(c * mult)
-    g = gcd_list(ia + [ic])
-    if g > 1:
-        ia = [x // g for x in ia]
-        ic //= g
-    return tuple(ia), ic, strict
+def _primitive_row(a: Sequence[int], c: int, strict: bool) -> tuple[Vec, int, bool]:
+    """``a . x >= c`` (``>`` when strict) divided by ``gcd(a, c)``: the one
+    integer form of the constraint, and so its own deduplication key."""
+    g = gcd(*a, c) or 1
+    return tuple(x // g for x in a), c // g, strict
 
 
 def fm_feasible(ineqs: Sequence[Constraint]) -> tuple[bool, Optional[list[Fraction]]]:
     """Exact feasibility of a system of strict/weak linear inequalities.
 
     Input constraints are triples ``(a, c, rel)`` encoding ``a . x >= c`` or
-    ``a . x > c`` with ``rel`` in ``{">=", ">"}``.  Eliminates variables one
-    at a time (Fourier-Motzkin), carrying strictness; on success a rational
-    witness is reconstructed by back-substitution and returned.
+    ``a . x > c`` with ``rel`` in ``{">=", ">"}`` and int or Fraction
+    entries (a float raises ``TypeError``).  Each becomes a primitive
+    integer row, and the first of equal rows stays.  Eliminates variables
+    one at a time (Fourier-Motzkin), carrying strictness and keeping every
+    combined row primitive; on success a rational witness is reconstructed
+    by back-substitution and returned.
     """
-    parsed = []
+    rows = []
     n = None
     for a, c, rel in ineqs:
         if rel not in (">=", ">"):
             raise ValueError("relation must be '>=' or '>'")
-        av = tuple(Fraction(x) for x in a)
         if n is None:
-            n = len(av)
-        elif len(av) != n:
+            n = len(a)
+        elif len(a) != n:
             raise ValueError("fm_feasible: constraints of differing arity")
-        parsed.append((av, Fraction(c), rel == ">"))
-    if not parsed:
+        *ia, ic = _integer_row([*a, c])
+        rows.append(_primitive_row(ia, ic, rel == ">"))
+    if n is None:
         return True, []
-    assert n is not None
 
     def prune(system):
-        seen = set()
-        out = []
-        for a, c, strict in system:
-            if all(x == 0 for x in a):
-                ok = (c < 0) if strict else (c <= 0)
-                if not ok:
-                    return None  # constant contradiction
-                continue
-            key = _canon_constraint(a, c, strict)
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append((a, c, strict))
-        return out
+        # a zero row states 0 >= c (0 > c when strict): true or a contradiction
+        if any(not any(a) and (c > 0 or (strict and c == 0)) for a, c, strict in system):
+            return None
+        return list(dict.fromkeys(row for row in system if any(row[0])))
 
     levels = []
-    cur = prune(parsed)
+    cur = prune(rows)
     if cur is None:
         return False, None
     for k in range(n, 0, -1):
         levels.append(cur)
-        lows, ups, rest = [], [], []
-        for a, c, strict in cur:
-            coef = a[k - 1]
-            if coef > 0:
-                lows.append((a, c, strict))
-            elif coef < 0:
-                ups.append((a, c, strict))
-            else:
-                rest.append((a[: k - 1], c, strict))
-        new = list(rest)
+        lows = [row for row in cur if row[0][k - 1] > 0]
+        ups = [row for row in cur if row[0][k - 1] < 0]
+        new = [(a[: k - 1], c, strict) for a, c, strict in cur if a[k - 1] == 0]
         for al, cl, sl in lows:
             for au, cu, su in ups:
                 # positive combination cancelling x_{k-1}
                 pl, pu = -au[k - 1], al[k - 1]
-                a_new = tuple(pl * al[i] + pu * au[i] for i in range(k - 1))
-                c_new = pl * cl + pu * cu
-                new.append((a_new, c_new, sl or su))
+                a_new = [pl * x + pu * y for x, y in zip(al[: k - 1], au)]
+                new.append(_primitive_row(a_new, pl * cl + pu * cu, sl or su))
         cur = prune(new)
         if cur is None:
             return False, None
     # all variables eliminated and no contradiction found: feasible
     witness: list[Fraction] = []
     for k in range(1, n + 1):
-        system = levels[n - k]
         lo = hi = None
         lo_strict = hi_strict = False
-        for a, c, strict in system:
+        for a, c, strict in levels[n - k]:
             coef = a[k - 1]
             if coef == 0:
                 continue
-            bound = (c - sum(a[i] * witness[i] for i in range(k - 1))) / coef
+            bound = Fraction(c - dot(a[: k - 1], witness), coef)
             if coef > 0:
                 if lo is None or bound > lo or (bound == lo and strict):
                     lo, lo_strict = bound, strict

@@ -351,13 +351,11 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _diophantine_particular(g: Sequence[int], rhs: int) -> Optional[Vec]:
-    """One integer solution of ``g . v = rhs``, or ``None``."""
-    n = len(g)
-    nz = [i for i in range(n) if g[i]]
-    if not nz:
-        return tuple(0 for _ in range(n)) if rhs == 0 else None
-    coeffs = [0] * n
+def _diophantine_particular(g: Sequence[int]) -> tuple[int, Vec]:
+    """``(G, x)`` with ``g . x = G = gcd(g) > 0``, for ``g != 0``: when
+    ``G`` divides ``rhs``, ``(rhs // G) x`` solves ``g . v = rhs``."""
+    nz = [i for i, gi in enumerate(g) if gi]
+    coeffs = [0] * len(g)
     i0 = nz[0]
     G = abs(g[i0])
     coeffs[i0] = 1 if g[i0] > 0 else -1
@@ -366,10 +364,7 @@ def _diophantine_particular(g: Sequence[int], rhs: int) -> Optional[Vec]:
         coeffs = [c * x for c in coeffs]
         coeffs[i] += y
         G = G2
-    if rhs % G:
-        return None
-    scale = rhs // G
-    return tuple(c * scale for c in coeffs)
+    return G, tuple(coeffs)
 
 
 def _window_point(rows, center: Sequence[int], width: int) -> Optional[Vec]:
@@ -383,17 +378,33 @@ def _window_point(rows, center: Sequence[int], width: int) -> Optional[Vec]:
     return None
 
 
+def _tight_facet(S: SemigroupData, ell: Vec, c: int) -> tuple:
+    """The lattice set-up of the positive-offset facet ``(l, c)``, which
+    does not depend on ``alpha``: ``(l, c, G, base, kernel, F(base),
+    [F(k)])`` with ``g = l F``, ``g . base = G = gcd(g)`` and ``kernel`` a
+    basis of the integer kernel of ``g``.  ``G > 0``: ``l >= 0``,
+    ``l != 0``, and the facet normals of a full-dimensional cone have no
+    positive dependence, so ``g != 0``."""
+    g = tuple(dot(ell, [facet[i] for facet in S.facets]) for i in range(S.d))
+    G, base = _diophantine_particular(g)
+    kernel = kernel_lattice_basis(IntMatrix([list(g)]))
+    return ell, c, G, base, kernel, f_map(S, base), [f_map(S, k) for k in kernel]
+
+
 def _witness_search(
     S: SemigroupData,
     P: NewtonPolyhedron,
+    tight: Sequence[tuple],
     alpha: Fraction,
     scanned: int,
 ) -> tuple[Optional[Vec], bool, int]:
     """Find ``v`` with ``F(v) + e`` on the boundary of ``alpha * P``.
 
-    Works facet by facet: force one positive-offset facet to be tight
-    (an integer linear equation on ``v``), parametrize its solutions by
-    the kernel lattice, and look for a parameter choice satisfying the
+    Works facet by facet over ``tight``, the :func:`_tight_facet` set-ups
+    of the positive-offset facets: force one facet to be tight (the
+    integer equation ``g . v = rhs``), take ``v = v0 + sum tau_j k_j`` with
+    ``v0 = (rhs // G) base`` over its kernel lattice (no solution unless ``G``
+    divides ``rhs``), and look for a parameter choice satisfying the
     remaining inequalities.  With ``alpha = num / den`` every inequality
     is an integer row: ``F(v) >= 0``, and ``den * l' . (F(v) + e) >=
     num * c'`` for each facet ``(l', c')``, the membership row scaled by
@@ -410,9 +421,7 @@ def _witness_search(
     e = S.e
     num, den = alpha.numerator, alpha.denominator
     exhausted = False
-    for ell, c in P.facets:
-        if c <= 0:
-            continue
+    for ell, c, G, base, kernel, f_base, fk in tight:
         rhs_q = alpha * c - dot(ell, e)
         if rhs_q.denominator != 1:
             continue
@@ -431,15 +440,12 @@ def _witness_search(
 
         if rhs == 0 and check((0,) * S.d):
             return (0,) * S.d, exhausted, scanned
-        g = tuple(dot(ell, [facet[i] for facet in S.facets]) for i in range(S.d))
-        v0 = _diophantine_particular(g, rhs)
-        if v0 is None:
+        if rhs % G:
             continue
-        kernel = kernel_lattice_basis(IntMatrix([list(g)]))
+        v0 = tuple(rhs // G * t for t in base)
+        f0 = tuple(rhs // G * t for t in f_base)
         # the rows a . tau + b >= 0 on the kernel parameters tau, at
         # v = v0 + sum tau_j k_j
-        fk = [f_map(S, k) for k in kernel]
-        f0 = f_map(S, v0)
         rows = [([q[s] for q in fk], f0[s]) for s in range(S.nfacets)]
         rows += [
             ([den * dot(l2, q) for q in fk], den * (dot(l2, f0) + dot(l2, e)) - num * c2)
@@ -484,10 +490,12 @@ def jumping_coefficients(
 
     Candidates are complete: a jump at ``alpha`` forces a lattice point of
     the image onto a tight positive-offset facet, so ``alpha`` is a
-    multiple of ``1/c`` for some facet offset ``c``.  Witness search
-    solves one exact line per tight facet in dimension <= 2 and windows
-    line by line above that (radii ``WINDOW0 * KAPPA^i``, ``i <=
-    EXPANSIONS``); all window points count against ``WINDOW_POINTS_CAP``.
+    multiple of ``1/c`` for some facet offset ``c``.  Each positive-offset
+    facet's lattice set-up (:func:`_tight_facet`) is made once per call and
+    shared by every candidate.  Witness search solves one exact line per
+    tight facet in dimension <= 2 and windows line by line above that
+    (radii ``WINDOW0 * KAPPA^i``, ``i <= EXPANSIONS``); all window points
+    count against ``WINDOW_POINTS_CAP``.
     """
     T = Fraction(window_max)
     ideal = monomial_ideal(S, ideal)
@@ -500,12 +508,13 @@ def jumping_coefficients(
     if count > CANDIDATES_CAP:
         raise WorkCapExceeded("CANDIDATES_CAP", count, CANDIDATES_CAP)
     candidates = {Fraction(n, c) for c, lo, hi in spans for n in range(lo, hi + 1)}
+    tight = [_tight_facet(S, ell, c) for ell, c in P.facets if c > 0]
     search_mode = "exact" if S.d <= 2 else "windowed"
     jumps: list[tuple[Fraction, Vec]] = []
     unresolved: list[Fraction] = []
     scanned = 0
     for alpha in sorted(candidates):
-        witness, exhausted, scanned = _witness_search(S, P, alpha, scanned)
+        witness, exhausted, scanned = _witness_search(S, P, tight, alpha, scanned)
         if witness is not None:
             jumps.append((alpha, witness))
         elif exhausted and search_mode == "windowed":

@@ -159,11 +159,12 @@ def newton_polyhedron(points: Sequence[Vec], rays: Sequence[Vec]) -> NewtonPolyh
         raise ValueError("dimension mismatch between points and rays")
 
     homog = [(1,) + p for p in pts] + [(0,) + r for r in rys]
-    if rank(homog) != n + 1:
+    normals = _cone_rays(homog, n + 1)
+    if normals is None:
         raise ValueError("polyhedron not full-dimensional")
 
     facets: list[tuple[Vec, int]] = []
-    for w in cone_facet_normals(homog, n + 1):
+    for w in normals:
         normal = w[1:]
         if all(x == 0 for x in normal):
             continue  # the hyperplane at infinity, not a polyhedron facet

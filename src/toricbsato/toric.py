@@ -126,9 +126,10 @@ def build_semigroup(A: IntMatrix) -> SemigroupData:
         A = IntMatrix(A)
     d = A.rows
     columns = A.columns()
-    if rank(columns) != d:
-        raise StructuralError("cone not full-dimensional")
-    facets = tuple(cone_facet_normals(columns, d))
+    try:
+        facets = tuple(cone_facet_normals(columns, d))
+    except ValueError:
+        raise StructuralError("cone not full-dimensional") from None
     if rank(facets) != d or not all(any(a) for a in columns):
         raise StructuralError("cone not strongly convex")
     S = SemigroupData(A=A, facets=facets, saturated=lattice_is_saturated(A))

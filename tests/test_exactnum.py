@@ -1,6 +1,7 @@
 """Integer/rational linear algebra: Hermite form, kernels, Fourier-Motzkin."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -331,3 +332,144 @@ def test_fm_unbounded_direction():
     ok, w = fm_feasible([((1, 0), 5, ">"), ((0, 1), -2, ">=")])
     assert ok
     assert w[0] > 5 and w[1] >= -2
+
+
+def _canon_constraint(a, c, strict):
+    """Reference helper: scale a Fraction constraint to a canonical integer
+    form for deduplication."""
+    denoms = [x.denominator for x in a] + [c.denominator]
+    mult = 1
+    for d in denoms:
+        mult = mult * d // gcd(mult, d)
+    ia = [int(x * mult) for x in a]
+    ic = int(c * mult)
+    g = gcd(*ia, ic)
+    if g > 1:
+        ia = [x // g for x in ia]
+        ic //= g
+    return tuple(ia), ic, strict
+
+
+def _fm_fraction_reference(ineqs):
+    """Reference: Fourier-Motzkin on ``Fraction`` rows, each deduplicated
+    by the integer key of :func:`_canon_constraint`; the first of equal
+    rows stays, with its own scaling."""
+    parsed = []
+    n = None
+    for a, c, rel in ineqs:
+        av = tuple(Fraction(x) for x in a)
+        if n is None:
+            n = len(av)
+        parsed.append((av, Fraction(c), rel == ">"))
+    if not parsed:
+        return True, []
+
+    def prune(system):
+        seen = set()
+        out = []
+        for a, c, strict in system:
+            if all(x == 0 for x in a):
+                ok = (c < 0) if strict else (c <= 0)
+                if not ok:
+                    return None  # constant contradiction
+                continue
+            key = _canon_constraint(a, c, strict)
+            if key in seen:
+                continue
+            seen.add(key)
+            out.append((a, c, strict))
+        return out
+
+    levels = []
+    cur = prune(parsed)
+    if cur is None:
+        return False, None
+    for k in range(n, 0, -1):
+        levels.append(cur)
+        lows, ups, rest = [], [], []
+        for a, c, strict in cur:
+            coef = a[k - 1]
+            if coef > 0:
+                lows.append((a, c, strict))
+            elif coef < 0:
+                ups.append((a, c, strict))
+            else:
+                rest.append((a[: k - 1], c, strict))
+        new = list(rest)
+        for al, cl, sl in lows:
+            for au, cu, su in ups:
+                pl, pu = -au[k - 1], al[k - 1]
+                a_new = tuple(pl * al[i] + pu * au[i] for i in range(k - 1))
+                new.append((a_new, pl * cl + pu * cu, sl or su))
+        cur = prune(new)
+        if cur is None:
+            return False, None
+    witness = []
+    for k in range(1, n + 1):
+        lo = hi = None
+        lo_strict = hi_strict = False
+        for a, c, strict in levels[n - k]:
+            coef = a[k - 1]
+            if coef == 0:
+                continue
+            bound = (c - sum(a[i] * witness[i] for i in range(k - 1))) / coef
+            if coef > 0:
+                if lo is None or bound > lo or (bound == lo and strict):
+                    lo, lo_strict = bound, strict
+            else:
+                if hi is None or bound < hi or (bound == hi and strict):
+                    hi, hi_strict = bound, strict
+        if lo is None and hi is None:
+            val = Fraction(0)
+        elif hi is None:
+            val = lo + 1 if lo_strict else lo
+        elif lo is None:
+            val = hi - 1 if hi_strict else hi
+        elif lo < hi:
+            val = (lo + hi) / 2
+        else:
+            val = lo
+        witness.append(val)
+    return True, witness
+
+
+@st.composite
+def fm_systems(draw):
+    """At most six constraints in at most four variables, ``Fraction``
+    entries, zero rows, and repeats of earlier rows scaled by a positive
+    factor (1 gives an exact duplicate), inserted anywhere."""
+    n = draw(st.integers(0, 4))
+    coefficients = st.one_of(
+        st.lists(sparse_rationals, min_size=n, max_size=n), st.just([0] * n)
+    )
+    rows = draw(
+        st.lists(
+            st.tuples(coefficients, sparse_rationals, st.sampled_from([">=", ">"])),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    for _ in range(draw(st.integers(0, 6 - len(rows)))):
+        a, c, rel = draw(st.sampled_from(rows))
+        t = draw(st.sampled_from([1, 2, Fraction(1, 3), Fraction(5, 2)]))
+        rows.insert(draw(st.integers(0, len(rows))), ([t * x for x in a], t * c, rel))
+    return rows
+
+
+@given(fm_systems())
+@settings(max_examples=400, deadline=None)
+def test_fm_feasible_matches_fraction_reference(ineqs):
+    """Primitive integer rows give the same verdict and the same witness,
+    Fraction for Fraction, as Fraction rows deduplicated by integer keys."""
+    assert fm_feasible(ineqs) == _fm_fraction_reference(ineqs)
+
+
+def test_fm_feasible_refuses_floats():
+    with pytest.raises(TypeError):
+        fm_feasible([((1.0, 0), 0, ">=")])
+    with pytest.raises(TypeError):
+        fm_feasible([((1, 0), 0.5, ">")])
+    with pytest.raises(ValueError, match="relation"):
+        fm_feasible([((1,), 0, "<=")])
+    with pytest.raises(ValueError, match="differing arity"):
+        fm_feasible([((1,), 0, ">="), ((1, 2), 0, ">=")])

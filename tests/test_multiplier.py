@@ -456,6 +456,18 @@ def test_windowed_jumping_ops(cone):
         assert not membership(P, point, alpha, "relint")
 
 
+def test_one_lattice_set_up_per_facet(monkeypatch):
+    """Each positive-offset facet's kernel lattice is computed once per
+    call, not once per candidate."""
+    gens, top, _, _ = WINDOWED_JUMPS["hexagon"]
+    S = build_semigroup(NORMAL_CONES["hexagon"])
+    J = monomial_ideal(S, gens)
+    P = transported_polyhedron(S, J)
+    kernels = _count_calls(monkeypatch, multiplier.kernel_lattice_basis)
+    jumping_coefficients(S, J, F(top))
+    assert len(kernels) == sum(1 for _, c in P.facets if c > 0)
+
+
 def test_window_points_cap(monkeypatch):
     # the hexagon op scans 72 906 window points in all: a cap one below that
     # stops it before its last window, with the count in the message

@@ -112,6 +112,21 @@ def test_empty_points_rejected():
         newton_polyhedron([], ORTHANT2)
 
 
+def test_rank_calls_are_the_vertex_tests(monkeypatch):
+    """The double description of the homogenized cone is the spanning
+    test: rank runs once per input point, to test it for a vertex."""
+    calls = []
+    monkeypatch.setattr(polyhedra, "rank", lambda rows: calls.append(rows) or rank(rows))
+    points = [(0, 4), (1, 1), (2, 2), (4, 0)]
+    P = newton_polyhedron(points, ORTHANT2)
+    assert P.vertices == ((0, 4), (1, 1), (4, 0))
+    assert len(calls) == len(points)
+    calls.clear()
+    with pytest.raises(ValueError, match="polyhedron not full-dimensional"):
+        newton_polyhedron([(0, 0), (1, 1)], [(1, 1)])
+    assert calls == []
+
+
 point_sets = st.lists(
     st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=1, max_size=6
 )

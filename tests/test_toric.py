@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toricbsato import toric
 from toricbsato.exactnum import fm_feasible, rank, solve_linear
 from toricbsato.polyhedra import cone_facet_normals
 from toricbsato.toric import (
@@ -48,6 +49,19 @@ def test_dimension_one():
     assert not S.saturated  # 2Z is a proper sublattice of Z
     assert cone_facet_normals(S.facets, S.d) == [(1,)]
     assert build_semigroup([[1]]).saturated
+
+
+def test_one_rank_call_per_semigroup(monkeypatch):
+    """The double description of the facets is the spanning test: the
+    only rank call left is the one on the facet normals."""
+    calls = []
+    monkeypatch.setattr(toric, "rank", lambda rows: calls.append(rows) or rank(rows))
+    S = build_semigroup(CUSP)
+    assert calls == [S.facets]
+    calls.clear()
+    with pytest.raises(StructuralError, match="cone not full-dimensional"):
+        build_semigroup([[1, 1], [2, 2]])
+    assert calls == []
 
 
 def test_structural_rejections():
