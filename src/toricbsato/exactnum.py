@@ -10,8 +10,9 @@ lattice and feasibility primitives the geometric layers are built on:
 * one fraction-free (Bareiss) Gauss-Jordan elimination behind rank, exact
   solving over the rationals and the start of the double description,
 * Fourier-Motzkin elimination for strict/weak linear inequality systems
-  on primitive integer rows, each its own deduplication key, including an
-  exact rational witness when the system is feasible,
+  on primitive integer rows, each its own deduplication key: its levels,
+  the exact projections onto each prefix of the coordinates, and from them
+  an exact rational witness when the system is feasible,
 * :class:`WorkCapExceeded`, raised by every layer whose counted work would
   pass its cap.
 
@@ -263,17 +264,12 @@ def _primitive_row(a: Sequence[int], c: int, strict: bool) -> tuple[Vec, int, bo
     return tuple(x // g for x in a), c // g, strict
 
 
-def fm_feasible(ineqs: Sequence[Constraint]) -> tuple[bool, Optional[list[Fraction]]]:
-    """Exact feasibility of a system of strict/weak linear inequalities.
-
-    Input constraints are triples ``(a, c, rel)`` encoding ``a . x >= c`` or
-    ``a . x > c`` with ``rel`` in ``{">=", ">"}`` and int or Fraction
-    entries (a float raises ``TypeError``).  Each becomes a primitive
-    integer row, and the first of equal rows stays.  Eliminates variables
-    one at a time (Fourier-Motzkin), carrying strictness and keeping every
-    combined row primitive; on success a rational witness is reconstructed
-    by back-substitution and returned.
-    """
+def _fm_levels(ineqs: Sequence[Constraint]) -> Optional[list[list[tuple[Vec, int, bool]]]]:
+    """The levels of the Fourier-Motzkin elimination of ``ineqs`` (see
+    :func:`fm_feasible`), or ``None`` on a contradiction: level ``n - j``
+    holds the primitive rows ``(a, c, strict)`` on ``x_0 .. x_{j-1}``, the
+    exact projection of the system onto those coordinates, and level ``0``
+    the input rows.  A combined row is strict when either parent is."""
     rows = []
     n = None
     for a, c, rel in ineqs:
@@ -286,7 +282,7 @@ def fm_feasible(ineqs: Sequence[Constraint]) -> tuple[bool, Optional[list[Fracti
         *ia, ic = _integer_row([*a, c])
         rows.append(_primitive_row(ia, ic, rel == ">"))
     if n is None:
-        return True, []
+        return []
 
     def prune(system):
         # a zero row states 0 >= c (0 > c when strict): true or a contradiction
@@ -297,7 +293,7 @@ def fm_feasible(ineqs: Sequence[Constraint]) -> tuple[bool, Optional[list[Fracti
     levels = []
     cur = prune(rows)
     if cur is None:
-        return False, None
+        return None
     for k in range(n, 0, -1):
         levels.append(cur)
         lows = [row for row in cur if row[0][k - 1] > 0]
@@ -311,8 +307,14 @@ def fm_feasible(ineqs: Sequence[Constraint]) -> tuple[bool, Optional[list[Fracti
                 new.append(_primitive_row(a_new, pl * cl + pu * cu, sl or su))
         cur = prune(new)
         if cur is None:
-            return False, None
-    # all variables eliminated and no contradiction found: feasible
+            return None
+    return levels
+
+
+def _fm_witness(levels: Sequence[Sequence[tuple[Vec, int, bool]]]) -> list[Fraction]:
+    """A rational point of the system whose :func:`_fm_levels` are
+    ``levels``, by back-substitution through the levels."""
+    n = len(levels)
     witness: list[Fraction] = []
     for k in range(1, n + 1):
         lo = hi = None
@@ -340,4 +342,21 @@ def fm_feasible(ineqs: Sequence[Constraint]) -> tuple[bool, Optional[list[Fracti
             # lo == hi; both bounds must be weak or elimination would have failed
             val = lo
         witness.append(val)
-    return True, witness
+    return witness
+
+
+def fm_feasible(ineqs: Sequence[Constraint]) -> tuple[bool, Optional[list[Fraction]]]:
+    """Exact feasibility of a system of strict/weak linear inequalities.
+
+    Input constraints are triples ``(a, c, rel)`` encoding ``a . x >= c`` or
+    ``a . x > c`` with ``rel`` in ``{">=", ">"}`` and int or Fraction
+    entries (a float raises ``TypeError``).  Each becomes a primitive
+    integer row, and the first of equal rows stays.  Eliminates variables
+    one at a time (Fourier-Motzkin), carrying strictness and keeping every
+    combined row primitive; on success a rational witness is reconstructed
+    by back-substitution and returned.
+    """
+    levels = _fm_levels(ineqs)
+    if levels is None:
+        return False, None
+    return True, _fm_witness(levels)

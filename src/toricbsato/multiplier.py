@@ -13,17 +13,18 @@ the image ``F(NA)`` sits on the boundary; each reported one comes with a
 lattice witness that is re-checked exactly.
 
 Minimal generators come from one scan of the character lattice ``Z^d``
-over a box that provably holds them all, and a jumping witness on a tight
-facet solves an integer inequality system over the kernel lattice of that
-facet; with ``alpha = num / den`` the membership rows are scaled by
-``den``.  Both searches run in integers, one exact line solve per line of
-the lattice.  In dimension >= 3 the witness lines lie in finite windows,
-so that output carries an honest ``search_mode`` flag, not a silent claim
-of completeness.  Three counted caps bound one call: the line solves and
-members of a generating-box scan (``SCAN_POINTS_CAP``), the jumping
-candidates of a window (``CANDIDATES_CAP``) and the points of the witness
-windows (``WINDOW_POINTS_CAP``) are counted before they are visited, and a
-count above its cap raises :class:`WorkCapExceeded`.
+over a box that provably holds them all, one exact line solve per line of
+the box.  A jumping witness on a tight facet solves an integer inequality
+system over the kernel lattice of that facet; with ``alpha = num / den``
+the membership rows are scaled by ``den``.  In dimension >= 3 the witness
+lies in finite windows, walked depth first through the Fourier-Motzkin
+projections of the system, so a coordinate is solved only where a real
+point remains; that output carries an honest ``search_mode`` flag, not a
+silent claim of completeness.  Three counted caps bound one call: the line
+solves and members of a generating-box scan (``SCAN_POINTS_CAP``), the
+jumping candidates of a window (``CANDIDATES_CAP``) and the volume of the
+witness windows (``WINDOW_POINTS_CAP``) are counted before they are
+visited, and a count above its cap raises :class:`WorkCapExceeded`.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from math import ceil, floor, prod
 from typing import Optional, Sequence, Union
 
 from .bsato import DEFAULT_CAP, bfunction
-from .exactnum import IntMatrix, Vec, dot, fm_feasible, kernel_lattice_basis
+from .exactnum import IntMatrix, Vec, _fm_levels, _fm_witness, dot, kernel_lattice_basis
 from .polyhedra import INFINITY, NewtonPolyhedron, inequality_vertices, membership
 from .toric import (
     SCAN_POINTS_CAP,
@@ -367,15 +368,32 @@ def _diophantine_particular(g: Sequence[int]) -> tuple[int, Vec]:
     return G, tuple(coeffs)
 
 
-def _window_point(rows, center: Sequence[int], width: int) -> Optional[Vec]:
+def _window_point(levels, center: Sequence[int], width: int) -> Optional[Vec]:
     """First ``tau`` in ``product`` order with ``|tau - center| <= width``
-    and every row ``a . tau + b >= 0``: one line solve per head."""
-    bounds = [(1, width - center[-1]), (-1, center[-1] + width)]  # |t - c_k| <= width
-    for head in product(*(range(cj - width, cj + width + 1) for cj in center[:-1])):
-        line = _line_interval(rows, head, bounds)
-        if line is not None:
+    in the system whose Fourier-Motzkin levels are ``levels``, or ``None``.
+    Depth first: coordinate ``j`` runs, in increasing order, over its line
+    under the level on ``tau_0 .. tau_j`` (the exact projection, so a prefix
+    it skips has no real completion, let alone a lattice one) and the
+    window.  The witness rows are weak and elimination joins strictness by
+    ``or``, so every level is weak and :func:`_line_interval` is exact."""
+    k = len(center)
+    systems = [[(a, -c) for a, c, _ in levels[k - 1 - j]] for j in range(k)]
+
+    def walk(head: Vec) -> Optional[Vec]:
+        j = len(head)
+        bounds = [(1, width - center[j]), (-1, center[j] + width)]  # |t - c_j| <= width
+        line = _line_interval(systems[j], head, bounds)
+        if line is None:
+            return None
+        if j == k - 1:
             return head + (line[0],)
-    return None
+        for t in range(line[0], line[1] + 1):
+            tau = walk(head + (t,))
+            if tau is not None:
+                return tau
+        return None
+
+    return walk(())
 
 
 def _tight_facet(S: SemigroupData, ell: Vec, c: int) -> tuple:
@@ -411,12 +429,14 @@ def _witness_search(
     the positive ``den``.  The rows state the exact re-check ``check``, so
     the first row-feasible point is the witness (one failing ``check``
     raises ``AssertionError``): the least on the line of one kernel vector,
-    else the first in the windows around ``fm_feasible``'s point, one exact
-    line solve per window line.  Returns ``(witness, exhausted, scanned)``:
-    ``exhausted`` means a rationally feasible tight-facet system had no
-    lattice point in the windows, and ``scanned`` adds this search's window
-    points to the count passed in; a count above ``WINDOW_POINTS_CAP``
-    raises :class:`WorkCapExceeded` before its window is searched.
+    else the first :func:`_window_point` reaches in windows around the
+    Fourier-Motzkin point, from one elimination of the rows.  Returns
+    ``(witness, exhausted, scanned)``: ``exhausted`` means a rationally
+    feasible tight-facet system had no lattice point in the windows, and
+    ``scanned`` adds each window's volume ``(2w+1)^k`` (a bound on the
+    points its walk can reach) to the count passed in; a count above
+    ``WINDOW_POINTS_CAP`` raises :class:`WorkCapExceeded` before its
+    window is searched.
     """
     e = S.e
     num, den = alpha.numerator, alpha.denominator
@@ -458,16 +478,16 @@ def _witness_search(
             line = _line_interval(rows, (), [])
             tau = None if line is None else (line[1] if line[0] is None else line[0],)
         else:
-            feasible, witness = fm_feasible([(a, -b, ">=") for a, b in rows])
-            if not feasible:
+            levels = _fm_levels([(a, -b, ">=") for a, b in rows])
+            if levels is None:
                 continue
-            center = [int(round(x)) for x in witness]
+            center = [int(round(x)) for x in _fm_witness(levels)]
             width = WINDOW0
             for _ in range(EXPANSIONS + 1):
                 scanned += (2 * width + 1) ** len(kernel)
                 if scanned > WINDOW_POINTS_CAP:
                     raise WorkCapExceeded("WINDOW_POINTS_CAP", scanned, WINDOW_POINTS_CAP)
-                tau = _window_point(rows, center, width)
+                tau = _window_point(levels, center, width)
                 if tau is not None:
                     break
                 width *= KAPPA
@@ -493,9 +513,9 @@ def jumping_coefficients(
     multiple of ``1/c`` for some facet offset ``c``.  Each positive-offset
     facet's lattice set-up (:func:`_tight_facet`) is made once per call and
     shared by every candidate.  Witness search solves one exact line per
-    tight facet in dimension <= 2 and windows line by line above that
-    (radii ``WINDOW0 * KAPPA^i``, ``i <= EXPANSIONS``); all window points
-    count against ``WINDOW_POINTS_CAP``.
+    tight facet in dimension <= 2 and above that walks windows (radii
+    ``WINDOW0 * KAPPA^i``, ``i <= EXPANSIONS``) through the Fourier-Motzkin
+    projections; window volumes count against ``WINDOW_POINTS_CAP``.
     """
     T = Fraction(window_max)
     ideal = monomial_ideal(S, ideal)
