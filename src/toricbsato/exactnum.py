@@ -13,6 +13,8 @@ lattice and feasibility primitives the geometric layers are built on:
   on primitive integer rows, each its own deduplication key: its levels,
   the exact projections onto each prefix of the coordinates, and from them
   an exact rational witness when the system is feasible,
+* one lattice walk, line by line with floor division only, on rows
+  ``a . x >= c`` like every row here, so a level feeds it as it is,
 * :class:`WorkCapExceeded`, raised by every layer whose counted work would
   pass its cap.
 
@@ -343,6 +345,48 @@ def _fm_witness(levels: Sequence[Sequence[tuple[Vec, int, bool]]]) -> list[Fract
             val = lo
         witness.append(val)
     return witness
+
+
+def _line_interval(rows, head: Sequence[int], bounds) -> Optional[tuple]:
+    """The integers ``t`` with ``a . (head + (t,)) >= c`` for each row
+    ``(a, c, ...)`` and ``a * t >= c`` for each bound ``(a, c)``:
+    ``(lo, hi)``, with ``None`` for an open end, or ``None`` if there is no
+    such ``t``.  Floor division only."""
+    lo = hi = None
+    # map stops at the end of head: the sum is a[:-1] . head
+    for a, c in [(r[0][-1], r[1] - sum(map(mul, r[0], head))) for r in rows] + bounds:
+        if a > 0:
+            bound = -(-c // a)  # ceil(c / a)
+            lo = bound if lo is None else max(lo, bound)
+        elif a < 0:
+            bound = c // a  # floor(c / a)
+            hi = bound if hi is None else min(hi, bound)
+        elif c > 0:
+            return None
+    if lo is not None and hi is not None and lo > hi:
+        return None
+    return lo, hi
+
+
+def _lattice_lines(systems, bounds):
+    """The lattice points of the weak system ``systems[-1]`` as lines
+    ``(head, lo, hi)``, ``x = head + (t,)`` for ``lo <= t <= hi``, in
+    lexicographic order.  ``systems[j]`` holds rows ``(a, c, ...)`` on
+    ``x_0 .. x_j`` that the full system implies (none, or a
+    :func:`_fm_levels` level), and ``bounds[j]`` bounds ``(a, c)``,
+    ``a * x_j >= c``, that clip ``x_j``.  The bounds must close every line
+    but the last, whose open ends come out as ``None``."""
+
+    def walk(head: Vec):
+        j = len(head)
+        line = _line_interval(systems[j], head, bounds[j])
+        if line is not None and j == len(systems) - 1:
+            yield head, *line
+        elif line is not None:
+            for t in range(line[0], line[1] + 1):
+                yield from walk(head + (t,))
+
+    return walk(())
 
 
 def fm_feasible(ineqs: Sequence[Constraint]) -> tuple[bool, Optional[list[Fraction]]]:

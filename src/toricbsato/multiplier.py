@@ -12,18 +12,18 @@ Jumping coefficients are the parameter values where a lattice point of
 the image ``F(NA)`` sits on the boundary; each reported one comes with a
 lattice witness that is re-checked exactly.
 
-Minimal generators come from one scan of the character lattice ``Z^d``
-over a box that provably holds them all, one exact line solve per line of
-the box.  A jumping witness on a tight facet solves an integer inequality
-system over the kernel lattice of that facet; with ``alpha = num / den``
-the membership rows are scaled by ``den``.  In dimension >= 3 the witness
-lies in finite windows, walked depth first through the Fourier-Motzkin
-projections of the system, so a coordinate is solved only where a real
-point remains; that output carries an honest ``search_mode`` flag, not a
-silent claim of completeness.  Three counted caps bound one call: the line
-solves and members of a generating-box scan (``SCAN_POINTS_CAP``), the
-jumping candidates of a window (``CANDIDATES_CAP``) and the volume of the
-witness windows (``WINDOW_POINTS_CAP``) are counted before they are
+Both lattice scans are one lattice walk, ``exactnum._lattice_lines``.
+Minimal generators come from one walk of ``Z^d`` over a box that provably
+holds them all.  A jumping witness on a tight facet solves an integer
+inequality system over the kernel lattice of that facet; with
+``alpha = num / den`` the membership rows are scaled by ``den``.  In
+dimension >= 3 the witness lies in finite windows, each walked through the
+Fourier-Motzkin projections of the system, so a coordinate is solved only
+where a real point remains; that output carries an honest ``search_mode``
+flag, not a silent claim of completeness.  Three counted caps bound one
+call: the line solves and members of a generating-box scan (``SCAN_POINTS_CAP``),
+the jumping candidates of a window (``CANDIDATES_CAP``) and the volume of
+the witness windows (``WINDOW_POINTS_CAP``) are counted before they are
 visited, and a count above its cap raises :class:`WorkCapExceeded`.
 """
 
@@ -31,12 +31,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import product
 from math import ceil, floor, prod
 from typing import Optional, Sequence, Union
 
 from .bsato import DEFAULT_CAP, bfunction
-from .exactnum import IntMatrix, Vec, _fm_levels, _fm_witness, dot, kernel_lattice_basis
+from .exactnum import IntMatrix, Vec, _fm_levels, _fm_witness, _lattice_lines, dot
+from .exactnum import kernel_lattice_basis
 from .polyhedra import INFINITY, NewtonPolyhedron, inequality_vertices, membership
 from .toric import (
     SCAN_POINTS_CAP,
@@ -159,26 +159,6 @@ class MultiplierIdealResult:
     stabilized: bool
 
 
-def _line_interval(rows, head: Sequence[int], bounds) -> Optional[tuple]:
-    """The integers ``t`` with ``a . (head + (t,)) + b >= 0`` for each row
-    and ``a * t + b >= 0`` for each bound ``(a, b)``: ``(lo, hi)``, with
-    ``None`` for an open end, or ``None`` if there is no such ``t``.  Floor
-    division only."""
-    lo = hi = None
-    for a, b in [(a[-1], dot(a[:-1], head) + b) for a, b in rows] + bounds:
-        if a > 0:
-            bound = -(b // a)  # ceil(-b / a)
-            lo = bound if lo is None else max(lo, bound)
-        elif a < 0:
-            bound = (-b) // a  # floor(-b / a)
-            hi = bound if hi is None else min(hi, bound)
-        elif b < 0:
-            return None
-    if lo is not None and hi is not None and lo > hi:
-        return None
-    return lo, hi
-
-
 def _minimal_members(
     S: SemigroupData, ideal: MonomialIdeal, alpha: Fraction, mode: str, shift: Sequence
 ) -> MultiplierIdealResult:
@@ -195,14 +175,14 @@ def _minimal_members(
     it: so the box ``F_k(v) <= max_vertex F_k + (d largest F_k(a_j))``
     holds every minimal generator.
 
-    The box is scanned once in ``Z^d``: the section ``X F = p I`` (``p > 0``
-    after a sign flip) bounds each ``v_i = X_i . F(v) / p`` over the box,
-    and on each line of the last coordinate the region rows and the box
-    rows ``F_k(v) <= box_k`` form one integer system, solved exactly, so
-    every ``t`` of its interval is a member.  ``SCAN_POINTS_CAP`` counts
-    the work paid for: the heads of the first ``d - 1`` coordinates (one
-    line solve each) before the scan, then each line's members before they
-    are listed."""
+    The box is scanned by one lattice walk in ``Z^d``: the section
+    ``X F = p I`` (``p > 0`` after a sign flip) bounds the first ``d - 1``
+    coordinates ``v_i = X_i . F(v) / p`` over the box, and each line of the
+    last one is solved exactly against the region rows and the box rows
+    ``F_k(v) <= box_k``, so every ``t`` of its interval is a member.
+    ``SCAN_POINTS_CAP`` counts the work paid for: the heads of the first
+    ``d - 1`` coordinates (one line solve each) before the scan, then each
+    line's members before they are listed."""
     region = {f: 0 for f in S.facets}  # row -> integer right-hand side
     for ell, c in ideal.transported_polyhedron.facets:
         t = alpha * c + dot(ell, shift)
@@ -219,26 +199,24 @@ def _minimal_members(
     if p < 0:
         X, p = [[-x for x in row] for row in X], -p
     heads = [
-        range(-(-sum(x * b for x, b in zip(row, box) if x < 0) // p),
-              sum(x * b for x, b in zip(row, box) if x > 0) // p + 1)
+        (-(-sum(x * b for x, b in zip(row, box) if x < 0) // p),
+         sum(x * b for x, b in zip(row, box) if x > 0) // p)
         for row in X[:-1]
     ]
-    work = prod(max(0, r.stop - r.start) for r in heads)
+    work = prod(max(0, hi - lo + 1) for lo, hi in heads)
     if work > SCAN_POINTS_CAP:
         raise WorkCapExceeded("SCAN_POINTS_CAP", work, SCAN_POINTS_CAP)
-    # a . v + b >= 0: the region rows, and F_k(v) <= box_k
-    rows = [(row, -b) for row, b in region.items()]
-    rows += [(tuple(-x for x in f), b) for f, b in zip(S.facets, box)]
+    # the region rows, and -F_k(v) >= -box_k
+    rows = list(region.items()) + [(tuple(-x for x in f), -b) for f, b in zip(S.facets, box)]
+    bounds = [[(1, lo), (-1, -hi)] for lo, hi in heads] + [[]]
     members: list[tuple[Vec, Vec]] = []  # (q, v)
-    for head in product(*heads):
-        line = _line_interval(rows, head, [])
-        if line is not None:
-            work += line[1] - line[0] + 1
-            if work > SCAN_POINTS_CAP:
-                raise WorkCapExceeded("SCAN_POINTS_CAP", work, SCAN_POINTS_CAP)
-            for t in range(line[0], line[1] + 1):
-                v = head + (t,)
-                members.append((f_map(S, v), v))
+    for head, lo, hi in _lattice_lines([[]] * len(heads) + [rows], bounds):
+        work += hi - lo + 1
+        if work > SCAN_POINTS_CAP:
+            raise WorkCapExceeded("SCAN_POINTS_CAP", work, SCAN_POINTS_CAP)
+        for t in range(lo, hi + 1):
+            v = head + (t,)
+            members.append((f_map(S, v), v))
     gens = tuple(sorted(v for _, v in minimal_points(members)))
     return MultiplierIdealResult(alpha, mode, gens, tuple(box), stabilized=True)
 
@@ -368,34 +346,6 @@ def _diophantine_particular(g: Sequence[int]) -> tuple[int, Vec]:
     return G, tuple(coeffs)
 
 
-def _window_point(levels, center: Sequence[int], width: int) -> Optional[Vec]:
-    """First ``tau`` in ``product`` order with ``|tau - center| <= width``
-    in the system whose Fourier-Motzkin levels are ``levels``, or ``None``.
-    Depth first: coordinate ``j`` runs, in increasing order, over its line
-    under the level on ``tau_0 .. tau_j`` (the exact projection, so a prefix
-    it skips has no real completion, let alone a lattice one) and the
-    window.  The witness rows are weak and elimination joins strictness by
-    ``or``, so every level is weak and :func:`_line_interval` is exact."""
-    k = len(center)
-    systems = [[(a, -c) for a, c, _ in levels[k - 1 - j]] for j in range(k)]
-
-    def walk(head: Vec) -> Optional[Vec]:
-        j = len(head)
-        bounds = [(1, width - center[j]), (-1, center[j] + width)]  # |t - c_j| <= width
-        line = _line_interval(systems[j], head, bounds)
-        if line is None:
-            return None
-        if j == k - 1:
-            return head + (line[0],)
-        for t in range(line[0], line[1] + 1):
-            tau = walk(head + (t,))
-            if tau is not None:
-                return tau
-        return None
-
-    return walk(())
-
-
 def _tight_facet(S: SemigroupData, ell: Vec, c: int) -> tuple:
     """The lattice set-up of the positive-offset facet ``(l, c)``, which
     does not depend on ``alpha``: ``(l, c, G, base, kernel, F(base),
@@ -429,8 +379,8 @@ def _witness_search(
     the positive ``den``.  The rows state the exact re-check ``check``, so
     the first row-feasible point is the witness (one failing ``check``
     raises ``AssertionError``): the least on the line of one kernel vector,
-    else the first :func:`_window_point` reaches in windows around the
-    Fourier-Motzkin point, from one elimination of the rows.  Returns
+    else the first point of one lattice walk per window around the
+    Fourier-Motzkin point, through the weak levels of one elimination.  Returns
     ``(witness, exhausted, scanned)``: ``exhausted`` means a rationally
     feasible tight-facet system had no lattice point in the windows, and
     ``scanned`` adds each window's volume ``(2w+1)^k`` (a bound on the
@@ -464,21 +414,21 @@ def _witness_search(
             continue
         v0 = tuple(rhs // G * t for t in base)
         f0 = tuple(rhs // G * t for t in f_base)
-        # the rows a . tau + b >= 0 on the kernel parameters tau, at
+        # the rows a . tau >= c on the kernel parameters tau, at
         # v = v0 + sum tau_j k_j
-        rows = [([q[s] for q in fk], f0[s]) for s in range(S.nfacets)]
+        rows = [([q[s] for q in fk], -f0[s]) for s in range(S.nfacets)]
         rows += [
-            ([den * dot(l2, q) for q in fk], den * (dot(l2, f0) + dot(l2, e)) - num * c2)
+            ([den * dot(l2, q) for q in fk], num * c2 - den * (dot(l2, f0) + dot(l2, e)))
             for l2, c2 in P.facets
         ]
         if not kernel:
-            tau = () if all(b >= 0 for _, b in rows) else None
+            tau = () if all(c <= 0 for _, c in rows) else None
         elif len(kernel) == 1:
             # the least t, else the greatest: F(k) != 0 bounds one end
-            line = _line_interval(rows, (), [])
-            tau = None if line is None else (line[1] if line[0] is None else line[0],)
+            line = next(_lattice_lines([rows], [[]]), None)
+            tau = None if line is None else (line[2] if line[1] is None else line[1],)
         else:
-            levels = _fm_levels([(a, -b, ">=") for a, b in rows])
+            levels = _fm_levels([(a, c, ">=") for a, c in rows])
             if levels is None:
                 continue
             center = [int(round(x)) for x in _fm_witness(levels)]
@@ -487,10 +437,12 @@ def _witness_search(
                 scanned += (2 * width + 1) ** len(kernel)
                 if scanned > WINDOW_POINTS_CAP:
                     raise WorkCapExceeded("WINDOW_POINTS_CAP", scanned, WINDOW_POINTS_CAP)
-                tau = _window_point(levels, center, width)
-                if tau is not None:
+                window = [[(1, x - width), (-1, -x - width)] for x in center]
+                line = next(_lattice_lines(levels[::-1], window), None)
+                if line is not None:
                     break
                 width *= KAPPA
+            tau = None if line is None else line[0] + (line[1],)
             exhausted = exhausted or tau is None
         if tau is None:
             continue
@@ -513,9 +465,9 @@ def jumping_coefficients(
     multiple of ``1/c`` for some facet offset ``c``.  Each positive-offset
     facet's lattice set-up (:func:`_tight_facet`) is made once per call and
     shared by every candidate.  Witness search solves one exact line per
-    tight facet in dimension <= 2 and above that walks windows (radii
-    ``WINDOW0 * KAPPA^i``, ``i <= EXPANSIONS``) through the Fourier-Motzkin
-    projections; window volumes count against ``WINDOW_POINTS_CAP``.
+    tight facet in dimension <= 2 and above that takes one lattice walk per
+    window (radii ``WINDOW0 * KAPPA^i``, ``i <= EXPANSIONS``) through the
+    Fourier-Motzkin projections; window volumes count against ``WINDOW_POINTS_CAP``.
     """
     T = Fraction(window_max)
     ideal = monomial_ideal(S, ideal)

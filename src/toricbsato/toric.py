@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
 from math import prod
 from operator import le
 from typing import Iterable, Optional, Sequence
@@ -28,6 +27,7 @@ from .exactnum import (
     Vec,
     WorkCapExceeded,
     _bareiss,
+    _lattice_lines,
     dot,
     lattice_is_saturated,
     rank,
@@ -200,11 +200,11 @@ def is_normal(S: SemigroupData) -> bool:
 
     Any counterexample must appear among the lattice points of the zonotope
     ``{sum t_i a_i : t in [0,1]^m}`` (an irreducible semigroup element is a
-    sub-[0,1) combination of the generators), so scanning the integer
-    bounding box of the zonotope for points of ``C`` that are not
-    nonnegative combinations is a complete test.  On failure the first
-    witness found is stored in ``S.normality_witness``.  A box of more than
-    ``SCAN_POINTS_CAP`` points raises :class:`WorkCapExceeded`.
+    sub-[0,1) combination of the generators), so one lattice walk of the
+    zonotope's integer bounding box, each last-coordinate line solved against
+    ``F(p) >= 0``, lists every candidate point of ``C`` in lexicographic
+    order.  On failure the first witness found is stored in ``S.normality_witness``.
+    A box of more than ``SCAN_POINTS_CAP`` points raises :class:`WorkCapExceeded`.
     """
     if S.normal is not None:
         return S.normal
@@ -216,13 +216,14 @@ def is_normal(S: SemigroupData) -> bool:
     if points > SCAN_POINTS_CAP:
         raise WorkCapExceeded("SCAN_POINTS_CAP", points, SCAN_POINTS_CAP)
     memo: dict = {}
-    for p in product(*(range(lo[i], hi[i] + 1) for i in range(d))):
-        if any(x < 0 for x in f_map(S, p)):
-            continue  # outside the cone
-        if not _combination_exists(S, p, memo):
-            S.normal = False
-            S.normality_witness = p
-            return False
+    box = [[(1, l), (-1, -h)] for l, h in zip(lo, hi)]  # l <= p_i <= h
+    for head, first, last in _lattice_lines([[]] * (d - 1) + [[(f, 0) for f in S.facets]], box):
+        for t in range(first, last + 1):
+            p = head + (t,)
+            if not _combination_exists(S, p, memo):
+                S.normal = False
+                S.normality_witness = p
+                return False
     S.normal = True
     return True
 

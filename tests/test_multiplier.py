@@ -11,12 +11,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from toricbsato import multiplier, polyhedra
-from toricbsato.exactnum import IntMatrix, _fm_levels, dot
+from toricbsato import exactnum, multiplier, polyhedra
+from toricbsato.exactnum import IntMatrix, _fm_levels, _lattice_lines, _line_interval, dot
 from toricbsato.multiplier import (
     WorkCapExceeded,
-    _line_interval,
-    _window_point,
     ambient_pair,
     jumping_coefficients,
     lct,
@@ -456,6 +454,44 @@ def test_windowed_jumping_ops(cone):
         assert not membership(P, point, alpha, "relint")
 
 
+# the cusp running example, the windowed ops and the second hexagon op of
+# the ideal-scan workload
+JUMP_ORACLE_CASES = {
+    "cusp": (CUSP, [(1, 1), (1, 2)], "4/3"),
+    **{cone: (NORMAL_CONES[cone], g, top) for cone, (g, top, _, _) in WINDOWED_JUMPS.items()},
+    "hexagon-2": (NORMAL_CONES["hexagon"], [(4, 0, 0), (2, 1, 0)], "4/3"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(JUMP_ORACLE_CASES))
+def test_jumps_match_the_closed_relint_oracle(case):
+    """An independent completeness oracle: ``alpha`` is a jump exactly when
+    the closed-mode ideal (the left limit) differs from the multiplier
+    ideal, since a closed generator outside the relint ideal lies on the
+    boundary.  It shares no code with Fourier-Motzkin or the tight-facet
+    set-up, and its lattice walk (no prefix systems) is checked against a
+    ``product`` scan by ``test_lattice_lines_match_a_box_scan``.  Every
+    reported jump passes it, every other candidate fails it, and so do the
+    unresolved ones (10 over the three windowed ops)."""
+    matrix, gens, top = JUMP_ORACLE_CASES[case]
+    S = build_semigroup(matrix)
+    J = monomial_ideal(S, gens)
+    jr = jumping_coefficients(S, J, F(top))
+    P = transported_polyhedron(S, J)
+    candidates = {
+        F(n, c)
+        for _, c in P.facets if c > 0
+        for n in range(max(1, ceil(jr.lct * c)), floor(F(top) * c) + 1)
+    }
+    jumps = {a for a, _ in jr.jumping}
+    assert jumps | set(jr.unresolved) <= candidates
+    for alpha in sorted(candidates):
+        closed = multiplier_ideal(S, J, alpha, "closed").generators
+        relint = multiplier_ideal(S, J, alpha, "relint").generators
+        assert (closed != relint) == (alpha in jumps), alpha
+    assert len(jr.unresolved) == {"square": 1, "cube4": 3, "hexagon": 6}.get(case, 0)
+
+
 def test_one_lattice_set_up_per_facet(monkeypatch):
     """Each positive-offset facet's kernel lattice is computed once per
     call, not once per candidate."""
@@ -482,20 +518,23 @@ def test_window_points_cap(monkeypatch):
 
 
 def test_line_point_is_exact_on_integer_rows():
+    # rows (a, c) and bounds (a, c) state a . x >= c
     big = 10**30 + 1  # big % 3 == 2; big / 3 as a float is off by about 10**13
-    assert _line_interval([([3], big)], (), []) == (-(big // 3), None)  # t >= -big/3
-    assert _line_interval([([-3], big)], (), []) == (None, big // 3)  # t <= big/3
-    assert _line_interval([([3], -big)], (), []) == (big // 3 + 1, None)  # t >= big/3
-    assert _line_interval([([-3], -big)], (), []) == (None, -(big // 3) - 1)  # t <= -big/3
-    assert _line_interval([([1], -5), ([-1], 5)], (), []) == (5, 5)
-    assert _line_interval([([2], -5), ([-2], 5)], (), []) is None  # 5/2 <= t <= 5/2
-    assert _line_interval([([0], -1), ([1], 0)], (), []) is None
-    assert _line_interval([([0], 1)], (), []) == (None, None)  # every t
+    assert _line_interval([([3], -big)], (), []) == (-(big // 3), None)  # t >= -big/3
+    assert _line_interval([([-3], -big)], (), []) == (None, big // 3)  # t <= big/3
+    assert _line_interval([([3], big)], (), []) == (big // 3 + 1, None)  # t >= big/3
+    assert _line_interval([([-3], big)], (), []) == (None, -(big // 3) - 1)  # t <= -big/3
+    assert _line_interval([([1], 5), ([-1], -5)], (), []) == (5, 5)
+    assert _line_interval([([2], 5), ([-2], -5)], (), []) is None  # 5/2 <= t <= 5/2
+    assert _line_interval([([0], 1), ([1], 0)], (), []) is None
+    assert _line_interval([([0], -1)], (), []) == (None, None)  # every t
     # the head enters each row: 2*big + 3t >= 0 and t <= 0 at head (big,)
     assert _line_interval([([2, 3], 0), ([0, -1], 0)], (big,), []) == (-(2 * big // 3), 0)
     # bounds clip the line: -7 <= t, 2 <= t <= 4
-    assert _line_interval([([1], 7)], (), [(1, -2), (-1, 4)]) == (2, 4)
-    assert _line_interval([([1], -5)], (), [(1, -2), (-1, 4)]) is None
+    assert _line_interval([([1], -7)], (), [(1, 2), (-1, -4)]) == (2, 4)
+    assert _line_interval([([1], 5)], (), [(1, 2), (-1, -4)]) is None
+    # an elimination row (a, c, strict) is read as a . x >= c
+    assert _line_interval([((1, 2), 3, False)], (1,), []) == (1, None)
 
 
 ROW = st.tuples(st.lists(st.integers(-4, 4), min_size=3, max_size=3), st.integers(-12, 12))
@@ -507,18 +546,18 @@ ROW = st.tuples(st.lists(st.integers(-4, 4), min_size=3, max_size=3), st.integer
     st.lists(st.integers(-3, 3), min_size=2, max_size=2),
     st.lists(st.tuples(st.integers(-4, 4), st.integers(-12, 12)), max_size=2),
 )
-@example([([1, 0, 2], -5), ([0, 0, -2], 5)], [0, 0], [])  # empty: 5/2 <= t <= 5/2
-@example([([1, 1, 0], -3)], [1, 1], [])  # a zero coefficient on t that fails
-@example([([1, 1, 0], 3), ([0, 0, 1], 4)], [0, 0], [])  # half-infinite: t >= -4
-@example([], [0, 0], [(-2, 7)])  # half-infinite: t <= 3
+@example([([1, 0, 2], 5), ([0, 0, -2], -5)], [0, 0], [])  # empty: 5/2 <= t <= 5/2
+@example([([1, 1, 0], 3)], [1, 1], [])  # a zero coefficient on t that fails
+@example([([1, 1, 0], -3), ([0, 0, 1], -4)], [0, 0], [])  # half-infinite: t >= -4
+@example([], [0, 0], [(-2, -7)])  # half-infinite: t <= 3
 def test_line_interval_matches_brute_force(rows, head, bounds):
     # every finite end lies within 4*3*2 + 12 = 36 of 0, so the scan of
     # [-50, 50] shows both the ends and which of them are open
     lim = 50
     ts = [
         t for t in range(-lim, lim + 1)
-        if all(dot(a, head + [t]) + b >= 0 for a, b in rows)
-        and all(a * t + b >= 0 for a, b in bounds)
+        if all(dot(a, head + [t]) >= c for a, c in rows)
+        and all(a * t >= c for a, c in bounds)
     ]
     line = _line_interval(rows, tuple(head), bounds)
     if line is None:
@@ -529,10 +568,10 @@ def test_line_interval_matches_brute_force(rows, head, bounds):
 
 
 def _scan_window(rows, center, width):
-    """Reference for _window_point: test every point of the window in
+    """Reference for the window walk: test every point of the window in
     product order and return the first that satisfies every row."""
     for tau in product(*(range(c - width, c + width + 1) for c in center)):
-        if all(dot(a, tau) + b >= 0 for a, b in rows):
+        if all(dot(a, tau) >= c for a, c in rows):
             return tau
     return None
 
@@ -551,19 +590,59 @@ def _scan_window(rows, center, width):
     ),
     st.integers(0, 3),
 )
-@example(([([1, 0], -1), ([-1, 0], 0)], [0, 0]), 1)  # infeasible: 1 <= x_0 <= 0
-@example(([([2, 2], -1), ([-2, -2], 1)], [0, 0]), 3)  # the lattice-free sliver x_0 + x_1 = 1/2
+@example(([([1, 0], 1), ([-1, 0], 0)], [0, 0]), 1)  # infeasible: 1 <= x_0 <= 0
+@example(([([2, 2], 1), ([-2, -2], -1)], [0, 0]), 3)  # the lattice-free sliver x_0 + x_1 = 1/2
 # x_0 + 1 = 2 x_2: the first head x_0 = -2 has real points and no lattice
 # point, so the walk backtracks to x_0 = -1
-@example(([([1, 0, -2], 1), ([-1, 0, 2], -1)], [0, 0, 0]), 2)
+@example(([([1, 0, -2], -1), ([-1, 0, 2], 1)], [0, 0, 0]), 2)
 def test_window_line_search_matches_point_scan(system, width):
     rows, center = system
-    levels = _fm_levels([(a, -b, ">=") for a, b in rows])
+    levels = _fm_levels([(a, c, ">=") for a, c in rows])
     expected = _scan_window(rows, center, width)
     if levels is None:
         assert expected is None
     else:
-        assert _window_point(levels, center, width) == expected
+        window = [[(1, x - width), (-1, -x - width)] for x in center]
+        line = next(_lattice_lines(levels[::-1], window), None)
+        assert (None if line is None else line[0] + (line[1],)) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda k: st.tuples(
+            st.lists(
+                st.tuples(st.lists(st.integers(-3, 3), min_size=k, max_size=k),
+                          st.integers(-8, 8)),
+                max_size=4,
+            ),
+            st.lists(st.tuples(st.integers(-3, 3), st.integers(-1, 4)), min_size=k, max_size=k),
+        )
+    ),
+    st.booleans(),
+)
+@example(([], [(0, 1), (2, -1)]), False)  # an empty range of x_1: no line at all
+@example(([], [(2, -1), (0, 1)]), False)  # an empty range of the head x_0
+def test_lattice_lines_match_a_box_scan(system, last_as_rows):
+    """With no prefix rows the walk is the box scan of the normality test
+    and the generating box: every point of the box ``lo <= x_j <= lo + w``
+    (empty when ``w = -1``) that meets the rows, in ``product`` order.  The
+    last coordinate is clipped by its bounds, or, as in the generating box,
+    by two rows while its bounds stay empty."""
+    rows, box = system
+    k = len(box)
+    bounds = [[(1, lo), (-1, -lo - w)] for lo, w in box]
+    if last_as_rows:
+        unit = [0] * (k - 1)
+        rows = rows + [(unit + [1], bounds[-1][0][1]), (unit + [-1], bounds[-1][1][1])]
+        bounds[-1] = []
+    lines = list(_lattice_lines([[]] * (k - 1) + [rows], bounds))
+    assert all(lo <= hi for _, lo, hi in lines)
+    points = [head + (t,) for head, lo, hi in lines for t in range(lo, hi + 1)]
+    assert points == [
+        x for x in product(*(range(lo, lo + w + 1) for lo, w in box))
+        if all(dot(a, x) >= c for a, c in rows)
+    ]
 
 
 def test_window_walk_skips_heads_without_real_points(monkeypatch):
@@ -573,7 +652,7 @@ def test_window_walk_skips_heads_without_real_points(monkeypatch):
     gens, top, _, _ = WINDOWED_JUMPS["hexagon"]
     S = build_semigroup(NORMAL_CONES["hexagon"])
     J = monomial_ideal(S, gens)
-    lines = _count_calls(monkeypatch, multiplier._line_interval)
+    lines = _count_calls(monkeypatch, exactnum._line_interval)
     jumping_coefficients(S, J, F(top))
     assert len(lines) <= 100
 
