@@ -11,7 +11,9 @@ b-function, so two consecutive agreeing boxes plus the
 log-canonical-threshold cross-check give strong evidence).  The factors of
 ``g_c`` are nested falling products whose lengths are the integer profile
 ``phi(c)``, so ``g_c`` divides ``g_c'`` when ``phi(c) <= phi(c')`` and only
-the ``g_c`` of minimal profile in a box are eliminated.
+the ``g_c`` of minimal profile in a box are eliminated; a box with the
+previous box's set of minimal profiles has the same ideal and reuses its
+polynomial (a second elimination would be deterministic, so no evidence).
 
 The Groebner engine is a deterministic Buchberger with the normal selection
 strategy (minimal lcm degree, ties by pair index, read off a heap of pairs
@@ -641,7 +643,10 @@ class BFunctionResult:
     exactly.  ``stabilized`` is the certification flag: two consecutive
     truncation boxes agreed and the smallest root of ``b(-s)`` matched the
     log-canonical threshold.  ``truncation`` records the polynomial found at
-    each box bound (``None`` when the elimination ideal was still zero).
+    each box bound (``None`` when the elimination ideal was still zero); a
+    box with the previous box's minimal profiles has the same ideal and
+    repeats its entry without a new elimination, which leaves the meaning of
+    ``stabilized`` unchanged.
     ``generator_count`` is the number of ``g_c`` in the last box, all of them
     nonzero; only those of minimal profile were eliminated.
     """
@@ -681,8 +686,9 @@ def bfunction(
     which the generator-independence property makes legitimate).  For each
     box bound ``B = 1, ..., cap`` the ideal of ``{g_c : |c_i| <= B}`` is
     eliminated; it is generated by the ``g_c`` of minimal profile
-    ``phi(c)``, one per minimal profile, so only those are built.  The
-    run stops once two consecutive bounds agree and the smallest root of
+    ``phi(c)``, one per minimal profile, so only those are built, and a box
+    with the previous box's set of profiles reuses that box's polynomial.
+    The run stops once two consecutive bounds agree and the smallest root of
     ``b(-s)`` equals the log-canonical threshold.  If the cap is reached
     first, the last polynomial is reported with ``stabilized = False``; if
     no polynomial at all was found, :class:`TruncationExhausted` is raised.
@@ -711,14 +717,18 @@ def bfunction(
 
     history: list[tuple[int, Optional[UniPoly]]] = []
     prev: Optional[UniPoly] = None
+    prev_family: Optional[frozenset] = None
     final: Optional[UniPoly] = None
     stabilized = False
     for B in range(1, cap + 1):
         cs = c_vectors(r, B)
         minimal = minimal_points((_profile(alphas, c), c) for c in cs)
-        p = eliminate_minimal_univariate(
-            [MultiPoly._of(r, _falling_product(alphas, c)[0]) for _, c in minimal]
-        )
+        family = frozenset(phi for phi, _ in minimal)
+        if family != prev_family:  # an unchanged family is the same ideal: keep p
+            p = eliminate_minimal_univariate(
+                [MultiPoly._of(r, _falling_product(alphas, c)[0]) for _, c in minimal]
+            )
+        prev_family = family
         history.append((B, p))
         if p is not None and prev is not None and not p.divides(prev):
             raise AssertionError("larger truncation box failed to divide the smaller one")

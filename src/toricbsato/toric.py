@@ -177,8 +177,9 @@ def contains(S: SemigroupData, v: Sequence[int]) -> bool:
     return all(x >= 0 for x in f_map(S, v))
 
 
-def _combination_exists(S: SemigroupData, p: Vec, memo: dict) -> bool:
-    """Bounded search: is ``p`` a nonnegative integer combination of columns?"""
+def _combination_exists(S: SemigroupData, cols: Sequence[Vec], p: Vec, memo: dict) -> bool:
+    """Bounded search: is ``p`` a nonnegative integer combination of the
+    columns ``cols`` of ``S.A``?"""
     if all(x == 0 for x in p):
         return True
     cached = memo.get(p)
@@ -186,9 +187,9 @@ def _combination_exists(S: SemigroupData, p: Vec, memo: dict) -> bool:
         return cached
     memo[p] = False  # cycle guard; revisits cannot help
     result = False
-    for a in S.A.columns():
+    for a in cols:
         q = tuple(x - y for x, y in zip(p, a))
-        if all(val >= 0 for val in f_map(S, q)) and _combination_exists(S, q, memo):
+        if all(val >= 0 for val in f_map(S, q)) and _combination_exists(S, cols, q, memo):
             result = True
             break
     memo[p] = result
@@ -220,7 +221,7 @@ def is_normal(S: SemigroupData) -> bool:
     for head, first, last in _lattice_lines([[]] * (d - 1) + [[(f, 0) for f in S.facets]], box):
         for t in range(first, last + 1):
             p = head + (t,)
-            if not _combination_exists(S, p, memo):
+            if not _combination_exists(S, cols, p, memo):
                 S.normal = False
                 S.normality_witness = p
                 return False

@@ -645,7 +645,8 @@ def test_minimal_profiles_keep_every_truncation(case):
 
 
 def test_plane_eliminates_minimal_profiles_only(monkeypatch):
-    # <x^3, xy, y^2> certifies at box 7, whose 168 g_c have 7 minimal profiles
+    # <x^3, xy, y^2> certifies at box 7, whose 168 g_c have 7 minimal profiles;
+    # boxes 5 and 7 repeat the profile sets of boxes 4 and 6
     sizes = []
 
     def spy(gens):
@@ -655,10 +656,32 @@ def test_plane_eliminates_minimal_profiles_only(monkeypatch):
     monkeypatch.setattr("toricbsato.bsato.eliminate_minimal_univariate", spy)
     plane = build_semigroup([[1, 0], [0, 1]])
     res = bfunction(plane, monomial_ideal(plane, [(3, 0), (1, 1), (0, 2)]), cap=7)
-    assert sizes == [3, 4, 5, 6, 6, 7, 7]
+    assert sizes == [3, 4, 5, 6, 7]
     assert res.stabilized and res.box_used == 7 and res.generator_count == 168
     assert res.roots == ((F(-5, 3), 1), (F(-3, 2), 1), (F(-4, 3), 1), (F(-1), 2))
     assert [p for _, p in res.truncation[:5]] == [None] * 5
+
+
+@pytest.mark.parametrize(
+    "matrix, ideal, sizes",
+    [(CUSP, CUSP_IDEAL, [2, 4]), ([[0, 1, 6], [1, 1, 5]], [(2, 2), (6, 5)], [2, 3])],
+    ids=["cusp", "a5"],
+)
+def test_unchanged_family_is_eliminated_once(monkeypatch, matrix, ideal, sizes):
+    # the stabilizing box 3 has the minimal profiles of box 2, so it is the
+    # same ideal and reuses that box's polynomial without eliminating
+    seen = []
+
+    def spy(gens):
+        seen.append(len(gens))
+        return eliminate_minimal_univariate(gens)
+
+    monkeypatch.setattr("toricbsato.bsato.eliminate_minimal_univariate", spy)
+    S = build_semigroup(matrix)
+    res = bfunction(S, monomial_ideal(S, ideal))
+    assert seen == sizes
+    assert res.stabilized and res.box_used == 3
+    assert res.truncation == ((1, None), (2, res.b), (3, res.b))
 
 
 def test_bfunction_eliminates_primitive_integer_generators(monkeypatch):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricbsato import toric
-from toricbsato.exactnum import fm_feasible, rank, solve_linear
+from toricbsato.exactnum import IntMatrix, fm_feasible, rank, solve_linear
 from toricbsato.polyhedra import cone_facet_normals
 from toricbsato.toric import (
     StructuralError,
@@ -174,6 +174,24 @@ def test_saturated_but_not_normal():
     assert S.saturated
     assert is_normal(S) is False
     assert S.normality_witness == (1, 2)
+
+
+def test_is_normal_reads_the_columns_once(monkeypatch):
+    # the combination search gets the columns from is_normal instead of
+    # listing them again on every recursive call
+    columns = IntMatrix.columns
+    calls = []
+    monkeypatch.setattr(IntMatrix, "columns", lambda self: calls.append(self) or columns(self))
+    for matrix, verdict in [
+        (CUSP, True),
+        ([[1, 1, 1, 0], [0, 2, 1, 0], [0, 0, 0, 1]], True),
+        ([[1, 1, 1], [0, 2, 3]], False),
+    ]:
+        S = build_semigroup(matrix)
+        calls.clear()
+        assert is_normal(S) is verdict
+        assert calls == [S.A]
+    assert S.normality_witness == (1, 1)
 
 
 def test_assume_normal_refusals(cusp):
