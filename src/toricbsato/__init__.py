@@ -47,7 +47,6 @@ from .multiplier import (
     verify_correspondence,
 )
 from .polyhedra import (
-    INFINITY,
     NewtonPolyhedron,
     cone_facet_normals,
     membership,
@@ -58,7 +57,6 @@ from .toric import (
     MonomialIdeal,
     SemigroupData,
     StructuralError,
-    assume_normal,
     build_semigroup,
     f_map,
     f_section,

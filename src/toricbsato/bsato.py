@@ -664,12 +664,13 @@ DEFAULT_CAP = 6
 
 
 def _lct_matches(p: UniPoly, roots, remainder: UniPoly, lct_value) -> bool:
-    """Does the smallest root of ``p(-s)`` equal the given threshold?
-    ``roots`` and ``remainder`` are the factorization ``rational_roots(p)``."""
+    """Does the smallest root of ``p(-s)`` equal the given threshold
+    (``None``: the unit ideal's)?  ``roots`` and ``remainder`` are the
+    factorization ``rational_roots(p)``."""
     if remainder.degree > 0:
         return False  # irrational factors: cannot certify
     if not roots:
-        return p.degree == 0 and lct_value == float("inf")
+        return p.degree == 0 and lct_value is None
     smallest = -max(r for r, _ in roots)
     return smallest == lct_value
 

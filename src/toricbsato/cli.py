@@ -35,7 +35,6 @@ from .multiplier import (
     transport_polynomial,
     verify_correspondence,
 )
-from .polyhedra import INFINITY
 from .toric import (
     MonomialIdeal,
     SemigroupData,
@@ -189,10 +188,10 @@ def load_document(path: str) -> Document:
 # ---------------------------------------------------------------------------
 
 
-def frac_str(x) -> str:
-    if x == INFINITY:
-        return "infinity"
-    return str(Fraction(x))
+def frac_str(x: Optional[Fraction]) -> str:
+    """A rational as ``"p/q"`` (or an integer); ``None``, an unbounded
+    threshold, as ``"infinity"``."""
+    return "infinity" if x is None else str(x)
 
 
 def _unipoly_json(p: UniPoly) -> dict:
@@ -207,18 +206,20 @@ def _roots_json(roots) -> list:
 
 
 def _bfunction_json(res: BFunctionResult) -> dict:
+    # each distinct polynomial of the report is encoded once
+    encoded: dict[Optional[UniPoly], Optional[dict]] = {None: None}
+    for p in (res.b, res.unfactored_remainder, *(p for _, p in res.truncation)):
+        if p not in encoded:
+            encoded[p] = _unipoly_json(p)
     return {
-        "b": _unipoly_json(res.b),
+        "b": encoded[res.b],
         "roots": _roots_json(res.roots),
         "roots_negated": _roots_json(sorted(((-r, m) for r, m in res.roots))),
-        "unfactored_remainder": _unipoly_json(res.unfactored_remainder),
+        "unfactored_remainder": encoded[res.unfactored_remainder],
         "box_used": res.box_used,
         "stabilized": res.stabilized,
         "generator_count": res.generator_count,
-        "truncation": [
-            {"box": B, "polynomial": None if p is None else _unipoly_json(p)}
-            for B, p in res.truncation
-        ],
+        "truncation": [{"box": B, "polynomial": encoded[p]} for B, p in res.truncation],
     }
 
 

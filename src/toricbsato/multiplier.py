@@ -37,7 +37,7 @@ from typing import Optional, Sequence, Union
 from .bsato import DEFAULT_CAP, bfunction
 from .exactnum import IntMatrix, Vec, _fm_levels, _fm_witness, _lattice_lines, dot
 from .exactnum import kernel_lattice_basis
-from .polyhedra import INFINITY, NewtonPolyhedron, inequality_vertices, membership
+from .polyhedra import NewtonPolyhedron, inequality_vertices, membership
 from .toric import (
     SCAN_POINTS_CAP,
     MonomialIdeal,
@@ -289,7 +289,7 @@ def multiplier_ideal_with_boundary(
 def lct(S: SemigroupData, ideal):
     """Log-canonical threshold: the dilation at which the all-ones point
     ``e`` hits the boundary of the transported polyhedron.  Returns a
-    ``Fraction``, or infinity for the unit ideal, as cached on
+    ``Fraction``, or ``None`` (unbounded) for the unit ideal, as cached on
     ``monomial_ideal(S, ideal)``."""
     return monomial_ideal(S, ideal).lct
 
@@ -472,7 +472,7 @@ def jumping_coefficients(
     T = Fraction(window_max)
     ideal = monomial_ideal(S, ideal)
     threshold = lct(S, ideal)
-    if threshold == INFINITY or T < threshold:
+    if threshold is None or T < threshold:
         raise ValueError("window must reach the log-canonical threshold")
     P = transported_polyhedron(S, ideal)
     spans = [(c, max(1, ceil(threshold * c)), floor(T * c)) for _, c in P.facets if c > 0]
@@ -516,11 +516,11 @@ class CorrespondenceReport:
     root of ``b(-s)``.  FAIL carries the specific violations.
     INCONCLUSIVE means the evidence is incomplete (uncertified b-function
     or unsettled jumping candidates in the window), not that the
-    correspondence is wrong.
+    correspondence is wrong.  ``lct`` is ``None`` for the unit ideal.
     """
 
     verdict: str
-    lct: Fraction
+    lct: Optional[Fraction]
     roots_negated: tuple[tuple[Fraction, int], ...]
     jumping_in_window: tuple[Fraction, ...]
     failures: tuple[str, ...]
@@ -540,7 +540,7 @@ def verify_correspondence(
     ideal = monomial_ideal(S, ideal)
     threshold = lct(S, ideal)
     res = bfunction(S, ideal, cap=cap)
-    if threshold == INFINITY:
+    if threshold is None:
         ok = res.b.degree == 0
         return CorrespondenceReport(
             verdict="PASS" if ok else "FAIL",

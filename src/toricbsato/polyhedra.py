@@ -38,12 +38,7 @@ __all__ = [
     "newton_polyhedron",
     "membership",
     "point_threshold",
-    "INFINITY",
 ]
-
-#: Sentinel for an unbounded point threshold.  ``float("inf")`` compares
-#: correctly against Fractions and carries no rounding, so it is safe here.
-INFINITY = float("inf")
 
 #: Counted work cap of one double description: its ``(+, -)`` ray pairs.
 RAY_PAIRS_CAP = 10_000_000
@@ -221,13 +216,13 @@ def membership(P: NewtonPolyhedron, q: Sequence, alpha, mode: str = "closed") ->
     return True
 
 
-def point_threshold(P: NewtonPolyhedron, q: Sequence):
+def point_threshold(P: NewtonPolyhedron, q: Sequence) -> Optional[Fraction]:
     """The dilation factor at which ``q`` stops being interior, exactly.
 
     Returns ``min over facets with positive offset of (normal . q) / offset``
-    as a ``Fraction``.  Special values: ``None`` (undefined) when some
-    zero-offset facet has ``normal . q < 0``, so ``q`` never enters any
-    dilation; ``INFINITY`` when no facet has a positive offset.
+    as a ``Fraction``, or ``None`` (unbounded) when no facet has a positive
+    offset.  Raises ``ValueError`` when some zero-offset facet has
+    ``normal . q < 0``: then ``q`` enters no dilation and has no threshold.
     """
     qv = [x if isinstance(x, int) else Fraction(x) for x in q]
     if len(qv) != P.ambient_dim:
@@ -236,15 +231,13 @@ def point_threshold(P: NewtonPolyhedron, q: Sequence):
     for normal, offset in P.facets:
         lhs = dot(normal, qv)
         if offset == 0 and lhs < 0:
-            return None
+            raise ValueError("point outside every dilation: threshold undefined")
         if offset <= 0:
             continue
         ratio = Fraction(lhs, offset)
         if best is None or ratio < best:
             best = ratio
-    if best is None:
-        return INFINITY
-    if best > 0 and all(offset >= 0 for _, offset in P.facets):
+    if best is not None and best > 0 and all(offset >= 0 for _, offset in P.facets):
         # q must sit on the boundary of the critical dilation
         if not membership(P, qv, best, "closed") or membership(P, qv, best, "relint"):
             raise AssertionError("threshold point not on the critical boundary")

@@ -8,15 +8,15 @@ facets of ``C``; stacking them gives the injective transport map
 ordinary polynomial ring.
 
 Normality (``C intersect Z^d = NA``) is what makes membership testable by
-``F(v) >= 0``; it is expensive to verify, so it is computed on demand by
-:func:`is_normal` and cached on the datum, as each :class:`MonomialIdeal`
-caches its transported polyhedron and lct.  Operations that rely on the
+``F(v) >= 0``; it is expensive to verify, so the verdict is computed once
+per immutable datum, on first use, as each :class:`MonomialIdeal` caches
+its transported polyhedron and lct.  Operations that rely on the
 F-criterion document that caveat rather than re-checking.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from math import prod
 from operator import le
@@ -40,7 +40,6 @@ __all__ = [
     "MonomialIdeal",
     "build_semigroup",
     "is_normal",
-    "assume_normal",
     "contains",
     "f_map",
     "f_section",
@@ -59,16 +58,16 @@ class StructuralError(ValueError):
     """A structural assumption on the semigroup datum fails."""
 
 
-@dataclass(unsafe_hash=True)
+@dataclass(frozen=True)
 class SemigroupData:
-    """Validated semigroup datum: matrix, facet support vectors, flags.
+    """Validated, immutable semigroup datum: matrix, facets, saturation.
 
     ``facets`` lists the primitive support vectors ``f`` with
     ``F_sigma(p) = f . p``, in descending lexicographic order; this fixed
-    order is the coordinate order of ``Z^F`` everywhere downstream.  The
-    ``normal`` flag is three-valued: ``None`` = not yet determined.  A datum
-    compares and hashes by ``A``, ``facets`` and ``saturated``: ``normal``
-    and ``normality_witness`` cache what :func:`is_normal` found.
+    order is the coordinate order of ``Z^F`` everywhere downstream.  A datum
+    compares and hashes by ``A``, ``facets`` and ``saturated``; what it
+    derives from them is cached on first use, outside the fields ``==``
+    compares, so the normality verdict is computed once per datum.
 
     ``section = (X, p)`` is an integer left inverse of the facet matrix
     ``F`` up to the scalar ``p``: ``X F = p I_d``.  It is computed on first
@@ -81,8 +80,6 @@ class SemigroupData:
     A: IntMatrix
     facets: tuple[Vec, ...]
     saturated: bool
-    normal: Optional[bool] = field(default=None, compare=False)
-    normality_witness: Optional[Vec] = field(default=None, compare=False)
 
     @cached_property
     def section(self) -> tuple[tuple[Vec, ...], int]:
@@ -91,6 +88,36 @@ class SemigroupData:
             [list(f) + [int(i == j) for j in range(n)] for i, f in enumerate(self.facets)]
         )
         return tuple(tuple(row[d:]) for row in a[:d]), p
+
+    @cached_property
+    def normality_witness(self) -> Optional[Vec]:
+        """The first point of ``C intersect Z^d`` outside ``NA``, or ``None``
+        when the semigroup is normal.
+
+        Any counterexample must appear among the lattice points of the
+        zonotope ``{sum t_i a_i : t in [0,1]^m}`` (an irreducible semigroup
+        element is a sub-[0,1) combination of the generators), so one lattice
+        walk of the zonotope's integer bounding box, each last-coordinate line
+        solved against ``F(p) >= 0``, lists every candidate point of ``C`` in
+        lexicographic order.  A box of more than ``SCAN_POINTS_CAP`` points
+        raises :class:`WorkCapExceeded`.
+        """
+        d = self.d
+        cols = self.A.columns()
+        lo = [sum(min(0, a[i]) for a in cols) for i in range(d)]
+        hi = [sum(max(0, a[i]) for a in cols) for i in range(d)]
+        points = prod(h - l + 1 for l, h in zip(lo, hi))
+        if points > SCAN_POINTS_CAP:
+            raise WorkCapExceeded("SCAN_POINTS_CAP", points, SCAN_POINTS_CAP)
+        memo: dict = {}
+        box = [[(1, l), (-1, -h)] for l, h in zip(lo, hi)]  # l <= p_i <= h
+        lines = _lattice_lines([[]] * (d - 1) + [[(f, 0) for f in self.facets]], box)
+        for head, first, last in lines:
+            for t in range(first, last + 1):
+                p = head + (t,)
+                if not _combination_exists(self, cols, p, memo):
+                    return p
+        return None
 
     @property
     def d(self) -> int:
@@ -119,8 +146,7 @@ def build_semigroup(A: IntMatrix) -> SemigroupData:
     ``R^d``).  Whether the columns span all of ``Z^d`` is recorded in the
     ``saturated`` verdict rather than raised here, so that the normality
     checker can still exhibit a witness point on unsaturated input;
-    operations that rely on the assumption refuse via
-    :func:`assume_normal` ("ZA != Z^d").
+    the command line refuses an unsaturated datum ("ZA != Z^d").
     """
     if not isinstance(A, IntMatrix):
         A = IntMatrix(A)
@@ -178,69 +204,37 @@ def contains(S: SemigroupData, v: Sequence[int]) -> bool:
 
 
 def _combination_exists(S: SemigroupData, cols: Sequence[Vec], p: Vec, memo: dict) -> bool:
-    """Bounded search: is ``p`` a nonnegative integer combination of the
-    columns ``cols`` of ``S.A``?"""
-    if all(x == 0 for x in p):
-        return True
-    cached = memo.get(p)
-    if cached is not None:
-        return cached
-    memo[p] = False  # cycle guard; revisits cannot help
-    result = False
-    for a in cols:
-        q = tuple(x - y for x, y in zip(p, a))
-        if all(val >= 0 for val in f_map(S, q)) and _combination_exists(S, cols, q, memo):
-            result = True
-            break
-    memo[p] = result
-    return result
+    """Is ``p`` a nonnegative integer combination of the columns ``cols``?
+
+    Depth-first search on an explicit stack of ``(point, remaining columns)``;
+    ``memo`` keeps each settled answer.  Each step lowers ``sum F(.)``, which
+    is positive on the columns, so a point on the stack never comes back.
+    """
+    known = True if not any(p) else memo.get(p)
+    if known is not None:
+        return known
+    stack = [(p, iter(cols))]
+    while stack:
+        q, rest = stack[-1]
+        for a in rest:
+            r = tuple(x - y for x, y in zip(q, a))
+            if all(val >= 0 for val in f_map(S, r)):
+                known = True if not any(r) else memo.get(r)
+                if known:
+                    memo.update((point, True) for point, _ in stack)
+                    return True
+                if known is None:
+                    stack.append((r, iter(cols)))
+                    break
+        else:
+            memo[q] = False
+            stack.pop()
+    return False
 
 
 def is_normal(S: SemigroupData) -> bool:
-    """Decide ``C intersect Z^d = NA`` exactly; caches the answer.
-
-    Any counterexample must appear among the lattice points of the zonotope
-    ``{sum t_i a_i : t in [0,1]^m}`` (an irreducible semigroup element is a
-    sub-[0,1) combination of the generators), so one lattice walk of the
-    zonotope's integer bounding box, each last-coordinate line solved against
-    ``F(p) >= 0``, lists every candidate point of ``C`` in lexicographic
-    order.  On failure the first witness found is stored in ``S.normality_witness``.
-    A box of more than ``SCAN_POINTS_CAP`` points raises :class:`WorkCapExceeded`.
-    """
-    if S.normal is not None:
-        return S.normal
-    d = S.d
-    cols = S.A.columns()
-    lo = [sum(min(0, a[i]) for a in cols) for i in range(d)]
-    hi = [sum(max(0, a[i]) for a in cols) for i in range(d)]
-    points = prod(h - l + 1 for l, h in zip(lo, hi))
-    if points > SCAN_POINTS_CAP:
-        raise WorkCapExceeded("SCAN_POINTS_CAP", points, SCAN_POINTS_CAP)
-    memo: dict = {}
-    box = [[(1, l), (-1, -h)] for l, h in zip(lo, hi)]  # l <= p_i <= h
-    for head, first, last in _lattice_lines([[]] * (d - 1) + [[(f, 0) for f in S.facets]], box):
-        for t in range(first, last + 1):
-            p = head + (t,)
-            if not _combination_exists(S, cols, p, memo):
-                S.normal = False
-                S.normality_witness = p
-                return False
-    S.normal = True
-    return True
-
-
-def assume_normal(S: SemigroupData) -> None:
-    """Declare the semigroup normal without running the scan.
-
-    Cheap certain violations are still refused: an unsaturated column
-    lattice ("ZA != Z^d") or an already-verified non-normality cannot be
-    assumed away.
-    """
-    if not S.saturated:
-        raise StructuralError("ZA != Z^d")
-    if S.normal is False:
-        raise StructuralError("semigroup is verified non-normal")
-    S.normal = True
+    """Decide ``C intersect Z^d = NA`` exactly, by the datum's cached verdict."""
+    return S.normality_witness is None
 
 
 def minimal_points(points: Iterable[tuple[Vec, object]]) -> list[tuple[Vec, object]]:
@@ -287,11 +281,8 @@ class MonomialIdeal:
 
     @cached_property
     def lct(self):
-        """Threshold of ``e`` on the transported polyhedron (inf: unit ideal)."""
-        t = point_threshold(self.transported_polyhedron, self.owner.e)
-        if t is None:
-            raise AssertionError("threshold undefined for a point of the orthant")
-        return t
+        """Threshold of ``e`` on the transported polyhedron (``None``: unit ideal)."""
+        return point_threshold(self.transported_polyhedron, self.owner.e)
 
 
 def monomial_ideal(S: SemigroupData, exps) -> MonomialIdeal:

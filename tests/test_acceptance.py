@@ -25,7 +25,7 @@ from toricbsato.multiplier import (
     transport,
     verify_correspondence,
 )
-from toricbsato.polyhedra import INFINITY, cone_facet_normals, membership, newton_polyhedron
+from toricbsato.polyhedra import cone_facet_normals, membership, newton_polyhedron
 from toricbsato.toric import (
     StructuralError,
     build_semigroup,
@@ -254,7 +254,7 @@ def test_polynomial_ring_against_howald_oracle():
             if all(e != (0, 0) for e in exps):
                 break
         facets = oracle_facets(exps)
-        o_lct = min((F(dot(l, (1, 1)), c) for l, c in facets if c > 0), default=INFINITY)
+        o_lct = min((F(dot(l, (1, 1)), c) for l, c in facets if c > 0), default=None)
         ideal = monomial_ideal(plane, exps)
         assert lct(plane, ideal) == o_lct
 

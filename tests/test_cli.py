@@ -376,6 +376,27 @@ def test_normality_scan_cap():
         assert "10000400004 > 1000000" in report["error"]["message"]
 
 
+def test_deep_chain_cone_is_normal():
+    # the combination search follows a chain 1000 column steps deep; a
+    # search that recursed per step died with a RecursionError traceback
+    code, report = run_problem("check", "deep_chain_cone.json", "--check-normal")
+    assert code == 0
+    assert report["normal"] is True and report["normality_witness"] is None
+    code, report = run_problem("verify", "deep_chain_cone.json", "--check-normal")
+    assert code == 0
+    assert report["verdict"] == "PASS" and report["lct"] == "1"
+
+
+def test_unit_ideal_reports_an_infinite_lct():
+    # the library's unbounded threshold is None; the report spells it out
+    code, report = run_problem("lct", "unit_ideal.json", "--assume-normal")
+    assert code == 0
+    assert report["lct"] == "infinity"
+    code, report = run_problem("verify", "unit_ideal.json", "--check-normal")
+    assert code == 0
+    assert report["verdict"] == "PASS" and report["jumping"] is None
+
+
 @pytest.mark.parametrize(
     "command, document, flags, cap, count",
     [

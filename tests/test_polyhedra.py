@@ -26,7 +26,6 @@ from toricbsato.exactnum import (
     solve_linear,
 )
 from toricbsato.polyhedra import (
-    INFINITY,
     cone_facet_normals,
     inequality_vertices,
     membership,
@@ -168,7 +167,7 @@ def test_membership_monotone_under_orthant(points):
             assert membership(P, (q[0], q[1] + 2), 1, "closed")
         t = point_threshold(P, q)
         t_up = point_threshold(P, (q[0] + 1, q[1] + 1))
-        if t is not INFINITY and t_up is not INFINITY:
+        if t is not None and t_up is not None:
             assert t_up >= t
 
 
@@ -249,9 +248,10 @@ def test_point_threshold():
 def test_point_threshold_degenerate_cases():
     orthant = newton_polyhedron([(0, 0)], ORTHANT2)
     # no positive offsets: every positive dilation contains the point
-    assert point_threshold(orthant, (1, 1)) == INFINITY
+    assert point_threshold(orthant, (1, 1)) is None
     # a zero-offset facet excludes the point at every dilation
-    assert point_threshold(orthant, (-1, 0)) is None
+    with pytest.raises(ValueError, match="threshold undefined"):
+        point_threshold(orthant, (-1, 0))
 
 
 def _facets_by_subsets(generators, dim):

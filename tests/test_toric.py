@@ -1,9 +1,11 @@
 """Semigroup data: facets, transport map, normality, ideals."""
 
+from dataclasses import FrozenInstanceError
+from itertools import product
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from toricbsato import toric
@@ -11,7 +13,6 @@ from toricbsato.exactnum import IntMatrix, fm_feasible, rank, solve_linear
 from toricbsato.polyhedra import cone_facet_normals
 from toricbsato.toric import (
     StructuralError,
-    assume_normal,
     build_semigroup,
     contains,
     f_map,
@@ -152,7 +153,7 @@ def test_membership_matches_generator_combinations(p):
 
 
 def test_normality_verdicts(cusp):
-    assert is_normal(cusp) and cusp.normal is True
+    assert is_normal(cusp) and cusp.normality_witness is None
     assert is_normal(build_semigroup([[1, 0], [0, 1]]))
     assert is_normal(build_semigroup([[1, 1, 1, 0], [0, 2, 1, 0], [0, 0, 0, 1]]))
 
@@ -191,19 +192,69 @@ def test_is_normal_reads_the_columns_once(monkeypatch):
         calls.clear()
         assert is_normal(S) is verdict
         assert calls == [S.A]
+        # the verdict is computed once per datum: a second call scans nothing
+        assert is_normal(S) is verdict
+        assert calls == [S.A]
     assert S.normality_witness == (1, 1)
 
 
-def test_assume_normal_refusals(cusp):
-    unsat = build_semigroup([[1, 1], [0, 3]])
-    with pytest.raises(StructuralError, match="ZA != Z\\^d"):
-        assume_normal(unsat)
-    verified_bad = build_semigroup([[1, 1, 1], [0, 1, 3]])
-    is_normal(verified_bad)
-    with pytest.raises(StructuralError, match="non-normal"):
-        assume_normal(verified_bad)
-    assume_normal(cusp)
-    assert cusp.normal is True
+def test_deep_chain_is_normal_without_recursion():
+    # the search tries the column (0, -1) first, so from (1, 0) it climbs
+    # (1, 1), (1, 2), ... up to the column (1, 1000): a chain 1000 steps
+    # deep, past the recursion limit of a search that recurses per step
+    S = build_semigroup([[0, 1, 1], [-1, 0, 1000]])
+    assert S.saturated
+    assert is_normal(S) and S.normality_witness is None
+
+
+def test_datum_is_immutable(cusp):
+    with pytest.raises(FrozenInstanceError):
+        cusp.saturated = False
+    with pytest.raises(FrozenInstanceError):
+        cusp.facets = ()
+
+
+@st.composite
+def mixed_sign_cones(draw):
+    """A random pointed cone in dimension 2 or 3 with mixed-sign columns and
+    a small zonotope box: columns with a positive first coordinate, moved by
+    a unimodular shear of the first row, which keeps the cone pointed."""
+    d = draw(st.sampled_from([2, 3]))
+    cols = draw(
+        st.lists(
+            st.tuples(st.integers(1, 2), *[st.integers(-2, 2)] * (d - 1)), min_size=d, max_size=4
+        )
+    )
+    shear = draw(st.integers(-2, 2))
+    cols = [(c[0] + shear * c[1],) + c[1:] for c in cols]
+    try:
+        return build_semigroup([[c[i] for c in cols] for i in range(d)])
+    except StructuralError:  # the columns span a proper subspace
+        assume(False)
+
+
+@given(mixed_sign_cones())
+@settings(max_examples=80, deadline=None)
+def test_normality_witness_matches_a_lexicographic_box_scan(S):
+    """The verdict and the first witness agree with a scan of the zonotope's
+    bounding box in lexicographic order against the combination oracle."""
+    cols = S.A.columns()
+    ranges = [
+        range(sum(min(0, a[i]) for a in cols), sum(max(0, a[i]) for a in cols) + 1)
+        for i in range(S.d)
+    ]
+    memo = {}
+    expected = next(
+        (
+            p
+            for p in product(*ranges)
+            if all(x >= 0 for x in f_map(S, p))
+            and not _combination_oracle(cols, S.facets, p, memo)
+        ),
+        None,
+    )
+    assert S.normality_witness == expected
+    assert is_normal(S) is (expected is None)
 
 
 def test_extreme_rays(cusp):
