@@ -49,7 +49,7 @@ from math import factorial, gcd, lcm
 from operator import itemgetter, mul
 from typing import Optional, Sequence
 
-from .exactnum import Vec, gcd_list
+from .exactnum import Vec, _int_vector, gcd_list
 from .multipoly import MonomialOrder, MultiPoly, UniPoly, block_elimination
 from .toric import (
     MonomialIdeal,
@@ -698,7 +698,7 @@ def bfunction(
     if isinstance(ideal, MonomialIdeal):
         betas = ideal.generators
     else:
-        betas = tuple(tuple(int(x) for x in v) for v in ideal)
+        betas = tuple(map(_int_vector, ideal))
     if not betas:
         raise ValueError("the ideal needs at least one generator")
     if cap < 1:

@@ -84,6 +84,19 @@ def parse_rational(value) -> Fraction:
     raise DocumentError(f"expected a rational like \"2/3\", got {value!r}")
 
 
+def _parse_option(name: str, value):
+    """A document option, checked once, when the document is read."""
+    if name in ("alpha", "max"):
+        return parse_rational(value)
+    if name == "box_cap" and (not isinstance(value, int) or isinstance(value, bool)):
+        raise DocumentError("option 'box_cap' must be an integer")
+    if name == "mode" and value not in ("relint", "closed"):
+        raise DocumentError("option 'mode' must be 'relint' or 'closed'")
+    if name == "assume_normal" and not isinstance(value, bool):
+        raise DocumentError("option 'assume_normal' must be true or false")
+    return value
+
+
 def _int_list(value, what: str) -> list[int]:
     if not isinstance(value, list) or not all(
         isinstance(x, int) and not isinstance(x, bool) for x in value
@@ -130,7 +143,7 @@ class Document:
         unknown = set(opts) - {"alpha", "max", "mode", "box_cap", "assume_normal"}
         if unknown:
             raise DocumentError(f"unknown document options: {sorted(unknown)}")
-        self.options = opts
+        self.options = {name: _parse_option(name, value) for name, value in opts.items()}
 
     @staticmethod
     def _parse_polynomial(body) -> list[list[tuple[Fraction, tuple[int, ...]]]]:
@@ -149,21 +162,6 @@ class Document:
                 )
             gens.append(parsed)
         return gens
-
-    def option_rational(self, name: str, override) -> Optional[Fraction]:
-        if override is not None:
-            return parse_rational(override)
-        if name in self.options:
-            return parse_rational(self.options[name])
-        return None
-
-    def option_int(self, name: str, override, default: int) -> int:
-        value = override if override is not None else self.options.get(name)
-        if value is None:
-            return default
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise DocumentError(f"option {name!r} must be an integer")
-        return value
 
 
 def load_document(path: str) -> Document:
@@ -278,7 +276,7 @@ def _normality_gate(doc: Document, args, S: SemigroupData) -> Optional[tuple[int
                 {"witness": list(S.normality_witness)},
             )
         return None
-    if args.assume_normal or doc.options.get("assume_normal") is True:
+    if args.assume_normal or doc.options.get("assume_normal", False):
         return None
     return (
         EXIT_STRUCTURAL,
@@ -356,7 +354,7 @@ def run(command: str, doc: Document, args) -> int:
         return _emit(report, f"transport: {[tuple(q) for q in gens]}", EXIT_OK)
 
     ideal = _require_monomial(doc, command, S)
-    box_cap = doc.option_int("box_cap", args.box_cap, DEFAULT_CAP)
+    box_cap = doc.options.get("box_cap", DEFAULT_CAP) if args.box_cap is None else args.box_cap
 
     if command == "bfunction":
         res = bfunction(S, ideal, cap=box_cap)
@@ -371,7 +369,7 @@ def run(command: str, doc: Document, args) -> int:
         return _emit(report, f"lct: {frac_str(value)}", EXIT_OK)
 
     if command == "multiplier":
-        alpha = doc.option_rational("alpha", args.alpha)
+        alpha = doc.options.get("alpha") if args.alpha is None else parse_rational(args.alpha)
         if alpha is None:
             raise DocumentError("multiplier needs --alpha (or options.alpha)")
         mode = args.mode or doc.options.get("mode", "relint")
@@ -392,7 +390,7 @@ def run(command: str, doc: Document, args) -> int:
         )
 
     if command == "jumping":
-        window = doc.option_rational("max", args.max)
+        window = doc.options.get("max") if args.max is None else parse_rational(args.max)
         if window is None:
             raise DocumentError("jumping needs --max (or options.max)")
         jr = jumping_coefficients(S, ideal, window)

@@ -9,14 +9,17 @@ lattice and feasibility primitives the geometric layers are built on:
 * primitive integer vectors,
 * one fraction-free (Bareiss) Gauss-Jordan elimination behind rank, exact
   solving over the rationals and the start of the double description,
-* Fourier-Motzkin elimination for strict/weak linear inequality systems
-  on primitive integer rows, each its own deduplication key: its levels,
-  the exact projections onto each prefix of the coordinates, and from them
-  an exact rational witness when the system is feasible,
-* one lattice walk, line by line with floor division only, on rows
-  ``a . x >= c`` like every row here, so a level feeds it as it is,
+* Fourier-Motzkin elimination: its levels, the exact projections onto
+  each prefix of the coordinates, and from them an exact rational witness,
+* one lattice walk, line by line with floor division only,
 * :class:`WorkCapExceeded`, raised by every layer whose counted work would
   pass its cap.
+
+Every kernel takes integer rows ``(a, c)``, meaning ``a . x >= c``, as
+they are, so a level of the elimination feeds the walk unchanged.
+Exactness is checked once, where data enters: :func:`_int_vector` for
+integer vectors and :func:`_integer_row` for the rational rows of
+:func:`rank`, :func:`solve_linear` and :func:`fm_feasible`.
 
 All vectors are plain tuples, matrices are immutable ``IntMatrix`` values.
 """
@@ -26,8 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
-from typing import Optional, Sequence
+from operator import index, mul
+from typing import Iterable, Optional, Sequence
 
 Vec = tuple[int, ...]
 
@@ -72,7 +75,7 @@ class IntMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(int(x) for x in row) for row in self.entries)
+        rows = tuple(map(_int_vector, self.entries))
         if not rows or not rows[0]:
             raise ValueError("matrix dimensions must be positive")
         width = len(rows[0])
@@ -102,9 +105,10 @@ class IntMatrix:
 def primitive_vector(v: Sequence[int]) -> Vec:
     """Divide an integer vector by the gcd of its entries, keeping orientation.
 
-    Raises ``ValueError`` on the zero vector, which has no primitive form.
+    Raises ``ValueError`` on the zero vector, which has no primitive form,
+    and ``TypeError`` on a non-integer entry.
     """
-    v = tuple(int(x) for x in v)
+    v = _int_vector(v)
     g = gcd_list(v)
     if g == 0:
         raise ValueError("zero vector has no primitive form")
@@ -168,27 +172,41 @@ def lattice_is_saturated(M: IntMatrix) -> bool:
     return tuple(row[: M.rows] for row in H.entries) == IntMatrix.identity(M.rows).entries
 
 
+_INEXACT = "exact arithmetic takes int and Fraction entries only"
+
+
 def _integer_row(row: Sequence) -> list[int]:
     """``row`` times the lcm of its denominators: ints and Fractions only,
     anything else (a float above all) raises ``TypeError``."""
     if not all(isinstance(x, (int, Fraction)) for x in row):
-        raise TypeError("exact elimination takes int and Fraction entries only")
+        raise TypeError(_INEXACT)
     den = lcm(*(x.denominator for x in row))
     return [x.numerator * (den // x.denominator) for x in row]
 
 
-def _bareiss(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int], int]:
-    """Fraction-free Gauss-Jordan elimination (Bareiss 1968).
+def _rational(x) -> Fraction:
+    """``x`` as a ``Fraction``, refused as an entry of :func:`_integer_row`."""
+    if not isinstance(x, (int, Fraction)):
+        raise TypeError(_INEXACT)
+    return Fraction(x)
 
-    Each row is first scaled to integers by :func:`_integer_row`, which
-    keeps the row space (a float raises ``TypeError``).  Step
-    ``k`` replaces every other row by ``(p_k * row - f * pivot_row) / p_{k-1}``;
-    the division is exact because every entry is then a minor of the scaled
-    matrix.  Returns ``(a, pivots, p)``: the reduced integer rows, whose row
-    ``i`` carries the last pivot ``p`` in column ``pivots[i]`` and zeros in
-    the other pivot columns (rows past ``len(pivots)`` are zero).
+
+def _int_vector(v: Iterable) -> Vec:
+    """``v`` as a tuple of ints; a float or a Fraction raises ``TypeError``."""
+    return tuple(map(index, v))
+
+
+def _bareiss(rows: Sequence[Sequence[int]]) -> tuple[list[Sequence[int]], list[int], int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of integer rows.
+
+    Step ``k`` replaces every other row by
+    ``(p_k * row - f * pivot_row) / p_{k-1}``; the division is exact because
+    every entry is then a minor of the input matrix.  Returns
+    ``(a, pivots, p)``: the reduced integer rows, whose row ``i`` carries
+    the last pivot ``p`` in column ``pivots[i]`` and zeros in the other
+    pivot columns (rows past ``len(pivots)`` are zero).
     """
-    a = [_integer_row(row) for row in rows]
+    a = list(rows)
     nrows = len(a)
     ncols = len(a[0]) if a else 0
     pivots: list[int] = []
@@ -214,7 +232,7 @@ def _bareiss(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int], int]
 
 def rank(rows: Sequence[Sequence]) -> int:
     """Rank over Q of a matrix given as a sequence of rows (ints or Fractions)."""
-    return len(_bareiss(rows)[1])
+    return len(_bareiss([_integer_row(row) for row in rows])[1])
 
 
 def kernel_lattice_basis(M: IntMatrix) -> list[Vec]:
@@ -240,7 +258,7 @@ def solve_linear(M: Sequence[Sequence], b: Sequence) -> Optional[list[Fraction]]
     if not M:
         return []
     ncols = len(M[0])
-    a, pivots, p = _bareiss([list(row) + [rhs] for row, rhs in zip(M, b)])
+    a, pivots, p = _bareiss([_integer_row([*row, rhs]) for row, rhs in zip(M, b)])
     if pivots and pivots[-1] == ncols:
         return None  # a pivot in the right-hand side: inconsistent
     x = [Fraction(0)] * ncols
@@ -253,108 +271,67 @@ def solve_linear(M: Sequence[Sequence], b: Sequence) -> Optional[list[Fraction]]
 # Fourier-Motzkin elimination
 # ---------------------------------------------------------------------------
 
-# A constraint is (coefficients, constant, relation) meaning  a . x REL c
-# with REL one of ">=" and ">".
-
-Constraint = tuple[Sequence, object, str]
-
-
-def _primitive_row(a: Sequence[int], c: int, strict: bool) -> tuple[Vec, int, bool]:
-    """``a . x >= c`` (``>`` when strict) divided by ``gcd(a, c)``: the one
-    integer form of the constraint, and so its own deduplication key."""
+def _primitive_row(a: Sequence[int], c: int) -> tuple[Vec, int]:
+    """``a . x >= c`` divided by ``gcd(a, c)``: the one integer form of the
+    row, and so its own deduplication key."""
     g = gcd(*a, c) or 1
-    return tuple(x // g for x in a), c // g, strict
+    return tuple(x // g for x in a), c // g
 
 
-def _fm_levels(ineqs: Sequence[Constraint]) -> Optional[list[list[tuple[Vec, int, bool]]]]:
-    """The levels of the Fourier-Motzkin elimination of ``ineqs`` (see
-    :func:`fm_feasible`), or ``None`` on a contradiction: level ``n - j``
-    holds the primitive rows ``(a, c, strict)`` on ``x_0 .. x_{j-1}``, the
-    exact projection of the system onto those coordinates, and level ``0``
-    the input rows.  A combined row is strict when either parent is."""
-    rows = []
-    n = None
-    for a, c, rel in ineqs:
-        if rel not in (">=", ">"):
-            raise ValueError("relation must be '>=' or '>'")
-        if n is None:
-            n = len(a)
-        elif len(a) != n:
-            raise ValueError("fm_feasible: constraints of differing arity")
-        *ia, ic = _integer_row([*a, c])
-        rows.append(_primitive_row(ia, ic, rel == ">"))
-    if n is None:
-        return []
-
-    def prune(system):
-        # a zero row states 0 >= c (0 > c when strict): true or a contradiction
-        if any(not any(a) and (c > 0 or (strict and c == 0)) for a, c, strict in system):
-            return None
-        return list(dict.fromkeys(row for row in system if any(row[0])))
-
+def _fm_levels(rows: Sequence[tuple[Sequence[int], int]]) -> Optional[list[list[tuple[Vec, int]]]]:
+    """The Fourier-Motzkin levels of the integer rows ``(a, c)`` of one
+    arity, or ``None`` on a contradiction: level ``n - j`` holds the
+    primitive rows on ``x_0 .. x_{j-1}``, the exact projection of the
+    system onto them, level ``0`` the input rows made primitive; the first
+    of equal rows stays."""
     levels = []
-    cur = prune(rows)
-    if cur is None:
-        return None
-    for k in range(n, 0, -1):
+    system = [_primitive_row(a, c) for a, c in rows]
+    for k in range(len(rows[0][0]) if rows else 0, -1, -1):
+        # a zero row states 0 >= c: true or a contradiction
+        if any(c > 0 for a, c in system if not any(a)):
+            return None
+        cur = list(dict.fromkeys(row for row in system if any(row[0])))
+        if k == 0:
+            return levels
         levels.append(cur)
         lows = [row for row in cur if row[0][k - 1] > 0]
         ups = [row for row in cur if row[0][k - 1] < 0]
-        new = [(a[: k - 1], c, strict) for a, c, strict in cur if a[k - 1] == 0]
-        for al, cl, sl in lows:
-            for au, cu, su in ups:
+        system = [(a[: k - 1], c) for a, c in cur if a[k - 1] == 0]
+        for al, cl in lows:
+            for au, cu in ups:
                 # positive combination cancelling x_{k-1}
                 pl, pu = -au[k - 1], al[k - 1]
                 a_new = [pl * x + pu * y for x, y in zip(al[: k - 1], au)]
-                new.append(_primitive_row(a_new, pl * cl + pu * cu, sl or su))
-        cur = prune(new)
-        if cur is None:
-            return None
-    return levels
+                system.append(_primitive_row(a_new, pl * cl + pu * cu))
 
 
-def _fm_witness(levels: Sequence[Sequence[tuple[Vec, int, bool]]]) -> list[Fraction]:
+def _fm_witness(levels: Sequence[Sequence[tuple[Vec, int]]]) -> list[Fraction]:
     """A rational point of the system whose :func:`_fm_levels` are
-    ``levels``, by back-substitution through the levels."""
+    ``levels``, by back-substitution through the levels: each coordinate
+    is the midpoint of its interval, or its one finite end, or 0."""
     n = len(levels)
     witness: list[Fraction] = []
     for k in range(1, n + 1):
-        lo = hi = None
-        lo_strict = hi_strict = False
-        for a, c, strict in levels[n - k]:
-            coef = a[k - 1]
-            if coef == 0:
-                continue
-            bound = Fraction(c - dot(a[: k - 1], witness), coef)
-            if coef > 0:
-                if lo is None or bound > lo or (bound == lo and strict):
-                    lo, lo_strict = bound, strict
-            else:
-                if hi is None or bound < hi or (bound == hi and strict):
-                    hi, hi_strict = bound, strict
-        if lo is None and hi is None:
-            val = Fraction(0)
-        elif hi is None:
-            val = lo + 1 if lo_strict else lo
-        elif lo is None:
-            val = hi - 1 if hi_strict else hi
-        elif lo < hi:
-            val = (lo + hi) / 2
+        lo, hi = [], []  # the lower and the upper bounds on x_{k-1}
+        for a, c in levels[n - k]:
+            if a[k - 1]:
+                bound = Fraction(c - dot(a[: k - 1], witness), a[k - 1])
+                (lo if a[k - 1] > 0 else hi).append(bound)
+        if lo and hi:
+            witness.append((max(lo) + min(hi)) / 2)
         else:
-            # lo == hi; both bounds must be weak or elimination would have failed
-            val = lo
-        witness.append(val)
+            witness.append(max(lo) if lo else min(hi) if hi else Fraction(0))
     return witness
 
 
 def _line_interval(rows, head: Sequence[int], bounds) -> Optional[tuple]:
     """The integers ``t`` with ``a . (head + (t,)) >= c`` for each row
-    ``(a, c, ...)`` and ``a * t >= c`` for each bound ``(a, c)``:
+    ``(a, c)`` and ``a * t >= c`` for each bound ``(a, c)``:
     ``(lo, hi)``, with ``None`` for an open end, or ``None`` if there is no
     such ``t``.  Floor division only."""
     lo = hi = None
-    # map stops at the end of head: the sum is a[:-1] . head
-    for a, c in [(r[0][-1], r[1] - sum(map(mul, r[0], head))) for r in rows] + bounds:
+    # map stops at the end of head: the sum is r[:-1] . head
+    for a, c in [(r[-1], c - sum(map(mul, r, head))) for r, c in rows] + bounds:
         if a > 0:
             bound = -(-c // a)  # ceil(c / a)
             lo = bound if lo is None else max(lo, bound)
@@ -369,9 +346,9 @@ def _line_interval(rows, head: Sequence[int], bounds) -> Optional[tuple]:
 
 
 def _lattice_lines(systems, bounds):
-    """The lattice points of the weak system ``systems[-1]`` as lines
+    """The lattice points of the system ``systems[-1]`` as lines
     ``(head, lo, hi)``, ``x = head + (t,)`` for ``lo <= t <= hi``, in
-    lexicographic order.  ``systems[j]`` holds rows ``(a, c, ...)`` on
+    lexicographic order.  ``systems[j]`` holds integer rows ``(a, c)`` on
     ``x_0 .. x_j`` that the full system implies (none, or a
     :func:`_fm_levels` level), and ``bounds[j]`` bounds ``(a, c)``,
     ``a * x_j >= c``, that clip ``x_j``.  The bounds must close every line
@@ -389,18 +366,16 @@ def _lattice_lines(systems, bounds):
     return walk(())
 
 
-def fm_feasible(ineqs: Sequence[Constraint]) -> tuple[bool, Optional[list[Fraction]]]:
-    """Exact feasibility of a system of strict/weak linear inequalities.
-
-    Input constraints are triples ``(a, c, rel)`` encoding ``a . x >= c`` or
-    ``a . x > c`` with ``rel`` in ``{">=", ">"}`` and int or Fraction
-    entries (a float raises ``TypeError``).  Each becomes a primitive
-    integer row, and the first of equal rows stays.  Eliminates variables
-    one at a time (Fourier-Motzkin), carrying strictness and keeping every
-    combined row primitive; on success a rational witness is reconstructed
-    by back-substitution and returned.
+def fm_feasible(ineqs: Sequence[tuple[Sequence, object]]) -> tuple[bool, Optional[list[Fraction]]]:
+    """Exact feasibility of the rows ``(a, c)``, ``a . x >= c``, with int or
+    Fraction entries (a float raises ``TypeError``) and ``a`` of one length:
+    Fourier-Motzkin elimination on primitive integer rows, then a rational
+    witness by back-substitution.
     """
-    levels = _fm_levels(ineqs)
+    rows = [_integer_row([*a, c]) for a, c in ineqs]
+    if len({len(row) for row in rows}) > 1:
+        raise ValueError("fm_feasible: constraints of differing arity")
+    levels = _fm_levels([(row[:-1], row[-1]) for row in rows])
     if levels is None:
         return False, None
     return True, _fm_witness(levels)

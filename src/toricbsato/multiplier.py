@@ -35,7 +35,7 @@ from math import ceil, floor, prod
 from typing import Optional, Sequence, Union
 
 from .bsato import DEFAULT_CAP, bfunction
-from .exactnum import IntMatrix, Vec, _fm_levels, _fm_witness, _lattice_lines, dot
+from .exactnum import IntMatrix, Vec, _fm_levels, _fm_witness, _lattice_lines, _rational, dot
 from .exactnum import kernel_lattice_basis
 from .polyhedra import NewtonPolyhedron, inequality_vertices, membership
 from .toric import (
@@ -189,7 +189,7 @@ def _minimal_members(
         b = floor(t) + 1 if mode == "relint" else ceil(t)
         row = tuple(dot(ell, col) for col in zip(*S.facets))  # l F
         region[row] = max(b, region.get(row, b))
-    vertices = inequality_vertices(list(region), list(region.values()))
+    vertices = inequality_vertices(list(region.items()))
     cols = S.A.columns()
     box = []
     for f in S.facets:
@@ -222,7 +222,7 @@ def _minimal_members(
 
 
 def _check_alpha_mode(alpha: Rational, mode: str) -> Fraction:
-    alpha = Fraction(alpha)
+    alpha = _rational(alpha)
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     if mode not in ("relint", "closed"):
@@ -272,7 +272,7 @@ def multiplier_ideal_with_boundary(
     So the strict cuts cut out the image of the interior of ``alpha P``."""
     alpha = _check_alpha_mode(alpha, mode)
     ideal = monomial_ideal(S, ideal)
-    wq = tuple(Fraction(x) for x in w)
+    wq = tuple(map(_rational, w))
     if len(wq) != S.d:
         raise ValueError("w must live in the character space")
     shift = f_map(S, wq)
@@ -304,10 +304,11 @@ class JumpingReport:
     reported.  ``search_mode`` is ``"exact"`` when the witness search is
     provably complete (character space of dimension <= 2) and
     ``"windowed"`` otherwise; candidates that could not be settled in the
-    windowed regime are listed in ``unresolved``.
+    windowed regime are listed in ``unresolved``.  ``lct`` is ``None`` for
+    the unit ideal, which has no jumping coefficient.
     """
 
-    lct: Fraction
+    lct: Optional[Fraction]
     jumping: tuple[tuple[Fraction, Vec], ...]
     window_max: Fraction
     search_mode: str
@@ -380,7 +381,7 @@ def _witness_search(
     the first row-feasible point is the witness (one failing ``check``
     raises ``AssertionError``): the least on the line of one kernel vector,
     else the first point of one lattice walk per window around the
-    Fourier-Motzkin point, through the weak levels of one elimination.  Returns
+    Fourier-Motzkin point, through the levels of one elimination.  Returns
     ``(witness, exhausted, scanned)``: ``exhausted`` means a rationally
     feasible tight-facet system had no lattice point in the windows, and
     ``scanned`` adds each window's volume ``(2w+1)^k`` (a bound on the
@@ -428,7 +429,7 @@ def _witness_search(
             line = next(_lattice_lines([rows], [[]]), None)
             tau = None if line is None else (line[2] if line[1] is None else line[1],)
         else:
-            levels = _fm_levels([(a, c, ">=") for a, c in rows])
+            levels = _fm_levels(rows)
             if levels is None:
                 continue
             center = [int(round(x)) for x in _fm_witness(levels)]
@@ -469,10 +470,10 @@ def jumping_coefficients(
     window (radii ``WINDOW0 * KAPPA^i``, ``i <= EXPANSIONS``) through the
     Fourier-Motzkin projections; window volumes count against ``WINDOW_POINTS_CAP``.
     """
-    T = Fraction(window_max)
+    T = _rational(window_max)
     ideal = monomial_ideal(S, ideal)
     threshold = lct(S, ideal)
-    if threshold is None or T < threshold:
+    if threshold is not None and T < threshold:
         raise ValueError("window must reach the log-canonical threshold")
     P = transported_polyhedron(S, ideal)
     spans = [(c, max(1, ceil(threshold * c)), floor(T * c)) for _, c in P.facets if c > 0]
@@ -491,7 +492,7 @@ def jumping_coefficients(
             jumps.append((alpha, witness))
         elif exhausted and search_mode == "windowed":
             unresolved.append(alpha)
-    if not jumps or jumps[0][0] != threshold:
+    if (jumps[0][0] if jumps else None) != threshold:
         raise AssertionError("threshold must head the jumping list")
     return JumpingReport(
         lct=threshold,

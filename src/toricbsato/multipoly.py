@@ -18,6 +18,8 @@ from math import factorial
 from operator import mul
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
+from .exactnum import _int_vector
+
 __all__ = [
     "MultiPoly",
     "UniPoly",
@@ -97,7 +99,7 @@ class MultiPoly:
                 c = Fraction(coeff)
                 if c == 0:
                     continue
-                exp = tuple(int(x) for x in exp)
+                exp = _int_vector(exp)
                 if len(exp) != self.nvars or any(x < 0 for x in exp):
                     raise ValueError("bad exponent tuple")
                 total = clean[exp] + c if exp in clean else c

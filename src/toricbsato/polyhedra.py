@@ -26,6 +26,7 @@ from .exactnum import (
     Vec,
     WorkCapExceeded,
     _bareiss,
+    _int_vector,
     dot,
     primitive_vector,
     rank,
@@ -98,7 +99,7 @@ def cone_facet_normals(generators: Sequence[Vec], dim: int) -> list[Vec]:
     ``R^dim``.  In dimension 1 a half-line gives ``(1,)`` or ``(-1,)``, the
     whole line nothing.
     """
-    gens = [tuple(int(x) for x in g) for g in generators]
+    gens = [_int_vector(g) for g in generators]
     if any(len(g) != dim for g in gens):
         raise ValueError("generator dimension mismatch")
     rays = _cone_rays(gens, dim)
@@ -107,15 +108,13 @@ def cone_facet_normals(generators: Sequence[Vec], dim: int) -> list[Vec]:
     return sorted(rays, reverse=True)
 
 
-def inequality_vertices(rows: Sequence[Vec], rhs: Sequence) -> list[tuple[Fraction, ...]]:
-    """Sorted vertices of ``{x : rows[i] . x >= rhs[i]}``; empty when the
-    polyhedron is empty or contains a line.  They are the rays ``(y_0, x)``
-    with ``y_0 > 0`` of the cone ``{(y_0, x) : y_0 >= 0, r . x >= b y_0}``,
-    divided by ``y_0``, with each row ``(-b, r)`` scaled to integers."""
-    dim = len(rows[0])
-    homog = [(1,) + (0,) * dim] + [
-        (-b.numerator, *(b.denominator * x for x in r)) for r, b in zip(rows, map(Fraction, rhs))
-    ]
+def inequality_vertices(rows: Sequence[tuple[Vec, int]]) -> list[tuple[Fraction, ...]]:
+    """Sorted vertices of ``{x : a . x >= c for (a, c) in rows}`` (integer
+    rows); empty when the polyhedron is empty or contains a line.  They are
+    the rays ``(y_0, x)`` with ``y_0 > 0`` of the cone
+    ``{(y_0, x) : y_0 >= 0, a . x >= c y_0}``, divided by ``y_0``."""
+    dim = len(rows[0][0])
+    homog = [(1,) + (0,) * dim] + [(-c, *a) for a, c in rows]
     rays = _cone_rays(homog, dim + 1) or []
     return sorted(tuple(Fraction(x, y[0]) for x in y[1:]) for y in rays if y[0] > 0)
 
@@ -143,7 +142,7 @@ def newton_polyhedron(points: Sequence[Vec], rays: Sequence[Vec]) -> NewtonPolyh
     full-dimensional (equivalently: the homogenization cone over
     ``{(1, p)} u {(0, r)}`` has full rank); otherwise ``ValueError``.
     """
-    pts = sorted({tuple(int(x) for x in p) for p in points})
+    pts = sorted({_int_vector(p) for p in points})
     if not pts:
         raise ValueError("at least one point is required")
     n = len(pts[0])

@@ -27,6 +27,7 @@ from .exactnum import (
     Vec,
     WorkCapExceeded,
     _bareiss,
+    _int_vector,
     _lattice_lines,
     dot,
     lattice_is_saturated,
@@ -260,7 +261,7 @@ def minimalize_exponents(S: SemigroupData, exps: Sequence[Sequence[int]]) -> tup
     normality is the componentwise test ``f_map(w) >= f_map(v)``.  Returns
     the minimal elements sorted lexicographically.
     """
-    vecs = {tuple(int(x) for x in v) for v in exps}
+    vecs = {_int_vector(v) for v in exps}
     return tuple(sorted(v for _, v in minimal_points((f_map(S, v), v) for v in vecs)))
 
 

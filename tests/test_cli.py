@@ -397,6 +397,54 @@ def test_unit_ideal_reports_an_infinite_lct():
     assert report["verdict"] == "PASS" and report["jumping"] is None
 
 
+def test_unit_ideal_has_an_empty_jumping_report():
+    code, report = run_problem("jumping", "unit_ideal.json", "--assume-normal", "--max", "2")
+    assert code == 0
+    assert report["lct"] == "infinity" and report["jumping"] == []
+    assert report["unresolved"] == []
+
+
+@pytest.mark.parametrize(
+    "command, options, message",
+    [
+        ("lct", {"assume_normal": 1}, "assume_normal"),
+        ("lct", {"assume_normal": "yes"}, "assume_normal"),
+        ("check", {"box_cap": "six"}, "box_cap"),
+        ("check", {"box_cap": True}, "box_cap"),
+        ("check", {"alpha": "abc"}, "rational"),
+        ("facets", {"max": [1]}, "rational"),
+        ("check", {"mode": "open"}, "mode"),
+    ],
+)
+def test_options_are_validated_when_the_document_is_read(
+    tmp_path, capsys, command, options, message
+):
+    # every option is parsed once, whether or not the command reads it
+    doc = write_doc(tmp_path, {**CUSP_DOC, "options": options})
+    code, report, _ = invoke(capsys, [command, doc])
+    assert code == 1 and message in report["error"]["message"]
+
+
+def test_malformed_option_document_exits_one():
+    # "assume_normal": 1 is not a boolean: malformed, not an unverified gate
+    assert run_problem("lct", "malformed_option.json")[0] == 1
+    assert run_problem("verify", "malformed_option.json", "--check-normal")[0] == 1
+
+
+def test_parsed_options_reach_their_commands(tmp_path, capsys):
+    options = {"alpha": "2/3", "mode": "closed", "box_cap": 2, "assume_normal": True}
+    doc = write_doc(tmp_path, {**CUSP_DOC, "options": options})
+    code, report, _ = invoke(capsys, ["multiplier", doc])
+    assert code == 0 and report["alpha"] == "2/3" and report["mode"] == "closed"
+    # a command-line flag still wins over its option
+    code, report, _ = invoke(capsys, ["multiplier", doc, "--alpha", "1", "--mode", "relint"])
+    assert code == 0 and report["alpha"] == "1" and report["mode"] == "relint"
+    code, report, _ = invoke(capsys, ["bfunction", doc])
+    assert code == 3 and report["box_used"] == 2
+    code, report, _ = invoke(capsys, ["bfunction", doc, "--box-cap", "3"])
+    assert code == 0 and report["box_used"] == 3
+
+
 @pytest.mark.parametrize(
     "command, document, flags, cap, count",
     [

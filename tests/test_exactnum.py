@@ -287,13 +287,7 @@ def grid_points(n, radius=4):
 
 
 def check_constraints(ineqs, x):
-    for a, c, rel in ineqs:
-        val = dot(a, x)
-        if rel == ">=" and not val >= c:
-            return False
-        if rel == ">" and not val > c:
-            return False
-    return True
+    return all(dot(a, x) >= c for a, c in ineqs)
 
 
 @given(
@@ -301,7 +295,6 @@ def check_constraints(ineqs, x):
         st.tuples(
             st.lists(st.integers(-3, 3), min_size=2, max_size=2),
             st.integers(-4, 4),
-            st.sampled_from([">=", ">"]),
         ),
         min_size=1,
         max_size=5,
@@ -320,21 +313,13 @@ def test_fm_feasible_against_grid(ineqs):
         assert feasible
 
 
-def test_fm_strictness():
-    # x >= 0 and -x >= 0 forces x = 0; the strict version is empty
-    ok, w = fm_feasible([((1,), 0, ">="), ((-1,), 0, ">=")])
-    assert ok and w == [0]
-    ok, _ = fm_feasible([((1,), 0, ">"), ((-1,), 0, ">")])
-    assert not ok
-
-
 def test_fm_unbounded_direction():
-    ok, w = fm_feasible([((1, 0), 5, ">"), ((0, 1), -2, ">=")])
+    ok, w = fm_feasible([((1, 0), 5), ((0, 1), -2)])
     assert ok
-    assert w[0] > 5 and w[1] >= -2
+    assert w[0] >= 5 and w[1] >= -2
 
 
-def _canon_constraint(a, c, strict):
+def _canon_constraint(a, c):
     """Reference helper: scale a Fraction constraint to a canonical integer
     form for deduplication."""
     denoms = [x.denominator for x in a] + [c.denominator]
@@ -347,7 +332,7 @@ def _canon_constraint(a, c, strict):
     if g > 1:
         ia = [x // g for x in ia]
         ic //= g
-    return tuple(ia), ic, strict
+    return tuple(ia), ic
 
 
 def _fm_fraction_reference(ineqs):
@@ -356,28 +341,27 @@ def _fm_fraction_reference(ineqs):
     rows stays, with its own scaling."""
     parsed = []
     n = None
-    for a, c, rel in ineqs:
+    for a, c in ineqs:
         av = tuple(Fraction(x) for x in a)
         if n is None:
             n = len(av)
-        parsed.append((av, Fraction(c), rel == ">"))
+        parsed.append((av, Fraction(c)))
     if not parsed:
         return True, []
 
     def prune(system):
         seen = set()
         out = []
-        for a, c, strict in system:
+        for a, c in system:
             if all(x == 0 for x in a):
-                ok = (c < 0) if strict else (c <= 0)
-                if not ok:
+                if c > 0:
                     return None  # constant contradiction
                 continue
-            key = _canon_constraint(a, c, strict)
+            key = _canon_constraint(a, c)
             if key in seen:
                 continue
             seen.add(key)
-            out.append((a, c, strict))
+            out.append((a, c))
         return out
 
     levels = []
@@ -387,44 +371,43 @@ def _fm_fraction_reference(ineqs):
     for k in range(n, 0, -1):
         levels.append(cur)
         lows, ups, rest = [], [], []
-        for a, c, strict in cur:
+        for a, c in cur:
             coef = a[k - 1]
             if coef > 0:
-                lows.append((a, c, strict))
+                lows.append((a, c))
             elif coef < 0:
-                ups.append((a, c, strict))
+                ups.append((a, c))
             else:
-                rest.append((a[: k - 1], c, strict))
+                rest.append((a[: k - 1], c))
         new = list(rest)
-        for al, cl, sl in lows:
-            for au, cu, su in ups:
+        for al, cl in lows:
+            for au, cu in ups:
                 pl, pu = -au[k - 1], al[k - 1]
                 a_new = tuple(pl * al[i] + pu * au[i] for i in range(k - 1))
-                new.append((a_new, pl * cl + pu * cu, sl or su))
+                new.append((a_new, pl * cl + pu * cu))
         cur = prune(new)
         if cur is None:
             return False, None
     witness = []
     for k in range(1, n + 1):
         lo = hi = None
-        lo_strict = hi_strict = False
-        for a, c, strict in levels[n - k]:
+        for a, c in levels[n - k]:
             coef = a[k - 1]
             if coef == 0:
                 continue
             bound = (c - sum(a[i] * witness[i] for i in range(k - 1))) / coef
             if coef > 0:
-                if lo is None or bound > lo or (bound == lo and strict):
-                    lo, lo_strict = bound, strict
+                if lo is None or bound > lo:
+                    lo = bound
             else:
-                if hi is None or bound < hi or (bound == hi and strict):
-                    hi, hi_strict = bound, strict
+                if hi is None or bound < hi:
+                    hi = bound
         if lo is None and hi is None:
             val = Fraction(0)
         elif hi is None:
-            val = lo + 1 if lo_strict else lo
+            val = lo
         elif lo is None:
-            val = hi - 1 if hi_strict else hi
+            val = hi
         elif lo < hi:
             val = (lo + hi) / 2
         else:
@@ -444,15 +427,15 @@ def fm_systems(draw):
     )
     rows = draw(
         st.lists(
-            st.tuples(coefficients, sparse_rationals, st.sampled_from([">=", ">"])),
+            st.tuples(coefficients, sparse_rationals),
             min_size=1,
             max_size=4,
         )
     )
     for _ in range(draw(st.integers(0, 6 - len(rows)))):
-        a, c, rel = draw(st.sampled_from(rows))
+        a, c = draw(st.sampled_from(rows))
         t = draw(st.sampled_from([1, 2, Fraction(1, 3), Fraction(5, 2)]))
-        rows.insert(draw(st.integers(0, len(rows))), ([t * x for x in a], t * c, rel))
+        rows.insert(draw(st.integers(0, len(rows))), ([t * x for x in a], t * c))
     return rows
 
 
@@ -466,10 +449,8 @@ def test_fm_feasible_matches_fraction_reference(ineqs):
 
 def test_fm_feasible_refuses_floats():
     with pytest.raises(TypeError):
-        fm_feasible([((1.0, 0), 0, ">=")])
+        fm_feasible([((1.0, 0), 0)])
     with pytest.raises(TypeError):
-        fm_feasible([((1, 0), 0.5, ">")])
-    with pytest.raises(ValueError, match="relation"):
-        fm_feasible([((1,), 0, "<=")])
+        fm_feasible([((1, 0), 0.5)])
     with pytest.raises(ValueError, match="differing arity"):
-        fm_feasible([((1,), 0, ">="), ((1, 2), 0, ">=")])
+        fm_feasible([((1,), 0), ((1, 2), 0)])

@@ -400,8 +400,38 @@ def test_jumping_window_edges(cusp, cusp_ideal):
     assert only_lct.jumping == ((F(2, 3), (0, 0)),)
     with pytest.raises(ValueError, match="reach the log-canonical"):
         jumping_coefficients(cusp, cusp_ideal, F(1, 2))
-    with pytest.raises(ValueError, match="reach the log-canonical"):
-        jumping_coefficients(cusp, monomial_ideal(cusp, [(0, 0)]), 5)
+    # the unit ideal's threshold is unbounded: every window is empty
+    unit = jumping_coefficients(cusp, monomial_ideal(cusp, [(0, 0)]), 5)
+    assert unit.lct is None and unit.jumping == () and unit.unresolved == ()
+
+
+def test_parameters_refuse_floats(cusp, cusp_ideal):
+    # a float parameter is refused, not read as the rational it rounds to
+    with pytest.raises(TypeError):
+        multiplier_ideal(cusp, cusp_ideal, 0.5)
+    with pytest.raises(TypeError):
+        multiplier_ideal_with_boundary(cusp, cusp_ideal, (0, 0), 1.5)
+    with pytest.raises(TypeError):
+        multiplier_ideal_with_boundary(cusp, cusp_ideal, (0.0, 0), 1)
+    with pytest.raises(TypeError):
+        jumping_coefficients(cusp, cusp_ideal, 2.0)
+
+
+def test_kernels_take_integer_rows_unchecked(monkeypatch):
+    """Once an ideal's polyhedron is cached, the multiplier scan, the
+    witness walk and its Fourier-Motzkin levels never re-check or rescale
+    a row: exactness is checked where data enters."""
+    S = build_semigroup([[1, 1, 1, 0], [0, 2, 1, 0], [0, 0, 0, 1]])
+    J = monomial_ideal(S, [(1, 1, 1), (2, 0, 1)])
+    J.transported_polyhedron, J.lct  # build the cached geometry first
+    checked, levels = exactnum._integer_row, exactnum._fm_levels
+    rows_checked, fm_runs = [], []
+    monkeypatch.setattr(exactnum, "_integer_row", lambda r: rows_checked.append(r) or checked(r))
+    monkeypatch.setattr(multiplier, "_fm_levels", lambda rows: fm_runs.append(rows) or levels(rows))
+    jumping_coefficients(S, J, 2)
+    multiplier_ideal(S, J, F(3, 2))
+    multiplier_ideal_with_boundary(S, J, (0, 0, -1), 1)
+    assert fm_runs and rows_checked == []
 
 
 def test_jumping_windowed_mode():
@@ -533,8 +563,8 @@ def test_line_point_is_exact_on_integer_rows():
     # bounds clip the line: -7 <= t, 2 <= t <= 4
     assert _line_interval([([1], -7)], (), [(1, 2), (-1, -4)]) == (2, 4)
     assert _line_interval([([1], 5)], (), [(1, 2), (-1, -4)]) is None
-    # an elimination row (a, c, strict) is read as a . x >= c
-    assert _line_interval([((1, 2), 3, False)], (1,), []) == (1, None)
+    # an elimination row, a primitive tuple pair (a, c), is read as a . x >= c
+    assert _line_interval([((1, 2), 3)], (1,), []) == (1, None)
 
 
 ROW = st.tuples(st.lists(st.integers(-4, 4), min_size=3, max_size=3), st.integers(-12, 12))
@@ -597,7 +627,7 @@ def _scan_window(rows, center, width):
 @example(([([1, 0, -2], -1), ([-1, 0, 2], 1)], [0, 0, 0]), 2)
 def test_window_line_search_matches_point_scan(system, width):
     rows, center = system
-    levels = _fm_levels([(a, c, ">=") for a, c in rows])
+    levels = _fm_levels(rows)
     expected = _scan_window(rows, center, width)
     if levels is None:
         assert expected is None

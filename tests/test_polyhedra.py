@@ -20,6 +20,7 @@ from toricbsato import polyhedra
 from toricbsato.exactnum import (
     WorkCapExceeded,
     _bareiss,
+    _integer_row,
     dot,
     primitive_vector,
     rank,
@@ -323,7 +324,7 @@ def test_rows_of_low_rank():
     rows = [(1, i, 0) for i in range(450)]
     with pytest.raises(ValueError, match="do not span"):
         cone_facet_normals(rows, 3)
-    assert inequality_vertices(rows, [0] * 450) == []
+    assert inequality_vertices([(r, 0) for r in rows]) == []
 
 
 def test_facet_normals_in_dimension_one():
@@ -373,7 +374,9 @@ def test_inequality_vertices_match_rank_and_solve(system, extra):
     """The vertices of the double description are those that a rank test
     and an exact solve find on every ``dim``-subset of rows.  Each
     ``(i, j, slack)`` in ``extra`` appends a duplicate of row ``i`` when
-    ``i == j``, else the implied row ``row_i + row_j >= b_i + b_j - slack``."""
+    ``i == j``, else the implied row ``row_i + row_j >= b_i + b_j - slack``.
+    The double description takes integer rows ``(a, c)``, so each row is
+    scaled to integers first."""
     for i, j, slack in extra:
         (ri, bi), (rj, bj) = system[i % len(system)], system[j % len(system)]
         if i == j:
@@ -382,4 +385,6 @@ def test_inequality_vertices_match_rank_and_solve(system, extra):
             system = system + [(tuple(x + y for x, y in zip(ri, rj)), bi + bj - slack)]
     rows = [r for r, _ in system]
     rhs = [b for _, b in system]
-    assert inequality_vertices(rows, rhs) == _vertices_by_rank_and_solve(rows, rhs)
+    scaled = [_integer_row([*r, b]) for r, b in system]
+    integer_rows = [(tuple(row[:-1]), row[-1]) for row in scaled]
+    assert inequality_vertices(integer_rows) == _vertices_by_rank_and_solve(rows, rhs)

@@ -1,6 +1,7 @@
 """Semigroup data: facets, transport map, normality, ideals."""
 
 from dataclasses import FrozenInstanceError
+from fractions import Fraction
 from itertools import product
 from math import gcd
 
@@ -9,8 +10,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from toricbsato import toric
-from toricbsato.exactnum import IntMatrix, fm_feasible, rank, solve_linear
-from toricbsato.polyhedra import cone_facet_normals
+from toricbsato.bsato import bfunction
+from toricbsato.exactnum import IntMatrix, fm_feasible, primitive_vector, rank, solve_linear
+from toricbsato.multipoly import MultiPoly
+from toricbsato.polyhedra import cone_facet_normals, newton_polyhedron
 from toricbsato.toric import (
     StructuralError,
     build_semigroup,
@@ -88,7 +91,7 @@ def test_pointedness_rank_test_matches_fourier_motzkin(columns):
     d = len(columns[0])
     if rank(columns) != d:
         return
-    pointed, _ = fm_feasible([(a, 1, ">=") for a in columns])
+    pointed, _ = fm_feasible([(a, 1) for a in columns])
     try:
         build_semigroup([list(row) for row in zip(*columns)])
     except StructuralError as exc:
@@ -361,3 +364,32 @@ def test_monomial_ideal_validation(cusp):
         monomial_ideal(cusp, [(1, 1, 1)])
     with pytest.raises(ValueError, match="at least one"):
         monomial_ideal(cusp, [])
+
+
+PLANE = build_semigroup([[1, 0], [0, 1]])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: IntMatrix([[1, 0.5], [0, 1]]),
+        lambda: build_semigroup([[1, 1], [0, 2.9]]),
+        lambda: primitive_vector([Fraction(3, 2), 3]),
+        lambda: cone_facet_normals([(1, 0), (Fraction(1, 2), 1)], 2),
+        lambda: newton_polyhedron([(Fraction(1, 2), 1), (2, 0)], [(1, 0), (0, 1)]),
+        lambda: monomial_ideal(PLANE, [(1.7, 0)]),
+        lambda: minimalize_exponents(PLANE, [(1, Fraction(2))]),
+        lambda: bfunction(PLANE, [(2.0, 0)]),
+        lambda: MultiPoly(2, {(1, 0.5): 1}),
+    ],
+    ids=[
+        "IntMatrix", "build_semigroup", "primitive_vector", "cone_facet_normals",
+        "newton_polyhedron", "monomial_ideal", "minimalize_exponents", "bfunction",
+        "MultiPoly",
+    ],
+)
+def test_public_edge_refuses_non_integers(make):
+    # an integer input that is a float or a Fraction is refused, never
+    # truncated to a nearby lattice point
+    with pytest.raises(TypeError):
+        make()
