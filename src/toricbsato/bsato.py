@@ -45,11 +45,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import product
-from math import factorial, gcd, lcm
+from math import factorial, gcd
 from operator import itemgetter, mul
 from typing import Optional, Sequence
 
-from .exactnum import Vec, _int_vector, gcd_list
+from .exactnum import Vec, _int_vector, _integer_row
 from .multipoly import MonomialOrder, MultiPoly, UniPoly, block_elimination
 from .toric import (
     MonomialIdeal,
@@ -147,7 +147,7 @@ def _falling_product(alphas: Sequence[Vec], c: Sequence[int]) -> tuple[dict, int
             if REDUCTION_WORK_CAP is not None and work > REDUCTION_WORK_CAP:
                 raise WorkCapExceeded("REDUCTION_WORK_CAP", work, REDUCTION_WORK_CAP)
         denom *= factorial(m)
-    content = gcd_list(g.values())
+    content = gcd(*g.values())
     return {e: v // content for e, v in g.items() if v}, content, denom
 
 
@@ -278,11 +278,7 @@ class _Packing:
         return tuple(m >> i * w & mask for i in range(self.nvars))
 
     def to_int_poly(self, f: MultiPoly) -> dict:
-        denom = lcm(*(c.denominator for c in f.terms.values()))
-        enc = self.encode
-        return _normalize(
-            {enc(e): c.numerator * (denom // c.denominator) for e, c in f.terms.items()}
-        )
+        return _normalize(dict(zip(map(self.encode, f.terms), _integer_row(f.terms.values()))))
 
     def from_int_poly(self, p: dict) -> MultiPoly:
         lc, dec = p[max(p)], self.decode
@@ -305,7 +301,7 @@ def _packed(order: MonomialOrder, polys: Sequence[MultiPoly], run, cap: Optional
 def _normalize(p: dict) -> dict:
     if not p:
         return p
-    g = gcd_list(p.values())
+    g = gcd(*p.values())
     if g > 1:
         p = {e: c // g for e, c in p.items()}
     if p[max(p)] < 0:
@@ -367,7 +363,7 @@ def _normal_form(p: dict, basis: Sequence[tuple[int, int, dict]], pack: _Packing
                 p[ne] = -mult_g * gc
             else:
                 p[ne] = v - mult_g * gc
-        g = gcd_list(p.values())
+        g = gcd(*p.values())
         if g > 1:
             p = {k: v // g for k, v in p.items()}
     return _normalize({e: c for e, c in p.items() if c})
@@ -480,20 +476,6 @@ def groebner_basis(gens: Sequence[MultiPoly], order: MonomialOrder) -> list[Mult
     return result
 
 
-def normal_form(f: MultiPoly, basis: Sequence[MultiPoly], order: MonomialOrder) -> MultiPoly:
-    """Normal form of ``f`` modulo ``basis`` (up to a positive scalar;
-    exactly zero iff ``f`` reduces to zero)."""
-    if f.is_zero():
-        return MultiPoly.zero(f.nvars)
-
-    def run(pack: _Packing) -> MultiPoly:
-        reducers = [_reducer(pack.to_int_poly(g)) for g in basis]
-        nf = _normal_form(pack.to_int_poly(f), reducers, pack)
-        return pack.from_int_poly(nf) if nf else MultiPoly.zero(f.nvars)
-
-    return _packed(order, [f, *basis], run)
-
-
 def verify_groebner_basis(
     gens: Sequence[MultiPoly], gb: Sequence[MultiPoly], order: MonomialOrder
 ) -> None:
@@ -600,9 +582,8 @@ def rational_roots(p: UniPoly) -> tuple[list[tuple[Fraction, int]], UniPoly]:
     """
     if p.is_zero():
         raise ValueError("rational_roots of the zero polynomial")
-    denom = lcm(*(c.denominator for c in p.coeffs))
-    a = [int(c * denom) for c in p.coeffs]
-    g = gcd_list(a)
+    a = _integer_row(p.coeffs)
+    g = gcd(*a)
     mult0 = next(i for i, c in enumerate(a) if c)
     a = [c // g for c in a[mult0:]]
     roots: list[tuple[Fraction, int]] = [(Fraction(0), mult0)] if mult0 else []

@@ -18,8 +18,8 @@ lattice and feasibility primitives the geometric layers are built on:
 Every kernel takes integer rows ``(a, c)``, meaning ``a . x >= c``, as
 they are, so a level of the elimination feeds the walk unchanged.
 Exactness is checked once, where data enters: :func:`_int_vector` for
-integer vectors and :func:`_integer_row` for the rational rows of
-:func:`rank`, :func:`solve_linear` and :func:`fm_feasible`.
+integer vectors, :func:`_integer_row` for rational rows cleared to
+integers and :func:`_rational` for single rationals.
 
 All vectors are plain tuples, matrices are immutable ``IntMatrix`` values.
 """
@@ -38,7 +38,6 @@ __all__ = [
     "IntMatrix",
     "Vec",
     "dot",
-    "gcd_list",
     "primitive_vector",
     "hermite_normal_form",
     "lattice_is_saturated",
@@ -62,10 +61,6 @@ def dot(a: Sequence, b: Sequence):
     if len(a) != len(b):
         raise ValueError("dot: length mismatch")
     return sum(map(mul, a, b))
-
-
-def gcd_list(xs) -> int:
-    return gcd(*xs)
 
 
 @dataclass(frozen=True)
@@ -109,7 +104,7 @@ def primitive_vector(v: Sequence[int]) -> Vec:
     and ``TypeError`` on a non-integer entry.
     """
     v = _int_vector(v)
-    g = gcd_list(v)
+    g = gcd(*v)
     if g == 0:
         raise ValueError("zero vector has no primitive form")
     return tuple(x // g for x in v)

@@ -103,8 +103,9 @@ def transport_polynomial(
     """Transport polynomial generators termwise: ``y^beta`` becomes
     ``x^{F(beta)}`` with coefficients untouched.
 
-    Each generator is a list of ``(coefficient, exponent)`` terms.  Raises
-    if an exponent lies outside the semigroup.
+    Each generator is a list of ``(coefficient, exponent)`` terms with int
+    or Fraction coefficients (a float raises ``TypeError``).  Raises
+    ``ValueError`` if an exponent lies outside the semigroup.
     """
     out = []
     for terms in term_lists:
@@ -113,7 +114,7 @@ def transport_polynomial(
             q = f_map(S, beta)
             if any(x < 0 for x in q):
                 raise ValueError(f"exponent {tuple(beta)} outside the semigroup")
-            mapped[q] = mapped.get(q, Fraction(0)) + Fraction(coeff)
+            mapped[q] = mapped.get(q, Fraction(0)) + _rational(coeff)
         out.append(sorted(((e, c) for e, c in mapped.items() if c != 0)))
     return [[(c, e) for e, c in terms] for terms in out]
 

@@ -18,7 +18,7 @@ from math import factorial
 from operator import mul
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .exactnum import _int_vector
+from .exactnum import _int_vector, _rational
 
 __all__ = [
     "MultiPoly",
@@ -83,10 +83,11 @@ class MultiPoly:
     """Sparse polynomial in ``nvars`` variables over the rationals.
 
     ``terms`` maps exponent tuples to nonzero exact rationals, ``int`` or
-    ``Fraction``: the public constructor stores ``Fraction``s, while
-    integer-built polynomials keep their ``int``s.  Equality and hashing
-    agree across the two types.  Instances are treated as immutable values;
-    all operations return new polynomials.
+    ``Fraction``: the public constructor stores ``Fraction``s (a float
+    coefficient raises ``TypeError``), while integer-built polynomials keep
+    their ``int``s.  Equality and hashing agree across the two types.
+    Instances are treated as immutable values; all operations return new
+    polynomials.
     """
 
     __slots__ = ("nvars", "terms")
@@ -96,7 +97,7 @@ class MultiPoly:
         clean: dict[tuple[int, ...], Fraction] = {}
         if terms:
             for exp, coeff in terms.items():
-                c = Fraction(coeff)
+                c = _rational(coeff)
                 if c == 0:
                     continue
                 exp = _int_vector(exp)
@@ -127,23 +128,19 @@ class MultiPoly:
 
     @staticmethod
     def constant(nvars: int, c) -> "MultiPoly":
-        return MultiPoly(nvars, {(0,) * nvars: Fraction(c)})
+        return MultiPoly(nvars, {(0,) * nvars: c})
 
     @staticmethod
     def variable(nvars: int, i: int) -> "MultiPoly":
         exp = tuple(1 if j == i else 0 for j in range(nvars))
-        return MultiPoly(nvars, {exp: Fraction(1)})
+        return MultiPoly(nvars, {exp: 1})
 
     @staticmethod
     def linear_form(coeffs: Sequence, const=0) -> "MultiPoly":
         """Polynomial ``sum coeffs[i] * x_i + const``."""
         n = len(coeffs)
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for i, c in enumerate(coeffs):
-            if c:
-                terms[tuple(1 if j == i else 0 for j in range(n))] = Fraction(c)
-        if const:
-            terms[(0,) * n] = Fraction(const)
+        terms = {tuple(1 if j == i else 0 for j in range(n)): c for i, c in enumerate(coeffs)}
+        terms[(0,) * n] = const
         return MultiPoly(n, terms)
 
     # -- basic queries ------------------------------------------------
@@ -220,7 +217,7 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
-        c = Fraction(scalar)
+        c = _rational(scalar)
         if c == 0:
             raise ZeroDivisionError
         return self * (1 / c)
@@ -277,12 +274,13 @@ def binom_poly(E: MultiPoly, m: int) -> MultiPoly:
 
 
 class UniPoly:
-    """Dense univariate polynomial over ``Fraction`` (ascending coefficients)."""
+    """Dense univariate polynomial over ``Fraction`` (ascending coefficients);
+    a float coefficient raises ``TypeError``."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [_rational(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -293,9 +291,9 @@ class UniPoly:
 
     @staticmethod
     def from_roots(roots: Sequence, lead=1) -> "UniPoly":
-        p = UniPoly([Fraction(lead)])
+        p = UniPoly([lead])
         for r in roots:
-            p = p * UniPoly([-Fraction(r), 1])
+            p = p * UniPoly([-r, 1])
         return p
 
     def is_zero(self) -> bool:
@@ -315,7 +313,7 @@ class UniPoly:
         return not self.is_zero() and self.coeffs[-1] == 1
 
     def __call__(self, x) -> Fraction:
-        x = Fraction(x)
+        x = _rational(x)
         total = Fraction(0)
         for c in reversed(self.coeffs):
             total = total * x + c

@@ -1,14 +1,16 @@
 """Exact rational convex geometry: cones and Newton polyhedra.
 
 A Newton polyhedron here is ``conv(points) + cone(rays)`` for finitely many
-integer points and integer recession rays.  Its facets are computed exactly
-by homogenizing to a cone one dimension up: the facet normals of a cone and
-the vertices of an inequality system are both the extreme rays of a cone
-``{y : r . y >= 0}``, found by one integer double description routine whose
-ray pairs are counted against ``RAY_PAIRS_CAP``.  The H-representation has
-primitive integer normals and integer offsets.  Membership in dilations,
-relative-interior membership and the point threshold (the dilation factor
-at which a point enters the boundary) are all exact.
+integer points and integer recession rays, kept as its facets: the
+inequalities ``normal . x >= offset`` with primitive integer normals and
+integer offsets.  They are computed exactly by homogenizing to a cone one
+dimension up: the facet normals of a cone and the vertices of an
+inequality system are both the extreme rays of a cone ``{y : r . y >= 0}``,
+found by one integer double description routine whose ray pairs are
+counted against ``RAY_PAIRS_CAP``; :func:`inequality_vertices` reads the
+vertices back off the facets.  Membership in dilations, relative-interior
+membership and the point threshold (the dilation factor at which a point
+enters the boundary) are all exact.
 
 All polyhedra constructed here are required to be full-dimensional, so the
 relative interior coincides with the topological interior and is cut out by
@@ -19,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Optional, Sequence
 
 from .exactnum import (
@@ -27,9 +28,10 @@ from .exactnum import (
     WorkCapExceeded,
     _bareiss,
     _int_vector,
+    _integer_row,
+    _rational,
     dot,
     primitive_vector,
-    rank,
 )
 
 __all__ = [
@@ -121,17 +123,15 @@ def inequality_vertices(rows: Sequence[tuple[Vec, int]]) -> list[tuple[Fraction,
 
 @dataclass(frozen=True)
 class NewtonPolyhedron:
-    """H- and V-representation of ``conv(points) + cone(rays)``.
+    """``conv(points) + cone(rays)`` as its facets.
 
-    ``facets`` is a tuple of ``(normal, offset)`` pairs encoding the
+    ``facets`` is a sorted tuple of ``(normal, offset)`` pairs encoding the
     irredundant inequalities ``normal . x >= offset`` with primitive integer
-    normals and integer offsets.  ``vertices`` are the extreme points and
-    ``recession_rays`` the primitive input rays.
+    normals and integer offsets; ``inequality_vertices(list(P.facets))``
+    gives the vertices.
     """
 
     ambient_dim: int
-    vertices: tuple[Vec, ...]
-    recession_rays: tuple[Vec, ...]
     facets: tuple[tuple[Vec, int], ...]
 
 
@@ -167,7 +167,7 @@ def newton_polyhedron(points: Sequence[Vec], rays: Sequence[Vec]) -> NewtonPolyh
         facets.append((normal, offset))
     facets = sorted(set(facets))
 
-    # sanity: the V-representation satisfies the H-representation
+    # sanity: every input point and ray satisfies every facet
     for normal, offset in facets:
         for p in pts:
             if dot(normal, p) < offset:
@@ -175,18 +175,7 @@ def newton_polyhedron(points: Sequence[Vec], rays: Sequence[Vec]) -> NewtonPolyh
         for r in rys:
             if dot(normal, r) < 0:
                 raise AssertionError("input ray violates computed facet")
-
-    vertices = []
-    for p in pts:
-        tight = [normal for normal, offset in facets if dot(normal, p) == offset]
-        if rank(tight) == n:
-            vertices.append(p)
-    return NewtonPolyhedron(
-        ambient_dim=n,
-        vertices=tuple(vertices),
-        recession_rays=tuple(rys),
-        facets=tuple(facets),
-    )
+    return NewtonPolyhedron(ambient_dim=n, facets=tuple(facets))
 
 
 def membership(P: NewtonPolyhedron, q: Sequence, alpha, mode: str = "closed") -> bool:
@@ -195,19 +184,17 @@ def membership(P: NewtonPolyhedron, q: Sequence, alpha, mode: str = "closed") ->
     ``mode="closed"`` tests the closed polyhedron, ``mode="relint"`` its
     relative interior (= interior; the construction guarantees full
     dimension).  ``alpha`` must be a positive rational and ``q`` hold ints
-    or Fractions; scaled by their common denominator ``D``, each facet
-    compares integers, ``normal . (D q) >= (D alpha) offset``.
+    or Fractions (a float raises ``TypeError``); scaled by their common
+    denominator ``D``, each facet compares integers,
+    ``normal . (D q) >= (D alpha) offset``.
     """
     if mode not in ("closed", "relint"):
         raise ValueError("mode must be 'closed' or 'relint'")
-    a = Fraction(alpha)
-    if a <= 0:
+    *qs, num = _integer_row([*q, alpha])
+    if num <= 0:
         raise ValueError("dilation factor must be positive")
-    if len(q) != P.ambient_dim:
+    if len(qs) != P.ambient_dim:
         raise ValueError("point has wrong dimension")
-    den = lcm(a.denominator, *(x.denominator for x in q))
-    qs = [x.numerator * (den // x.denominator) for x in q]
-    num = a.numerator * (den // a.denominator)
     for normal, offset in P.facets:
         lhs, rhs = dot(normal, qs), num * offset
         if lhs < rhs or (lhs == rhs and mode == "relint"):
@@ -222,8 +209,9 @@ def point_threshold(P: NewtonPolyhedron, q: Sequence) -> Optional[Fraction]:
     as a ``Fraction``, or ``None`` (unbounded) when no facet has a positive
     offset.  Raises ``ValueError`` when some zero-offset facet has
     ``normal . q < 0``: then ``q`` enters no dilation and has no threshold.
+    A float coordinate raises ``TypeError``.
     """
-    qv = [x if isinstance(x, int) else Fraction(x) for x in q]
+    qv = [x if isinstance(x, int) else _rational(x) for x in q]
     if len(qv) != P.ambient_dim:
         raise ValueError("point has wrong dimension")
     best = None

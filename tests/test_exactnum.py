@@ -11,7 +11,6 @@ from toricbsato.exactnum import (
     IntMatrix,
     dot,
     fm_feasible,
-    gcd_list,
     hermite_normal_form,
     kernel_lattice_basis,
     lattice_is_saturated,
@@ -39,11 +38,6 @@ def test_primitive_vector():
     assert primitive_vector((-3,)) == (-1,)
     with pytest.raises(ValueError):
         primitive_vector((0, 0))
-
-
-def test_gcd_list():
-    assert gcd_list([12, -18, 30]) == 6
-    assert gcd_list([7]) == 7
 
 
 def test_matrix_basics():

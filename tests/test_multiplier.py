@@ -25,7 +25,13 @@ from toricbsato.multiplier import (
     transported_polyhedron,
     verify_correspondence,
 )
-from toricbsato.polyhedra import cone_facet_normals, membership, newton_polyhedron
+from toricbsato.multipoly import MultiPoly, UniPoly
+from toricbsato.polyhedra import (
+    cone_facet_normals,
+    membership,
+    newton_polyhedron,
+    point_threshold,
+)
 from toricbsato.toric import (
     SemigroupData,
     build_semigroup,
@@ -415,6 +421,33 @@ def test_parameters_refuse_floats(cusp, cusp_ideal):
         multiplier_ideal_with_boundary(cusp, cusp_ideal, (0.0, 0), 1)
     with pytest.raises(TypeError):
         jumping_coefficients(cusp, cusp_ideal, 2.0)
+
+
+SQUARE_POLYHEDRON = newton_polyhedron([(2, 0), (0, 2)], [(1, 0), (0, 1)])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: membership(SQUARE_POLYHEDRON, (1, 1), 0.5),
+        lambda: membership(SQUARE_POLYHEDRON, (0.5, 1), 1),
+        lambda: point_threshold(SQUARE_POLYHEDRON, (0.5, 1)),
+        lambda: transport_polynomial(build_semigroup(CUSP), [[(0.1, (1, 1))]]),
+        lambda: MultiPoly(2, {(1, 0): 0.5}),
+        lambda: MultiPoly.variable(1, 0) / 0.5,
+        lambda: UniPoly([1, 0.5]),
+        lambda: UniPoly([1, 1])(0.5),
+    ],
+    ids=[
+        "membership-alpha", "membership-point", "point_threshold",
+        "transport_polynomial", "MultiPoly", "MultiPoly-divide", "UniPoly", "UniPoly-evaluate",
+    ],
+)
+def test_rationals_refuse_floats(make):
+    # a float coordinate, dilation factor or coefficient is refused, not
+    # read as the rational it rounds to
+    with pytest.raises(TypeError):
+        make()
 
 
 def test_kernels_take_integer_rows_unchecked(monkeypatch):

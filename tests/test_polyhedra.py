@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from toricbsato import polyhedra
+from toricbsato import exactnum, polyhedra
 from toricbsato.exactnum import (
     WorkCapExceeded,
     _bareiss,
@@ -86,13 +86,13 @@ def oracle_facets_2d(points, rays, K=10_000):
 def test_running_example_polyhedron():
     P = newton_polyhedron([(2, 1), (1, 2)], ORTHANT2)
     assert set(P.facets) == {((1, 0), 1), ((0, 1), 1), ((1, 1), 3)}
-    assert set(P.vertices) == {(2, 1), (1, 2)}
+    assert inequality_vertices(list(P.facets)) == [(1, 2), (2, 1)]
 
 
 def test_translated_orthant():
     P = newton_polyhedron([(1, 1)], ORTHANT2)
     assert set(P.facets) == {((1, 0), 1), ((0, 1), 1)}
-    assert P.vertices == ((1, 1),)
+    assert inequality_vertices(list(P.facets)) == [(1, 1)]
 
 
 def test_non_orthant_recession_cone():
@@ -104,7 +104,7 @@ def test_non_orthant_recession_cone():
 def test_vertices_are_minimal_generators():
     # (2,2) = (1,1) + orthant, so it is not a vertex
     P = newton_polyhedron([(1, 1), (2, 2), (0, 3)], ORTHANT2)
-    assert set(P.vertices) == {(1, 1), (0, 3)}
+    assert inequality_vertices(list(P.facets)) == [(0, 3), (1, 1)]
 
 
 def test_empty_points_rejected():
@@ -112,16 +112,21 @@ def test_empty_points_rejected():
         newton_polyhedron([], ORTHANT2)
 
 
-def test_rank_calls_are_the_vertex_tests(monkeypatch):
+def test_newton_polyhedron_makes_no_rank_call(monkeypatch):
     """The double description of the homogenized cone is the spanning
-    test: rank runs once per input point, to test it for a vertex."""
+    test and gives the facets; the polyhedron is kept as its facets, so no
+    rank test runs."""
     calls = []
-    monkeypatch.setattr(polyhedra, "rank", lambda rows: calls.append(rows) or rank(rows))
-    points = [(0, 4), (1, 1), (2, 2), (4, 0)]
-    P = newton_polyhedron(points, ORTHANT2)
-    assert P.vertices == ((0, 4), (1, 1), (4, 0))
-    assert len(calls) == len(points)
-    calls.clear()
+
+    def spy(rows):
+        calls.append(rows)
+        return rank(rows)
+
+    monkeypatch.setattr(exactnum, "rank", spy)
+    # a from-import of rank would bypass the exactnum attribute
+    monkeypatch.setattr(polyhedra, "rank", spy, raising=False)
+    P = newton_polyhedron([(0, 4), (1, 1), (2, 2), (4, 0)], ORTHANT2)
+    assert inequality_vertices(list(P.facets)) == [(0, 4), (1, 1), (4, 0)]
     with pytest.raises(ValueError, match="polyhedron not full-dimensional"):
         newton_polyhedron([(0, 0), (1, 1)], [(1, 1)])
     assert calls == []
@@ -219,7 +224,7 @@ def test_integer_membership_matches_fraction_reference(points, rays, q, alpha, m
     times a vertex, where the closed and relint answers differ."""
     P = newton_polyhedron(points, rays)
     if on_point:
-        q = tuple(alpha * x for x in P.vertices[0])
+        q = tuple(alpha * x for x in inequality_vertices(list(P.facets))[0])
     assert membership(P, q, alpha, mode) == _membership_fraction(P, q, alpha, mode)
 
 
