@@ -33,10 +33,12 @@ coefficient, and one call past ``REDUCTION_WORK_CAP`` units raises
 :class:`WorkCapExceeded`: a few S-pairs can still swell coefficients to
 tens of thousands of bits.  Public inputs are ``MultiPoly`` with exact
 rational coefficients (``int`` or ``Fraction``); the reduced basis comes
-back monic over ``Fraction``.  The b-function driver stays in integers
-from ``c`` to the roots: each eliminated ``g_c`` is built as a primitive
-integer polynomial, and the rational roots are split off by integer
-synthetic division, whose last quotient gives the unfactored remainder.
+back as the kernel keeps it, primitive over the integers with positive
+leads.  The b-function driver stays in integers from ``c`` to the roots:
+each eliminated ``g_c`` is built as a primitive integer polynomial, ``b``
+is the basis element in ``t`` divided by its lead, and the rational roots
+are split off by integer synthetic division, whose last quotient gives the
+unfactored remainder.
 """
 
 from __future__ import annotations
@@ -74,12 +76,7 @@ __all__ = [
     "WorkCapExceeded",
     "GENERATORS_CAP",
     "REDUCTION_WORK_CAP",
-    "SELF_CHECK",
 ]
-
-#: When true, every Groebner run re-verifies itself (inputs and all
-#: S-polynomials reduce to zero).  Flipped on by the acceptance suite.
-SELF_CHECK = False
 
 #: Counted work cap: the ``c`` vectors of one truncation box, counted before
 #: any is listed.
@@ -281,8 +278,7 @@ class _Packing:
         return _normalize(dict(zip(map(self.encode, f.terms), _integer_row(f.terms.values()))))
 
     def from_int_poly(self, p: dict) -> MultiPoly:
-        lc, dec = p[max(p)], self.decode
-        return MultiPoly._of(self.nvars, {dec(e): Fraction(c, lc) for e, c in p.items()})
+        return MultiPoly._of(self.nvars, dict(zip(map(self.decode, p), p.values())))
 
 
 def _packed(order: MonomialOrder, polys: Sequence[MultiPoly], run, cap: Optional[int] = None):
@@ -446,16 +442,14 @@ def _buchberger(ipolys: list[dict], pack: _Packing) -> list[dict]:
 
 
 def groebner_basis(gens: Sequence[MultiPoly], order: MonomialOrder) -> list[MultiPoly]:
-    """Reduced Groebner basis of ``<gens>`` under ``order`` (monic output).
+    """Reduced Groebner basis of ``<gens>`` under ``order``: primitive
+    integer polynomials with positive leading coefficients.
 
     Deterministic: Buchberger with normal pair selection (minimal lcm total
     degree, ties by pair index) plus the product and chain criteria; the
     reduced basis is unique for the ideal and order regardless, and comes
     back in ascending order of leads.  More than ``REDUCTION_WORK_CAP``
-    units of reduction work raise :class:`WorkCapExceeded`.  With the
-    module flag ``SELF_CHECK`` set the result is re-verified, without a
-    cap: every input and every S-polynomial of the output must reduce to
-    zero.
+    units of reduction work raise :class:`WorkCapExceeded`.
     """
     polys = [g for g in gens if not g.is_zero()]
     if len(polys) != len(gens):
@@ -470,10 +464,7 @@ def groebner_basis(gens: Sequence[MultiPoly], order: MonomialOrder) -> list[Mult
         basis = _buchberger([pack.to_int_poly(p) for p in polys], pack)
         return [pack.from_int_poly(p) for p in basis]
 
-    result = _packed(order, polys, run, REDUCTION_WORK_CAP)
-    if SELF_CHECK:
-        verify_groebner_basis(polys, result, order)
-    return result
+    return _packed(order, polys, run, REDUCTION_WORK_CAP)
 
 
 def verify_groebner_basis(
@@ -501,28 +492,29 @@ def verify_groebner_basis(
 def eliminate_minimal_univariate(gens: Sequence[MultiPoly]) -> Optional[UniPoly]:
     """Monic minimal ``p`` with ``p(sum s_i)`` in ``<gens>``, or ``None``.
 
-    Adjoins a fresh variable ``t`` and the relation ``t - sum s_i``, computes
-    a Groebner basis under the block order ``{s_i} >> {t}``, and reads off
-    the generator of the ``Q[t]`` elimination ideal.
+    Pads the generators with a fresh variable ``t``, adjoins ``t - sum
+    s_i``, computes a Groebner basis under the block order ``{s_i} >> {t}``
+    and reads off the ``Q[t]`` generator: the first basis element, if it is
+    free of the ``s_i`` (all other leads are larger), divided by its lead.
     """
     polys = [g for g in gens if not g.is_zero()]
     if not polys:
         return None
     r = polys[0].nvars
-    lifted = [g.extend_vars(1) for g in polys]
+    lifted = [MultiPoly._of(r + 1, {e + (0,): c for e, c in g.terms.items()}) for g in polys]
     t_rel = {(0,) * r + (1,): 1}
     for i in range(r):
         t_rel[tuple(1 if k == i else 0 for k in range(r + 1))] = -1
     lifted.append(MultiPoly._of(r + 1, t_rel))
     gb = groebner_basis(lifted, block_elimination(r))
-    pure = [g for g in gb if all(sum(e[:r]) == 0 for e in g.terms)]
+    pure = [g for g in gb[:2] if all(sum(e[:r]) == 0 for e in g.terms)]
     if not pure:
         return None
     if len(pure) > 1:
         raise AssertionError("elimination ideal of a PID gave several reduced generators")
-    coeffs: dict[int, Fraction] = {e[r]: c for e, c in pure[0].terms.items()}
+    coeffs = {e[r]: c for e, c in pure[0].terms.items()}
     top = max(coeffs)
-    return UniPoly([coeffs.get(k, Fraction(0)) for k in range(top + 1)])
+    return UniPoly([Fraction(coeffs.get(k, 0), coeffs[top]) for k in range(top + 1)])
 
 
 # ---------------------------------------------------------------------------

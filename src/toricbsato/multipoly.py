@@ -171,7 +171,7 @@ class MultiPoly:
             raise ValueError("variable count mismatch")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, MultiPoly):
             other = MultiPoly.constant(self.nvars, other)
         self._check(other)
         terms = dict(self.terms)
@@ -189,7 +189,7 @@ class MultiPoly:
         return MultiPoly._of(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, MultiPoly):
             other = MultiPoly.constant(self.nvars, other)
         return self + (-other)
 
@@ -197,8 +197,8 @@ class MultiPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
+        if not isinstance(other, MultiPoly):
+            c = _rational(other)
             if c == 0:
                 return MultiPoly.zero(self.nvars)
             return MultiPoly._of(self.nvars, {e: k * c for e, k in self.terms.items()})
@@ -222,42 +222,32 @@ class MultiPoly:
             raise ZeroDivisionError
         return self * (1 / c)
 
-    # -- variable bookkeeping -----------------------------------------
-
-    def extend_vars(self, extra: int) -> "MultiPoly":
-        """View this polynomial inside a ring with ``extra`` appended variables."""
-        if extra < 0:
-            raise ValueError("extra must be nonnegative")
-        pad = (0,) * extra
-        return MultiPoly._of(self.nvars + extra, {e + pad: c for e, c in self.terms.items()})
-
     # -- display ------------------------------------------------------
 
     def format(self, names: Optional[Sequence[str]] = None) -> str:
-        if self.is_zero():
-            return "0"
         if names is None:
             names = [f"x{i}" for i in range(self.nvars)]
-        parts = []
-        for e in sorted(self.terms, key=grevlex(self.nvars).key, reverse=True):
-            c = self.terms[e]
-            monos = [f"{names[i]}" + (f"^{k}" if k > 1 else "") for i, k in enumerate(e) if k]
-            body = "*".join(monos)
-            if not body:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(body)
-            elif c == -1:
-                parts.append(f"-{body}")
-            else:
-                parts.append(f"{c}*{body}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return _format_terms(
+            (self.terms[e], "*".join(names[i] + (f"^{k}" if k > 1 else "") for i, k in enumerate(e) if k))
+            for e in sorted(self.terms, key=grevlex(self.nvars).key, reverse=True)
+        )
 
     def __repr__(self):
         return f"MultiPoly({self.format()})"
+
+
+def _format_terms(terms: Iterable[tuple[Fraction, str]]) -> str:
+    """``c*m + ...`` over nonzero ``(c, m)`` pairs, ``m`` empty for the
+    constant: a unit coefficient is left out, a negative term is joined by
+    `` - ``, and no terms give ``"0"``."""
+    out = ""
+    for c, m in terms:
+        part = str(c) if not m else m if c == 1 else f"-{m}" if c == -1 else f"{c}*{m}"
+        if not out:
+            out = part
+        else:
+            out += f" - {part[1:]}" if part.startswith("-") else f" + {part}"
+    return out or "0"
 
 
 def binom_poly(E: MultiPoly, m: int) -> MultiPoly:
@@ -328,7 +318,7 @@ class UniPoly:
         return hash(self.coeffs)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, UniPoly):
             other = UniPoly([other])
         n = max(len(self.coeffs), len(other.coeffs))
         a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
@@ -339,13 +329,14 @@ class UniPoly:
         return UniPoly([-c for c in self.coeffs])
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, UniPoly):
             other = UniPoly([other])
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return UniPoly([c * Fraction(other) for c in self.coeffs])
+        if not isinstance(other, UniPoly):
+            c = _rational(other)
+            return UniPoly([k * c for k in self.coeffs])
         if self.is_zero() or other.is_zero():
             return UniPoly.zero()
         out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -383,28 +374,11 @@ class UniPoly:
         return r.is_zero()
 
     def format(self, var: str = "s") -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
-                continue
-            if k == 0:
-                body = str(c)
-            else:
-                v = var if k == 1 else f"{var}^{k}"
-                if c == 1:
-                    body = v
-                elif c == -1:
-                    body = f"-{v}"
-                else:
-                    body = f"{c}*{v}"
-            parts.append(body)
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return _format_terms(
+            (c, "" if k == 0 else var if k == 1 else f"{var}^{k}")
+            for k, c in reversed(list(enumerate(self.coeffs)))
+            if c
+        )
 
     def __repr__(self):
         return f"UniPoly({self.format()})"

@@ -292,15 +292,16 @@ def test_polynomial_ring_against_howald_oracle():
 
 
 def test_groebner_engine_soundness(cusp):
-    # the session fixture keeps self-verification on for every run in this
-    # suite: inputs and all S-polynomials of each output reduce to zero
-    assert bsato.SELF_CHECK is True
-    # and one run is forced here regardless of fixtures, on a system large
-    # enough to exercise reduction, both criteria, and elimination
+    # the session fixture wraps bsato.groebner_basis, so every elimination
+    # in this suite re-verifies its basis: inputs and all S-polynomials of
+    # each output reduce to zero
+    assert bsato.groebner_basis.__wrapped__ is not None
+    # and one elimination runs here on a system large enough to exercise
+    # reduction, both criteria, and elimination
     gens = [build_generator(cusp, CUSP_IDEAL, c) for c in c_vectors(2, 2)]
     from toricbsato.bsato import eliminate_minimal_univariate
 
-    p = eliminate_minimal_univariate(gens)  # self-check active inside
+    p = eliminate_minimal_univariate(gens)  # its basis is verified inside
     assert p is not None and p.is_monic()
 
     x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)

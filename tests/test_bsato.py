@@ -175,6 +175,15 @@ def test_groebner_toys():
     assert set(groebner_basis([x, y], grevlex(2))) == {x, y}
     # 1 = (xy+1) - y*x*x/x ... the ideal contains x^2 and xy+1, hence 1
     assert groebner_basis([x * x, x * y + 1], grevlex(2)) == [MultiPoly.constant(2, 1)]
+    # the basis comes back as the kernel keeps it, primitive over the
+    # integers with a positive lead: x/2 + y/3 as 3x + 2y, and with 1 - x
+    # the reduced basis 2y + 3, x - 1
+    assert [g.terms for g in groebner_basis([x / 2 + y / 3], grevlex(2))] == [{(1, 0): 3, (0, 1): 2}]
+    gb = groebner_basis([x / 2 + y / 3, 1 - x], grevlex(2))
+    assert [g.terms for g in gb] == [{(0, 1): 2, (0, 0): 3}, {(1, 0): 1, (0, 0): -1}]
+    assert all(type(c) is int for g in gb for c in g.terms.values())
+    for gens in ([x, y], [x * x, x * y + 1], [x / 2 + y / 3, 1 - x]):
+        verify_groebner_basis(gens, groebner_basis(gens, grevlex(2)), grevlex(2))
     with pytest.raises(ValueError, match="nonzero"):
         groebner_basis([x, MultiPoly.zero(2)], grevlex(2))
 
@@ -189,13 +198,15 @@ polys = st.dictionaries(exponents, coeffs, min_size=1, max_size=3).map(
 @given(st.lists(polys, min_size=1, max_size=3))
 @settings(max_examples=60, deadline=None)
 def test_groebner_random_systems(gens):
-    """Self-check is on suite-wide, so each run re-verifies the basis; on top
-    of that: reduced shape, input membership, and order-independence."""
+    """The basis verifies (inputs and S-polynomials reduce to zero); on top
+    of that: the kernel's primitive integer form with positive leads,
+    reduced shape, and order-independence."""
     order = grevlex(2)
     gb = groebner_basis(gens, order)
     leads = [g.leading_exponent(order) for g in gb]
     for i, g in enumerate(gb):
-        assert g.leading_coefficient(order) == 1
+        assert all(type(c) is int for c in g.terms.values())
+        assert gcd(*g.terms.values()) == 1 and g.leading_coefficient(order) > 0
         for j, le in enumerate(leads):
             if i != j:
                 assert not all(a <= b for a, b in zip(le, leads[i]))
@@ -390,10 +401,8 @@ def tuple_buchberger(gens, order):
         others = basis[:idx] + basis[idx + 1 :]
         if others:
             basis[idx] = tuple_reducer(tuple_normal_form(basis[idx][2], others, down), down)
-    out = []
-    for lead, lc, terms in sorted(basis, key=lambda red: down(red[0]), reverse=True):
-        out.append(MultiPoly._of(gens[0].nvars, {e: F(c, lc) for e, c in terms.items()}))
-    return out
+    order_up = sorted(basis, key=lambda red: down(red[0]), reverse=True)
+    return [MultiPoly._of(gens[0].nvars, terms) for _, _, terms in order_up]
 
 
 small_int_polys = st.dictionaries(
@@ -416,10 +425,13 @@ def test_groebner_basis_matches_tuple_kernel(order, gens):
             gb = groebner_basis(gens, order)
         except WorkCapExceeded:
             assume(False)
+    verify_groebner_basis(gens, gb, order)
     expected = tuple_buchberger(gens, order)
     assert gb == expected
-    # the same reduction sequence: every term is created in the same order
-    assert [list(g.terms) for g in gb] == [list(g.terms) for g in expected]
+    # the same integer coefficients, and the same reduction sequence: every
+    # term is created in the same order
+    assert [list(g.terms.items()) for g in gb] == [list(g.terms.items()) for g in expected]
+    assert all(type(c) is int for g in gb + expected for c in g.terms.values())
 
 
 exponent_pairs = st.integers(1, 5).flatmap(
@@ -450,10 +462,9 @@ def test_groebner_widens_overflowing_fields():
     x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
     y64 = MultiPoly._of(2, {(0, 64): 1})
     x64 = MultiPoly._of(2, {(64, 0): 1})
-    assert groebner_basis([x - y64, x64 - 1], block_elimination(1)) == [
-        MultiPoly(2, {(0, 4096): 1, (0, 0): -1}),
-        x - y64,
-    ]
+    gb = groebner_basis([x - y64, x64 - 1], block_elimination(1))
+    assert gb == [MultiPoly(2, {(0, 4096): 1, (0, 0): -1}), x - y64]
+    verify_groebner_basis([x - y64, x64 - 1], gb, block_elimination(1))
 
 
 def test_reduction_work_cap(monkeypatch):
@@ -469,6 +480,8 @@ def test_elimination_toys():
     x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
     assert eliminate_minimal_univariate([x, y]) == UniPoly([F(0), F(1)])
     assert eliminate_minimal_univariate([x - 1, y - 2]) == UniPoly([F(-3), F(1)])
+    # the basis element 2t - 1 is divided by its lead once
+    assert eliminate_minimal_univariate([x * 2 - 1, y]) == UniPoly([F(-1, 2), F(1)])
     assert eliminate_minimal_univariate([x - y]) is None
 
 
@@ -712,7 +725,8 @@ def test_bfunction_eliminates_primitive_integer_generators(monkeypatch):
     ids=["cusp-3-generators", "plane-x2-xy-y2"],
 )
 def test_bfunction_three_generators(matrix, ideal, roots):
-    # three generators: Buchberger meets the chain criterion, under SELF_CHECK
+    # three generators: Buchberger meets the chain criterion, under the
+    # suite's basis check
     S = build_semigroup(matrix)
     res = bfunction(S, monomial_ideal(S, ideal))
     assert res.stabilized

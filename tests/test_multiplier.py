@@ -437,10 +437,18 @@ SQUARE_POLYHEDRON = newton_polyhedron([(2, 0), (0, 2)], [(1, 0), (0, 1)])
         lambda: MultiPoly.variable(1, 0) / 0.5,
         lambda: UniPoly([1, 0.5]),
         lambda: UniPoly([1, 1])(0.5),
+        lambda: MultiPoly.variable(1, 0) + 0.5,
+        lambda: MultiPoly.variable(1, 0) - 0.5,
+        lambda: MultiPoly.variable(1, 0) * 0.5,
+        lambda: UniPoly([1, 1]) + 0.5,
+        lambda: UniPoly([1, 1]) - 0.5,
+        lambda: UniPoly([1, 1]) * 0.5,
     ],
     ids=[
         "membership-alpha", "membership-point", "point_threshold",
         "transport_polynomial", "MultiPoly", "MultiPoly-divide", "UniPoly", "UniPoly-evaluate",
+        "MultiPoly-add", "MultiPoly-subtract", "MultiPoly-multiply",
+        "UniPoly-add", "UniPoly-subtract", "UniPoly-multiply",
     ],
 )
 def test_rationals_refuse_floats(make):

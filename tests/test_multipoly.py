@@ -100,12 +100,6 @@ def test_leading_term():
     assert p.leading_coefficient(grevlex(2)) == 1
 
 
-def test_extend_vars():
-    p = poly_from(2, [((2, 1), 3)])
-    q = p.extend_vars(1)
-    assert q.nvars == 3 and q.terms == {(2, 1, 0): F(3)}
-
-
 def test_binom_poly_examples():
     s1 = MultiPoly.variable(2, 0)
     s2 = MultiPoly.variable(2, 1)
