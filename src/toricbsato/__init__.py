@@ -30,7 +30,7 @@ from .exactnum import (
     primitive_vector,
     solve_linear,
 )
-from .multipoly import MonomialOrder, MultiPoly, UniPoly, binom_poly, block_elimination, grevlex
+from .multipoly import MultiPoly, UniPoly, binom_poly
 from .multiplier import (
     CorrespondenceReport,
     JumpingReport,

@@ -17,28 +17,28 @@ polynomial (a second elimination would be deterministic, so no evidence).
 
 The Groebner engine is a deterministic Buchberger with the normal selection
 strategy (minimal lcm degree, ties by pair index, read off a heap of pairs
-whose lcm is computed once) and the standard product and chain criteria.
-Internally all polynomials are kept as primitive integer-coefficient
-dictionaries; contents are stripped after every reduction so coefficient
-growth stays tame.  Each monomial is packed into one int (Monagan-Pearce,
-CASC 2007): the exponents sit in fixed-width fields whose top bit is a
-guard, under the order's weight rows, so int comparison is the monomial
-order, a product of monomials is an int sum, and ``a`` divides ``b`` iff
-``((b | G) - a) & G == G`` for the guard mask ``G``.  The fields are sized
-from the inputs; a new monomial with a guard bit set means an exponent
-outgrew its field, and the call restarts with doubled fields, so exactness
-never rests on a size guess.  Reduction work is counted, per step the
-terms of the reduced polynomial times the 64-bit words of the cancelled
-coefficient, and one call past ``REDUCTION_WORK_CAP`` units raises
-:class:`WorkCapExceeded`: a few S-pairs can still swell coefficients to
-tens of thousands of bits.  Public inputs are ``MultiPoly`` with exact
-rational coefficients (``int`` or ``Fraction``); the reduced basis comes
-back as the kernel keeps it, primitive over the integers with positive
-leads.  The b-function driver stays in integers from ``c`` to the roots:
-each eliminated ``g_c`` is built as a primitive integer polynomial, ``b``
-is the basis element in ``t`` divided by its lead, and the rational roots
-are split off by integer synthetic division, whose last quotient gives the
-unfactored remainder.
+whose lcm is computed once) and the standard product and chain criteria,
+under the one order the elimination needs: every variable but the last,
+``t``, is eliminated.  Polynomials are kept as primitive integer
+dictionaries, contents stripped after every reduction.  Each monomial is
+packed into one int (Monagan-Pearce, CASC 2007): the exponents sit in
+fixed-width fields whose top bit is a guard, under the order's weight rows,
+so int comparison is the monomial order, a product of monomials is an int
+sum, and ``a`` divides ``b`` iff ``((b | G) - a) & G == G`` for the guard
+mask ``G``.  The fields are sized from the inputs; a new monomial with a
+guard bit set means an exponent outgrew its field, and the call restarts
+with doubled fields, so exactness never rests on a size guess.  Reduction
+work is counted, per step the terms of the reduced polynomial times the
+64-bit words of the cancelled coefficient, and one call past
+``REDUCTION_WORK_CAP`` units raises :class:`WorkCapExceeded`: a few
+S-pairs can still swell coefficients to tens of thousands of bits.  Public
+inputs are ``MultiPoly`` with exact rational coefficients (``int`` or
+``Fraction``); the reduced basis comes back as the kernel keeps it,
+primitive over the integers with positive leads.  The b-function driver
+stays in integers from ``c`` to the roots: each eliminated ``g_c`` is built
+as a primitive integer polynomial, ``b`` is the basis element in ``t``
+divided by its lead, and the rational roots are split off by integer
+synthetic division, whose last quotient gives the unfactored remainder.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from operator import itemgetter, mul
 from typing import Optional, Sequence
 
 from .exactnum import Vec, _int_vector, _integer_row
-from .multipoly import MonomialOrder, MultiPoly, UniPoly, block_elimination
+from .multipoly import MultiPoly, UniPoly
 from .toric import (
     MonomialIdeal,
     SemigroupData,
@@ -221,10 +221,21 @@ def c_vectors(r: int, B: int):
 # ---------------------------------------------------------------------------
 
 # internal polynomials: dict packed monomial -> nonzero int, content 1,
-# positive leading coefficient under the active order.  A packed monomial is
-# one int whose comparison is the order (see ``_Packing``), so the leading
+# positive leading coefficient under the order.  A packed monomial is one
+# int whose comparison is the order (see ``_Packing``), so the leading
 # monomial of ``p`` is ``max(p)`` and a min-heap of negated monomials pops
 # them in descending order.
+
+
+def _elimination_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    """Weight rows of the one order on ``n`` variables: grevlex on the first
+    ``n - 1`` (the degree row, then ``-e_{n-2}, ..., -e_0``) over the degree
+    of the last (``e_{n-1}``, then ``-e_{n-1}``).  Every monomial with a
+    front variable lies above every power of the last, so the reduced basis
+    eliminates the front block (Cox, Little and O'Shea, *Ideals, Varieties,
+    and Algorithms*, ch. 3)."""
+    neg = [tuple(-int(j == i) for j in range(n)) for i in reversed(range(n))]
+    return ((1,) * (n - 1) + (0,), *neg[1:], tuple(-x for x in neg[0]), neg[0])
 
 
 class _FieldOverflow(Exception):
@@ -232,13 +243,12 @@ class _FieldOverflow(Exception):
 
 
 class _Packing:
-    """One int per monomial for ``order`` on ``nvars`` variables, plus the
-    reduction work counted so far in the call and its cap (``None`` for no
-    cap).
+    """One int per monomial on ``nvars`` variables, plus the reduction work
+    counted so far in the call and its cap (``None`` for no cap).
 
     Exponent ``e_i`` sits in bits ``[i*w, (i+1)*w)`` of width ``w =
     width``; the top bit of each field is a guard, clear while ``e_i <
-    2^(w-1)``.  Above the exponents sit the order's weight rows, first row
+    2^(w-1)``.  Above the exponents sit the ``_elimination_rows``, first row
     highest, in signed fields of ``span`` bits, wide enough that any weight
     of in-range exponents stays below a quarter of the field.  Encoding is
     then the dot product of ``e`` with one packed int per variable, so a
@@ -250,10 +260,8 @@ class _Packing:
     others, and every new monomial is checked for that.
     """
 
-    def __init__(
-        self, order: MonomialOrder, nvars: int, width: int, work: int = 0, cap: Optional[int] = None
-    ):
-        rows = order.rows(nvars)
+    def __init__(self, nvars: int, width: int, work: int = 0, cap: Optional[int] = None):
+        rows = _elimination_rows(nvars)
         low = nvars * width
         top = max(sum(map(abs, row)) for row in rows) * ((1 << (width - 1)) - 1)
         span = top.bit_length() + 2
@@ -281,17 +289,17 @@ class _Packing:
         return MultiPoly._of(self.nvars, dict(zip(map(self.decode, p), p.values())))
 
 
-def _packed(order: MonomialOrder, polys: Sequence[MultiPoly], run, cap: Optional[int] = None):
+def _packed(polys: Sequence[MultiPoly], run, cap: Optional[int] = None):
     """``run(pack)`` for a packing whose fields hold twice the largest
     exponent of ``polys``; while a packed exponent overflows, the run
     restarts with doubled fields and keeps the work counted so far."""
     top = max((x for f in polys for e in f.terms for x in e), default=0)
-    pack = _Packing(order, polys[0].nvars, top.bit_length() + 2, cap=cap)
+    pack = _Packing(polys[0].nvars, top.bit_length() + 2, cap=cap)
     while True:
         try:
             return run(pack)
         except _FieldOverflow:
-            pack = _Packing(order, pack.nvars, 2 * pack.width, pack.work, cap)
+            pack = _Packing(pack.nvars, 2 * pack.width, pack.work, cap)
 
 
 def _normalize(p: dict) -> dict:
@@ -441,15 +449,15 @@ def _buchberger(ipolys: list[dict], pack: _Packing) -> list[dict]:
     return [p for _, _, p in sorted(basis, key=itemgetter(0))]
 
 
-def groebner_basis(gens: Sequence[MultiPoly], order: MonomialOrder) -> list[MultiPoly]:
-    """Reduced Groebner basis of ``<gens>`` under ``order``: primitive
-    integer polynomials with positive leading coefficients.
+def groebner_basis(gens: Sequence[MultiPoly]) -> list[MultiPoly]:
+    """Reduced Groebner basis of ``<gens>`` under the ``_elimination_rows``
+    order: primitive integer polynomials with positive leading coefficients.
 
     Deterministic: Buchberger with normal pair selection (minimal lcm total
     degree, ties by pair index) plus the product and chain criteria; the
-    reduced basis is unique for the ideal and order regardless, and comes
-    back in ascending order of leads.  More than ``REDUCTION_WORK_CAP``
-    units of reduction work raise :class:`WorkCapExceeded`.
+    reduced basis is unique for the ideal regardless, and comes back in
+    ascending order of leads.  More than ``REDUCTION_WORK_CAP`` units of
+    reduction work raise :class:`WorkCapExceeded`.
     """
     polys = [g for g in gens if not g.is_zero()]
     if len(polys) != len(gens):
@@ -464,12 +472,10 @@ def groebner_basis(gens: Sequence[MultiPoly], order: MonomialOrder) -> list[Mult
         basis = _buchberger([pack.to_int_poly(p) for p in polys], pack)
         return [pack.from_int_poly(p) for p in basis]
 
-    return _packed(order, polys, run, REDUCTION_WORK_CAP)
+    return _packed(polys, run, REDUCTION_WORK_CAP)
 
 
-def verify_groebner_basis(
-    gens: Sequence[MultiPoly], gb: Sequence[MultiPoly], order: MonomialOrder
-) -> None:
+def verify_groebner_basis(gens: Sequence[MultiPoly], gb: Sequence[MultiPoly]) -> None:
     """Raise ``AssertionError`` unless ``gb`` behaves like a Groebner basis
     for ``<gens>``: all inputs and all S-polynomials reduce to zero."""
 
@@ -486,16 +492,16 @@ def verify_groebner_basis(
                     raise AssertionError("S-polynomial does not reduce to zero")
 
     if gens or gb:
-        _packed(order, [*gens, *gb], run)
+        _packed([*gens, *gb], run)
 
 
 def eliminate_minimal_univariate(gens: Sequence[MultiPoly]) -> Optional[UniPoly]:
     """Monic minimal ``p`` with ``p(sum s_i)`` in ``<gens>``, or ``None``.
 
-    Pads the generators with a fresh variable ``t``, adjoins ``t - sum
-    s_i``, computes a Groebner basis under the block order ``{s_i} >> {t}``
-    and reads off the ``Q[t]`` generator: the first basis element, if it is
-    free of the ``s_i`` (all other leads are larger), divided by its lead.
+    Pads the generators with a last variable ``t``, adjoins ``t - sum s_i``,
+    computes the Groebner basis, which eliminates the ``s_i``, and reads off
+    the ``Q[t]`` generator: the first basis element, if it is free of the
+    ``s_i`` (all other leads are larger), divided by its lead.
     """
     polys = [g for g in gens if not g.is_zero()]
     if not polys:
@@ -506,7 +512,7 @@ def eliminate_minimal_univariate(gens: Sequence[MultiPoly]) -> Optional[UniPoly]
     for i in range(r):
         t_rel[tuple(1 if k == i else 0 for k in range(r + 1))] = -1
     lifted.append(MultiPoly._of(r + 1, t_rel))
-    gb = groebner_basis(lifted, block_elimination(r))
+    gb = groebner_basis(lifted)
     pure = [g for g in gb[:2] if all(sum(e[:r]) == 0 for e in g.terms)]
     if not pure:
         return None

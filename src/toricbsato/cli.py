@@ -287,10 +287,7 @@ def _normality_gate(doc: Document, args, S: SemigroupData) -> Optional[tuple[int
 
 def run(command: str, doc: Document, args) -> int:
     """Execute one command against a parsed document; returns the exit code."""
-    try:
-        S = build_semigroup(IntMatrix(doc.matrix_rows))
-    except StructuralError as exc:
-        return _error(command, EXIT_STRUCTURAL, str(exc))
+    S = build_semigroup(IntMatrix(doc.matrix_rows))
 
     if command == "check":
         report = {

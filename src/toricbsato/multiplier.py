@@ -36,7 +36,7 @@ from typing import Optional, Sequence, Union
 
 from .bsato import DEFAULT_CAP, bfunction
 from .exactnum import IntMatrix, Vec, _fm_levels, _fm_witness, _lattice_lines, _rational, dot
-from .exactnum import kernel_lattice_basis
+from .exactnum import _int_vector, kernel_lattice_basis
 from .polyhedra import NewtonPolyhedron, inequality_vertices, membership
 from .toric import (
     SCAN_POINTS_CAP,
@@ -104,13 +104,17 @@ def transport_polynomial(
     ``x^{F(beta)}`` with coefficients untouched.
 
     Each generator is a list of ``(coefficient, exponent)`` terms with int
-    or Fraction coefficients (a float raises ``TypeError``).  Raises
-    ``ValueError`` if an exponent lies outside the semigroup.
+    or Fraction coefficients and integer exponents (a float, or a Fraction
+    exponent, raises ``TypeError``).  Raises ``ValueError`` if an exponent
+    has the wrong dimension or lies outside the semigroup.
     """
     out = []
     for terms in term_lists:
         mapped: dict[Vec, Fraction] = {}
         for coeff, beta in terms:
+            beta = _int_vector(beta)
+            if len(beta) != S.d:
+                raise ValueError("exponent has wrong dimension")
             q = f_map(S, beta)
             if any(x < 0 for x in q):
                 raise ValueError(f"exponent {tuple(beta)} outside the semigroup")

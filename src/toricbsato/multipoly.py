@@ -2,81 +2,23 @@
 
 ``MultiPoly`` stores a mapping from exponent tuples to nonzero exact
 rational coefficients (``int`` or ``Fraction``); the number of variables is
-fixed per polynomial.  Monomial orders are matrix orders: small value
-objects carrying integer weight rows, whose key on an exponent tuple is the
-tuple of its weights (``bsato`` packs the same rows into one int per
-monomial).  ``UniPoly`` is a dense univariate polynomial used for
+fixed per polynomial.  It carries no monomial order: the one order the
+package computes with is the elimination order of the Groebner engine in
+``bsato``, and ``format`` lists terms in graded reverse-lexicographic order
+for display only.  ``UniPoly`` is a dense univariate polynomial used for
 b-functions and root bookkeeping.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
-from operator import mul
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from operator import index
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .exactnum import _int_vector, _rational
 
-__all__ = [
-    "MultiPoly",
-    "UniPoly",
-    "MonomialOrder",
-    "grevlex",
-    "block_elimination",
-]
-
-
-@lru_cache(maxsize=None)
-def _grevlex_rows(n: int) -> tuple[tuple[int, ...], ...]:
-    """The degree row, then ``-e_{n-1}, ..., -e_0``."""
-    units = [tuple(-int(j == i) for j in range(n)) for i in reversed(range(n))]
-    return ((1,) * n, *units)
-
-
-@dataclass(frozen=True)
-class MonomialOrder:
-    """A matrix order on exponent tuples: ``rows(n)`` are the integer weight
-    rows on ``n`` variables, and ``a < b`` iff the weights ``row . a``
-    compare lexicographically below those of ``b``.
-
-    The rows have full rank, so distinct exponents get distinct keys.
-    """
-
-    name: str
-    rows: Callable[[int], tuple[tuple[int, ...], ...]]
-
-    def key(self, e: tuple[int, ...]) -> tuple:
-        """The weights ``(row . e for row in rows(len(e)))``."""
-        return tuple(sum(map(mul, row, e)) for row in self.rows(len(e)))
-
-
-def grevlex(nvars: int) -> MonomialOrder:
-    """Graded reverse-lexicographic order: the degree row, then the negated
-    unit rows from the last variable to the first (the rows follow the
-    length of the exponent tuple)."""
-    return MonomialOrder(f"grevlex({nvars})", _grevlex_rows)
-
-
-def block_elimination(n_front: int) -> MonomialOrder:
-    """Block order: grevlex on the first ``n_front`` variables, which
-    dominate grevlex on the remaining block.
-
-    The rows are the grevlex rows of the front block, padded with zeros on
-    the back, stacked over the grevlex rows of the back block.  Any monomial
-    involving a front variable is larger than every monomial in the back
-    variables only, so a Groebner basis under this order eliminates the
-    front block.
-    """
-
-    def rows(n: int) -> tuple[tuple[int, ...], ...]:
-        pad_front, pad_back = (0,) * n_front, (0,) * (n - n_front)
-        front = [r + pad_back for r in _grevlex_rows(n_front)]
-        return (*front, *(pad_front + r for r in _grevlex_rows(n - n_front)))
-
-    return MonomialOrder(f"block_elimination({n_front})", rows)
+__all__ = ["MultiPoly", "UniPoly"]
 
 
 class MultiPoly:
@@ -93,7 +35,7 @@ class MultiPoly:
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: Mapping[tuple[int, ...], Fraction] | None = None):
-        self.nvars = int(nvars)
+        self.nvars = index(nvars)
         clean: dict[tuple[int, ...], Fraction] = {}
         if terms:
             for exp, coeff in terms.items():
@@ -156,14 +98,6 @@ class MultiPoly:
     def __hash__(self):
         return hash((self.nvars, frozenset(self.terms.items())))
 
-    def leading_exponent(self, order: MonomialOrder) -> tuple[int, ...]:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        return max(self.terms, key=order.key)
-
-    def leading_coefficient(self, order: MonomialOrder) -> Fraction:
-        return self.terms[self.leading_exponent(order)]
-
     # -- arithmetic ---------------------------------------------------
 
     def _check(self, other: "MultiPoly"):
@@ -225,11 +159,14 @@ class MultiPoly:
     # -- display ------------------------------------------------------
 
     def format(self, names: Optional[Sequence[str]] = None) -> str:
+        """``c*m + ...`` with the terms in descending grevlex order, keyed
+        ``(sum(e), -e[n-1], ..., -e[0])``."""
         if names is None:
             names = [f"x{i}" for i in range(self.nvars)]
+        exps = sorted(self.terms, key=lambda e: (sum(e), *(-x for x in reversed(e))), reverse=True)
         return _format_terms(
             (self.terms[e], "*".join(names[i] + (f"^{k}" if k > 1 else "") for i, k in enumerate(e) if k))
-            for e in sorted(self.terms, key=grevlex(self.nvars).key, reverse=True)
+            for e in exps
         )
 
     def __repr__(self):

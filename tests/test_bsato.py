@@ -29,7 +29,7 @@ from toricbsato.bsato import (
     rational_roots,
     verify_groebner_basis,
 )
-from toricbsato.multipoly import MultiPoly, UniPoly, binom_poly, block_elimination, grevlex
+from toricbsato.multipoly import MultiPoly, UniPoly, binom_poly
 from toricbsato.toric import build_semigroup, monomial_ideal
 
 F = Fraction
@@ -140,10 +140,9 @@ def test_smaller_profile_divides(case):
     # g_c divides g_c' when phi(c) <= phi(c'): the division by the single
     # polynomial g_c, its own Groebner basis, leaves no remainder
     alphas, pairs = case
-    order = grevlex(len(alphas))
     for c, c2 in pairs:
         divisor = monomial_generator(alphas, c)
-        verify_groebner_basis([monomial_generator(alphas, c2)], [divisor], order)
+        verify_groebner_basis([monomial_generator(alphas, c2)], [divisor])
 
 
 def test_c_vectors():
@@ -170,22 +169,39 @@ def test_generators_cap():
 # --- Groebner engine --------------------------------------------------------
 
 
+def order_key(e):
+    """The engine's one order as weight rows, written out for the tests:
+    grevlex on all but the last variable (the degree, then ``-e_{n-2}, ...,
+    -e_0``), then the exponent of the last; the key is the tuple of the
+    rows' dot products with ``e``."""
+    n = len(e)
+    rows = [[1] * (n - 1) + [0]]
+    rows += [[-int(j == i) for j in range(n)] for i in reversed(range(n - 1))]
+    rows.append([int(j == n - 1) for j in range(n)])
+    return tuple(sum(w * x for w, x in zip(row, e)) for row in rows)
+
+
 def test_groebner_toys():
     x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
-    assert set(groebner_basis([x, y], grevlex(2))) == {x, y}
+    assert set(groebner_basis([x, y])) == {x, y}
     # 1 = (xy+1) - y*x*x/x ... the ideal contains x^2 and xy+1, hence 1
-    assert groebner_basis([x * x, x * y + 1], grevlex(2)) == [MultiPoly.constant(2, 1)]
+    assert groebner_basis([x * x, x * y + 1]) == [MultiPoly.constant(2, 1)]
     # the basis comes back as the kernel keeps it, primitive over the
     # integers with a positive lead: x/2 + y/3 as 3x + 2y, and with 1 - x
-    # the reduced basis 2y + 3, x - 1
-    assert [g.terms for g in groebner_basis([x / 2 + y / 3], grevlex(2))] == [{(1, 0): 3, (0, 1): 2}]
-    gb = groebner_basis([x / 2 + y / 3, 1 - x], grevlex(2))
+    # the reduced basis 2y + 3, x - 1 (x is eliminated: the y-only element
+    # comes first)
+    assert [g.terms for g in groebner_basis([x / 2 + y / 3])] == [{(1, 0): 3, (0, 1): 2}]
+    gb = groebner_basis([x / 2 + y / 3, 1 - x])
     assert [g.terms for g in gb] == [{(0, 1): 2, (0, 0): 3}, {(1, 0): 1, (0, 0): -1}]
     assert all(type(c) is int for g in gb for c in g.terms.values())
+    # x^2 - y^3 and xy - 1: grevlex would lead the first with y^3; here x
+    # leads, and the basis is y^5 - 1 and x - y^4
+    gb = groebner_basis([x * x - y * y * y, x * y - 1])
+    assert [g.terms for g in gb] == [{(0, 5): 1, (0, 0): -1}, {(1, 0): 1, (0, 4): -1}]
     for gens in ([x, y], [x * x, x * y + 1], [x / 2 + y / 3, 1 - x]):
-        verify_groebner_basis(gens, groebner_basis(gens, grevlex(2)), grevlex(2))
+        verify_groebner_basis(gens, groebner_basis(gens))
     with pytest.raises(ValueError, match="nonzero"):
-        groebner_basis([x, MultiPoly.zero(2)], grevlex(2))
+        groebner_basis([x, MultiPoly.zero(2)])
 
 
 coeffs = st.integers(-4, 4).filter(bool)
@@ -200,18 +216,19 @@ polys = st.dictionaries(exponents, coeffs, min_size=1, max_size=3).map(
 def test_groebner_random_systems(gens):
     """The basis verifies (inputs and S-polynomials reduce to zero); on top
     of that: the kernel's primitive integer form with positive leads,
-    reduced shape, and order-independence."""
-    order = grevlex(2)
-    gb = groebner_basis(gens, order)
-    leads = [g.leading_exponent(order) for g in gb]
+    reduced shape, ascending leads, and independence of the generator
+    order."""
+    gb = groebner_basis(gens)
+    leads = [max(g.terms, key=order_key) for g in gb]
+    assert leads == sorted(leads, key=order_key)
     for i, g in enumerate(gb):
         assert all(type(c) is int for c in g.terms.values())
-        assert gcd(*g.terms.values()) == 1 and g.leading_coefficient(order) > 0
+        assert gcd(*g.terms.values()) == 1 and g.terms[leads[i]] > 0
         for j, le in enumerate(leads):
             if i != j:
                 assert not all(a <= b for a, b in zip(le, leads[i]))
-    verify_groebner_basis(gens, gb, order)
-    assert groebner_basis(list(reversed(gens)), order) == gb
+    verify_groebner_basis(gens, gb)
+    assert groebner_basis(list(reversed(gens))) == gb
 
 
 def reference_normal_form(p, basis, key):
@@ -260,19 +277,18 @@ int_polys = st.dictionaries(
 
 
 @given(
-    st.sampled_from([grevlex(3), block_elimination(2)]),
     int_polys,
     st.lists(int_polys.filter(lambda d: len(d) <= 4), min_size=1, max_size=5),
 )
 @settings(max_examples=150, deadline=None)
-def test_normal_form_matches_sort_and_scan(order, p, reducer_polys):
+def test_normal_form_matches_sort_and_scan(p, reducer_polys):
     basis = []
     for d in reducer_polys:
-        lead = max(d, key=order.key)
+        lead = max(d, key=order_key)
         if d[lead] < 0:
             d = {e: -c for e, c in d.items()}
         basis.append((lead, d[lead], d))
-    expected = reference_normal_form(p, basis, order.key)
+    expected = reference_normal_form(p, basis, order_key)
 
     def run(pack):
         def enc(d):
@@ -282,19 +298,19 @@ def test_normal_form_matches_sort_and_scan(order, p, reducer_polys):
         return {pack.decode(e): c for e, c in _normal_form(enc(p), packed, pack).items()}
 
     polys = [MultiPoly._of(3, d) for d in [p, *reducer_polys]]
-    assert _packed(order, polys, run) == expected
+    assert _packed(polys, run) == expected
 
 
 # --- the tuple kernel, kept as the reference for the packed one -------------
 
 
-def tuple_order(order):
-    """Negated order key of an exponent tuple, memoized."""
+def tuple_order():
+    """Negated ``order_key`` of an exponent tuple, memoized."""
     memo = {}
 
     def down(e):
         if e not in memo:
-            memo[e] = tuple(-x for x in order.key(e))
+            memo[e] = tuple(-x for x in order_key(e))
         return memo[e]
 
     return down
@@ -358,10 +374,10 @@ def tuple_spoly(f, g, m):
     return {e: c for e, c in s.items() if c}
 
 
-def tuple_buchberger(gens, order):
+def tuple_buchberger(gens):
     """Reduced Groebner basis on exponent tuples: the same pair heap,
     criteria, reducer choice and output order as ``groebner_basis``."""
-    down = tuple_order(order)
+    down = tuple_order()
     R, lcms, heap = [], {}, []
 
     def push(p):
@@ -410,23 +426,20 @@ small_int_polys = st.dictionaries(
 )
 
 
-@given(
-    st.sampled_from([grevlex(3), block_elimination(2)]),
-    st.lists(small_int_polys, min_size=1, max_size=3),
-)
+@given(st.lists(small_int_polys, min_size=1, max_size=3))
 @settings(max_examples=100, deadline=None)
-def test_groebner_basis_matches_tuple_kernel(order, gens):
+def test_groebner_basis_matches_tuple_kernel(gens):
     gens = [MultiPoly(3, d) for d in gens]
     # a few draws swell to large coefficients: a cap near the largest
     # workload call keeps both kernels quick
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("toricbsato.bsato.REDUCTION_WORK_CAP", 20_000)
         try:
-            gb = groebner_basis(gens, order)
+            gb = groebner_basis(gens)
         except WorkCapExceeded:
             assume(False)
-    verify_groebner_basis(gens, gb, order)
-    expected = tuple_buchberger(gens, order)
+    verify_groebner_basis(gens, gb)
+    expected = tuple_buchberger(gens)
     assert gb == expected
     # the same integer coefficients, and the same reduction sequence: every
     # term is created in the same order
@@ -439,21 +452,42 @@ exponent_pairs = st.integers(1, 5).flatmap(
 )
 
 
-@given(st.sampled_from([grevlex, block_elimination]), st.integers(0, 5), exponent_pairs)
+@given(exponent_pairs)
 @settings(max_examples=200, deadline=None)
-def test_packed_comparison_is_the_order(make_order, front, pair):
+def test_packed_comparison_is_the_order(pair):
     a, b = pair
-    order = make_order(min(front, len(a)))
     top = max(a + b)
-    pack = _Packing(order, len(a), top.bit_length() + 1)
+    pack = _Packing(len(a), top.bit_length() + 1)
     pa, pb = pack.encode(a), pack.encode(b)
-    assert (pa < pb) == (order.key(a) < order.key(b))
+    assert (pa < pb) == (order_key(a) < order_key(b))
     assert (pa == pb) == (a == b)
     assert pack.decode(pa) == a
     # divisibility is the guard test, and a product is a sum
     assert (((pb | pack.guard) - pa) & pack.guard == pack.guard) == tuple_divides(a, b)
-    wide = _Packing(order, len(a), top.bit_length() + 2)
+    wide = _Packing(len(a), top.bit_length() + 2)
     assert wide.encode(a) + wide.encode(b) == wide.encode(tuple(map(sum, zip(a, b))))
+
+
+@given(exponent_pairs.filter(lambda pair: len(pair[0]) > 1))
+@settings(max_examples=200, deadline=None)
+def test_packing_eliminates_to_the_last_variable(pair):
+    # the property the elimination relies on: a monomial with a front
+    # variable packs above every power of the last variable; two different
+    # front parts compare by grevlex, equal ones by the last exponent
+    a, b = pair
+    pack = _Packing(len(a), 7)  # fields hold exponents up to 63
+    pa, pb = pack.encode(a), pack.encode(b)
+    if any(a[:-1]):
+        for k in (0, b[-1], 40):
+            assert pa > pack.encode((0,) * (len(b) - 1) + (k,))
+
+    def grevlex(e):
+        return (sum(e), *(-x for x in reversed(e)))
+
+    if a[:-1] != b[:-1]:
+        assert (pa < pb) == (grevlex(a[:-1]) < grevlex(b[:-1]))
+    else:
+        assert (pa < pb) == (a[-1] < b[-1])
 
 
 def test_groebner_widens_overflowing_fields():
@@ -462,9 +496,9 @@ def test_groebner_widens_overflowing_fields():
     x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
     y64 = MultiPoly._of(2, {(0, 64): 1})
     x64 = MultiPoly._of(2, {(64, 0): 1})
-    gb = groebner_basis([x - y64, x64 - 1], block_elimination(1))
+    gb = groebner_basis([x - y64, x64 - 1])
     assert gb == [MultiPoly(2, {(0, 4096): 1, (0, 0): -1}), x - y64]
-    verify_groebner_basis([x - y64, x64 - 1], gb, block_elimination(1))
+    verify_groebner_basis([x - y64, x64 - 1], gb)
 
 
 def test_reduction_work_cap(monkeypatch):

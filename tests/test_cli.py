@@ -1,6 +1,7 @@
 """End-to-end command-line tests: in-process main(), JSON documents."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -533,6 +534,46 @@ def test_byte_determinism(tmp_path, capsys):
     main(argv)
     second = capsys.readouterr().out
     assert first == second
+
+
+GOLDEN_REPORTS = [
+    # (command, document, flags, SHA-256 of json.dumps([exit code, stdout, stderr]))
+    ("verify", "deep_chain_cone", ["--check-normal"],
+     "237559ed86f1cfc774cc5294280f7a7a591292fcdb4f7a39bc05538e727c9340"),
+    ("verify", "hexagon_multiplier", ["--check-normal"],
+     "e016d5de3286847c9fdc44ef929c86f7b358e571070cf9721c22367b6117f25f"),
+    ("verify", "negative_line", ["--check-normal"],
+     "b9e44d9bd65a77db07336ae9dc99619c79471564571f3d22aae41dcdae2e7d2e"),
+    ("verify", "twisted_cubic", ["--check-normal"],
+     "f5da617beb478f25f6a781386b30fc687dcf2ff44bad247f44ed09a599f16318"),
+    ("verify", "unit_ideal", ["--check-normal"],
+     "c138b9804d2bb1994980ab8a39916c88d424afdda0c75ec11ebf51f2049c495c"),
+    ("verify", "non_normal_cone", ["--check-normal"],
+     "092eab2028187f927c0cca78831a729cfe8212f6a8a44fd69a06528b646a13fb"),
+    ("verify", "malformed_option", ["--check-normal"],
+     "43cf7242a4232ebbf5b5eedbe22c2622e45248cce80aca2fabe035db1717b221"),
+    ("bfunction", "plane_three_generators", ["--assume-normal", "--box-cap", "7"],
+     "ea80b864cc8e801b320e5a86780ff0584ab43ebb4dd797e4091c6e96a1204aac"),
+    ("jumping", "hexagon_multiplier", ["--assume-normal", "--max", "4/3"],
+     "c35dd39b97334849bfb27c15f42909609ddd052233b15f83e3fb76bd6781a37c"),
+    ("multiplier", "hexagon_multiplier", ["--assume-normal", "--alpha", "3/2"],
+     "8475ce7b01d62dce7a55d59a93b5f7dc2a5ef893189a6511149d920b7d4a8926"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, document, flags, digest",
+    GOLDEN_REPORTS,
+    ids=[f"{command}-{document}" for command, document, _, _ in GOLDEN_REPORTS],
+)
+def test_golden_report_bytes(capsys, command, document, flags, digest):
+    # the report bytes, the summary line and the exit code are pinned: a
+    # refactor that claims the same answers must leave all three unchanged
+    path = Path(__file__).resolve().parent.parent / "scripts" / "problems" / f"{document}.json"
+    code = main([command, str(path), *flags])
+    out, err = capsys.readouterr()
+    got = hashlib.sha256(json.dumps([code, out, err]).encode()).hexdigest()
+    assert got == digest, f"exit {code}, stderr {err!r}, stdout:\n{out}"
 
 
 def test_parser_is_shared_and_keeps_no_state(tmp_path, capsys):

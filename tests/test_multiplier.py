@@ -89,6 +89,8 @@ def test_transport_polynomial(cusp):
     assert transport_polynomial(cusp, [[(1, (1, 1)), (-1, (1, 1))]]) == [[]]
     with pytest.raises(ValueError, match="outside the semigroup"):
         transport_polynomial(cusp, [[(1, (0, 1))]])
+    with pytest.raises(ValueError, match="exponent has wrong dimension"):
+        transport_polynomial(cusp, [[(1, (1, 1)), (1, (1, 1, 0))]])
 
 
 def test_transported_polyhedron(cusp, cusp_ideal):

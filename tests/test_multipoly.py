@@ -1,4 +1,4 @@
-"""Sparse multivariate polynomials, monomial orders, univariate helpers."""
+"""Sparse multivariate polynomials and univariate helpers."""
 
 from fractions import Fraction
 
@@ -6,13 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricbsato.multipoly import (
-    MultiPoly,
-    UniPoly,
-    binom_poly,
-    block_elimination,
-    grevlex,
-)
+from toricbsato.multipoly import MultiPoly, UniPoly, binom_poly
 
 F = Fraction
 
@@ -77,27 +71,14 @@ def test_eval_is_ring_hom(a, b, pt):
     assert evaluate(a + b, pt) == evaluate(a, pt) + evaluate(b, pt)
 
 
-def test_grevlex_order():
-    key = grevlex(2).key
-    # degree first
-    assert key((2, 0)) > key((1, 0))
-    # same degree: grevlex on ties — smaller last entry wins
-    assert key((2, 0)) > key((1, 1)) > key((0, 2))
-
-
-def test_block_order_eliminates():
-    key = block_elimination(2).key
-    # any monomial containing a front variable beats any pure-back monomial
-    assert key((1, 0, 0)) > key((0, 0, 9))
-    assert key((0, 1, 0)) > key((0, 0, 9))
-    # within the back block, plain grevlex
-    assert key((0, 0, 3)) > key((0, 0, 2))
-
-
-def test_leading_term():
-    p = poly_from(2, [((2, 0), 1), ((1, 1), 1), ((0, 0), 7)])
-    assert p.leading_exponent(grevlex(2)) == (2, 0)
-    assert p.leading_coefficient(grevlex(2)) == 1
+def test_multipoly_format_lists_terms_in_grevlex_order():
+    # display order only: higher degree first, then the smaller exponent of
+    # the last variable, then of the one before
+    p = poly_from(3, [((0, 0, 2), 1), ((1, 1, 0), -2), ((0, 1, 1), F(1, 2)),
+                      ((2, 0, 0), 1), ((0, 0, 0), 7), ((1, 0, 0), -1)])
+    assert p.format() == "x0^2 - 2*x0*x1 + 1/2*x1*x2 + x2^2 - x0 + 7"
+    assert repr(p) == f"MultiPoly({p.format()})"
+    assert p.format(["s", "t", "u"]) == "s^2 - 2*s*t + 1/2*t*u + u^2 - s + 7"
 
 
 def test_binom_poly_examples():

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from toricbsato import toric
 from toricbsato.bsato import bfunction
 from toricbsato.exactnum import IntMatrix, fm_feasible, primitive_vector, rank, solve_linear
+from toricbsato.multiplier import transport_polynomial
 from toricbsato.multipoly import MultiPoly
 from toricbsato.polyhedra import cone_facet_normals, newton_polyhedron
 from toricbsato.toric import (
@@ -381,11 +382,15 @@ PLANE = build_semigroup([[1, 0], [0, 1]])
         lambda: minimalize_exponents(PLANE, [(1, Fraction(2))]),
         lambda: bfunction(PLANE, [(2.0, 0)]),
         lambda: MultiPoly(2, {(1, 0.5): 1}),
+        lambda: MultiPoly(2.7, {(1, 0): 1}),
+        lambda: transport_polynomial(PLANE, [[(1, (1.5, 0.5))]]),
+        lambda: transport_polynomial(PLANE, [[(1, (Fraction(3, 2), 1))]]),
     ],
     ids=[
         "IntMatrix", "build_semigroup", "primitive_vector", "cone_facet_normals",
         "newton_polyhedron", "monomial_ideal", "minimalize_exponents", "bfunction",
-        "MultiPoly",
+        "MultiPoly", "MultiPoly-nvars", "transport_polynomial-float",
+        "transport_polynomial-Fraction",
     ],
 )
 def test_public_edge_refuses_non_integers(make):
