@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toricbsato.bsato import _Packing
 from toricbsato.multipoly import MultiPoly, UniPoly, binom_poly
 
 F = Fraction
@@ -79,6 +80,24 @@ def test_multipoly_format_lists_terms_in_grevlex_order():
     assert p.format() == "x0^2 - 2*x0*x1 + 1/2*x1*x2 + x2^2 - x0 + 7"
     assert repr(p) == f"MultiPoly({p.format()})"
     assert p.format(["s", "t", "u"]) == "s^2 - 2*s*t + 1/2*t*u + u^2 - s + 7"
+
+
+def test_grevlex_order():
+    # the engine's order is grevlex on every variable but the last
+    key = _Packing(3, 7).encode
+    # degree first
+    assert key((2, 0, 0)) > key((1, 0, 0))
+    # same degree: grevlex on ties — smaller last entry wins
+    assert key((2, 0, 0)) > key((1, 1, 0)) > key((0, 2, 0))
+
+
+def test_block_order_eliminates():
+    key = _Packing(3, 7).encode
+    # any monomial containing a front variable beats any pure-back monomial
+    assert key((1, 0, 0)) > key((0, 0, 9))
+    assert key((0, 1, 0)) > key((0, 0, 9))
+    # within the back block, the exponent of the last variable
+    assert key((0, 0, 3)) > key((0, 0, 2))
 
 
 def test_binom_poly_examples():
