@@ -12,7 +12,6 @@ are tied together by ``verify_correspondence``.
 
 from .bsato import (
     BFunctionResult,
-    TruncationExhausted,
     bfunction,
     build_generator,
     c_vectors,

@@ -4,16 +4,39 @@ The b-function of a monomial ideal in a normal toric semigroup ring is the
 monic generator of the elimination ideal ``(<g_c : c> + <t - sum s_i>)
 intersect Q[t]``, where the ``g_c`` are explicit products of generalized
 binomial coefficients indexed by integer vectors ``c`` with coordinate sum
-one.  The family of ``c`` is infinite; we truncate to the boxes
-``|c_i| <= B`` for ``B = 1, ..., cap`` and report stabilization honestly
-(the truncated answer is always a polynomial multiple of the true
-b-function, so two consecutive agreeing boxes plus the
-log-canonical-threshold cross-check give strong evidence).  The factors of
-``g_c`` are nested falling products whose lengths are the integer profile
-``phi(c)``, so ``g_c`` divides ``g_c'`` when ``phi(c) <= phi(c')`` and only
-the ``g_c`` of minimal profile in a box are eliminated; a box with the
-previous box's set of minimal profiles has the same ideal and reuses its
-polynomial (a second elimination would be deterministic, so no evidence).
+one.  The family of ``c`` is infinite, so it is truncated to the boxes
+``|c_i| <= B`` for ``B = 1, 2, ...``; the polynomial ``p_B`` of a box is
+always a polynomial multiple of the true b-function, and ``p_{B+1}``
+divides ``p_B``.  The loop stops at the first box that agrees with the
+previous one and whose polynomial has ``-lct`` as its largest root, the
+log-canonical threshold being computed independently from the Newton
+polyhedron.  The factors of ``g_c`` are nested falling products whose
+lengths are the integer profile ``phi(c)``, so ``g_c`` divides ``g_c'``
+when ``phi(c) <= phi(c')`` and only the ``g_c`` of minimal profile in a box
+are eliminated; a box with the previous box's set of minimal profiles has
+the same ideal and reuses its polynomial (a second elimination would be
+deterministic, so no evidence).
+
+Why the loop ends.  The profiles lie in ``N^(r+n)``, so by Dickson's lemma
+only finitely many are minimal over all ``c``; from some box on, every
+box's minimal family is that global one, its ideal is the whole family's,
+and ``p_B`` is the b-function itself, the same in every later box.  For a
+monomial ideal of a polynomial ring over a field of characteristic zero,
+the largest root of the b-function is ``-lct`` (Budur, Mustata and Saito,
+"Bernstein-Sato polynomials of arbitrary varieties", Compositio Math. 142,
+2006, Theorem 2; for monomial ideals also "Combinatorial description of
+the roots of the Bernstein-Sato polynomials for monomial ideals", Comm.
+Algebra 34, 2006).  For a monomial ideal of a normal semigroup ring, the
+correspondence of arXiv 1608.03646 makes every jumping coefficient in
+``[lct, lct + 1)``, the lct among them, a root of ``b(-s)`` (the check of
+``multiplier.verify_correspondence``); the stop rule takes ``-lct`` to be
+the largest root there as well.  Under these hypotheses the rule holds one
+box after the minimal family stops growing.  Should it never hold (an
+input outside them, such as a semigroup assumed normal that is not, or a
+fault in the engine), the ``c`` vectors listed over all the boxes of one
+call are counted against ``GENERATORS_CAP``, each box before it is listed,
+and the call ends with :class:`WorkCapExceeded`; a returned result is
+therefore always certified.
 
 The Groebner engine is a deterministic Buchberger with the normal selection
 strategy (minimal lcm degree, ties by pair index, read off a heap of pairs
@@ -29,8 +52,8 @@ mask ``G``.  The fields are sized from the inputs; a new monomial with a
 guard bit set means an exponent outgrew its field, and the call restarts
 with doubled fields, so exactness never rests on a size guess.  Reduction
 work is counted, per step the terms of the reduced polynomial times the
-64-bit words of the cancelled coefficient, and one call past
-``REDUCTION_WORK_CAP`` units raises :class:`WorkCapExceeded`: a few
+64-bit words of the cancelled coefficient, and one Groebner computation
+past ``REDUCTION_WORK_CAP`` units raises :class:`WorkCapExceeded`: a few
 S-pairs can still swell coefficients to tens of thousands of bits.  Public
 inputs are ``MultiPoly`` with exact rational coefficients (``int`` or
 ``Fraction``); the reduced basis comes back as the kernel keeps it,
@@ -46,7 +69,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import product
+from itertools import count, product
 from math import factorial, gcd
 from operator import itemgetter, mul
 from typing import Optional, Sequence
@@ -72,14 +95,13 @@ __all__ = [
     "bfunction",
     "rational_roots",
     "BFunctionResult",
-    "TruncationExhausted",
     "WorkCapExceeded",
     "GENERATORS_CAP",
     "REDUCTION_WORK_CAP",
 ]
 
-#: Counted work cap: the ``c`` vectors of one truncation box, counted before
-#: any is listed.
+#: Counted work cap: the ``c`` vectors listed over all the truncation boxes
+#: of one ``bfunction`` call, each box counted before any of it is listed.
 GENERATORS_CAP = 5_000
 
 #: Counted work cap of one Groebner computation: each reduction step counts
@@ -87,10 +109,6 @@ GENERATORS_CAP = 5_000
 #: coefficient it cancels.  Building one ``g_c`` counts the same units per
 #: linear factor, with a bound on its coefficients.
 REDUCTION_WORK_CAP = 1_600_000
-
-
-class TruncationExhausted(RuntimeError):
-    """No univariate polynomial was found up to the truncation cap."""
 
 
 # ---------------------------------------------------------------------------
@@ -196,18 +214,19 @@ def _c_vector_count(r: int, B: int) -> int:
     return sum(w for s, w in ways.items() if -B <= 1 - s <= B)
 
 
-def c_vectors(r: int, B: int):
+def c_vectors(r: int, B: int, listed: int = 0):
     """All ``c in Z^r`` with ``sum c_i = 1`` and ``|c_i| <= B``, in
     lexicographic order of the first ``r - 1`` coordinates.
 
-    The family is counted first; more than ``GENERATORS_CAP`` members raise
+    The family is counted first, on top of the ``listed`` vectors of earlier
+    boxes of the same call; more than ``GENERATORS_CAP`` in all raise
     :class:`WorkCapExceeded` before any is listed.
     """
     if r < 1:
         raise ValueError("need at least one generator")
-    count = _c_vector_count(r, B)
-    if count > GENERATORS_CAP:
-        raise WorkCapExceeded("GENERATORS_CAP", count, GENERATORS_CAP)
+    total = listed + _c_vector_count(r, B)
+    if total > GENERATORS_CAP:
+        raise WorkCapExceeded("GENERATORS_CAP", total, GENERATORS_CAP)
     out = []
     for head in product(range(-B, B + 1), repeat=r - 1):
         last = 1 - sum(head)
@@ -230,12 +249,12 @@ def c_vectors(r: int, B: int):
 def _elimination_rows(n: int) -> tuple[tuple[int, ...], ...]:
     """Weight rows of the one order on ``n`` variables: grevlex on the first
     ``n - 1`` (the degree row, then ``-e_{n-2}, ..., -e_0``) over the degree
-    of the last (``e_{n-1}``, then ``-e_{n-1}``).  Every monomial with a
-    front variable lies above every power of the last, so the reduced basis
-    eliminates the front block (Cox, Little and O'Shea, *Ideals, Varieties,
-    and Algorithms*, ch. 3)."""
+    of the last (``e_{n-1}``).  Every monomial with a front variable lies
+    above every power of the last, so the reduced basis eliminates the front
+    block (Cox, Little and O'Shea, *Ideals, Varieties, and Algorithms*,
+    ch. 3)."""
     neg = [tuple(-int(j == i) for j in range(n)) for i in reversed(range(n))]
-    return ((1,) * (n - 1) + (0,), *neg[1:], tuple(-x for x in neg[0]), neg[0])
+    return ((1,) * (n - 1) + (0,), *neg[1:], tuple(-x for x in neg[0]))
 
 
 class _FieldOverflow(Exception):
@@ -616,18 +635,18 @@ def rational_roots(p: UniPoly) -> tuple[list[tuple[Fraction, int]], UniPoly]:
 
 @dataclass(frozen=True)
 class BFunctionResult:
-    """Outcome of the truncated b-function computation.
+    """Outcome of the b-function computation; every returned result is
+    certified.
 
     ``b`` is monic with ``b = prod (s - root)^mult * unfactored_remainder``
-    exactly.  ``stabilized`` is the certification flag: two consecutive
-    truncation boxes agreed and the smallest root of ``b(-s)`` matched the
-    log-canonical threshold.  ``truncation`` records the polynomial found at
-    each box bound (``None`` when the elimination ideal was still zero); a
-    box with the previous box's minimal profiles has the same ideal and
-    repeats its entry without a new elimination, which leaves the meaning of
-    ``stabilized`` unchanged.
-    ``generator_count`` is the number of ``g_c`` in the last box, all of them
-    nonzero; only those of minimal profile were eliminated.
+    exactly.  The last two truncation boxes agreed and the smallest root of
+    ``b(-s)`` matched the log-canonical threshold, so ``stabilized`` is
+    always ``True`` (the field is kept for the report).  ``truncation``
+    records the polynomial found at each box bound (``None`` when the
+    elimination ideal was still zero); a box with the previous box's minimal
+    profiles has the same ideal and repeats its entry without a new
+    elimination.  ``generator_count`` is the number of ``g_c`` in the last
+    box, all of them nonzero; only those of minimal profile were eliminated.
     """
 
     b: UniPoly
@@ -637,9 +656,6 @@ class BFunctionResult:
     stabilized: bool
     generator_count: int
     truncation: tuple[tuple[int, Optional[UniPoly]], ...]
-
-
-DEFAULT_CAP = 6
 
 
 def _lct_matches(p: UniPoly, roots, remainder: UniPoly, lct_value) -> bool:
@@ -654,25 +670,22 @@ def _lct_matches(p: UniPoly, roots, remainder: UniPoly, lct_value) -> bool:
     return smallest == lct_value
 
 
-def bfunction(
-    S: SemigroupData,
-    ideal,
-    cap: int = DEFAULT_CAP,
-) -> BFunctionResult:
-    """Bernstein-Sato polynomial of a monomial ideal, with honest truncation.
+def bfunction(S: SemigroupData, ideal) -> BFunctionResult:
+    """Bernstein-Sato polynomial of a monomial ideal, certified.
 
     ``ideal`` may be a :class:`MonomialIdeal` (its minimal generators are
     used) or an explicit sequence of generator exponents (used as given,
     which the generator-independence property makes legitimate).  For each
-    box bound ``B = 1, ..., cap`` the ideal of ``{g_c : |c_i| <= B}`` is
+    box bound ``B = 1, 2, ...`` the ideal of ``{g_c : |c_i| <= B}`` is
     eliminated; it is generated by the ``g_c`` of minimal profile
     ``phi(c)``, one per minimal profile, so only those are built, and a box
     with the previous box's set of profiles reuses that box's polynomial.
     The run stops once two consecutive bounds agree and the smallest root of
-    ``b(-s)`` equals the log-canonical threshold.  If the cap is reached
-    first, the last polynomial is reported with ``stabilized = False``; if
-    no polynomial at all was found, :class:`TruncationExhausted` is raised.
-    A ``cap`` below 1 raises ``ValueError``.
+    ``b(-s)`` equals the log-canonical threshold; the module docstring says
+    why that happens.  The only other way out is a counted cap:
+    ``GENERATORS_CAP`` on the ``c`` vectors of all boxes together, or
+    ``REDUCTION_WORK_CAP`` within one elimination, raises
+    :class:`WorkCapExceeded`.
     """
     if isinstance(ideal, MonomialIdeal):
         betas = ideal.generators
@@ -680,28 +693,18 @@ def bfunction(
         betas = tuple(map(_int_vector, ideal))
     if not betas:
         raise ValueError("the ideal needs at least one generator")
-    if cap < 1:
-        raise ValueError("the truncation cap must be a positive integer")
     r = len(betas)
     alphas = [f_map(S, b) for b in betas]
 
     lct_value = monomial_ideal(S, ideal if isinstance(ideal, MonomialIdeal) else betas).lct
 
-    # each distinct truncation polynomial is factored at most once
-    factorizations: dict[UniPoly, tuple] = {}
-
-    def factor(p: UniPoly) -> tuple:
-        if p not in factorizations:
-            factorizations[p] = rational_roots(p)
-        return factorizations[p]
-
     history: list[tuple[int, Optional[UniPoly]]] = []
     prev: Optional[UniPoly] = None
     prev_family: Optional[frozenset] = None
-    final: Optional[UniPoly] = None
-    stabilized = False
-    for B in range(1, cap + 1):
-        cs = c_vectors(r, B)
+    listed = 0
+    for B in count(1):
+        cs = c_vectors(r, B, listed)
+        listed += len(cs)
         minimal = minimal_points((_profile(alphas, c), c) for c in cs)
         family = frozenset(phi for phi, _ in minimal)
         if family != prev_family:  # an unchanged family is the same ideal: keep p
@@ -710,26 +713,20 @@ def bfunction(
             )
         prev_family = family
         history.append((B, p))
-        if p is not None and prev is not None and not p.divides(prev):
-            raise AssertionError("larger truncation box failed to divide the smaller one")
-        box_used, generator_count = B, len(cs)
-        if p is not None:
-            final = p
-            if prev is not None and p == prev and _lct_matches(p, *factor(p), lct_value):
-                stabilized = True
-                break
+        if p is not None and prev is not None:
+            if not p.divides(prev):
+                raise AssertionError("larger truncation box failed to divide the smaller one")
+            if p == prev:  # only a repeated polynomial can certify, so only it is factored
+                roots, remainder = rational_roots(p)
+                if _lct_matches(p, roots, remainder, lct_value):
+                    break
         prev = p
-    if final is None:
-        raise TruncationExhausted(
-            f"elimination ideal stayed zero for every box bound up to {cap}"
-        )
-    roots, remainder = factor(final)
     return BFunctionResult(
-        b=final,
+        b=p,
         roots=tuple(roots),
         unfactored_remainder=remainder,
-        box_used=box_used,
-        stabilized=stabilized,
-        generator_count=generator_count,
+        box_used=B,
+        stabilized=True,
+        generator_count=len(cs),
         truncation=tuple(history),
     )

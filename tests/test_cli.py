@@ -126,22 +126,18 @@ def test_bfunction_report(tmp_path, capsys):
     assert report["truncation"][0] == {"box": 1, "polynomial": None}
 
 
-def test_bfunction_cap_hit(tmp_path, capsys):
+def test_there_is_no_box_cap(tmp_path, capsys):
+    # the box loop stops on certification or a counted cap, never on a box
+    # count: the flag is a usage error and the option an unknown key
     doc = write_doc(tmp_path, CUSP_DOC)
-    code, report, _ = invoke(capsys, ["bfunction", doc, "--assume-normal", "--box-cap", "1"])
-    assert code == 3
-    assert "stayed zero" in report["error"]["message"]
-
-
-def test_bfunction_box_cap_below_default_is_honoured(tmp_path, capsys):
-    # boxes 1..2 find b but cannot confirm it: box 3 is needed to stabilize
-    doc = write_doc(tmp_path, CUSP_DOC)
-    code, report, err = invoke(capsys, ["bfunction", doc, "--assume-normal", "--box-cap", "2"])
-    assert code == 3
-    assert report["stabilized"] is False
-    assert [t["box"] for t in report["truncation"]] == [1, 2]
-    assert report["box_used"] == 2
-    assert "NOT certified" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["bfunction", doc, "--assume-normal", "--box-cap", "2"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    doc = write_doc(tmp_path, {**CUSP_DOC, "options": {"box_cap": 2}})
+    code, report, _ = invoke(capsys, ["bfunction", doc, "--assume-normal"])
+    assert code == 1
+    assert "box_cap" in report["error"]["message"]
 
 
 def test_internal_invariant_failure_is_reported(tmp_path, capsys, monkeypatch):
@@ -433,7 +429,7 @@ def test_malformed_option_document_exits_one():
 
 
 def test_parsed_options_reach_their_commands(tmp_path, capsys):
-    options = {"alpha": "2/3", "mode": "closed", "box_cap": 2, "assume_normal": True}
+    options = {"alpha": "2/3", "mode": "closed", "assume_normal": True}
     doc = write_doc(tmp_path, {**CUSP_DOC, "options": options})
     code, report, _ = invoke(capsys, ["multiplier", doc])
     assert code == 0 and report["alpha"] == "2/3" and report["mode"] == "closed"
@@ -441,8 +437,6 @@ def test_parsed_options_reach_their_commands(tmp_path, capsys):
     code, report, _ = invoke(capsys, ["multiplier", doc, "--alpha", "1", "--mode", "relint"])
     assert code == 0 and report["alpha"] == "1" and report["mode"] == "relint"
     code, report, _ = invoke(capsys, ["bfunction", doc])
-    assert code == 3 and report["box_used"] == 2
-    code, report, _ = invoke(capsys, ["bfunction", doc, "--box-cap", "3"])
     assert code == 0 and report["box_used"] == 3
 
 
@@ -494,17 +488,19 @@ def test_hexagon_multiplier_scans_the_character_lattice():
 
 
 def test_plane_three_generators_certify_at_box_seven():
-    # box 7 holds 168 g_c but only 7 minimal profiles, so certifying is quick;
-    # the default cap 6 stops one box short
+    # box 7 holds 168 g_c but only 7 minimal profiles, so certifying is quick
     code, report = run_problem(
-        "bfunction", "plane_three_generators.json", "--assume-normal", "--box-cap", "7", timeout=20
+        "bfunction", "plane_three_generators.json", "--assume-normal", timeout=20
     )
     assert code == 0
     assert report["stabilized"] is True
     assert report["box_used"] == 7 and report["generator_count"] == 168
-    code, report = run_problem("bfunction", "plane_three_generators.json", "--assume-normal")
-    assert code == 3
-    assert report["stabilized"] is False and report["box_used"] == 6
+    code, report = run_problem(
+        "verify", "plane_three_generators.json", "--check-normal", timeout=20
+    )
+    assert code == 0
+    assert report["verdict"] == "PASS" and report["notes"] == []
+    assert report["bfunction"]["box_used"] == 7
 
 
 def test_coefficient_swell_hits_the_reduction_work_cap():
@@ -552,8 +548,10 @@ GOLDEN_REPORTS = [
      "092eab2028187f927c0cca78831a729cfe8212f6a8a44fd69a06528b646a13fb"),
     ("verify", "malformed_option", ["--check-normal"],
      "43cf7242a4232ebbf5b5eedbe22c2622e45248cce80aca2fabe035db1717b221"),
-    ("bfunction", "plane_three_generators", ["--assume-normal", "--box-cap", "7"],
+    ("bfunction", "plane_three_generators", ["--assume-normal"],
      "ea80b864cc8e801b320e5a86780ff0584ab43ebb4dd797e4091c6e96a1204aac"),
+    ("verify", "plane_three_generators", ["--check-normal"],
+     "95172c6d0208174164dfb3f730e398ee531925b799ab312db90295d6be805901"),
     ("jumping", "hexagon_multiplier", ["--assume-normal", "--max", "4/3"],
      "c35dd39b97334849bfb27c15f42909609ddd052233b15f83e3fb76bd6781a37c"),
     ("multiplier", "hexagon_multiplier", ["--assume-normal", "--alpha", "3/2"],
@@ -605,7 +603,6 @@ fuzz_options = st.one_of(
             "alpha": good_rationals,
             "max": good_rationals,
             "mode": st.sampled_from(["relint", "closed"]),
-            "box_cap": st.integers(1, 3),
             "assume_normal": st.just(True),
         },
     ),
@@ -628,7 +625,7 @@ fuzz_calls = st.builds(
     st.lists(
         st.sampled_from(
             [["--alpha", "2/3"], ["--alpha", "1e3"], ["--max", "4/3"], ["--max", str(HUGE)],
-             ["--mode", "closed"], ["--box-cap", "2"], ["--box-cap", "0"]]
+             ["--mode", "closed"]]
         ),
         max_size=3,
     ),
