@@ -126,6 +126,27 @@ def test_bfunction_report(tmp_path, capsys):
     assert report["truncation"][0] == {"box": 1, "polynomial": None}
 
 
+def test_bfunction_cap_hit(tmp_path, capsys, monkeypatch):
+    # the cap that ends a run is the counted one: box 1 lists 2 c-vectors
+    monkeypatch.setattr("toricbsato.bsato.GENERATORS_CAP", 1)
+    doc = write_doc(tmp_path, CUSP_DOC)
+    code, report, _ = invoke(capsys, ["bfunction", doc, "--assume-normal"])
+    assert code == 3
+    assert report["error"]["cap"] == "GENERATORS_CAP"
+    assert "GENERATORS_CAP exceeded: 2 > 1" in report["error"]["message"]
+
+
+def test_bfunction_box_cap_below_default_is_honoured(tmp_path, capsys, monkeypatch):
+    # boxes 1..2 list 2 + 4 c-vectors and find b but cannot confirm it; box 3,
+    # which certifies, would bring the count to 12, so a cap of 6 ends the run
+    monkeypatch.setattr("toricbsato.bsato.GENERATORS_CAP", 6)
+    doc = write_doc(tmp_path, CUSP_DOC)
+    code, report, _ = invoke(capsys, ["bfunction", doc, "--assume-normal"])
+    assert code == 3
+    assert report["error"]["cap"] == "GENERATORS_CAP"
+    assert "GENERATORS_CAP exceeded: 12 > 6" in report["error"]["message"]
+
+
 def test_there_is_no_box_cap(tmp_path, capsys):
     # the box loop stops on certification or a counted cap, never on a box
     # count: the flag is a usage error and the option an unknown key
