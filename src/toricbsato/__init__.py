@@ -4,8 +4,9 @@ semigroup rings.
 
 Everything is exact: integers, ``fractions.Fraction`` and lattice
 arithmetic end to end.  The monomial data of the toric variety enters
-through the facet map ``F`` of its cone; b-functions come from a Groebner
-elimination over an explicit generator family, multiplier ideals and
+through the facet map ``F`` of its cone; b-functions come from grevlex
+Groebner bases of an explicit generator family and the powers of the sum
+of the variables, multiplier ideals and
 jumping coefficients from Newton-polyhedron membership, and the two sides
 are tied together by ``verify_correspondence``.
 """

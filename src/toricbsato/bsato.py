@@ -1,4 +1,4 @@
-"""Bernstein-Sato polynomials of monomial ideals via Groebner elimination.
+"""Bernstein-Sato polynomials of monomial ideals via Groebner bases.
 
 The b-function of a monomial ideal in a normal toric semigroup ring is the
 monic generator of the elimination ideal ``(<g_c : c> + <t - sum s_i>)
@@ -13,8 +13,8 @@ log-canonical threshold being computed independently from the Newton
 polyhedron.  The factors of ``g_c`` are nested falling products whose
 lengths are the integer profile ``phi(c)``, so ``g_c`` divides ``g_c'``
 when ``phi(c) <= phi(c')`` and only the ``g_c`` of minimal profile in a box
-are eliminated; a box with the previous box's set of minimal profiles has
-the same ideal and reuses its polynomial (a second elimination would be
+enter its ideal ``J``; a box with the previous box's set of minimal profiles
+has the same ideal and reuses its polynomial (a second computation would be
 deterministic, so no evidence).
 
 Why the loop ends.  The profiles lie in ``N^(r+n)``, so by Dickson's lemma
@@ -38,30 +38,70 @@ call are counted against ``GENERATORS_CAP``, each box before it is listed,
 and the call ends with :class:`WorkCapExceeded`; a returned result is
 therefore always certified.
 
+The truncation polynomial without elimination.  ``p_B`` is the monic ``p``
+of least degree with ``p(L)`` in ``J``, ``L = sum s_i``: the minimal
+polynomial of multiplication by ``L`` on ``Q[s]/J``.  Linear algebra reads
+it off a Groebner basis in any order, here grevlex, the cheap kind (Bayer
+and Stillman, "A criterion for detecting m-regularity", Invent. Math. 87,
+1987), where an elimination order is the costly kind.  The normal forms
+``NF(1), NF(L), NF(L^2), ...`` first become linearly dependent at ``k = deg
+p``, and the coefficients of that dependency are ``p``: the step behind FGLM
+(Faugere, Gianni, Lazard and Mora, J. Symbolic Comput. 16, 1993).  If every
+``s_i`` has a pure-power lead, ``J`` is zero-dimensional, ``Q[s]/J`` is
+finite-dimensional and the dependency comes by its dimension.  Otherwise an
+exact test decides first whether ``p`` exists:
+
+- Every ``g_c`` is a product of affine-linear forms with integer
+  coefficients, ``s_i - j`` and ``L_k + j`` with ``L_k = sum_i alpha_ik
+  s_i``.  So ``V(J)`` over ``C`` is a finite union of flats of that
+  arrangement (intersections of unions of hyperplanes), and on a flat the
+  linear ``L`` is either constant or takes every value.
+- If ``L`` is constant on every flat of ``V(J)``, with values ``gamma_j``,
+  then ``prod (L - gamma_j)`` vanishes on ``V(J)`` and a power of it lies in
+  ``J`` (Nullstellensatz): ``p`` exists.  If ``L`` is not constant on a
+  flat, no nonzero polynomial in ``L`` vanishes there: ``p`` does not exist.
+- A constant value of ``L`` on a flat ``A s = b`` (integer rows of the
+  arrangement) is ``lambda . b`` where ``lambda A' = L`` on independent rows
+  ``A'``; by Cramer's rule on a nonsingular square block of ``A'`` it is
+  ``N/D`` with ``D`` a nonzero minor of the arrangement's rows, so ``|D| <=
+  H``, the Hadamard bound (the square root of the product of the rows'
+  squared norms).  ``N/D = 1/(H+1)`` would need ``|D| >= H + 1``, so
+  ``gamma = 1/(H+1)`` is none of the values.
+- Hence ``p`` exists exactly when ``V(J + <(H+1) L - 1>)`` is empty, which
+  by the Nullstellensatz holds exactly when that ideal's reduced basis is
+  ``[1]``; then the powers of ``L`` become dependent at ``deg p``.
+
+So :func:`eliminate_minimal_univariate` is exact for every ideal generated
+by products of integer affine-linear forms, given their linear parts.
+
 The Groebner engine is a deterministic Buchberger with the normal selection
 strategy (minimal lcm degree, ties by pair index, read off a heap of pairs
 whose lcm is computed once) and the standard product and chain criteria,
-under the one order the elimination needs: every variable but the last,
-``t``, is eliminated.  Polynomials are kept as primitive integer
+under one order, grevlex.  Polynomials are kept as primitive integer
 dictionaries, contents stripped after every reduction.  Each monomial is
 packed into one int (Monagan-Pearce, CASC 2007): the exponents sit in
 fixed-width fields whose top bit is a guard, under the order's weight rows,
 so int comparison is the monomial order, a product of monomials is an int
 sum, and ``a`` divides ``b`` iff ``((b | G) - a) & G == G`` for the guard
 mask ``G``.  The fields are sized from the inputs; a new monomial with a
-guard bit set means an exponent outgrew its field, and the call restarts
-with doubled fields, so exactness never rests on a size guess.  Reduction
-work is counted, per step the terms of the reduced polynomial times the
-64-bit words of the cancelled coefficient, and one Groebner computation
-past ``REDUCTION_WORK_CAP`` units raises :class:`WorkCapExceeded`: a few
-S-pairs can still swell coefficients to tens of thousands of bits.  Public
-inputs are ``MultiPoly`` with exact rational coefficients (``int`` or
+guard bit set means an exponent outgrew its field, and the computation
+restarts with doubled fields, so exactness never rests on a size guess.
+Reduction work is counted, per step the terms of the reduced polynomial
+times the 64-bit words of the cancelled coefficient, and past
+``REDUCTION_WORK_CAP`` units in one b-function box (its basis, the
+existence test and the normal forms of the powers of ``L`` together) or in
+one stand-alone Groebner computation it raises :class:`WorkCapExceeded`: a
+few S-pairs can still swell coefficients to tens of thousands of bits.
+Public inputs are ``MultiPoly`` with exact rational coefficients (``int`` or
 ``Fraction``); the reduced basis comes back as the kernel keeps it,
 primitive over the integers with positive leads.  The b-function driver
-stays in integers from ``c`` to the roots: each eliminated ``g_c`` is built
-as a primitive integer polynomial, ``b`` is the basis element in ``t``
-divided by its lead, and the rational roots are split off by integer
-synthetic division, whose last quotient gives the unfactored remainder.
+stays in integers from ``c`` to the roots: each ``g_c`` is built as a
+primitive integer polynomial, the normal forms report the positive scalar
+they multiplied by, the dependency comes from a fraction-free echelon, and
+the rational roots are split off by integer synthetic division, whose last
+quotient gives the unfactored remainder.  The candidate roots come from the
+divisors of the end coefficients, whose number is read off their
+factorization and counted against ``DIVISORS_CAP`` before any is listed.
 """
 
 from __future__ import annotations
@@ -70,7 +110,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import count, product
-from math import factorial, gcd
+from math import factorial, gcd, isqrt, prod
 from operator import itemgetter, mul
 from typing import Optional, Sequence
 
@@ -98,17 +138,25 @@ __all__ = [
     "WorkCapExceeded",
     "GENERATORS_CAP",
     "REDUCTION_WORK_CAP",
+    "DIVISORS_CAP",
 ]
 
 #: Counted work cap: the ``c`` vectors listed over all the truncation boxes
 #: of one ``bfunction`` call, each box counted before any of it is listed.
 GENERATORS_CAP = 5_000
 
-#: Counted work cap of one Groebner computation: each reduction step counts
-#: the terms of the reduced polynomial times the 64-bit words of the
-#: coefficient it cancels.  Building one ``g_c`` counts the same units per
-#: linear factor, with a bound on its coefficients.
+#: Counted work cap of one Groebner computation, or of one box's truncation
+#: polynomial (its bases and the normal forms of the powers of ``L``
+#: together): each reduction or echelon step counts the terms of the reduced
+#: polynomial times the 64-bit words of the coefficient it cancels.  Building
+#: one ``g_c`` counts the same units per linear factor, with a bound on its
+#: coefficients.
 REDUCTION_WORK_CAP = 1_600_000
+
+#: Counted work cap of one rational root search: the trial divisions that
+#: factor the end coefficients plus their divisor counts, counted before any
+#: divisor is listed.
+DIVISORS_CAP = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -246,15 +294,12 @@ def c_vectors(r: int, B: int, listed: int = 0):
 # them in descending order.
 
 
-def _elimination_rows(n: int) -> tuple[tuple[int, ...], ...]:
-    """Weight rows of the one order on ``n`` variables: grevlex on the first
-    ``n - 1`` (the degree row, then ``-e_{n-2}, ..., -e_0``) over the degree
-    of the last (``e_{n-1}``).  Every monomial with a front variable lies
-    above every power of the last, so the reduced basis eliminates the front
-    block (Cox, Little and O'Shea, *Ideals, Varieties, and Algorithms*,
-    ch. 3)."""
-    neg = [tuple(-int(j == i) for j in range(n)) for i in reversed(range(n))]
-    return ((1,) * (n - 1) + (0,), *neg[1:], tuple(-x for x in neg[0]))
+def _grevlex_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    """Weight rows of the one order on ``n`` variables, graded reverse
+    lexicographic: the degree row, then ``-e_{n-1}, ..., -e_1`` (the row
+    ``-e_0`` would be implied by the others).  Among monomials of one degree,
+    a smaller exponent of the last variable wins, then of the one before."""
+    return ((1,) * n, *(tuple(-int(j == i) for j in range(n)) for i in range(n - 1, 0, -1)))
 
 
 class _FieldOverflow(Exception):
@@ -267,20 +312,33 @@ class _Packing:
 
     Exponent ``e_i`` sits in bits ``[i*w, (i+1)*w)`` of width ``w =
     width``; the top bit of each field is a guard, clear while ``e_i <
-    2^(w-1)``.  Above the exponents sit the ``_elimination_rows``, first row
+    2^(w-1)``.  Above the exponents sit the ``_grevlex_rows``, first row
     highest, in signed fields of ``span`` bits, wide enough that any weight
     of in-range exponents stays below a quarter of the field.  Encoding is
     then the dot product of ``e`` with one packed int per variable, so a
-    product of monomials is a sum of ints, and int comparison is the order:
+    product of monomials is a sum of ints, and int comparison is grevlex:
     the first differing row outweighs all lower rows and the exponents.
     ``a`` divides ``b`` iff no field borrows its guard in ``(b | G) - a``.
     A sum of two in-range exponents stays below ``2^w``, so an exponent
     that outgrows its field sets its guard bit without disturbing the
-    others, and every new monomial is checked for that.
+    others, and every new monomial is checked for that.  One packing serves
+    a whole computation: :meth:`run` doubles its fields in place when an
+    exponent overflows, and the work counted so far stays.
     """
 
-    def __init__(self, nvars: int, width: int, work: int = 0, cap: Optional[int] = None):
-        rows = _elimination_rows(nvars)
+    def __init__(self, nvars: int, width: int, cap: Optional[int] = None):
+        self.nvars, self.work, self.cap = nvars, 0, cap
+        self._fields(width)
+
+    @classmethod
+    def fitting(cls, polys: Sequence[MultiPoly], cap: Optional[int] = None) -> "_Packing":
+        """A packing whose fields hold twice the largest exponent of ``polys``."""
+        top = max((x for f in polys for e in f.terms for x in e), default=0)
+        return cls(polys[0].nvars, top.bit_length() + 2, cap)
+
+    def _fields(self, width: int) -> None:
+        nvars = self.nvars
+        rows = _grevlex_rows(nvars)
         low = nvars * width
         top = max(sum(map(abs, row)) for row in rows) * ((1 << (width - 1)) - 1)
         span = top.bit_length() + 2
@@ -290,7 +348,23 @@ class _Packing:
             for i in range(nvars)
         ]
         self.guard = sum(1 << (i + 1) * width - 1 for i in range(nvars))
-        self.nvars, self.width, self.work, self.cap = nvars, width, work, cap
+        self.width = width
+
+    def run(self, fn):
+        """``fn(self)``; while a packed exponent overflows, the fields double
+        and ``fn`` runs again from its start."""
+        while True:
+            try:
+                return fn(self)
+            except _FieldOverflow:
+                self._fields(2 * self.width)
+
+    def charge(self, units: int) -> None:
+        """Count ``units`` of reduction work; past the cap raise
+        :class:`WorkCapExceeded`."""
+        self.work += units
+        if self.cap is not None and self.work > self.cap:
+            raise WorkCapExceeded("REDUCTION_WORK_CAP", self.work, self.cap)
 
     def encode(self, e: Vec) -> int:
         if max(e, default=0) >> self.width - 1:
@@ -306,19 +380,6 @@ class _Packing:
 
     def from_int_poly(self, p: dict) -> MultiPoly:
         return MultiPoly._of(self.nvars, dict(zip(map(self.decode, p), p.values())))
-
-
-def _packed(polys: Sequence[MultiPoly], run, cap: Optional[int] = None):
-    """``run(pack)`` for a packing whose fields hold twice the largest
-    exponent of ``polys``; while a packed exponent overflows, the run
-    restarts with doubled fields and keeps the work counted so far."""
-    top = max((x for f in polys for e in f.terms for x in e), default=0)
-    pack = _Packing(polys[0].nvars, top.bit_length() + 2, cap=cap)
-    while True:
-        try:
-            return run(pack)
-        except _FieldOverflow:
-            pack = _Packing(pack.nvars, 2 * pack.width, pack.work, cap)
 
 
 def _normalize(p: dict) -> dict:
@@ -338,21 +399,24 @@ def _reducer(p: dict) -> tuple[int, int, dict]:
     return lead, p[lead], p
 
 
-def _normal_form(p: dict, basis: Sequence[tuple[int, int, dict]], pack: _Packing) -> dict:
-    """Full normal form of ``p`` against the reducers ``basis``; exact up to
-    a positive rational scalar (integer cross-multiplication, contents
-    stripped after every step).
+def _reduce(
+    p: dict, basis: Sequence[tuple[int, int, dict]], pack: _Packing
+) -> tuple[dict, int, int]:
+    """``(q, num, den)``: the full normal form of ``p`` against the reducers
+    ``basis``, exactly ``q = num/den * NF(p)`` with ``num, den > 0`` (integer
+    cross-multiplication, contents stripped after every step).
 
     The terms wait in one heap and are popped in descending order.  A
     reduction at ``e`` only adds terms below ``e``, so each monomial is
     pushed once and the steps are the classic ones: the highest reducible
     term, reduced by the first reducer in list order whose lead divides it.
-    A cancelled term stays in ``p`` as 0 until the end.  Each step adds the
-    terms of ``p`` times the 64-bit words of the reduced coefficient to
-    ``pack.work``; passing ``pack.cap`` raises :class:`WorkCapExceeded`.
+    A cancelled term stays in ``p`` as 0 until the end.  Each step charges
+    the terms of ``p`` times the 64-bit words of the reduced coefficient to
+    ``pack``.
     """
     guard = pack.guard
     p = dict(p)
+    num = den = 1
     heap = [-e for e in p]
     heapify(heap)
     while heap:
@@ -366,13 +430,12 @@ def _normal_form(p: dict, basis: Sequence[tuple[int, int, dict]], pack: _Packing
                 break
         else:
             continue
-        pack.work += len(p) * (c.bit_length() + 63 >> 6)
-        if pack.cap is not None and pack.work > pack.cap:
-            raise WorkCapExceeded("REDUCTION_WORK_CAP", pack.work, pack.cap)
+        pack.charge(len(p) * (c.bit_length() + 63 >> 6))
         g = gcd(c, lc)
         mult_p = lc // g  # > 0 since basis leads are positive
         mult_g = c // g
         if mult_p != 1:
+            num *= mult_p
             for k in p:
                 p[k] *= mult_p
         shift = e - lead
@@ -388,8 +451,15 @@ def _normal_form(p: dict, basis: Sequence[tuple[int, int, dict]], pack: _Packing
                 p[ne] = v - mult_g * gc
         g = gcd(*p.values())
         if g > 1:
+            den *= g
             p = {k: v // g for k, v in p.items()}
-    return _normalize({e: c for e, c in p.items() if c})
+    return {e: c for e, c in p.items() if c}, num, den
+
+
+def _normal_form(p: dict, basis: Sequence[tuple[int, int, dict]], pack: _Packing) -> dict:
+    """Normal form of ``p`` against ``basis``, primitive with a positive
+    lead: :func:`_reduce` up to its scalar."""
+    return _normalize(_reduce(p, basis, pack)[0])
 
 
 def _spoly(f: tuple[int, int, dict], g: tuple[int, int, dict], lcm: int, guard: int) -> dict:
@@ -468,15 +538,17 @@ def _buchberger(ipolys: list[dict], pack: _Packing) -> list[dict]:
     return [p for _, _, p in sorted(basis, key=itemgetter(0))]
 
 
-def groebner_basis(gens: Sequence[MultiPoly]) -> list[MultiPoly]:
-    """Reduced Groebner basis of ``<gens>`` under the ``_elimination_rows``
-    order: primitive integer polynomials with positive leading coefficients.
+def groebner_basis(gens: Sequence[MultiPoly], pack: Optional[_Packing] = None) -> list[MultiPoly]:
+    """Reduced Groebner basis of ``<gens>`` in grevlex: primitive integer
+    polynomials with positive leading coefficients.
 
     Deterministic: Buchberger with normal pair selection (minimal lcm total
     degree, ties by pair index) plus the product and chain criteria; the
     reduced basis is unique for the ideal regardless, and comes back in
-    ascending order of leads.  More than ``REDUCTION_WORK_CAP`` units of
-    reduction work raise :class:`WorkCapExceeded`.
+    ascending order of leads.  The computation runs in ``pack`` when one is
+    given, so a caller's later steps share its work counter and cap (the
+    fields widen in place as needed); otherwise in a new packing capped at
+    ``REDUCTION_WORK_CAP``.  Past the cap it raises :class:`WorkCapExceeded`.
     """
     polys = [g for g in gens if not g.is_zero()]
     if len(polys) != len(gens):
@@ -491,7 +563,7 @@ def groebner_basis(gens: Sequence[MultiPoly]) -> list[MultiPoly]:
         basis = _buchberger([pack.to_int_poly(p) for p in polys], pack)
         return [pack.from_int_poly(p) for p in basis]
 
-    return _packed(polys, run, REDUCTION_WORK_CAP)
+    return (pack or _Packing.fitting(polys, REDUCTION_WORK_CAP)).run(run)
 
 
 def verify_groebner_basis(gens: Sequence[MultiPoly], gb: Sequence[MultiPoly]) -> None:
@@ -511,35 +583,103 @@ def verify_groebner_basis(gens: Sequence[MultiPoly], gb: Sequence[MultiPoly]) ->
                     raise AssertionError("S-polynomial does not reduce to zero")
 
     if gens or gb:
-        _packed([*gens, *gb], run)
+        _Packing.fitting([*gens, *gb]).run(run)
 
 
-def eliminate_minimal_univariate(gens: Sequence[MultiPoly]) -> Optional[UniPoly]:
-    """Monic minimal ``p`` with ``p(sum s_i)`` in ``<gens>``, or ``None``.
+def _krylov(basis: Sequence[tuple[int, int, dict]], pack: _Packing) -> UniPoly:
+    """Monic minimal ``p`` with ``p(L)`` in the ideal of the Groebner basis
+    ``basis``, ``L`` the sum of the variables; the caller has made sure that
+    one exists, since otherwise only the work cap ends the loop.
 
-    Pads the generators with a last variable ``t``, adjoins ``t - sum s_i``,
-    computes the Groebner basis, which eliminates the ``s_i``, and reads off
-    the ``Q[t]`` generator: the first basis element, if it is free of the
-    ``s_i`` (all other leads are larger), divided by its lead.
+    ``w_k`` is the reduced ``L * w_{k-1}`` (``w_0`` the reduced 1), so ``w_k =
+    s_k * NF(L^k)`` for the product ``s_k`` of the scalars :func:`_reduce`
+    reports.  Each ``w_k`` joins a fraction-free echelon that carries, per
+    row, its integer combination of the ``w_j``; the first ``w_k`` that
+    reduces to zero gives ``sum a_j w_j = 0``, so ``p`` is ``sum a_j s_j t^j``
+    made monic.  An echelon step charges the terms of the reduced vector
+    times the 64-bit words of the cancelled entry, like a reduction step.
+    """
+    guard, steps = pack.guard, pack.weights
+    rows: list[tuple[int, dict, list[int]]] = []  # (pivot, vector, combination)
+    scales: list[tuple[int, int]] = []  # s_k as (numerator, denominator)
+    w, num, den = {0: 1}, 1, 1
+    while True:
+        w, n, d = _reduce(w, basis, pack)
+        num, den = num * n, den * d
+        scales.append((num, den))
+        v, comb = dict(w), [0] * (len(scales) - 1) + [1]
+        for pivot, row, rcomb in rows:
+            a = v.get(pivot)
+            if not a:
+                continue
+            pack.charge(len(v) * (a.bit_length() + 63 >> 6))
+            b = row[pivot]
+            g = gcd(a, b)
+            mv, mr = b // g, a // g
+            if mv != 1:  # most pivots are units: skip scaling by 1
+                v = {e: x * mv for e, x in v.items()}
+                comb = [x * mv for x in comb]
+            for e, y in row.items():
+                v[e] = v.get(e, 0) - mr * y
+            for j, y in enumerate(rcomb):
+                comb[j] -= mr * y
+            g = gcd(*v.values(), *comb)
+            if g > 1:
+                v = {e: x // g for e, x in v.items()}
+                comb = [x // g for x in comb]
+        v = {e: x for e, x in v.items() if x}
+        if not v:
+            top = comb[-1] * num
+            return UniPoly([Fraction(c * sn * den, top * sd) for c, (sn, sd) in zip(comb, scales)])
+        rows.append((max(v), v, comb))
+        u: dict = {}
+        for e, c in w.items():
+            for step in steps:
+                ne = e + step
+                u[ne] = u.get(ne, 0) + c
+        if any(e & guard for e in u):
+            raise _FieldOverflow
+        w = u
+
+
+def eliminate_minimal_univariate(
+    gens: Sequence[MultiPoly], forms: Sequence[Sequence[int]]
+) -> Optional[UniPoly]:
+    """Monic minimal ``p`` with ``p(L)`` in ``J = <gens>``, ``L = sum s_i``,
+    or ``None`` when there is none; that is the generator of ``(J + <t -
+    L>) intersect Q[t]``.  Exact when every generator is a product of
+    integer affine-linear forms whose linear parts are among the integer
+    rows ``forms`` (the module docstring gives the proof).
+
+    One packing, and so one work counter under ``REDUCTION_WORK_CAP``, serves
+    the whole call: the grevlex basis of ``J``; if some ``s_i`` has no
+    pure-power lead (``J`` is not zero-dimensional), the basis of ``J +
+    <(H+1)*L - 1>`` with ``H`` the Hadamard bound of the minors of ``forms``,
+    which is ``[1]`` exactly when ``p`` exists; and the normal forms of the
+    powers of ``L`` (:func:`_krylov`), which first become dependent at
+    ``deg p``.
     """
     polys = [g for g in gens if not g.is_zero()]
+    forms = [_int_vector(row) for row in forms]
     if not polys:
         return None
     r = polys[0].nvars
-    lifted = [MultiPoly._of(r + 1, {e + (0,): c for e, c in g.terms.items()}) for g in polys]
-    t_rel = {(0,) * r + (1,): 1}
-    for i in range(r):
-        t_rel[tuple(1 if k == i else 0 for k in range(r + 1))] = -1
-    lifted.append(MultiPoly._of(r + 1, t_rel))
-    gb = groebner_basis(lifted)
-    pure = [g for g in gb[:2] if all(sum(e[:r]) == 0 for e in g.terms)]
-    if not pure:
-        return None
-    if len(pure) > 1:
-        raise AssertionError("elimination ideal of a PID gave several reduced generators")
-    coeffs = {e[r]: c for e, c in pure[0].terms.items()}
-    top = max(coeffs)
-    return UniPoly([Fraction(coeffs.get(k, 0), coeffs[top]) for k in range(top + 1)])
+    pack = _Packing.fitting(polys, REDUCTION_WORK_CAP)
+    gb = groebner_basis(polys, pack)
+
+    def reducers(pack: _Packing) -> list[tuple[int, int, dict]]:
+        return [_reducer(pack.to_int_poly(g)) for g in gb]
+
+    width, basis = pack.width, reducers(pack)
+    leads = [pack.decode(lead) for lead, _, _ in basis]
+    if any(all(sum(e) > e[i] for e in leads) for i in range(r)):
+        h = isqrt(prod(n for row in forms if (n := sum(a * a for a in row))))
+        units = (tuple(int(j == i) for j in range(r)) for i in range(r))
+        probe = MultiPoly._of(r, {**dict.fromkeys(units, h + 1), (0,) * r: -1})
+        if groebner_basis([probe, *gb], pack) != [MultiPoly._of(r, {(0,) * r: 1})]:
+            return None
+    # the basis is packed again only if the fields have widened since
+    return pack.run(lambda pack: _krylov(basis if pack.width == width else reducers(pack), pack))
 
 
 # ---------------------------------------------------------------------------
@@ -547,23 +687,36 @@ def eliminate_minimal_univariate(gens: Sequence[MultiPoly]) -> Optional[UniPoly]
 # ---------------------------------------------------------------------------
 
 
-def _positive_divisors(n: int) -> list[int]:
+def _positive_divisors(n: int, work: int) -> tuple[list[int], int]:
     """Ascending positive divisors of ``n != 0``, listed from its
-    factorization by trial division (each prime found is divided out)."""
+    factorization by trial division (each prime found is divided out), and
+    ``work`` plus their cost: one unit per trial division, then the divisor
+    count ``prod (e_i + 1)`` read off the factorization, both checked
+    against ``DIVISORS_CAP`` before any divisor is listed."""
     n = abs(n)
-    divs = [1]
+    factors = []
     p = 2
     while p * p <= n:
+        work += 1
+        if work > DIVISORS_CAP:
+            raise WorkCapExceeded("DIVISORS_CAP", work, DIVISORS_CAP)
         if n % p == 0:
-            powers = [1]
+            k = 0
             while n % p == 0:
                 n //= p
-                powers.append(powers[-1] * p)
-            divs = [d * q for d in divs for q in powers]
+                k += 1
+            factors.append((p, k))
         p += 1
     if n > 1:
-        divs += [d * n for d in divs]
-    return sorted(divs)
+        factors.append((n, 1))
+    work += prod(k + 1 for _, k in factors)
+    if work > DIVISORS_CAP:
+        raise WorkCapExceeded("DIVISORS_CAP", work, DIVISORS_CAP)
+    divs = [1]
+    for p, k in factors:
+        powers = [p**j for j in range(k + 1)]
+        divs = [d * q for d in divs for q in powers]
+    return sorted(divs), work
 
 
 def _divide_by_linear(a: list[int], num: int, den: int) -> Optional[list[int]]:
@@ -607,8 +760,9 @@ def rational_roots(p: UniPoly) -> tuple[list[tuple[Fraction, int]], UniPoly]:
     if len(a) > 1:
         lead = abs(a[-1])
         reach = lead + max(abs(c) for c in a[:-1])  # |num| * lead <= den * reach
-        nums = _positive_divisors(a[0])
-        for den in _positive_divisors(lead):
+        nums, work = _positive_divisors(a[0], 0)
+        dens, _ = _positive_divisors(lead, work)
+        for den in dens:
             if a[-1] % den:
                 continue
             for num in nums:
@@ -642,11 +796,11 @@ class BFunctionResult:
     exactly.  The last two truncation boxes agreed and the smallest root of
     ``b(-s)`` matched the log-canonical threshold, so ``stabilized`` is
     always ``True`` (the field is kept for the report).  ``truncation``
-    records the polynomial found at each box bound (``None`` when the
-    elimination ideal was still zero); a box with the previous box's minimal
-    profiles has the same ideal and repeats its entry without a new
-    elimination.  ``generator_count`` is the number of ``g_c`` in the last
-    box, all of them nonzero; only those of minimal profile were eliminated.
+    records the polynomial found at each box bound (``None`` when no
+    polynomial in ``L`` lay in the box's ideal yet); a box with the previous
+    box's minimal profiles has the same ideal and repeats its entry without
+    a new computation.  ``generator_count`` is the number of ``g_c`` in the
+    last box, all of them nonzero; only those of minimal profile were built.
     """
 
     b: UniPoly
@@ -676,16 +830,17 @@ def bfunction(S: SemigroupData, ideal) -> BFunctionResult:
     ``ideal`` may be a :class:`MonomialIdeal` (its minimal generators are
     used) or an explicit sequence of generator exponents (used as given,
     which the generator-independence property makes legitimate).  For each
-    box bound ``B = 1, 2, ...`` the ideal of ``{g_c : |c_i| <= B}`` is
-    eliminated; it is generated by the ``g_c`` of minimal profile
-    ``phi(c)``, one per minimal profile, so only those are built, and a box
-    with the previous box's set of profiles reuses that box's polynomial.
+    box bound ``B = 1, 2, ...`` the truncation polynomial of the ideal of
+    ``{g_c : |c_i| <= B}`` comes from :func:`eliminate_minimal_univariate`;
+    the ideal is generated by the ``g_c`` of minimal profile ``phi(c)``, one
+    per minimal profile, so only those are built, and a box with the
+    previous box's set of profiles reuses that box's polynomial.
     The run stops once two consecutive bounds agree and the smallest root of
     ``b(-s)`` equals the log-canonical threshold; the module docstring says
     why that happens.  The only other way out is a counted cap:
-    ``GENERATORS_CAP`` on the ``c`` vectors of all boxes together, or
-    ``REDUCTION_WORK_CAP`` within one elimination, raises
-    :class:`WorkCapExceeded`.
+    ``GENERATORS_CAP`` on the ``c`` vectors of all boxes together,
+    ``REDUCTION_WORK_CAP`` within one box, or ``DIVISORS_CAP`` within one
+    root search raises :class:`WorkCapExceeded`.
     """
     if isinstance(ideal, MonomialIdeal):
         betas = ideal.generators
@@ -695,6 +850,8 @@ def bfunction(S: SemigroupData, ideal) -> BFunctionResult:
         raise ValueError("the ideal needs at least one generator")
     r = len(betas)
     alphas = [f_map(S, b) for b in betas]
+    # the linear parts of the factors of every g_c: s_i and the L_k
+    forms = [tuple(int(j == i) for j in range(r)) for i in range(r)] + list(zip(*alphas))
 
     lct_value = monomial_ideal(S, ideal if isinstance(ideal, MonomialIdeal) else betas).lct
 
@@ -709,7 +866,7 @@ def bfunction(S: SemigroupData, ideal) -> BFunctionResult:
         family = frozenset(phi for phi, _ in minimal)
         if family != prev_family:  # an unchanged family is the same ideal: keep p
             p = eliminate_minimal_univariate(
-                [MultiPoly._of(r, _falling_product(alphas, c)[0]) for _, c in minimal]
+                [MultiPoly._of(r, _falling_product(alphas, c)[0]) for _, c in minimal], forms
             )
         prev_family = family
         history.append((B, p))

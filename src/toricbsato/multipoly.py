@@ -3,9 +3,9 @@
 ``MultiPoly`` stores a mapping from exponent tuples to nonzero exact
 rational coefficients (``int`` or ``Fraction``); the number of variables is
 fixed per polynomial.  It carries no monomial order: the one order the
-package computes with is the elimination order of the Groebner engine in
-``bsato``, and ``format`` lists terms in graded reverse-lexicographic order
-for display only.  ``UniPoly`` is a dense univariate polynomial used for
+package computes with is the graded reverse-lexicographic order of the
+Groebner engine in ``bsato``, packed into ints there, and ``format`` lists
+terms in the same order for display.  ``UniPoly`` is a dense univariate polynomial used for
 b-functions and root bookkeeping.
 """
 

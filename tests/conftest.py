@@ -13,8 +13,8 @@ def _groebner_self_check():
     groebner_basis = bsato.groebner_basis
 
     @functools.wraps(groebner_basis)
-    def checked(gens):
-        gb = groebner_basis(gens)
+    def checked(gens, pack=None):
+        gb = groebner_basis(gens, pack)
         bsato.verify_groebner_basis(gens, gb)
         return gb
 

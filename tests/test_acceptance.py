@@ -301,13 +301,16 @@ def test_groebner_engine_soundness(cusp):
     gens = [build_generator(cusp, CUSP_IDEAL, c) for c in c_vectors(2, 2)]
     from toricbsato.bsato import eliminate_minimal_univariate
 
-    p = eliminate_minimal_univariate(gens)  # its basis is verified inside
+    # the linear parts of the factors: s_1, s_2 and the columns (2, 1), (1, 2)
+    # of the transported exponents
+    forms = [(1, 0), (0, 1), (2, 1), (1, 2)]
+    p = eliminate_minimal_univariate(gens, forms)  # its bases are verified inside
     assert p is not None and p.is_monic()
 
     x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
-    assert eliminate_minimal_univariate([x, y]) == UniPoly([F(0), F(1)])
-    assert eliminate_minimal_univariate([x - 1, y - 2]) == UniPoly([F(-3), F(1)])
-    assert eliminate_minimal_univariate([x - y]) is None
+    assert eliminate_minimal_univariate([x, y], forms[:2]) == UniPoly([F(0), F(1)])
+    assert eliminate_minimal_univariate([x - 1, y - 2], forms[:2]) == UniPoly([F(-3), F(1)])
+    assert eliminate_minimal_univariate([x - y], [(1, -1)]) is None
 
 
 # --- 10: structural validators ----------------------------------------------

@@ -10,14 +10,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import toricbsato.bsato as bsato
 from toricbsato.bsato import (
+    DIVISORS_CAP,
     GENERATORS_CAP,
     REDUCTION_WORK_CAP,
     WorkCapExceeded,
     _c_vector_count,
     _normal_form,
-    _packed,
     _Packing,
+    _divide_by_linear,
+    _reduce,
     _profile,
     bfunction,
     build_generator,
@@ -29,7 +32,7 @@ from toricbsato.bsato import (
     verify_groebner_basis,
 )
 from toricbsato.multipoly import MultiPoly, UniPoly, binom_poly
-from toricbsato.toric import build_semigroup, monomial_ideal
+from toricbsato.toric import build_semigroup, f_map, monomial_ideal
 
 F = Fraction
 CUSP = [[1, 1, 1, 1], [0, 1, 2, 3]]
@@ -169,15 +172,10 @@ def test_generators_cap():
 
 
 def order_key(e):
-    """The engine's one order as weight rows, written out for the tests:
-    grevlex on all but the last variable (the degree, then ``-e_{n-2}, ...,
-    -e_0``), then the exponent of the last; the key is the tuple of the
-    rows' dot products with ``e``."""
-    n = len(e)
-    rows = [[1] * (n - 1) + [0]]
-    rows += [[-int(j == i) for j in range(n)] for i in reversed(range(n - 1))]
-    rows.append([int(j == n - 1) for j in range(n)])
-    return tuple(sum(w * x for w, x in zip(row, e)) for row in rows)
+    """The engine's one order, grevlex, written out for the tests: the
+    degree, then the exponents from the last variable to the first, each
+    negated (a smaller exponent of a later variable wins)."""
+    return (sum(e), *(-x for x in reversed(e)))
 
 
 def test_groebner_toys():
@@ -187,16 +185,19 @@ def test_groebner_toys():
     assert groebner_basis([x * x, x * y + 1]) == [MultiPoly.constant(2, 1)]
     # the basis comes back as the kernel keeps it, primitive over the
     # integers with a positive lead: x/2 + y/3 as 3x + 2y, and with 1 - x
-    # the reduced basis 2y + 3, x - 1 (x is eliminated: the y-only element
+    # the reduced basis 2y + 3, x - 1 (in grevlex y < x, so the y element
     # comes first)
     assert [g.terms for g in groebner_basis([x / 2 + y / 3])] == [{(1, 0): 3, (0, 1): 2}]
     gb = groebner_basis([x / 2 + y / 3, 1 - x])
     assert [g.terms for g in gb] == [{(0, 1): 2, (0, 0): 3}, {(1, 0): 1, (0, 0): -1}]
     assert all(type(c) is int for g in gb for c in g.terms.values())
-    # x^2 - y^3 and xy - 1: grevlex would lead the first with y^3; here x
-    # leads, and the basis is y^5 - 1 and x - y^4
+    # x^2 - y^3 and xy - 1: grevlex leads the first with y^3, and the basis
+    # is xy - 1, y^3 - x^2, x^3 - y^2 (an elimination order would give
+    # y^5 - 1 and x - y^4)
     gb = groebner_basis([x * x - y * y * y, x * y - 1])
-    assert [g.terms for g in gb] == [{(0, 5): 1, (0, 0): -1}, {(1, 0): 1, (0, 4): -1}]
+    assert [g.terms for g in gb] == [
+        {(1, 1): 1, (0, 0): -1}, {(0, 3): 1, (2, 0): -1}, {(3, 0): 1, (0, 2): -1}
+    ]
     for gens in ([x, y], [x * x, x * y + 1], [x / 2 + y / 3, 1 - x]):
         verify_groebner_basis(gens, groebner_basis(gens))
     with pytest.raises(ValueError, match="nonzero"):
@@ -297,7 +298,60 @@ def test_normal_form_matches_sort_and_scan(p, reducer_polys):
         return {pack.decode(e): c for e, c in _normal_form(enc(p), packed, pack).items()}
 
     polys = [MultiPoly._of(3, d) for d in [p, *reducer_polys]]
-    assert _packed(polys, run) == expected
+    assert _Packing.fitting(polys).run(run) == expected
+
+
+def fraction_normal_form(p, basis, key):
+    """Normal form over the rationals: subtract ``c / lc`` times the first
+    reducer whose lead divides the highest reducible term, until none is."""
+    p = {e: F(c) for e, c in p.items()}
+    while True:
+        hit = next(
+            (
+                (e, red)
+                for e in sorted(p, key=key, reverse=True)
+                for red in basis
+                if all(x <= y for x, y in zip(red[0], e))
+            ),
+            None,
+        )
+        if hit is None:
+            return p
+        e, (lead, lc, terms) = hit
+        q = p[e] / lc
+        for ge, gc in terms.items():
+            ne = tuple(x + y - z for x, y, z in zip(ge, e, lead))
+            p[ne] = p.get(ne, 0) - q * gc
+            if not p[ne]:
+                del p[ne]
+
+
+@given(
+    int_polys,
+    st.lists(int_polys.filter(lambda d: len(d) <= 4), min_size=1, max_size=5),
+)
+@settings(max_examples=100, deadline=None)
+def test_reduce_reports_its_scalar(p, reducer_polys):
+    # the Krylov loop relies on the exact scalar: q = num/den * NF(p)
+    basis = []
+    for d in reducer_polys:
+        lead = max(d, key=order_key)
+        if d[lead] < 0:
+            d = {e: -c for e, c in d.items()}
+        basis.append((lead, d[lead], d))
+    expected = fraction_normal_form(p, basis, order_key)
+
+    def run(pack):
+        def enc(d):
+            return {pack.encode(e): c for e, c in d.items()}
+
+        packed = [(pack.encode(lead), lc, enc(d)) for lead, lc, d in basis]
+        q, num, den = _reduce(enc(p), packed, pack)
+        assert num > 0 and den > 0
+        return {pack.decode(e): F(c * den, num) for e, c in q.items()}
+
+    polys = [MultiPoly._of(3, d) for d in [p, *reducer_polys]]
+    assert _Packing.fitting(polys).run(run) == expected
 
 
 # --- the tuple kernel, kept as the reference for the packed one -------------
@@ -467,37 +521,40 @@ def test_packed_comparison_is_the_order(pair):
     assert wide.encode(a) + wide.encode(b) == wide.encode(tuple(map(sum, zip(a, b))))
 
 
-@given(exponent_pairs.filter(lambda pair: len(pair[0]) > 1))
+@given(exponent_pairs)
 @settings(max_examples=200, deadline=None)
-def test_packing_eliminates_to_the_last_variable(pair):
-    # the property the elimination relies on: a monomial with a front
-    # variable packs above every power of the last variable; two different
-    # front parts compare by grevlex, equal ones by the last exponent
+def test_packing_is_graded_reverse_lexicographic(pair):
+    # grevlex by its definition, not by weight rows: the higher degree wins;
+    # in one degree, the last nonzero entry of a - b is negative exactly when
+    # a packs above b, so a monomial free of the last variable beats every
+    # monomial of its degree that the last variable divides
     a, b = pair
     pack = _Packing(len(a), 7)  # fields hold exponents up to 63
     pa, pb = pack.encode(a), pack.encode(b)
-    if any(a[:-1]):
-        for k in (0, b[-1], 40):
-            assert pa > pack.encode((0,) * (len(b) - 1) + (k,))
-
-    def grevlex(e):
-        return (sum(e), *(-x for x in reversed(e)))
-
-    if a[:-1] != b[:-1]:
-        assert (pa < pb) == (grevlex(a[:-1]) < grevlex(b[:-1]))
-    else:
-        assert (pa < pb) == (a[-1] < b[-1])
+    if sum(a) != sum(b):
+        assert (pa < pb) == (sum(a) < sum(b))
+    elif a != b:
+        last = [x - y for x, y in zip(a, b) if x != y][-1]
+        assert (pa > pb) == (last < 0)
+        if a[-1] == 0 < b[-1]:
+            assert pa > pb
 
 
 def test_groebner_widens_overflowing_fields():
-    # the inputs fit 8-bit fields, but the elimination reaches y^4096: the
-    # first run overflows and restarts with wider fields
-    x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
-    y64 = MultiPoly._of(2, {(0, 64): 1})
-    x64 = MultiPoly._of(2, {(64, 0): 1})
-    gb = groebner_basis([x - y64, x64 - 1])
-    assert gb == [MultiPoly(2, {(0, 4096): 1, (0, 0): -1}), x - y64]
-    verify_groebner_basis([x - y64, x64 - 1], gb)
+    # the inputs fit 5-bit fields (exponents below 16), but the basis reaches
+    # y^16: the first run overflows and restarts with doubled fields, in the
+    # packing it was given, whose work counter keeps counting
+    f = MultiPoly._of(2, {(6, 6): 1, (5, 0): 1})
+    g = MultiPoly._of(2, {(5, 0): 1, (0, 5): 1})
+    pack = _Packing.fitting([f, g])
+    assert pack.width == 5
+    gb = groebner_basis([f, g], pack)
+    assert pack.width == 10 and pack.work > 0
+    assert [h.terms for h in gb] == [
+        {(5, 0): 1, (0, 5): 1}, {(1, 11): 1, (0, 5): 1}, {(0, 16): 1, (4, 5): -1}
+    ]
+    assert groebner_basis([f, g]) == gb
+    verify_groebner_basis([f, g], gb)
 
 
 def test_reduction_work_cap(monkeypatch):
@@ -511,11 +568,60 @@ def test_reduction_work_cap(monkeypatch):
 
 def test_elimination_toys():
     x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
-    assert eliminate_minimal_univariate([x, y]) == UniPoly([F(0), F(1)])
-    assert eliminate_minimal_univariate([x - 1, y - 2]) == UniPoly([F(-3), F(1)])
-    # the basis element 2t - 1 is divided by its lead once
-    assert eliminate_minimal_univariate([x * 2 - 1, y]) == UniPoly([F(-1, 2), F(1)])
-    assert eliminate_minimal_univariate([x - y]) is None
+    axes = [(1, 0), (0, 1)]
+    assert eliminate_minimal_univariate([x, y], axes) == UniPoly([F(0), F(1)])
+    assert eliminate_minimal_univariate([x - 1, y - 2], axes) == UniPoly([F(-3), F(1)])
+    # the dependency 2L - 1 is divided by its lead once
+    assert eliminate_minimal_univariate([x * 2 - 1, y], axes) == UniPoly([F(-1, 2), F(1)])
+    assert eliminate_minimal_univariate([MultiPoly.constant(2, 1)], axes) == UniPoly([F(1)])
+    # positive-dimensional ideals: L = x + y is not constant on the line
+    # x = y, nor on the lines x = 0 and x = 1, so no polynomial exists ...
+    assert eliminate_minimal_univariate([x - y], [(1, -1)]) is None
+    assert eliminate_minimal_univariate([x * (x - 1)], axes) is None
+    assert eliminate_minimal_univariate([x * y], axes) is None
+    # ... but it is constant on the lines x + y = 0 and x + y = 1
+    s = x + y
+    assert eliminate_minimal_univariate([s * s], [(1, 1)]) == UniPoly([F(0), F(0), F(1)])
+    assert eliminate_minimal_univariate([s * (s - 1) * (s - 1)], [(1, 1)]) == UniPoly.from_roots(
+        [F(0), F(1), F(1)]
+    )
+
+
+def test_existence_probe_avoids_every_value_on_a_flat():
+    # L = 1/3 on the line 3x + 3y = 1; the Hadamard bound of the form (3, 3)
+    # is isqrt(18) = 4, so the probe sits at L = 1/5, off the line.  A probe at
+    # 1/3 would meet the line and report no polynomial
+    x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    line = x * 3 + y * 3 - 1
+    assert eliminate_minimal_univariate([line], [(3, 3)]) == UniPoly([F(-1, 3), F(1)])
+    assert eliminate_minimal_univariate([line * (x - 2)], [(3, 3), (1, 0)]) is None
+
+
+def test_one_work_counter_serves_each_truncation(monkeypatch):
+    # the basis, the existence test and the Krylov reductions of one call
+    # count against one REDUCTION_WORK_CAP: the basis alone fits a cap that
+    # the whole call does not.  V(J) is the line x + y = 1 and the points
+    # (0, 0), (2, 0), (0, 2), so the existence test runs
+    x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    gens = [(x + y) * (x + y - 1) * (x + y - 2), x * y * (x + y - 1)]
+    packs = []
+    fitting = _Packing.fitting
+
+    def spy(polys, cap=None):
+        packs.append(fitting(polys, cap))
+        return packs[-1]
+
+    monkeypatch.setattr(_Packing, "fitting", spy)
+    p = eliminate_minimal_univariate(gens, [(1, 0), (0, 1), (1, 1)])
+    assert p == UniPoly.from_roots([F(0), F(1), F(2)])
+    total = packs[0].work
+    alone = fitting(gens)
+    groebner_basis(gens, alone)
+    assert 0 < alone.work < total
+    monkeypatch.setattr("toricbsato.bsato.REDUCTION_WORK_CAP", total - 1)
+    match = f"REDUCTION_WORK_CAP exceeded: {total} > {total - 1}"
+    with pytest.raises(WorkCapExceeded, match=match):
+        eliminate_minimal_univariate(gens, [(1, 0), (0, 1), (1, 1)])
 
 
 # --- rational roots ---------------------------------------------------------
@@ -580,6 +686,31 @@ def test_rational_roots_finds_planted(case):
     roots, remainder = rational_roots(p)
     assert roots == sorted(Counter(planted).items())
     assert remainder == rem
+
+
+def test_divisor_count_is_capped_before_listing(monkeypatch):
+    # the constant coefficient 2^5 3^3 5^2 7^2 11 13 17 19 23 29 has 13 824
+    # positive divisors; the count is read off the factorization (22 trial
+    # divisions), so a lower cap stops the search before any divisor is
+    # listed or any candidate is tested
+    a0 = 2**5 * 3**3 * 5**2 * 7**2 * 11 * 13 * 17 * 19 * 23 * 29
+    p = UniPoly([F(1), F(0), F(1)]) * UniPoly([F(-a0), F(1)])
+    assert DIVISORS_CAP == 1_000_000
+    roots, rem = rational_roots(p)
+    assert roots == [(F(a0), 1)] and rem == UniPoly([F(1), F(0), F(1)])
+
+    tested = []
+
+    def spy(a, num, den):
+        tested.append((num, den))
+        return _divide_by_linear(a, num, den)
+
+    monkeypatch.setattr("toricbsato.bsato._divide_by_linear", spy)
+    monkeypatch.setattr("toricbsato.bsato.DIVISORS_CAP", 10_000)
+    with pytest.raises(WorkCapExceeded, match="DIVISORS_CAP exceeded: 13846 > 10000") as exc:
+        rational_roots(p)
+    assert exc.value.cap == "DIVISORS_CAP"
+    assert tested == []
 
 
 def test_rational_roots_principal_closed_form():
@@ -659,6 +790,51 @@ def test_a_run_that_never_certifies_ends_at_the_generators_cap(monkeypatch):
         bfunction(line, monomial_ideal(line, [(4,)]))
 
 
+TESSERACT = [
+    [1] * 16,
+    [0] * 8 + [1] * 8,
+    [0] * 4 + [1] * 4 + [0] * 4 + [1] * 4,
+    [0, 0, 1, 1] * 4,
+    [0, 1] * 8,
+]
+
+
+def test_tesseract_truncation_is_a_minimal_polynomial():
+    # the cone over the 4-cube with <x^3, x^2 y^2>: an independent check of
+    # the degree-26 polynomial of box 3, which the elimination could not
+    # reach (REDUCTION_WORK_CAP; uncapped, box 3 ran for over ten minutes
+    # without finishing).  With the verified basis of the box's ideal J,
+    # p(L) lies in J and, p having only rational roots, no p / (t - root)
+    # does, so p is the minimal polynomial of L on Q[s]/J
+    S = build_semigroup(TESSERACT)
+    betas = [(3, 0, 0, 0, 0), (2, 2, 0, 0, 0)]
+    res = bfunction(S, betas)
+    assert res.box_used == 4 and res.b.degree == 26
+    assert res.truncation[2][1] == res.b and res.unfactored_remainder == UniPoly([F(1)])
+    alphas = [f_map(S, b) for b in betas]
+    cs = c_vectors(2, 3)
+    gens = [MultiPoly(2, bsato._falling_product(alphas, c)[0]) for c in cs]
+    gb = groebner_basis(gens)  # verified by the suite's wrapper
+    L = MultiPoly.linear_form([1, 1])
+
+    def at_L(q):
+        acc = MultiPoly.zero(2)
+        for c in reversed(q.coeffs):
+            acc = acc * L + c
+        return acc
+
+    pack = _Packing.fitting([*gb, at_L(res.b)])
+    basis = [(max(d), d[max(d)], d) for d in map(pack.to_int_poly, gb)]
+
+    def in_ideal(q):
+        return not _normal_form(pack.to_int_poly(at_L(q)), basis, pack)
+
+    assert in_ideal(res.b)
+    for root, _ in res.roots:
+        q, rem = res.b.divmod(UniPoly([-root, 1]))
+        assert rem.is_zero() and not in_ideal(q)
+
+
 ORACLE_CONES = {
     "cusp": CUSP,
     "a5": [[0, 1, 6], [1, 1, 5]],
@@ -679,10 +855,62 @@ def small_ideals(draw):
     return ORACLE_CONES[name], exps
 
 
+def block_rows(n):
+    """Weight rows of the elimination order on ``n`` variables: grevlex on
+    the first ``n - 1`` over the degree of the last, so every monomial with a
+    front variable lies above every power of the last (Cox, Little and
+    O'Shea, *Ideals, Varieties, and Algorithms*, ch. 3)."""
+    neg = [tuple(-int(j == i) for j in range(n)) for i in reversed(range(n))]
+    return ((1,) * (n - 1) + (0,), *neg[1:], tuple(-x for x in neg[0]))
+
+
+def reference_eliminate(gens):
+    """The truncation polynomial by elimination, as the paper defines it:
+    pad a last variable ``t``, adjoin ``t - sum s_i``, compute the reduced
+    basis under the block order that eliminates every ``s_i`` (the same
+    kernel with ``block_rows`` in place of the grevlex rows) and read off
+    the element in ``t`` alone, made monic; ``None`` when there is none."""
+    r = gens[0].nvars
+    lifted = [MultiPoly._of(r + 1, {e + (0,): c for e, c in g.terms.items()}) for g in gens]
+    t_rel = {(0,) * r + (1,): 1, **{tuple(int(k == i) for k in range(r + 1)): -1 for i in range(r)}}
+    lifted.append(MultiPoly._of(r + 1, t_rel))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bsato, "_grevlex_rows", block_rows)
+        gb = groebner_basis(lifted)
+    pure = [g for g in gb[:2] if all(sum(e[:r]) == 0 for e in g.terms)]
+    if not pure:
+        return None
+    assert len(pure) == 1, "the elimination ideal of a PID has one reduced generator"
+    coeffs = {e[r]: c for e, c in pure[0].terms.items()}
+    top = max(coeffs)
+    return UniPoly([F(coeffs.get(k, 0), coeffs[top]) for k in range(top + 1)])
+
+
+@given(exponent_pairs.filter(lambda pair: len(pair[0]) > 1))
+@settings(max_examples=100, deadline=None)
+def test_block_rows_eliminate_to_the_last_variable(pair):
+    # the property the reference relies on: a monomial with a front variable
+    # packs above every power of the last; two different front parts compare
+    # by grevlex, equal ones by the last exponent
+    a, b = pair
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bsato, "_grevlex_rows", block_rows)
+        pack = _Packing(len(a), 7)
+    pa, pb = pack.encode(a), pack.encode(b)
+    if any(a[:-1]):
+        for k in (0, b[-1], 40):
+            assert pa > pack.encode((0,) * (len(b) - 1) + (k,))
+    if a[:-1] != b[:-1]:
+        assert (pa < pb) == (order_key(a[:-1]) < order_key(b[:-1]))
+    else:
+        assert (pa < pb) == (a[-1] < b[-1])
+
+
 @given(small_ideals())
 @settings(max_examples=25, deadline=None)
 def test_minimal_profiles_keep_every_truncation(case):
-    # oracle: eliminate the whole family of each box, as before the pruning
+    # oracle: eliminate the whole family of each box by the reference, as
+    # before the pruning and the Krylov loop
     matrix, exps = case
     S = build_semigroup(matrix)
     truncation = bfunction(S, exps).truncation[:3]
@@ -693,7 +921,29 @@ def test_minimal_profiles_keep_every_truncation(case):
         mp.setattr("toricbsato.bsato.REDUCTION_WORK_CAP", None)
         for B, p in truncation:
             family = [build_generator(S, exps, c) for c in c_vectors(len(exps), B)]
-            assert eliminate_minimal_univariate(family) == p
+            assert reference_eliminate(family) == p
+
+
+affine_forms = st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(-2, 2)).filter(
+    lambda f: any(f[:2])
+)
+
+
+@given(st.lists(st.lists(affine_forms, min_size=1, max_size=3), min_size=1, max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_krylov_matches_reference_elimination(products):
+    # random products of integer affine-linear forms a*x + b*y + c in two
+    # variables: zero-dimensional ideals, ideals whose flats keep L constant,
+    # ideals without a polynomial, and the unit ideal
+    x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    gens, forms = [], set()
+    for factors in products:
+        g = MultiPoly.constant(2, 1)
+        for a, b, c in factors:
+            g = g * (x * a + y * b + c)
+            forms.add((a, b))
+        gens.append(g)
+    assert eliminate_minimal_univariate(gens, sorted(forms)) == reference_eliminate(gens)
 
 
 def test_plane_eliminates_minimal_profiles_only(monkeypatch):
@@ -701,9 +951,9 @@ def test_plane_eliminates_minimal_profiles_only(monkeypatch):
     # boxes 5 and 7 repeat the profile sets of boxes 4 and 6
     sizes = []
 
-    def spy(gens):
+    def spy(gens, forms):
         sizes.append(len(gens))
-        return eliminate_minimal_univariate(gens)
+        return eliminate_minimal_univariate(gens, forms)
 
     monkeypatch.setattr("toricbsato.bsato.eliminate_minimal_univariate", spy)
     plane = build_semigroup([[1, 0], [0, 1]])
@@ -724,9 +974,9 @@ def test_unchanged_family_is_eliminated_once(monkeypatch, matrix, ideal, sizes):
     # same ideal and reuses that box's polynomial without eliminating
     seen = []
 
-    def spy(gens):
+    def spy(gens, forms):
         seen.append(len(gens))
-        return eliminate_minimal_univariate(gens)
+        return eliminate_minimal_univariate(gens, forms)
 
     monkeypatch.setattr("toricbsato.bsato.eliminate_minimal_univariate", spy)
     S = build_semigroup(matrix)
@@ -741,9 +991,9 @@ def test_bfunction_eliminates_primitive_integer_generators(monkeypatch):
     # Fraction is built on the way in
     seen = []
 
-    def spy(gens):
+    def spy(gens, forms):
         seen.extend(gens)
-        return eliminate_minimal_univariate(gens)
+        return eliminate_minimal_univariate(gens, forms)
 
     monkeypatch.setattr("toricbsato.bsato.eliminate_minimal_univariate", spy)
     square = build_semigroup([[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1]])

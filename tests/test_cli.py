@@ -358,12 +358,15 @@ def test_unknown_options_rejected(tmp_path, capsys):
         ("multiplier", {"alpha": "100000000000"}, "SCAN_POINTS_CAP"),  # ~10^22 box points
         ("jumping", {"max": "100000000000/1"}, "CANDIDATES_CAP"),  # 2 * 10^11 candidates
         ("bfunction", {}, "GENERATORS_CAP"),  # ten generators: 8 350 c-vectors in box 1
+        ("bfunction", {}, "REDUCTION_WORK_CAP"),  # x^(10^30): a generator of 10^30 factors
     ],
 )
 def test_work_caps(tmp_path, capsys, command, options, cap):
     doc = {"matrix": [[1, 0], [0, 1]], "ideal": {"monomial": [[1, 1]]}, "options": options}
     if cap == "GENERATORS_CAP":
         doc["ideal"] = {"monomial": [[k, 9 - k] for k in range(10)]}
+    if cap == "REDUCTION_WORK_CAP":
+        doc["ideal"] = {"monomial": [[10**30, 0]]}
     code, report, _ = invoke(capsys, [command, write_doc(tmp_path, doc), "--assume-normal"])
     assert code == 3
     assert report["error"]["cap"] == cap
@@ -524,16 +527,41 @@ def test_plane_three_generators_certify_at_box_seven():
     assert report["bfunction"]["box_used"] == 7
 
 
-def test_coefficient_swell_hits_the_reduction_work_cap():
-    # a5 with <(0,1), (7,6)>: box 1 eliminates two g_c of degrees 8 and 6 in
-    # few reduction steps, but their coefficients grow to tens of thousands
-    # of bits; the counted reduction work stops the run in a few seconds
+def test_coefficient_swell_hits_the_divisors_cap():
+    # a5 with <(0,1), (7,6)>: the elimination swelled its coefficients past
+    # REDUCTION_WORK_CAP; the grevlex basis and the powers of L give the same
+    # degree-43 polynomial in boxes 2 and 3 within a second, but its constant
+    # coefficient has 1 463 132 160 positive divisors, so the root search is
+    # stopped by their count before any is listed
     code, report = run_problem(
         "bfunction", "a5_coefficient_swell.json", "--assume-normal", timeout=30
     )
     assert code == 3
-    assert report["error"]["cap"] == "REDUCTION_WORK_CAP"
-    assert "> 1600000" in report["error"]["message"]
+    assert report["error"]["cap"] == "DIVISORS_CAP"
+    assert report["error"]["message"] == "DIVISORS_CAP exceeded: 1463132212 > 1000000"
+
+
+def test_tesseract_cone_certifies_at_box_four():
+    # the cone over the 4-cube: boxes 3 and 4 give one degree-26 polynomial
+    # whose largest root -1/2 is -lct, with multiplicity 4 (the elimination
+    # stopped at REDUCTION_WORK_CAP); verify then reaches the witness search,
+    # which still stops at WINDOW_POINTS_CAP
+    code, report = run_problem("bfunction", "tesseract_cone.json", "--assume-normal", timeout=30)
+    assert code == 0
+    assert report["stabilized"] is True and report["box_used"] == 4
+    assert [t["polynomial"] is None for t in report["truncation"]] == [True, True, False, False]
+    assert len(report["b"]["coefficients"]) == 27
+    assert hashlib.sha256(report["b"]["text"].encode()).hexdigest() == (
+        "8c04a1abd71cbc9b0e013d3858e1d869b5c5d181e491fb4c7fd8da5748ee5f06"
+    )
+    assert [(r["value"], r["multiplicity"]) for r in report["roots_negated"]] == [
+        ("1/2", 4), ("2/3", 3), ("5/6", 4), ("1", 4), ("7/6", 4), ("4/3", 4),
+        ("3/2", 1), ("5/3", 1), ("2", 1),
+    ]
+    assert report["unfactored_remainder"]["text"] == "1"
+    code, report = run_problem("verify", "tesseract_cone.json", "--check-normal", timeout=30)
+    assert code == 3
+    assert report["error"]["cap"] == "WINDOW_POINTS_CAP"
 
 
 def test_unknown_command_rejected(tmp_path, capsys):

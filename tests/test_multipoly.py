@@ -83,20 +83,25 @@ def test_multipoly_format_lists_terms_in_grevlex_order():
 
 
 def test_grevlex_order():
-    # the engine's order is grevlex on every variable but the last
+    # the engine's order is grevlex on every variable
     key = _Packing(3, 7).encode
     # degree first
     assert key((2, 0, 0)) > key((1, 0, 0))
+    assert key((0, 0, 2)) > key((1, 0, 0))
     # same degree: grevlex on ties — smaller last entry wins
     assert key((2, 0, 0)) > key((1, 1, 0)) > key((0, 2, 0))
+    assert key((0, 2, 0)) > key((1, 0, 1)) > key((0, 1, 1)) > key((0, 0, 2))
 
 
-def test_block_order_eliminates():
+def test_grevlex_puts_the_last_variable_last():
     key = _Packing(3, 7).encode
-    # any monomial containing a front variable beats any pure-back monomial
-    assert key((1, 0, 0)) > key((0, 0, 9))
-    assert key((0, 1, 0)) > key((0, 0, 9))
-    # within the back block, the exponent of the last variable
+    # in one degree, every monomial free of the last variable beats every
+    # monomial it divides; no power of a variable beats a higher degree
+    assert min(key((a, 3 - a, 0)) for a in range(4)) > max(
+        key((a, b, 3 - a - b)) for a in range(3) for b in range(3 - a)
+    )
+    assert key((0, 0, 9)) > key((8, 0, 0)) and key((0, 0, 9)) < key((9, 0, 1))
+    # the last variable alone, by its exponent
     assert key((0, 0, 3)) > key((0, 0, 2))
 
 
