@@ -38,41 +38,39 @@ call are counted against ``GENERATORS_CAP``, each box before it is listed,
 and the call ends with :class:`WorkCapExceeded`; a returned result is
 therefore always certified.
 
-The truncation polynomial without elimination.  ``p_B`` is the monic ``p``
-of least degree with ``p(L)`` in ``J``, ``L = sum s_i``: the minimal
-polynomial of multiplication by ``L`` on ``Q[s]/J``.  Linear algebra reads
-it off a Groebner basis in any order, here grevlex, the cheap kind (Bayer
-and Stillman, "A criterion for detecting m-regularity", Invent. Math. 87,
-1987), where an elimination order is the costly kind.  The normal forms
-``NF(1), NF(L), NF(L^2), ...`` first become linearly dependent at ``k = deg
-p``, and the coefficients of that dependency are ``p``: the step behind FGLM
-(Faugere, Gianni, Lazard and Mora, J. Symbolic Comput. 16, 1993).  If every
-``s_i`` has a pure-power lead, ``J`` is zero-dimensional, ``Q[s]/J`` is
-finite-dimensional and the dependency comes by its dimension.  Otherwise an
-exact test decides first whether ``p`` exists:
+The truncation polynomial as an elimination to the last variable.
+``p_B`` is the monic ``p`` of least degree with ``p(L)`` in ``J``, ``L =
+sum s_i``.  In the coordinates ``y = (s_1, ..., s_{r-1}, L)`` a linear form
+``a . s`` is ``sum_{i<r} (a_i - a_r) y_i + a_r L``, so :func:`bfunction`
+builds every ``g_c`` in ``y`` and ``p_B`` generates ``J intersect Q[L]``
+with ``L`` the last variable.  One grevlex basis of ``J`` decides whether
+``p_B`` exists; the normal forms ``NF(1), NF(L), NF(L^2), ...`` then first
+become linearly dependent at ``k = deg p``, and the coefficients of that
+dependency are ``p`` (the step behind FGLM: Faugere, Gianni, Lazard and
+Mora, J. Symbolic Comput. 16, 1993).  The existence test:
 
-- Every ``g_c`` is a product of affine-linear forms with integer
-  coefficients, ``s_i - j`` and ``L_k + j`` with ``L_k = sum_i alpha_ik
-  s_i``.  So ``V(J)`` over ``C`` is a finite union of flats of that
-  arrangement (intersections of unions of hyperplanes), and on a flat the
-  linear ``L`` is either constant or takes every value.
-- If ``L`` is constant on every flat of ``V(J)``, with values ``gamma_j``,
-  then ``prod (L - gamma_j)`` vanishes on ``V(J)`` and a power of it lies in
-  ``J`` (Nullstellensatz): ``p`` exists.  If ``L`` is not constant on a
-  flat, no nonzero polynomial in ``L`` vanishes there: ``p`` does not exist.
-- A constant value of ``L`` on a flat ``A s = b`` (integer rows of the
-  arrangement) is ``lambda . b`` where ``lambda A' = L`` on independent rows
-  ``A'``; by Cramer's rule on a nonsingular square block of ``A'`` it is
-  ``N/D`` with ``D`` a nonzero minor of the arrangement's rows, so ``|D| <=
-  H``, the Hadamard bound (the square root of the product of the rows'
-  squared norms).  ``N/D = 1/(H+1)`` would need ``|D| >= H + 1``, so
-  ``gamma = 1/(H+1)`` is none of the values.
-- Hence ``p`` exists exactly when ``V(J + <(H+1) L - 1>)`` is empty, which
-  by the Nullstellensatz holds exactly when that ideal's reduced basis is
-  ``[1]``; then the powers of ``L`` become dependent at ``deg p``.
+- Every ``g_c`` is a product of affine-linear forms, ``s_i - j`` and ``L_k
+  + j`` with ``L_k = sum_i alpha_ik s_i``.  So ``V(J)`` over ``C`` is a
+  finite union of flats ``q + V`` (intersections of unions of hyperplanes),
+  and a linear change of coordinates keeps it one.
+- If ``p`` exists, the top form of ``p(L)`` is ``L^(deg p)``, so a power of
+  ``L`` lies in ``LF(J)``, the ideal of the top-degree forms of the members
+  of ``J``.  Conversely, let ``f`` in ``J`` have top form ``L^k``.  On a
+  flat ``q + V`` the top coefficient in ``t`` of ``f(q + t v)`` is
+  ``L(v)^k``, and ``f`` vanishes there, so ``L(v) = 0`` for every ``v`` in
+  ``V``: ``L`` is constant on every flat, with values ``gamma_j``.  Then
+  ``prod (L - gamma_j)`` vanishes on ``V(J)``, a power of it lies in ``J``
+  (Nullstellensatz), and ``p`` exists.
+- Under a graded order ``in(LF(J)) = in(J)``.  Under grevlex with ``L``
+  last, a homogeneous polynomial whose lead is ``L^k`` is ``c L^k`` (Bayer
+  and Stillman, "A criterion for detecting m-regularity", Invent. Math. 87,
+  1987), so ``L^k`` lies in ``in(J)`` exactly when it lies in ``LF(J)``.
+- Hence ``p`` exists exactly when some lead of the reduced grevlex basis of
+  ``J`` is a pure power of ``L``.  A zero-dimensional ``J`` needs no
+  separate case: it has such a lead, and so does the unit ideal (``L^0``).
 
 So :func:`eliminate_minimal_univariate` is exact for every ideal generated
-by products of integer affine-linear forms, given their linear parts.
+by products of affine-linear forms.
 
 The Groebner engine is a deterministic Buchberger with the normal selection
 strategy (minimal lcm degree, ties by pair index, read off a heap of pairs
@@ -87,10 +85,11 @@ mask ``G``.  The fields are sized from the inputs; a new monomial with a
 guard bit set means an exponent outgrew its field, and the computation
 restarts with doubled fields, so exactness never rests on a size guess.
 Reduction work is counted, per step the terms of the reduced polynomial
-times the 64-bit words of the cancelled coefficient, and past
-``REDUCTION_WORK_CAP`` units in one b-function box (its basis, the
-existence test and the normal forms of the powers of ``L`` together) or in
-one stand-alone Groebner computation it raises :class:`WorkCapExceeded`: a
+times the 64-bit words of the cancelled coefficient (and per power of ``L``
+one unit per echelon row it meets), and past
+``REDUCTION_WORK_CAP`` units in one b-function box (its basis and the
+normal forms of the powers of ``L`` together) or in one stand-alone
+Groebner computation it raises :class:`WorkCapExceeded`: a
 few S-pairs can still swell coefficients to tens of thousands of bits.
 Public inputs are ``MultiPoly`` with exact rational coefficients (``int`` or
 ``Fraction``); the reduced basis comes back as the kernel keeps it,
@@ -110,7 +109,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import count, product
-from math import factorial, gcd, isqrt, prod
+from math import factorial, gcd, prod
 from operator import itemgetter, mul
 from typing import Optional, Sequence
 
@@ -146,11 +145,11 @@ __all__ = [
 GENERATORS_CAP = 5_000
 
 #: Counted work cap of one Groebner computation, or of one box's truncation
-#: polynomial (its bases and the normal forms of the powers of ``L``
+#: polynomial (its basis and the normal forms of the powers of ``L``
 #: together): each reduction or echelon step counts the terms of the reduced
-#: polynomial times the 64-bit words of the coefficient it cancels.  Building
-#: one ``g_c`` counts the same units per linear factor, with a bound on its
-#: coefficients.
+#: polynomial times the 64-bit words of the coefficient it cancels, and each
+#: power of ``L`` one unit per echelon row it meets.  Building one ``g_c``
+#: counts the same units per linear factor, with a bound on its coefficients.
 REDUCTION_WORK_CAP = 1_600_000
 
 #: Counted work cap of one rational root search: the trial divisions that
@@ -184,25 +183,30 @@ def _profile(alphas: Sequence[Vec], c: Sequence[int]) -> Vec:
     return tuple(max(0, -x) for x in c) + tuple(max(0, x) for x in u)
 
 
-def _falling_product(alphas: Sequence[Vec], c: Sequence[int]) -> tuple[dict, int, int]:
+def _linear_parts(alphas: Sequence[Vec]) -> list[Vec]:
+    """Linear parts of the factors of every ``g_c`` in ``s`` coordinates:
+    the ``s_i``, then ``L_k = sum_i alpha_ik s_i``."""
+    r = len(alphas)
+    return [tuple(int(j == i) for j in range(r)) for i in range(r)] + list(zip(*alphas))
+
+
+def _falling_product(parts: Sequence[Vec], phi: Vec) -> tuple[dict, int, int]:
     """``(g, content, denom)`` with ``g_c = content * g / denom`` and ``g`` a
     primitive integer polynomial: the product of the falling factors of
     ``g_c``, multiplied out in integers and divided by its content.
 
-    With ``phi = _profile(alphas, c)`` and ``L_k = sum_i s_i alpha_ik`` the
-    factors are ``s_i`` of length ``phi_i`` and ``L_k + m_k`` of length
-    ``m_k = phi_{r+k}``; ``denom`` is ``prod m!``.  The product of the
-    factors' 1-norms bounds every coefficient, and past ``REDUCTION_WORK_CAP``
-    units the build raises :class:`WorkCapExceeded`.
+    ``parts`` are the factors' linear parts in any coordinates on ``r``
+    variables, the ``r`` of the ``s_i`` first (:func:`_linear_parts`), and
+    ``phi`` is the profile: the factors are ``s_i`` of length ``phi_i`` and
+    ``L_k + m_k`` of length ``m_k = phi_{r+k}``; ``denom`` is ``prod m!``.
+    The product of the factors' 1-norms bounds every coefficient, and past
+    ``REDUCTION_WORK_CAP`` units the build raises :class:`WorkCapExceeded`.
     """
-    r = len(alphas)
-    phi = _profile(alphas, c)
-    # (linear part, top, m) of each factor binom(L + top, m)
-    factors = [([int(j == i) for j in range(r)], 0, phi[i]) for i in range(r)]
-    factors += [([a[k] for a in alphas], m, m) for k, m in enumerate(phi[r:])]
+    r = len(parts[0])
     g = {(0,) * r: 1}
     denom, norm, work = 1, 1, 0
-    for coeffs, top, m in factors:
+    for k, (coeffs, m) in enumerate(zip(parts, phi)):
+        top = m if k >= r else 0
         for j in range(m):
             g = _times_linear(g, coeffs, top - j)
             norm *= sum(map(abs, coeffs)) + abs(top - j)
@@ -232,7 +236,7 @@ def monomial_generator(alphas: Sequence[Vec], c: Sequence[int]) -> MultiPoly:
         raise ValueError("c and exponent list must have equal length")
     if sum(c) != 1:
         raise ValueError("coordinate sum of c must be 1")
-    g, content, denom = _falling_product(alphas, c)
+    g, content, denom = _falling_product(_linear_parts(alphas), _profile(alphas, c))
     scale = Fraction(content, denom)
     return MultiPoly._of(len(alphas), {e: v * scale for e, v in g.items()})
 
@@ -587,19 +591,22 @@ def verify_groebner_basis(gens: Sequence[MultiPoly], gb: Sequence[MultiPoly]) ->
 
 
 def _krylov(basis: Sequence[tuple[int, int, dict]], pack: _Packing) -> UniPoly:
-    """Monic minimal ``p`` with ``p(L)`` in the ideal of the Groebner basis
-    ``basis``, ``L`` the sum of the variables; the caller has made sure that
-    one exists, since otherwise only the work cap ends the loop.
+    """Monic minimal ``p`` with ``p(x_last)`` in the ideal of the Groebner
+    basis ``basis``, ``x_last`` the last variable; if none exists, only the
+    work cap ends the loop.
 
-    ``w_k`` is the reduced ``L * w_{k-1}`` (``w_0`` the reduced 1), so ``w_k =
-    s_k * NF(L^k)`` for the product ``s_k`` of the scalars :func:`_reduce`
-    reports.  Each ``w_k`` joins a fraction-free echelon that carries, per
-    row, its integer combination of the ``w_j``; the first ``w_k`` that
-    reduces to zero gives ``sum a_j w_j = 0``, so ``p`` is ``sum a_j s_j t^j``
-    made monic.  An echelon step charges the terms of the reduced vector
-    times the 64-bit words of the cancelled entry, like a reduction step.
+    ``w_k`` is the reduced ``x_last * w_{k-1}`` (``w_0`` the reduced 1), one
+    packed shift per step, so ``w_k = s_k * NF(x_last^k)`` for the product
+    ``s_k`` of the scalars :func:`_reduce` reports.  Each ``w_k`` joins a
+    fraction-free echelon that carries, per row, its integer combination of
+    the ``w_j``; the first ``w_k`` that reduces to zero gives ``sum a_j w_j =
+    0``, so ``p`` is ``sum a_j s_j t^j`` made monic.  An echelon step charges
+    the terms of the reduced vector times the 64-bit words of the cancelled
+    entry, like a reduction step, and each ``w_k`` one unit per row it
+    meets, so the count grows with the loop even when every ``w_k`` is one
+    monomial that no row cancels.
     """
-    guard, steps = pack.guard, pack.weights
+    guard, step = pack.guard, pack.weights[-1]
     rows: list[tuple[int, dict, list[int]]] = []  # (pivot, vector, combination)
     scales: list[tuple[int, int]] = []  # s_k as (numerator, denominator)
     w, num, den = {0: 1}, 1, 1
@@ -608,6 +615,7 @@ def _krylov(basis: Sequence[tuple[int, int, dict]], pack: _Packing) -> UniPoly:
         num, den = num * n, den * d
         scales.append((num, den))
         v, comb = dict(w), [0] * (len(scales) - 1) + [1]
+        pack.charge(len(rows))
         for pivot, row, rcomb in rows:
             a = v.get(pivot)
             if not a:
@@ -632,38 +640,29 @@ def _krylov(basis: Sequence[tuple[int, int, dict]], pack: _Packing) -> UniPoly:
             top = comb[-1] * num
             return UniPoly([Fraction(c * sn * den, top * sd) for c, (sn, sd) in zip(comb, scales)])
         rows.append((max(v), v, comb))
-        u: dict = {}
-        for e, c in w.items():
-            for step in steps:
-                ne = e + step
-                u[ne] = u.get(ne, 0) + c
-        if any(e & guard for e in u):
+        w = {e + step: c for e, c in w.items()}
+        if any(e & guard for e in w):
             raise _FieldOverflow
-        w = u
 
 
-def eliminate_minimal_univariate(
-    gens: Sequence[MultiPoly], forms: Sequence[Sequence[int]]
-) -> Optional[UniPoly]:
-    """Monic minimal ``p`` with ``p(L)`` in ``J = <gens>``, ``L = sum s_i``,
-    or ``None`` when there is none; that is the generator of ``(J + <t -
-    L>) intersect Q[t]``.  Exact when every generator is a product of
-    integer affine-linear forms whose linear parts are among the integer
-    rows ``forms`` (the module docstring gives the proof).
+def eliminate_minimal_univariate(gens: Sequence[MultiPoly]) -> Optional[UniPoly]:
+    """Monic generator of ``<gens> intersect Q[x_last]``, ``x_last`` the last
+    variable, or ``None`` when that intersection is zero.  Exact when every
+    generator is a product of affine-linear forms (the module docstring
+    gives the proof); :func:`bfunction` writes its ``g_c`` in coordinates
+    whose last one is ``L = sum s_i``.  On other ideals a pure-power lead
+    need not give a polynomial (``<y^2 - x>`` has the lead ``y^2``), and the
+    call then ends with :class:`WorkCapExceeded`.
 
-    One packing, and so one work counter under ``REDUCTION_WORK_CAP``, serves
-    the whole call: the grevlex basis of ``J``; if some ``s_i`` has no
-    pure-power lead (``J`` is not zero-dimensional), the basis of ``J +
-    <(H+1)*L - 1>`` with ``H`` the Hadamard bound of the minors of ``forms``,
-    which is ``[1]`` exactly when ``p`` exists; and the normal forms of the
-    powers of ``L`` (:func:`_krylov`), which first become dependent at
-    ``deg p``.
+    One grevlex basis of ``J = <gens>`` decides: ``p`` exists exactly when
+    some lead is a pure power of ``x_last``.  The normal forms of the powers
+    of ``x_last`` (:func:`_krylov`) then first become dependent at ``deg
+    p``.  One packing, and so one work counter under ``REDUCTION_WORK_CAP``,
+    serves the basis and the normal forms.
     """
     polys = [g for g in gens if not g.is_zero()]
-    forms = [_int_vector(row) for row in forms]
     if not polys:
         return None
-    r = polys[0].nvars
     pack = _Packing.fitting(polys, REDUCTION_WORK_CAP)
     gb = groebner_basis(polys, pack)
 
@@ -671,13 +670,8 @@ def eliminate_minimal_univariate(
         return [_reducer(pack.to_int_poly(g)) for g in gb]
 
     width, basis = pack.width, reducers(pack)
-    leads = [pack.decode(lead) for lead, _, _ in basis]
-    if any(all(sum(e) > e[i] for e in leads) for i in range(r)):
-        h = isqrt(prod(n for row in forms if (n := sum(a * a for a in row))))
-        units = (tuple(int(j == i) for j in range(r)) for i in range(r))
-        probe = MultiPoly._of(r, {**dict.fromkeys(units, h + 1), (0,) * r: -1})
-        if groebner_basis([probe, *gb], pack) != [MultiPoly._of(r, {(0,) * r: 1})]:
-            return None
+    if all(any(pack.decode(lead)[:-1]) for lead, _, _ in basis):
+        return None  # every lead has a front variable, none is a power of x_last
     # the basis is packed again only if the fields have widened since
     return pack.run(lambda pack: _krylov(basis if pack.width == width else reducers(pack), pack))
 
@@ -834,7 +828,10 @@ def bfunction(S: SemigroupData, ideal) -> BFunctionResult:
     ``{g_c : |c_i| <= B}`` comes from :func:`eliminate_minimal_univariate`;
     the ideal is generated by the ``g_c`` of minimal profile ``phi(c)``, one
     per minimal profile, so only those are built, and a box with the
-    previous box's set of profiles reuses that box's polynomial.
+    previous box's set of profiles reuses that box's polynomial.  Each
+    ``g_c`` is built in the coordinates ``(s_1, ..., s_{r-1}, L)``, ``L =
+    sum s_i`` last: the factors' linear parts are mapped there once per
+    call, and each minimal ``g_c`` is built from its profile.
     The run stops once two consecutive bounds agree and the smallest root of
     ``b(-s)`` equals the log-canonical threshold; the module docstring says
     why that happens.  The only other way out is a counted cap:
@@ -850,8 +847,8 @@ def bfunction(S: SemigroupData, ideal) -> BFunctionResult:
         raise ValueError("the ideal needs at least one generator")
     r = len(betas)
     alphas = [f_map(S, b) for b in betas]
-    # the linear parts of the factors of every g_c: s_i and the L_k
-    forms = [tuple(int(j == i) for j in range(r)) for i in range(r)] + list(zip(*alphas))
+    # the factors' linear parts in y = (s_1, ..., s_{r-1}, L): a . s = a' . y
+    parts = [(*(x - a[-1] for x in a[:-1]), a[-1]) for a in _linear_parts(alphas)]
 
     lct_value = monomial_ideal(S, ideal if isinstance(ideal, MonomialIdeal) else betas).lct
 
@@ -866,7 +863,7 @@ def bfunction(S: SemigroupData, ideal) -> BFunctionResult:
         family = frozenset(phi for phi, _ in minimal)
         if family != prev_family:  # an unchanged family is the same ideal: keep p
             p = eliminate_minimal_univariate(
-                [MultiPoly._of(r, _falling_product(alphas, c)[0]) for _, c in minimal], forms
+                [MultiPoly._of(r, _falling_product(parts, phi)[0]) for phi, _ in minimal]
             )
         prev_family = family
         history.append((B, p))

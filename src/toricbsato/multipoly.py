@@ -231,11 +231,6 @@ class UniPoly:
         """Degree; the zero polynomial reports -1."""
         return len(self.coeffs) - 1
 
-    def leading_coefficient(self) -> Fraction:
-        if self.is_zero():
-            raise ValueError("zero polynomial")
-        return self.coeffs[-1]
-
     def is_monic(self) -> bool:
         return not self.is_zero() and self.coeffs[-1] == 1
 

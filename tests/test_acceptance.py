@@ -297,20 +297,27 @@ def test_groebner_engine_soundness(cusp):
     # each output reduce to zero
     assert bsato.groebner_basis.__wrapped__ is not None
     # and one elimination runs here on a system large enough to exercise
-    # reduction, both criteria, and elimination
-    gens = [build_generator(cusp, CUSP_IDEAL, c) for c in c_vectors(2, 2)]
+    # reduction, both criteria, and elimination: the whole box-2 family of
+    # the cusp, written in the coordinates (s_1, L) with L = s_1 + s_2 last
     from toricbsato.bsato import eliminate_minimal_univariate
 
-    # the linear parts of the factors: s_1, s_2 and the columns (2, 1), (1, 2)
-    # of the transported exponents
-    forms = [(1, 0), (0, 1), (2, 1), (1, 2)]
-    p = eliminate_minimal_univariate(gens, forms)  # its bases are verified inside
+    # the linear parts s_1, s_2, 2 s_1 + s_2, s_1 + 2 s_2 of the factors
+    # (the transported exponents are (2, 1) and (1, 2)) are, in (s_1, L),
+    # s_1, L - s_1, s_1 + L and 2 L - s_1
+    alphas = [(2, 1), (1, 2)]
+    parts = [(1, 0), (-1, 1), (1, 1), (-1, 2)]
+    gens = [
+        MultiPoly(2, bsato._falling_product(parts, bsato._profile(alphas, c))[0])
+        for c in c_vectors(2, 2)
+    ]
+    p = eliminate_minimal_univariate(gens)  # its basis is verified inside
     assert p is not None and p.is_monic()
+    assert p == bfunction(cusp, CUSP_IDEAL).b
 
-    x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
-    assert eliminate_minimal_univariate([x, y], forms[:2]) == UniPoly([F(0), F(1)])
-    assert eliminate_minimal_univariate([x - 1, y - 2], forms[:2]) == UniPoly([F(-3), F(1)])
-    assert eliminate_minimal_univariate([x - y], [(1, -1)]) is None
+    x, L = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    assert eliminate_minimal_univariate([x, L - x]) == UniPoly([F(0), F(1)])
+    assert eliminate_minimal_univariate([x - 1, L - x - 2]) == UniPoly([F(-3), F(1)])
+    assert eliminate_minimal_univariate([x * 2 - L]) is None
 
 
 # --- 10: structural validators ----------------------------------------------

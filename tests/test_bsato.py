@@ -567,43 +567,81 @@ def test_reduction_work_cap(monkeypatch):
 
 
 def test_elimination_toys():
-    x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
-    axes = [(1, 0), (0, 1)]
-    assert eliminate_minimal_univariate([x, y], axes) == UniPoly([F(0), F(1)])
-    assert eliminate_minimal_univariate([x - 1, y - 2], axes) == UniPoly([F(-3), F(1)])
+    # in the coordinates (x, L), L = x + y last: each toy is written in x and
+    # y = L - x, and its polynomial in L is read off the last variable
+    x, L = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    y = L - x
+    assert eliminate_minimal_univariate([x, y]) == UniPoly([F(0), F(1)])
+    assert eliminate_minimal_univariate([x - 1, y - 2]) == UniPoly([F(-3), F(1)])
     # the dependency 2L - 1 is divided by its lead once
-    assert eliminate_minimal_univariate([x * 2 - 1, y], axes) == UniPoly([F(-1, 2), F(1)])
-    assert eliminate_minimal_univariate([MultiPoly.constant(2, 1)], axes) == UniPoly([F(1)])
-    # positive-dimensional ideals: L = x + y is not constant on the line
-    # x = y, nor on the lines x = 0 and x = 1, so no polynomial exists ...
-    assert eliminate_minimal_univariate([x - y], [(1, -1)]) is None
-    assert eliminate_minimal_univariate([x * (x - 1)], axes) is None
-    assert eliminate_minimal_univariate([x * y], axes) is None
-    # ... but it is constant on the lines x + y = 0 and x + y = 1
-    s = x + y
-    assert eliminate_minimal_univariate([s * s], [(1, 1)]) == UniPoly([F(0), F(0), F(1)])
-    assert eliminate_minimal_univariate([s * (s - 1) * (s - 1)], [(1, 1)]) == UniPoly.from_roots(
+    assert eliminate_minimal_univariate([x * 2 - 1, y]) == UniPoly([F(-1, 2), F(1)])
+    assert eliminate_minimal_univariate([MultiPoly.constant(2, 1)]) == UniPoly([F(1)])
+    # positive-dimensional ideals: L is not constant on the line x = y, nor
+    # on the lines x = 0 and x = 1, so no polynomial exists ...
+    assert eliminate_minimal_univariate([x - y]) is None
+    assert eliminate_minimal_univariate([x * (x - 1)]) is None
+    assert eliminate_minimal_univariate([x * y]) is None
+    # ... but it is constant on the lines L = 0 and L = 1
+    assert eliminate_minimal_univariate([L * L]) == UniPoly([F(0), F(0), F(1)])
+    assert eliminate_minimal_univariate([L * (L - 1) * (L - 1)]) == UniPoly.from_roots(
         [F(0), F(1), F(1)]
     )
 
 
-def test_existence_probe_avoids_every_value_on_a_flat():
-    # L = 1/3 on the line 3x + 3y = 1; the Hadamard bound of the form (3, 3)
-    # is isqrt(18) = 4, so the probe sits at L = 1/5, off the line.  A probe at
-    # 1/3 would meet the line and report no polynomial
+def test_existence_is_a_pure_power_lead_on_a_flat():
+    # L = 1/3 on the line 3x + 3y = 1, that is 3L - 1, whose lead is L; on
+    # the line x = 2 of the second ideal L takes every value, and the lead xL
+    # of its one generator is no pure power of L
+    x, L = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    line = L * 3 - 1
+    assert eliminate_minimal_univariate([line]) == UniPoly([F(-1, 3), F(1)])
+    assert eliminate_minimal_univariate([line * (x - 2)]) is None
+
+
+def test_positive_dimensional_box_takes_one_basis(monkeypatch):
+    # existence is read off the leads of the one basis of J: no second basis
+    # decides it, whether the polynomial exists or not
+    x, L = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    calls = []
+    groebner = bsato.groebner_basis
+
+    def spy(gens, pack=None):
+        calls.append(len(gens))
+        return groebner(gens, pack)
+
+    monkeypatch.setattr(bsato, "groebner_basis", spy)
+    # J = <L (L - 1)> since <x, x - 1> is the unit ideal: the lines L = 0, 1
+    gens = [x * L * (L - 1), (x - 1) * L * (L - 1)]
+    assert eliminate_minimal_univariate(gens) == UniPoly([F(0), F(-1), F(1)])
+    assert calls == [2]
+    assert eliminate_minimal_univariate([x * (L - 1)]) is None
+    assert calls == [2, 1]
+    # <x^3, xy, y^2> eliminates five families, and boxes 1-5 have no
+    # polynomial: their ideals are positive-dimensional
+    calls.clear()
+    plane = build_semigroup([[1, 0], [0, 1]])
+    res = bfunction(plane, monomial_ideal(plane, [(3, 0), (1, 1), (0, 2)]))
+    assert [p for _, p in res.truncation[:5]] == [None] * 5
+    assert calls == [3, 4, 5, 6, 7]
+
+
+def test_pure_power_lead_without_a_polynomial_ends_at_the_cap():
+    # <y^2 - x> is no product of linear forms: its lead y^2 is a pure power
+    # of the last variable, yet no polynomial in y lies in it.  NF(y^k) is
+    # one monomial that no echelon row cancels, so only the unit per row
+    # checked makes the count reach the cap (after about 1 800 powers)
     x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
-    line = x * 3 + y * 3 - 1
-    assert eliminate_minimal_univariate([line], [(3, 3)]) == UniPoly([F(-1, 3), F(1)])
-    assert eliminate_minimal_univariate([line * (x - 2)], [(3, 3), (1, 0)]) is None
+    with pytest.raises(WorkCapExceeded, match="REDUCTION_WORK_CAP exceeded"):
+        eliminate_minimal_univariate([y * y - x])
 
 
 def test_one_work_counter_serves_each_truncation(monkeypatch):
-    # the basis, the existence test and the Krylov reductions of one call
-    # count against one REDUCTION_WORK_CAP: the basis alone fits a cap that
-    # the whole call does not.  V(J) is the line x + y = 1 and the points
-    # (0, 0), (2, 0), (0, 2), so the existence test runs
-    x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
-    gens = [(x + y) * (x + y - 1) * (x + y - 2), x * y * (x + y - 1)]
+    # the basis and the Krylov reductions of one call count against one
+    # REDUCTION_WORK_CAP: the basis alone fits a cap that the whole call does
+    # not.  In the coordinates (x, L), V(J) is the line L = 1 and the points
+    # (0, 0), (0, 2), (2, 2), so J is not zero-dimensional
+    x, L = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    gens = [L * (L - 1) * (L - 2), x * (L - x) * (L - 1)]
     packs = []
     fitting = _Packing.fitting
 
@@ -612,7 +650,7 @@ def test_one_work_counter_serves_each_truncation(monkeypatch):
         return packs[-1]
 
     monkeypatch.setattr(_Packing, "fitting", spy)
-    p = eliminate_minimal_univariate(gens, [(1, 0), (0, 1), (1, 1)])
+    p = eliminate_minimal_univariate(gens)
     assert p == UniPoly.from_roots([F(0), F(1), F(2)])
     total = packs[0].work
     alone = fitting(gens)
@@ -621,7 +659,7 @@ def test_one_work_counter_serves_each_truncation(monkeypatch):
     monkeypatch.setattr("toricbsato.bsato.REDUCTION_WORK_CAP", total - 1)
     match = f"REDUCTION_WORK_CAP exceeded: {total} > {total - 1}"
     with pytest.raises(WorkCapExceeded, match=match):
-        eliminate_minimal_univariate(gens, [(1, 0), (0, 1), (1, 1)])
+        eliminate_minimal_univariate(gens)
 
 
 # --- rational roots ---------------------------------------------------------
@@ -813,7 +851,8 @@ def test_tesseract_truncation_is_a_minimal_polynomial():
     assert res.truncation[2][1] == res.b and res.unfactored_remainder == UniPoly([F(1)])
     alphas = [f_map(S, b) for b in betas]
     cs = c_vectors(2, 3)
-    gens = [MultiPoly(2, bsato._falling_product(alphas, c)[0]) for c in cs]
+    parts = bsato._linear_parts(alphas)
+    gens = [MultiPoly(2, bsato._falling_product(parts, _profile(alphas, c))[0]) for c in cs]
     gb = groebner_basis(gens)  # verified by the suite's wrapper
     L = MultiPoly.linear_form([1, 1])
 
@@ -924,26 +963,58 @@ def test_minimal_profiles_keep_every_truncation(case):
             assert reference_eliminate(family) == p
 
 
-affine_forms = st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(-2, 2)).filter(
-    lambda f: any(f[:2])
-)
+@st.composite
+def affine_products(draw, n):
+    """Products of integer affine-linear forms ``a . s + c`` in ``n``
+    variables, each form with a nonzero linear part."""
+    form = st.tuples(*[st.integers(-2, 2)] * (n + 1)).filter(lambda f: any(f[:n]))
+    return draw(st.lists(st.lists(form, min_size=1, max_size=3), min_size=1, max_size=3))
 
 
-@given(st.lists(st.lists(affine_forms, min_size=1, max_size=3), min_size=1, max_size=3))
+def in_last_L(n, products):
+    """The products of ``(a, c)`` rows ``a . s + c`` in ``s``, and the same
+    products in ``y = (s_1, ..., s_{n-1}, L)``, where the engine eliminates
+    to the last variable: ``a . s = sum_{i<n} (a_i - a_n) y_i + a_n L``."""
+
+    def build(rows):
+        g = MultiPoly.constant(n, 1)
+        for row in rows:
+            g = g * MultiPoly.linear_form(row[:n], row[n])
+        return g
+
+    gens = [build(factors) for factors in products]
+    in_y = [
+        build([(*(a - f[n - 1] for a in f[: n - 1]), f[n - 1], f[n]) for f in factors])
+        for factors in products
+    ]
+    return gens, in_y
+
+
+@given(affine_products(2))
 @settings(max_examples=60, deadline=None)
 def test_krylov_matches_reference_elimination(products):
-    # random products of integer affine-linear forms a*x + b*y + c in two
-    # variables: zero-dimensional ideals, ideals whose flats keep L constant,
-    # ideals without a polynomial, and the unit ideal
-    x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
-    gens, forms = [], set()
-    for factors in products:
-        g = MultiPoly.constant(2, 1)
-        for a, b, c in factors:
-            g = g * (x * a + y * b + c)
-            forms.add((a, b))
-        gens.append(g)
-    assert eliminate_minimal_univariate(gens, sorted(forms)) == reference_eliminate(gens)
+    # random products of integer affine-linear forms in two variables:
+    # zero-dimensional ideals, ideals whose flats keep L constant, ideals
+    # without a polynomial, and the unit ideal
+    gens, in_y = in_last_L(2, products)
+    assert eliminate_minimal_univariate(in_y) == reference_eliminate(gens)
+
+
+@given(affine_products(3))
+@settings(max_examples=40, deadline=None)
+def test_krylov_matches_reference_elimination_in_three_variables(products):
+    # three generators give r = 3: the coordinate change moves two front
+    # variables, and the flats of V(J) reach dimension two
+    gens, in_y = in_last_L(3, products)
+    p = eliminate_minimal_univariate(in_y)
+    try:
+        expected = reference_eliminate(gens)
+    except WorkCapExceeded:
+        # the block order in four variables is the costly kind: about 1 % of
+        # draws pass REDUCTION_WORK_CAP in the reference alone, and uncapped
+        # they run for minutes; the engine must still finish on them
+        assume(False)
+    assert p == expected
 
 
 def test_plane_eliminates_minimal_profiles_only(monkeypatch):
@@ -951,9 +1022,9 @@ def test_plane_eliminates_minimal_profiles_only(monkeypatch):
     # boxes 5 and 7 repeat the profile sets of boxes 4 and 6
     sizes = []
 
-    def spy(gens, forms):
+    def spy(gens):
         sizes.append(len(gens))
-        return eliminate_minimal_univariate(gens, forms)
+        return eliminate_minimal_univariate(gens)
 
     monkeypatch.setattr("toricbsato.bsato.eliminate_minimal_univariate", spy)
     plane = build_semigroup([[1, 0], [0, 1]])
@@ -974,9 +1045,9 @@ def test_unchanged_family_is_eliminated_once(monkeypatch, matrix, ideal, sizes):
     # same ideal and reuses that box's polynomial without eliminating
     seen = []
 
-    def spy(gens, forms):
+    def spy(gens):
         seen.append(len(gens))
-        return eliminate_minimal_univariate(gens, forms)
+        return eliminate_minimal_univariate(gens)
 
     monkeypatch.setattr("toricbsato.bsato.eliminate_minimal_univariate", spy)
     S = build_semigroup(matrix)
@@ -991,9 +1062,9 @@ def test_bfunction_eliminates_primitive_integer_generators(monkeypatch):
     # Fraction is built on the way in
     seen = []
 
-    def spy(gens, forms):
+    def spy(gens):
         seen.extend(gens)
-        return eliminate_minimal_univariate(gens, forms)
+        return eliminate_minimal_univariate(gens)
 
     monkeypatch.setattr("toricbsato.bsato.eliminate_minimal_univariate", spy)
     square = build_semigroup([[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1]])
