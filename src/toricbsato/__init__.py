@@ -17,10 +17,8 @@ from .bsato import (
     build_generator,
     c_vectors,
     eliminate_minimal_univariate,
-    groebner_basis,
     monomial_generator,
     rational_roots,
-    verify_groebner_basis,
 )
 from .exactnum import (
     IntMatrix,

@@ -81,26 +81,25 @@ packed into one int (Monagan-Pearce, CASC 2007): the exponents sit in
 fixed-width fields whose top bit is a guard, under the order's weight rows,
 so int comparison is the monomial order, a product of monomials is an int
 sum, and ``a`` divides ``b`` iff ``((b | G) - a) & G == G`` for the guard
-mask ``G``.  The fields are sized from the inputs; a new monomial with a
-guard bit set means an exponent outgrew its field, and the computation
-restarts with doubled fields, so exactness never rests on a size guess.
-Reduction work is counted, per step the terms of the reduced polynomial
-times the 64-bit words of the cancelled coefficient (and per power of ``L``
-one unit per echelon row it meets), and past
-``REDUCTION_WORK_CAP`` units in one b-function box (its basis and the
-normal forms of the powers of ``L`` together) or in one stand-alone
-Groebner computation it raises :class:`WorkCapExceeded`: a
-few S-pairs can still swell coefficients to tens of thousands of bits.
-Public inputs are ``MultiPoly`` with exact rational coefficients (``int`` or
-``Fraction``); the reduced basis comes back as the kernel keeps it,
-primitive over the integers with positive leads.  The b-function driver
-stays in integers from ``c`` to the roots: each ``g_c`` is built as a
-primitive integer polynomial, the normal forms report the positive scalar
-they multiplied by, the dependency comes from a fraction-free echelon, and
-the rational roots are split off by integer synthetic division, whose last
-quotient gives the unfactored remainder.  The candidate roots come from the
-divisors of the end coefficients, whose number is read off their
-factorization and counted against ``DIVISORS_CAP`` before any is listed.
+mask ``G``.  The fields are sized before anything is packed; a new
+monomial with a guard bit set means an exponent outgrew its field, and the
+computation restarts with doubled fields, so exactness never rests on a
+size guess.  Reduction work is counted, per step the terms of the reduced
+polynomial times the 64-bit words of the cancelled coefficient (and per
+power of ``L`` one unit per echelon row it meets), and past
+``REDUCTION_WORK_CAP`` units in one elimination (a b-function box: its
+basis and the normal forms of the powers of ``L`` together) it raises
+:class:`WorkCapExceeded`: a few S-pairs can still swell coefficients to tens
+of thousands of bits.  Only :func:`eliminate_minimal_univariate` takes
+``MultiPoly`` inputs, packed once.  The b-function driver stays packed and
+in integers from ``c`` to the roots: each ``g_c`` is built as a primitive
+integer polynomial in fields sized from its box's profiles, the normal
+forms report the positive scalar they multiplied by, the dependency comes
+from a fraction-free echelon, and the rational roots are split off by
+integer synthetic division, whose last quotient gives the unfactored
+remainder.  The candidate roots come from the divisors of the end
+coefficients, whose number is read off their factorization and counted
+against ``DIVISORS_CAP`` before any is listed.
 """
 
 from __future__ import annotations
@@ -127,8 +126,6 @@ from .toric import (
 __all__ = [
     "monomial_generator",
     "build_generator",
-    "groebner_basis",
-    "verify_groebner_basis",
     "eliminate_minimal_univariate",
     "c_vectors",
     "bfunction",
@@ -163,19 +160,6 @@ DIVISORS_CAP = 1_000_000
 # ---------------------------------------------------------------------------
 
 
-def _times_linear(g: dict, coeffs: Sequence[int], const: int) -> dict:
-    """Integer polynomial ``g`` times ``sum coeffs[i] * x_i + const``."""
-    out: dict = {}
-    for e, v in g.items():
-        if const:
-            out[e] = out.get(e, 0) + v * const
-        for i, a in enumerate(coeffs):
-            if a:
-                ne = e[:i] + (e[i] + 1,) + e[i + 1 :]
-                out[ne] = out.get(ne, 0) + v * a
-    return out
-
-
 def _profile(alphas: Sequence[Vec], c: Sequence[int]) -> Vec:
     """``phi(c) = (max(0, -c_i))_i + (max(0, u_k))_k`` with
     ``u = sum c_i alphas_i``: the lengths of the factors of ``g_c``."""
@@ -190,10 +174,11 @@ def _linear_parts(alphas: Sequence[Vec]) -> list[Vec]:
     return [tuple(int(j == i) for j in range(r)) for i in range(r)] + list(zip(*alphas))
 
 
-def _falling_product(parts: Sequence[Vec], phi: Vec) -> tuple[dict, int, int]:
+def _falling_product(parts: Sequence[Vec], phi: Vec, pack: "_Packing") -> tuple[dict, int, int]:
     """``(g, content, denom)`` with ``g_c = content * g / denom`` and ``g`` a
-    primitive integer polynomial: the product of the falling factors of
-    ``g_c``, multiplied out in integers and divided by its content.
+    primitive integer polynomial packed in ``pack``, whose fields must hold
+    its exponents (:meth:`_Packing.for_generators`): the product of the
+    falling factors of ``g_c``, multiplied out and divided by its content.
 
     ``parts`` are the factors' linear parts in any coordinates on ``r``
     variables, the ``r`` of the ``s_i`` first (:func:`_linear_parts`), and
@@ -203,12 +188,19 @@ def _falling_product(parts: Sequence[Vec], phi: Vec) -> tuple[dict, int, int]:
     ``REDUCTION_WORK_CAP`` units the build raises :class:`WorkCapExceeded`.
     """
     r = len(parts[0])
-    g = {(0,) * r: 1}
+    g = {0: 1}
     denom, norm, work = 1, 1, 0
     for k, (coeffs, m) in enumerate(zip(parts, phi)):
         top = m if k >= r else 0
+        shifts = [(w, a) for w, a in zip(pack.weights, coeffs) if a]
         for j in range(m):
-            g = _times_linear(g, coeffs, top - j)
+            factor = [(0, top - j), *shifts] if top - j else shifts  # one linear form
+            out = {}
+            for e, v in g.items():
+                for w, a in factor:
+                    ne = e + w
+                    out[ne] = out.get(ne, 0) + v * a
+            g = out
             norm *= sum(map(abs, coeffs)) + abs(top - j)
             work += len(g) * (norm.bit_length() + 63 >> 6)
             if REDUCTION_WORK_CAP is not None and work > REDUCTION_WORK_CAP:
@@ -236,9 +228,11 @@ def monomial_generator(alphas: Sequence[Vec], c: Sequence[int]) -> MultiPoly:
         raise ValueError("c and exponent list must have equal length")
     if sum(c) != 1:
         raise ValueError("coordinate sum of c must be 1")
-    g, content, denom = _falling_product(_linear_parts(alphas), _profile(alphas, c))
-    scale = Fraction(content, denom)
-    return MultiPoly._of(len(alphas), {e: v * scale for e, v in g.items()})
+    parts, phi = _linear_parts(alphas), _profile(alphas, c)
+    pack = _Packing.for_generators(parts, [phi])
+    g, content, denom = _falling_product(parts, phi, pack)
+    terms = {pack.decode(e): Fraction(v * content, denom) for e, v in g.items()}
+    return MultiPoly._of(len(alphas), terms)
 
 
 def build_generator(S: SemigroupData, exponents: Sequence[Vec], c: Sequence[int]) -> MultiPoly:
@@ -340,6 +334,14 @@ class _Packing:
         top = max((x for f in polys for e in f.terms for x in e), default=0)
         return cls(polys[0].nvars, top.bit_length() + 2, cap)
 
+    @classmethod
+    def for_generators(cls, parts: Sequence[Vec], profiles, cap: Optional[int] = None):
+        """:meth:`fitting` for the ``g_c`` built from ``parts`` at ``profiles``,
+        before any is built: a product's degree in ``x_i`` is its factors' sum."""
+        n = len(parts[0])
+        top = max(sum(m for a, m in zip(parts, phi) if a[i]) for phi in profiles for i in range(n))
+        return cls(n, top.bit_length() + 2, cap)
+
     def _fields(self, width: int) -> None:
         nvars = self.nvars
         rows = _grevlex_rows(nvars)
@@ -354,14 +356,15 @@ class _Packing:
         self.guard = sum(1 << (i + 1) * width - 1 for i in range(nvars))
         self.width = width
 
-    def run(self, fn):
-        """``fn(self)``; while a packed exponent overflows, the fields double
-        and ``fn`` runs again from its start."""
+    def run(self, fn, polys: list[dict]):
+        """``fn(polys)``, ``polys`` packed here; while an exponent overflows, the
+        fields double, ``polys`` are packed again and ``fn`` restarts."""
         while True:
             try:
-                return fn(self)
+                return fn(polys)
             except _FieldOverflow:
                 self._fields(2 * self.width)
+                polys = [self.recode(p, self.width // 2) for p in polys]
 
     def charge(self, units: int) -> None:
         """Count ``units`` of reduction work; past the cap raise
@@ -379,11 +382,13 @@ class _Packing:
         w, mask = self.width, (1 << self.width) - 1
         return tuple(m >> i * w & mask for i in range(self.nvars))
 
+    def recode(self, p: dict, width: int) -> dict:
+        """``p``, packed in narrower fields of ``width`` bits, packed here."""
+        old = _Packing(self.nvars, width)
+        return {self.encode(old.decode(m)): c for m, c in p.items()}
+
     def to_int_poly(self, f: MultiPoly) -> dict:
         return _normalize(dict(zip(map(self.encode, f.terms), _integer_row(f.terms.values()))))
-
-    def from_int_poly(self, p: dict) -> MultiPoly:
-        return MultiPoly._of(self.nvars, dict(zip(map(self.decode, p), p.values())))
 
 
 def _normalize(p: dict) -> dict:
@@ -507,8 +512,7 @@ def _buchberger(ipolys: list[dict], pack: _Packing) -> list[dict]:
             heappush(heap, (sum(m), i, new))
 
     for p in ipolys:
-        if p:
-            push(p)
+        push(p)
     while heap:
         _, i, j = heappop(heap)
         m = pack.encode(lcms.pop((i, j)))
@@ -542,52 +546,41 @@ def _buchberger(ipolys: list[dict], pack: _Packing) -> list[dict]:
     return [p for _, _, p in sorted(basis, key=itemgetter(0))]
 
 
-def groebner_basis(gens: Sequence[MultiPoly], pack: Optional[_Packing] = None) -> list[MultiPoly]:
-    """Reduced Groebner basis of ``<gens>`` in grevlex: primitive integer
-    polynomials with positive leading coefficients.
+def groebner_basis(polys: Sequence[dict], pack: _Packing) -> list[dict]:
+    """Reduced Groebner basis in grevlex of ``<polys>``, nonzero integer
+    polynomials packed in ``pack``: primitive with positive leads, in
+    ascending order of leads, packed in ``pack`` as it is on return.
 
     Deterministic: Buchberger with normal pair selection (minimal lcm total
     degree, ties by pair index) plus the product and chain criteria; the
-    reduced basis is unique for the ideal regardless, and comes back in
-    ascending order of leads.  The computation runs in ``pack`` when one is
-    given, so a caller's later steps share its work counter and cap (the
-    fields widen in place as needed); otherwise in a new packing capped at
-    ``REDUCTION_WORK_CAP``.  Past the cap it raises :class:`WorkCapExceeded`.
+    reduced basis is unique for the ideal regardless.  The work counts
+    against ``pack``, whose fields widen in place as needed, so a caller's
+    later steps share its counter and cap; past it :class:`WorkCapExceeded`.
     """
-    polys = [g for g in gens if not g.is_zero()]
-    if len(polys) != len(gens):
+    if not all(polys):
         raise ValueError("generators must be nonzero")
-    if not polys:
-        return []
-    nvars = polys[0].nvars
-    if any(p.nvars != nvars for p in polys):
-        raise ValueError("generators live in different rings")
-
-    def run(pack: _Packing) -> list[MultiPoly]:
-        basis = _buchberger([pack.to_int_poly(p) for p in polys], pack)
-        return [pack.from_int_poly(p) for p in basis]
-
-    return (pack or _Packing.fitting(polys, REDUCTION_WORK_CAP)).run(run)
+    return pack.run(lambda polys: _buchberger(polys, pack), list(map(_normalize, polys)))
 
 
-def verify_groebner_basis(gens: Sequence[MultiPoly], gb: Sequence[MultiPoly]) -> None:
+def verify_groebner_basis(gens: Sequence[dict], gb: Sequence[dict], pack: _Packing) -> None:
     """Raise ``AssertionError`` unless ``gb`` behaves like a Groebner basis
-    for ``<gens>``: all inputs and all S-polynomials reduce to zero."""
+    for ``<gens>``, both packed in ``pack``: all inputs and all S-polynomials
+    reduce to zero, in an uncapped packing that never charges ``pack``."""
+    check = _Packing(pack.nvars, pack.width)
 
-    def run(pack: _Packing) -> None:
-        ib = [_reducer(pack.to_int_poly(g)) for g in gb]
-        for f in gens:
-            if _normal_form(pack.to_int_poly(f), ib, pack):
+    def run(polys: list[dict]) -> None:
+        ib = [_reducer(g) for g in polys[len(gens) :]]
+        for f in polys[: len(gens)]:
+            if _normal_form(f, ib, check):
                 raise AssertionError("input generator does not reduce to zero")
         for j in range(len(ib)):
             for i in range(j):
-                m = pack.encode(tuple(map(max, pack.decode(ib[i][0]), pack.decode(ib[j][0]))))
-                s = _spoly(ib[i], ib[j], m, pack.guard)
-                if s and _normal_form(s, ib, pack):
+                m = check.encode(tuple(map(max, check.decode(ib[i][0]), check.decode(ib[j][0]))))
+                s = _spoly(ib[i], ib[j], m, check.guard)
+                if s and _normal_form(s, ib, check):
                     raise AssertionError("S-polynomial does not reduce to zero")
 
-    if gens or gb:
-        _Packing.fitting([*gens, *gb]).run(run)
+    check.run(run, [*gens, *gb])
 
 
 def _krylov(basis: Sequence[tuple[int, int, dict]], pack: _Packing) -> UniPoly:
@@ -645,6 +638,17 @@ def _krylov(basis: Sequence[tuple[int, int, dict]], pack: _Packing) -> UniPoly:
             raise _FieldOverflow
 
 
+def _eliminate(polys: list[dict], pack: _Packing) -> Optional[UniPoly]:
+    """:func:`eliminate_minimal_univariate` of nonzero ``polys`` packed in
+    ``pack``.  A lead with no front field set is a power of ``x_last``; the
+    basis is packed again only if :func:`_krylov` widens the fields."""
+    basis = groebner_basis(polys, pack)
+    front = (1 << (pack.nvars - 1) * pack.width) - 1
+    if all(max(p) & front for p in basis):
+        return None  # every lead has a front variable, none is a power of x_last
+    return pack.run(lambda basis: _krylov(list(map(_reducer, basis)), pack), basis)
+
+
 def eliminate_minimal_univariate(gens: Sequence[MultiPoly]) -> Optional[UniPoly]:
     """Monic generator of ``<gens> intersect Q[x_last]``, ``x_last`` the last
     variable, or ``None`` when that intersection is zero.  Exact when every
@@ -657,23 +661,17 @@ def eliminate_minimal_univariate(gens: Sequence[MultiPoly]) -> Optional[UniPoly]
     One grevlex basis of ``J = <gens>`` decides: ``p`` exists exactly when
     some lead is a pure power of ``x_last``.  The normal forms of the powers
     of ``x_last`` (:func:`_krylov`) then first become dependent at ``deg
-    p``.  One packing, and so one work counter under ``REDUCTION_WORK_CAP``,
-    serves the basis and the normal forms.
+    p``.  The generators are packed once, and the core shared with
+    :func:`bfunction` counts the basis and the normal forms against one
+    ``REDUCTION_WORK_CAP``.
     """
     polys = [g for g in gens if not g.is_zero()]
     if not polys:
         return None
+    if any(p.nvars != polys[0].nvars for p in polys):
+        raise ValueError("generators live in different rings")
     pack = _Packing.fitting(polys, REDUCTION_WORK_CAP)
-    gb = groebner_basis(polys, pack)
-
-    def reducers(pack: _Packing) -> list[tuple[int, int, dict]]:
-        return [_reducer(pack.to_int_poly(g)) for g in gb]
-
-    width, basis = pack.width, reducers(pack)
-    if all(any(pack.decode(lead)[:-1]) for lead, _, _ in basis):
-        return None  # every lead has a front variable, none is a power of x_last
-    # the basis is packed again only if the fields have widened since
-    return pack.run(lambda pack: _krylov(basis if pack.width == width else reducers(pack), pack))
+    return _eliminate([pack.to_int_poly(p) for p in polys], pack)
 
 
 # ---------------------------------------------------------------------------
@@ -825,13 +823,13 @@ def bfunction(S: SemigroupData, ideal) -> BFunctionResult:
     used) or an explicit sequence of generator exponents (used as given,
     which the generator-independence property makes legitimate).  For each
     box bound ``B = 1, 2, ...`` the truncation polynomial of the ideal of
-    ``{g_c : |c_i| <= B}`` comes from :func:`eliminate_minimal_univariate`;
-    the ideal is generated by the ``g_c`` of minimal profile ``phi(c)``, one
-    per minimal profile, so only those are built, and a box with the
-    previous box's set of profiles reuses that box's polynomial.  Each
-    ``g_c`` is built in the coordinates ``(s_1, ..., s_{r-1}, L)``, ``L =
-    sum s_i`` last: the factors' linear parts are mapped there once per
-    call, and each minimal ``g_c`` is built from its profile.
+    ``{g_c : |c_i| <= B}`` comes from :func:`eliminate_minimal_univariate`'s
+    packed core; the ideal is generated by the ``g_c`` of minimal profile
+    ``phi(c)``, one per minimal profile, so only those are built, and a box
+    with the previous box's set of profiles reuses that box's polynomial.
+    Each ``g_c`` is built from its profile in the coordinates ``(s_1, ...,
+    s_{r-1}, L)``, ``L = sum s_i`` last, straight into a packing sized from
+    the box's profiles; the linear parts are mapped once per call.
     The run stops once two consecutive bounds agree and the smallest root of
     ``b(-s)`` equals the log-canonical threshold; the module docstring says
     why that happens.  The only other way out is a counted cap:
@@ -862,9 +860,8 @@ def bfunction(S: SemigroupData, ideal) -> BFunctionResult:
         minimal = minimal_points((_profile(alphas, c), c) for c in cs)
         family = frozenset(phi for phi, _ in minimal)
         if family != prev_family:  # an unchanged family is the same ideal: keep p
-            p = eliminate_minimal_univariate(
-                [MultiPoly._of(r, _falling_product(parts, phi)[0]) for phi, _ in minimal]
-            )
+            pack = _Packing.for_generators(parts, family, REDUCTION_WORK_CAP)
+            p = _eliminate([_falling_product(parts, phi, pack)[0] for phi, _ in minimal], pack)
         prev_family = family
         history.append((B, p))
         if p is not None and prev is not None:

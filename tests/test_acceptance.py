@@ -306,11 +306,10 @@ def test_groebner_engine_soundness(cusp):
     # s_1, L - s_1, s_1 + L and 2 L - s_1
     alphas = [(2, 1), (1, 2)]
     parts = [(1, 0), (-1, 1), (1, 1), (-1, 2)]
-    gens = [
-        MultiPoly(2, bsato._falling_product(parts, bsato._profile(alphas, c))[0])
-        for c in c_vectors(2, 2)
-    ]
-    p = eliminate_minimal_univariate(gens)  # its basis is verified inside
+    profiles = [bsato._profile(alphas, c) for c in c_vectors(2, 2)]
+    pack = bsato._Packing.for_generators(parts, profiles, bsato.REDUCTION_WORK_CAP)
+    gens = [bsato._falling_product(parts, phi, pack)[0] for phi in profiles]
+    p = bsato._eliminate(gens, pack)  # its basis is verified inside
     assert p is not None and p.is_monic()
     assert p == bfunction(cusp, CUSP_IDEAL).b
 

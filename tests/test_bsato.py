@@ -17,10 +17,14 @@ from toricbsato.bsato import (
     REDUCTION_WORK_CAP,
     WorkCapExceeded,
     _c_vector_count,
+    _eliminate,
+    _falling_product,
+    _linear_parts,
     _normal_form,
     _Packing,
     _divide_by_linear,
     _reduce,
+    _reducer,
     _profile,
     bfunction,
     build_generator,
@@ -109,6 +113,29 @@ def generator_cases(draw):
     return alphas, tuple(head) + (last,)
 
 
+@st.composite
+def builder_cases(draw):
+    r = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 3))
+    alphas = [tuple(draw(st.integers(0, 4)) for _ in range(n)) for _ in range(r)]
+    head = [draw(st.integers(-4, 4)) for _ in range(r - 1)]
+    return alphas, (*head, 1 - sum(head))
+
+
+@given(builder_cases())
+@settings(max_examples=100, deadline=None)
+def test_packed_builder_and_its_exact_width(case):
+    # the one builder, decoded, is g_c up to content / denom, and the width
+    # sized from the profile alone is the one read off the built polynomial
+    alphas, c = case
+    parts, phi = _linear_parts(alphas), _profile(alphas, c)
+    pack = _Packing.for_generators(parts, [phi])
+    g, content, denom = _falling_product(parts, phi, pack)
+    decoded = {pack.decode(e): F(v * content, denom) for e, v in g.items()}
+    assert decoded == monomial_generator(alphas, c).terms
+    assert pack.width == _Packing.fitting([MultiPoly(len(alphas), decoded)]).width
+
+
 @given(generator_cases())
 @settings(max_examples=60, deadline=None)
 def test_generator_matches_binomial_product(case):
@@ -144,7 +171,7 @@ def test_smaller_profile_divides(case):
     alphas, pairs = case
     for c, c2 in pairs:
         divisor = monomial_generator(alphas, c)
-        verify_groebner_basis([monomial_generator(alphas, c2)], [divisor])
+        verify([monomial_generator(alphas, c2)], [divisor])
 
 
 def test_c_vectors():
@@ -171,6 +198,22 @@ def test_generators_cap():
 # --- Groebner engine --------------------------------------------------------
 
 
+def basis_of(gens, pack=None):
+    """``groebner_basis`` of ``MultiPoly`` generators: packed once, by default
+    in a fitting packing capped at ``REDUCTION_WORK_CAP``, and the basis
+    unpacked."""
+    pack = pack or _Packing.fitting(gens, bsato.REDUCTION_WORK_CAP)
+    basis = groebner_basis([pack.to_int_poly(g) for g in gens], pack)
+    return [MultiPoly._of(pack.nvars, {pack.decode(e): c for e, c in p.items()}) for p in basis]
+
+
+def verify(gens, gb):
+    """``verify_groebner_basis`` of ``MultiPoly`` generators and basis."""
+    pack = _Packing.fitting([*gens, *gb])
+    packed = [pack.to_int_poly(f) for f in [*gens, *gb]]
+    verify_groebner_basis(packed[: len(gens)], packed[len(gens) :], pack)
+
+
 def order_key(e):
     """The engine's one order, grevlex, written out for the tests: the
     degree, then the exponents from the last variable to the first, each
@@ -180,28 +223,28 @@ def order_key(e):
 
 def test_groebner_toys():
     x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
-    assert set(groebner_basis([x, y])) == {x, y}
+    assert set(basis_of([x, y])) == {x, y}
     # 1 = (xy+1) - y*x*x/x ... the ideal contains x^2 and xy+1, hence 1
-    assert groebner_basis([x * x, x * y + 1]) == [MultiPoly.constant(2, 1)]
+    assert basis_of([x * x, x * y + 1]) == [MultiPoly.constant(2, 1)]
     # the basis comes back as the kernel keeps it, primitive over the
     # integers with a positive lead: x/2 + y/3 as 3x + 2y, and with 1 - x
     # the reduced basis 2y + 3, x - 1 (in grevlex y < x, so the y element
     # comes first)
-    assert [g.terms for g in groebner_basis([x / 2 + y / 3])] == [{(1, 0): 3, (0, 1): 2}]
-    gb = groebner_basis([x / 2 + y / 3, 1 - x])
+    assert [g.terms for g in basis_of([x / 2 + y / 3])] == [{(1, 0): 3, (0, 1): 2}]
+    gb = basis_of([x / 2 + y / 3, 1 - x])
     assert [g.terms for g in gb] == [{(0, 1): 2, (0, 0): 3}, {(1, 0): 1, (0, 0): -1}]
     assert all(type(c) is int for g in gb for c in g.terms.values())
     # x^2 - y^3 and xy - 1: grevlex leads the first with y^3, and the basis
     # is xy - 1, y^3 - x^2, x^3 - y^2 (an elimination order would give
     # y^5 - 1 and x - y^4)
-    gb = groebner_basis([x * x - y * y * y, x * y - 1])
+    gb = basis_of([x * x - y * y * y, x * y - 1])
     assert [g.terms for g in gb] == [
         {(1, 1): 1, (0, 0): -1}, {(0, 3): 1, (2, 0): -1}, {(3, 0): 1, (0, 2): -1}
     ]
     for gens in ([x, y], [x * x, x * y + 1], [x / 2 + y / 3, 1 - x]):
-        verify_groebner_basis(gens, groebner_basis(gens))
+        verify(gens, basis_of(gens))
     with pytest.raises(ValueError, match="nonzero"):
-        groebner_basis([x, MultiPoly.zero(2)])
+        basis_of([x, MultiPoly.zero(2)])
 
 
 coeffs = st.integers(-4, 4).filter(bool)
@@ -218,7 +261,7 @@ def test_groebner_random_systems(gens):
     of that: the kernel's primitive integer form with positive leads,
     reduced shape, ascending leads, and independence of the generator
     order."""
-    gb = groebner_basis(gens)
+    gb = basis_of(gens)
     leads = [max(g.terms, key=order_key) for g in gb]
     assert leads == sorted(leads, key=order_key)
     for i, g in enumerate(gb):
@@ -227,8 +270,8 @@ def test_groebner_random_systems(gens):
         for j, le in enumerate(leads):
             if i != j:
                 assert not all(a <= b for a, b in zip(le, leads[i]))
-    verify_groebner_basis(gens, gb)
-    assert groebner_basis(list(reversed(gens))) == gb
+    verify(gens, gb)
+    assert basis_of(list(reversed(gens))) == gb
 
 
 def reference_normal_form(p, basis, key):
@@ -289,16 +332,14 @@ def test_normal_form_matches_sort_and_scan(p, reducer_polys):
             d = {e: -c for e, c in d.items()}
         basis.append((lead, d[lead], d))
     expected = reference_normal_form(p, basis, order_key)
+    pack = _Packing.fitting([MultiPoly._of(3, d) for d in [p, *reducer_polys]])
 
-    def run(pack):
-        def enc(d):
-            return {pack.encode(e): c for e, c in d.items()}
+    def run(polys):
+        q = _normal_form(polys[0], list(map(_reducer, polys[1:])), pack)
+        return {pack.decode(e): c for e, c in q.items()}
 
-        packed = [(pack.encode(lead), lc, enc(d)) for lead, lc, d in basis]
-        return {pack.decode(e): c for e, c in _normal_form(enc(p), packed, pack).items()}
-
-    polys = [MultiPoly._of(3, d) for d in [p, *reducer_polys]]
-    assert _Packing.fitting(polys).run(run) == expected
+    polys = [p, *(d for _, _, d in basis)]
+    assert pack.run(run, [{pack.encode(e): c for e, c in d.items()} for d in polys]) == expected
 
 
 def fraction_normal_form(p, basis, key):
@@ -340,18 +381,15 @@ def test_reduce_reports_its_scalar(p, reducer_polys):
             d = {e: -c for e, c in d.items()}
         basis.append((lead, d[lead], d))
     expected = fraction_normal_form(p, basis, order_key)
+    pack = _Packing.fitting([MultiPoly._of(3, d) for d in [p, *reducer_polys]])
 
-    def run(pack):
-        def enc(d):
-            return {pack.encode(e): c for e, c in d.items()}
-
-        packed = [(pack.encode(lead), lc, enc(d)) for lead, lc, d in basis]
-        q, num, den = _reduce(enc(p), packed, pack)
+    def run(polys):
+        q, num, den = _reduce(polys[0], list(map(_reducer, polys[1:])), pack)
         assert num > 0 and den > 0
         return {pack.decode(e): F(c * den, num) for e, c in q.items()}
 
-    polys = [MultiPoly._of(3, d) for d in [p, *reducer_polys]]
-    assert _Packing.fitting(polys).run(run) == expected
+    polys = [p, *(d for _, _, d in basis)]
+    assert pack.run(run, [{pack.encode(e): c for e, c in d.items()} for d in polys]) == expected
 
 
 # --- the tuple kernel, kept as the reference for the packed one -------------
@@ -488,10 +526,10 @@ def test_groebner_basis_matches_tuple_kernel(gens):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("toricbsato.bsato.REDUCTION_WORK_CAP", 20_000)
         try:
-            gb = groebner_basis(gens)
+            gb = basis_of(gens)
         except WorkCapExceeded:
             assume(False)
-    verify_groebner_basis(gens, gb)
+    verify(gens, gb)
     expected = tuple_buchberger(gens)
     assert gb == expected
     # the same integer coefficients, and the same reduction sequence: every
@@ -543,18 +581,48 @@ def test_packing_is_graded_reverse_lexicographic(pair):
 def test_groebner_widens_overflowing_fields():
     # the inputs fit 5-bit fields (exponents below 16), but the basis reaches
     # y^16: the first run overflows and restarts with doubled fields, in the
-    # packing it was given, whose work counter keeps counting
+    # packing it was given, whose work counter keeps counting; the inputs are
+    # packed again in the wider fields, and the basis comes back in them
     f = MultiPoly._of(2, {(6, 6): 1, (5, 0): 1})
     g = MultiPoly._of(2, {(5, 0): 1, (0, 5): 1})
     pack = _Packing.fitting([f, g])
     assert pack.width == 5
-    gb = groebner_basis([f, g], pack)
+    polys = [pack.to_int_poly(f), pack.to_int_poly(g)]
+    gb = groebner_basis(polys, pack)
     assert pack.width == 10 and pack.work > 0
-    assert [h.terms for h in gb] == [
+    assert [{pack.decode(e): c for e, c in h.items()} for h in gb] == [
         {(5, 0): 1, (0, 5): 1}, {(1, 11): 1, (0, 5): 1}, {(0, 16): 1, (4, 5): -1}
     ]
-    assert groebner_basis([f, g]) == gb
-    verify_groebner_basis([f, g], gb)
+    assert basis_of([f, g]) == basis_of([f, g], _Packing(2, 10))
+    verify_groebner_basis([pack.recode(p, 5) for p in polys], gb, pack)
+    # the caller's polynomials stay in the fields they were packed in
+    assert polys == [_Packing(2, 5).to_int_poly(h) for h in (f, g)]
+
+
+def test_krylov_widens_overflowing_fields():
+    # <L^3 - x^2, x^3> in (x, L): the basis is the generators, whose
+    # exponents fit 3-bit fields (below 4), but reducing x^2 L^3 by L^3 - x^2
+    # makes x^4 on the way to p = t^6; only the Krylov phase widens, packs
+    # the basis again and restarts, and gives what a wide packing gives
+    x, L = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    gens = [L * L * L - x * x, x * x * x]
+    widths = []
+    groebner = bsato.groebner_basis
+
+    def spy(polys, pack):
+        basis = groebner(polys, pack)
+        widths.append(pack.width)
+        return basis
+
+    results = []
+    for width in (3, 6):
+        pack = _Packing(2, width, REDUCTION_WORK_CAP)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bsato, "groebner_basis", spy)
+            results.append(_eliminate([pack.to_int_poly(g) for g in gens], pack))
+        assert pack.width == 6
+    assert widths == [3, 6]
+    assert results == [UniPoly([F(0)] * 6 + [F(1)])] * 2
 
 
 def test_reduction_work_cap(monkeypatch):
@@ -605,9 +673,9 @@ def test_positive_dimensional_box_takes_one_basis(monkeypatch):
     calls = []
     groebner = bsato.groebner_basis
 
-    def spy(gens, pack=None):
-        calls.append(len(gens))
-        return groebner(gens, pack)
+    def spy(polys, pack):
+        calls.append(len(polys))
+        return groebner(polys, pack)
 
     monkeypatch.setattr(bsato, "groebner_basis", spy)
     # J = <L (L - 1)> since <x, x - 1> is the unit ideal: the lines L = 0, 1
@@ -654,7 +722,7 @@ def test_one_work_counter_serves_each_truncation(monkeypatch):
     assert p == UniPoly.from_roots([F(0), F(1), F(2)])
     total = packs[0].work
     alone = fitting(gens)
-    groebner_basis(gens, alone)
+    groebner_basis([alone.to_int_poly(g) for g in gens], alone)
     assert 0 < alone.work < total
     monkeypatch.setattr("toricbsato.bsato.REDUCTION_WORK_CAP", total - 1)
     match = f"REDUCTION_WORK_CAP exceeded: {total} > {total - 1}"
@@ -850,10 +918,11 @@ def test_tesseract_truncation_is_a_minimal_polynomial():
     assert res.box_used == 4 and res.b.degree == 26
     assert res.truncation[2][1] == res.b and res.unfactored_remainder == UniPoly([F(1)])
     alphas = [f_map(S, b) for b in betas]
-    cs = c_vectors(2, 3)
-    parts = bsato._linear_parts(alphas)
-    gens = [MultiPoly(2, bsato._falling_product(parts, _profile(alphas, c))[0]) for c in cs]
-    gb = groebner_basis(gens)  # verified by the suite's wrapper
+    parts = _linear_parts(alphas)
+    profiles = [_profile(alphas, c) for c in c_vectors(2, 3)]
+    pack = _Packing.for_generators(parts, profiles)
+    gens = [_falling_product(parts, phi, pack)[0] for phi in profiles]
+    gb = bsato.groebner_basis(gens, pack)  # verified by the suite's wrapper
     L = MultiPoly.linear_form([1, 1])
 
     def at_L(q):
@@ -862,8 +931,8 @@ def test_tesseract_truncation_is_a_minimal_polynomial():
             acc = acc * L + c
         return acc
 
-    pack = _Packing.fitting([*gb, at_L(res.b)])
-    basis = [(max(d), d[max(d)], d) for d in map(pack.to_int_poly, gb)]
+    assert pack.width > res.b.degree.bit_length()  # fields that hold L^26
+    basis = list(map(_reducer, gb))
 
     def in_ideal(q):
         return not _normal_form(pack.to_int_poly(at_L(q)), basis, pack)
@@ -915,7 +984,7 @@ def reference_eliminate(gens):
     lifted.append(MultiPoly._of(r + 1, t_rel))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(bsato, "_grevlex_rows", block_rows)
-        gb = groebner_basis(lifted)
+        gb = basis_of(lifted)
     pure = [g for g in gb[:2] if all(sum(e[:r]) == 0 for e in g.terms)]
     if not pure:
         return None
@@ -1021,12 +1090,13 @@ def test_plane_eliminates_minimal_profiles_only(monkeypatch):
     # <x^3, xy, y^2> certifies at box 7, whose 168 g_c have 7 minimal profiles;
     # boxes 5 and 7 repeat the profile sets of boxes 4 and 6
     sizes = []
+    groebner = bsato.groebner_basis
 
-    def spy(gens):
-        sizes.append(len(gens))
-        return eliminate_minimal_univariate(gens)
+    def spy(polys, pack):
+        sizes.append(len(polys))
+        return groebner(polys, pack)
 
-    monkeypatch.setattr("toricbsato.bsato.eliminate_minimal_univariate", spy)
+    monkeypatch.setattr(bsato, "groebner_basis", spy)
     plane = build_semigroup([[1, 0], [0, 1]])
     res = bfunction(plane, monomial_ideal(plane, [(3, 0), (1, 1), (0, 2)]))
     assert sizes == [3, 4, 5, 6, 7]
@@ -1044,12 +1114,13 @@ def test_unchanged_family_is_eliminated_once(monkeypatch, matrix, ideal, sizes):
     # the stabilizing box 3 has the minimal profiles of box 2, so it is the
     # same ideal and reuses that box's polynomial without eliminating
     seen = []
+    groebner = bsato.groebner_basis
 
-    def spy(gens):
-        seen.append(len(gens))
-        return eliminate_minimal_univariate(gens)
+    def spy(polys, pack):
+        seen.append(len(polys))
+        return groebner(polys, pack)
 
-    monkeypatch.setattr("toricbsato.bsato.eliminate_minimal_univariate", spy)
+    monkeypatch.setattr(bsato, "groebner_basis", spy)
     S = build_semigroup(matrix)
     res = bfunction(S, monomial_ideal(S, ideal))
     assert seen == sizes
@@ -1057,23 +1128,49 @@ def test_unchanged_family_is_eliminated_once(monkeypatch, matrix, ideal, sizes):
     assert res.truncation == ((1, None), (2, res.b), (3, res.b))
 
 
+@pytest.mark.parametrize(
+    "matrix, ideal, counts",
+    [
+        (CUSP, [(1, 3), (2, 2)], [(5, 387), (6, 3049), (6, 14069)]),
+        ([[0, 1, 6], [1, 1, 5]], [(2, 2), (6, 5)], [(5, 493), (5, 1958)]),
+    ],
+    ids=["cusp", "a5"],
+)
+def test_box_packings_keep_their_widths_and_work(monkeypatch, matrix, ideal, counts):
+    # per eliminated box: the field width its packing starts with and the
+    # reduction work it has counted when bfunction returns (basis and powers
+    # of L together); the cusp's box 4 is the largest count on verify-roots
+    packs = []
+    groebner = bsato.groebner_basis
+
+    def spy(polys, pack):
+        packs.append((pack, pack.width))
+        return groebner(polys, pack)
+
+    monkeypatch.setattr(bsato, "groebner_basis", spy)
+    S = build_semigroup(matrix)
+    bfunction(S, monomial_ideal(S, ideal))
+    assert [(width, pack.work) for pack, width in packs] == counts
+
+
 def test_bfunction_eliminates_primitive_integer_generators(monkeypatch):
-    # the g_c reach the elimination as primitive integer polynomials: no
-    # Fraction is built on the way in
+    # the g_c reach the Groebner kernel as primitive packed integer
+    # polynomials: no Fraction is built on the way in
     seen = []
+    groebner = bsato.groebner_basis
 
-    def spy(gens):
-        seen.extend(gens)
-        return eliminate_minimal_univariate(gens)
+    def spy(polys, pack):
+        seen.extend(polys)
+        return groebner(polys, pack)
 
-    monkeypatch.setattr("toricbsato.bsato.eliminate_minimal_univariate", spy)
+    monkeypatch.setattr(bsato, "groebner_basis", spy)
     square = build_semigroup([[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1]])
     for S, ideal in [(square, [(2, 1, 1), (1, 0, 1)]), (build_semigroup(CUSP), CUSP_IDEAL)]:
         bfunction(S, monomial_ideal(S, ideal))
     assert seen
     for g in seen:
-        assert all(type(c) is int for c in g.terms.values())
-        assert gcd(*g.terms.values()) == 1
+        assert all(type(e) is int and type(c) is int for e, c in g.items())
+        assert gcd(*g.values()) == 1
 
 
 @pytest.mark.parametrize(

@@ -599,6 +599,8 @@ GOLDEN_REPORTS = [
      "43cf7242a4232ebbf5b5eedbe22c2622e45248cce80aca2fabe035db1717b221"),
     ("bfunction", "plane_three_generators", ["--assume-normal"],
      "ea80b864cc8e801b320e5a86780ff0584ab43ebb4dd797e4091c6e96a1204aac"),
+    ("bfunction", "tesseract_cone", ["--assume-normal"],
+     "81b1438e3c7916a898eb94731d74dbf343f0fdbc74e9d0bd10523e93aae35092"),
     ("verify", "plane_three_generators", ["--check-normal"],
      "95172c6d0208174164dfb3f730e398ee531925b799ab312db90295d6be805901"),
     ("jumping", "hexagon_multiplier", ["--assume-normal", "--max", "4/3"],
