@@ -1,5 +1,6 @@
 """Generator polynomials, Buchberger engine, elimination, b-functions."""
 
+import re
 from collections import Counter
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -7,7 +8,7 @@ from itertools import product
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import toricbsato.bsato as bsato
@@ -123,14 +124,24 @@ def builder_cases(draw):
 
 
 @given(builder_cases())
+@example(([(4, 0), (2, 0), (4, 0), (0, 0)], (3, 3, 4, -9)))
 @settings(max_examples=100, deadline=None)
 def test_packed_builder_and_its_exact_width(case):
     # the one builder, decoded, is g_c up to content / denom, and the width
-    # sized from the profile alone is the one read off the built polynomial
+    # sized from the profile alone is the one read off the built polynomial;
+    # a draw past REDUCTION_WORK_CAP (the example: 34 factors of
+    # 4 s_1 + 2 s_2 + 4 s_3 + k and 9 of s_4 - k, 69 930 terms once built) is
+    # refused, by the builder and by monomial_generator alike, at one count
     alphas, c = case
     parts, phi = _linear_parts(alphas), _profile(alphas, c)
     pack = _Packing.for_generators(parts, [phi])
-    g, content, denom = _falling_product(parts, phi, pack)
+    try:
+        g, content, denom = _falling_product(parts, phi, pack)
+    except WorkCapExceeded as exc:
+        assert exc.cap == "REDUCTION_WORK_CAP"
+        with pytest.raises(WorkCapExceeded, match=re.escape(str(exc))):
+            monomial_generator(alphas, c)
+        return
     decoded = {pack.decode(e): F(v * content, denom) for e, v in g.items()}
     assert decoded == monomial_generator(alphas, c).terms
     assert pack.width == _Packing.fitting([MultiPoly(len(alphas), decoded)]).width
