@@ -5,38 +5,61 @@ monic generator of the elimination ideal ``(<g_c : c> + <t - sum s_i>)
 intersect Q[t]``, where the ``g_c`` are explicit products of generalized
 binomial coefficients indexed by integer vectors ``c`` with coordinate sum
 one.  The family of ``c`` is infinite, so it is truncated to the boxes
-``|c_i| <= B`` for ``B = 1, 2, ...``; the polynomial ``p_B`` of a box is
-always a polynomial multiple of the true b-function, and ``p_{B+1}``
-divides ``p_B``.  The loop stops at the first box that agrees with the
-previous one and whose polynomial has ``-lct`` as its largest root, the
-log-canonical threshold being computed independently from the Newton
-polyhedron.  The factors of ``g_c`` are nested falling products whose
-lengths are the integer profile ``phi(c)``, so ``g_c`` divides ``g_c'``
-when ``phi(c) <= phi(c')`` and only the ``g_c`` of minimal profile in a box
-enter its ideal ``J``; a box with the previous box's set of minimal profiles
-has the same ideal and reuses its polynomial (a second computation would be
-deterministic, so no evidence).
+``|c_i| <= B``; the polynomial ``p_B`` of a box is always a polynomial
+multiple of the true b-function, and ``p_{B+1}`` divides ``p_B``.  For one
+or two generators a box ``B*`` in closed form holds the whole minimal family,
+so ``p_{B*}`` is the b-function and is the only box computed.  For three or
+more the boxes run ``B = 1, 2, ...``, and the loop stops at the first box
+that agrees with the previous one and whose polynomial has ``-lct`` as its
+largest root, the log-canonical threshold being computed independently from
+the Newton polyhedron.  The factors of ``g_c`` are nested falling products
+whose lengths are the integer profile ``phi(c)``, so ``g_c`` divides
+``g_c'`` when ``phi(c) <= phi(c')`` and only the ``g_c`` of minimal profile
+in a box enter its ideal ``J``; a box with the previous box's set of minimal
+profiles has the same ideal and reuses its polynomial (a second computation
+would be deterministic, so no evidence).
 
-Why the loop ends.  The profiles lie in ``N^(r+n)``, so by Dickson's lemma
-only finitely many are minimal over all ``c``; from some box on, every
-box's minimal family is that global one, its ideal is the whole family's,
-and ``p_B`` is the b-function itself, the same in every later box.  For a
-monomial ideal of a polynomial ring over a field of characteristic zero,
-the largest root of the b-function is ``-lct`` (Budur, Mustata and Saito,
-"Bernstein-Sato polynomials of arbitrary varieties", Compositio Math. 142,
-2006, Theorem 2; for monomial ideals also "Combinatorial description of
-the roots of the Bernstein-Sato polynomials for monomial ideals", Comm.
-Algebra 34, 2006).  For a monomial ideal of a normal semigroup ring, the
-correspondence of arXiv 1608.03646 makes every jumping coefficient in
-``[lct, lct + 1)``, the lct among them, a root of ``b(-s)`` (the check of
-``multiplier.verify_correspondence``); the stop rule takes ``-lct`` to be
-the largest root there as well.  Under these hypotheses the rule holds one
-box after the minimal family stops growing.  Should it never hold (an
-input outside them, such as a semigroup assumed normal that is not, or a
-fault in the engine), the ``c`` vectors listed over all the boxes of one
-call are counted against ``GENERATORS_CAP``, each box before it is listed,
-and the call ends with :class:`WorkCapExceeded`; a returned result is
-therefore always certified.
+The last box for one or two generators.  For ``r = 1`` the only ``c`` is
+``(1)``, so box 1 is the whole family.  For ``r = 2`` write ``c = (t, 1 -
+t)``: the coordinates of ``phi(c)`` are ``max(0, -t)``, ``max(0, t - 1)``
+and ``max(0, alpha_2k + t (alpha_1k - alpha_2k))``, each ``max(0, .)`` of an
+affine function of ``t``.  Let ``t_hi`` be the maximum of 1 and
+``ceil(alpha_2k / (alpha_2k - alpha_1k))`` over the ``k`` with ``alpha_1k <
+alpha_2k``, and ``t_lo`` the minimum of 0 and ``floor(alpha_2k / (alpha_2k -
+alpha_1k))`` over the ``k`` with ``alpha_1k > alpha_2k``.  From ``t_hi`` on,
+``-t`` is negative, every decreasing affine function has passed its zero,
+and the others increase or stay, so every coordinate of ``phi`` is
+nondecreasing in ``t``; up to ``t_lo`` every coordinate is nonincreasing,
+symmetrically.  So every profile with ``t`` outside ``[t_lo, t_hi]`` lies on
+or above the profile at ``t_hi`` or at ``t_lo``, and its ``g_c`` is a
+multiple of one with ``t`` inside.  Box ``B`` holds exactly the ``t`` in
+``[1 - B, B]``, so box ``B* = max(t_hi, 1 - t_lo)`` (:func:`_complete_box`)
+holds ``[t_lo, t_hi]``: its ideal is the whole family's, and ``p_{B*}`` is
+the b-function by the definition above, with no confirming box and no lct.
+The b-function exists, so a ``B*`` box without a polynomial in ``L`` is a
+fault in the engine.  ``B*`` is listed against ``GENERATORS_CAP`` like any
+box.
+
+Why the loop ends for three or more generators.  The profiles lie in
+``N^(r+n)``, so by Dickson's lemma only finitely many are minimal over all
+``c``; from some box on, every box's minimal family is that global one, its
+ideal is the whole family's, and ``p_B`` is the b-function itself, the same
+in every later box.  For a monomial ideal of a polynomial ring over a field
+of characteristic zero, the largest root of the b-function is ``-lct``
+(Budur, Mustata and Saito, "Bernstein-Sato polynomials of arbitrary
+varieties", Compositio Math. 142, 2006, Theorem 2; for monomial ideals also
+"Combinatorial description of the roots of the Bernstein-Sato polynomials
+for monomial ideals", Comm. Algebra 34, 2006).  For a monomial ideal of a
+normal semigroup ring, the correspondence of arXiv 1608.03646 makes every
+jumping coefficient in ``[lct, lct + 1)``, the lct among them, a root of
+``b(-s)`` (the check of ``multiplier.verify_correspondence``); the stop rule
+takes ``-lct`` to be the largest root there as well.  Under these hypotheses
+the rule holds one box after the minimal family stops growing.  Should it
+never hold (an input outside them, such as a semigroup assumed normal that
+is not, or a fault in the engine), the ``c`` vectors listed over all the
+boxes of one call are counted against ``GENERATORS_CAP``, each box before it
+is listed, and the call ends with :class:`WorkCapExceeded`; a returned
+result is therefore always certified.
 
 The truncation polynomial as an elimination to the last variable.
 ``p_B`` is the monic ``p`` of least degree with ``p(L)`` in ``J``, ``L =
@@ -785,14 +808,17 @@ class BFunctionResult:
     certified.
 
     ``b`` is monic with ``b = prod (s - root)^mult * unfactored_remainder``
-    exactly.  The last two truncation boxes agreed and the smallest root of
-    ``b(-s)`` matched the log-canonical threshold, so ``stabilized`` is
-    always ``True`` (the field is kept for the report).  ``truncation``
-    records the polynomial found at each box bound (``None`` when no
-    polynomial in ``L`` lay in the box's ideal yet); a box with the previous
-    box's minimal profiles has the same ideal and repeats its entry without
-    a new computation.  ``generator_count`` is the number of ``g_c`` in the
-    last box, all of them nonzero; only those of minimal profile were built.
+    exactly.  For one or two generators ``box_used`` is the proved last box
+    ``B*`` of the module docstring and ``truncation`` is its single entry
+    ``(B*, b)``.  For more, the last two truncation boxes agreed and the
+    smallest root of ``b(-s)`` matched the log-canonical threshold, and
+    ``truncation`` records the polynomial found at each box bound from 1
+    (``None`` when no polynomial in ``L`` lay in the box's ideal yet); a box
+    with the previous box's minimal profiles has the same ideal and repeats
+    its entry without a new computation.  ``stabilized`` is always ``True``
+    (the field is kept for the report).  ``generator_count`` is the number
+    of ``g_c`` in the last box, all of them nonzero; only those of minimal
+    profile were built.
     """
 
     b: UniPoly
@@ -802,6 +828,23 @@ class BFunctionResult:
     stabilized: bool
     generator_count: int
     truncation: tuple[tuple[int, Optional[UniPoly]], ...]
+
+
+def _complete_box(alphas: Sequence[Vec]) -> Optional[int]:
+    """The box ``B*`` that holds every minimal profile for one or two
+    generators with transported exponents ``alphas``, ``None`` for more
+    (the module docstring gives the proof)."""
+    if len(alphas) == 1:
+        return 1
+    if len(alphas) > 2:
+        return None
+    t_hi, t_lo = 1, 0
+    for a1, a2 in zip(*alphas):
+        if a1 < a2:
+            t_hi = max(t_hi, -(-a2 // (a2 - a1)))
+        elif a1 > a2:
+            t_lo = min(t_lo, a2 // (a2 - a1))
+    return max(t_hi, 1 - t_lo)
 
 
 def _lct_matches(p: UniPoly, roots, remainder: UniPoly, lct_value) -> bool:
@@ -821,18 +864,21 @@ def bfunction(S: SemigroupData, ideal) -> BFunctionResult:
 
     ``ideal`` may be a :class:`MonomialIdeal` (its minimal generators are
     used) or an explicit sequence of generator exponents (used as given,
-    which the generator-independence property makes legitimate).  For each
-    box bound ``B = 1, 2, ...`` the truncation polynomial of the ideal of
-    ``{g_c : |c_i| <= B}`` comes from :func:`eliminate_minimal_univariate`'s
-    packed core; the ideal is generated by the ``g_c`` of minimal profile
-    ``phi(c)``, one per minimal profile, so only those are built, and a box
-    with the previous box's set of profiles reuses that box's polynomial.
-    Each ``g_c`` is built from its profile in the coordinates ``(s_1, ...,
-    s_{r-1}, L)``, ``L = sum s_i`` last, straight into a packing sized from
-    the box's profiles; the linear parts are mapped once per call.
-    The run stops once two consecutive bounds agree and the smallest root of
-    ``b(-s)`` equals the log-canonical threshold; the module docstring says
-    why that happens.  The only other way out is a counted cap:
+    which the generator-independence property makes legitimate).  The
+    truncation polynomial of the ideal of ``{g_c : |c_i| <= B}`` comes from
+    :func:`eliminate_minimal_univariate`'s packed core; the ideal is
+    generated by the ``g_c`` of minimal profile ``phi(c)``, one per minimal
+    profile, so only those are built.  Each ``g_c`` is built from its
+    profile in the coordinates ``(s_1, ..., s_{r-1}, L)``, ``L = sum s_i``
+    last, straight into a packing sized from the box's profiles; the linear
+    parts are mapped once per call.  For one or two generators the one box
+    is the proved last box ``B*`` (:func:`_complete_box`), and its
+    polynomial, factored once, is the b-function.  For more, the boxes run
+    ``B = 1, 2, ...``, a box with the previous box's set of profiles reuses
+    that box's polynomial, and the run stops once two consecutive bounds
+    agree and the smallest root of ``b(-s)`` equals the log-canonical
+    threshold.  The module docstring proves the first and says why the
+    second stops.  The only other way out is a counted cap:
     ``GENERATORS_CAP`` on the ``c`` vectors of all boxes together,
     ``REDUCTION_WORK_CAP`` within one box, or ``DIVISORS_CAP`` within one
     root search raises :class:`WorkCapExceeded`.
@@ -848,13 +894,15 @@ def bfunction(S: SemigroupData, ideal) -> BFunctionResult:
     # the factors' linear parts in y = (s_1, ..., s_{r-1}, L): a . s = a' . y
     parts = [(*(x - a[-1] for x in a[:-1]), a[-1]) for a in _linear_parts(alphas)]
 
-    lct_value = monomial_ideal(S, ideal if isinstance(ideal, MonomialIdeal) else betas).lct
+    last = _complete_box(alphas)
+    if last is None:
+        lct_value = monomial_ideal(S, ideal if isinstance(ideal, MonomialIdeal) else betas).lct
 
     history: list[tuple[int, Optional[UniPoly]]] = []
     prev: Optional[UniPoly] = None
     prev_family: Optional[frozenset] = None
     listed = 0
-    for B in count(1):
+    for B in count(1) if last is None else (last,):
         cs = c_vectors(r, B, listed)
         listed += len(cs)
         minimal = minimal_points((_profile(alphas, c), c) for c in cs)
@@ -864,6 +912,11 @@ def bfunction(S: SemigroupData, ideal) -> BFunctionResult:
             p = _eliminate([_falling_product(parts, phi, pack)[0] for phi, _ in minimal], pack)
         prev_family = family
         history.append((B, p))
+        if last is not None:  # the whole family's ideal: p is b
+            if p is None:
+                raise AssertionError("the complete family's ideal has no polynomial in L")
+            roots, remainder = rational_roots(p)
+            break
         if p is not None and prev is not None:
             if not p.divides(prev):
                 raise AssertionError("larger truncation box failed to divide the smaller one")

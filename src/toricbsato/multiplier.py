@@ -518,8 +518,8 @@ class CorrespondenceReport:
     """Verdict of the roots-versus-jumping check.
 
     PASS: every jumping coefficient in ``[lct, lct + 1)`` is a root of
-    ``b(-s)``; the b-function is certified, so its smallest root is the
-    log-canonical threshold.  FAIL carries the specific violations.
+    ``b(-s)``, and the smallest root of ``b(-s)`` is the log-canonical
+    threshold.  FAIL carries the specific violations.
     INCONCLUSIVE means only that some jumping candidates in the window are
     unsettled, not that the correspondence is wrong.  ``lct`` is ``None``
     for the unit ideal.
@@ -537,9 +537,11 @@ class CorrespondenceReport:
 
 def verify_correspondence(S: SemigroupData, ideal) -> CorrespondenceReport:
     """Check that jumping coefficients in ``[lct, lct + 1)`` are roots of
-    ``b(-s)``.  :func:`bfunction` returns only a certified b-function, whose
-    smallest root of ``b(-s)`` is the threshold (``b = 1`` for the unit
-    ideal), so that part needs no second check here."""
+    ``b(-s)``, and that the smallest root of ``b(-s)`` is the threshold.
+    :func:`bfunction` does not compare the two for one or two generators,
+    whose b-function it proves by a complete family, so this is where the
+    largest root of ``b`` meets the independently computed lct.  The unit
+    ideal has no threshold and passes with an empty jumping set."""
     ideal = monomial_ideal(S, ideal)
     threshold = lct(S, ideal)
     res = bfunction(S, ideal)
@@ -569,6 +571,9 @@ def verify_correspondence(S: SemigroupData, ideal) -> CorrespondenceReport:
     failures = [
         f"jumping coefficient {a} is not a root of b(-s)" for a in in_window if a not in root_values
     ]
+    smallest = roots_neg[0][0] if roots_neg else None
+    if smallest != threshold:
+        failures.append(f"smallest root of b(-s) is {smallest}, not the lct {threshold}")
     if failures:
         verdict = "FAIL"
     elif notes:

@@ -1,10 +1,11 @@
 """Generator polynomials, Buchberger engine, elimination, b-functions."""
 
+import random
 import re
 from collections import Counter
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import product
+from itertools import count, product
 from math import gcd
 
 import pytest
@@ -18,8 +19,10 @@ from toricbsato.bsato import (
     REDUCTION_WORK_CAP,
     WorkCapExceeded,
     _c_vector_count,
+    _complete_box,
     _eliminate,
     _falling_product,
+    _lct_matches,
     _linear_parts,
     _normal_form,
     _Packing,
@@ -36,8 +39,16 @@ from toricbsato.bsato import (
     rational_roots,
     verify_groebner_basis,
 )
+from toricbsato.multiplier import verify_correspondence
 from toricbsato.multipoly import MultiPoly, UniPoly, binom_poly
-from toricbsato.toric import build_semigroup, f_map, monomial_ideal
+from toricbsato.toric import (
+    StructuralError,
+    build_semigroup,
+    f_map,
+    is_normal,
+    minimal_points,
+    monomial_ideal,
+)
 
 F = Fraction
 CUSP = [[1, 1, 1, 1], [0, 1, 2, 3]]
@@ -849,9 +860,11 @@ def test_bfunction_running_example(cusp):
     assert res.roots == ((F(-4, 3), 1), (F(-1), 2), (F(-2, 3), 1))
     assert res.unfactored_remainder == UniPoly([F(1)])
     assert res.stabilized
-    assert res.box_used == 3
-    assert res.generator_count == 6
-    assert res.truncation == ((1, None), (2, b), (3, b))
+    # two generators: the proved last box is B* = 2, whose 4 vectors c hold
+    # the whole minimal family, so it is the one box eliminated
+    assert res.box_used == 2
+    assert res.generator_count == 4
+    assert res.truncation == ((2, b),)
 
 
 def test_bfunction_factors_once(cusp, monkeypatch):
@@ -877,8 +890,8 @@ def test_bfunction_identity_maximal_ideal():
     plane = build_semigroup([[1, 0], [0, 1]])
     res = bfunction(plane, monomial_ideal(plane, [(1, 0), (0, 1)]))
     assert res.b == UniPoly([F(2), F(1)])  # s + 2
-    assert res.stabilized and res.box_used == 2
-    assert res.truncation == ((1, res.b), (2, res.b))
+    assert res.stabilized and res.box_used == 1
+    assert res.truncation == ((1, res.b),)
 
 
 def test_bfunction_principal_closed_form():
@@ -899,12 +912,197 @@ def test_generators_cap_counts_every_box(monkeypatch):
 
 
 def test_a_run_that_never_certifies_ends_at_the_generators_cap(monkeypatch):
-    # one generator lists one c per box and keeps its family, so only the
-    # cumulative count of GENERATORS_CAP can end a run whose stop rule fails
+    # three generators run the box loop: <x^2, xy, y^2> keeps its family from
+    # box 1 on, so only the cumulative count of GENERATORS_CAP can end a run
+    # whose stop rule fails; boxes 1-16 list 4 896 vectors c, and box 17
+    # another 918
     monkeypatch.setattr("toricbsato.bsato._lct_matches", lambda *args: False)
-    line = build_semigroup([[1]])
-    with pytest.raises(WorkCapExceeded, match="GENERATORS_CAP exceeded: 5001 > 5000"):
-        bfunction(line, monomial_ideal(line, [(4,)]))
+    plane = build_semigroup([[1, 0], [0, 1]])
+    with pytest.raises(WorkCapExceeded, match="GENERATORS_CAP exceeded: 5814 > 5000"):
+        bfunction(plane, monomial_ideal(plane, [(2, 0), (1, 1), (0, 2)]))
+
+
+def minimal_family(alphas, B):
+    """The minimal profiles of box ``B``, from the full listing."""
+    cs = c_vectors(len(alphas), B)
+    return frozenset(phi for phi, _ in minimal_points((_profile(alphas, c), c) for c in cs))
+
+
+@st.composite
+def transported_exponents(draw):
+    """One or two generators' transported exponents on 1-4 facets."""
+    n = draw(st.integers(1, 4))
+    r = draw(st.integers(1, 2))
+    return [tuple(draw(st.lists(st.integers(0, 12), min_size=n, max_size=n))) for _ in range(r)]
+
+
+@given(transported_exponents())
+@example([(2, 1), (1, 2)])  # the cusp's running example: B* = 2
+@example([(12, 0), (0, 12)])  # B* = 12 from t_lo = -11
+@settings(max_examples=300, deadline=None)
+def test_complete_box_holds_every_minimal_profile(alphas):
+    # the oracle of the proved last box, with no Groebner: six larger boxes
+    # hold exactly the minimal profiles of box B*
+    last = _complete_box(alphas)
+    family = minimal_family(alphas, last)
+    for B in range(last + 1, last + 7):
+        assert minimal_family(alphas, B) == family
+
+
+def test_complete_box_is_known_for_at_most_two_generators():
+    assert _complete_box([(5, 0)]) == 1
+    assert _complete_box([(2, 1), (1, 2)]) == 2
+    assert _complete_box([(1, 0), (0, 1), (1, 1)]) is None
+
+
+def reference_bfunction(S, betas):
+    """The b-function by the box loop for every number of generators, as
+    :func:`bfunction` ran it before the proved last box: boxes ``1, 2, ...``
+    until two consecutive boxes agree and ``-lct`` is the largest root,
+    each ``p_B`` dividing the one before.  Returns ``(b, roots, remainder,
+    box)``."""
+    alphas = [f_map(S, b) for b in betas]
+    parts = [(*(x - a[-1] for x in a[:-1]), a[-1]) for a in _linear_parts(alphas)]
+    lct_value = monomial_ideal(S, betas).lct
+    prev = prev_family = None
+    for B in count(1):
+        minimal = minimal_points((_profile(alphas, c), c) for c in c_vectors(len(betas), B))
+        family = frozenset(phi for phi, _ in minimal)
+        if family != prev_family:
+            pack = _Packing.for_generators(parts, family, REDUCTION_WORK_CAP)
+            p = _eliminate([_falling_product(parts, phi, pack)[0] for phi, _ in minimal], pack)
+        prev_family = family
+        if p is not None and prev is not None:
+            assert p.divides(prev), "a larger box failed to divide the smaller one"
+            if p == prev:
+                roots, remainder = rational_roots(p)
+                if _lct_matches(p, roots, remainder, lct_value):
+                    return p, tuple(roots), remainder, B
+        prev = p
+
+
+WORKLOAD_CONES = {
+    "line": [[1]],
+    "plane": [[1, 0], [0, 1]],
+    "cusp": CUSP,
+    "a5": [[0, 1, 6], [1, 1, 5]],
+    "square": [[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1]],
+    "simplicial": [[1, 1, 1, 0], [0, 2, 1, 0], [0, 0, 0, 1]],
+}
+
+# the ideals of at most two generators among the b-function ops of the
+# bfunction-elim and verify-roots benchmark workloads
+WORKLOAD_IDEALS = sorted(
+    {
+        *(("line", ((a,),)) for a in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12)),
+        *(
+            ("plane", ((a, 0), (0, b)))
+            for a, b in (
+                (1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (1, 3), (1, 4), (2, 2), (3, 2),
+                (2, 3), (4, 2), (2, 4), (3, 3), (6, 2), (2, 6), (5, 2), (4, 3),
+            )
+        ),
+        *(
+            ("cusp", gens)
+            for gens in (
+                ((1, 1), (1, 2)), ((1, 1), (1, 3)), ((1, 0), (1, 2)), ((1, 0), (1, 3)),
+                ((1, 0), (1, 1)), ((1, 2),), ((2, 2), (1, 3)),
+            )
+        ),
+        *(
+            ("a5", gens)
+            for gens in (
+                ((0, 1), (1, 1)), ((1, 1), (6, 5)), ((0, 1), (6, 5)), ((2, 2), (6, 5)),
+                ((1, 1),), ((0, 1),),
+            )
+        ),
+        *(
+            ("square", gens)
+            for gens in (((1, 0, 0), (1, 1, 1)), ((1, 0, 0),), ((1, 1, 0), (1, 0, 1)))
+        ),
+        *(
+            ("simplicial", gens)
+            for gens in (((1, 1, 1),), ((1, 0, 0),), ((1, 1, 0), (0, 0, 1)), ((1, 2, 0),))
+        ),
+    }
+)
+
+
+def test_complete_box_agrees_with_the_box_loop():
+    # every workload ideal of one or two generators: the one elimination at
+    # B* gives the b-function the certified box loop gives, one box earlier
+    semigroups = {name: build_semigroup(m) for name, m in WORKLOAD_CONES.items()}
+    assert len(WORKLOAD_IDEALS) == 48
+    for name, gens in WORKLOAD_IDEALS:
+        S = semigroups[name]
+        ideal = monomial_ideal(S, gens)
+        res = bfunction(S, ideal)
+        b, roots, remainder, box = reference_bfunction(S, ideal.generators)
+        assert (res.b, res.roots, res.unfactored_remainder) == (b, roots, remainder), (name, gens)
+        assert res.box_used == box - 1 and res.truncation == ((res.box_used, b),), (name, gens)
+
+
+def random_normal_cones(rng, d, count):
+    """``count`` seeded cones in dimension ``d``, each on ``d`` to ``d + 2``
+    nonzero columns with first entry in ``0..3`` and the others in
+    ``-3..3``, kept when ``build_semigroup`` accepts them, the columns span
+    ``Z^d`` and the semigroup is normal."""
+    cones = []
+    while len(cones) < count:
+        cols = [
+            (rng.randint(0, 3), *(rng.randint(-3, 3) for _ in range(d - 1)))
+            for _ in range(rng.randint(d, d + 2))
+        ]
+        if not all(any(col) for col in cols):
+            continue
+        try:
+            S = build_semigroup([list(row) for row in zip(*cols)])
+            if S.saturated and is_normal(S):
+                cones.append((S, cols))
+        except (StructuralError, WorkCapExceeded):
+            continue
+    return cones
+
+
+@pytest.mark.parametrize(
+    "d, cones, per_cone, top", [(2, 30, 5, 2), (3, 20, 4, 1)], ids=["2-D", "3-D"]
+)
+def test_correspondence_on_random_normal_cones(d, cones, per_cone, top):
+    # the paper's correspondence on inputs nobody chose: ideals of 1-3
+    # generators, each a combination of the columns with coefficients
+    # 0..top (3-D cones have up to 5 columns, so 0..1 reaches exponents as
+    # large as 0..2 does in 2-D).  The verdict is never FAIL, the only
+    # exception is a counted cap, every INCONCLUSIVE names its unsettled
+    # candidates, and for one or two generators six boxes past B* keep the
+    # minimal family, so the box loop would reach the same b
+    rng = random.Random(15 + d)
+    verdicts, caps, problems = Counter(), Counter(), []
+    for S, cols in random_normal_cones(rng, d, cones):
+        for _ in range(per_cone):
+            gens = []
+            for _ in range(rng.randint(1, 3)):
+                k = [rng.randint(0, top) for _ in cols]
+                gens.append(tuple(sum(x * col[i] for x, col in zip(k, cols)) for i in range(d)))
+            try:
+                rep = verify_correspondence(S, gens)
+            except WorkCapExceeded as exc:
+                caps[exc.cap] += 1
+                continue
+            verdicts[rep.verdict] += 1
+            if rep.verdict == "FAIL":
+                problems.append((cols, gens, rep.failures))
+            named = [n for n in rep.notes if n.startswith("unsettled jumping candidates in window: ")]
+            if rep.verdict == "INCONCLUSIVE" and not named:
+                problems.append((cols, gens, "INCONCLUSIVE without candidates"))
+            alphas = [f_map(S, g) for g in monomial_ideal(S, gens).generators]
+            if len(alphas) <= 2:
+                last = rep.bfunction_result.box_used
+                family = minimal_family(alphas, last)
+                if any(minimal_family(alphas, B) != family for B in range(last + 1, last + 7)):
+                    problems.append((cols, gens, f"box {last} misses a minimal profile"))
+    summary = f"verdicts {dict(verdicts)}, caps {dict(caps)}"
+    assert not problems, f"{summary}: {problems}"
+    assert sum(verdicts.values()) + sum(caps.values()) == cones * per_cone, summary
 
 
 TESSERACT = [
@@ -918,16 +1116,17 @@ TESSERACT = [
 
 def test_tesseract_truncation_is_a_minimal_polynomial():
     # the cone over the 4-cube with <x^3, x^2 y^2>: an independent check of
-    # the degree-26 polynomial of box 3, which the elimination could not
-    # reach (REDUCTION_WORK_CAP; uncapped, box 3 ran for over ten minutes
-    # without finishing).  With the verified basis of the box's ideal J,
-    # p(L) lies in J and, p having only rational roots, no p / (t - root)
-    # does, so p is the minimal polynomial of L on Q[s]/J
+    # the degree-26 polynomial of box 3, the proved last box, which the
+    # block-order elimination could not reach (REDUCTION_WORK_CAP; uncapped,
+    # box 3 ran for over ten minutes without finishing).  With the verified
+    # basis of the box's ideal J, p(L) lies in J and, p having only rational
+    # roots, no p / (t - root) does, so p is the minimal polynomial of L on
+    # Q[s]/J
     S = build_semigroup(TESSERACT)
     betas = [(3, 0, 0, 0, 0), (2, 2, 0, 0, 0)]
     res = bfunction(S, betas)
-    assert res.box_used == 4 and res.b.degree == 26
-    assert res.truncation[2][1] == res.b and res.unfactored_remainder == UniPoly([F(1)])
+    assert res.box_used == 3 and res.b.degree == 26
+    assert res.truncation == ((3, res.b),) and res.unfactored_remainder == UniPoly([F(1)])
     alphas = [f_map(S, b) for b in betas]
     parts = _linear_parts(alphas)
     profiles = [_profile(alphas, c) for c in c_vectors(2, 3)]
@@ -1117,13 +1316,23 @@ def test_plane_eliminates_minimal_profiles_only(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "matrix, ideal, sizes",
-    [(CUSP, CUSP_IDEAL, [2, 4]), ([[0, 1, 6], [1, 1, 5]], [(2, 2), (6, 5)], [2, 3])],
-    ids=["cusp", "a5"],
+    "matrix, ideal, sizes, boxes",
+    [
+        (CUSP, [(1, 0), (1, 1), (1, 2)], [4, 5], {1: False, 2: True, 3: True}),
+        ([[0, 1, 6], [1, 1, 5]], [(0, 1), (1, 1), (6, 5)], [3, 5, 6],
+         {1: False, 2: False, 3: True, 4: True}),
+        (CUSP, CUSP_IDEAL, [4], {2: True}),
+        ([[0, 1, 6], [1, 1, 5]], [(2, 2), (6, 5)], [3], {2: True}),
+    ],
+    ids=["cusp", "a5", "cusp-two-generators", "a5-two-generators"],
 )
-def test_unchanged_family_is_eliminated_once(monkeypatch, matrix, ideal, sizes):
-    # the stabilizing box 3 has the minimal profiles of box 2, so it is the
-    # same ideal and reuses that box's polynomial without eliminating
+def test_unchanged_family_is_eliminated_once(monkeypatch, matrix, ideal, sizes, boxes):
+    # three generators run the box loop: the stabilizing last box has the
+    # minimal profiles of the box before it, so it is the same ideal and
+    # reuses that box's polynomial without eliminating.  Two generators list
+    # and eliminate only their proved last box B* = 2, with the family the
+    # box loop reached at box 2.  ``boxes`` maps each truncation box to
+    # whether it had a polynomial
     seen = []
     groebner = bsato.groebner_basis
 
@@ -1135,22 +1344,24 @@ def test_unchanged_family_is_eliminated_once(monkeypatch, matrix, ideal, sizes):
     S = build_semigroup(matrix)
     res = bfunction(S, monomial_ideal(S, ideal))
     assert seen == sizes
-    assert res.stabilized and res.box_used == 3
-    assert res.truncation == ((1, None), (2, res.b), (3, res.b))
+    assert res.stabilized and res.box_used == max(boxes)
+    assert res.truncation == tuple((B, res.b if found else None) for B, found in boxes.items())
 
 
 @pytest.mark.parametrize(
     "matrix, ideal, counts",
     [
-        (CUSP, [(1, 3), (2, 2)], [(5, 387), (6, 3049), (6, 14069)]),
-        ([[0, 1, 6], [1, 1, 5]], [(2, 2), (6, 5)], [(5, 493), (5, 1958)]),
+        (CUSP, [(1, 3), (2, 2)], [(6, 6, 14069)]),
+        ([[0, 1, 6], [1, 1, 5]], [(2, 2), (6, 5)], [(5, 5, 1958)]),
     ],
     ids=["cusp", "a5"],
 )
 def test_box_packings_keep_their_widths_and_work(monkeypatch, matrix, ideal, counts):
-    # per eliminated box: the field width its packing starts with and the
-    # reduction work it has counted when bfunction returns (basis and powers
-    # of L together); the cusp's box 4 is the largest count on verify-roots
+    # per eliminated box: the field width its packing starts with, the width
+    # and the reduction work it has when bfunction returns (basis and powers
+    # of L together).  Two generators eliminate only their last box, with
+    # the triple the box loop counted for the same family; the cusp's box 3
+    # is the largest count on verify-roots
     packs = []
     groebner = bsato.groebner_basis
 
@@ -1161,7 +1372,7 @@ def test_box_packings_keep_their_widths_and_work(monkeypatch, matrix, ideal, cou
     monkeypatch.setattr(bsato, "groebner_basis", spy)
     S = build_semigroup(matrix)
     bfunction(S, monomial_ideal(S, ideal))
-    assert [(width, pack.work) for pack, width in packs] == counts
+    assert [(width, pack.width, pack.work) for pack, width in packs] == counts
 
 
 def test_bfunction_eliminates_primitive_integer_generators(monkeypatch):

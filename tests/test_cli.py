@@ -121,30 +121,33 @@ def test_bfunction_report(tmp_path, capsys):
     code, report, _ = invoke(capsys, ["bfunction", doc, "--assume-normal"])
     assert code == 0
     assert report["stabilized"] is True
-    assert report["box_used"] == 3
+    assert report["box_used"] == 2
     assert report["b"]["coefficients"] == ["8/9", "34/9", "53/9", "4", "1"]
-    assert report["truncation"][0] == {"box": 1, "polynomial": None}
+    # two generators: the proved last box is the one truncation entry
+    assert report["truncation"] == [{"box": 2, "polynomial": report["b"]}]
 
 
 def test_bfunction_cap_hit(tmp_path, capsys, monkeypatch):
-    # the cap that ends a run is the counted one: box 1 lists 2 c-vectors
+    # the cap that ends a run is the counted one: the proved last box 2 of
+    # the two generators lists 4 c-vectors
     monkeypatch.setattr("toricbsato.bsato.GENERATORS_CAP", 1)
     doc = write_doc(tmp_path, CUSP_DOC)
     code, report, _ = invoke(capsys, ["bfunction", doc, "--assume-normal"])
     assert code == 3
     assert report["error"]["cap"] == "GENERATORS_CAP"
-    assert "GENERATORS_CAP exceeded: 2 > 1" in report["error"]["message"]
+    assert "GENERATORS_CAP exceeded: 4 > 1" in report["error"]["message"]
 
 
 def test_bfunction_box_cap_below_default_is_honoured(tmp_path, capsys, monkeypatch):
-    # boxes 1..2 list 2 + 4 c-vectors and find b but cannot confirm it; box 3,
-    # which certifies, would bring the count to 12, so a cap of 6 ends the run
-    monkeypatch.setattr("toricbsato.bsato.GENERATORS_CAP", 6)
-    doc = write_doc(tmp_path, CUSP_DOC)
+    # three generators run the box loop: boxes 1..2 list 6 + 18 c-vectors
+    # and find b but cannot confirm it; box 3, which certifies, would bring
+    # the count to 60, so a cap of 24 ends the run
+    monkeypatch.setattr("toricbsato.bsato.GENERATORS_CAP", 24)
+    doc = write_doc(tmp_path, {**CUSP_DOC, "ideal": {"monomial": [[1, 0], [1, 1], [1, 2]]}})
     code, report, _ = invoke(capsys, ["bfunction", doc, "--assume-normal"])
     assert code == 3
     assert report["error"]["cap"] == "GENERATORS_CAP"
-    assert "GENERATORS_CAP exceeded: 12 > 6" in report["error"]["message"]
+    assert "GENERATORS_CAP exceeded: 60 > 24" in report["error"]["message"]
 
 
 def test_there_is_no_box_cap(tmp_path, capsys):
@@ -461,7 +464,7 @@ def test_parsed_options_reach_their_commands(tmp_path, capsys):
     code, report, _ = invoke(capsys, ["multiplier", doc, "--alpha", "1", "--mode", "relint"])
     assert code == 0 and report["alpha"] == "1" and report["mode"] == "relint"
     code, report, _ = invoke(capsys, ["bfunction", doc])
-    assert code == 0 and report["box_used"] == 3
+    assert code == 0 and report["box_used"] == 2
 
 
 @pytest.mark.parametrize(
@@ -529,10 +532,10 @@ def test_plane_three_generators_certify_at_box_seven():
 
 def test_coefficient_swell_hits_the_divisors_cap():
     # a5 with <(0,1), (7,6)>: the elimination swelled its coefficients past
-    # REDUCTION_WORK_CAP; the grevlex basis and the powers of L give the same
-    # degree-43 polynomial in boxes 2 and 3 within a second, but its constant
-    # coefficient has 1 463 132 160 positive divisors, so the root search is
-    # stopped by their count before any is listed
+    # REDUCTION_WORK_CAP; the grevlex basis and the powers of L give the
+    # degree-43 b-function at the proved last box 2 within a second, but its
+    # constant coefficient has 1 463 132 160 positive divisors, so the root
+    # search is stopped by their count before any is listed
     code, report = run_problem(
         "bfunction", "a5_coefficient_swell.json", "--assume-normal", timeout=30
     )
@@ -541,15 +544,16 @@ def test_coefficient_swell_hits_the_divisors_cap():
     assert report["error"]["message"] == "DIVISORS_CAP exceeded: 1463132212 > 1000000"
 
 
-def test_tesseract_cone_certifies_at_box_four():
-    # the cone over the 4-cube: boxes 3 and 4 give one degree-26 polynomial
-    # whose largest root -1/2 is -lct, with multiplicity 4 (the elimination
-    # stopped at REDUCTION_WORK_CAP); verify then reaches the witness search,
-    # which still stops at WINDOW_POINTS_CAP
+def test_tesseract_cone_certifies_at_box_three():
+    # the cone over the 4-cube: two generators, so the proved last box 3
+    # gives the degree-26 b-function, whose largest root -1/2 is -lct, with
+    # multiplicity 4 (the block-order elimination stopped at
+    # REDUCTION_WORK_CAP); verify then reaches the witness search, which
+    # still stops at WINDOW_POINTS_CAP
     code, report = run_problem("bfunction", "tesseract_cone.json", "--assume-normal", timeout=30)
     assert code == 0
-    assert report["stabilized"] is True and report["box_used"] == 4
-    assert [t["polynomial"] is None for t in report["truncation"]] == [True, True, False, False]
+    assert report["stabilized"] is True and report["box_used"] == 3
+    assert [t["polynomial"] is None for t in report["truncation"]] == [False]
     assert len(report["b"]["coefficients"]) == 27
     assert hashlib.sha256(report["b"]["text"].encode()).hexdigest() == (
         "8c04a1abd71cbc9b0e013d3858e1d869b5c5d181e491fb4c7fd8da5748ee5f06"
@@ -584,15 +588,15 @@ def test_byte_determinism(tmp_path, capsys):
 GOLDEN_REPORTS = [
     # (command, document, flags, SHA-256 of json.dumps([exit code, stdout, stderr]))
     ("verify", "deep_chain_cone", ["--check-normal"],
-     "237559ed86f1cfc774cc5294280f7a7a591292fcdb4f7a39bc05538e727c9340"),
+     "504352db99ca5be2121bdff2d2de21294cf80a3313354b81a23bcae870f0c9cd"),
     ("verify", "hexagon_multiplier", ["--check-normal"],
-     "e016d5de3286847c9fdc44ef929c86f7b358e571070cf9721c22367b6117f25f"),
+     "31d767fa8fe8588b48781e1447f35276fd58f9f03401e65474528d08e459d7bc"),
     ("verify", "negative_line", ["--check-normal"],
-     "b9e44d9bd65a77db07336ae9dc99619c79471564571f3d22aae41dcdae2e7d2e"),
+     "87321fc29bd7a1a13a6b7234be8ecda318e290df218f786a43912e8c8cb0efcd"),
     ("verify", "twisted_cubic", ["--check-normal"],
-     "f5da617beb478f25f6a781386b30fc687dcf2ff44bad247f44ed09a599f16318"),
+     "98d4dad3cbaab1fbf9a58cb46ef187945da05df24302374ae094350f30f964aa"),
     ("verify", "unit_ideal", ["--check-normal"],
-     "c138b9804d2bb1994980ab8a39916c88d424afdda0c75ec11ebf51f2049c495c"),
+     "f8515cbb5c31d3934e0c40b6b899158d4e0d54b7ca36d35a5f6fa4b10801c4f2"),
     ("verify", "non_normal_cone", ["--check-normal"],
      "092eab2028187f927c0cca78831a729cfe8212f6a8a44fd69a06528b646a13fb"),
     ("verify", "malformed_option", ["--check-normal"],
@@ -600,7 +604,7 @@ GOLDEN_REPORTS = [
     ("bfunction", "plane_three_generators", ["--assume-normal"],
      "ea80b864cc8e801b320e5a86780ff0584ab43ebb4dd797e4091c6e96a1204aac"),
     ("bfunction", "tesseract_cone", ["--assume-normal"],
-     "81b1438e3c7916a898eb94731d74dbf343f0fdbc74e9d0bd10523e93aae35092"),
+     "843dd5d675b8be267c54e1448684d6b6c6916e7cef7f42c2681d5e6ae38935f5"),
     ("verify", "plane_three_generators", ["--check-normal"],
      "95172c6d0208174164dfb3f730e398ee531925b799ab312db90295d6be805901"),
     ("jumping", "hexagon_multiplier", ["--assume-normal", "--max", "4/3"],

@@ -763,6 +763,27 @@ def test_verify_running_example(cusp, cusp_ideal):
     assert rep.jumping_report.bfunction_check == "PASS"
 
 
+def test_verify_checks_the_largest_root_itself(cusp, cusp_ideal, monkeypatch):
+    # a b-function whose b(-s) has an extra root 1/3 below the lct 2/3: every
+    # jumping coefficient in the window is still a root, so only the
+    # comparison of the smallest root with the lct can fail it
+    bfunction = multiplier.bfunction
+
+    def with_extra_root(S, ideal):
+        res = bfunction(S, ideal)
+        extra = F(-1, 3)
+        return dataclasses.replace(
+            res,
+            b=res.b * UniPoly([-extra, F(1)]),
+            roots=tuple(sorted((*res.roots, (extra, 1)))),
+        )
+
+    monkeypatch.setattr(multiplier, "bfunction", with_extra_root)
+    rep = verify_correspondence(cusp, cusp_ideal)
+    assert rep.verdict == "FAIL"
+    assert rep.failures == ("smallest root of b(-s) is 1/3, not the lct 2/3",)
+
+
 def test_verify_unit_ideal(cusp):
     rep = verify_correspondence(cusp, monomial_ideal(cusp, [(0, 0)]))
     assert rep.verdict == "PASS"
