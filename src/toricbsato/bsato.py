@@ -135,16 +135,9 @@ from math import factorial, gcd, prod
 from operator import itemgetter, mul
 from typing import Optional, Sequence
 
-from .exactnum import Vec, _int_vector, _integer_row
+from .exactnum import Vec, Work, WorkCapExceeded, _int_vector, _integer_row
 from .multipoly import MultiPoly, UniPoly
-from .toric import (
-    MonomialIdeal,
-    SemigroupData,
-    WorkCapExceeded,
-    f_map,
-    minimal_points,
-    monomial_ideal,
-)
+from .toric import MonomialIdeal, SemigroupData, f_map, minimal_points, monomial_ideal
 
 __all__ = [
     "monomial_generator",
@@ -207,12 +200,13 @@ def _falling_product(parts: Sequence[Vec], phi: Vec, pack: "_Packing") -> tuple[
     variables, the ``r`` of the ``s_i`` first (:func:`_linear_parts`), and
     ``phi`` is the profile: the factors are ``s_i`` of length ``phi_i`` and
     ``L_k + m_k`` of length ``m_k = phi_{r+k}``; ``denom`` is ``prod m!``.
-    The product of the factors' 1-norms bounds every coefficient, and past
-    ``REDUCTION_WORK_CAP`` units the build raises :class:`WorkCapExceeded`.
+    The product of the factors' 1-norms bounds every coefficient, and the
+    build counts against a ``REDUCTION_WORK_CAP`` counter of its own.
     """
     r = len(parts[0])
     g = {0: 1}
-    denom, norm, work = 1, 1, 0
+    denom, norm = 1, 1
+    work = Work("REDUCTION_WORK_CAP", REDUCTION_WORK_CAP)
     for k, (coeffs, m) in enumerate(zip(parts, phi)):
         top = m if k >= r else 0
         shifts = [(w, a) for w, a in zip(pack.weights, coeffs) if a]
@@ -225,9 +219,7 @@ def _falling_product(parts: Sequence[Vec], phi: Vec, pack: "_Packing") -> tuple[
                     out[ne] = out.get(ne, 0) + v * a
             g = out
             norm *= sum(map(abs, coeffs)) + abs(top - j)
-            work += len(g) * (norm.bit_length() + 63 >> 6)
-            if REDUCTION_WORK_CAP is not None and work > REDUCTION_WORK_CAP:
-                raise WorkCapExceeded("REDUCTION_WORK_CAP", work, REDUCTION_WORK_CAP)
+            work.charge(len(g) * (norm.bit_length() + 63 >> 6))
         denom *= factorial(m)
     content = gcd(*g.values())
     return {e: v // content for e, v in g.items() if v}, content, denom
@@ -283,19 +275,18 @@ def _c_vector_count(r: int, B: int) -> int:
     return sum(w for s, w in ways.items() if -B <= 1 - s <= B)
 
 
-def c_vectors(r: int, B: int, listed: int = 0):
+def c_vectors(r: int, B: int, listed: Optional[Work] = None):
     """All ``c in Z^r`` with ``sum c_i = 1`` and ``|c_i| <= B``, in
     lexicographic order of the first ``r - 1`` coordinates.
 
-    The family is counted first, on top of the ``listed`` vectors of earlier
-    boxes of the same call; more than ``GENERATORS_CAP`` in all raise
-    :class:`WorkCapExceeded` before any is listed.
+    The family is counted first and charged to ``listed``, the
+    ``GENERATORS_CAP`` counter that the boxes of one call share (a new one
+    when omitted), so the cap raises :class:`WorkCapExceeded` before any
+    vector is listed.
     """
     if r < 1:
         raise ValueError("need at least one generator")
-    total = listed + _c_vector_count(r, B)
-    if total > GENERATORS_CAP:
-        raise WorkCapExceeded("GENERATORS_CAP", total, GENERATORS_CAP)
+    (listed or Work("GENERATORS_CAP", GENERATORS_CAP)).charge(_c_vector_count(r, B))
     out = []
     for head in product(range(-B, B + 1), repeat=r - 1):
         last = 1 - sum(head)
@@ -328,8 +319,9 @@ class _FieldOverflow(Exception):
 
 
 class _Packing:
-    """One int per monomial on ``nvars`` variables, plus the reduction work
-    counted so far in the call and its cap (``None`` for no cap).
+    """One int per monomial on ``nvars`` variables, plus ``work``, the
+    call's ``REDUCTION_WORK_CAP`` counter with the limit ``cap`` (``None``
+    for no cap).
 
     Exponent ``e_i`` sits in bits ``[i*w, (i+1)*w)`` of width ``w =
     width``; the top bit of each field is a guard, clear while ``e_i <
@@ -348,7 +340,7 @@ class _Packing:
     """
 
     def __init__(self, nvars: int, width: int, cap: Optional[int] = None):
-        self.nvars, self.work, self.cap = nvars, 0, cap
+        self.nvars, self.work = nvars, Work("REDUCTION_WORK_CAP", cap)
         self._fields(width)
 
     @classmethod
@@ -388,13 +380,6 @@ class _Packing:
             except _FieldOverflow:
                 self._fields(2 * self.width)
                 polys = [self.recode(p, self.width // 2) for p in polys]
-
-    def charge(self, units: int) -> None:
-        """Count ``units`` of reduction work; past the cap raise
-        :class:`WorkCapExceeded`."""
-        self.work += units
-        if self.cap is not None and self.work > self.cap:
-            raise WorkCapExceeded("REDUCTION_WORK_CAP", self.work, self.cap)
 
     def encode(self, e: Vec) -> int:
         if max(e, default=0) >> self.width - 1:
@@ -444,7 +429,7 @@ def _reduce(
     term, reduced by the first reducer in list order whose lead divides it.
     A cancelled term stays in ``p`` as 0 until the end.  Each step charges
     the terms of ``p`` times the 64-bit words of the reduced coefficient to
-    ``pack``.
+    ``pack.work``.
     """
     guard = pack.guard
     p = dict(p)
@@ -462,7 +447,7 @@ def _reduce(
                 break
         else:
             continue
-        pack.charge(len(p) * (c.bit_length() + 63 >> 6))
+        pack.work.charge(len(p) * (c.bit_length() + 63 >> 6))
         g = gcd(c, lc)
         mult_p = lc // g  # > 0 since basis leads are positive
         mult_g = c // g
@@ -576,9 +561,10 @@ def groebner_basis(polys: Sequence[dict], pack: _Packing) -> list[dict]:
 
     Deterministic: Buchberger with normal pair selection (minimal lcm total
     degree, ties by pair index) plus the product and chain criteria; the
-    reduced basis is unique for the ideal regardless.  The work counts
-    against ``pack``, whose fields widen in place as needed, so a caller's
-    later steps share its counter and cap; past it :class:`WorkCapExceeded`.
+    reduced basis is unique for the ideal regardless.  The work is charged
+    to ``pack.work``, and the fields widen in place as needed, so a caller's
+    later steps share the one counter; past its cap
+    :class:`WorkCapExceeded`.
     """
     if not all(polys):
         raise ValueError("generators must be nonzero")
@@ -588,7 +574,7 @@ def groebner_basis(polys: Sequence[dict], pack: _Packing) -> list[dict]:
 def verify_groebner_basis(gens: Sequence[dict], gb: Sequence[dict], pack: _Packing) -> None:
     """Raise ``AssertionError`` unless ``gb`` behaves like a Groebner basis
     for ``<gens>``, both packed in ``pack``: all inputs and all S-polynomials
-    reduce to zero, in an uncapped packing that never charges ``pack``."""
+    reduce to zero, in an uncapped packing that never charges ``pack.work``."""
     check = _Packing(pack.nvars, pack.width)
 
     def run(polys: list[dict]) -> None:
@@ -631,12 +617,12 @@ def _krylov(basis: Sequence[tuple[int, int, dict]], pack: _Packing) -> UniPoly:
         num, den = num * n, den * d
         scales.append((num, den))
         v, comb = dict(w), [0] * (len(scales) - 1) + [1]
-        pack.charge(len(rows))
+        pack.work.charge(len(rows))
         for pivot, row, rcomb in rows:
             a = v.get(pivot)
             if not a:
                 continue
-            pack.charge(len(v) * (a.bit_length() + 63 >> 6))
+            pack.work.charge(len(v) * (a.bit_length() + 63 >> 6))
             b = row[pivot]
             g = gcd(a, b)
             mv, mr = b // g, a // g
@@ -702,19 +688,17 @@ def eliminate_minimal_univariate(gens: Sequence[MultiPoly]) -> Optional[UniPoly]
 # ---------------------------------------------------------------------------
 
 
-def _positive_divisors(n: int, work: int) -> tuple[list[int], int]:
+def _positive_divisors(n: int, work: Work) -> list[int]:
     """Ascending positive divisors of ``n != 0``, listed from its
-    factorization by trial division (each prime found is divided out), and
-    ``work`` plus their cost: one unit per trial division, then the divisor
-    count ``prod (e_i + 1)`` read off the factorization, both checked
-    against ``DIVISORS_CAP`` before any divisor is listed."""
+    factorization by trial division (each prime found is divided out).  Their
+    cost is charged to ``work``, the ``DIVISORS_CAP`` counter of the root
+    search: one unit per trial division, then the divisor count ``prod (e_i
+    + 1)`` read off the factorization, before any divisor is listed."""
     n = abs(n)
     factors = []
     p = 2
     while p * p <= n:
-        work += 1
-        if work > DIVISORS_CAP:
-            raise WorkCapExceeded("DIVISORS_CAP", work, DIVISORS_CAP)
+        work.charge(1)
         if n % p == 0:
             k = 0
             while n % p == 0:
@@ -724,14 +708,12 @@ def _positive_divisors(n: int, work: int) -> tuple[list[int], int]:
         p += 1
     if n > 1:
         factors.append((n, 1))
-    work += prod(k + 1 for _, k in factors)
-    if work > DIVISORS_CAP:
-        raise WorkCapExceeded("DIVISORS_CAP", work, DIVISORS_CAP)
+    work.charge(prod(k + 1 for _, k in factors))
     divs = [1]
     for p, k in factors:
         powers = [p**j for j in range(k + 1)]
         divs = [d * q for d in divs for q in powers]
-    return sorted(divs), work
+    return sorted(divs)
 
 
 def _divide_by_linear(a: list[int], num: int, den: int) -> Optional[list[int]]:
@@ -775,8 +757,8 @@ def rational_roots(p: UniPoly) -> tuple[list[tuple[Fraction, int]], UniPoly]:
     if len(a) > 1:
         lead = abs(a[-1])
         reach = lead + max(abs(c) for c in a[:-1])  # |num| * lead <= den * reach
-        nums, work = _positive_divisors(a[0], 0)
-        dens, _ = _positive_divisors(lead, work)
+        work = Work("DIVISORS_CAP", DIVISORS_CAP)
+        nums, dens = _positive_divisors(a[0], work), _positive_divisors(lead, work)
         for den in dens:
             if a[-1] % den:
                 continue
@@ -901,10 +883,9 @@ def bfunction(S: SemigroupData, ideal) -> BFunctionResult:
     history: list[tuple[int, Optional[UniPoly]]] = []
     prev: Optional[UniPoly] = None
     prev_family: Optional[frozenset] = None
-    listed = 0
+    listed = Work("GENERATORS_CAP", GENERATORS_CAP)
     for B in count(1) if last is None else (last,):
         cs = c_vectors(r, B, listed)
-        listed += len(cs)
         minimal = minimal_points((_profile(alphas, c), c) for c in cs)
         family = frozenset(phi for phi, _ in minimal)
         if family != prev_family:  # an unchanged family is the same ideal: keep p

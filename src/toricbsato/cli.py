@@ -23,11 +23,10 @@ from functools import cache
 from typing import Optional, Sequence
 
 from .bsato import BFunctionResult, bfunction
-from .exactnum import IntMatrix
+from .exactnum import IntMatrix, WorkCapExceeded
 from .multipoly import UniPoly
 from .multiplier import (
     JumpingReport,
-    WorkCapExceeded,
     jumping_coefficients,
     lct,
     multiplier_ideal,

@@ -12,8 +12,9 @@ lattice and feasibility primitives the geometric layers are built on:
 * Fourier-Motzkin elimination: its levels, the exact projections onto
   each prefix of the coordinates, and from them an exact rational witness,
 * one lattice walk, line by line with floor division only,
-* :class:`WorkCapExceeded`, raised by every layer whose counted work would
-  pass its cap.
+* :class:`Work`, the one counter of every counted work cap, and
+  :class:`WorkCapExceeded`, which only it raises once a count passes its
+  cap.
 
 Every kernel takes integer rows ``(a, c)``, meaning ``a . x >= c``, as
 they are, so a level of the elimination feeds the walk unchanged.
@@ -54,6 +55,24 @@ class WorkCapExceeded(RuntimeError):
     def __init__(self, cap: str, count: int, limit: int):
         super().__init__(f"{cap} exceeded: {count} > {limit}")
         self.cap = cap
+
+
+class Work:
+    """The ``count`` of work units charged against the cap named ``cap``;
+    a count above ``limit`` raises :class:`WorkCapExceeded`, and ``limit =
+    None`` never does.  Each cap's limit is a module constant read when the
+    counter is made, so one call counts against one limit."""
+
+    __slots__ = ("cap", "limit", "count")
+
+    def __init__(self, cap: str, limit: Optional[int]):
+        self.cap, self.limit, self.count = cap, limit, 0
+
+    def charge(self, units: int) -> None:
+        """Add ``units`` to the count; past the limit raise."""
+        self.count += units
+        if self.limit is not None and self.count > self.limit:
+            raise WorkCapExceeded(self.cap, self.count, self.limit)
 
 
 def dot(a: Sequence, b: Sequence):

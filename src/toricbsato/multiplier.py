@@ -21,10 +21,11 @@ dimension >= 3 the witness lies in finite windows, each walked through the
 Fourier-Motzkin projections of the system, so a coordinate is solved only
 where a real point remains; that output carries an honest ``search_mode``
 flag, not a silent claim of completeness.  Three counted caps bound one
-call: the line solves and members of a generating-box scan (``SCAN_POINTS_CAP``),
-the jumping candidates of a window (``CANDIDATES_CAP``) and the volume of
-the witness windows (``WINDOW_POINTS_CAP``) are counted before they are
-visited, and a count above its cap raises :class:`WorkCapExceeded`.
+call, each a :class:`~toricbsato.exactnum.Work` counter charged before the
+work is visited: the line solves and members of a generating-box scan
+(``toric.SCAN_POINTS_CAP``, the one cap of every lattice scan), the jumping
+candidates of a window (``CANDIDATES_CAP``) and the volume of the witness
+windows (``WINDOW_POINTS_CAP``).
 """
 
 from __future__ import annotations
@@ -34,15 +35,14 @@ from fractions import Fraction
 from math import ceil, floor, prod
 from typing import Optional, Sequence, Union
 
+from . import toric
 from .bsato import bfunction
-from .exactnum import IntMatrix, Vec, _fm_levels, _fm_witness, _lattice_lines, _rational, dot
-from .exactnum import _int_vector, kernel_lattice_basis
+from .exactnum import IntMatrix, Vec, Work, WorkCapExceeded, _fm_levels, _fm_witness, dot
+from .exactnum import _int_vector, _lattice_lines, _rational, kernel_lattice_basis
 from .polyhedra import NewtonPolyhedron, inequality_vertices, membership
 from .toric import (
-    SCAN_POINTS_CAP,
     MonomialIdeal,
     SemigroupData,
-    WorkCapExceeded,
     build_semigroup,
     f_map,
     minimal_points,
@@ -208,17 +208,14 @@ def _minimal_members(
          sum(x * b for x, b in zip(row, box) if x > 0) // p)
         for row in X[:-1]
     ]
-    work = prod(max(0, hi - lo + 1) for lo, hi in heads)
-    if work > SCAN_POINTS_CAP:
-        raise WorkCapExceeded("SCAN_POINTS_CAP", work, SCAN_POINTS_CAP)
+    work = Work("SCAN_POINTS_CAP", toric.SCAN_POINTS_CAP)
+    work.charge(prod(max(0, hi - lo + 1) for lo, hi in heads))
     # the region rows, and -F_k(v) >= -box_k
     rows = list(region.items()) + [(tuple(-x for x in f), -b) for f, b in zip(S.facets, box)]
     bounds = [[(1, lo), (-1, -hi)] for lo, hi in heads] + [[]]
     members: list[tuple[Vec, Vec]] = []  # (q, v)
     for head, lo, hi in _lattice_lines([[]] * len(heads) + [rows], bounds):
-        work += hi - lo + 1
-        if work > SCAN_POINTS_CAP:
-            raise WorkCapExceeded("SCAN_POINTS_CAP", work, SCAN_POINTS_CAP)
+        work.charge(hi - lo + 1)
         for t in range(lo, hi + 1):
             v = head + (t,)
             members.append((f_map(S, v), v))
@@ -370,8 +367,8 @@ def _witness_search(
     P: NewtonPolyhedron,
     tight: Sequence[tuple],
     alpha: Fraction,
-    scanned: int,
-) -> tuple[Optional[Vec], bool, int]:
+    scanned: Work,
+) -> tuple[Optional[Vec], bool]:
     """Find ``v`` with ``F(v) + e`` on the boundary of ``alpha * P``.
 
     Works facet by facet over ``tight``, the :func:`_tight_facet` set-ups
@@ -387,12 +384,11 @@ def _witness_search(
     raises ``AssertionError``): the least on the line of one kernel vector,
     else the first point of one lattice walk per window around the
     Fourier-Motzkin point, through the levels of one elimination.  Returns
-    ``(witness, exhausted, scanned)``: ``exhausted`` means a rationally
-    feasible tight-facet system had no lattice point in the windows, and
-    ``scanned`` adds each window's volume ``(2w+1)^k`` (a bound on the
-    points its walk can reach) to the count passed in; a count above
-    ``WINDOW_POINTS_CAP`` raises :class:`WorkCapExceeded` before its
-    window is searched.
+    ``(witness, exhausted)``: ``exhausted`` means a rationally feasible
+    tight-facet system had no lattice point in the windows.  Each window's
+    volume ``(2w+1)^k`` (a bound on the points its walk can reach) is
+    charged to ``scanned``, the call's ``WINDOW_POINTS_CAP`` counter, before
+    the window is searched.
     """
     e = S.e
     num, den = alpha.numerator, alpha.denominator
@@ -415,7 +411,7 @@ def _witness_search(
             )
 
         if rhs == 0 and check((0,) * S.d):
-            return (0,) * S.d, exhausted, scanned
+            return (0,) * S.d, exhausted
         if rhs % G:
             continue
         v0 = tuple(rhs // G * t for t in base)
@@ -440,9 +436,7 @@ def _witness_search(
             center = [int(round(x)) for x in _fm_witness(levels)]
             width = WINDOW0
             for _ in range(EXPANSIONS + 1):
-                scanned += (2 * width + 1) ** len(kernel)
-                if scanned > WINDOW_POINTS_CAP:
-                    raise WorkCapExceeded("WINDOW_POINTS_CAP", scanned, WINDOW_POINTS_CAP)
+                scanned.charge((2 * width + 1) ** len(kernel))
                 window = [[(1, x - width), (-1, -x - width)] for x in center]
                 line = next(_lattice_lines(levels[::-1], window), None)
                 if line is not None:
@@ -455,8 +449,8 @@ def _witness_search(
         v = tuple(x + sum(t * k[i] for t, k in zip(tau, kernel)) for i, x in enumerate(v0))
         if not check(v):
             raise AssertionError("a row-feasible witness failed the exact re-check")
-        return v, exhausted, scanned
-    return None, exhausted, scanned
+        return v, exhausted
+    return None, exhausted
 
 
 def jumping_coefficients(
@@ -482,17 +476,15 @@ def jumping_coefficients(
         raise ValueError("window must reach the log-canonical threshold")
     P = transported_polyhedron(S, ideal)
     spans = [(c, max(1, ceil(threshold * c)), floor(T * c)) for _, c in P.facets if c > 0]
-    count = sum(max(0, hi - lo + 1) for _, lo, hi in spans)
-    if count > CANDIDATES_CAP:
-        raise WorkCapExceeded("CANDIDATES_CAP", count, CANDIDATES_CAP)
+    Work("CANDIDATES_CAP", CANDIDATES_CAP).charge(sum(max(0, hi - lo + 1) for _, lo, hi in spans))
     candidates = {Fraction(n, c) for c, lo, hi in spans for n in range(lo, hi + 1)}
     tight = [_tight_facet(S, ell, c) for ell, c in P.facets if c > 0]
     search_mode = "exact" if S.d <= 2 else "windowed"
     jumps: list[tuple[Fraction, Vec]] = []
     unresolved: list[Fraction] = []
-    scanned = 0
+    scanned = Work("WINDOW_POINTS_CAP", WINDOW_POINTS_CAP)
     for alpha in sorted(candidates):
-        witness, exhausted, scanned = _witness_search(S, P, tight, alpha, scanned)
+        witness, exhausted = _witness_search(S, P, tight, alpha, scanned)
         if witness is not None:
             jumps.append((alpha, witness))
         elif exhausted and search_mode == "windowed":

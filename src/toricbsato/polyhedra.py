@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 from .exactnum import (
     Vec,
-    WorkCapExceeded,
+    Work,
     _bareiss,
     _int_vector,
     _integer_row,
@@ -70,7 +70,7 @@ def _cone_rays(rows: Sequence[Vec], dim: int) -> Optional[list[Vec]]:
         (primitive_vector([p * row[dim + j] for row in a]), full ^ (1 << i))
         for j, i in enumerate(basis)
     ]
-    pairs = 0
+    pairs = Work("RAY_PAIRS_CAP", RAY_PAIRS_CAP)
     for i, r in enumerate(rows):
         if i in basis:
             continue
@@ -78,9 +78,7 @@ def _cone_rays(rows: Sequence[Vec], dim: int) -> Optional[list[Vec]]:
         vals = [(dot(r, y), y, z) for y, z in rays]
         pos = [t for t in vals if t[0] > 0]
         neg = [t for t in vals if t[0] < 0]
-        pairs += len(pos) * len(neg)
-        if pairs > RAY_PAIRS_CAP:
-            raise WorkCapExceeded("RAY_PAIRS_CAP", pairs, RAY_PAIRS_CAP)
+        pairs.charge(len(pos) * len(neg))
         kept = [(y, z | bit if v == 0 else z) for v, y, z in vals if v >= 0]
         for vp, yp, zp in pos:
             for vn, yn, zn in neg:

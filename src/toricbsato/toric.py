@@ -25,7 +25,7 @@ from typing import Iterable, Optional, Sequence
 from .exactnum import (
     IntMatrix,
     Vec,
-    WorkCapExceeded,
+    Work,
     _bareiss,
     _int_vector,
     _lattice_lines,
@@ -107,9 +107,7 @@ class SemigroupData:
         cols = self.A.columns()
         lo = [sum(min(0, a[i]) for a in cols) for i in range(d)]
         hi = [sum(max(0, a[i]) for a in cols) for i in range(d)]
-        points = prod(h - l + 1 for l, h in zip(lo, hi))
-        if points > SCAN_POINTS_CAP:
-            raise WorkCapExceeded("SCAN_POINTS_CAP", points, SCAN_POINTS_CAP)
+        Work("SCAN_POINTS_CAP", SCAN_POINTS_CAP).charge(prod(h - l + 1 for l, h in zip(lo, hi)))
         memo: dict = {}
         box = [[(1, l), (-1, -h)] for l, h in zip(lo, hi)]  # l <= p_i <= h
         lines = _lattice_lines([[]] * (d - 1) + [[(f, 0) for f in self.facets]], box)

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from toricbsato.exactnum import (
     IntMatrix,
+    Work,
+    WorkCapExceeded,
     dot,
     fm_feasible,
     hermite_normal_form,
@@ -448,3 +450,19 @@ def test_fm_feasible_refuses_floats():
         fm_feasible([((1, 0), 0.5)])
     with pytest.raises(ValueError, match="differing arity"):
         fm_feasible([((1,), 0), ((1, 2), 0)])
+
+
+def test_work_counts_across_charges_and_raises_past_its_limit():
+    work = Work("SOME_CAP", 10)
+    work.charge(4)
+    work.charge(6)
+    assert work.count == 10  # at the limit is within it
+    with pytest.raises(WorkCapExceeded) as exc:
+        work.charge(3)
+    assert str(exc.value) == "SOME_CAP exceeded: 13 > 10"
+    assert exc.value.cap == "SOME_CAP"
+    assert work.count == 13
+    unlimited = Work("SOME_CAP", None)
+    for _ in range(3):
+        unlimited.charge(10**30)
+    assert unlimited.count == 3 * 10**30

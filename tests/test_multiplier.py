@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from toricbsato import exactnum, multiplier, polyhedra
+from toricbsato import exactnum, multiplier, polyhedra, toric
 from toricbsato.exactnum import IntMatrix, _fm_levels, _lattice_lines, _line_interval, dot
 from toricbsato.multiplier import (
     WorkCapExceeded,
@@ -269,6 +269,17 @@ def test_scan_cap_counts_line_solves_and_members():
     line = build_semigroup([[1]])
     res = multiplier_ideal(line, monomial_ideal(line, [(1,)]), 10**7)
     assert res.generators == ((10**7,),)
+
+
+def test_generating_box_scan_reads_the_one_scan_cap(monkeypatch, cusp):
+    # SCAN_POINTS_CAP is toric's, read when the scan starts: lowering it
+    # there bounds the generating-box scan too.  The cusp's box at alpha 2
+    # has 6 heads, one line solve each, which a cap of 3 refuses
+    assert multiplier_ideal(cusp, [(1, 1), (1, 2)], 2).generators == ((2, 2), (2, 3), (2, 4))
+    monkeypatch.setattr(toric, "SCAN_POINTS_CAP", 3)
+    with pytest.raises(WorkCapExceeded, match="SCAN_POINTS_CAP exceeded: 6 > 3") as exc:
+        multiplier_ideal(cusp, [(1, 1), (1, 2)], 2)
+    assert exc.value.cap == "SCAN_POINTS_CAP"
 
 
 # --- boundary-twisted variant ----------------------------------------------
