@@ -10,7 +10,9 @@ lattice and feasibility primitives the geometric layers are built on:
 * one fraction-free (Bareiss) Gauss-Jordan elimination behind rank, exact
   solving over the rationals and the start of the double description,
 * Fourier-Motzkin elimination: its levels, the exact projections onto
-  each prefix of the coordinates, and from them an exact rational witness,
+  each prefix of the coordinates (stopping, when asked, while a parameter
+  coordinate and one more remain), and from them an exact rational
+  witness by back-substitution in integers,
 * one lattice walk, line by line with floor division only,
 * :class:`Work`, the one counter of every counted work cap, and
   :class:`WorkCapExceeded`, which only it raises once a count passes its
@@ -292,12 +294,21 @@ def _primitive_row(a: Sequence[int], c: int) -> tuple[Vec, int]:
     return tuple(x // g for x in a), c // g
 
 
-def _fm_levels(rows: Sequence[tuple[Sequence[int], int]]) -> Optional[list[list[tuple[Vec, int]]]]:
+def _fm_levels(
+    rows: Sequence[tuple[Sequence[int], int]], keep: int = 0
+) -> Optional[list[list[tuple[Vec, int]]]]:
     """The Fourier-Motzkin levels of the integer rows ``(a, c)`` of one
-    arity, or ``None`` on a contradiction: level ``n - j`` holds the
+    arity ``n``, or ``None`` on a contradiction: level ``n - j`` holds the
     primitive rows on ``x_0 .. x_{j-1}``, the exact projection of the
     system onto them, level ``0`` the input rows made primitive; the first
-    of equal rows stays."""
+    of equal rows stays.  The elimination stops once at most ``keep``
+    coordinates remain, so the last level is the projection onto the first
+    ``min(keep, n)``.  Eliminating the others commutes with fixing ``x_0``:
+    where the system at one value of ``x_0`` is feasible, each level
+    evaluated there is that system's level up to positive multiples and
+    repeats, plus the rows on ``x_0`` alone, which evaluate to zero rows;
+    :func:`_fm_witness` finishes such levels and finds the values where the
+    system is infeasible."""
     levels = []
     system = [_primitive_row(a, c) for a, c in rows]
     for k in range(len(rows[0][0]) if rows else 0, -1, -1):
@@ -308,6 +319,8 @@ def _fm_levels(rows: Sequence[tuple[Sequence[int], int]]) -> Optional[list[list[
         if k == 0:
             return levels
         levels.append(cur)
+        if k <= keep:
+            return levels
         lows = [row for row in cur if row[0][k - 1] > 0]
         ups = [row for row in cur if row[0][k - 1] < 0]
         system = [(a[: k - 1], c) for a, c in cur if a[k - 1] == 0]
@@ -319,23 +332,47 @@ def _fm_levels(rows: Sequence[tuple[Sequence[int], int]]) -> Optional[list[list[
                 system.append(_primitive_row(a_new, pl * cl + pu * cu))
 
 
-def _fm_witness(levels: Sequence[Sequence[tuple[Vec, int]]]) -> list[Fraction]:
-    """A rational point of the system whose :func:`_fm_levels` are
-    ``levels``, by back-substitution through the levels: each coordinate
-    is the midpoint of its interval, or its one finite end, or 0."""
+def _fm_witness(levels: Sequence[Sequence[tuple[Vec, int]]]) -> Optional[list[Fraction]]:
+    """A rational point of the system whose Fourier-Motzkin levels are
+    ``levels`` (level ``n - j`` on ``x_0 .. x_{j-1}``), by back-substitution
+    through the levels: each coordinate is the midpoint of its interval, or
+    its one finite end, or 0.  ``None`` when the last level, the projection
+    onto ``x_0``, is empty: a zero row ``0 >= c > 0`` or an empty interval.
+    :func:`_fm_levels` rules both out, but the levels of a parametric
+    system evaluated at one parameter have not eliminated ``x_0``.  Past
+    ``x_0`` every interval is non-empty, since each level is the exact
+    projection of the one before.
+
+    The point is kept as integers ``p / D`` over one common denominator and
+    bounds are compared by cross-multiplication; ``Fraction``s are built
+    for the result only."""
     n = len(levels)
-    witness: list[Fraction] = []
+    ps: list[int] = []
+    D = 1
     for k in range(1, n + 1):
-        lo, hi = [], []  # the lower and the upper bounds on x_{k-1}
+        lo = hi = None  # the greatest lower, least upper bound on x_{k-1}: (r, m), r / (m D)
         for a, c in levels[n - k]:
-            if a[k - 1]:
-                bound = Fraction(c - dot(a[: k - 1], witness), a[k - 1])
-                (lo if a[k - 1] > 0 else hi).append(bound)
+            m = a[k - 1]
+            # map stops at the end of ps: the sum is a[:k-1] . ps
+            r = c * D - sum(map(mul, a, ps))
+            if m > 0:
+                if lo is None or r * lo[1] > lo[0] * m:
+                    lo = r, m
+            elif m < 0:
+                if hi is None or r * hi[1] > hi[0] * m:  # r / m < hi, m < 0 < hi[1]
+                    hi = -r, -m
+            elif r > 0:
+                return None  # only at x_0: 0 >= c > 0
         if lo and hi:
-            witness.append((max(lo) + min(hi)) / 2)
+            if lo[0] * hi[1] > hi[0] * lo[1]:
+                return None  # only at x_0: an empty interval
+            r, m = lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1]
         else:
-            witness.append(max(lo) if lo else min(hi) if hi else Fraction(0))
-    return witness
+            r, m = lo or hi or (0, 1)
+        # x_{k-1} = r / (m D): the common denominator becomes m D
+        ps = [p * m for p in ps] + [r]
+        D *= m
+    return [Fraction(p, D) for p in ps]
 
 
 def _line_interval(rows, head: Sequence[int], bounds) -> Optional[tuple]:

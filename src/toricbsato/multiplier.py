@@ -15,12 +15,15 @@ lattice witness that is re-checked exactly.
 Both lattice scans are one lattice walk, ``exactnum._lattice_lines``.
 Minimal generators come from one walk of ``Z^d`` over a box that provably
 holds them all.  A jumping witness on a tight facet solves an integer
-inequality system over the kernel lattice of that facet; with
-``alpha = num / den`` the membership rows are scaled by ``den``.  In
-dimension >= 3 the witness lies in finite windows, each walked through the
-Fourier-Motzkin projections of the system, so a coordinate is solved only
-where a real point remains; that output carries an honest ``search_mode``
-flag, not a silent claim of completeness.  Three counted caps bound one
+inequality system over the kernel lattice of that facet, whose rows are
+affine in ``alpha``: one Fourier-Motzkin elimination per facet, with
+``alpha`` kept as a coordinate, projects the system for every candidate,
+and each candidate only evaluates the projections at ``alpha = num /
+den``.  In dimension >= 3 the witness lies in finite windows around the
+rounded Fourier-Motzkin point, each walked through the evaluated
+projections, so a coordinate is solved only where a real point remains;
+that output carries an honest ``search_mode`` flag, not a silent claim of
+completeness.  Three counted caps bound one
 call, each a :class:`~toricbsato.exactnum.Work` counter charged before the
 work is visited: the line solves and members of a generating-box scan
 (``toric.SCAN_POINTS_CAP``, the one cap of every lattice scan), the jumping
@@ -355,11 +358,34 @@ def _tight_facet(S: SemigroupData, ell: Vec, c: int) -> tuple:
     [F(k)])`` with ``g = l F``, ``g . base = G = gcd(g)`` and ``kernel`` a
     basis of the integer kernel of ``g``.  ``G > 0``: ``l >= 0``,
     ``l != 0``, and the facet normals of a full-dimensional cone have no
-    positive dependence, so ``g != 0``."""
+    positive dependence, so ``g != 0``.  :func:`_parametric_levels` builds
+    the facet's witness rows, parametric in ``alpha``, from it."""
     g = tuple(dot(ell, [facet[i] for facet in S.facets]) for i in range(S.d))
     G, base = _diophantine_particular(g)
     kernel = kernel_lattice_basis(IntMatrix([list(g)]))
     return ell, c, G, base, kernel, f_map(S, base), [f_map(S, k) for k in kernel]
+
+
+def _parametric_levels(S: SemigroupData, P: NewtonPolyhedron, facet: tuple) -> Optional[list]:
+    """The witness rows of the tight facet ``facet`` (a :func:`_tight_facet`
+    set-up) for every ``alpha`` at once, projected.  With ``v = m base +
+    sum tau_j k_j`` and ``m = (alpha c - l . e) / G`` the rows
+    ``F(v) >= 0`` and ``l' . (F(v) + e) >= alpha c'``, one per facet
+    ``(l', c')`` of ``P``, times ``G`` are integer rows ``u alpha + a . tau
+    >= w``, since only ``m`` depends on ``alpha``: ``(c F(base)_s,
+    G F(k)_s; (l . e) F(base)_s)`` and ``(c l' F(base) - G c',
+    G l' F(k); (l . e) l' F(base) - G l' . e)``.  Returns their
+    :func:`~toricbsato.exactnum._fm_levels` on ``(alpha, tau)``, the
+    ``tau_j`` past ``tau_0`` eliminated, each row split as ``(u, a, w)``;
+    ``None`` if they contradict each other at every ``alpha``."""
+    ell, c, G, _, _, f_base, fk = facet
+    le = dot(ell, S.e)
+    rows = [((c * b, *(G * q[s] for q in fk)), le * b) for s, b in enumerate(f_base)]
+    for l2, c2 in P.facets:
+        lb = dot(l2, f_base)
+        rows.append(((c * lb - G * c2, *(G * dot(l2, q) for q in fk)), le * lb - G * dot(l2, S.e)))
+    levels = _fm_levels(rows, keep=2)
+    return None if levels is None else [[(a[0], a[1:], w) for a, w in lv] for lv in levels]
 
 
 def _witness_search(
@@ -368,32 +394,36 @@ def _witness_search(
     tight: Sequence[tuple],
     alpha: Fraction,
     scanned: Work,
+    systems: dict,
 ) -> tuple[Optional[Vec], bool]:
     """Find ``v`` with ``F(v) + e`` on the boundary of ``alpha * P``.
 
     Works facet by facet over ``tight``, the :func:`_tight_facet` set-ups
     of the positive-offset facets: force one facet to be tight (the
-    integer equation ``g . v = rhs``), take ``v = v0 + sum tau_j k_j`` with
-    ``v0 = (rhs // G) base`` over its kernel lattice (no solution unless ``G``
-    divides ``rhs``), and look for a parameter choice satisfying the
-    remaining inequalities.  With ``alpha = num / den`` every inequality
-    is an integer row: ``F(v) >= 0``, and ``den * l' . (F(v) + e) >=
-    num * c'`` for each facet ``(l', c')``, the membership row scaled by
-    the positive ``den``.  The rows state the exact re-check ``check``, so
-    the first row-feasible point is the witness (one failing ``check``
-    raises ``AssertionError``): the least on the line of one kernel vector,
-    else the first point of one lattice walk per window around the
-    Fourier-Motzkin point, through the levels of one elimination.  Returns
+    integer equation ``g . v = rhs``), take ``v = (rhs / G) base + sum
+    tau_j k_j`` over its kernel lattice (no solution unless ``G`` divides
+    ``rhs``), and look for a parameter choice satisfying the remaining
+    inequalities.  Their Fourier-Motzkin levels, parametric in ``alpha``
+    (:func:`_parametric_levels`), are made on the facet's first use and
+    kept in ``systems``, the call's levels by facet index.  At ``alpha =
+    num / den`` a row ``u alpha + a . tau >= w`` becomes ``(den a, den w -
+    u num)``, a positive multiple of the row of the system at ``alpha``, so
+    each evaluated level cuts every line exactly as that system's level
+    does.  The rows state the exact re-check ``check``, so the first
+    row-feasible point is the witness (one failing ``check`` raises
+    ``AssertionError``): the least on the line of one kernel vector, else
+    the first point of one lattice walk per window around the rounded
+    Fourier-Motzkin point, through the evaluated levels.  Returns
     ``(witness, exhausted)``: ``exhausted`` means a rationally feasible
     tight-facet system had no lattice point in the windows.  Each window's
     volume ``(2w+1)^k`` (a bound on the points its walk can reach) is
-    charged to ``scanned``, the call's ``WINDOW_POINTS_CAP`` counter, before
-    the window is searched.
+    charged to ``scanned``, the call's ``WINDOW_POINTS_CAP`` counter,
+    before the window is searched.
     """
     e = S.e
     num, den = alpha.numerator, alpha.denominator
     exhausted = False
-    for ell, c, G, base, kernel, f_base, fk in tight:
+    for i, (ell, c, G, base, kernel, f_base, fk) in enumerate(tight):
         rhs_q = alpha * c - dot(ell, e)
         if rhs_q.denominator != 1:
             continue
@@ -414,26 +444,25 @@ def _witness_search(
             return (0,) * S.d, exhausted
         if rhs % G:
             continue
-        v0 = tuple(rhs // G * t for t in base)
-        f0 = tuple(rhs // G * t for t in f_base)
-        # the rows a . tau >= c on the kernel parameters tau, at
-        # v = v0 + sum tau_j k_j
-        rows = [([q[s] for q in fk], -f0[s]) for s in range(S.nfacets)]
-        rows += [
-            ([den * dot(l2, q) for q in fk], num * c2 - den * (dot(l2, f0) + dot(l2, e)))
-            for l2, c2 in P.facets
+        if i not in systems:
+            systems[i] = _parametric_levels(S, P, tight[i])
+        if systems[i] is None:
+            continue
+        levels = [
+            [([den * x for x in a], den * w - u * num) for u, a, w in level]
+            for level in systems[i]
         ]
         if not kernel:
-            tau = () if all(c <= 0 for _, c in rows) else None
+            tau = () if all(c <= 0 for _, c in levels[0]) else None
         elif len(kernel) == 1:
             # the least t, else the greatest: F(k) != 0 bounds one end
-            line = next(_lattice_lines([rows], [[]]), None)
+            line = next(_lattice_lines(levels, [[]]), None)
             tau = None if line is None else (line[2] if line[1] is None else line[1],)
         else:
-            levels = _fm_levels(rows)
-            if levels is None:
+            point = _fm_witness(levels)
+            if point is None:
                 continue
-            center = [int(round(x)) for x in _fm_witness(levels)]
+            center = [int(round(x)) for x in point]
             width = WINDOW0
             for _ in range(EXPANSIONS + 1):
                 scanned.charge((2 * width + 1) ** len(kernel))
@@ -446,7 +475,8 @@ def _witness_search(
             exhausted = exhausted or tau is None
         if tau is None:
             continue
-        v = tuple(x + sum(t * k[i] for t, k in zip(tau, kernel)) for i, x in enumerate(v0))
+        m = rhs // G
+        v = tuple(m * x + sum(t * k[j] for t, k in zip(tau, kernel)) for j, x in enumerate(base))
         if not check(v):
             raise AssertionError("a row-feasible witness failed the exact re-check")
         return v, exhausted
@@ -464,10 +494,13 @@ def jumping_coefficients(
     the image onto a tight positive-offset facet, so ``alpha`` is a
     multiple of ``1/c`` for some facet offset ``c``.  Each positive-offset
     facet's lattice set-up (:func:`_tight_facet`) is made once per call and
-    shared by every candidate.  Witness search solves one exact line per
-    tight facet in dimension <= 2 and above that takes one lattice walk per
-    window (radii ``WINDOW0 * KAPPA^i``, ``i <= EXPANSIONS``) through the
-    Fourier-Motzkin projections; window volumes count against ``WINDOW_POINTS_CAP``.
+    shared by every candidate, and so is the Fourier-Motzkin projection of
+    its witness rows, with ``alpha`` kept as a coordinate, made on the
+    facet's first use.  Witness search evaluates the projection at each
+    candidate, solves one exact line per tight facet in dimension <= 2 and
+    above that takes one lattice walk per window (radii ``WINDOW0 *
+    KAPPA^i``, ``i <= EXPANSIONS``) through the evaluated levels; window
+    volumes count against ``WINDOW_POINTS_CAP``.
     """
     T = _rational(window_max)
     ideal = monomial_ideal(S, ideal)
@@ -483,8 +516,9 @@ def jumping_coefficients(
     jumps: list[tuple[Fraction, Vec]] = []
     unresolved: list[Fraction] = []
     scanned = Work("WINDOW_POINTS_CAP", WINDOW_POINTS_CAP)
+    systems: dict = {}
     for alpha in sorted(candidates):
-        witness, exhausted = _witness_search(S, P, tight, alpha, scanned)
+        witness, exhausted = _witness_search(S, P, tight, alpha, scanned, systems)
         if witness is not None:
             jumps.append((alpha, witness))
         elif exhausted and search_mode == "windowed":

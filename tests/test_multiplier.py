@@ -1,7 +1,9 @@
 """Transport, multiplier ideals, thresholds, jumping coefficients."""
 
 import dataclasses
+import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import ceil, floor
@@ -12,7 +14,15 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from toricbsato import exactnum, multiplier, polyhedra, toric
-from toricbsato.exactnum import IntMatrix, _fm_levels, _lattice_lines, _line_interval, dot
+from toricbsato.exactnum import (
+    IntMatrix,
+    _fm_levels,
+    _fm_witness,
+    _lattice_lines,
+    _line_interval,
+    _primitive_row,
+    dot,
+)
 from toricbsato.multiplier import (
     WorkCapExceeded,
     ambient_pair,
@@ -39,6 +49,8 @@ from toricbsato.toric import (
     is_normal,
     monomial_ideal,
 )
+
+from test_bsato import random_normal_cones
 
 F = Fraction
 CUSP = [[1, 1, 1, 1], [0, 1, 2, 3]]
@@ -481,7 +493,9 @@ def test_kernels_take_integer_rows_unchecked(monkeypatch):
     checked, levels = exactnum._integer_row, exactnum._fm_levels
     rows_checked, fm_runs = [], []
     monkeypatch.setattr(exactnum, "_integer_row", lambda r: rows_checked.append(r) or checked(r))
-    monkeypatch.setattr(multiplier, "_fm_levels", lambda rows: fm_runs.append(rows) or levels(rows))
+    monkeypatch.setattr(
+        multiplier, "_fm_levels", lambda rows, keep=0: fm_runs.append(rows) or levels(rows, keep)
+    )
     jumping_coefficients(S, J, 2)
     multiplier_ideal(S, J, F(3, 2))
     multiplier_ideal_with_boundary(S, J, (0, 0, -1), 1)
@@ -574,6 +588,138 @@ def test_jumps_match_the_closed_relint_oracle(case):
         relint = multiplier_ideal(S, J, alpha, "relint").generators
         assert (closed != relint) == (alpha in jumps), alpha
     assert len(jr.unresolved) == {"square": 1, "cube4": 3, "hexagon": 6}.get(case, 0)
+
+
+def reference_fm_witness(levels):
+    """Back-substitution in ``Fraction``s through Fourier-Motzkin levels:
+    each coordinate is the midpoint of its interval, or its one finite
+    end, or 0."""
+    n = len(levels)
+    witness = []
+    for k in range(1, n + 1):
+        lo, hi = [], []  # the lower and the upper bounds on x_{k-1}
+        for a, c in levels[n - k]:
+            if a[k - 1]:
+                bound = Fraction(c - dot(a[: k - 1], witness), a[k - 1])
+                (lo if a[k - 1] > 0 else hi).append(bound)
+        if lo and hi:
+            witness.append((max(lo) + min(hi)) / 2)
+        else:
+            witness.append(max(lo) if lo else min(hi) if hi else Fraction(0))
+    return witness
+
+
+def reference_witness_search(S, P, tight, alpha, scanned, systems=None):
+    """The witness search with one system per candidate and facet: the
+    rows at ``alpha = num / den`` built afresh (``F(v) >= 0`` and the
+    membership rows scaled by ``den``), a fresh :func:`_fm_levels` and
+    :func:`reference_fm_witness` for the window centre.  ``systems`` is
+    accepted and ignored, so it stands in for
+    ``multiplier._witness_search``."""
+    e = S.e
+    num, den = alpha.numerator, alpha.denominator
+    exhausted = False
+    for ell, c, G, base, kernel, f_base, fk in tight:
+        rhs_q = alpha * c - dot(ell, e)
+        if rhs_q.denominator != 1:
+            continue
+        rhs = int(rhs_q)
+
+        def check(v):
+            q = f_map(S, v)
+            if any(x < 0 for x in q) or dot(ell, q) != rhs:
+                return False
+            point = tuple(a + b for a, b in zip(q, e))
+            return membership(P, point, alpha, "closed") and not membership(
+                P, point, alpha, "relint"
+            )
+
+        if rhs == 0 and check((0,) * S.d):
+            return (0,) * S.d, exhausted
+        if rhs % G:
+            continue
+        v0 = tuple(rhs // G * t for t in base)
+        f0 = tuple(rhs // G * t for t in f_base)
+        rows = [([q[s] for q in fk], -f0[s]) for s in range(S.nfacets)]
+        rows += [
+            ([den * dot(l2, q) for q in fk], num * c2 - den * (dot(l2, f0) + dot(l2, e)))
+            for l2, c2 in P.facets
+        ]
+        if not kernel:
+            tau = () if all(c <= 0 for _, c in rows) else None
+        elif len(kernel) == 1:
+            line = next(_lattice_lines([rows], [[]]), None)
+            tau = None if line is None else (line[2] if line[1] is None else line[1],)
+        else:
+            levels = _fm_levels(rows)
+            if levels is None:
+                continue
+            center = [int(round(x)) for x in reference_fm_witness(levels)]
+            width = multiplier.WINDOW0
+            for _ in range(multiplier.EXPANSIONS + 1):
+                scanned.charge((2 * width + 1) ** len(kernel))
+                window = [[(1, x - width), (-1, -x - width)] for x in center]
+                line = next(_lattice_lines(levels[::-1], window), None)
+                if line is not None:
+                    break
+                width *= multiplier.KAPPA
+            tau = None if line is None else line[0] + (line[1],)
+            exhausted = exhausted or tau is None
+        if tau is None:
+            continue
+        v = tuple(x + sum(t * k[i] for t, k in zip(tau, kernel)) for i, x in enumerate(v0))
+        assert check(v)
+        return v, exhausted
+    return None, exhausted
+
+
+def _jumping_with(monkeypatch, search, S, J, top):
+    """``jumping_coefficients`` with ``search`` as the witness search: the
+    report (or the cap message) and the call's ``WINDOW_POINTS_CAP`` count."""
+    counters = []
+
+    def spy(S, P, tight, alpha, scanned, *rest):
+        counters.append(scanned)
+        return search(S, P, tight, alpha, scanned, *rest)
+
+    monkeypatch.setattr(multiplier, "_witness_search", spy)
+    try:
+        report = jumping_coefficients(S, J, top)
+    except WorkCapExceeded as exc:
+        report = str(exc)
+    return report, counters[0].count if counters else 0
+
+
+@pytest.mark.parametrize(
+    "d, cones, per_cone", [(1, 10, 3), (2, 40, 5), (3, 40, 5), (4, 5, 10)]
+)
+def test_parametric_search_matches_the_per_candidate_reference(monkeypatch, d, cones, per_cone):
+    """One elimination per facet, evaluated at each candidate, gives the
+    report of a fresh elimination per candidate and facet, witnesses and
+    unresolved candidates included, and charges the same window volume.
+    Ideals of 1-3 generators, each a combination of the columns with
+    coefficients 0..2, searched up to ``lct + 1``."""
+    search = multiplier._witness_search
+    rng = random.Random(33 + d)
+    stats = Counter()
+    for S, cols in random_normal_cones(rng, d, cones):
+        for _ in range(per_cone):
+            gens = []
+            for _ in range(rng.randint(1, 3)):
+                k = [rng.randint(0, 2) for _ in cols]
+                gens.append(tuple(sum(x * col[i] for x, col in zip(k, cols)) for i in range(d)))
+            J = monomial_ideal(S, gens)
+            if lct(S, J) is None:
+                continue
+            top = lct(S, J) + 1
+            got = _jumping_with(monkeypatch, search, S, J, top)
+            want = _jumping_with(monkeypatch, reference_witness_search, S, J, top)
+            assert got == want, (cols, gens)
+            stats.update(
+                ideals=1, windows=got[1] > 0, unresolved=bool(getattr(got[0], "unresolved", ()))
+            )
+    # windows are searched from dimension 3 on, and some candidates stay unsettled
+    assert (stats["windows"] > 0) == (d >= 3) and (stats["unresolved"] > 0) == (d >= 3), stats
 
 
 def test_one_lattice_set_up_per_facet(monkeypatch):
@@ -689,6 +835,94 @@ def test_window_line_search_matches_point_scan(system, width):
         window = [[(1, x - width), (-1, -x - width)] for x in center]
         line = next(_lattice_lines(levels[::-1], window), None)
         assert (None if line is None else line[0] + (line[1],)) == expected
+
+
+def _evaluate(levels, alpha):
+    """Levels on ``(alpha, tau)`` at one value of ``alpha``: the row
+    ``(u, a; w)`` becomes ``(den a, den w - u num)``."""
+    num, den = alpha.numerator, alpha.denominator
+    return [
+        [(tuple(den * x for x in a[1:]), den * w - a[0] * num) for a, w in level]
+        for level in levels
+    ]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda k: st.lists(
+            st.tuples(st.lists(st.integers(-4, 4), min_size=k + 1, max_size=k + 1),
+                      st.integers(-12, 12)),
+            min_size=1, max_size=6,
+        )
+    ),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+)
+# eliminating tau_1 leaves alpha >= -1, a zero row of the last level at
+# every alpha: true at 0, false at -2
+@example([([1, 0, 1], 0), ([1, 0, -1], -2)], F(0))
+@example([([1, 0, 1], 0), ([1, 0, -1], -2)], F(-2))
+@example([([0, 0, 0], 1), ([1, 1, 1], 0)], F(0))  # infeasible at every alpha
+def test_parametric_levels_evaluate_to_the_levels_at_alpha(rows, alpha):
+    """Eliminating the ``tau_j`` past ``tau_0`` with ``alpha`` kept as the
+    coordinate ``x_0`` commutes with fixing ``alpha``: each parametric
+    level at ``alpha``, with its zero rows dropped, made primitive and
+    deduplicated, is the level of the rows at ``alpha``, in order; and the
+    evaluated levels are infeasible (:func:`_fm_witness` returns ``None``)
+    exactly when the rows at ``alpha`` are."""
+    levels = _fm_levels(rows, keep=2)
+    at_alpha = _fm_levels(_evaluate([rows], alpha)[0])
+    if levels is None:
+        assert at_alpha is None
+        return
+    assert len(levels) == len(rows[0][0]) - 1
+    evaluated = _evaluate(levels, alpha)
+    witness = _fm_witness(evaluated)
+    assert (witness is None) == (at_alpha is None)
+    if at_alpha is None:
+        return
+    assert witness == reference_fm_witness(at_alpha)
+    for level, want in zip(evaluated, at_alpha, strict=True):
+        assert list(dict.fromkeys(_primitive_row(a, c) for a, c in level if any(a))) == want
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda k: st.lists(
+            st.tuples(st.lists(st.integers(-5, 5), min_size=k, max_size=k),
+                      st.integers(-20, 20)),
+            min_size=1, max_size=7,
+        )
+    )
+)
+@example([([2], 1), ([-2], -3)])  # 1/2 <= x <= 3/2: the midpoint 1 is exact
+@example([([1], 0), ([-1], -1)])  # 0 <= x <= 1: midpoint 1/2 rounds to 0
+@example([([1], 1), ([-1], -2)])  # 1 <= x <= 2: midpoint 3/2 rounds to 2
+@example([([1, 0], 0), ([-1, 0], -1), ([-1, 2], 0), ([1, -2], -2)])  # x_1 in [x_0/2, x_0/2 + 1]
+def test_integer_back_substitution_matches_fractions(rows):
+    """The back-substitution over one common integer denominator gives the
+    ``Fraction`` point coordinate for coordinate, so rounding it (half to
+    even) gives the same window centre."""
+    levels = _fm_levels(rows)
+    assume(levels is not None)
+    point = _fm_witness(levels)
+    assert point == reference_fm_witness(levels)
+    assert all(dot(a, point) >= c for a, c in rows)
+
+
+def test_back_substitution_reports_an_empty_first_interval():
+    # the levels of a system at one parameter value, whose last coordinate
+    # was never eliminated: 1 <= x_0 <= 0 and 0 >= 1 are empty
+    assert _fm_witness([[((1,), 1), ((-1,), 0)]]) is None
+    assert _fm_witness([[((0,), 1), ((1,), 0)]]) is None
+    assert _fm_witness([[((1, 1), 0)], [((1,), 1), ((-1,), 0)]]) is None
+    # x_0 = 1/2 exactly is no empty interval
+    assert _fm_witness([[((2,), 1), ((-2,), -1)]]) == [F(1, 2)]
+    assert _fm_witness([[((0,), 0), ((1,), 2)]]) == [F(2)]
+    # window centres round the midpoints 1/2 and 3/2 half to even
+    assert [round(x) for x in _fm_witness([[((1,), 0), ((-1,), -1)]])] == [0]
+    assert [round(x) for x in _fm_witness([[((1,), 1), ((-1,), -2)]])] == [2]
 
 
 @settings(max_examples=300, deadline=None)
