@@ -36,13 +36,14 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import ceil, floor, prod
+from operator import add
 from typing import Optional, Sequence, Union
 
 from . import toric
 from .bsato import bfunction
 from .exactnum import IntMatrix, Vec, Work, WorkCapExceeded, _fm_levels, _fm_witness, dot
 from .exactnum import _int_vector, _lattice_lines, _rational, kernel_lattice_basis
-from .polyhedra import NewtonPolyhedron, inequality_vertices, membership
+from .polyhedra import NewtonPolyhedron, _vertex_rays, membership
 from .toric import (
     MonomialIdeal,
     SemigroupData,
@@ -181,7 +182,11 @@ def _minimal_members(
     ``p`` in the hull of the vertices of ``R`` and at most ``d`` nonzero
     ``mu_j``, and removing ``sum floor(mu_j) a_j`` leaves a member dividing
     it: so the box ``F_k(v) <= max_vertex F_k + (d largest F_k(a_j))``
-    holds every minimal generator.
+    holds every minimal generator.  The vertices come as the integer rays
+    ``(y_0, x)`` of the homogenized region
+    (:func:`~toricbsato.polyhedra._vertex_rays`), vertex ``x / y_0``; since
+    the reach is an integer, ``box_k = max floor(F_k . x / y_0) + reach``
+    is that bound rounded down, in integers.
 
     The box is scanned by one lattice walk in ``Z^d``: the section
     ``X F = p I`` (``p > 0`` after a sign flip) bounds the first ``d - 1``
@@ -190,19 +195,20 @@ def _minimal_members(
     ``F_k(v) <= box_k``, so every ``t`` of its interval is a member.
     ``SCAN_POINTS_CAP`` counts the work paid for: the heads of the first
     ``d - 1`` coordinates (one line solve each) before the scan, then each
-    line's members before they are listed."""
+    line's members before they are listed.  Along a line ``F(v)`` steps by
+    ``F(e_d)``."""
     region = {f: 0 for f in S.facets}  # row -> integer right-hand side
     for ell, c in ideal.transported_polyhedron.facets:
         t = alpha * c + dot(ell, shift)
         b = floor(t) + 1 if mode == "relint" else ceil(t)
         row = tuple(dot(ell, col) for col in zip(*S.facets))  # l F
         region[row] = max(b, region.get(row, b))
-    vertices = inequality_vertices(list(region.items()))
+    vertices = _vertex_rays(list(region.items()))
     cols = S.A.columns()
     box = []
     for f in S.facets:
         reach = sum(sorted((dot(f, a) for a in cols), reverse=True)[: S.d])
-        box.append(floor(max(dot(f, x) for x in vertices) + reach))
+        box.append(max(dot(f, y[1:]) // y[0] for y in vertices) + reach)
     X, p = S.section
     if p < 0:
         X, p = [[-x for x in row] for row in X], -p
@@ -217,11 +223,13 @@ def _minimal_members(
     rows = list(region.items()) + [(tuple(-x for x in f), -b) for f, b in zip(S.facets, box)]
     bounds = [[(1, lo), (-1, -hi)] for lo, hi in heads] + [[]]
     members: list[tuple[Vec, Vec]] = []  # (q, v)
+    step = tuple(f[-1] for f in S.facets)  # F(e_d)
     for head, lo, hi in _lattice_lines([[]] * len(heads) + [rows], bounds):
         work.charge(hi - lo + 1)
+        q = f_map(S, head + (lo,))
         for t in range(lo, hi + 1):
-            v = head + (t,)
-            members.append((f_map(S, v), v))
+            members.append((q, head + (t,)))
+            q = tuple(map(add, q, step))
     gens = tuple(sorted(v for _, v in minimal_points(members)))
     return MultiplierIdealResult(alpha, mode, gens, tuple(box), stabilized=True)
 
@@ -353,39 +361,41 @@ def _diophantine_particular(g: Sequence[int]) -> tuple[int, Vec]:
 
 
 def _tight_facet(S: SemigroupData, ell: Vec, c: int) -> tuple:
-    """The lattice set-up of the positive-offset facet ``(l, c)``, which
-    does not depend on ``alpha``: ``(l, c, G, base, kernel, F(base),
-    [F(k)])`` with ``g = l F``, ``g . base = G = gcd(g)`` and ``kernel`` a
-    basis of the integer kernel of ``g``.  ``G > 0``: ``l >= 0``,
-    ``l != 0``, and the facet normals of a full-dimensional cone have no
-    positive dependence, so ``g != 0``.  :func:`_parametric_levels` builds
-    the facet's witness rows, parametric in ``alpha``, from it."""
+    """The eager part of the lattice set-up of the positive-offset facet
+    ``(l, c)``, which does not depend on ``alpha``: ``(l, c, g, G, base)``
+    with ``g = l F`` and ``g . base = G = gcd(g)``, all that the test
+    whether ``G`` divides a candidate's right-hand side needs.  ``G > 0``:
+    ``l >= 0``, ``l != 0``, and the facet normals of a full-dimensional
+    cone have no positive dependence, so ``g != 0``.
+    :func:`_parametric_levels` builds the rest on the facet's first use."""
     g = tuple(dot(ell, [facet[i] for facet in S.facets]) for i in range(S.d))
     G, base = _diophantine_particular(g)
-    kernel = kernel_lattice_basis(IntMatrix([list(g)]))
-    return ell, c, G, base, kernel, f_map(S, base), [f_map(S, k) for k in kernel]
+    return ell, c, g, G, base
 
 
-def _parametric_levels(S: SemigroupData, P: NewtonPolyhedron, facet: tuple) -> Optional[list]:
-    """The witness rows of the tight facet ``facet`` (a :func:`_tight_facet`
-    set-up) for every ``alpha`` at once, projected.  With ``v = m base +
-    sum tau_j k_j`` and ``m = (alpha c - l . e) / G`` the rows
-    ``F(v) >= 0`` and ``l' . (F(v) + e) >= alpha c'``, one per facet
-    ``(l', c')`` of ``P``, times ``G`` are integer rows ``u alpha + a . tau
-    >= w``, since only ``m`` depends on ``alpha``: ``(c F(base)_s,
-    G F(k)_s; (l . e) F(base)_s)`` and ``(c l' F(base) - G c',
-    G l' F(k); (l . e) l' F(base) - G l' . e)``.  Returns their
+def _parametric_levels(S: SemigroupData, P: NewtonPolyhedron, facet: tuple) -> tuple:
+    """``(kernel, levels)`` for the tight facet ``facet`` (a
+    :func:`_tight_facet` set-up): ``kernel`` a basis of the integer kernel
+    of ``g``, and the facet's witness rows for every ``alpha`` at once,
+    projected.  With ``v = m base + sum tau_j k_j`` and ``m = (alpha c -
+    l . e) / G`` the rows ``F(v) >= 0`` and ``l' . (F(v) + e) >= alpha
+    c'``, one per facet ``(l', c')`` of ``P``, times ``G`` are integer rows
+    ``u alpha + a . tau >= w``, since only ``m`` depends on ``alpha``:
+    ``(c F(base)_s, G F(k)_s; (l . e) F(base)_s)`` and ``(c l' F(base) - G
+    c', G l' F(k); (l . e) l' F(base) - G l' . e)``.  ``levels`` are their
     :func:`~toricbsato.exactnum._fm_levels` on ``(alpha, tau)``, the
     ``tau_j`` past ``tau_0`` eliminated, each row split as ``(u, a, w)``;
     ``None`` if they contradict each other at every ``alpha``."""
-    ell, c, G, _, _, f_base, fk = facet
+    ell, c, g, G, base = facet
+    kernel = kernel_lattice_basis(IntMatrix([list(g)]))
+    f_base, fk = f_map(S, base), [f_map(S, k) for k in kernel]
     le = dot(ell, S.e)
     rows = [((c * b, *(G * q[s] for q in fk)), le * b) for s, b in enumerate(f_base)]
     for l2, c2 in P.facets:
         lb = dot(l2, f_base)
         rows.append(((c * lb - G * c2, *(G * dot(l2, q) for q in fk)), le * lb - G * dot(l2, S.e)))
     levels = _fm_levels(rows, keep=2)
-    return None if levels is None else [[(a[0], a[1:], w) for a, w in lv] for lv in levels]
+    return kernel, None if levels is None else [[(a[0], a[1:], w) for a, w in lv] for lv in levels]
 
 
 def _witness_search(
@@ -403,13 +413,13 @@ def _witness_search(
     integer equation ``g . v = rhs``), take ``v = (rhs / G) base + sum
     tau_j k_j`` over its kernel lattice (no solution unless ``G`` divides
     ``rhs``), and look for a parameter choice satisfying the remaining
-    inequalities.  Their Fourier-Motzkin levels, parametric in ``alpha``
-    (:func:`_parametric_levels`), are made on the facet's first use and
-    kept in ``systems``, the call's levels by facet index.  At ``alpha =
-    num / den`` a row ``u alpha + a . tau >= w`` becomes ``(den a, den w -
-    u num)``, a positive multiple of the row of the system at ``alpha``, so
-    each evaluated level cuts every line exactly as that system's level
-    does.  The rows state the exact re-check ``check``, so the first
+    inequalities.  The kernel lattice and the Fourier-Motzkin levels,
+    parametric in ``alpha`` (:func:`_parametric_levels`), are made on the
+    facet's first use and kept in ``systems``, the call's ``(kernel,
+    levels)`` by facet index.  At ``alpha = num / den`` a row ``u alpha +
+    a . tau >= w`` becomes ``(den a, den w - u num)``, a positive multiple
+    of the row of the system at ``alpha``, so each evaluated level cuts
+    every line exactly as that system's level does.  The rows state the exact re-check ``check``, so the first
     row-feasible point is the witness (one failing ``check`` raises
     ``AssertionError``): the least on the line of one kernel vector, else
     the first point of one lattice walk per window around the rounded
@@ -423,7 +433,7 @@ def _witness_search(
     e = S.e
     num, den = alpha.numerator, alpha.denominator
     exhausted = False
-    for i, (ell, c, G, base, kernel, f_base, fk) in enumerate(tight):
+    for i, (ell, c, _, G, base) in enumerate(tight):
         rhs_q = alpha * c - dot(ell, e)
         if rhs_q.denominator != 1:
             continue
@@ -446,11 +456,12 @@ def _witness_search(
             continue
         if i not in systems:
             systems[i] = _parametric_levels(S, P, tight[i])
-        if systems[i] is None:
+        kernel, parametric = systems[i]
+        if parametric is None:
             continue
         levels = [
             [([den * x for x in a], den * w - u * num) for u, a, w in level]
-            for level in systems[i]
+            for level in parametric
         ]
         if not kernel:
             tau = () if all(c <= 0 for _, c in levels[0]) else None
@@ -493,10 +504,10 @@ def jumping_coefficients(
     Candidates are complete: a jump at ``alpha`` forces a lattice point of
     the image onto a tight positive-offset facet, so ``alpha`` is a
     multiple of ``1/c`` for some facet offset ``c``.  Each positive-offset
-    facet's lattice set-up (:func:`_tight_facet`) is made once per call and
-    shared by every candidate, and so is the Fourier-Motzkin projection of
-    its witness rows, with ``alpha`` kept as a coordinate, made on the
-    facet's first use.  Witness search evaluates the projection at each
+    facet's particular solution (:func:`_tight_facet`) is made once per
+    call and shared by every candidate; its kernel lattice and the
+    Fourier-Motzkin projection of its witness rows, with ``alpha`` kept as
+    a coordinate, are made together on the facet's first use.  Witness search evaluates the projection at each
     candidate, solves one exact line per tight facet in dimension <= 2 and
     above that takes one lattice walk per window (radii ``WINDOW0 *
     KAPPA^i``, ``i <= EXPANSIONS``) through the evaluated levels; window

@@ -8,7 +8,14 @@ dimension up: the facet normals of a cone and the vertices of an
 inequality system are both the extreme rays of a cone ``{y : r . y >= 0}``,
 found by one integer double description routine whose ray pairs are
 counted against ``RAY_PAIRS_CAP``; :func:`inequality_vertices` reads the
-vertices back off the facets.  Membership in dilations, relative-interior
+vertices back off the facets.  The routine starts from ``dim`` independent
+rows and the simplicial cone they cut out.  In general one fraction-free
+elimination finds the first such rows and that cone's rays.  A Newton
+polyhedron whose recession rays hold every unit vector (every transported
+polyhedron: its recession cone is the orthant) needs none: the rows
+``(1, p_0)`` and ``(0, e_k)`` form a unit upper triangular matrix, so they
+are independent and the rays ``(1, 0)`` and ``(-p_0k, e_k)`` of its inverse
+are integral and primitive.  Membership in dilations, relative-interior
 membership and the point threshold (the dilation factor at which a point
 enters the boundary) are all exact.
 
@@ -21,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 from typing import Optional, Sequence
 
 from .exactnum import (
@@ -47,34 +55,55 @@ __all__ = [
 RAY_PAIRS_CAP = 10_000_000
 
 
-def _cone_rays(rows: Sequence[Vec], dim: int) -> Optional[list[Vec]]:
+def _simplicial_start(rows: Sequence[Vec], dim: int) -> Optional[list[tuple[int, Vec]]]:
+    """The start of :func:`_cone_rays` read off one fraction-free
+    elimination of ``[rows^T | I]``, or ``None`` when the rows do not span
+    ``R^dim``.  The matrix has rank ``dim``, and its ``dim`` pivots all lie
+    among the first ``len(rows)`` columns exactly when the rows span; they
+    are then the first ``dim`` independent rows ``B``, as the identity
+    block takes no part in choosing them.  The row operations ``L`` satisfy
+    ``L B^T = p I``, so row ``j`` of ``L`` is ``p`` times column ``j`` of
+    ``B^-1``, and ``p`` times that row a positive multiple of the column:
+    the start ray tight on every row of ``B`` but row ``j``."""
+    m = len(rows)
+    a, pivots, p = _bareiss(
+        [[r[k] for r in rows] + [int(k == j) for j in range(dim)] for k in range(dim)]
+    )
+    if pivots and pivots[-1] >= m:
+        return None
+    return [(i, primitive_vector([p * x for x in a[j][m:]])) for j, i in enumerate(pivots)]
+
+
+def _cone_rays(
+    rows: Sequence[Vec], dim: int, start: Optional[list[tuple[int, Vec]]] = None
+) -> Optional[list[Vec]]:
     """Primitive extreme rays of ``{y : r . y >= 0 for r in rows}`` (integer
     rows in ``R^dim``), or ``None`` when the rows do not span ``R^dim``.
 
     Integer double description (Motzkin et al. 1953; Fukuda and Prodon
-    1996): the first ``dim`` independent rows ``B`` give the simplicial
-    start rays, the columns of ``B^-1`` signed so that ``B y >= 0``.  Each
-    further row ``r`` keeps the rays with ``r . y >= 0`` and adds
-    ``(r . u) w - (r . w) u`` for each adjacent pair with ``r . u > 0 > r . w``.
-    A ray's zero set (its tight rows) is a bitmask; two rays are adjacent
-    when their common zero set has at least ``dim - 2`` rows and lies in
-    no third ray's zero set.  Each row's pairs are counted before they are
-    tested, against ``RAY_PAIRS_CAP``."""
-    _, basis, _ = _bareiss(list(zip(*rows)))
-    if len(basis) < dim:
-        return None
-    a, _, p = _bareiss([list(rows[i]) + [int(i == k) for k in basis] for i in basis])
-    full = sum(1 << i for i in basis)
-    # B (p B^-1) = p I, and the factor p signs each column
-    rays = [
-        (primitive_vector([p * row[dim + j] for row in a]), full ^ (1 << i))
-        for j, i in enumerate(basis)
-    ]
+    1996).  It starts from ``dim`` independent rows ``B`` and the
+    simplicial cone ``{y : B y >= 0}``, whose extreme rays are the columns
+    of ``B^-1``, each tight on all rows of ``B`` but one.  ``start`` lists
+    them as ``(row index, ray)`` pairs when the caller knows them in closed
+    form; otherwise :func:`_simplicial_start` finds the first ``dim``
+    independent rows and their rays by one elimination.  Each further row
+    ``r`` keeps the rays with ``r . y >= 0`` and adds ``(r . u) w - (r . w)
+    u`` for each adjacent pair with ``r . u > 0 > r . w``.  A ray's zero set
+    (its tight rows) is a bitmask; two rays are adjacent when their common
+    zero set has at least ``dim - 2`` rows and lies in no third ray's zero
+    set.  Each row's pairs are counted before they are tested, against
+    ``RAY_PAIRS_CAP``."""
+    if start is None:
+        start = _simplicial_start(rows, dim)
+        if start is None:
+            return None
+    full = sum(1 << i for i, _ in start)
+    rays = [(y, full ^ (1 << i)) for i, y in start]
     pairs = Work("RAY_PAIRS_CAP", RAY_PAIRS_CAP)
     for i, r in enumerate(rows):
-        if i in basis:
-            continue
         bit = 1 << i
+        if full & bit:
+            continue
         vals = [(dot(r, y), y, z) for y, z in rays]
         pos = [t for t in vals if t[0] > 0]
         neg = [t for t in vals if t[0] < 0]
@@ -108,15 +137,25 @@ def cone_facet_normals(generators: Sequence[Vec], dim: int) -> list[Vec]:
     return sorted(rays, reverse=True)
 
 
-def inequality_vertices(rows: Sequence[tuple[Vec, int]]) -> list[tuple[Fraction, ...]]:
-    """Sorted vertices of ``{x : a . x >= c for (a, c) in rows}`` (integer
-    rows); empty when the polyhedron is empty or contains a line.  They are
-    the rays ``(y_0, x)`` with ``y_0 > 0`` of the cone
-    ``{(y_0, x) : y_0 >= 0, a . x >= c y_0}``, divided by ``y_0``."""
+def _vertex_rays(rows: Sequence[tuple[Vec, int]]) -> list[Vec]:
+    """The vertices of ``{x : a . x >= c for (a, c) in rows}`` (integer
+    rows of one arity) as integer rays ``(y_0, x)``, ``y_0 > 0``, of the
+    cone ``{(y_0, x) : y_0 >= 0, a . x >= c y_0}``: the vertex is
+    ``x / y_0``.  Empty when the polyhedron is empty or contains a line."""
     dim = len(rows[0][0])
     homog = [(1,) + (0,) * dim] + [(-c, *a) for a, c in rows]
-    rays = _cone_rays(homog, dim + 1) or []
-    return sorted(tuple(Fraction(x, y[0]) for x in y[1:]) for y in rays if y[0] > 0)
+    return [y for y in _cone_rays(homog, dim + 1) or [] if y[0] > 0]
+
+
+def inequality_vertices(rows: Sequence[tuple[Vec, int]]) -> list[tuple[Fraction, ...]]:
+    """Sorted vertices of ``{x : a . x >= c for (a, c) in rows}``; empty
+    when the polyhedron is empty or contains a line.  The rows must be
+    integer (a float or a Fraction raises ``TypeError``), nonempty and of
+    one arity (else ``ValueError``)."""
+    checked = [(_int_vector(a), index(c)) for a, c in rows]
+    if not checked or len({len(a) for a, _ in checked}) != 1:
+        raise ValueError("inequality rows must be nonempty and of one arity")
+    return sorted(tuple(Fraction(x, y[0]) for x in y[1:]) for y in _vertex_rays(checked))
 
 
 @dataclass(frozen=True)
@@ -151,7 +190,15 @@ def newton_polyhedron(points: Sequence[Vec], rays: Sequence[Vec]) -> NewtonPolyh
         raise ValueError("dimension mismatch between points and rays")
 
     homog = [(1,) + p for p in pts] + [(0,) + r for r in rys]
-    normals = _cone_rays(homog, n + 1)
+    units = [tuple(int(j == k) for j in range(n)) for k in range(n)]
+    start = None
+    if set(units) <= set(rys):
+        # rows (1, p_0) and (0, e_k): unit upper triangular, so the start
+        # rays are (1, 0) and (-p_0k, e_k), with no elimination
+        start = [(0, (1,) + (0,) * n)] + [
+            (len(pts) + rys.index(u), (-pts[0][k],) + u) for k, u in enumerate(units)
+        ]
+    normals = _cone_rays(homog, n + 1, start)
     if normals is None:
         raise ValueError("polyhedron not full-dimensional")
 

@@ -38,6 +38,7 @@ from toricbsato.multiplier import (
 from toricbsato.multipoly import MultiPoly, UniPoly
 from toricbsato.polyhedra import (
     cone_facet_normals,
+    inequality_vertices,
     membership,
     newton_polyhedron,
     point_threshold,
@@ -215,19 +216,40 @@ def test_generating_box_on_the_hexagon(data):
 
 
 def _check_generating_box(S, ideal, alpha, data):
-    """Draw a mode and the plain or boundary variant; compare with the scan."""
+    """Draw a mode and the plain or boundary variant; compare with the scan,
+    and the integer box with the box over the region's Fraction vertices."""
+    regions = []
+
+    def spy(rows):
+        regions.append(rows)
+        return polyhedra._vertex_rays(rows)
+
     mode = data.draw(st.sampled_from(["relint", "closed"]))
-    if data.draw(st.booleans()):
-        res = multiplier_ideal(S, ideal, alpha, mode)
-        member = _plain_member(S, ideal, alpha, mode)
-    else:
-        k = data.draw(st.integers(1, 3))
-        w = tuple(F(x, k) for x in data.draw(st.lists(st.integers(-2, 2), min_size=S.d, max_size=S.d)))
-        assume(all(dot(f, w) >= -1 for f in S.facets))  # an effective boundary divisor
-        res = multiplier_ideal_with_boundary(S, ideal, w, alpha, mode)
-        member = _twisted_member(S, ideal, w, alpha, mode)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(multiplier, "_vertex_rays", spy)
+        if data.draw(st.booleans()):
+            res = multiplier_ideal(S, ideal, alpha, mode)
+            member = _plain_member(S, ideal, alpha, mode)
+        else:
+            k = data.draw(st.integers(1, 3))
+            w = tuple(F(x, k) for x in data.draw(st.lists(st.integers(-2, 2), min_size=S.d, max_size=S.d)))
+            assume(all(dot(f, w) >= -1 for f in S.facets))  # an effective boundary divisor
+            res = multiplier_ideal_with_boundary(S, ideal, w, alpha, mode)
+            member = _twisted_member(S, ideal, w, alpha, mode)
     assert res.stabilized
+    assert res.box_used == _fraction_box(S, regions[0])
     assert res.generators == _scan_minimal_members(S, [2 * b + 2 for b in res.box_used], member)
+
+
+def _fraction_box(S, region):
+    """Reference generating box: ``floor(max_vertex F_k + reach)`` over the
+    ``Fraction`` vertices of the region rows."""
+    vertices = inequality_vertices(region)
+    box = []
+    for f in S.facets:
+        reach = sum(sorted((dot(f, a) for a in S.A.columns()), reverse=True)[: S.d])
+        box.append(floor(max(dot(f, x) for x in vertices) + reach))
+    return tuple(box)
 
 
 def _plain_member(S, ideal, alpha, mode):
@@ -619,7 +641,7 @@ def reference_witness_search(S, P, tight, alpha, scanned, systems=None):
     e = S.e
     num, den = alpha.numerator, alpha.denominator
     exhausted = False
-    for ell, c, G, base, kernel, f_base, fk in tight:
+    for ell, c, g, G, base in tight:
         rhs_q = alpha * c - dot(ell, e)
         if rhs_q.denominator != 1:
             continue
@@ -638,8 +660,10 @@ def reference_witness_search(S, P, tight, alpha, scanned, systems=None):
             return (0,) * S.d, exhausted
         if rhs % G:
             continue
+        kernel = exactnum.kernel_lattice_basis(IntMatrix([list(g)]))
+        fk = [f_map(S, k) for k in kernel]
         v0 = tuple(rhs // G * t for t in base)
-        f0 = tuple(rhs // G * t for t in f_base)
+        f0 = f_map(S, v0)
         rows = [([q[s] for q in fk], -f0[s]) for s in range(S.nfacets)]
         rows += [
             ([den * dot(l2, q) for q in fk], num * c2 - den * (dot(l2, f0) + dot(l2, e)))
@@ -723,15 +747,19 @@ def test_parametric_search_matches_the_per_candidate_reference(monkeypatch, d, c
 
 
 def test_one_lattice_set_up_per_facet(monkeypatch):
-    """Each positive-offset facet's kernel lattice is computed once per
-    call, not once per candidate."""
+    """A positive-offset facet's kernel lattice is computed once per call,
+    not once per candidate, and only for a facet whose witness levels are
+    built: together with them, on the facet's first use."""
     gens, top, _, _ = WINDOWED_JUMPS["hexagon"]
     S = build_semigroup(NORMAL_CONES["hexagon"])
     J = monomial_ideal(S, gens)
     P = transported_polyhedron(S, J)
     kernels = _count_calls(monkeypatch, multiplier.kernel_lattice_basis)
+    levels = _count_calls(monkeypatch, multiplier._parametric_levels)
     jumping_coefficients(S, J, F(top))
-    assert len(kernels) == sum(1 for _, c in P.facets if c > 0)
+    facets = [args[2] for args in levels]
+    assert len(kernels) == len(facets) == len(set(facets))
+    assert 0 < len(facets) < sum(1 for _, c in P.facets if c > 0)
 
 
 def test_window_points_cap(monkeypatch):

@@ -33,6 +33,7 @@ from toricbsato.polyhedra import (
     newton_polyhedron,
     point_threshold,
 )
+from toricbsato.toric import build_semigroup, monomial_ideal
 
 F = Fraction
 ORTHANT2 = [(1, 0), (0, 1)]
@@ -130,6 +131,128 @@ def test_newton_polyhedron_makes_no_rank_call(monkeypatch):
     with pytest.raises(ValueError, match="polyhedron not full-dimensional"):
         newton_polyhedron([(0, 0), (1, 1)], [(1, 1)])
     assert calls == []
+
+
+def reference_cone_rays(rows, dim):
+    """The double description with its start from two eliminations: one of
+    ``rows^T`` for the first ``dim`` independent rows ``B``, one of ``[B |
+    I]`` for the columns of ``B^-1``.  Returns ``(rays, pairs)``, ``pairs``
+    the ``(+, -)`` ray pairs tested, or ``None`` when the rows do not span
+    ``R^dim``; no cap."""
+    _, basis, _ = _bareiss(list(zip(*rows)))
+    if len(basis) < dim:
+        return None
+    a, _, p = _bareiss([list(rows[i]) + [int(i == k) for k in basis] for i in basis])
+    full = sum(1 << i for i in basis)
+    rays = [
+        (primitive_vector([p * row[dim + j] for row in a]), full ^ (1 << i))
+        for j, i in enumerate(basis)
+    ]
+    pairs = 0
+    for i, r in enumerate(rows):
+        if i in basis:
+            continue
+        vals = [(dot(r, y), y, z) for y, z in rays]
+        pos = [t for t in vals if t[0] > 0]
+        neg = [t for t in vals if t[0] < 0]
+        pairs += len(pos) * len(neg)
+        kept = [(y, z | 1 << i if v == 0 else z) for v, y, z in vals if v >= 0]
+        for vp, yp, zp in pos:
+            for vn, yn, zn in neg:
+                common = zp & zn
+                if common.bit_count() >= dim - 2 and not any(
+                    z & common == common and z != zp and z != zn for _, z in rays
+                ):
+                    y = primitive_vector([vp * x - vn * w for x, w in zip(yn, yp)])
+                    kept.append((y, common | 1 << i))
+        rays = kept
+    return [y for y, _ in rays], pairs
+
+
+def _cone_rays_and_pairs(rows, dim):
+    """``polyhedra._cone_rays`` and the ray pairs its counter was charged."""
+    counters = []
+
+    def counted(cap, limit):
+        counters.append(exactnum.Work(cap, limit))
+        return counters[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polyhedra, "Work", counted)
+        rays = polyhedra._cone_rays(rows, dim)
+    return rays, sum(w.count for w in counters)
+
+
+@given(
+    st.integers(1, 5).flatmap(
+        lambda dim: st.tuples(
+            st.just(dim),
+            st.lists(st.tuples(*[st.integers(-3, 3)] * dim), min_size=1, max_size=9),
+        )
+    )
+)
+@example((3, [(1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)]))  # a row repeats a start row
+@example((3, [(1, 1, 0), (2, 2, 0), (0, 0, 1)]))  # rank 2
+@settings(max_examples=300, deadline=None)
+def test_one_elimination_start_matches_the_two_elimination_reference(case):
+    """The start read off one elimination of ``[rows^T | I]`` picks the
+    reference's first independent rows and start rays: the same rays and
+    the same ray-pair count, or ``None`` for both."""
+    dim, rows = case
+    want = reference_cone_rays(rows, dim)
+    rays, pairs = _cone_rays_and_pairs(rows, dim)
+    if want is None:
+        assert rays is None
+    else:
+        assert set(rays) == set(want[0]) and len(rays) == len(want[0])
+        assert pairs == want[1]
+
+
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.tuples(*[st.integers(0, 5)] * n), min_size=1, max_size=5),
+            st.permutations([tuple(int(j == k) for j in range(n)) for k in range(n)]),
+            st.lists(st.tuples(*[st.integers(-1, 3)] * n).filter(any), max_size=3),
+        )
+    )
+)
+@example(([(2, 1, 0), (1, 2, 0)], [(0, 0, 1), (1, 0, 0), (0, 1, 0)], [(1, 1, 0), (0, 2, 1)]))
+@settings(max_examples=200, deadline=None)
+def test_orthant_start_gives_the_reference_facets(case):
+    """With every unit vector among the rays, shuffled and with extra rays
+    (redundant ones in the orthant, or others), the closed-form start gives
+    the facets of the elimination start."""
+    points, units, extra = case
+    rays = units + extra
+    P = newton_polyhedron(points, rays)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polyhedra, "_cone_rays", lambda rows, dim, start=None: reference_cone_rays(rows, dim)[0])
+        assert P == newton_polyhedron(points, rays)
+
+
+def test_orthant_newton_polyhedron_makes_no_elimination(monkeypatch):
+    """A Newton polyhedron whose rays hold every unit vector, as every
+    transported polyhedron does, starts its double description in closed
+    form; any other double description makes one elimination."""
+    S = build_semigroup([[1, 1, 1, 1], [0, 1, 2, 3]])
+    ideal = monomial_ideal(S, [(2, 1), (2, 3), (3, 6)])
+    calls = []
+
+    def spy(rows):
+        calls.append(rows)
+        return _bareiss(rows)
+
+    monkeypatch.setattr(polyhedra, "_bareiss", spy)
+    P = newton_polyhedron([(0, 4), (1, 1), (2, 2), (4, 0)], [(0, 1), (1, 1), (1, 0)])
+    assert ideal.transported_polyhedron.facets
+    assert calls == []
+    assert inequality_vertices(list(P.facets)) == [(0, 4), (1, 1), (4, 0)]
+    assert len(calls) == 1
+    newton_polyhedron([(1, 1), (1, 2)], [(1, 0), (1, 3)])
+    assert len(calls) == 2
+    cone_facet_normals([(1, 0), (1, 3)], 2)
+    assert len(calls) == 3
 
 
 point_sets = st.lists(
@@ -321,6 +444,20 @@ def test_ray_pairs_cap(monkeypatch):
     with pytest.raises(WorkCapExceeded, match="RAY_PAIRS_CAP exceeded: 811 > 810") as exc:
         cone_facet_normals(columns, 5)
     assert exc.value.cap == "RAY_PAIRS_CAP"
+
+
+def test_inequality_vertices_refuse_rows_that_are_not_integer():
+    # each of these used to be answered: [(1, 0)], [], [] and an IndexError
+    with pytest.raises(TypeError):
+        inequality_vertices([((1, 0), F(3, 2)), ((0, 1), F(1, 3))])
+    with pytest.raises(TypeError):
+        inequality_vertices([((F(1, 2), 0), 1), ((0, 1), 0)])
+    with pytest.raises(TypeError):
+        inequality_vertices([((1.0, 0), 1), ((0, 1), 0)])
+    with pytest.raises(ValueError, match="one arity"):
+        inequality_vertices([((1, 0), 1), ((0, 1, 0), 0), ((0, 0, 1), 0)])
+    with pytest.raises(ValueError, match="nonempty"):
+        inequality_vertices([])
 
 
 def test_rows_of_low_rank():
