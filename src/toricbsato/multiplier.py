@@ -419,16 +419,16 @@ def _witness_search(
     levels)`` by facet index.  At ``alpha = num / den`` a row ``u alpha +
     a . tau >= w`` becomes ``(den a, den w - u num)``, a positive multiple
     of the row of the system at ``alpha``, so each evaluated level cuts
-    every line exactly as that system's level does.  The rows state the exact re-check ``check``, so the first
-    row-feasible point is the witness (one failing ``check`` raises
-    ``AssertionError``): the least on the line of one kernel vector, else
-    the first point of one lattice walk per window around the rounded
-    Fourier-Motzkin point, through the evaluated levels.  Returns
-    ``(witness, exhausted)``: ``exhausted`` means a rationally feasible
-    tight-facet system had no lattice point in the windows.  Each window's
-    volume ``(2w+1)^k`` (a bound on the points its walk can reach) is
-    charged to ``scanned``, the call's ``WINDOW_POINTS_CAP`` counter,
-    before the window is searched.
+    every line exactly as that system's level does.  The rows state the
+    exact re-check ``check``, so the first row-feasible point is the
+    witness (one failing ``check`` raises ``AssertionError``): the least
+    on the line of one kernel vector, else the first point of one lattice
+    walk per window around the rounded Fourier-Motzkin point, through the
+    evaluated levels.  Returns ``(witness, exhausted)``: ``exhausted``
+    means a rationally feasible tight-facet system had no lattice point in
+    the windows.  Each window's volume ``(2w+1)^k`` (a bound on the points
+    its walk can reach) is charged to ``scanned``, the call's
+    ``WINDOW_POINTS_CAP`` counter, before the window is searched.
     """
     e = S.e
     num, den = alpha.numerator, alpha.denominator
@@ -507,8 +507,9 @@ def jumping_coefficients(
     facet's particular solution (:func:`_tight_facet`) is made once per
     call and shared by every candidate; its kernel lattice and the
     Fourier-Motzkin projection of its witness rows, with ``alpha`` kept as
-    a coordinate, are made together on the facet's first use.  Witness search evaluates the projection at each
-    candidate, solves one exact line per tight facet in dimension <= 2 and
+    a coordinate, are made together on the facet's first use.  Witness
+    search evaluates the projection at each candidate, solves one exact
+    line per tight facet in dimension <= 2 and
     above that takes one lattice walk per window (radii ``WINDOW0 *
     KAPPA^i``, ``i <= EXPANSIONS``) through the evaluated levels; window
     volumes count against ``WINDOW_POINTS_CAP``.

@@ -226,8 +226,12 @@ def test_orthant_start_gives_the_reference_facets(case):
     points, units, extra = case
     rays = units + extra
     P = newton_polyhedron(points, rays)
+
+    def elimination_start(rows, dim, start=None):
+        return reference_cone_rays(rows, dim)[0]
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(polyhedra, "_cone_rays", lambda rows, dim, start=None: reference_cone_rays(rows, dim)[0])
+        mp.setattr(polyhedra, "_cone_rays", elimination_start)
         assert P == newton_polyhedron(points, rays)
 
 
