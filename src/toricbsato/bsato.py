@@ -135,9 +135,10 @@ from math import factorial, gcd, prod
 from operator import itemgetter, mul
 from typing import Optional, Sequence
 
-from .exactnum import Vec, Work, WorkCapExceeded, _int_vector, _integer_row
+from .exactnum import Vec, Work, WorkCapExceeded, _integer_row
 from .multipoly import MultiPoly, UniPoly
 from .toric import MonomialIdeal, SemigroupData, f_map, minimal_points, monomial_ideal
+from .toric import _semigroup_exponent
 
 __all__ = [
     "monomial_generator",
@@ -845,10 +846,11 @@ def bfunction(S: SemigroupData, ideal) -> BFunctionResult:
     """Bernstein-Sato polynomial of a monomial ideal, certified.
 
     ``ideal`` may be a :class:`MonomialIdeal` (its minimal generators are
-    used) or an explicit sequence of generator exponents (used as given,
-    which the generator-independence property makes legitimate).  The
-    truncation polynomial of the ideal of ``{g_c : |c_i| <= B}`` comes from
-    :func:`eliminate_minimal_univariate`'s packed core; the ideal is
+    used) or an explicit sequence of generator exponents (checked as
+    :func:`~toricbsato.toric.monomial_ideal` checks them, then used as
+    given, which the generator-independence property makes legitimate).
+    The truncation polynomial of the ideal of ``{g_c : |c_i| <= B}`` comes
+    from :func:`eliminate_minimal_univariate`'s packed core; the ideal is
     generated by the ``g_c`` of minimal profile ``phi(c)``, one per minimal
     profile, so only those are built.  Each ``g_c`` is built from its
     profile in the coordinates ``(s_1, ..., s_{r-1}, L)``, ``L = sum s_i``
@@ -868,7 +870,7 @@ def bfunction(S: SemigroupData, ideal) -> BFunctionResult:
     if isinstance(ideal, MonomialIdeal):
         betas = ideal.generators
     else:
-        betas = tuple(map(_int_vector, ideal))
+        betas = tuple(_semigroup_exponent(S, v) for v in ideal)
     if not betas:
         raise ValueError("the ideal needs at least one generator")
     r = len(betas)

@@ -42,11 +42,12 @@ from typing import Optional, Sequence, Union
 from . import toric
 from .bsato import bfunction
 from .exactnum import IntMatrix, Vec, Work, WorkCapExceeded, _fm_levels, _fm_witness, dot
-from .exactnum import _int_vector, _lattice_lines, _rational, kernel_lattice_basis
+from .exactnum import _lattice_lines, _rational, kernel_lattice_basis
 from .polyhedra import NewtonPolyhedron, _vertex_rays, membership
 from .toric import (
     MonomialIdeal,
     SemigroupData,
+    _semigroup_exponent,
     build_semigroup,
     f_map,
     minimal_points,
@@ -116,12 +117,7 @@ def transport_polynomial(
     for terms in term_lists:
         mapped: dict[Vec, Fraction] = {}
         for coeff, beta in terms:
-            beta = _int_vector(beta)
-            if len(beta) != S.d:
-                raise ValueError("exponent has wrong dimension")
-            q = f_map(S, beta)
-            if any(x < 0 for x in q):
-                raise ValueError(f"exponent {tuple(beta)} outside the semigroup")
+            q = f_map(S, _semigroup_exponent(S, beta))
             mapped[q] = mapped.get(q, Fraction(0)) + _rational(coeff)
         out.append(sorted(((e, c) for e, c in mapped.items() if c != 0)))
     return [[(c, e) for e, c in terms] for terms in out]
@@ -157,8 +153,9 @@ class MultiplierIdealResult:
 
     ``generators`` are exponents ``v`` in the semigroup, an antichain under
     semigroup divisibility, sorted.  ``box_used`` is the componentwise
-    bound on ``F(v)`` that the enumeration ran over; it provably contains
-    every minimal generator, so ``stabilized`` is always ``True``.
+    bound on ``F(v)`` that provably holds every minimal generator, read off
+    the member region's vertices; it clips each line of the complete scan,
+    so ``stabilized`` is always ``True``.
     """
 
     alpha: Fraction
@@ -180,23 +177,24 @@ def _minimal_members(
     a polyhedron ``R`` with recession cone ``cone(A)`` whose lattice points
     are the members.  By Caratheodory a member is ``p + sum mu_j a_j`` with
     ``p`` in the hull of the vertices of ``R`` and at most ``d`` nonzero
-    ``mu_j``, and removing ``sum floor(mu_j) a_j`` leaves a member dividing
-    it: so the box ``F_k(v) <= max_vertex F_k + (d largest F_k(a_j))``
-    holds every minimal generator.  The vertices come as the integer rays
-    ``(y_0, x)`` of the homogenized region
+    ``mu_j >= 0``, and removing ``sum floor(mu_j) a_j`` leaves a member
+    dividing it.  So for every integer functional ``f`` each minimal
+    generator has ``f . v <= max_vertex f + reach``, the reach being the
+    sum of the ``d`` largest positive ``f . a_j``.  The vertices come as
+    the integer rays ``(y_0, x)`` of the homogenized region
     (:func:`~toricbsato.polyhedra._vertex_rays`), vertex ``x / y_0``; since
-    the reach is an integer, ``box_k = max floor(F_k . x / y_0) + reach``
-    is that bound rounded down, in integers.
+    the reach is an integer, ``max floor(f . x / y_0) + reach`` is that
+    bound rounded down, in integers.
 
-    The box is scanned by one lattice walk in ``Z^d``: the section
-    ``X F = p I`` (``p > 0`` after a sign flip) bounds the first ``d - 1``
-    coordinates ``v_i = X_i . F(v) / p`` over the box, and each line of the
-    last one is solved exactly against the region rows and the box rows
-    ``F_k(v) <= box_k``, so every ``t`` of its interval is a member.
-    ``SCAN_POINTS_CAP`` counts the work paid for: the heads of the first
-    ``d - 1`` coordinates (one line solve each) before the scan, then each
-    line's members before they are listed.  Along a line ``F(v)`` steps by
-    ``F(e_d)``."""
+    Read off the facets, the bound is the box ``F_k(v) <= box_k`` reported
+    as ``box_used``; read off the unit vectors and their negatives, it
+    gives each exponent ``v_i`` an interval.  One lattice walk in ``Z^d``
+    runs over the heads of the first ``d - 1`` intervals and solves each
+    line of the last one exactly against the region rows and the box rows,
+    so every ``t`` of the solved interval is a member.  ``SCAN_POINTS_CAP``
+    counts the work paid for: the heads (one line solve each) before the
+    walk, then each line's members before they are listed.  Along a line
+    ``F(v)`` steps by ``F(e_d)``."""
     region = {f: 0 for f in S.facets}  # row -> integer right-hand side
     for ell, c in ideal.transported_polyhedron.facets:
         t = alpha * c + dot(ell, shift)
@@ -205,26 +203,27 @@ def _minimal_members(
         region[row] = max(b, region.get(row, b))
     vertices = _vertex_rays(list(region.items()))
     cols = S.A.columns()
-    box = []
-    for f in S.facets:
-        reach = sum(sorted((dot(f, a) for a in cols), reverse=True)[: S.d])
-        box.append(max(dot(f, y[1:]) // y[0] for y in vertices) + reach)
-    X, p = S.section
-    if p < 0:
-        X, p = [[-x for x in row] for row in X], -p
-    heads = [
-        (-(-sum(x * b for x, b in zip(row, box) if x < 0) // p),
-         sum(x * b for x, b in zip(row, box) if x > 0) // p)
-        for row in X[:-1]
+
+    def reach(steps) -> int:  # the sum of the d largest positive steps
+        return sum(sorted((x for x in steps if x > 0), reverse=True)[: S.d])
+
+    box = [
+        max(dot(f, y[1:]) // y[0] for y in vertices) + reach(dot(f, a) for a in cols)
+        for f in S.facets
+    ]
+    spans = [  # lo <= v_i <= hi on every minimal generator
+        (min(-(-y[i + 1] // y[0]) for y in vertices) - reach(-x for x in row),
+         max(y[i + 1] // y[0] for y in vertices) + reach(row))
+        for i, row in enumerate(zip(*cols))
     ]
     work = Work("SCAN_POINTS_CAP", toric.SCAN_POINTS_CAP)
-    work.charge(prod(max(0, hi - lo + 1) for lo, hi in heads))
+    work.charge(prod(hi - lo + 1 for lo, hi in spans[:-1]))
+    bounds = [[(1, lo), (-1, -hi)] for lo, hi in spans]
     # the region rows, and -F_k(v) >= -box_k
     rows = list(region.items()) + [(tuple(-x for x in f), -b) for f, b in zip(S.facets, box)]
-    bounds = [[(1, lo), (-1, -hi)] for lo, hi in heads] + [[]]
     members: list[tuple[Vec, Vec]] = []  # (q, v)
     step = tuple(f[-1] for f in S.facets)  # F(e_d)
-    for head, lo, hi in _lattice_lines([[]] * len(heads) + [rows], bounds):
+    for head, lo, hi in _lattice_lines([[]] * (S.d - 1) + [rows], bounds):
         work.charge(hi - lo + 1)
         q = f_map(S, head + (lo,))
         for t in range(lo, hi + 1):

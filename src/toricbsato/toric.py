@@ -5,13 +5,14 @@ a full-dimensional, strongly convex rational cone ``C`` and the full lattice
 ``Z^d``.  The datum carries the primitive integral support functions of the
 facets of ``C``; stacking them gives the injective transport map
 ``F : Z^d -> Z^F`` that moves monomial ideals of the semigroup ring into an
-ordinary polynomial ring.
+ordinary polynomial ring; :func:`f_section` inverts it on its image.
 
 Normality (``C intersect Z^d = NA``) is what makes membership testable by
 ``F(v) >= 0``; it is expensive to verify, so the verdict is computed once
 per immutable datum, on first use, as each :class:`MonomialIdeal` caches
 its transported polyhedron and lct.  Operations that rely on the
-F-criterion document that caveat rather than re-checking.
+F-criterion document that caveat rather than re-checking.  Every lattice
+scan counts its work against ``SCAN_POINTS_CAP``.
 """
 
 from __future__ import annotations
@@ -66,29 +67,14 @@ class SemigroupData:
     ``facets`` lists the primitive support vectors ``f`` with
     ``F_sigma(p) = f . p``, in descending lexicographic order; this fixed
     order is the coordinate order of ``Z^F`` everywhere downstream.  A datum
-    compares and hashes by ``A``, ``facets`` and ``saturated``; what it
-    derives from them is cached on first use, outside the fields ``==``
-    compares, so the normality verdict is computed once per datum.
-
-    ``section = (X, p)`` is an integer left inverse of the facet matrix
-    ``F`` up to the scalar ``p``: ``X F = p I_d``.  It is computed on first
-    use, by one fraction-free elimination of ``[F | I]``.  Since
-    ``v = X F(v) / p``, it bounds the coordinates of the generator scan of
-    :mod:`toricbsato.multiplier` over a box of ``F``-values, and
-    :func:`f_section` lifts a point of ``Z^F`` through it.
+    compares and hashes by ``A``, ``facets`` and ``saturated``; the
+    normality verdict it derives from them is cached on first use, outside
+    the fields ``==`` compares, so it is computed once per datum.
     """
 
     A: IntMatrix
     facets: tuple[Vec, ...]
     saturated: bool
-
-    @cached_property
-    def section(self) -> tuple[tuple[Vec, ...], int]:
-        n, d = len(self.facets), self.A.rows
-        a, _, p = _bareiss(
-            [list(f) + [int(i == j) for j in range(n)] for i, f in enumerate(self.facets)]
-        )
-        return tuple(tuple(row[d:]) for row in a[:d]), p
 
     @cached_property
     def normality_witness(self) -> Optional[Vec]:
@@ -178,14 +164,16 @@ def f_section(S: SemigroupData, q: Sequence[int]) -> Optional[Vec]:
     """The unique ``v`` with ``f_map(v) = q``, or ``None`` if there is none.
 
     ``F`` is injective (the cone is pointed and full-dimensional), so at most
-    one preimage exists.  With the section ``X F = p I_d`` it can only be
-    ``v = X q / p``: rejected when ``p`` does not divide ``X q`` or when
+    one preimage exists.  One fraction-free elimination of ``[F | I]`` gives
+    an integer left inverse up to a scalar, ``X F = p I_d``, so it can only
+    be ``v = X q / p``: rejected when ``p`` does not divide ``X q`` or when
     ``F v != q`` (``q`` outside the image of ``F``).
     """
-    if len(q) != S.nfacets:
+    n, d = S.nfacets, S.d
+    if len(q) != n:
         raise ValueError("q has wrong length")
-    X, p = S.section
-    nums = [dot(row, q) for row in X]
+    a, _, p = _bareiss([list(f) + [int(i == j) for j in range(n)] for i, f in enumerate(S.facets)])
+    nums = [dot(row[d:], q) for row in a[:d]]
     if any(x % p for x in nums):
         return None
     v = tuple(x // p for x in nums)
@@ -200,6 +188,18 @@ def contains(S: SemigroupData, v: Sequence[int]) -> bool:
     membership in ``C intersect Z^d`` only.
     """
     return all(x >= 0 for x in f_map(S, v))
+
+
+def _semigroup_exponent(S: SemigroupData, v: Sequence[int]) -> Vec:
+    """``v`` as an exponent of the semigroup: a float or a Fraction raises
+    ``TypeError``, a wrong length or a point outside the semigroup (by
+    :func:`contains`) ``ValueError``."""
+    v = _int_vector(v)
+    if len(v) != S.d:
+        raise ValueError("exponent has wrong dimension")
+    if not contains(S, v):
+        raise ValueError(f"exponent {v} outside the semigroup")
+    return v
 
 
 def _combination_exists(S: SemigroupData, cols: Sequence[Vec], p: Vec, memo: dict) -> bool:
@@ -293,9 +293,5 @@ def monomial_ideal(S: SemigroupData, exps) -> MonomialIdeal:
         exps = exps.generators
     if not exps:
         raise ValueError("a monomial ideal needs at least one generator")
-    for v in exps:
-        if len(v) != S.d:
-            raise ValueError("exponent has wrong dimension")
-        if not contains(S, v):
-            raise ValueError(f"exponent {tuple(v)} outside the semigroup")
+    exps = [_semigroup_exponent(S, v) for v in exps]
     return MonomialIdeal(owner=S, generators=minimalize_exponents(S, exps))

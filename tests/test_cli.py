@@ -358,7 +358,7 @@ def test_unknown_options_rejected(tmp_path, capsys):
 @pytest.mark.parametrize(
     "command, options, cap",
     [
-        ("multiplier", {"alpha": "100000000000"}, "SCAN_POINTS_CAP"),  # ~10^22 box points
+        ("multiplier", {"alpha": "100000000000"}, "SCAN_POINTS_CAP"),  # <x, y>: 10^11 + 1 heads
         ("jumping", {"max": "100000000000/1"}, "CANDIDATES_CAP"),  # 2 * 10^11 candidates
         ("bfunction", {}, "GENERATORS_CAP"),  # ten generators: 8 350 c-vectors in box 1
         ("bfunction", {}, "REDUCTION_WORK_CAP"),  # x^(10^30): a generator of 10^30 factors
@@ -370,10 +370,24 @@ def test_work_caps(tmp_path, capsys, command, options, cap):
         doc["ideal"] = {"monomial": [[k, 9 - k] for k in range(10)]}
     if cap == "REDUCTION_WORK_CAP":
         doc["ideal"] = {"monomial": [[10**30, 0]]}
+    if cap == "SCAN_POINTS_CAP":
+        doc["ideal"] = {"monomial": [[1, 0], [0, 1]]}
     code, report, _ = invoke(capsys, [command, write_doc(tmp_path, doc), "--assume-normal"])
     assert code == 3
     assert report["error"]["cap"] == cap
     assert cap in report["error"]["message"]
+    if cap == "SCAN_POINTS_CAP":
+        assert report["error"]["message"] == "SCAN_POINTS_CAP exceeded: 100000000001 > 1000000"
+
+
+def test_principal_multiplier_at_a_huge_alpha_exits_0(tmp_path, capsys):
+    # <xy> at alpha 10^11: the region's one vertex pins both exponents, so
+    # the walk has one head and one member
+    doc = {"matrix": [[1, 0], [0, 1]], "ideal": {"monomial": [[1, 1]]}}
+    doc["options"] = {"alpha": "100000000000"}
+    code, report, _ = invoke(capsys, ["multiplier", write_doc(tmp_path, doc), "--assume-normal"])
+    assert code == 0
+    assert report["generators"] == [[10**11, 10**11]]
 
 
 def run_problem(command, document, *flags, timeout=60):

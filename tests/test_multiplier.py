@@ -22,6 +22,8 @@ from toricbsato.exactnum import (
     _line_interval,
     _primitive_row,
     dot,
+    rank,
+    solve_linear,
 )
 from toricbsato.multiplier import (
     WorkCapExceeded,
@@ -163,19 +165,36 @@ def test_pointwise_agreement_with_ambient(cusp, cusp_ideal):
             assert _in_ideal(cusp, ours, v) == _in_ideal(S_free, ambient, f_map(cusp, v))
 
 
+def _left_inverse(S):
+    """Rational rows ``X`` with ``X F = I``: the inverse of the first ``d``
+    independent facet rows, zero on the others, by ``solve_linear``."""
+    picked = []
+    for k, f in enumerate(S.facets):
+        if len(picked) < S.d and rank([S.facets[j] for j in picked] + [f]) > len(picked):
+            picked.append(k)
+    square_t = [[S.facets[k][i] for k in picked] for i in range(S.d)]
+    X = []
+    for i in range(S.d):
+        x = solve_linear(square_t, [int(i == j) for j in range(S.d)])
+        row = [F(0)] * S.nfacets
+        for k, xk in zip(picked, x):
+            row[k] = xk
+        X.append(row)
+    return X
+
+
 def _scan_minimal_members(S, bound, member):
     """Minimal generators with ``F(v) <= bound`` by a plain scan.
 
     The points of the image ``F(Z^d)`` in the box ``[0, bound]`` are listed
-    in the character space: the section ``X F = p I`` bounds each
-    coordinate of ``v = X F(v) / p``.  A member ``v`` is a minimal
-    generator when no ``v - a_j`` is a member: the members form an ideal of
-    a normal semigroup, so anything below ``v`` lies below some ``v - a_j``.
+    in the character space: a rational left inverse ``X F = I`` bounds each
+    coordinate of ``v = X F(v)``.  A member ``v`` is a minimal generator
+    when no ``v - a_j`` is a member: the members form an ideal of a normal
+    semigroup, so anything below ``v`` lies below some ``v - a_j``.
     """
-    X, p = S.section
     ranges = []
-    for row in X:
-        lo, hi = sorted(Fraction(sum(f(0, x * b) for x, b in zip(row, bound)), p) for f in (min, max))
+    for row in _left_inverse(S):
+        lo, hi = (sum(f(0, x * b) for x, b in zip(row, bound)) for f in (min, max))
         ranges.append(range(ceil(lo), floor(hi) + 1))
     found = []
     for v in product(*ranges):
@@ -307,13 +326,30 @@ def test_scan_cap_counts_line_solves_and_members():
 
 def test_generating_box_scan_reads_the_one_scan_cap(monkeypatch, cusp):
     # SCAN_POINTS_CAP is toric's, read when the scan starts: lowering it
-    # there bounds the generating-box scan too.  The cusp's box at alpha 2
-    # has 6 heads, one line solve each, which a cap of 3 refuses
+    # there bounds the generating-box scan too.  The cusp's walk at alpha 2
+    # has 2 heads, one line solve each, and its members reach 5 units in
+    # all, which a cap of 3 refuses
     assert multiplier_ideal(cusp, [(1, 1), (1, 2)], 2).generators == ((2, 2), (2, 3), (2, 4))
     monkeypatch.setattr(toric, "SCAN_POINTS_CAP", 3)
-    with pytest.raises(WorkCapExceeded, match="SCAN_POINTS_CAP exceeded: 6 > 3") as exc:
+    with pytest.raises(WorkCapExceeded, match="SCAN_POINTS_CAP exceeded: 5 > 3") as exc:
         multiplier_ideal(cusp, [(1, 1), (1, 2)], 2)
     assert exc.value.cap == "SCAN_POINTS_CAP"
+
+
+def test_walk_bounds_come_from_the_region_vertices(monkeypatch):
+    # the hexagon document at alpha = 30: the region's vertices bound the
+    # exponent coordinates to 20 heads, whose lines list 46 members, so a
+    # cap of 1 000 still finishes.  The exact oracle of a principal ideal
+    # on a saturated semigroup is J(30) = y^(25 beta) J(5)
+    monkeypatch.setattr(toric, "SCAN_POINTS_CAP", 1_000)
+    S = build_semigroup(NORMAL_CONES["hexagon"])
+    beta = (6, -1, 0)
+    ideal = monomial_ideal(S, [beta])
+    res = multiplier_ideal(S, ideal, 30)
+    assert res.generators == ((180, -30, 0),)
+    assert res.box_used == (155, 155, 185, 185, 215, 215)
+    low = multiplier_ideal(S, ideal, 5).generators
+    assert res.generators == tuple(sorted(tuple(x + 25 * b for x, b in zip(v, beta)) for v in low))
 
 
 # --- boundary-twisted variant ----------------------------------------------

@@ -359,12 +359,16 @@ def test_monomial_ideal_validation(cusp):
     J = monomial_ideal(cusp, [(1, 1), (1, 2), (2, 2)])
     assert J.generators == ((1, 1), (1, 2))
     assert J.owner is cusp
-    with pytest.raises(ValueError, match="outside the semigroup"):
-        monomial_ideal(cusp, [(0, 1)])
-    with pytest.raises(ValueError, match="wrong dimension"):
-        monomial_ideal(cusp, [(1, 1, 1)])
     with pytest.raises(ValueError, match="at least one"):
         monomial_ideal(cusp, [])
+    # bfunction uses a raw exponent list as given, after the same checks
+    for build in (monomial_ideal, bfunction):
+        with pytest.raises(ValueError, match=r"exponent \(0, 1\) outside the semigroup"):
+            build(cusp, [(0, 1)])
+        with pytest.raises(ValueError, match=r"exponent \(1, -1\) outside the semigroup"):
+            build(PLANE, [(1, -1)])
+        with pytest.raises(ValueError, match="wrong dimension"):
+            build(cusp, [(1, 1), (1, 1, 1)])
 
 
 PLANE = build_semigroup([[1, 0], [0, 1]])
