@@ -1,4 +1,4 @@
-"""Bernstein-Sato polynomials of monomial ideals via Groebner bases.
+"""Bernstein-Sato polynomials of monomial ideals.
 
 The b-function of a monomial ideal in a normal toric semigroup ring is the
 monic generator of the elimination ideal ``(<g_c : c> + <t - sum s_i>)
@@ -8,9 +8,11 @@ one.  The family of ``c`` is infinite, so it is truncated to the boxes
 ``|c_i| <= B``; the polynomial ``p_B`` of a box is always a polynomial
 multiple of the true b-function, and ``p_{B+1}`` divides ``p_B``.  For one
 or two generators a box ``B*`` in closed form holds the whole minimal family,
-so ``p_{B*}`` is the b-function and is the only box computed.  For three or
-more the boxes run ``B = 1, 2, ...``, and the loop stops at the first box
-that agrees with the previous one and whose polynomial has ``-lct`` as its
+so ``p_{B*}`` is the b-function, and its roots and multiplicities are read
+off the lines of the minimal ``g_c`` with no Groebner basis and no root
+search.  For three or more the boxes run ``B = 1, 2, ...``, each ``p_B``
+comes from a Groebner basis, and the loop stops at the first box that
+agrees with the previous one and whose polynomial has ``-lct`` as its
 largest root, the log-canonical threshold being computed independently from
 the Newton polyhedron.  The factors of ``g_c`` are nested falling products
 whose lengths are the integer profile ``phi(c)``, so ``g_c`` divides
@@ -36,9 +38,61 @@ multiple of one with ``t`` inside.  Box ``B`` holds exactly the ``t`` in
 ``[1 - B, B]``, so box ``B* = max(t_hi, 1 - t_lo)`` (:func:`_complete_box`)
 holds ``[t_lo, t_hi]``: its ideal is the whole family's, and ``p_{B*}`` is
 the b-function by the definition above, with no confirming box and no lct.
-The b-function exists, so a ``B*`` box without a polynomial in ``L`` is a
-fault in the engine.  ``B*`` is listed against ``GENERATORS_CAP`` like any
-box.
+``B*`` is listed against ``GENERATORS_CAP`` like any box.
+
+The b-function of one or two generators from its lines.  Let ``J`` be the
+ideal of the minimal ``g_c`` of ``B*`` and ``b`` the monic generator of ``J
+intersect Q[L]``, ``L = sum s_i``.  For ``r = 1``, ``J = <g_(1)>`` with
+``g_(1) = prod_k prod_{j=1..alpha_k} (alpha_k s + j) / alpha_k!``, so ``b =
+prod_k prod_j (s + j/alpha_k)``, and a root's multiplicity is the number of
+factors that vanish there.  For ``r = 2`` every minimal ``g_c`` is, up to a
+constant, a product of lines in the plane of ``(s_1, s_2)``: ``s_i = j`` for
+``0 <= j < phi_i`` and ``L_k = -j`` for ``1 <= j <= m_k``.  The b-function
+exists, so ``L`` is constant on every flat of ``V(J)`` (the existence test
+below), and :func:`_arrangement_roots` reads ``b`` off those flats:
+
+- ``V(J)`` is the lines common to every ``g_c`` plus the points on some line
+  of every ``g_c``.  A common line is ``L = gamma``; any other is a fault in
+  the engine.  Membership in ``J`` is local at the points of ``V(J)``: ``f``
+  lies in ``J`` exactly when it lies in ``J O_q`` for every ``q`` in ``V(J)``.
+  At ``q`` every factor ``L - gamma'`` of ``b(L)`` with ``gamma' != L(q)`` is
+  a unit, so the multiplicity of a root ``gamma`` is the largest over the
+  ``q`` with ``L(q) = gamma`` of the least ``m`` with ``(L - gamma)^m`` in
+  ``J O_q``.
+- In ``O_q`` each ``g_c`` is a unit times the product ``h_c`` of its factors
+  through ``q``, a binary form in ``X = s_1 - q_1``, ``Y = s_2 - q_2``, and
+  ``L - gamma = X + Y``.  Let ``I`` be the homogeneous ideal of the ``h_c``.
+  For a homogeneous ``f``, ``u f`` in ``I`` with ``u(q) != 0`` gives ``f`` in
+  ``I``: the component of ``u f`` of degree ``deg f`` is ``u(q) f``, and ``I``
+  holds the components of its members.  So the multiplicity at ``q`` is the
+  least ``m`` with ``(X + Y)^m`` in ``I``, a rank test in the forms of degree
+  ``m`` (Macaulay's method: Lazard, "Groebner bases, Gaussian elimination and
+  resolution of systems of algebraic equations", EUROCAL 1983).
+- A bound ends the tests.  Let ``(X + Y)^e`` divide every ``h_c``, and ``h_c
+  = (X + Y)^e h'_c``.  Any other common factor of the ``h'_c`` is a line
+  through ``q`` common to every ``g_c`` on which ``L`` is not constant, a
+  fault in the engine.  So the ``h'_c`` have no common zero in ``P^1``, and
+  neither have the forms of ``I'_D``, ``D`` the largest degree of the
+  ``h'_c`` (they include ``X^i Y^(D-d) h'_c``).  Two general forms ``f, g``
+  of ``I'_D`` are then coprime, so the Sylvester map ``(A, B) -> A f + B g``
+  onto the forms of degree ``k`` is onto for ``k >= 2D - 1``: ``I'`` holds
+  every form of degree ``>= 2D - 1``, and the multiplicity is at most ``e +
+  2D - 1``.  Above ``e`` it is the least ``m`` with ``(X + Y)^m`` in ``I'``.
+- The points to test: at a point of ``V(J)`` off the common lines, or on a
+  common line with other factors through it, a line of the ``g_c`` with the
+  fewest lines meets a different line of another ``g_c`` (if every line of
+  every ``g_c`` through ``q`` were one line ``l``, it would be common, and
+  every ``h_c`` a power of it: the local ideal is that of a general point of
+  ``l``, whose multiplicity is the least multiplicity of ``l`` in a ``g_c``).
+  So the meeting points of those lines, each kept when it lies on some line
+  of every ``g_c``, together with the common lines, give every root with its
+  multiplicity.  At a point the ``g_c`` whose factors through it contain
+  another's are redundant, and each coordinate of ``phi`` has at most one
+  factor through it, read off a threshold (:func:`_thresholds`).
+
+The factor count ``sum phi`` of each minimal profile, before any line is
+listed, then the candidate points and the echelon rows charge one
+``REDUCTION_WORK_CAP`` counter per call, so ``<x^(10^30)>`` stops at once.
 
 Why the loop ends for three or more generators.  The profiles lie in
 ``N^(r+n)``, so by Dickson's lemma only finitely many are minimal over all
@@ -61,10 +115,11 @@ boxes of one call are counted against ``GENERATORS_CAP``, each box before it
 is listed, and the call ends with :class:`WorkCapExceeded`; a returned
 result is therefore always certified.
 
-The truncation polynomial as an elimination to the last variable.
-``p_B`` is the monic ``p`` of least degree with ``p(L)`` in ``J``, ``L =
-sum s_i``.  In the coordinates ``y = (s_1, ..., s_{r-1}, L)`` a linear form
-``a . s`` is ``sum_{i<r} (a_i - a_r) y_i + a_r L``, so :func:`bfunction`
+The truncation polynomial of three or more generators as an elimination
+to the last variable.  ``p_B`` is the monic ``p`` of least degree with
+``p(L)`` in ``J``, ``L = sum s_i``.  In the coordinates ``y = (s_1, ...,
+s_{r-1}, L)`` a linear form ``a . s`` is ``sum_{i<r} (a_i - a_r) y_i + a_r
+L``, so :func:`bfunction`
 builds every ``g_c`` in ``y`` and ``p_B`` generates ``J intersect Q[L]``
 with ``L`` the last variable.  One grevlex basis of ``J`` decides whether
 ``p_B`` exists; the normal forms ``NF(1), NF(L), NF(L^2), ...`` then first
@@ -93,7 +148,9 @@ Mora, J. Symbolic Comput. 16, 1993).  The existence test:
   separate case: it has such a lead, and so does the unit ideal (``L^0``).
 
 So :func:`eliminate_minimal_univariate` is exact for every ideal generated
-by products of affine-linear forms.
+by products of affine-linear forms, and ``p_B``, vanishing exactly at the
+values ``gamma_j``, splits over ``Q``: a root search that leaves a factor
+of higher degree is a fault in the engine.
 
 The Groebner engine is a deterministic Buchberger with the normal selection
 strategy (minimal lcm degree, ties by pair index, read off a heap of pairs
@@ -114,8 +171,8 @@ power of ``L`` one unit per echelon row it meets), and past
 basis and the normal forms of the powers of ``L`` together) it raises
 :class:`WorkCapExceeded`: a few S-pairs can still swell coefficients to tens
 of thousands of bits.  Only :func:`eliminate_minimal_univariate` takes
-``MultiPoly`` inputs, packed once.  The b-function driver stays packed and
-in integers from ``c`` to the roots: each ``g_c`` is built as a primitive
+``MultiPoly`` inputs, packed once.  For three or more generators the
+b-function driver stays packed and in integers from ``c`` to the roots: each ``g_c`` is built as a primitive
 integer polynomial in fields sized from its box's profiles, the normal
 forms report the positive scalar they multiplied by, the dependency comes
 from a fraction-free echelon, and the rational roots are split off by
@@ -791,9 +848,11 @@ class BFunctionResult:
     certified.
 
     ``b`` is monic with ``b = prod (s - root)^mult * unfactored_remainder``
-    exactly.  For one or two generators ``box_used`` is the proved last box
-    ``B*`` of the module docstring and ``truncation`` is its single entry
-    ``(B*, b)``.  For more, the last two truncation boxes agreed and the
+    exactly; ``b`` splits over ``Q``, so the remainder is always 1 (the
+    field is kept for the report).  For one or two generators ``b`` and its
+    roots are read off the lines of the minimal ``g_c`` of the proved last
+    box ``B*`` of the module docstring, ``box_used`` is ``B*`` and
+    ``truncation`` is its single entry ``(B*, b)``.  For more, the last two truncation boxes agreed and the
     smallest root of ``b(-s)`` matched the log-canonical threshold, and
     ``truncation`` records the polynomial found at each box bound from 1
     (``None`` when no polynomial in ``L`` lay in the box's ideal yet); a box
@@ -801,7 +860,7 @@ class BFunctionResult:
     its entry without a new computation.  ``stabilized`` is always ``True``
     (the field is kept for the report).  ``generator_count`` is the number
     of ``g_c`` in the last box, all of them nonzero; only those of minimal
-    profile were built.
+    profile were used.
     """
 
     b: UniPoly
@@ -830,16 +889,157 @@ def _complete_box(alphas: Sequence[Vec]) -> Optional[int]:
     return max(t_hi, 1 - t_lo)
 
 
-def _lct_matches(p: UniPoly, roots, remainder: UniPoly, lct_value) -> bool:
+def _plane_lines(alphas: Sequence[Vec], phi: Vec) -> dict:
+    """The factors of ``g_c`` for two generators as primitive integer lines
+    ``(a, b, c)``, ``a s_1 + b s_2 + c = 0`` with the first of ``a, b``
+    positive, mapped to their multiplicities: ``s_i = j`` for ``j < phi_i``,
+    then ``L_k = -j`` for ``j = 1 .. m_k``."""
+    lines = {(1, 0, -j): 1 for j in range(phi[0])}
+    for j in range(phi[1]):
+        lines[0, 1, -j] = 1
+    for a, b, m in zip(*alphas, phi[2:]):
+        for j in range(1, m + 1):
+            g = gcd(a, b, j)
+            line = (a // g, b // g, j // g)
+            lines[line] = lines.get(line, 0) + 1
+    return lines
+
+
+def _meet(l1: tuple, l2: tuple) -> Optional[tuple]:
+    """The meeting point of two lines ``(a, b, c)`` as the primitive integer
+    ``(x, y, z)``, ``z > 0``, of the point ``(x/z, y/z)``; ``None`` when they
+    are parallel."""
+    (a1, b1, c1), (a2, b2, c2) = l1, l2
+    z = a1 * b2 - b1 * a2
+    if not z:
+        return None
+    x, y = b1 * c2 - c1 * b2, c1 * a2 - a1 * c2
+    g = gcd(x, y, z) if z > 0 else -gcd(x, y, z)
+    return x // g, y // g, z // g
+
+
+def _thresholds(parts: Sequence[Vec], q: tuple) -> list[int]:
+    """Per coordinate of a profile, the least length at which its falling
+    product has a factor through ``q = (x, y, z)``, 0 for none: ``s_i = j``
+    needs ``phi_i > j >= 0``, and ``L_k = -j`` needs ``m_k >= j >= 1``."""
+    x, y, z = q
+    out = []
+    for i, (a, b) in enumerate(parts):
+        v, rest = divmod(a * x + b * y, z)
+        out.append(0 if rest else max(0, v + 1 if i < 2 else -v))
+    return out
+
+
+def _reaches(forms: list[list[int]], m: int, work: Work) -> bool:
+    """Is ``U^m`` in the degree-``m`` span of the binary forms ``forms``
+    (coefficients by ascending degree in ``Y``, ``U`` the other variable)?
+    Their multiples ``Y^j h`` are the rows of a fraction-free integer
+    echelon with pivots taken from the highest power of ``Y`` down, so
+    ``U^m`` lies in the span exactly when the column of ``U^m`` gets a pivot.
+    Each row charges one unit to ``work``."""
+    pivots: dict[int, list[int]] = {}
+    for h in forms:
+        for j in range(m + 2 - len(h)):
+            work.charge(1)
+            v = [0] * j + h + [0] * (m + 1 - len(h) - j)
+            while any(v):
+                top = max(i for i, x in enumerate(v) if x)
+                w = pivots.get(top)
+                if w is None:
+                    pivots[top] = v
+                    if top == 0:
+                        return True
+                    break
+                v = [w[top] * x - v[top] * y for x, y in zip(v, w)]
+                g = gcd(*v)
+                if g > 1:
+                    v = [x // g for x in v]
+    return False
+
+
+def _local_multiplicity(factors: list[dict], work: Work) -> int:
+    """The least ``m`` with ``(X + Y)^m`` in the ideal of the binary forms
+    ``prod (a X + b Y)^k`` over each ``{(a, b): k}`` of ``factors``: the
+    multiplicity of ``L - L(q)`` at the point ``q`` they pass through (the
+    module docstring gives the proof).  The power ``e`` of ``X + Y`` common
+    to all is divided out; what is left has no common factor, and with its
+    largest degree ``D`` the answer is at most ``e + 2D - 1``."""
+    e = min(f.get((1, 1), 0) for f in factors)
+    if set(factors[0]).intersection(*factors[1:]) - {(1, 1)}:
+        raise AssertionError("the factors through a point share a line on which L is not constant")
+    forms = []  # in U = X + Y and Y: a X + b Y = a U + (b - a) Y
+    for f in factors:
+        h = [1]
+        for (a, b), k in f.items():
+            for _ in range(k - e if a == b else k):
+                h = [a * u + (b - a) * y for u, y in zip(h + [0], [0] + h)]
+        forms.append(h)
+    low, top = min(map(len, forms)) - 1, max(map(len, forms)) - 1
+    if not low:
+        return e
+    for m in range(low, 2 * top):
+        if _reaches(forms, m, work):
+            return e + m
+    raise AssertionError("no power of L - L(q) within the bound lies in the local ideal")
+
+
+def _arrangement_roots(alphas: Sequence[Vec], profiles: Sequence[Vec]) -> list[tuple[Fraction, int]]:
+    """The roots of the b-function of one or two generators, ascending with
+    their multiplicities, read off the linear factors of the ``g_c`` of the
+    minimal ``profiles`` of the proved last box (the module docstring gives
+    the proof).  The factor count of each profile, then the candidate
+    points and the echelon rows charge one ``REDUCTION_WORK_CAP`` counter."""
+    work = Work("REDUCTION_WORK_CAP", REDUCTION_WORK_CAP)
+    for phi in profiles:
+        work.charge(sum(phi))
+    mult: dict[Fraction, int] = {}
+    if len(alphas) == 1:  # the factors alpha_k s + j of g_(1)
+        for a in alphas[0]:
+            for j in range(1, a + 1):
+                root = Fraction(-j, a)
+                mult[root] = mult.get(root, 0) + 1
+        return sorted(mult.items())
+    flat = [_plane_lines(alphas, phi) for phi in profiles]
+    for line in set(flat[0]).intersection(*flat[1:]):
+        a, b, c = line
+        if a != b:
+            raise AssertionError("a line common to every g_c on which L is not constant")
+        gamma = Fraction(-c, a)
+        mult[gamma] = max(mult.get(gamma, 0), min(f[line] for f in flat))
+    fewest, every = min(flat, key=len), set().union(*flat)
+    work.charge(len(fewest) * len(every))
+    points = {q for l1 in fewest for l2 in every if (q := _meet(l1, l2))}
+    parts = [(1, 0), (0, 1), *zip(*alphas)]
+    directions = [(a // gcd(a, b), b // gcd(a, b)) if a or b else None for a, b in parts]
+    for q in points:
+        rho = _thresholds(parts, q)
+        masks = set()  # per g_c, the coordinates whose factor passes through q
+        for phi in profiles:
+            mask = sum(1 << i for i, (m, t) in enumerate(zip(phi, rho)) if t and m >= t)
+            if not mask:
+                break
+            masks.add(mask)
+        else:  # on some line of every g_c: q lies in V(J)
+            factors = []
+            for mask in masks:
+                if not any(m & mask == m != mask for m in masks):  # a minimal one
+                    f: dict = {}
+                    for i, d in enumerate(directions):
+                        if mask >> i & 1:
+                            f[d] = f.get(d, 0) + 1
+                    factors.append(f)
+            gamma = Fraction(q[0] + q[1], q[2])
+            mult[gamma] = max(mult.get(gamma, 0), _local_multiplicity(factors, work))
+    return sorted(mult.items())
+
+
+def _lct_matches(p: UniPoly, roots, lct_value) -> bool:
     """Does the smallest root of ``p(-s)`` equal the given threshold
-    (``None``: the unit ideal's)?  ``roots`` and ``remainder`` are the
-    factorization ``rational_roots(p)``."""
-    if remainder.degree > 0:
-        return False  # irrational factors: cannot certify
+    (``None``: the unit ideal's)?  ``roots`` are the ascending rational roots
+    of ``p``, which splits over ``Q``."""
     if not roots:
         return p.degree == 0 and lct_value is None
-    smallest = -max(r for r, _ in roots)
-    return smallest == lct_value
+    return -roots[-1][0] == lct_value
 
 
 def bfunction(S: SemigroupData, ideal) -> BFunctionResult:
@@ -849,22 +1049,24 @@ def bfunction(S: SemigroupData, ideal) -> BFunctionResult:
     used) or an explicit sequence of generator exponents (checked as
     :func:`~toricbsato.toric.monomial_ideal` checks them, then used as
     given, which the generator-independence property makes legitimate).
-    The truncation polynomial of the ideal of ``{g_c : |c_i| <= B}`` comes
-    from :func:`eliminate_minimal_univariate`'s packed core; the ideal is
-    generated by the ``g_c`` of minimal profile ``phi(c)``, one per minimal
-    profile, so only those are built.  Each ``g_c`` is built from its
-    profile in the coordinates ``(s_1, ..., s_{r-1}, L)``, ``L = sum s_i``
-    last, straight into a packing sized from the box's profiles; the linear
-    parts are mapped once per call.  For one or two generators the one box
-    is the proved last box ``B*`` (:func:`_complete_box`), and its
-    polynomial, factored once, is the b-function.  For more, the boxes run
-    ``B = 1, 2, ...``, a box with the previous box's set of profiles reuses
-    that box's polynomial, and the run stops once two consecutive bounds
-    agree and the smallest root of ``b(-s)`` equals the log-canonical
-    threshold.  The module docstring proves the first and says why the
-    second stops.  The only other way out is a counted cap:
-    ``GENERATORS_CAP`` on the ``c`` vectors of all boxes together,
-    ``REDUCTION_WORK_CAP`` within one box, or ``DIVISORS_CAP`` within one
+    The ideal of ``{g_c : |c_i| <= B}`` is generated by the ``g_c`` of
+    minimal profile ``phi(c)``, one per minimal profile, so only those are
+    used; each ``phi(c)`` is computed once per call.  For one or two
+    generators the one box is the proved last box ``B*``
+    (:func:`_complete_box`), and the roots of ``b`` with their
+    multiplicities are read off the lines of its minimal ``g_c``
+    (:func:`_arrangement_roots`), with no Groebner basis and no root search.
+    For more, the boxes run ``B = 1, 2, ...``: each ``g_c`` is built from
+    its profile in the coordinates ``(s_1, ..., s_{r-1}, L)``, ``L = sum
+    s_i`` last, straight into a packing sized from the box's profiles, the
+    truncation polynomial comes from :func:`eliminate_minimal_univariate`'s
+    packed core, a box with the previous box's set of profiles reuses that
+    box's polynomial, and the run stops once two consecutive bounds agree
+    and the smallest root of ``b(-s)`` equals the log-canonical threshold.
+    The module docstring proves the first and says why the second stops.
+    The only other way out is a counted cap: ``GENERATORS_CAP`` on the
+    ``c`` vectors of all boxes together, ``REDUCTION_WORK_CAP`` within the
+    lines of ``B*`` or one box of the loop, or ``DIVISORS_CAP`` within one
     root search raises :class:`WorkCapExceeded`.
     """
     if isinstance(ideal, MonomialIdeal):
@@ -875,45 +1077,60 @@ def bfunction(S: SemigroupData, ideal) -> BFunctionResult:
         raise ValueError("the ideal needs at least one generator")
     r = len(betas)
     alphas = [f_map(S, b) for b in betas]
-    # the factors' linear parts in y = (s_1, ..., s_{r-1}, L): a . s = a' . y
-    parts = [(*(x - a[-1] for x in a[:-1]), a[-1]) for a in _linear_parts(alphas)]
+    listed = Work("GENERATORS_CAP", GENERATORS_CAP)
+    profiles: dict[Vec, Vec] = {}  # phi(c), once per c: box B repeats every c of box B - 1
+
+    def box(B: int):
+        cs = c_vectors(r, B, listed)
+        for c in cs:
+            if c not in profiles:
+                profiles[c] = _profile(alphas, c)
+        return cs, minimal_points((profiles[c], c) for c in cs)
 
     last = _complete_box(alphas)
-    if last is None:
-        lct_value = monomial_ideal(S, ideal if isinstance(ideal, MonomialIdeal) else betas).lct
+    if last is not None:  # the whole family's ideal: b is read off its lines
+        cs, minimal = box(last)
+        roots = _arrangement_roots(alphas, [phi for phi, _ in minimal])
+        b = UniPoly.from_roots([x for x, k in roots for _ in range(k)])
+        return BFunctionResult(
+            b=b,
+            roots=tuple(roots),
+            unfactored_remainder=UniPoly([1]),
+            box_used=last,
+            stabilized=True,
+            generator_count=len(cs),
+            truncation=((last, b),),
+        )
 
+    # the factors' linear parts in y = (s_1, ..., s_{r-1}, L): a . s = a' . y
+    parts = [(*(x - a[-1] for x in a[:-1]), a[-1]) for a in _linear_parts(alphas)]
+    lct_value = monomial_ideal(S, ideal if isinstance(ideal, MonomialIdeal) else betas).lct
     history: list[tuple[int, Optional[UniPoly]]] = []
     prev: Optional[UniPoly] = None
     prev_family: Optional[frozenset] = None
-    listed = Work("GENERATORS_CAP", GENERATORS_CAP)
-    for B in count(1) if last is None else (last,):
-        cs = c_vectors(r, B, listed)
-        minimal = minimal_points((_profile(alphas, c), c) for c in cs)
+    for B in count(1):
+        cs, minimal = box(B)
         family = frozenset(phi for phi, _ in minimal)
         if family != prev_family:  # an unchanged family is the same ideal: keep p
             pack = _Packing.for_generators(parts, family, REDUCTION_WORK_CAP)
             p = _eliminate([_falling_product(parts, phi, pack)[0] for phi, _ in minimal], pack)
         prev_family = family
         history.append((B, p))
-        if last is not None:  # the whole family's ideal: p is b
-            if p is None:
-                raise AssertionError("the complete family's ideal has no polynomial in L")
-            roots, remainder = rational_roots(p)
-            break
         if p is not None and prev is not None:
             if not p.divides(prev):
                 raise AssertionError("larger truncation box failed to divide the smaller one")
             if p == prev:  # only a repeated polynomial can certify, so only it is factored
                 roots, remainder = rational_roots(p)
-                if _lct_matches(p, roots, remainder, lct_value):
-                    break
+                if remainder.degree > 0:
+                    raise AssertionError("a truncation polynomial with an irrational root")
+                if _lct_matches(p, roots, lct_value):
+                    return BFunctionResult(
+                        b=p,
+                        roots=tuple(roots),
+                        unfactored_remainder=remainder,
+                        box_used=B,
+                        stabilized=True,
+                        generator_count=len(cs),
+                        truncation=tuple(history),
+                    )
         prev = p
-    return BFunctionResult(
-        b=p,
-        roots=tuple(roots),
-        unfactored_remainder=remainder,
-        box_used=B,
-        stabilized=True,
-        generator_count=len(cs),
-        truncation=tuple(history),
-    )

@@ -218,10 +218,16 @@ class UniPoly:
 
     @staticmethod
     def from_roots(roots: Sequence, lead=1) -> "UniPoly":
-        p = UniPoly([lead])
-        for r in roots:
-            p = p * UniPoly([-r, 1])
-        return p
+        """``lead * prod (x - r)``, multiplied out in integers: a root
+        ``n/d`` gives the factor ``d x - n``, and the product of the ``d``
+        is divided out once."""
+        p, scale = [1], 1
+        for r in map(_rational, roots):
+            n, d = r.numerator, r.denominator
+            p = [d * a - n * b for a, b in zip([0] + p, p + [0])]
+            scale *= d
+        lead = _rational(lead)
+        return UniPoly([lead * Fraction(c, scale) for c in p])
 
     def is_zero(self) -> bool:
         return not self.coeffs

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import toricbsato.bsato as bsato
 from toricbsato.bsato import (
     DIVISORS_CAP,
+    BFunctionResult,
     GENERATORS_CAP,
     REDUCTION_WORK_CAP,
     WorkCapExceeded,
@@ -868,6 +869,8 @@ def test_bfunction_running_example(cusp):
 
 
 def test_bfunction_factors_once(cusp, monkeypatch):
+    # three generators run the box loop: boxes 2 and 3 repeat one
+    # polynomial, and only that repeat is factored
     calls = []
 
     def counting(p):
@@ -875,9 +878,23 @@ def test_bfunction_factors_once(cusp, monkeypatch):
         return rational_roots(p)
 
     monkeypatch.setattr("toricbsato.bsato.rational_roots", counting)
-    res = bfunction(cusp, monomial_ideal(cusp, CUSP_IDEAL))
-    assert res.stabilized
+    res = bfunction(cusp, monomial_ideal(cusp, [(1, 0), (1, 1), (1, 2)]))
+    assert res.stabilized and res.box_used == 3
     assert calls == [res.b]
+
+
+def test_two_generators_run_no_elimination_and_no_root_search(cusp, monkeypatch):
+    # one and two generators read b off the lines of their minimal g_c: no
+    # Groebner basis, no Krylov loop and no divisor search
+    def refuse(*args):
+        raise AssertionError("called for at most two generators")
+
+    for name in ("groebner_basis", "_krylov", "rational_roots"):
+        monkeypatch.setattr(bsato, name, refuse)
+    res = bfunction(cusp, monomial_ideal(cusp, CUSP_IDEAL))
+    assert res.roots == ((F(-4, 3), 1), (F(-1), 2), (F(-2, 3), 1))
+    line = build_semigroup([[1]])
+    assert bfunction(line, [(3,)]).b == UniPoly.from_roots([F(-1, 3), F(-2, 3), F(-1)])
 
 
 def test_bfunction_accepts_raw_exponents(cusp):
@@ -922,6 +939,17 @@ def test_a_run_that_never_certifies_ends_at_the_generators_cap(monkeypatch):
         bfunction(plane, monomial_ideal(plane, [(2, 0), (1, 1), (0, 2)]))
 
 
+def test_an_irrational_truncation_root_is_an_engine_fault(monkeypatch):
+    # p_B splits over Q (L is constant on every flat of V(J)), so a repeated
+    # truncation polynomial with an irreducible quadratic factor is a fault
+    # in the engine: it raises at once instead of running on, uncertified,
+    # to GENERATORS_CAP
+    monkeypatch.setattr(bsato, "_eliminate", lambda polys, pack: UniPoly([F(2), F(0), F(1)]))
+    plane = build_semigroup([[1, 0], [0, 1]])
+    with pytest.raises(AssertionError, match="irrational root"):
+        bfunction(plane, monomial_ideal(plane, [(2, 0), (1, 1), (0, 2)]))
+
+
 def minimal_family(alphas, B):
     """The minimal profiles of box ``B``, from the full listing."""
     cs = c_vectors(len(alphas), B)
@@ -955,29 +983,37 @@ def test_complete_box_is_known_for_at_most_two_generators():
     assert _complete_box([(1, 0), (0, 1), (1, 1)]) is None
 
 
-def reference_bfunction(S, betas):
-    """The b-function by the box loop for every number of generators, as
-    :func:`bfunction` ran it before the proved last box: boxes ``1, 2, ...``
-    until two consecutive boxes agree and ``-lct`` is the largest root,
-    each ``p_B`` dividing the one before.  Returns ``(b, roots, remainder,
-    box)``."""
+def reference_bfunction(S, betas, box=None):
+    """The b-function by Groebner elimination and the rational root search,
+    as a :class:`BFunctionResult`.  With ``box``, that one box is eliminated
+    and its polynomial factored: the route :func:`bfunction` took at the
+    proved last box ``B*`` of one or two generators before it read ``b``
+    off the lines.  Without, the box loop for every number of generators,
+    as :func:`bfunction` ran it before the proved last box: boxes ``1, 2,
+    ...`` until two consecutive boxes agree and ``-lct`` is the largest
+    root, each ``p_B`` dividing the one before."""
     alphas = [f_map(S, b) for b in betas]
     parts = [(*(x - a[-1] for x in a[:-1]), a[-1]) for a in _linear_parts(alphas)]
     lct_value = monomial_ideal(S, betas).lct
     prev = prev_family = None
-    for B in count(1):
-        minimal = minimal_points((_profile(alphas, c), c) for c in c_vectors(len(betas), B))
+    history = []
+    for B in count(1) if box is None else (box,):
+        cs = c_vectors(len(betas), B)
+        minimal = minimal_points((_profile(alphas, c), c) for c in cs)
         family = frozenset(phi for phi, _ in minimal)
         if family != prev_family:
             pack = _Packing.for_generators(parts, family, REDUCTION_WORK_CAP)
             p = _eliminate([_falling_product(parts, phi, pack)[0] for phi, _ in minimal], pack)
         prev_family = family
-        if p is not None and prev is not None:
+        history.append((B, p))
+        if box is None and p is not None and prev is not None:
             assert p.divides(prev), "a larger box failed to divide the smaller one"
-            if p == prev:
-                roots, remainder = rational_roots(p)
-                if _lct_matches(p, roots, remainder, lct_value):
-                    return p, tuple(roots), remainder, B
+        if box is not None or (p is not None and p == prev):
+            assert p is not None, "the complete family's ideal has no polynomial in L"
+            roots, remainder = rational_roots(p)
+            assert remainder == UniPoly([1]), "a truncation polynomial with an irrational root"
+            if box is not None or _lct_matches(p, roots, lct_value):
+                return BFunctionResult(p, tuple(roots), remainder, B, True, len(cs), tuple(history))
         prev = p
 
 
@@ -1029,17 +1065,22 @@ WORKLOAD_IDEALS = sorted(
 
 
 def test_complete_box_agrees_with_the_box_loop():
-    # every workload ideal of one or two generators: the one elimination at
-    # B* gives the b-function the certified box loop gives, one box earlier
+    # every workload ideal of one or two generators: b read off the lines at
+    # B* is the b-function the certified box loop gives, one box earlier
+    # (the loop ran to it from box 1), and the whole result is the one the
+    # elimination of box B* alone gives
     semigroups = {name: build_semigroup(m) for name, m in WORKLOAD_CONES.items()}
     assert len(WORKLOAD_IDEALS) == 48
     for name, gens in WORKLOAD_IDEALS:
         S = semigroups[name]
         ideal = monomial_ideal(S, gens)
         res = bfunction(S, ideal)
-        b, roots, remainder, box = reference_bfunction(S, ideal.generators)
-        assert (res.b, res.roots, res.unfactored_remainder) == (b, roots, remainder), (name, gens)
-        assert res.box_used == box - 1 and res.truncation == ((res.box_used, b),), (name, gens)
+        loop = reference_bfunction(S, ideal.generators)
+        assert (res.b, res.roots, res.unfactored_remainder) == (
+            loop.b, loop.roots, loop.unfactored_remainder
+        ), (name, gens)
+        assert res.box_used == loop.box_used - 1, (name, gens)
+        assert res == reference_bfunction(S, ideal.generators, box=res.box_used), (name, gens)
 
 
 def random_normal_cones(rng, d, count):
@@ -1103,6 +1144,55 @@ def test_correspondence_on_random_normal_cones(d, cones, per_cone, top):
     summary = f"verdicts {dict(verdicts)}, caps {dict(caps)}"
     assert not problems, f"{summary}: {problems}"
     assert sum(verdicts.values()) + sum(caps.values()) == cones * per_cone, summary
+
+
+def random_small_ideals(rng, plane, cusp, cones):
+    """Seeded monomial ideals, three in four of them with two minimal
+    generators and the others principal: ``plane`` on the plane with
+    exponents up to 6, ``cusp`` on the cusp with exponents up to 12, and
+    ``cones`` on random normal cones with 2-4 facets, whose generators are
+    combinations of the columns with coefficients 0..2."""
+    plane_exponent = lambda: (rng.randint(0, 6), rng.randint(0, 6))  # noqa: E731
+
+    def cusp_exponent():
+        a = rng.randint(0, 12)
+        return a, rng.randint(0, min(12, 3 * a))
+
+    draws = [(build_semigroup([[1, 0], [0, 1]]), plane_exponent)] * plane
+    draws += [(build_semigroup(CUSP), cusp_exponent)] * cusp
+    def combination(cols):
+        k = [rng.randint(0, 2) for _ in cols]
+        return tuple(map(sum, zip(*([x * v for v in col] for x, col in zip(k, cols)))))
+
+    while len(draws) < plane + cusp + cones:
+        for S, cols in random_normal_cones(rng, rng.randint(2, 3), 1):
+            if len(S.facets) <= 4:
+                draws.append((S, lambda cols=cols: combination(cols)))
+    out = []
+    for S, exponent in draws:
+        r = 1 if rng.random() < 0.25 else 2
+        while len((ideal := monomial_ideal(S, [exponent() for _ in range(r)])).generators) != r:
+            pass
+        out.append((S, ideal))
+    return out
+
+
+def test_lines_agree_with_the_elimination_of_the_last_box():
+    # the oracle of the line arrangement: wherever the elimination of the
+    # proved last box and the divisor search finish under their caps, the
+    # whole result is theirs: b, roots, box, generator count, truncation
+    rng = random.Random(36)
+    finished, capped = 0, Counter()
+    for S, ideal in random_small_ideals(rng, plane=40, cusp=12, cones=24):
+        res = bfunction(S, ideal)
+        try:
+            ref = reference_bfunction(S, ideal.generators, box=res.box_used)
+        except WorkCapExceeded as exc:
+            capped[exc.cap] += 1
+            continue
+        finished += 1
+        assert res == ref, (S.A, ideal.generators)
+    assert finished >= 60, (finished, capped)
 
 
 TESSERACT = [
@@ -1321,8 +1411,8 @@ def test_plane_eliminates_minimal_profiles_only(monkeypatch):
         (CUSP, [(1, 0), (1, 1), (1, 2)], [4, 5], {1: False, 2: True, 3: True}),
         ([[0, 1, 6], [1, 1, 5]], [(0, 1), (1, 1), (6, 5)], [3, 5, 6],
          {1: False, 2: False, 3: True, 4: True}),
-        (CUSP, CUSP_IDEAL, [4], {2: True}),
-        ([[0, 1, 6], [1, 1, 5]], [(2, 2), (6, 5)], [3], {2: True}),
+        (CUSP, CUSP_IDEAL, [], {2: True}),
+        ([[0, 1, 6], [1, 1, 5]], [(2, 2), (6, 5)], [], {2: True}),
     ],
     ids=["cusp", "a5", "cusp-two-generators", "a5-two-generators"],
 )
@@ -1330,9 +1420,9 @@ def test_unchanged_family_is_eliminated_once(monkeypatch, matrix, ideal, sizes, 
     # three generators run the box loop: the stabilizing last box has the
     # minimal profiles of the box before it, so it is the same ideal and
     # reuses that box's polynomial without eliminating.  Two generators list
-    # and eliminate only their proved last box B* = 2, with the family the
-    # box loop reached at box 2.  ``boxes`` maps each truncation box to
-    # whether it had a polynomial
+    # only their proved last box B* = 2 and read b off its lines, with no
+    # elimination at all.  ``boxes`` maps each truncation box to whether it
+    # had a polynomial
     seen = []
     groebner = bsato.groebner_basis
 
@@ -1351,17 +1441,17 @@ def test_unchanged_family_is_eliminated_once(monkeypatch, matrix, ideal, sizes, 
 @pytest.mark.parametrize(
     "matrix, ideal, counts",
     [
-        (CUSP, [(1, 3), (2, 2)], [(6, 6, 14069)]),
-        ([[0, 1, 6], [1, 1, 5]], [(2, 2), (6, 5)], [(5, 5, 1958)]),
+        (CUSP, [(1, 0), (1, 1), (1, 2)], [(5, 5, 584), (5, 5, 656)]),
+        ([[0, 1, 6], [1, 1, 5]], [(0, 1), (1, 1), (6, 5)], [(5, 5, 7165), (5, 5, 9264), (5, 5, 12028)]),
     ],
     ids=["cusp", "a5"],
 )
 def test_box_packings_keep_their_widths_and_work(monkeypatch, matrix, ideal, counts):
-    # per eliminated box: the field width its packing starts with, the width
-    # and the reduction work it has when bfunction returns (basis and powers
-    # of L together).  Two generators eliminate only their last box, with
-    # the triple the box loop counted for the same family; the cusp's box 3
-    # is the largest count on verify-roots
+    # per eliminated box of three generators: the field width its packing
+    # starts with, the width and the reduction work it has when bfunction
+    # returns (basis and powers of L together); the last box repeats the
+    # family before it and is not eliminated.  The cusp's box 2 is the
+    # largest count on the benchmark workloads
     packs = []
     groebner = bsato.groebner_basis
 
@@ -1376,8 +1466,8 @@ def test_box_packings_keep_their_widths_and_work(monkeypatch, matrix, ideal, cou
 
 
 def test_bfunction_eliminates_primitive_integer_generators(monkeypatch):
-    # the g_c reach the Groebner kernel as primitive packed integer
-    # polynomials: no Fraction is built on the way in
+    # the g_c of three generators reach the Groebner kernel as primitive
+    # packed integer polynomials: no Fraction is built on the way in
     seen = []
     groebner = bsato.groebner_basis
 
@@ -1387,7 +1477,10 @@ def test_bfunction_eliminates_primitive_integer_generators(monkeypatch):
 
     monkeypatch.setattr(bsato, "groebner_basis", spy)
     square = build_semigroup([[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1]])
-    for S, ideal in [(square, [(2, 1, 1), (1, 0, 1)]), (build_semigroup(CUSP), CUSP_IDEAL)]:
+    for S, ideal in [
+        (square, [(1, 1, 0), (1, 0, 1), (1, 1, 1)]),
+        (build_semigroup(CUSP), [(1, 0), (1, 1), (1, 2)]),
+    ]:
         bfunction(S, monomial_ideal(S, ideal))
     assert seen
     for g in seen:

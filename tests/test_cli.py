@@ -544,18 +544,33 @@ def test_plane_three_generators_certify_at_box_seven():
     assert report["bfunction"]["box_used"] == 7
 
 
-def test_coefficient_swell_hits_the_divisors_cap():
+def test_coefficient_swell_certifies():
     # a5 with <(0,1), (7,6)>: the elimination swelled its coefficients past
-    # REDUCTION_WORK_CAP; the grevlex basis and the powers of L give the
-    # degree-43 b-function at the proved last box 2 within a second, but its
-    # constant coefficient has 1 463 132 160 positive divisors, so the root
-    # search is stopped by their count before any is listed
-    code, report = run_problem(
-        "bfunction", "a5_coefficient_swell.json", "--assume-normal", timeout=30
-    )
+    # REDUCTION_WORK_CAP, and the constant coefficient of its degree-43
+    # b-function has 1 463 132 160 positive divisors, more than DIVISORS_CAP
+    # allows a root search.  Two generators read b off the lines of the
+    # proved last box 2, so neither arises; the largest root is -lct
+    for command, flag in (("bfunction", "--assume-normal"), ("verify", "--check-normal")):
+        code, report = run_problem(command, "a5_coefficient_swell.json", flag, timeout=30)
+        assert code == 0
+        res = report if command == "bfunction" else report["bfunction"]
+        assert res["stabilized"] is True and res["box_used"] == 2
+        assert len(res["b"]["coefficients"]) == 44
+        assert res["roots_negated"][0] == {"multiplicity": 1, "value": "2/7"}
+    assert report["verdict"] == "PASS" and report["lct"] == "2/7"
+
+
+def test_divisors_cap_stops_a_root_search_of_three_generators(capsys, monkeypatch):
+    # three generators still find their roots by the divisor search: on
+    # <x^3, xy, y^2> it factors the constant coefficient 60 in 2 trial
+    # divisions and counts its 12 divisors before listing any, 14 units
+    monkeypatch.setattr("toricbsato.bsato.DIVISORS_CAP", 10)
+    root = Path(__file__).resolve().parent.parent
+    doc = str(root / "scripts" / "problems" / "plane_three_generators.json")
+    code, report, _ = invoke(capsys, ["bfunction", doc, "--assume-normal"])
     assert code == 3
     assert report["error"]["cap"] == "DIVISORS_CAP"
-    assert report["error"]["message"] == "DIVISORS_CAP exceeded: 1463132212 > 1000000"
+    assert report["error"]["message"] == "DIVISORS_CAP exceeded: 14 > 10"
 
 
 def test_tesseract_cone_certifies_at_box_three():
