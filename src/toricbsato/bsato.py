@@ -6,39 +6,53 @@ intersect Q[t]``, where the ``g_c`` are explicit products of generalized
 binomial coefficients indexed by integer vectors ``c`` with coordinate sum
 one.  The family of ``c`` is infinite, so it is truncated to the boxes
 ``|c_i| <= B``; the polynomial ``p_B`` of a box is always a polynomial
-multiple of the true b-function, and ``p_{B+1}`` divides ``p_B``.  For one
-or two generators a box ``B*`` in closed form holds the whole minimal family,
-so ``p_{B*}`` is the b-function, and its roots and multiplicities are read
-off the lines of the minimal ``g_c`` with no Groebner basis and no root
-search.  For three or more the boxes run ``B = 1, 2, ...``, each ``p_B``
-comes from a Groebner basis, and the loop stops at the first box that
-agrees with the previous one and whose polynomial has ``-lct`` as its
-largest root, the log-canonical threshold being computed independently from
-the Newton polyhedron.  The factors of ``g_c`` are nested falling products
-whose lengths are the integer profile ``phi(c)``, so ``g_c`` divides
-``g_c'`` when ``phi(c) <= phi(c')`` and only the ``g_c`` of minimal profile
-in a box enter its ideal ``J``; a box with the previous box's set of minimal
-profiles has the same ideal and reuses its polynomial (a second computation
-would be deterministic, so no evidence).
+multiple of the true b-function.  The factors of ``g_c`` are nested falling
+products whose lengths are the integer profile ``phi(c)``, so ``g_c``
+divides ``g_c'`` when ``phi(c) <= phi(c')`` and only the ``g_c`` of minimal
+profile in a box enter its ideal ``J``.  For every number ``r`` of
+generators a box ``B*`` (:func:`_complete_box`) holds the whole minimal
+family, so ``p_{B*}`` is the b-function, with no confirming box and no lct.
+For one or two generators its roots and multiplicities are read off the
+lines of the minimal ``g_c`` with no Groebner basis and no root search; for
+three or more ``p_{B*}`` comes from one Groebner basis and a rational root
+search.
 
-The last box for one or two generators.  For ``r = 1`` the only ``c`` is
-``(1)``, so box 1 is the whole family.  For ``r = 2`` write ``c = (t, 1 -
-t)``: the coordinates of ``phi(c)`` are ``max(0, -t)``, ``max(0, t - 1)``
-and ``max(0, alpha_2k + t (alpha_1k - alpha_2k))``, each ``max(0, .)`` of an
-affine function of ``t``.  Let ``t_hi`` be the maximum of 1 and
-``ceil(alpha_2k / (alpha_2k - alpha_1k))`` over the ``k`` with ``alpha_1k <
-alpha_2k``, and ``t_lo`` the minimum of 0 and ``floor(alpha_2k / (alpha_2k -
-alpha_1k))`` over the ``k`` with ``alpha_1k > alpha_2k``.  From ``t_hi`` on,
-``-t`` is negative, every decreasing affine function has passed its zero,
-and the others increase or stay, so every coordinate of ``phi`` is
-nondecreasing in ``t``; up to ``t_lo`` every coordinate is nonincreasing,
-symmetrically.  So every profile with ``t`` outside ``[t_lo, t_hi]`` lies on
-or above the profile at ``t_hi`` or at ``t_lo``, and its ``g_c`` is a
-multiple of one with ``t`` inside.  Box ``B`` holds exactly the ``t`` in
-``[1 - B, B]``, so box ``B* = max(t_hi, 1 - t_lo)`` (:func:`_complete_box`)
-holds ``[t_lo, t_hi]``: its ideal is the whole family's, and ``p_{B*}`` is
-the b-function by the definition above, with no confirming box and no lct.
-``B*`` is listed against ``GENERATORS_CAP`` like any box.
+The last box.  Take the forms ``c_i`` and ``u_k(c) = sum_i c_i alpha_ik``
+on the plane ``sum c = 1``; they are the linear parts of the factors
+(:func:`_linear_parts`), and a form constant on the plane cuts nothing.
+The ``c_i`` alone span the dual of the plane's directions, so every closed
+chamber of their arrangement is a pointed polyhedron: the hull of its
+vertices plus its recession cone.  On a chamber every coordinate of
+``phi``, a ``max(0, .)`` of a form of fixed sign there, is linear and does
+not decrease along the recession cone.  By Caratheodory a ``c`` of the
+chamber is ``p + sum mu_j d_j`` with ``p`` in the hull of the vertices,
+``mu_j >= 0`` and at most ``r - 1`` extreme rays ``d_j``, taken primitive
+integer.  Subtracting ``sum floor(mu_j) d_j`` leaves an integer ``c'`` of
+the same chamber with ``phi(c') <= phi(c)`` and ``|c'_i| < M_i + R_i``:
+``M_i`` is the largest ``|v_i|`` over the vertices ``v``, each cut out by
+``r - 1`` independent forms, and ``R_i`` the sum of the ``r - 1`` largest
+``|d_i|`` over the primitive ray directions, each cut out by ``r - 2``
+forms and ``sum d = 0`` (``|c'_i| <= M_i`` when ``R_i = 0``).  So every
+profile lies on or above a profile of the box ``B* = max(1, max_i
+(ceil(M_i) + R_i - 1 if R_i else floor(M_i)))``: its ideal is the whole
+family's, and ``p_{B*}`` is the b-function by the definition above.
+:func:`_chamber_box` solves the ``C(m, r - 1) + C(m, r - 2)`` systems of
+the ``m`` distinct forms, each from an integer fraction-free elimination,
+and counts them against the call's ``REDUCTION_WORK_CAP`` counter before
+any is solved.  ``B*`` is counted against ``GENERATORS_CAP`` before it is
+listed.
+
+The last box for one or two generators in closed form.  For ``r = 1`` the
+plane is the point ``c = (1)``, and ``B* = 1``.  For ``r = 2`` write ``c =
+(t, 1 - t)``: the vertices are ``t = 0``, ``t = 1`` and the zeros ``t_k =
+alpha_2k / (alpha_2k - alpha_1k)`` of the nonconstant ``u_k``, and the only
+ray is ``(1, -1)``, so ``R_i = 1`` and ``B* = max_i ceil(M_i)`` with ``M_1 =
+max(1, |t_k|)`` and ``M_2 = max(1, |1 - t_k|)``.  The exponents are
+nonnegative, so ``t_k >= 1`` when ``alpha_1k < alpha_2k`` and ``t_k <= 0``
+when ``alpha_1k > alpha_2k``.  Hence ``B* = max(t_hi, 1 - t_lo)``, ``t_hi``
+the maximum of 1 and the ``ceil(t_k)`` of the first kind and ``t_lo`` the
+minimum of 0 and the ``floor(t_k)`` of the second, which
+:func:`_complete_box` evaluates without listing the vertices.
 
 The b-function of one or two generators from its lines.  Let ``J`` be the
 ideal of the minimal ``g_c`` of ``B*`` and ``b`` the monic generator of ``J
@@ -94,27 +108,6 @@ The factor count ``sum phi`` of each minimal profile, before any line is
 listed, then the candidate points and the echelon rows charge one
 ``REDUCTION_WORK_CAP`` counter per call, so ``<x^(10^30)>`` stops at once.
 
-Why the loop ends for three or more generators.  The profiles lie in
-``N^(r+n)``, so by Dickson's lemma only finitely many are minimal over all
-``c``; from some box on, every box's minimal family is that global one, its
-ideal is the whole family's, and ``p_B`` is the b-function itself, the same
-in every later box.  For a monomial ideal of a polynomial ring over a field
-of characteristic zero, the largest root of the b-function is ``-lct``
-(Budur, Mustata and Saito, "Bernstein-Sato polynomials of arbitrary
-varieties", Compositio Math. 142, 2006, Theorem 2; for monomial ideals also
-"Combinatorial description of the roots of the Bernstein-Sato polynomials
-for monomial ideals", Comm. Algebra 34, 2006).  For a monomial ideal of a
-normal semigroup ring, the correspondence of arXiv 1608.03646 makes every
-jumping coefficient in ``[lct, lct + 1)``, the lct among them, a root of
-``b(-s)`` (the check of ``multiplier.verify_correspondence``); the stop rule
-takes ``-lct`` to be the largest root there as well.  Under these hypotheses
-the rule holds one box after the minimal family stops growing.  Should it
-never hold (an input outside them, such as a semigroup assumed normal that
-is not, or a fault in the engine), the ``c`` vectors listed over all the
-boxes of one call are counted against ``GENERATORS_CAP``, each box before it
-is listed, and the call ends with :class:`WorkCapExceeded`; a returned
-result is therefore always certified.
-
 The truncation polynomial of three or more generators as an elimination
 to the last variable.  ``p_B`` is the monic ``p`` of least degree with
 ``p(L)`` in ``J``, ``L = sum s_i``.  In the coordinates ``y = (s_1, ...,
@@ -167,12 +160,13 @@ computation restarts with doubled fields, so exactness never rests on a
 size guess.  Reduction work is counted, per step the terms of the reduced
 polynomial times the 64-bit words of the cancelled coefficient (and per
 power of ``L`` one unit per echelon row it meets), and past
-``REDUCTION_WORK_CAP`` units in one elimination (a b-function box: its
-basis and the normal forms of the powers of ``L`` together) it raises
-:class:`WorkCapExceeded`: a few S-pairs can still swell coefficients to tens
-of thousands of bits.  Only :func:`eliminate_minimal_univariate` takes
-``MultiPoly`` inputs, packed once.  For three or more generators the
-b-function driver stays packed and in integers from ``c`` to the roots: each ``g_c`` is built as a primitive
+``REDUCTION_WORK_CAP`` units in one elimination (of a b-function: the
+bound on its box, its basis and the normal forms of the powers of ``L``
+together) it raises :class:`WorkCapExceeded`: a few S-pairs can still swell
+coefficients to tens of thousands of bits.  Only
+:func:`eliminate_minimal_univariate` takes ``MultiPoly`` inputs, packed
+once.  For three or more generators the b-function driver stays packed and
+in integers from ``c`` to the roots: each ``g_c`` is built as a primitive
 integer polynomial in fields sized from its box's profiles, the normal
 forms report the positive scalar they multiplied by, the dependency comes
 from a fraction-free echelon, and the rational roots are split off by
@@ -187,14 +181,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import count, product
-from math import factorial, gcd, prod
+from itertools import combinations, product
+from math import ceil, comb, factorial, floor, gcd, prod
 from operator import itemgetter, mul
 from typing import Optional, Sequence
 
-from .exactnum import Vec, Work, WorkCapExceeded, _integer_row
+from .exactnum import Vec, Work, WorkCapExceeded, _bareiss, _integer_row, primitive_vector
 from .multipoly import MultiPoly, UniPoly
-from .toric import MonomialIdeal, SemigroupData, f_map, minimal_points, monomial_ideal
+from .toric import MonomialIdeal, SemigroupData, f_map, minimal_points
 from .toric import _semigroup_exponent
 
 __all__ = [
@@ -211,16 +205,17 @@ __all__ = [
     "DIVISORS_CAP",
 ]
 
-#: Counted work cap: the ``c`` vectors listed over all the truncation boxes
-#: of one ``bfunction`` call, each box counted before any of it is listed.
+#: Counted work cap: the ``c`` vectors of the one box a ``bfunction`` call
+#: lists, counted before any of them is listed.
 GENERATORS_CAP = 5_000
 
-#: Counted work cap of one Groebner computation, or of one box's truncation
-#: polynomial (its basis and the normal forms of the powers of ``L``
-#: together): each reduction or echelon step counts the terms of the reduced
-#: polynomial times the 64-bit words of the coefficient it cancels, and each
-#: power of ``L`` one unit per echelon row it meets.  Building one ``g_c``
-#: counts the same units per linear factor, with a bound on its coefficients.
+#: Counted work cap of one Groebner computation, or of one b-function (the
+#: systems of its last box's bound, then its lines or its basis and the
+#: normal forms of the powers of ``L``): each reduction or echelon step
+#: counts the terms of the reduced polynomial times the 64-bit words of the
+#: coefficient it cancels, and each power of ``L`` one unit per echelon row
+#: it meets.  Building one ``g_c`` counts the same units per linear factor,
+#: with a bound on its coefficients.
 REDUCTION_WORK_CAP = 1_600_000
 
 #: Counted work cap of one rational root search: the trial divisions that
@@ -320,31 +315,26 @@ def build_generator(S: SemigroupData, exponents: Sequence[Vec], c: Sequence[int]
 
 
 def _c_vector_count(r: int, B: int) -> int:
-    """``|{c in Z^r : sum c_i = 1, |c_i| <= B}|``: a DP over the first
-    ``r - 1`` coordinates counts each partial sum, and the last coordinate
-    ``1 - sum`` must land in ``[-B, B]``."""
-    ways = {0: 1}
-    for _ in range(r - 1):
-        nxt: dict[int, int] = {}
-        for s, w in ways.items():
-            for x in range(s - B, s + B + 1):
-                nxt[x] = nxt.get(x, 0) + w
-        ways = nxt
-    return sum(w for s, w in ways.items() if -B <= 1 - s <= B)
+    """``|{c in Z^r : sum c_i = 1, |c_i| <= B}|``: the ``x_i = c_i + B`` lie
+    in ``[0, 2B]`` and sum to ``n = 1 + rB``, and inclusion-exclusion over
+    the ``j`` coordinates forced past ``2B`` gives ``sum_j (-1)^j C(r, j)
+    C(n - j (2B + 1) + r - 1, r - 1)``."""
+    n, w = 1 + r * B, 2 * B + 1
+    return sum(
+        (-1) ** j * comb(r, j) * comb(n - j * w + r - 1, r - 1) for j in range(min(r, n // w) + 1)
+    )
 
 
-def c_vectors(r: int, B: int, listed: Optional[Work] = None):
+def c_vectors(r: int, B: int):
     """All ``c in Z^r`` with ``sum c_i = 1`` and ``|c_i| <= B``, in
     lexicographic order of the first ``r - 1`` coordinates.
 
-    The family is counted first and charged to ``listed``, the
-    ``GENERATORS_CAP`` counter that the boxes of one call share (a new one
-    when omitted), so the cap raises :class:`WorkCapExceeded` before any
-    vector is listed.
+    The family is counted first against ``GENERATORS_CAP``, so the cap
+    raises :class:`WorkCapExceeded` before any vector is listed.
     """
     if r < 1:
         raise ValueError("need at least one generator")
-    (listed or Work("GENERATORS_CAP", GENERATORS_CAP)).charge(_c_vector_count(r, B))
+    Work("GENERATORS_CAP", GENERATORS_CAP).charge(_c_vector_count(r, B))
     out = []
     for head in product(range(-B, B + 1), repeat=r - 1):
         last = 1 - sum(head)
@@ -378,8 +368,7 @@ class _FieldOverflow(Exception):
 
 class _Packing:
     """One int per monomial on ``nvars`` variables, plus ``work``, the
-    call's ``REDUCTION_WORK_CAP`` counter with the limit ``cap`` (``None``
-    for no cap).
+    call's ``REDUCTION_WORK_CAP`` counter (an uncapped one when omitted).
 
     Exponent ``e_i`` sits in bits ``[i*w, (i+1)*w)`` of width ``w =
     width``; the top bit of each field is a guard, clear while ``e_i <
@@ -397,23 +386,24 @@ class _Packing:
     exponent overflows, and the work counted so far stays.
     """
 
-    def __init__(self, nvars: int, width: int, cap: Optional[int] = None):
-        self.nvars, self.work = nvars, Work("REDUCTION_WORK_CAP", cap)
+    def __init__(self, nvars: int, width: int, work: Optional[Work] = None):
+        self.nvars, self.work = nvars, work or Work("REDUCTION_WORK_CAP", None)
         self._fields(width)
 
     @classmethod
     def fitting(cls, polys: Sequence[MultiPoly], cap: Optional[int] = None) -> "_Packing":
-        """A packing whose fields hold twice the largest exponent of ``polys``."""
+        """A packing whose fields hold twice the largest exponent of ``polys``,
+        with a new counter of limit ``cap`` (``None`` for no cap)."""
         top = max((x for f in polys for e in f.terms for x in e), default=0)
-        return cls(polys[0].nvars, top.bit_length() + 2, cap)
+        return cls(polys[0].nvars, top.bit_length() + 2, Work("REDUCTION_WORK_CAP", cap))
 
     @classmethod
-    def for_generators(cls, parts: Sequence[Vec], profiles, cap: Optional[int] = None):
+    def for_generators(cls, parts: Sequence[Vec], profiles, work: Optional[Work] = None):
         """:meth:`fitting` for the ``g_c`` built from ``parts`` at ``profiles``,
         before any is built: a product's degree in ``x_i`` is its factors' sum."""
         n = len(parts[0])
         top = max(sum(m for a, m in zip(parts, phi) if a[i]) for phi in profiles for i in range(n))
-        return cls(n, top.bit_length() + 2, cap)
+        return cls(n, top.bit_length() + 2, work)
 
     def _fields(self, width: int) -> None:
         nvars = self.nvars
@@ -849,18 +839,12 @@ class BFunctionResult:
 
     ``b`` is monic with ``b = prod (s - root)^mult * unfactored_remainder``
     exactly; ``b`` splits over ``Q``, so the remainder is always 1 (the
-    field is kept for the report).  For one or two generators ``b`` and its
-    roots are read off the lines of the minimal ``g_c`` of the proved last
-    box ``B*`` of the module docstring, ``box_used`` is ``B*`` and
-    ``truncation`` is its single entry ``(B*, b)``.  For more, the last two truncation boxes agreed and the
-    smallest root of ``b(-s)`` matched the log-canonical threshold, and
-    ``truncation`` records the polynomial found at each box bound from 1
-    (``None`` when no polynomial in ``L`` lay in the box's ideal yet); a box
-    with the previous box's minimal profiles has the same ideal and repeats
-    its entry without a new computation.  ``stabilized`` is always ``True``
-    (the field is kept for the report).  ``generator_count`` is the number
-    of ``g_c`` in the last box, all of them nonzero; only those of minimal
-    profile were used.
+    field is kept for the report).  ``box_used`` is the proved last box
+    ``B*`` of the module docstring, whose minimal ``g_c`` give ``b``, and
+    ``truncation`` is its single entry ``(B*, b)``.  ``stabilized`` is
+    always ``True`` (the field is kept for the report).  ``generator_count``
+    is the number of ``g_c`` in ``B*``, all of them nonzero; only those of
+    minimal profile were used.
     """
 
     b: UniPoly
@@ -869,17 +853,66 @@ class BFunctionResult:
     box_used: int
     stabilized: bool
     generator_count: int
-    truncation: tuple[tuple[int, Optional[UniPoly]], ...]
+    truncation: tuple[tuple[int, UniPoly], ...]
 
 
-def _complete_box(alphas: Sequence[Vec]) -> Optional[int]:
-    """The box ``B*`` that holds every minimal profile for one or two
-    generators with transported exponents ``alphas``, ``None`` for more
-    (the module docstring gives the proof)."""
+def _direction(v: Sequence[int]) -> Vec:
+    """The primitive form of the nonzero integer ``v`` with its first
+    nonzero entry positive: one key per line through 0."""
+    v = primitive_vector(v)
+    return v if next(x for x in v if x) > 0 else tuple(-x for x in v)
+
+
+def _kernel_line(rows: Sequence[Vec], n: int) -> Optional[Vec]:
+    """The :func:`_direction` of the kernel of ``n - 1`` integer ``rows`` in
+    ``n`` unknowns; ``None`` when their rank is below ``n - 1``.  After the
+    fraction-free elimination row ``i`` reads ``p x_(pivot i) + a_i x_free =
+    0``."""
+    a, pivots, p = _bareiss(rows)
+    if len(pivots) < n - 1:
+        return None
+    free = next(j for j in range(n) if j not in pivots)
+    w = [0] * n
+    w[free] = p
+    for row, j in zip(a, pivots):
+        w[j] = -row[free]
+    return _direction(w)
+
+
+def _chamber_box(alphas: Sequence[Vec], work: Work) -> int:
+    """The chamber bound ``B*`` of the module docstring for generators with
+    transported exponents ``alphas``, read off the vertices and the
+    primitive ray directions of the arrangement of the distinct forms on
+    ``sum c = 1``.  The systems are counted against ``work`` before any is
+    solved."""
+    r = len(alphas)
+    forms = sorted({_direction(f) for f in _linear_parts(alphas) if len(set(f)) > 1})
+    work.charge(sum(comb(len(forms), k) for k in (r - 1, r - 2) if k >= 0))
+    top = [Fraction(0)] * r  # M_i, the largest |v_i| over the vertices v
+    for rows in combinations(forms, r - 1):
+        w = _kernel_line(rows, r)
+        if w and sum(w):  # off sum c = 0: the vertex w / sum(w)
+            top = [max(m, Fraction(abs(x), abs(sum(w)))) for m, x in zip(top, w)]
+    rays = set()  # the directions d of the rays, each up to sign
+    for rows in combinations(forms, r - 2) if r > 1 else ():
+        rays.add(_kernel_line([*rows, (1,) * r], r))
+    rays.discard(None)
+    box = 1
+    for i, m in enumerate(top):
+        reach = sum(sorted((abs(d[i]) for d in rays), reverse=True)[: r - 1])  # R_i
+        box = max(box, ceil(m) + reach - 1 if reach else floor(m))
+    return box
+
+
+def _complete_box(alphas: Sequence[Vec], work: Work) -> int:
+    """The proved last box ``B*`` that holds every minimal profile for
+    generators with transported exponents ``alphas`` (the module docstring
+    gives the proof): the closed form for one or two generators, the
+    chamber bound counted against ``work`` for more."""
     if len(alphas) == 1:
         return 1
     if len(alphas) > 2:
-        return None
+        return _chamber_box(alphas, work)
     t_hi, t_lo = 1, 0
     for a1, a2 in zip(*alphas):
         if a1 < a2:
@@ -983,13 +1016,15 @@ def _local_multiplicity(factors: list[dict], work: Work) -> int:
     raise AssertionError("no power of L - L(q) within the bound lies in the local ideal")
 
 
-def _arrangement_roots(alphas: Sequence[Vec], profiles: Sequence[Vec]) -> list[tuple[Fraction, int]]:
+def _arrangement_roots(
+    alphas: Sequence[Vec], profiles: Sequence[Vec], work: Work
+) -> list[tuple[Fraction, int]]:
     """The roots of the b-function of one or two generators, ascending with
     their multiplicities, read off the linear factors of the ``g_c`` of the
     minimal ``profiles`` of the proved last box (the module docstring gives
     the proof).  The factor count of each profile, then the candidate
-    points and the echelon rows charge one ``REDUCTION_WORK_CAP`` counter."""
-    work = Work("REDUCTION_WORK_CAP", REDUCTION_WORK_CAP)
+    points and the echelon rows charge ``work``, the call's
+    ``REDUCTION_WORK_CAP`` counter."""
     for phi in profiles:
         work.charge(sum(phi))
     mult: dict[Fraction, int] = {}
@@ -1033,15 +1068,6 @@ def _arrangement_roots(alphas: Sequence[Vec], profiles: Sequence[Vec]) -> list[t
     return sorted(mult.items())
 
 
-def _lct_matches(p: UniPoly, roots, lct_value) -> bool:
-    """Does the smallest root of ``p(-s)`` equal the given threshold
-    (``None``: the unit ideal's)?  ``roots`` are the ascending rational roots
-    of ``p``, which splits over ``Q``."""
-    if not roots:
-        return p.degree == 0 and lct_value is None
-    return -roots[-1][0] == lct_value
-
-
 def bfunction(S: SemigroupData, ideal) -> BFunctionResult:
     """Bernstein-Sato polynomial of a monomial ideal, certified.
 
@@ -1049,25 +1075,20 @@ def bfunction(S: SemigroupData, ideal) -> BFunctionResult:
     used) or an explicit sequence of generator exponents (checked as
     :func:`~toricbsato.toric.monomial_ideal` checks them, then used as
     given, which the generator-independence property makes legitimate).
-    The ideal of ``{g_c : |c_i| <= B}`` is generated by the ``g_c`` of
-    minimal profile ``phi(c)``, one per minimal profile, so only those are
-    used; each ``phi(c)`` is computed once per call.  For one or two
-    generators the one box is the proved last box ``B*``
-    (:func:`_complete_box`), and the roots of ``b`` with their
-    multiplicities are read off the lines of its minimal ``g_c``
-    (:func:`_arrangement_roots`), with no Groebner basis and no root search.
-    For more, the boxes run ``B = 1, 2, ...``: each ``g_c`` is built from
-    its profile in the coordinates ``(s_1, ..., s_{r-1}, L)``, ``L = sum
-    s_i`` last, straight into a packing sized from the box's profiles, the
-    truncation polynomial comes from :func:`eliminate_minimal_univariate`'s
-    packed core, a box with the previous box's set of profiles reuses that
-    box's polynomial, and the run stops once two consecutive bounds agree
-    and the smallest root of ``b(-s)`` equals the log-canonical threshold.
-    The module docstring proves the first and says why the second stops.
-    The only other way out is a counted cap: ``GENERATORS_CAP`` on the
-    ``c`` vectors of all boxes together, ``REDUCTION_WORK_CAP`` within the
-    lines of ``B*`` or one box of the loop, or ``DIVISORS_CAP`` within one
-    root search raises :class:`WorkCapExceeded`.
+    The one box is the proved last box ``B*`` (:func:`_complete_box`), whose
+    ideal is the whole family's; it is generated by the ``g_c`` of minimal
+    profile ``phi(c)``, one per minimal profile, so only those are used.
+    For one or two generators the roots of ``b`` with their multiplicities
+    are read off the lines of those ``g_c`` (:func:`_arrangement_roots`),
+    with no Groebner basis and no root search.  For more, each ``g_c`` is
+    built from its profile in the coordinates ``(s_1, ..., s_{r-1}, L)``,
+    ``L = sum s_i`` last, straight into a packing sized from the profiles,
+    ``b`` comes from :func:`eliminate_minimal_univariate`'s packed core and
+    its roots from :func:`rational_roots`.  The only other way out is a
+    counted cap: ``GENERATORS_CAP`` on the ``c`` vectors of ``B*``,
+    ``REDUCTION_WORK_CAP`` on the bound, the lines or the elimination of
+    one call, or ``DIVISORS_CAP`` within the root search raises
+    :class:`WorkCapExceeded`.
     """
     if isinstance(ideal, MonomialIdeal):
         betas = ideal.generators
@@ -1077,60 +1098,30 @@ def bfunction(S: SemigroupData, ideal) -> BFunctionResult:
         raise ValueError("the ideal needs at least one generator")
     r = len(betas)
     alphas = [f_map(S, b) for b in betas]
-    listed = Work("GENERATORS_CAP", GENERATORS_CAP)
-    profiles: dict[Vec, Vec] = {}  # phi(c), once per c: box B repeats every c of box B - 1
-
-    def box(B: int):
-        cs = c_vectors(r, B, listed)
-        for c in cs:
-            if c not in profiles:
-                profiles[c] = _profile(alphas, c)
-        return cs, minimal_points((profiles[c], c) for c in cs)
-
-    last = _complete_box(alphas)
-    if last is not None:  # the whole family's ideal: b is read off its lines
-        cs, minimal = box(last)
-        roots = _arrangement_roots(alphas, [phi for phi, _ in minimal])
+    work = Work("REDUCTION_WORK_CAP", REDUCTION_WORK_CAP)
+    last = _complete_box(alphas, work)
+    cs = c_vectors(r, last)
+    profiles = [phi for phi, _ in minimal_points((_profile(alphas, c), c) for c in cs)]
+    if r <= 2:  # b is read off the lines of the minimal g_c
+        roots = _arrangement_roots(alphas, profiles, work)
         b = UniPoly.from_roots([x for x, k in roots for _ in range(k)])
-        return BFunctionResult(
-            b=b,
-            roots=tuple(roots),
-            unfactored_remainder=UniPoly([1]),
-            box_used=last,
-            stabilized=True,
-            generator_count=len(cs),
-            truncation=((last, b),),
-        )
-
-    # the factors' linear parts in y = (s_1, ..., s_{r-1}, L): a . s = a' . y
-    parts = [(*(x - a[-1] for x in a[:-1]), a[-1]) for a in _linear_parts(alphas)]
-    lct_value = monomial_ideal(S, ideal if isinstance(ideal, MonomialIdeal) else betas).lct
-    history: list[tuple[int, Optional[UniPoly]]] = []
-    prev: Optional[UniPoly] = None
-    prev_family: Optional[frozenset] = None
-    for B in count(1):
-        cs, minimal = box(B)
-        family = frozenset(phi for phi, _ in minimal)
-        if family != prev_family:  # an unchanged family is the same ideal: keep p
-            pack = _Packing.for_generators(parts, family, REDUCTION_WORK_CAP)
-            p = _eliminate([_falling_product(parts, phi, pack)[0] for phi, _ in minimal], pack)
-        prev_family = family
-        history.append((B, p))
-        if p is not None and prev is not None:
-            if not p.divides(prev):
-                raise AssertionError("larger truncation box failed to divide the smaller one")
-            if p == prev:  # only a repeated polynomial can certify, so only it is factored
-                roots, remainder = rational_roots(p)
-                if remainder.degree > 0:
-                    raise AssertionError("a truncation polynomial with an irrational root")
-                if _lct_matches(p, roots, lct_value):
-                    return BFunctionResult(
-                        b=p,
-                        roots=tuple(roots),
-                        unfactored_remainder=remainder,
-                        box_used=B,
-                        stabilized=True,
-                        generator_count=len(cs),
-                        truncation=tuple(history),
-                    )
-        prev = p
+        remainder = UniPoly([1])
+    else:
+        # the factors' linear parts in y = (s_1, ..., s_{r-1}, L): a . s = a' . y
+        parts = [(*(x - a[-1] for x in a[:-1]), a[-1]) for a in _linear_parts(alphas)]
+        pack = _Packing.for_generators(parts, profiles, work)
+        b = _eliminate([_falling_product(parts, phi, pack)[0] for phi in profiles], pack)
+        if b is None:
+            raise AssertionError("the whole family's ideal holds no polynomial in L")
+        roots, remainder = rational_roots(b)
+        if remainder.degree > 0:
+            raise AssertionError("a b-function with an irrational root")
+    return BFunctionResult(
+        b=b,
+        roots=tuple(roots),
+        unfactored_remainder=remainder,
+        box_used=last,
+        stabilized=True,
+        generator_count=len(cs),
+        truncation=((last, b),),
+    )

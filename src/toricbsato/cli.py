@@ -202,7 +202,7 @@ def _roots_json(roots) -> list:
 
 def _bfunction_json(res: BFunctionResult) -> dict:
     # each distinct polynomial of the report is encoded once
-    encoded: dict[Optional[UniPoly], Optional[dict]] = {None: None}
+    encoded: dict[UniPoly, dict] = {}
     for p in (res.b, res.unfactored_remainder, *(p for _, p in res.truncation)):
         if p not in encoded:
             encoded[p] = _unipoly_json(p)

@@ -575,8 +575,8 @@ class CorrespondenceReport:
 def verify_correspondence(S: SemigroupData, ideal) -> CorrespondenceReport:
     """Check that jumping coefficients in ``[lct, lct + 1)`` are roots of
     ``b(-s)``, and that the smallest root of ``b(-s)`` is the threshold.
-    :func:`bfunction` does not compare the two for one or two generators,
-    whose b-function it proves by a complete family, so this is where the
+    :func:`bfunction` does not compare the two for any ``r``, since it
+    proves the b-function by a complete family, so this is where the
     largest root of ``b`` meets the independently computed lct.  The unit
     ideal has no threshold and passes with an empty jumping set."""
     ideal = monomial_ideal(S, ideal)

@@ -14,7 +14,7 @@ import pytest
 
 import toricbsato.bsato as bsato
 from toricbsato.bsato import bfunction, build_generator, c_vectors, monomial_generator
-from toricbsato.exactnum import dot, primitive_vector
+from toricbsato.exactnum import Work, dot, primitive_vector
 from toricbsato.multipoly import MultiPoly, UniPoly
 from toricbsato.multiplier import (
     ambient_pair,
@@ -31,6 +31,7 @@ from toricbsato.toric import (
     build_semigroup,
     f_map,
     is_normal,
+    minimal_points,
     monomial_ideal,
 )
 
@@ -184,13 +185,26 @@ def test_generator_set_independence(cusp):
 
 
 def test_truncation_divisibility(cusp):
-    # three generators, so the box loop runs: boxes 1, 2, 3 give degrees
-    # 4, 3, 3 (two generators compute only their proved last box)
-    res = bfunction(cusp, monomial_ideal(cusp, [(1, 0), (1, 1), (1, 3)]))
-    seen = [(B, p) for B, p in res.truncation if p is not None]
-    assert len(seen) >= 2
-    for (_, prev), (_, cur) in zip(seen, seen[1:]):
-        assert cur.divides(prev)
+    # every truncation polynomial p_B is a multiple of b: on three
+    # generators the boxes below the proved last box B* = 6 give p_B of
+    # degrees 4, 3, 3, 3, 3, each eliminated here from the g_c of its
+    # minimal profiles, and b divides every one
+    exps = monomial_ideal(cusp, [(1, 0), (1, 1), (1, 3)]).generators
+    res = bfunction(cusp, exps)
+    assert res.box_used == 6 and res.truncation == ((6, res.b),)
+    alphas = [f_map(cusp, b) for b in exps]
+    # the factors' linear parts in the coordinates (s_1, s_2, L), L last
+    parts = [(*(x - a[-1] for x in a[:-1]), a[-1]) for a in bsato._linear_parts(alphas)]
+    degrees = []
+    for B in range(1, 6):
+        family = ((bsato._profile(alphas, c), c) for c in c_vectors(3, B))
+        profiles = [phi for phi, _ in minimal_points(family)]
+        pack = bsato._Packing.for_generators(parts, profiles)
+        gens = [bsato._falling_product(parts, phi, pack)[0] for phi in profiles]
+        p = bsato._eliminate(gens, pack)
+        assert res.b.divides(p)
+        degrees.append(p.degree)
+    assert degrees == [4, 3, 3, 3, 3]
 
 
 # --- 6: image polyhedron versus orthant polyhedron --------------------------
@@ -309,7 +323,8 @@ def test_groebner_engine_soundness(cusp):
     alphas = [(2, 1), (1, 2)]
     parts = [(1, 0), (-1, 1), (1, 1), (-1, 2)]
     profiles = [bsato._profile(alphas, c) for c in c_vectors(2, 2)]
-    pack = bsato._Packing.for_generators(parts, profiles, bsato.REDUCTION_WORK_CAP)
+    work = Work("REDUCTION_WORK_CAP", bsato.REDUCTION_WORK_CAP)
+    pack = bsato._Packing.for_generators(parts, profiles, work)
     gens = [bsato._falling_product(parts, phi, pack)[0] for phi in profiles]
     p = bsato._eliminate(gens, pack)  # its basis is verified inside
     assert p is not None and p.is_monic()

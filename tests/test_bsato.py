@@ -5,7 +5,7 @@ import re
 from collections import Counter
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import count, product
+from itertools import product
 from math import gcd
 
 import pytest
@@ -20,10 +20,10 @@ from toricbsato.bsato import (
     REDUCTION_WORK_CAP,
     WorkCapExceeded,
     _c_vector_count,
+    _chamber_box,
     _complete_box,
     _eliminate,
     _falling_product,
-    _lct_matches,
     _linear_parts,
     _normal_form,
     _Packing,
@@ -40,6 +40,7 @@ from toricbsato.bsato import (
     rational_roots,
     verify_groebner_basis,
 )
+from toricbsato.exactnum import Work
 from toricbsato.multiplier import verify_correspondence
 from toricbsato.multipoly import MultiPoly, UniPoly, binom_poly
 from toricbsato.toric import (
@@ -197,6 +198,20 @@ def test_smaller_profile_divides(case):
         verify([monomial_generator(alphas, c2)], [divisor])
 
 
+def c_vector_count_by_partial_sums(r, B):
+    """The size of box ``B`` by a dynamic program over the first ``r - 1``
+    coordinates: it counts each partial sum, and the last coordinate ``1 -
+    sum`` must land in ``[-B, B]``."""
+    ways = {0: 1}
+    for _ in range(r - 1):
+        nxt = Counter()
+        for s, w in ways.items():
+            for x in range(s - B, s + B + 1):
+                nxt[x] += w
+        ways = nxt
+    return sum(w for s, w in ways.items() if -B <= 1 - s <= B)
+
+
 def test_c_vectors():
     assert c_vectors(2, 3) == [(-2, 3), (-1, 2), (0, 1), (1, 0), (2, -1), (3, -2)]
     assert c_vectors(1, 5) == [(1,)]
@@ -206,13 +221,18 @@ def test_c_vectors():
         brute = [c for c in product(range(-B, B + 1), repeat=r) if sum(c) == 1]
         assert c_vectors(r, B) == brute
         assert _c_vector_count(r, B) == len(brute)
+    # the inclusion-exclusion count against the partial-sum oracle
+    for r in range(1, 7):
+        for B in range(12):
+            assert _c_vector_count(r, B) == c_vector_count_by_partial_sums(r, B), (r, B)
+    assert _c_vector_count(10, 1) == 8350
     with pytest.raises(ValueError):
         c_vectors(0, 2)
 
 
 def test_generators_cap():
     assert GENERATORS_CAP == 5000
-    assert len(c_vectors(3, 7)) == 168  # the plane's family at box 7 stays under the cap
+    assert len(c_vectors(3, 10)) == 330  # the plane's last box B* = 10 stays under the cap
     with pytest.raises(WorkCapExceeded, match="GENERATORS_CAP exceeded: 8350 > 5000") as exc:
         c_vectors(10, 1)
     assert exc.value.cap == "GENERATORS_CAP"
@@ -639,7 +659,7 @@ def test_krylov_widens_overflowing_fields():
 
     results = []
     for width in (3, 6):
-        pack = _Packing(2, width, REDUCTION_WORK_CAP)
+        pack = _Packing(2, width, Work("REDUCTION_WORK_CAP", REDUCTION_WORK_CAP))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(bsato, "groebner_basis", spy)
             results.append(_eliminate([pack.to_int_poly(g) for g in gens], pack))
@@ -707,13 +727,6 @@ def test_positive_dimensional_box_takes_one_basis(monkeypatch):
     assert calls == [2]
     assert eliminate_minimal_univariate([x * (L - 1)]) is None
     assert calls == [2, 1]
-    # <x^3, xy, y^2> eliminates five families, and boxes 1-5 have no
-    # polynomial: their ideals are positive-dimensional
-    calls.clear()
-    plane = build_semigroup([[1, 0], [0, 1]])
-    res = bfunction(plane, monomial_ideal(plane, [(3, 0), (1, 1), (0, 2)]))
-    assert [p for _, p in res.truncation[:5]] == [None] * 5
-    assert calls == [3, 4, 5, 6, 7]
 
 
 def test_pure_power_lead_without_a_polynomial_ends_at_the_cap():
@@ -869,8 +882,8 @@ def test_bfunction_running_example(cusp):
 
 
 def test_bfunction_factors_once(cusp, monkeypatch):
-    # three generators run the box loop: boxes 2 and 3 repeat one
-    # polynomial, and only that repeat is factored
+    # three generators eliminate their proved last box B* = 5 alone, and
+    # only its polynomial is factored
     calls = []
 
     def counting(p):
@@ -879,7 +892,7 @@ def test_bfunction_factors_once(cusp, monkeypatch):
 
     monkeypatch.setattr("toricbsato.bsato.rational_roots", counting)
     res = bfunction(cusp, monomial_ideal(cusp, [(1, 0), (1, 1), (1, 2)]))
-    assert res.stabilized and res.box_used == 3
+    assert res.stabilized and res.box_used == 5
     assert calls == [res.b]
 
 
@@ -920,101 +933,121 @@ def test_bfunction_principal_closed_form():
 
 
 def test_generators_cap_counts_every_box(monkeypatch):
-    # <x^3, xy, y^2> certifies at box 7; boxes 1-6 list 336 vectors c and
-    # box 7 another 168, so a cap of 400 stops the call before box 7 is listed
-    monkeypatch.setattr("toricbsato.bsato.GENERATORS_CAP", 400)
+    # the one box a call lists is counted before it is listed: <x^3, xy,
+    # y^2> certifies at its proved last box 10, whose 330 vectors c pass a
+    # cap of 329
+    monkeypatch.setattr("toricbsato.bsato.GENERATORS_CAP", 329)
     plane = build_semigroup([[1, 0], [0, 1]])
-    with pytest.raises(WorkCapExceeded, match="GENERATORS_CAP exceeded: 504 > 400"):
+    with pytest.raises(WorkCapExceeded, match="GENERATORS_CAP exceeded: 330 > 329"):
         bfunction(plane, monomial_ideal(plane, [(3, 0), (1, 1), (0, 2)]))
 
 
-def test_a_run_that_never_certifies_ends_at_the_generators_cap(monkeypatch):
-    # three generators run the box loop: <x^2, xy, y^2> keeps its family from
-    # box 1 on, so only the cumulative count of GENERATORS_CAP can end a run
-    # whose stop rule fails; boxes 1-16 list 4 896 vectors c, and box 17
-    # another 918
-    monkeypatch.setattr("toricbsato.bsato._lct_matches", lambda *args: False)
+def test_a_large_last_box_is_counted_before_it_is_listed():
+    # <x^3000, xy, y^3000> has the rays (1, -3000, 2999) and (2999, -3000, 1),
+    # so its last box is 6001: the box's size is counted in closed form and
+    # the call stops at once, after the bound's 15 systems are charged
     plane = build_semigroup([[1, 0], [0, 1]])
-    with pytest.raises(WorkCapExceeded, match="GENERATORS_CAP exceeded: 5814 > 5000"):
-        bfunction(plane, monomial_ideal(plane, [(2, 0), (1, 1), (0, 2)]))
+    assert _chamber_box([(3000, 0), (1, 1), (0, 3000)], Work("REDUCTION_WORK_CAP", None)) == 6001
+    with pytest.raises(WorkCapExceeded, match="GENERATORS_CAP exceeded: 108054006 > 5000"):
+        bfunction(plane, [(3000, 0), (1, 1), (0, 3000)])
 
 
 def test_an_irrational_truncation_root_is_an_engine_fault(monkeypatch):
-    # p_B splits over Q (L is constant on every flat of V(J)), so a repeated
-    # truncation polynomial with an irreducible quadratic factor is a fault
-    # in the engine: it raises at once instead of running on, uncertified,
-    # to GENERATORS_CAP
+    # b splits over Q (L is constant on every flat of V(J)), so a polynomial
+    # with an irreducible quadratic factor is a fault in the engine
     monkeypatch.setattr(bsato, "_eliminate", lambda polys, pack: UniPoly([F(2), F(0), F(1)]))
     plane = build_semigroup([[1, 0], [0, 1]])
     with pytest.raises(AssertionError, match="irrational root"):
         bfunction(plane, monomial_ideal(plane, [(2, 0), (1, 1), (0, 2)]))
 
 
+def test_a_last_box_without_a_polynomial_is_an_engine_fault(monkeypatch):
+    # the ideal of the whole family holds b(L), so an elimination of B*
+    # that finds no polynomial in L is a fault in the engine
+    monkeypatch.setattr(bsato, "_eliminate", lambda polys, pack: None)
+    plane = build_semigroup([[1, 0], [0, 1]])
+    with pytest.raises(AssertionError, match="no polynomial in L"):
+        bfunction(plane, monomial_ideal(plane, [(2, 0), (1, 1), (0, 2)]))
+
+
 def minimal_family(alphas, B):
-    """The minimal profiles of box ``B``, from the full listing."""
-    cs = c_vectors(len(alphas), B)
+    """The minimal profiles of box ``B``, from the full listing (past
+    ``GENERATORS_CAP`` too)."""
+    cs = [c for c in product(range(-B, B + 1), repeat=len(alphas)) if sum(c) == 1]
     return frozenset(phi for phi, _ in minimal_points((_profile(alphas, c), c) for c in cs))
 
 
 @st.composite
 def transported_exponents(draw):
-    """One or two generators' transported exponents on 1-4 facets."""
-    n = draw(st.integers(1, 4))
-    r = draw(st.integers(1, 2))
-    return [tuple(draw(st.lists(st.integers(0, 12), min_size=n, max_size=n))) for _ in range(r)]
+    """Transported exponents of one or two generators with entries up to 12
+    on 1-4 facets, of three with entries up to 4 on 1-4 facets, or of four
+    with entries up to 2 on 1-2 facets."""
+    r = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 2 if r == 4 else 4))
+    top = (12, 12, 4, 2)[r - 1]
+    return [tuple(draw(st.lists(st.integers(0, top), min_size=n, max_size=n))) for _ in range(r)]
 
 
 @given(transported_exponents())
 @example([(2, 1), (1, 2)])  # the cusp's running example: B* = 2
 @example([(12, 0), (0, 12)])  # B* = 12 from t_lo = -11
+@example([(0, 7), (3, 4), (7, 0)])  # <y^7, x^3 y^4, x^7>: B* = 10
 @settings(max_examples=300, deadline=None)
 def test_complete_box_holds_every_minimal_profile(alphas):
-    # the oracle of the proved last box, with no Groebner: six larger boxes
-    # hold exactly the minimal profiles of box B*
-    last = _complete_box(alphas)
+    # the oracle of the proved last box, with no Groebner: larger boxes hold
+    # exactly the minimal profiles of box B*, six of them for one or two
+    # generators, two for three and one for four
+    last = _complete_box(alphas, Work("REDUCTION_WORK_CAP", None))
     family = minimal_family(alphas, last)
-    for B in range(last + 1, last + 7):
+    for B in range(last + 1, last + (7, 7, 3, 2)[len(alphas) - 1]):
         assert minimal_family(alphas, B) == family
 
 
-def test_complete_box_is_known_for_at_most_two_generators():
-    assert _complete_box([(5, 0)]) == 1
-    assert _complete_box([(2, 1), (1, 2)]) == 2
-    assert _complete_box([(1, 0), (0, 1), (1, 1)]) is None
+def test_complete_box_is_known_for_every_number_of_generators():
+    work = Work("REDUCTION_WORK_CAP", None)
+    assert _complete_box([(5, 0)], work) == 1
+    assert _complete_box([(2, 1), (1, 2)], work) == 2
+    assert work.count == 0  # one or two generators: the closed form, no system
+    # <x, y, xy>: the forms c_1, c_2, c_3 and c_1 + c_3, c_2 + c_3 have 10
+    # vertex systems and 5 ray systems, counted before any is solved
+    assert _complete_box([(1, 0), (0, 1), (1, 1)], work) == 2
+    assert work.count == 15
 
 
-def reference_bfunction(S, betas, box=None):
-    """The b-function by Groebner elimination and the rational root search,
-    as a :class:`BFunctionResult`.  With ``box``, that one box is eliminated
-    and its polynomial factored: the route :func:`bfunction` took at the
-    proved last box ``B*`` of one or two generators before it read ``b``
-    off the lines.  Without, the box loop for every number of generators,
-    as :func:`bfunction` ran it before the proved last box: boxes ``1, 2,
-    ...`` until two consecutive boxes agree and ``-lct`` is the largest
-    root, each ``p_B`` dividing the one before."""
+def test_chamber_box_is_the_closed_form_for_at_most_two_generators():
+    # the vertices and rays of the arrangement give the closed form of one
+    # and two generators, on seeded exponents with up to four facets
+    rng = random.Random(37)
+    for _ in range(2000):
+        n, r = rng.randint(1, 4), rng.randint(1, 2)
+        alphas = [tuple(rng.randint(0, 12) for _ in range(n)) for _ in range(r)]
+        work = Work("REDUCTION_WORK_CAP", None)
+        assert _chamber_box(alphas, work) == _complete_box(alphas, work), alphas
+
+
+def box_polynomial(S, betas, box):
+    """The truncation polynomial of box ``box`` (``None`` when its ideal
+    holds no polynomial in ``L``) by Groebner elimination of the ``g_c`` of
+    its minimal profiles, written in ``(s_1, ..., s_{r-1}, L)``."""
     alphas = [f_map(S, b) for b in betas]
     parts = [(*(x - a[-1] for x in a[:-1]), a[-1]) for a in _linear_parts(alphas)]
-    lct_value = monomial_ideal(S, betas).lct
-    prev = prev_family = None
-    history = []
-    for B in count(1) if box is None else (box,):
-        cs = c_vectors(len(betas), B)
-        minimal = minimal_points((_profile(alphas, c), c) for c in cs)
-        family = frozenset(phi for phi, _ in minimal)
-        if family != prev_family:
-            pack = _Packing.for_generators(parts, family, REDUCTION_WORK_CAP)
-            p = _eliminate([_falling_product(parts, phi, pack)[0] for phi, _ in minimal], pack)
-        prev_family = family
-        history.append((B, p))
-        if box is None and p is not None and prev is not None:
-            assert p.divides(prev), "a larger box failed to divide the smaller one"
-        if box is not None or (p is not None and p == prev):
-            assert p is not None, "the complete family's ideal has no polynomial in L"
-            roots, remainder = rational_roots(p)
-            assert remainder == UniPoly([1]), "a truncation polynomial with an irrational root"
-            if box is not None or _lct_matches(p, roots, lct_value):
-                return BFunctionResult(p, tuple(roots), remainder, B, True, len(cs), tuple(history))
-        prev = p
+    cs = c_vectors(len(betas), box)
+    family = [phi for phi, _ in minimal_points((_profile(alphas, c), c) for c in cs)]
+    pack = _Packing.for_generators(parts, family, Work("REDUCTION_WORK_CAP", REDUCTION_WORK_CAP))
+    return _eliminate([_falling_product(parts, phi, pack)[0] for phi in family], pack)
+
+
+def reference_bfunction(S, betas, box):
+    """The b-function by Groebner elimination of box ``box`` and the
+    rational root search, as a :class:`BFunctionResult`: the route
+    :func:`bfunction` took at the proved last box ``B*`` of one or two
+    generators before it read ``b`` off the lines."""
+    p = box_polynomial(S, betas, box)
+    assert p is not None, "the complete family's ideal has no polynomial in L"
+    roots, remainder = rational_roots(p)
+    assert remainder == UniPoly([1]), "a truncation polynomial with an irrational root"
+    cs = c_vectors(len(betas), box)
+    return BFunctionResult(p, tuple(roots), remainder, box, True, len(cs), ((box, p),))
 
 
 WORKLOAD_CONES = {
@@ -1066,8 +1099,8 @@ WORKLOAD_IDEALS = sorted(
 
 def test_complete_box_agrees_with_the_box_loop():
     # every workload ideal of one or two generators: b read off the lines at
-    # B* is the b-function the certified box loop gives, one box earlier
-    # (the loop ran to it from box 1), and the whole result is the one the
+    # B* is the polynomial of the next box, where the box loop that preceded
+    # the proved last box confirmed it, and the whole result is the one the
     # elimination of box B* alone gives
     semigroups = {name: build_semigroup(m) for name, m in WORKLOAD_CONES.items()}
     assert len(WORKLOAD_IDEALS) == 48
@@ -1075,11 +1108,10 @@ def test_complete_box_agrees_with_the_box_loop():
         S = semigroups[name]
         ideal = monomial_ideal(S, gens)
         res = bfunction(S, ideal)
-        loop = reference_bfunction(S, ideal.generators)
+        after = reference_bfunction(S, ideal.generators, box=res.box_used + 1)
         assert (res.b, res.roots, res.unfactored_remainder) == (
-            loop.b, loop.roots, loop.unfactored_remainder
+            after.b, after.roots, after.unfactored_remainder
         ), (name, gens)
-        assert res.box_used == loop.box_used - 1, (name, gens)
         assert res == reference_bfunction(S, ideal.generators, box=res.box_used), (name, gens)
 
 
@@ -1193,6 +1225,30 @@ def test_lines_agree_with_the_elimination_of_the_last_box():
         finished += 1
         assert res == ref, (S.A, ideal.generators)
     assert finished >= 60, (finished, capped)
+
+
+def test_three_generators_agree_with_a_larger_box():
+    # the oracle of the chamber bound with Groebner: on seeded ideals of
+    # three generators, b at B* is the polynomial of the larger box B* + 2
+    # (not the box loop that preceded B*, which certified a wrong b on
+    # <y^7, x^3 y^4, x^7>)
+    rng = random.Random(37)
+    plane, cusp = build_semigroup([[1, 0], [0, 1]]), build_semigroup(CUSP)
+    draws = [(plane, lambda: (rng.randint(0, 3), rng.randint(0, 3)))] * 16
+    draws += [(cusp, lambda: (a := rng.randint(0, 2), rng.randint(0, 3 * a)))] * 8
+    finished, capped = 0, Counter()
+    for S, exponent in draws:
+        while len((ideal := monomial_ideal(S, [exponent() for _ in range(3)])).generators) != 3:
+            pass
+        try:
+            res = bfunction(S, ideal)
+            ref = reference_bfunction(S, ideal.generators, box=res.box_used + 2)
+        except WorkCapExceeded as exc:
+            capped[exc.cap] += 1
+            continue
+        finished += 1
+        assert (res.b, res.roots) == (ref.b, ref.roots), (S.A, ideal.generators)
+    assert finished >= 20, (finished, capped)
 
 
 TESSERACT = [
@@ -1317,19 +1373,22 @@ def test_block_rows_eliminate_to_the_last_variable(pair):
 @given(small_ideals())
 @settings(max_examples=25, deadline=None)
 def test_minimal_profiles_keep_every_truncation(case):
-    # oracle: eliminate the whole family of each box by the reference, as
-    # before the pruning and the Krylov loop
+    # oracle: eliminate the whole family of each of boxes 1-3 by the
+    # reference, as before the pruning and the Krylov loop; where the proved
+    # last box is among them, its polynomial is b
     matrix, exps = case
     S = build_semigroup(matrix)
-    truncation = bfunction(S, exps).truncation[:3]
+    res = bfunction(S, exps)
     # the whole family costs far more reduction work than the minimal one
     # (up to 2.7 M units in box 3 on three cusp columns), so the oracle runs
     # without the cap
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("toricbsato.bsato.REDUCTION_WORK_CAP", None)
-        for B, p in truncation:
+        for B in range(1, 4):
+            p = box_polynomial(S, exps, B)
             family = [build_generator(S, exps, c) for c in c_vectors(len(exps), B)]
             assert reference_eliminate(family) == p
+            assert B != res.box_used or p == res.b
 
 
 @st.composite
@@ -1387,8 +1446,8 @@ def test_krylov_matches_reference_elimination_in_three_variables(products):
 
 
 def test_plane_eliminates_minimal_profiles_only(monkeypatch):
-    # <x^3, xy, y^2> certifies at box 7, whose 168 g_c have 7 minimal profiles;
-    # boxes 5 and 7 repeat the profile sets of boxes 4 and 6
+    # <x^3, xy, y^2> certifies at its proved last box 10, whose 330 g_c have
+    # 7 minimal profiles
     sizes = []
     groebner = bsato.groebner_basis
 
@@ -1399,30 +1458,38 @@ def test_plane_eliminates_minimal_profiles_only(monkeypatch):
     monkeypatch.setattr(bsato, "groebner_basis", spy)
     plane = build_semigroup([[1, 0], [0, 1]])
     res = bfunction(plane, monomial_ideal(plane, [(3, 0), (1, 1), (0, 2)]))
-    assert sizes == [3, 4, 5, 6, 7]
-    assert res.stabilized and res.box_used == 7 and res.generator_count == 168
+    assert sizes == [7]
+    assert res.stabilized and res.box_used == 10 and res.generator_count == 330
     assert res.roots == ((F(-5, 3), 1), (F(-3, 2), 1), (F(-4, 3), 1), (F(-1), 2))
-    assert [p for _, p in res.truncation[:5]] == [None] * 5
+    assert res.truncation == ((10, res.b),)
+
+
+def test_stalled_truncation_is_not_the_b_function():
+    # <y^7, x^3 y^4, x^7>: boxes 2 and 3 share a degree-9 polynomial whose
+    # largest root is -lct, the stop rule of the box loop that preceded the
+    # proved last box, yet the minimal family grows until box 6.  At B* = 10
+    # b has degree 7 and simple roots, none of them -9/7 or -10/7
+    plane = build_semigroup([[1, 0], [0, 1]])
+    res = bfunction(plane, [(0, 7), (3, 4), (7, 0)])
+    assert res.box_used == 10 and res.b.degree == 7
+    assert res.roots == tuple((F(-k, 7), 1) for k in (8, 7, 6, 5, 4, 3, 2))
+    assert reference_bfunction(plane, [(0, 7), (3, 4), (7, 0)], box=12).b == res.b
 
 
 @pytest.mark.parametrize(
-    "matrix, ideal, sizes, boxes",
+    "matrix, ideal, sizes, last",
     [
-        (CUSP, [(1, 0), (1, 1), (1, 2)], [4, 5], {1: False, 2: True, 3: True}),
-        ([[0, 1, 6], [1, 1, 5]], [(0, 1), (1, 1), (6, 5)], [3, 5, 6],
-         {1: False, 2: False, 3: True, 4: True}),
-        (CUSP, CUSP_IDEAL, [], {2: True}),
-        ([[0, 1, 6], [1, 1, 5]], [(2, 2), (6, 5)], [], {2: True}),
+        (CUSP, [(1, 0), (1, 1), (1, 2)], [5], 5),
+        ([[0, 1, 6], [1, 1, 5]], [(0, 1), (1, 1), (6, 5)], [6], 13),
+        (CUSP, CUSP_IDEAL, [], 2),
+        ([[0, 1, 6], [1, 1, 5]], [(2, 2), (6, 5)], [], 2),
     ],
     ids=["cusp", "a5", "cusp-two-generators", "a5-two-generators"],
 )
-def test_unchanged_family_is_eliminated_once(monkeypatch, matrix, ideal, sizes, boxes):
-    # three generators run the box loop: the stabilizing last box has the
-    # minimal profiles of the box before it, so it is the same ideal and
-    # reuses that box's polynomial without eliminating.  Two generators list
-    # only their proved last box B* = 2 and read b off its lines, with no
-    # elimination at all.  ``boxes`` maps each truncation box to whether it
-    # had a polynomial
+def test_unchanged_family_is_eliminated_once(monkeypatch, matrix, ideal, sizes, last):
+    # every ideal lists only its proved last box B*, whose family is the
+    # whole family's: three generators eliminate its minimal g_c once, and
+    # two read b off its lines with no elimination at all
     seen = []
     groebner = bsato.groebner_basis
 
@@ -1434,24 +1501,22 @@ def test_unchanged_family_is_eliminated_once(monkeypatch, matrix, ideal, sizes, 
     S = build_semigroup(matrix)
     res = bfunction(S, monomial_ideal(S, ideal))
     assert seen == sizes
-    assert res.stabilized and res.box_used == max(boxes)
-    assert res.truncation == tuple((B, res.b if found else None) for B, found in boxes.items())
+    assert res.stabilized and res.box_used == last
+    assert res.truncation == ((last, res.b),)
 
 
 @pytest.mark.parametrize(
     "matrix, ideal, counts",
     [
-        (CUSP, [(1, 0), (1, 1), (1, 2)], [(5, 5, 584), (5, 5, 656)]),
-        ([[0, 1, 6], [1, 1, 5]], [(0, 1), (1, 1), (6, 5)], [(5, 5, 7165), (5, 5, 9264), (5, 5, 12028)]),
+        (CUSP, [(1, 0), (1, 1), (1, 2)], [(5, 5, 671)]),
+        ([[0, 1, 6], [1, 1, 5]], [(0, 1), (1, 1), (6, 5)], [(5, 5, 12043)]),
     ],
     ids=["cusp", "a5"],
 )
 def test_box_packings_keep_their_widths_and_work(monkeypatch, matrix, ideal, counts):
-    # per eliminated box of three generators: the field width its packing
-    # starts with, the width and the reduction work it has when bfunction
-    # returns (basis and powers of L together); the last box repeats the
-    # family before it and is not eliminated.  The cusp's box 2 is the
-    # largest count on the benchmark workloads
+    # the one box B* of three generators: the field width its packing starts
+    # with, the width and the reduction work it has when bfunction returns
+    # (the bound's 15 systems, the basis and the powers of L together)
     packs = []
     groebner = bsato.groebner_basis
 

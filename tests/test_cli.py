@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -139,20 +140,31 @@ def test_bfunction_cap_hit(tmp_path, capsys, monkeypatch):
 
 
 def test_bfunction_box_cap_below_default_is_honoured(tmp_path, capsys, monkeypatch):
-    # three generators run the box loop: boxes 1..2 list 6 + 18 c-vectors
-    # and find b but cannot confirm it; box 3, which certifies, would bring
-    # the count to 60, so a cap of 24 ends the run
-    monkeypatch.setattr("toricbsato.bsato.GENERATORS_CAP", 24)
+    # three generators list their proved last box B* = 5, 90 c-vectors,
+    # counted before any is listed, so a cap of 89 ends the run
+    monkeypatch.setattr("toricbsato.bsato.GENERATORS_CAP", 89)
     doc = write_doc(tmp_path, {**CUSP_DOC, "ideal": {"monomial": [[1, 0], [1, 1], [1, 2]]}})
     code, report, _ = invoke(capsys, ["bfunction", doc, "--assume-normal"])
     assert code == 3
     assert report["error"]["cap"] == "GENERATORS_CAP"
-    assert "GENERATORS_CAP exceeded: 60 > 24" in report["error"]["message"]
+    assert "GENERATORS_CAP exceeded: 90 > 89" in report["error"]["message"]
+
+
+def test_a_large_last_box_exits_at_the_generators_cap_at_once(tmp_path, capsys):
+    # <x^3000, xy, y^3000>: the proved last box 6001 holds 108 054 006
+    # c-vectors, a count read off in closed form before any is listed
+    doc = write_doc(tmp_path, {**CUSP_DOC, "matrix": [[1, 0], [0, 1]],
+                               "ideal": {"monomial": [[3000, 0], [1, 1], [0, 3000]]}})
+    start = time.perf_counter()
+    code, report, _ = invoke(capsys, ["bfunction", doc, "--assume-normal"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert report["error"]["message"] == "GENERATORS_CAP exceeded: 108054006 > 5000"
 
 
 def test_there_is_no_box_cap(tmp_path, capsys):
-    # the box loop stops on certification or a counted cap, never on a box
-    # count: the flag is a usage error and the option an unknown key
+    # the one box is proved, never set: the flag is a usage error and the
+    # option an unknown key
     doc = write_doc(tmp_path, CUSP_DOC)
     with pytest.raises(SystemExit) as exc:
         main(["bfunction", doc, "--assume-normal", "--box-cap", "2"])
@@ -166,7 +178,7 @@ def test_there_is_no_box_cap(tmp_path, capsys):
 
 def test_internal_invariant_failure_is_reported(tmp_path, capsys, monkeypatch):
     def broken(*args, **kwargs):
-        raise AssertionError("larger truncation box failed to divide the smaller one")
+        raise AssertionError("the whole family's ideal holds no polynomial in L")
 
     monkeypatch.setattr("toricbsato.cli.bfunction", broken)
     doc = write_doc(tmp_path, CUSP_DOC)
@@ -174,7 +186,7 @@ def test_internal_invariant_failure_is_reported(tmp_path, capsys, monkeypatch):
     assert code == 4
     assert report["error"]["code"] == 4
     assert report["error"]["internal"] is True
-    assert "failed to divide" in report["error"]["message"]
+    assert "no polynomial in L" in report["error"]["message"]
 
 
 def test_witness_recheck_failure_is_internal(tmp_path, capsys, monkeypatch):
@@ -360,7 +372,7 @@ def test_unknown_options_rejected(tmp_path, capsys):
     [
         ("multiplier", {"alpha": "100000000000"}, "SCAN_POINTS_CAP"),  # <x, y>: 10^11 + 1 heads
         ("jumping", {"max": "100000000000/1"}, "CANDIDATES_CAP"),  # 2 * 10^11 candidates
-        ("bfunction", {}, "GENERATORS_CAP"),  # ten generators: 8 350 c-vectors in box 1
+        ("bfunction", {}, "GENERATORS_CAP"),  # ten generators: 5.6 * 10^18 c-vectors in box 66
         ("bfunction", {}, "REDUCTION_WORK_CAP"),  # x^(10^30): a generator of 10^30 factors
     ],
 )
@@ -528,20 +540,37 @@ def test_hexagon_multiplier_scans_the_character_lattice():
     assert report["box_used"] == [13, 13, 14, 14, 16, 16]
 
 
-def test_plane_three_generators_certify_at_box_seven():
-    # box 7 holds 168 g_c but only 7 minimal profiles, so certifying is quick
+def test_plane_three_generators_certify_at_box_ten():
+    # the proved last box 10 holds 330 g_c but only 7 minimal profiles, so
+    # certifying is quick
     code, report = run_problem(
         "bfunction", "plane_three_generators.json", "--assume-normal", timeout=20
     )
     assert code == 0
     assert report["stabilized"] is True
-    assert report["box_used"] == 7 and report["generator_count"] == 168
+    assert report["box_used"] == 10 and report["generator_count"] == 330
+    assert report["truncation"] == [{"box": 10, "polynomial": report["b"]}]
     code, report = run_problem(
         "verify", "plane_three_generators.json", "--check-normal", timeout=20
     )
     assert code == 0
     assert report["verdict"] == "PASS" and report["notes"] == []
-    assert report["bfunction"]["box_used"] == 7
+    assert report["bfunction"]["box_used"] == 10
+
+
+def test_stalled_truncation_certifies_degree_seven():
+    # <y^7, x^3 y^4, x^7>: the box loop that preceded the proved last box
+    # stopped at box 3 with degree 9 and the roots -10/7 and -9/7, which
+    # verify passed; box 10 gives degree 7 with simple roots
+    code, report = run_problem(
+        "bfunction", "plane_stalled_truncation.json", "--assume-normal", timeout=20
+    )
+    assert code == 0
+    assert report["box_used"] == 10 and len(report["b"]["coefficients"]) == 8
+    assert [r["value"] for r in report["roots_negated"]] == [f"{k}/7" for k in (2, 3, 4, 5, 6)] + [
+        "1", "8/7"
+    ]
+    assert {r["multiplicity"] for r in report["roots_negated"]} == {1}
 
 
 def test_coefficient_swell_certifies():
@@ -631,11 +660,11 @@ GOLDEN_REPORTS = [
     ("verify", "malformed_option", ["--check-normal"],
      "43cf7242a4232ebbf5b5eedbe22c2622e45248cce80aca2fabe035db1717b221"),
     ("bfunction", "plane_three_generators", ["--assume-normal"],
-     "ea80b864cc8e801b320e5a86780ff0584ab43ebb4dd797e4091c6e96a1204aac"),
+     "d7993b8eaf3d7ab844ccdd458219e395fbf6b1a5ed5098de092a5ea6fdc5faed"),
     ("bfunction", "tesseract_cone", ["--assume-normal"],
      "843dd5d675b8be267c54e1448684d6b6c6916e7cef7f42c2681d5e6ae38935f5"),
     ("verify", "plane_three_generators", ["--check-normal"],
-     "95172c6d0208174164dfb3f730e398ee531925b799ab312db90295d6be805901"),
+     "07aa0d20df5383143b8cdf395ea24e386d12abfefc33febef81ad499267205a8"),
     ("jumping", "hexagon_multiplier", ["--assume-normal", "--max", "4/3"],
      "c35dd39b97334849bfb27c15f42909609ddd052233b15f83e3fb76bd6781a37c"),
     ("multiplier", "hexagon_multiplier", ["--assume-normal", "--alpha", "3/2"],
