@@ -669,13 +669,24 @@ GOLDEN_REPORTS = [
      "c35dd39b97334849bfb27c15f42909609ddd052233b15f83e3fb76bd6781a37c"),
     ("multiplier", "hexagon_multiplier", ["--assume-normal", "--alpha", "3/2"],
      "8475ce7b01d62dce7a55d59a93b5f7dc2a5ef893189a6511149d920b7d4a8926"),
+    ("multiplier", "twisted_cubic", ["--assume-normal", "--alpha", "2/3", "--mode", "relint"],
+     "0d19a5c332d4659afc509b47cd6fceb019613f5cd2baf869033b5b6d40772531"),
+    ("multiplier", "twisted_cubic", ["--assume-normal", "--alpha", "2/3", "--mode", "closed"],
+     "06917c5d6d4d91ac20ad129b90fb8dcc21696ca9024201f5865ace4826855448"),
+    ("multiplier", "unit_ideal", ["--assume-normal", "--alpha", "1"],
+     "723a22f3c8460a98ef53750292705ba47f898b7aa6cdea77167a4390d710344e"),
+    ("jumping", "twisted_cubic", ["--assume-normal", "--max", "4/3"],
+     "602d10b66299f201fe2e0764ef36860cf1472504acedfedbf42ed630e469156a"),
 ]
 
 
 @pytest.mark.parametrize(
     "command, document, flags, digest",
     GOLDEN_REPORTS,
-    ids=[f"{command}-{document}" for command, document, _, _ in GOLDEN_REPORTS],
+    ids=[
+        "-".join([command, document, *(f for f in flags if f in ("relint", "closed"))])
+        for command, document, flags, _ in GOLDEN_REPORTS
+    ],
 )
 def test_golden_report_bytes(capsys, command, document, flags, digest):
     # the report bytes, the summary line and the exit code are pinned: a
