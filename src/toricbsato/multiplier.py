@@ -10,7 +10,14 @@ times the polyhedron, where ``e`` is the all-ones vector indexed by
 facets; twisted by a boundary divisor ``w``, the point is ``F(v - w)``.
 Jumping coefficients are the parameter values where a lattice point of
 the image ``F(NA)`` sits on the boundary; each reported one comes with a
-lattice witness that is re-checked exactly.
+lattice witness that is re-checked exactly, by integers.
+
+Along an ``alpha`` grid only right-hand sides move.  So each semigroup
+caches the scan's reaches, ``F(e_d)`` and the start rays of ``F(v) >= 0``,
+each ideal its facets ``(l, c)`` pulled back as ``(l F, c, l . e)``, and
+at ``alpha = num / den`` all is integers: the right-hand sides, the test
+``num c % den`` of a tight facet and the witness re-check, ``den l' . (F(v)
++ e) >= num c'`` on every facet with equality on one.
 
 Both lattice scans are one lattice walk, ``exactnum._lattice_lines``.
 Minimal generators come from one walk of ``Z^d`` over a box that provably
@@ -43,7 +50,7 @@ from . import toric
 from .bsato import bfunction
 from .exactnum import IntMatrix, Vec, Work, WorkCapExceeded, _fm_levels, _fm_witness, dot
 from .exactnum import _lattice_lines, _rational, kernel_lattice_basis
-from .polyhedra import NewtonPolyhedron, _vertex_rays, membership
+from .polyhedra import NewtonPolyhedron, _on_boundary, _vertex_rays
 from .toric import (
     MonomialIdeal,
     SemigroupData,
@@ -166,12 +173,14 @@ class MultiplierIdealResult:
 
 
 def _minimal_members(
-    S: SemigroupData, ideal: MonomialIdeal, alpha: Fraction, mode: str, shift: Sequence
+    S: SemigroupData, ideal: MonomialIdeal, alpha: Fraction, mode: str, offsets: Sequence
 ) -> MultiplierIdealResult:
     """Minimal semigroup points ``v`` with ``F(v) - shift`` in the relative
     interior (relint mode) or in (closed mode) ``alpha`` times the ideal's
-    transported polyhedron: each facet ``(l, c)`` of it gives the cut
-    ``(l F) . v > alpha c + l . shift`` (``>=`` when closed).
+    transported polyhedron: each of the ideal's cuts ``(l F, c, l . e)``
+    gives ``(l F) . v > alpha c + o`` (``>=`` when closed), ``o = l . shift``
+    its entry of ``offsets``, rounded in integers.  The rows ``F(v) >= 0``
+    come first, so the datum's cached rays start the double description.
 
     Rounded to integer right-hand sides, the cuts and ``F(v) >= 0`` cut out
     a polyhedron ``R`` with recession cone ``cone(A)`` whose lattice points
@@ -184,7 +193,7 @@ def _minimal_members(
     the integer rays ``(y_0, x)`` of the homogenized region
     (:func:`~toricbsato.polyhedra._vertex_rays`), vertex ``x / y_0``; since
     the reach is an integer, ``max floor(f . x / y_0) + reach`` is that
-    bound rounded down, in integers.
+    bound rounded down, in integers (the reaches are the datum's).
 
     Read off the facets, the bound is the box ``F_k(v) <= box_k`` reported
     as ``box_used``; read off the unit vectors and their negatives, it
@@ -195,34 +204,25 @@ def _minimal_members(
     counts the work paid for: the heads (one line solve each) before the
     walk, then each line's members before they are listed.  Along a line
     ``F(v)`` steps by ``F(e_d)``."""
-    region = {f: 0 for f in S.facets}  # row -> integer right-hand side
-    for ell, c in ideal.transported_polyhedron.facets:
-        t = alpha * c + dot(ell, shift)
-        b = floor(t) + 1 if mode == "relint" else ceil(t)
-        row = tuple(dot(ell, col) for col in zip(*S.facets))  # l F
-        region[row] = max(b, region.get(row, b))
-    vertices = _vertex_rays(list(region.items()))
-    cols = S.A.columns()
-
-    def reach(steps) -> int:  # the sum of the d largest positive steps
-        return sum(sorted((x for x in steps if x > 0), reverse=True)[: S.d])
-
-    box = [
-        max(dot(f, y[1:]) // y[0] for y in vertices) + reach(dot(f, a) for a in cols)
-        for f in S.facets
-    ]
+    num, den = alpha.numerator, alpha.denominator
+    region = [(f, 0) for f in S.facets]
+    for (g, c, _), o in zip(ideal.cuts, offsets):
+        n, m = num * c * o.denominator + den * o.numerator, den * o.denominator  # n/m = alpha c + o
+        region.append((g, n // m + 1 if mode == "relint" else -(-n // m)))
+    vertices = _vertex_rays(region, S.region_start)
+    box_reaches, span_reaches = S.reaches
+    box = [max(dot(f, y[1:]) // y[0] for y in vertices) + r for f, r in zip(S.facets, box_reaches)]
     spans = [  # lo <= v_i <= hi on every minimal generator
-        (min(-(-y[i + 1] // y[0]) for y in vertices) - reach(-x for x in row),
-         max(y[i + 1] // y[0] for y in vertices) + reach(row))
-        for i, row in enumerate(zip(*cols))
+        (min(-(-y[i] // y[0]) for y in vertices) - lo, max(y[i] // y[0] for y in vertices) + hi)
+        for i, (lo, hi) in enumerate(span_reaches, 1)
     ]
     work = Work("SCAN_POINTS_CAP", toric.SCAN_POINTS_CAP)
     work.charge(prod(hi - lo + 1 for lo, hi in spans[:-1]))
     bounds = [[(1, lo), (-1, -hi)] for lo, hi in spans]
     # the region rows, and -F_k(v) >= -box_k
-    rows = list(region.items()) + [(tuple(-x for x in f), -b) for f, b in zip(S.facets, box)]
+    rows = region + [(tuple(-x for x in f), -b) for f, b in zip(S.facets, box)]
     members: list[tuple[Vec, Vec]] = []  # (q, v)
-    step = tuple(f[-1] for f in S.facets)  # F(e_d)
+    step = S.line_step
     for head, lo, hi in _lattice_lines([[]] * (S.d - 1) + [rows], bounds):
         work.charge(hi - lo + 1)
         q = f_map(S, head + (lo,))
@@ -259,7 +259,7 @@ def multiplier_ideal(
     """
     alpha = _check_alpha_mode(alpha, mode)
     ideal = monomial_ideal(S, ideal)
-    return _minimal_members(S, ideal, alpha, mode, tuple(-x for x in S.e))
+    return _minimal_members(S, ideal, alpha, mode, [-le for *_, le in ideal.cuts])
 
 
 def multiplier_ideal_with_boundary(
@@ -287,10 +287,9 @@ def multiplier_ideal_with_boundary(
     wq = tuple(map(_rational, w))
     if len(wq) != S.d:
         raise ValueError("w must live in the character space")
-    shift = f_map(S, wq)
-    if any(x < -1 for x in shift):
+    if min(f_map(S, wq)) < -1:
         raise ValueError("boundary divisor not effective")
-    return _minimal_members(S, ideal, alpha, mode, shift)
+    return _minimal_members(S, ideal, alpha, mode, [dot(g, wq) for g, *_ in ideal.cuts])
 
 
 # ---------------------------------------------------------------------------
@@ -359,17 +358,14 @@ def _diophantine_particular(g: Sequence[int]) -> tuple[int, Vec]:
     return G, tuple(coeffs)
 
 
-def _tight_facet(S: SemigroupData, ell: Vec, c: int) -> tuple:
-    """The eager part of the lattice set-up of the positive-offset facet
-    ``(l, c)``, which does not depend on ``alpha``: ``(l, c, g, G, base)``
-    with ``g = l F`` and ``g . base = G = gcd(g)``, all that the test
-    whether ``G`` divides a candidate's right-hand side needs.  ``G > 0``:
-    ``l >= 0``, ``l != 0``, and the facet normals of a full-dimensional
-    cone have no positive dependence, so ``g != 0``.
-    :func:`_parametric_levels` builds the rest on the facet's first use."""
-    g = tuple(dot(ell, [facet[i] for facet in S.facets]) for i in range(S.d))
-    G, base = _diophantine_particular(g)
-    return ell, c, g, G, base
+def _tight_facet(cut: tuple) -> tuple:
+    """The ``alpha``-free part of the lattice set-up of a positive-offset
+    facet ``(l, c)``: its cut ``(g, c, l . e)``, ``g = l F``, and ``(G,
+    base)`` with ``g . base = G = gcd(g) > 0`` (``g != 0``: ``l >= 0``, ``l
+    != 0``, and the facet normals of a pointed cone have no positive
+    dependence), all that the test whether ``G`` divides a candidate's
+    right-hand side needs.  :func:`_parametric_levels` builds the rest."""
+    return (*cut, *_diophantine_particular(cut[0]))
 
 
 def _parametric_levels(S: SemigroupData, P: NewtonPolyhedron, facet: tuple) -> tuple:
@@ -385,10 +381,9 @@ def _parametric_levels(S: SemigroupData, P: NewtonPolyhedron, facet: tuple) -> t
     :func:`~toricbsato.exactnum._fm_levels` on ``(alpha, tau)``, the
     ``tau_j`` past ``tau_0`` eliminated, each row split as ``(u, a, w)``;
     ``None`` if they contradict each other at every ``alpha``."""
-    ell, c, g, G, base = facet
+    g, c, le, G, base = facet
     kernel = kernel_lattice_basis(IntMatrix([list(g)]))
     f_base, fk = f_map(S, base), [f_map(S, k) for k in kernel]
-    le = dot(ell, S.e)
     rows = [((c * b, *(G * q[s] for q in fk)), le * b) for s, b in enumerate(f_base)]
     for l2, c2 in P.facets:
         lb = dot(l2, f_base)
@@ -429,25 +424,17 @@ def _witness_search(
     its walk can reach) is charged to ``scanned``, the call's
     ``WINDOW_POINTS_CAP`` counter, before the window is searched.
     """
-    e = S.e
     num, den = alpha.numerator, alpha.denominator
     exhausted = False
-    for i, (ell, c, _, G, base) in enumerate(tight):
-        rhs_q = alpha * c - dot(ell, e)
-        if rhs_q.denominator != 1:
+    for i, (g, c, le, G, base) in enumerate(tight):
+        if num * c % den:
             continue
-        rhs = int(rhs_q)
+        rhs = num * c // den - le
 
         def check(v: Vec) -> bool:
             q = f_map(S, v)
-            if any(x < 0 for x in q):
-                return False
-            if dot(ell, q) != rhs:
-                return False
-            point = tuple(a + b for a, b in zip(q, e))
-            return membership(P, point, alpha, "closed") and not membership(
-                P, point, alpha, "relint"
-            )
+            point = [x + 1 for x in q]  # F(v) + e
+            return min(q) >= 0 and dot(g, v) == rhs and _on_boundary(P, point, num, den)
 
         if rhs == 0 and check((0,) * S.d):
             return (0,) * S.d, exhausted
@@ -522,7 +509,7 @@ def jumping_coefficients(
     spans = [(c, max(1, ceil(threshold * c)), floor(T * c)) for _, c in P.facets if c > 0]
     Work("CANDIDATES_CAP", CANDIDATES_CAP).charge(sum(max(0, hi - lo + 1) for _, lo, hi in spans))
     candidates = {Fraction(n, c) for c, lo, hi in spans for n in range(lo, hi + 1)}
-    tight = [_tight_facet(S, ell, c) for ell, c in P.facets if c > 0]
+    tight = [_tight_facet(cut) for cut in ideal.cuts if cut[1] > 0]
     search_mode = "exact" if S.d <= 2 else "windowed"
     jumps: list[tuple[Fraction, Vec]] = []
     unresolved: list[Fraction] = []

@@ -37,7 +37,6 @@ from .exactnum import (
     _bareiss,
     _int_vector,
     _integer_row,
-    _rational,
     dot,
     primitive_vector,
 )
@@ -75,7 +74,7 @@ def _simplicial_start(rows: Sequence[Vec], dim: int) -> Optional[list[tuple[int,
 
 
 def _cone_rays(
-    rows: Sequence[Vec], dim: int, start: Optional[list[tuple[int, Vec]]] = None
+    rows: Sequence[Vec], dim: int, start: Optional[Sequence[tuple[int, Vec]]] = None
 ) -> Optional[list[Vec]]:
     """Primitive extreme rays of ``{y : r . y >= 0 for r in rows}`` (integer
     rows in ``R^dim``), or ``None`` when the rows do not span ``R^dim``.
@@ -137,14 +136,15 @@ def cone_facet_normals(generators: Sequence[Vec], dim: int) -> list[Vec]:
     return sorted(rays, reverse=True)
 
 
-def _vertex_rays(rows: Sequence[tuple[Vec, int]]) -> list[Vec]:
+def _vertex_rays(rows: Sequence[tuple[Vec, int]], start: Optional[Sequence] = None) -> list[Vec]:
     """The vertices of ``{x : a . x >= c for (a, c) in rows}`` (integer
     rows of one arity) as integer rays ``(y_0, x)``, ``y_0 > 0``, of the
-    cone ``{(y_0, x) : y_0 >= 0, a . x >= c y_0}``: the vertex is
-    ``x / y_0``.  Empty when the polyhedron is empty or contains a line."""
+    cone ``{(y_0, x) : y_0 >= 0, a . x >= c y_0}`` (rows ``(1, 0)``, then
+    each ``(-c, a)``, for :func:`_cone_rays` and its ``start``): the vertex
+    is ``x / y_0``.  Empty when the polyhedron is empty or contains a line."""
     dim = len(rows[0][0])
     homog = [(1,) + (0,) * dim] + [(-c, *a) for a, c in rows]
-    return [y for y in _cone_rays(homog, dim + 1) or [] if y[0] > 0]
+    return [y for y in _cone_rays(homog, dim + 1, start) or [] if y[0] > 0]
 
 
 def inequality_vertices(rows: Sequence[tuple[Vec, int]]) -> list[tuple[Fraction, ...]]:
@@ -212,14 +212,9 @@ def newton_polyhedron(points: Sequence[Vec], rays: Sequence[Vec]) -> NewtonPolyh
         facets.append((normal, offset))
     facets = sorted(set(facets))
 
-    # sanity: every input point and ray satisfies every facet
-    for normal, offset in facets:
-        for p in pts:
-            if dot(normal, p) < offset:
-                raise AssertionError("input point violates computed facet")
-        for r in rys:
-            if dot(normal, r) < 0:
-                raise AssertionError("input ray violates computed facet")
+    # sanity: every input ray satisfies every facet (the offsets fit the points)
+    if any(dot(normal, r) < 0 for normal, _ in facets for r in rys):
+        raise AssertionError("input ray violates computed facet")
     return NewtonPolyhedron(ambient_dim=n, facets=tuple(facets))
 
 
@@ -247,6 +242,13 @@ def membership(P: NewtonPolyhedron, q: Sequence, alpha, mode: str = "closed") ->
     return True
 
 
+def _on_boundary(P: NewtonPolyhedron, q: Sequence[int], num: int, den: int) -> bool:
+    """Is the integer point ``q`` on the boundary of ``(num / den) P``
+    (``num, den > 0``)?  ``membership`` closed and not relint in integers:
+    ``den normal . q >= num offset`` on every facet, equality on one."""
+    return min(den * dot(normal, q) - num * offset for normal, offset in P.facets) == 0
+
+
 def point_threshold(P: NewtonPolyhedron, q: Sequence) -> Optional[Fraction]:
     """The dilation factor at which ``q`` stops being interior, exactly.
 
@@ -256,21 +258,21 @@ def point_threshold(P: NewtonPolyhedron, q: Sequence) -> Optional[Fraction]:
     ``normal . q < 0``: then ``q`` enters no dilation and has no threshold.
     A float coordinate raises ``TypeError``.
     """
-    qv = [x if isinstance(x, int) else _rational(x) for x in q]
-    if len(qv) != P.ambient_dim:
+    *qs, scale = _integer_row([*q, 1])  # q = qs / scale
+    if len(qs) != P.ambient_dim:
         raise ValueError("point has wrong dimension")
     best = None
     for normal, offset in P.facets:
-        lhs = dot(normal, qv)
+        lhs = dot(normal, qs)
         if offset == 0 and lhs < 0:
             raise ValueError("point outside every dilation: threshold undefined")
         if offset <= 0:
             continue
-        ratio = Fraction(lhs, offset)
+        ratio = Fraction(lhs, offset * scale)
         if best is None or ratio < best:
             best = ratio
     if best is not None and best > 0 and all(offset >= 0 for _, offset in P.facets):
         # q must sit on the boundary of the critical dilation
-        if not membership(P, qv, best, "closed") or membership(P, qv, best, "relint"):
+        if not _on_boundary(P, qs, best.numerator * scale, best.denominator):
             raise AssertionError("threshold point not on the critical boundary")
     return best

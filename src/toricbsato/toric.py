@@ -35,6 +35,7 @@ from .exactnum import (
     rank,
 )
 from .polyhedra import NewtonPolyhedron, cone_facet_normals, newton_polyhedron, point_threshold
+from .polyhedra import _simplicial_start
 
 __all__ = [
     "StructuralError",
@@ -67,9 +68,9 @@ class SemigroupData:
     ``facets`` lists the primitive support vectors ``f`` with
     ``F_sigma(p) = f . p``, in descending lexicographic order; this fixed
     order is the coordinate order of ``Z^F`` everywhere downstream.  A datum
-    compares and hashes by ``A``, ``facets`` and ``saturated``; the
-    normality verdict it derives from them is cached on first use, outside
-    the fields ``==`` compares, so it is computed once per datum.
+    compares and hashes by ``A``, ``facets`` and ``saturated``; the normality
+    verdict and the multiplier scan's set-up it derives from them are cached
+    on first use, outside the fields ``==`` compares: once per datum.
     """
 
     A: IntMatrix
@@ -103,6 +104,29 @@ class SemigroupData:
                 if not _combination_exists(self, cols, p, memo):
                     return p
         return None
+
+    @cached_property
+    def line_step(self) -> Vec:
+        """``F(e_d)``, the step of ``F(v)`` along a line of the last exponent."""
+        return tuple(f[-1] for f in self.facets)
+
+    @cached_property
+    def reaches(self) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+        """The multiplier scan's reaches, each the sum of the ``d`` largest
+        positive steps: of the ``f . a_j`` per facet ``f``, and of the
+        ``-a_ji`` and of the ``a_ji`` per exponent ``i``."""
+
+        def reach(steps) -> int:
+            return sum(sorted((x for x in steps if x > 0), reverse=True)[: self.d])
+
+        boxes = tuple(reach(dot(f, a) for a in self.A.columns()) for f in self.facets)
+        return boxes, tuple((reach(-x for x in r), reach(r)) for r in self.A.entries)
+
+    @cached_property
+    def region_start(self) -> tuple[tuple[int, Vec], ...]:
+        """Start rays of the rows ``y_0 >= 0``, ``(0, f)`` heading every multiplier region."""
+        d = self.d
+        return tuple(_simplicial_start([(1,) + (0,) * d] + [(0, *f) for f in self.facets], d + 1))
 
     @property
     def d(self) -> int:
@@ -265,9 +289,9 @@ def minimalize_exponents(S: SemigroupData, exps: Sequence[Sequence[int]]) -> tup
 
 @dataclass(frozen=True)
 class MonomialIdeal:
-    """A monomial ideal of the semigroup ring, stored by its minimal
-    generator exponents (a lex-sorted antichain); its transported polyhedron
-    and lct are cached on first use, outside the fields ``==`` compares."""
+    """A monomial ideal of the semigroup ring by its minimal generator
+    exponents (a lex-sorted antichain); its transported polyhedron, cuts and
+    lct are cached on first use, outside the fields ``==`` compares."""
 
     owner: SemigroupData
     generators: tuple[Vec, ...]
@@ -277,6 +301,13 @@ class MonomialIdeal:
         """Newton polyhedron of the ``F(beta)`` plus the facet orthant."""
         rays = IntMatrix.identity(self.owner.nfacets).entries
         return newton_polyhedron([f_map(self.owner, b) for b in self.generators], rays)
+
+    @cached_property
+    def cuts(self) -> tuple[tuple[Vec, int, int], ...]:
+        """The transported polyhedron's facets ``(l, c)`` pulled back along
+        ``F``, in order: ``(l F, c, l . e)``."""
+        cols, P = list(zip(*self.owner.facets)), self.transported_polyhedron
+        return tuple((tuple(dot(ell, f) for f in cols), c, sum(ell)) for ell, c in P.facets)
 
     @cached_property
     def lct(self):

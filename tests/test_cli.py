@@ -192,7 +192,7 @@ def test_internal_invariant_failure_is_reported(tmp_path, capsys, monkeypatch):
 def test_witness_recheck_failure_is_internal(tmp_path, capsys, monkeypatch):
     # the witness rows state the exact re-check, so a row-feasible point
     # that fails it is an engine fault, not a reason to scan on
-    monkeypatch.setattr("toricbsato.multiplier.membership", lambda *args: False)
+    monkeypatch.setattr("toricbsato.multiplier._on_boundary", lambda *args: False)
     doc = write_doc(tmp_path, {**CUSP_DOC, "options": {"max": "4/3"}})
     code, report, _ = invoke(capsys, ["jumping", doc, "--assume-normal"])
     assert code == 4

@@ -6,8 +6,8 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import product
-from math import ceil, floor
-from operator import mul
+from math import ceil, floor, prod
+from operator import add, mul
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -239,9 +239,10 @@ def _check_generating_box(S, ideal, alpha, data):
     and the integer box with the box over the region's Fraction vertices."""
     regions = []
 
-    def spy(rows):
+    def spy(rows, start):
         regions.append(rows)
-        return polyhedra._vertex_rays(rows)
+        _assert_cached_start(S, rows, start)
+        return polyhedra._vertex_rays(rows, start)
 
     mode = data.draw(st.sampled_from(["relint", "closed"]))
     with pytest.MonkeyPatch.context() as mp:
@@ -429,14 +430,22 @@ def test_both_multiplier_functions_share_one_polyhedron(monkeypatch, cusp):
 
 
 def test_equal_ideals_hash_alike_after_the_normality_scan():
-    """Cached geometry and the normality verdict stay out of ``==`` and
-    ``hash``: equal ideals on two equal data collapse in a set."""
+    """Cached geometry, the normality verdict and the multiplier scan's
+    set-up stay out of ``==``, ``hash`` and ``repr``: equal ideals on two
+    equal data collapse in a set, whichever of them filled its caches."""
     S, T = build_semigroup(CUSP), build_semigroup(CUSP)
     assert is_normal(S) and "normality_witness" not in vars(T)
     a = monomial_ideal(S, [(1, 1), (1, 2)])
     b = monomial_ideal(T, [(1, 2), (1, 1)])
     assert a.lct == F(2, 3)
-    assert S == T and a == b and hash(a) == hash(b)
+    multiplier_ideal(S, a, F(3, 2))
+    multiplier_ideal_with_boundary(S, a, (0, -1), 1, "closed")
+    jumping_coefficients(S, a, F(5, 3))
+    cached = {"line_step", "reaches", "region_start"}
+    assert cached <= set(vars(S)) and not cached & set(vars(T))
+    assert "cuts" in vars(a) and "cuts" not in vars(b)
+    assert S == T and hash(S) == hash(T) and repr(S) == repr(T)
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
     assert len({a, b}) == 1 and {a: 1}[b] == 1
 
 
@@ -677,15 +686,15 @@ def reference_witness_search(S, P, tight, alpha, scanned, systems=None):
     e = S.e
     num, den = alpha.numerator, alpha.denominator
     exhausted = False
-    for ell, c, g, G, base in tight:
-        rhs_q = alpha * c - dot(ell, e)
+    for g, c, le, G, base in tight:
+        rhs_q = alpha * c - le
         if rhs_q.denominator != 1:
             continue
         rhs = int(rhs_q)
 
         def check(v):
             q = f_map(S, v)
-            if any(x < 0 for x in q) or dot(ell, q) != rhs:
+            if any(x < 0 for x in q) or dot(g, v) != rhs:
                 return False
             point = tuple(a + b for a, b in zip(q, e))
             return membership(P, point, alpha, "closed") and not membership(
@@ -780,6 +789,209 @@ def test_parametric_search_matches_the_per_candidate_reference(monkeypatch, d, c
             )
     # windows are searched from dimension 3 on, and some candidates stay unsettled
     assert (stats["windows"] > 0) == (d >= 3) and (stats["unresolved"] > 0) == (d >= 3), stats
+
+
+# --- the Fraction references of the multiplier engine -----------------------
+
+
+def fraction_minimal_members(S, ideal, alpha, mode, shift):
+    """The generating-box scan with the region rebuilt on every call: cuts
+    ``(l F) . v > alpha c + l . shift`` rounded in ``Fraction``s and merged
+    with a parallel row of ``F(v) >= 0``, one elimination to start its
+    double description, and the reaches summed afresh.  ``shift`` lives in
+    ``Z^F``: ``-e`` for the multiplier ideal, ``F(w)`` with a boundary."""
+    region = {f: 0 for f in S.facets}  # row -> integer right-hand side
+    for ell, c in ideal.transported_polyhedron.facets:
+        t = alpha * c + dot(ell, shift)
+        b = floor(t) + 1 if mode == "relint" else ceil(t)
+        row = tuple(dot(ell, col) for col in zip(*S.facets))  # l F
+        region[row] = max(b, region.get(row, b))
+    vertices = polyhedra._vertex_rays(list(region.items()))
+    cols = S.A.columns()
+
+    def reach(steps):  # the sum of the d largest positive steps
+        return sum(sorted((x for x in steps if x > 0), reverse=True)[: S.d])
+
+    box = [
+        max(dot(f, y[1:]) // y[0] for y in vertices) + reach(dot(f, a) for a in cols)
+        for f in S.facets
+    ]
+    spans = [  # lo <= v_i <= hi on every minimal generator
+        (min(-(-y[i + 1] // y[0]) for y in vertices) - reach(-x for x in row),
+         max(y[i + 1] // y[0] for y in vertices) + reach(row))
+        for i, row in enumerate(zip(*cols))
+    ]
+    work = exactnum.Work("SCAN_POINTS_CAP", toric.SCAN_POINTS_CAP)
+    work.charge(prod(hi - lo + 1 for lo, hi in spans[:-1]))
+    bounds = [[(1, lo), (-1, -hi)] for lo, hi in spans]
+    rows = list(region.items()) + [(tuple(-x for x in f), -b) for f, b in zip(S.facets, box)]
+    members = []  # (q, v)
+    step = tuple(f[-1] for f in S.facets)  # F(e_d)
+    for head, lo, hi in _lattice_lines([[]] * (S.d - 1) + [rows], bounds):
+        work.charge(hi - lo + 1)
+        q = f_map(S, head + (lo,))
+        for t in range(lo, hi + 1):
+            members.append((q, head + (t,)))
+            q = tuple(map(add, q, step))
+    gens = tuple(sorted(v for _, v in toric.minimal_points(members)))
+    return multiplier.MultiplierIdealResult(alpha, mode, gens, tuple(box), stabilized=True)
+
+
+def fraction_witness_search(S, P, tight, alpha, scanned, systems):
+    """The witness search with a ``Fraction`` right-hand side and the
+    re-check as two :func:`membership` calls; the facet functional ``l``
+    of each tight facet is read back off ``P``, whose positive-offset
+    facets ``tight`` lists in order."""
+    e = S.e
+    num, den = alpha.numerator, alpha.denominator
+    exhausted = False
+    ells = [ell for ell, c in P.facets if c > 0]
+    for i, (ell, (_, c, _, G, base)) in enumerate(zip(ells, tight, strict=True)):
+        rhs_q = alpha * c - dot(ell, e)
+        if rhs_q.denominator != 1:
+            continue
+        rhs = int(rhs_q)
+
+        def check(v):
+            q = f_map(S, v)
+            if any(x < 0 for x in q):
+                return False
+            if dot(ell, q) != rhs:
+                return False
+            point = tuple(a + b for a, b in zip(q, e))
+            return membership(P, point, alpha, "closed") and not membership(
+                P, point, alpha, "relint"
+            )
+
+        if rhs == 0 and check((0,) * S.d):
+            return (0,) * S.d, exhausted
+        if rhs % G:
+            continue
+        if i not in systems:
+            systems[i] = multiplier._parametric_levels(S, P, tight[i])
+        kernel, parametric = systems[i]
+        if parametric is None:
+            continue
+        levels = [
+            [([den * x for x in a], den * w - u * num) for u, a, w in level]
+            for level in parametric
+        ]
+        if not kernel:
+            tau = () if all(c <= 0 for _, c in levels[0]) else None
+        elif len(kernel) == 1:
+            line = next(_lattice_lines(levels, [[]]), None)
+            tau = None if line is None else (line[2] if line[1] is None else line[1],)
+        else:
+            point = _fm_witness(levels)
+            if point is None:
+                continue
+            center = [int(round(x)) for x in point]
+            width = multiplier.WINDOW0
+            for _ in range(multiplier.EXPANSIONS + 1):
+                scanned.charge((2 * width + 1) ** len(kernel))
+                window = [[(1, x - width), (-1, -x - width)] for x in center]
+                line = next(_lattice_lines(levels[::-1], window), None)
+                if line is not None:
+                    break
+                width *= multiplier.KAPPA
+            tau = None if line is None else line[0] + (line[1],)
+            exhausted = exhausted or tau is None
+        if tau is None:
+            continue
+        m = rhs // G
+        v = tuple(m * x + sum(t * k[j] for t, k in zip(tau, kernel)) for j, x in enumerate(base))
+        assert check(v)
+        return v, exhausted
+    return None, exhausted
+
+
+def _assert_cached_start(S, rows, start):
+    """The semigroup's cached start is the elimination's start on the
+    homogenized rows of this call."""
+    homog = [(1,) + (0,) * S.d] + [(-c, *a) for a, c in rows]
+    assert list(start) == list(S.region_start) == polyhedra._simplicial_start(homog, S.d + 1)
+
+
+def _counted(fn):
+    """``fn()`` (or its cap message) and the units it charged to the
+    lattice caps, in order."""
+    charges = []
+    charge = exactnum.Work.charge
+
+    def spy(self, units):
+        if self.cap in ("SCAN_POINTS_CAP", "CANDIDATES_CAP", "WINDOW_POINTS_CAP"):
+            charges.append((self.cap, units))
+        return charge(self, units)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactnum.Work, "charge", spy)
+        try:
+            result = fn()
+        except WorkCapExceeded as exc:
+            result = str(exc)
+    return result, charges
+
+
+def _random_ideal(rng, S, cols):
+    """1-3 generators, each a combination of the columns with coefficients 0..2."""
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        k = [rng.randint(0, 2) for _ in cols]
+        gens.append(tuple(sum(x * col[i] for x, col in zip(k, cols)) for i in range(S.d)))
+    return monomial_ideal(S, gens)
+
+
+@pytest.mark.parametrize(
+    "d, cones, multipliers, jumps, top",
+    [(2, 40, 450, 100, 6), (3, 40, 450, 80, 6), (4, 5, 100, 20, 3)],
+)
+def test_engine_matches_the_fraction_references(monkeypatch, d, cones, multipliers, jumps, top):
+    """Seeded random calls on normal cones of dimension 2-4 (1 000
+    multiplier ideals at ``alpha = k / l``, ``k <= top``, ``l <= 4``, every
+    other one with an effective boundary divisor, both modes; 200 jumping
+    reports up to ``lct + 1``) give the results of the ``Fraction``
+    references and charge the same units, in the same order, to
+    ``SCAN_POINTS_CAP``, ``CANDIDATES_CAP`` and ``WINDOW_POINTS_CAP``.
+    Every region starts from the semigroup's cached start."""
+    rng = random.Random(38 + d)
+    semigroups = random_normal_cones(rng, d, cones)
+    if d == 4:  # this seed's random 4-D cones are simplicial; the 3-cube's cone has 6 facets
+        cube = [(1, *p) for p in product((0, 1), repeat=3)]
+        semigroups.append((build_semigroup([list(r) for r in zip(*cube)]), cube))
+    vertex_rays = multiplier._vertex_rays
+
+    def spy(rows, start):
+        _assert_cached_start(S, rows, start)
+        return vertex_rays(rows, start)
+
+    monkeypatch.setattr(multiplier, "_vertex_rays", spy)
+    for n in range(multipliers):
+        S, cols = semigroups[n % len(semigroups)]
+        J = _random_ideal(rng, S, cols)
+        alpha, mode = F(rng.randint(1, top), rng.randint(1, 4)), rng.choice(["relint", "closed"])
+        if n % 2:
+            w = (2,) * d
+            while min(f_map(S, w)) < -1:
+                w = tuple(F(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(d))
+            got = _counted(lambda: multiplier_ideal_with_boundary(S, J, w, alpha, mode))
+            want = _counted(lambda: fraction_minimal_members(S, J, alpha, mode, f_map(S, w)))
+        else:
+            got = _counted(lambda: multiplier_ideal(S, J, alpha, mode))
+            want = _counted(lambda: fraction_minimal_members(S, J, alpha, mode, [-1] * S.nfacets))
+        assert got == want, (cols, J.generators, alpha, mode)
+    search = multiplier._witness_search
+    n = 0
+    while n < jumps:
+        S, cols = semigroups[n % len(semigroups)]
+        J = _random_ideal(rng, S, cols)
+        if lct(S, J) is None:
+            continue
+        n += 1
+        monkeypatch.setattr(multiplier, "_witness_search", search)
+        got = _counted(lambda: jumping_coefficients(S, J, lct(S, J) + 1))
+        monkeypatch.setattr(multiplier, "_witness_search", fraction_witness_search)
+        want = _counted(lambda: jumping_coefficients(S, J, lct(S, J) + 1))
+        assert got == want, (cols, J.generators)
 
 
 def test_one_lattice_set_up_per_facet(monkeypatch):

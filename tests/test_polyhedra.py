@@ -113,6 +113,14 @@ def test_empty_points_rejected():
         newton_polyhedron([], ORTHANT2)
 
 
+def test_a_normal_negative_on_a_ray_is_an_engine_fault(monkeypatch):
+    # each point satisfies every facet by the choice of its offset, so the
+    # sanity check tests the rays alone: a normal negative on (0, 1) fails
+    monkeypatch.setattr(polyhedra, "_cone_rays", lambda rows, dim, start=None: [(0, 1, -1)])
+    with pytest.raises(AssertionError, match="input ray violates computed facet"):
+        newton_polyhedron([(1, 1)], ORTHANT2)
+
+
 def test_newton_polyhedron_makes_no_rank_call(monkeypatch):
     """The double description of the homogenized cone is the spanning
     test and gives the facets; the polyhedron is kept as its facets, so no
@@ -355,6 +363,30 @@ def test_integer_membership_matches_fraction_reference(points, rays, q, alpha, m
     assert membership(P, q, alpha, mode) == _membership_fraction(P, q, alpha, mode)
 
 
+@given(
+    st.lists(st.tuples(*[st.integers(0, 6)] * 3), min_size=1, max_size=5),
+    st.sampled_from([ORTHANT3, [(1, 0, 0), (1, 3, 0), (0, 0, 1)]]),
+    st.tuples(*[st.integers(-4, 20)] * 3),
+    st.integers(1, 12),
+    st.integers(1, 12),
+    st.booleans(),
+)
+@example([(2, 1, 0), (1, 2, 0)], ORTHANT3, (2, 1, 0), 1, 1, False)  # a vertex at alpha 1
+@example([(2, 1, 0), (1, 2, 0)], ORTHANT3, (2, 2, 1), 4, 3, False)  # on x + y >= 3 at alpha 4/3
+@settings(max_examples=300, deadline=None)
+def test_integer_boundary_test_is_closed_and_not_relint(points, rays, q, num, den, on_vertex):
+    """``_on_boundary`` is ``membership`` closed and not relint at ``alpha
+    = num / den``; ``on_vertex`` moves ``q`` to ``num`` times a vertex and
+    the dilation to ``num den / den``, a boundary point."""
+    P = newton_polyhedron(points, rays)
+    if on_vertex:
+        q = tuple(num * x for x in inequality_vertices(list(P.facets))[0])
+        num *= den
+    alpha = F(num, den)
+    want = membership(P, q, alpha, "closed") and not membership(P, q, alpha, "relint")
+    assert polyhedra._on_boundary(P, q, num, den) == want
+
+
 def test_membership_spot_values():
     P = newton_polyhedron([(2, 1), (1, 2)], ORTHANT2)
     assert membership(P, (2, 2), F(4, 3), "closed")
@@ -376,6 +408,8 @@ def test_point_threshold():
     # boundary check: at the threshold the point is closed-but-not-interior
     q, t = (1, 1), F(2, 3)
     assert membership(P, q, t, "closed") and not membership(P, q, t, "relint")
+    # a rational point is checked scaled to integers
+    assert point_threshold(P, (F(1, 2), F(1, 2))) == F(1, 3)
 
 
 def test_point_threshold_degenerate_cases():
